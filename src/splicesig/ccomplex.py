@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .cyclotomic import CyclotomicNumber, HermitianMatrix, _level
+from .cyclotomic import HermitianMatrix, _common_level, _level, _steps
 from .errors import BoundaryCharacter, InvalidFamily, NullityUnavailable
 from .splice import SigFn, with_boundary
 from .torus import Character
@@ -79,8 +79,8 @@ class SeifertFamily:
                         if linking is not None else None)
         self.label = label
         # construction is permissive so that validate() can report problems;
-        # assembly re-checks hermitian-ness exactly, so bad data cannot leak
-        # numbers
+        # every invariant goes through assemble(), whose exact Hermitian check
+        # refuses bad data, so it cannot leak numbers
 
     # -- validation -----------------------------------------------------------
 
@@ -140,72 +140,38 @@ class SeifertFamily:
                 f"coordinates {units} equal 1; the assembled form is only "
                 "defined on the open torus")
 
-    def _coefficients(self, omega: Character, level: int) -> Dict[Sign, CyclotomicNumber]:
-        coords = [CyclotomicNumber.from_angle(a, level) for a in omega]
-        pref = CyclotomicNumber.from_rational(1, level)
-        for c in coords:
-            pref = pref * (1 - c.conjugate())
-        out = {}
-        for eps in _all_signs(self.arity):
-            c = pref
-            for i, e in enumerate(eps):
-                if e < 0:
-                    c = c * (-coords[i])
-            out[eps] = c
-        return out
-
     def assemble(self, omega: Character) -> HermitianMatrix:
         """The Hermitian form H(omega) over Q(zeta_N), exactly checked."""
         self._check_character(omega)
-        level = 1
-        for a in omega:
-            level = level * a.denominator // math.gcd(level, a.denominator)
-        coefs = self._coefficients(omega, level)
-        g = self.generators
-        zero = CyclotomicNumber.from_rational(0, level)
-        entries = []
-        for i in range(g):
-            row = []
-            for j in range(g):
-                acc = zero
-                for eps, c in coefs.items():
-                    k = self.forms[eps][i][j]
-                    if k:
-                        acc = acc + c * k
-                row.append(acc)
-            entries.append(row)
-        return HermitianMatrix(entries)
-
-    def _inertia_at(self, omega: Character) -> Tuple[int, int, int]:
-        """(positive, negative, zero) of H(omega): integer fast path.
-
-        Assembles straight into numerator-vector scalars and skips the
-        redundant Hermitian re-check; agreement with assemble() is covered by
-        tests.
-        """
-        from .cyclotomic import _inertia
-
-        self._check_character(omega)
-        level = 1
-        for a in omega:
-            level = level * a.denominator // math.gcd(level, a.denominator)
+        level = _common_level(omega)
+        steps = _steps(omega, level)
+        # prod_i (1 - t_i^-1) as (exponent of zeta_N, coefficient) terms
+        pref = [(0, 1)]
+        for s in steps:
+            pref += [(e - s, -c) for e, c in pref]
+        # times prod_{i: eps_i = -1} (-t_i), per shift direction
+        coefs = {}
+        for eps in _all_signs(self.arity):
+            shift = sum(s for s, e in zip(steps, eps) if e < 0)
+            coefs[eps] = [(e + shift, math.prod(eps) * c) for e, c in pref]
         lv = _level(level)
-        coefs = {eps: c._to_qv() for eps, c in self._coefficients(omega, level).items()}
         g = self.generators
-        zero = (1, (0,) * lv.deg)
         mat = []
         for i in range(g):
             row = []
             for j in range(g):
-                acc = zero
-                for eps, c in coefs.items():
+                terms = []
+                for eps, pre in coefs.items():
                     k = self.forms[eps][i][j]
                     if k:
-                        den, vec = c
-                        acc = lv.add(acc, lv.normalize(den, [k * x for x in vec]))
-                row.append(acc)
+                        terms += [(e, k * c) for e, c in pre]
+                row.append(lv.reduce(1, terms))
             mat.append(row)
-        return _inertia(mat, lv)
+        return HermitianMatrix(mat, level=level)
+
+    def _inertia_at(self, omega: Character) -> Tuple[int, int, int]:
+        """(positive, negative, zero) of H(omega), through the checked assembly."""
+        return self.assemble(omega).inertia()
 
     # -- invariants -------------------------------------------------------------
 

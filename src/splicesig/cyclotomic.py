@@ -2,13 +2,26 @@
 
 A character coordinate with angle a/b is the root of unity zeta_N^(N*a/b) once
 N is a common multiple of the angle denominators, so every matrix we ever need
-to diagonalise has entries in Q(zeta_N).  Elements are stored as coefficient
-vectors of Q[x]/(x^N - 1) evaluated at x = zeta_N = exp(2*pi*i/N); this
-representation makes complex conjugation a plain index reversal.  It is not
-faithful (x^N - 1 has more roots than zeta_N), so equality and zero tests go
-through the canonical form: the remainder modulo the N-th cyclotomic polynomial
-Phi_N, which IS the minimal polynomial of zeta_N.  An element is zero in C if
-and only if its canonical form is the zero vector; there is no epsilon anywhere.
+to diagonalise has entries in Q(zeta_N).
+
+Canonical form.  An element is a pair (den, vec): a positive integer
+denominator and an integer vector of length d = deg Phi_N, the numerator in
+the power basis 1, x, ..., x^(d-1) of Q[x]/(Phi_N) at x = zeta_N =
+exp(2*pi*i/N).  Phi_N is the minimal polynomial of zeta_N and the pair is
+kept in lowest terms, so two elements are equal exactly when their pairs are
+equal; there is no epsilon anywhere.
+
+One integer table.  Each level holds pow_rows[k] = x^k mod Phi_N for
+0 <= k < N, filled by the multiply-by-x recurrence, which stays integral
+because Phi_N is monic.  As x^N = 1, any integer combination sum c_e x^e
+reduces by folding each term with pow_rows[e mod N] (_Level.reduce, the only
+reduction): a product folds its convolution, conjugation sends x^j to
+pow_rows[-j mod N], and Hermitian forms are assembled from their (exponent,
+coefficient) terms straight into canonical pairs, then checked Hermitian on
+integers.
+
+The public CyclotomicNumber keeps its (unfaithful) coefficient vector of
+Q[x]/(x^N - 1) and decides equality, zero tests and signs on the pair.
 
 Signatures and nullities of Hermitian matrices are computed by exact
 LDL-style elimination:
@@ -18,8 +31,9 @@ LDL-style elimination:
   diagonal when one exists, otherwise a 2x2 block [[0,a],[conj(a),0]], which
   contributes +1 and -1 regardless of a),
 * the sign of each nonzero real pivot is certified by interval arithmetic at
-  adaptive precision: the interval is refined until it excludes zero, which
-  terminates because zero has already been excluded exactly.
+  adaptive precision, in private mpmath interval contexts: the interval is
+  refined until it excludes zero, which terminates because zero has already
+  been excluded exactly.
 
 The starting interval precision is 64 bits, overridable with the
 SPLICE_SIG_PRECISION environment variable.
@@ -33,7 +47,7 @@ import math
 import os
 import threading
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
@@ -140,55 +154,62 @@ def cyclotomic_polynomial(n: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-level tables and the fast internal scalar representation
-#
-# Inside the inertia computation a scalar is a pair (den, vec): an integer
-# denominator den > 0 and an integer vector of length d = deg Phi_N holding the
-# numerator in the power basis 1, x, ..., x^(d-1) of Q(zeta_N).
+# per-level tables and the canonical pairs (den, vec); zero is (1, 0...0)
 # ---------------------------------------------------------------------------
 
 QV = Tuple[int, Tuple[int, ...]]
 
 
 class _Level:
-    """Cached multiplication/conjugation/reduction tables for one level N."""
+    """The power table and the scalar operations of one level N."""
 
     def __init__(self, n: int):
+        if n > _LEVEL_CAP:
+            raise LevelMismatch(f"level {n} exceeds the supported bound")
         self.n = n
-        phi = cyclotomic_polynomial(n)
-        self.phi = phi
-        self.deg = len(phi) - 1
-        d = self.deg
-        # x^j mod Phi_N for j = d .. 2d-2 (products of reduced elements reach 2d-2)
-        self.red_rows = [tuple(self._power_vec(j)) for j in range(d, max(2 * d - 1, d))]
-        # conjugation: x^j -> x^((N - j) % N), reduced
-        self.conj_rows = [tuple(self._power_vec((n - j) % n)) for j in range(d)]
-        self._cos_cache: Dict[int, list] = {}
-
-    def _power_vec(self, k: int) -> List[int]:
-        """x^k mod Phi_N as an integer vector of length deg.  Phi_N is monic,
-        so the remainder stays integral."""
-        d = self.deg
-        if k < d:
-            v = [0] * d
-            v[k] = 1
-            return v
-        _, rem = _pdivmod_exact([0] * k + [1], self.phi)
-        return list(rem) + [0] * (d - len(rem))
+        self.phi = phi = cyclotomic_polynomial(n)
+        self.deg = d = len(phi) - 1
+        # pow_rows[k] = x^k mod Phi_N for k < N, sparse as (indices, coefficients).
+        # x^(k+1) shifts x^k up and replaces x^d by x^d - Phi_N, integral
+        # because Phi_N is monic.  Rows share one set of index objects to stay small.
+        rows = []
+        index = list(range(d))
+        vec = [1] + [0] * (d - 1)
+        for _ in range(n):
+            nz = tuple(i for i, c in zip(index, vec) if c)
+            rows.append((nz, tuple(vec[i] for i in nz)))
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                for i in range(d):
+                    vec[i] -= top * phi[i]
+        self.pow_rows = rows
+        self._iv: Dict[int, tuple] = {}
 
     # -- scalar operations -------------------------------------------------
 
+    def reduce(self, den: int, terms: Iterable[Tuple[int, int]]) -> QV:
+        """sum(c * x^e for e, c in terms) / den as a canonical pair: each term
+        folds in pow_rows[e mod N].  The only reduction modulo Phi_N."""
+        n, d, rows = self.n, self.deg, self.pow_rows
+        out = [0] * d
+        for e, c in terms:
+            if c:
+                k = e % n
+                if k < d:
+                    out[k] += c
+                else:
+                    idx, row = rows[k]
+                    for i, r in zip(idx, row):
+                        out[i] += c * r
+        return self.normalize(den, out)
+
     def normalize(self, den: int, vec: List[int]) -> QV:
-        if all(c == 0 for c in vec):
-            return (1, tuple([0] * self.deg))
-        g = den
-        for c in vec:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
+        if not any(vec):
+            return (1, (0,) * self.deg)
+        g = math.gcd(den, *vec)
         if g > 1:
-            den //= g
-            vec = [c // g for c in vec]
+            return (den // g, tuple(c // g for c in vec))
         return (den, tuple(vec))
 
     def add(self, a: QV, b: QV) -> QV:
@@ -207,37 +228,21 @@ class _Level:
     def mul(self, a: QV, b: QV) -> QV:
         da, va = a
         db, vb = b
-        d = self.deg
-        conv = [0] * (2 * d - 1 if d > 0 else 1)
+        conv = [0] * (2 * self.deg - 1)
         for i, x in enumerate(va):
-            if x == 0:
-                continue
-            for j, y in enumerate(vb):
-                if y:
-                    conv[i + j] += x * y
-        out = list(conv[:d]) + [0] * (d - min(d, len(conv)))
-        for e in range(d, len(conv)):
-            c = conv[e]
-            if c:
-                row = self.red_rows[e - d]
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += c * ri
-        return self.normalize(da * db, out)
+            if x:
+                for j, y in enumerate(vb):
+                    if y:
+                        conv[i + j] += x * y
+        return self.reduce(da * db, enumerate(conv))
 
     def conj(self, a: QV) -> QV:
-        da, va = a
-        out = [0] * self.deg
-        for j, c in enumerate(va):
-            if c:
-                row = self.conj_rows[j]
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += c * ri
-        return self.normalize(da, out)
+        """Complex conjugation: x^j -> x^(-j mod N)."""
+        den, vec = a
+        return self.reduce(den, ((-j, c) for j, c in enumerate(vec)))
 
     def is_zero(self, a: QV) -> bool:
-        return all(c == 0 for c in a[1])
+        return not any(a[1])
 
     def size(self, a: QV) -> int:
         return a[0].bit_length() + sum(c.bit_length() for c in a[1])
@@ -272,45 +277,43 @@ class _Level:
 
     # -- certified signs ----------------------------------------------------
 
-    def _cos_intervals(self, prec: int) -> list:
-        cached = self._cos_cache.get(prec)
-        if cached is not None:
-            return cached
-        iv = mpmath.iv
-        iv.prec = prec
-        two_pi = 2 * iv.pi
-        vals = [iv.cos(two_pi * j / self.n) for j in range(self.deg)]
-        self._cos_cache[prec] = vals
-        return vals
+    def _cos_intervals(self, prec: int) -> tuple:
+        """A private interval context at prec, never changed after it is built,
+        and cos(2*pi*j/N) for j < deg in it."""
+        cached = self._iv.get(prec)
+        if cached is None:
+            ctx = type(mpmath.iv)()
+            ctx.prec = prec
+            two_pi = 2 * ctx.pi
+            cached = (ctx, [ctx.cos(two_pi * j / self.n) for j in range(self.deg)])
+            self._iv[prec] = cached
+        return cached
 
     def sign(self, a: QV, start_prec: Optional[int] = None) -> int:
         """Certified sign of a real element; 0 only for the exact zero."""
         if self.is_zero(a):
             return 0
-        den, vec = a  # den > 0
+        vec = a[1]  # den > 0
         prec = start_prec or _default_precision()
-        with _iv_lock:
-            while True:
-                mpmath.iv.prec = prec
-                coss = self._cos_intervals(prec)
-                s = mpmath.iv.mpf(0)
-                for c, ci in zip(vec, coss):
-                    if c:
-                        s += c * ci
-                if s.a > 0:
-                    return 1
-                if s.b < 0:
-                    return -1
-                prec *= 2
-                if prec > (1 << 16):
-                    raise ArithmeticError(
-                        "interval refinement did not separate a provably nonzero "
-                        "value from zero; this indicates a bug in the exact layer")
+        while True:
+            ctx, coss = self._cos_intervals(prec)
+            s = ctx.mpf(0)
+            for c, ci in zip(vec, coss):
+                if c:
+                    s += c * ci
+            if s.a > 0:
+                return 1
+            if s.b < 0:
+                return -1
+            prec *= 2
+            if prec > (1 << 16):
+                raise ArithmeticError(
+                    "interval refinement did not separate a provably nonzero "
+                    "value from zero; this indicates a bug in the exact layer")
 
 
 _levels: Dict[int, _Level] = {}
 _levels_lock = threading.Lock()
-_iv_lock = threading.Lock()
 
 
 def _level(n: int) -> _Level:
@@ -340,7 +343,7 @@ class CyclotomicNumber:
 
     coeffs[k] is the coefficient of zeta_N^k.  Conjugation reverses indices
     (coeffs[k] -> coeffs[-k mod N]).  Equality, zero tests and realness are
-    decided on the canonical form modulo Phi_N, so they are exact.
+    decided on the canonical pair modulo Phi_N, so they are exact.
 
     Arithmetic between different levels lifts both operands to the least
     common multiple level.
@@ -355,7 +358,7 @@ class CyclotomicNumber:
             raise ValueError(f"need exactly {level} coefficients, got {len(coeffs)}")
         self.level = level
         self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self._reduced: Optional[Tuple[Fraction, ...]] = None
+        self._reduced: Optional[QV] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -378,20 +381,26 @@ class CyclotomicNumber:
             raise LevelMismatch(f"angle {a} does not live at level {level}")
         return cls.root_of_unity(level, (level // a.denominator) * a.numerator)
 
+    @classmethod
+    def _from_canonical(cls, level: int, qv: QV) -> "CyclotomicNumber":
+        den, vec = qv
+        num = cls(level, [Fraction(c, den) for c in vec] + [0] * (level - len(vec)))
+        num._reduced = qv
+        return num
+
     # -- canonical form --------------------------------------------------------
 
-    def reduced(self) -> Tuple[Fraction, ...]:
-        """Remainder mod Phi_N, padded to length deg Phi_N.  Unique per value."""
+    def reduced(self) -> QV:
+        """The canonical pair (den, vec) modulo Phi_N.  Unique per value."""
         if self._reduced is None:
-            lv = _level(self.level)
-            phi = [Fraction(c) for c in lv.phi]
-            _, rem = _fdivmod([Fraction(c) for c in self.coeffs], phi)
-            rem = list(rem) + [Fraction(0)] * (lv.deg - len(rem))
-            self._reduced = tuple(rem)
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            self._reduced = _level(self.level).reduce(
+                den, [(k, c.numerator * (den // c.denominator))
+                      for k, c in enumerate(self.coeffs) if c])
         return self._reduced
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.reduced())
+        return not any(self.reduced()[1])
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -484,19 +493,11 @@ class CyclotomicNumber:
             0j,
         )
 
-    def _to_qv(self) -> QV:
-        lv = _level(self.level)
-        red = self.reduced()
-        den = 1
-        for f in red:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return lv.normalize(den, [int(f * den) for f in red])
-
     def sign_real(self, start_prec: Optional[int] = None) -> int:
         """Certified sign in {-1, 0, 1}; raises NotReal off the real line."""
         if not self.is_real():
             raise NotReal(f"{self!r} is not fixed by conjugation")
-        return _level(self.level).sign(self._to_qv(), start_prec)
+        return _level(self.level).sign(self.reduced(), start_prec)
 
 
 # ---------------------------------------------------------------------------
@@ -504,31 +505,43 @@ class CyclotomicNumber:
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """A square matrix over Q(zeta_N), checked exactly Hermitian at construction."""
+    """A square matrix over Q(zeta_N), checked exactly Hermitian at construction.
 
-    def __init__(self, entries: Sequence[Sequence[CyclotomicNumber]]):
+    entries are CyclotomicNumbers, lifted to their common level, or, when
+    level is given, canonical pairs (den, vec) at that level, as the form
+    assemblers emit them.  Either way the matrix is kept as canonical pairs
+    and checked on integers.
+    """
+
+    def __init__(self, entries: Sequence[Sequence[Union[CyclotomicNumber, QV]]],
+                 level: Optional[int] = None):
         g = len(entries)
         if any(len(row) != g for row in entries):
             raise ValueError("matrix must be square")
-        level = 1
-        for row in entries:
-            for e in row:
-                level = level * e.level // math.gcd(level, e.level)
-        if level > _LEVEL_CAP:
-            raise LevelMismatch(f"combined level {level} exceeds the supported bound")
-        lifted = [[e.lift(level) for e in row] for row in entries]
+        numbers = level is None
+        if numbers:
+            level = math.lcm(*(e.level for row in entries for e in row))
+        lv = _level(level)
+        mat = [[e.lift(level).reduced() if numbers else e for e in row] for row in entries]
         for i in range(g):
             for j in range(i, g):
-                if lifted[i][j] != lifted[j][i].conjugate():
+                if mat[i][j] != lv.conj(mat[j][i]):
                     raise NotHermitian(f"entry ({i},{j}) is not the conjugate of ({j},{i})")
         self.level = level
         self.size = g
-        self.entries = tuple(tuple(row) for row in lifted)
+        self._lv = lv
+        self._mat = tuple(mat)
         self._inertia: Optional[Tuple[int, int, int]] = None
+
+    @property
+    def entries(self) -> Tuple[Tuple[CyclotomicNumber, ...], ...]:
+        """The entries as CyclotomicNumbers at the common level."""
+        return tuple(tuple(CyclotomicNumber._from_canonical(self.level, e) for e in row)
+                     for row in self._mat)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return CyclotomicNumber._from_canonical(self.level, self._mat[i][j])
 
     def signature_nullity(self) -> Tuple[int, int]:
         """(signature, nullity), both exact."""
@@ -541,13 +554,13 @@ class HermitianMatrix:
 
     def _compute_inertia(self) -> Tuple[int, int, int]:
         if self._inertia is None:
-            lv = _level(self.level)
-            mat = [[e._to_qv() for e in row] for row in self.entries]
-            self._inertia = _inertia(mat, lv)
+            self._inertia = _inertia([list(row) for row in self._mat], self._lv)
         return self._inertia
 
     def to_complex_matrix(self) -> List[List[complex]]:
-        return [[e.to_complex() for e in row] for row in self.entries]
+        roots = [cmath.exp(2j * cmath.pi * k / self.level) for k in range(self._lv.deg)]
+        return [[sum(c * r for c, r in zip(vec, roots)) / den for den, vec in row]
+                for row in self._mat]
 
     def eigen_multiset_numeric(self) -> List[float]:
         """Eigenvalues as floats, ascending.  For cross-checks, not proofs."""
@@ -722,16 +735,14 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
     def evaluate(self, omega: Character, level: int) -> CyclotomicNumber:
-        coeffs = [Fraction(0)] * level
-        steps = []
-        for a in omega:
-            if level % a.denominator != 0:
-                raise LevelMismatch(f"angle {a} does not live at level {level}")
-            steps.append((level // a.denominator) * a.numerator)
-        for exps, c in self.terms.items():
-            k = sum(e * s for e, s in zip(exps, steps)) % level
-            coeffs[k] += c
-        return CyclotomicNumber(level, coeffs)
+        qv = _level(level).reduce(*self._integer_terms(_steps(omega, level)))
+        return CyclotomicNumber._from_canonical(level, qv)
+
+    def _integer_terms(self, steps: Sequence[int]) -> Tuple[int, List[Tuple[int, int]]]:
+        """(den, [(k, c)]) with self = sum(c * zeta^k) / den at t_i = zeta^steps[i]."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return den, [(sum(e * s for e, s in zip(exps, steps)), c.numerator * (den // c.denominator))
+                     for exps, c in self.terms.items()]
 
 
 def _common_level(omega: Character) -> int:
@@ -739,6 +750,16 @@ def _common_level(omega: Character) -> int:
     for a in omega:
         n = n * a.denominator // math.gcd(n, a.denominator)
     return n
+
+
+def _steps(omega: Character, level: int) -> List[int]:
+    """The exponents k_i with omega_i = zeta_level^k_i."""
+    steps = []
+    for a in omega:
+        if level % a.denominator != 0:
+            raise LevelMismatch(f"angle {a} does not live at level {level}")
+        steps.append((level // a.denominator) * a.numerator)
+    return steps
 
 
 class LaurentMatrix:
@@ -765,8 +786,10 @@ class LaurentMatrix:
         if len(omega) != self.arity:
             raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
         n = level or _common_level(omega)
-        rows = [[e.evaluate(omega, n) for e in row] for row in self.entries]
-        return HermitianMatrix(rows)
+        steps = _steps(omega, n)
+        lv = _level(n)
+        return HermitianMatrix([[lv.reduce(*e._integer_terms(steps)) for e in row]
+                                for row in self.entries], level=n)
 
     # -- serialization ------------------------------------------------------
 

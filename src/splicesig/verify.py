@@ -32,8 +32,15 @@ def _angle(k: int, order: int) -> Angle:
 
 
 @lru_cache(maxsize=None)
+def _fixture_values(name: str, order: int) -> Callable[[Tuple[int, ...]], int]:
+    """The signature of a fixture at grid cells ks/order, one evaluator per fixture."""
+    sig = fixture_sig(name)
+    angles = [_angle(k, order) for k in range(order)]  # shared by every character the leaf caches keep
+    return lambda ks: sig(tuple(angles[k] for k in ks))
+
+
 def _fixture_value(name: str, ks: Tuple[int, ...], order: int) -> int:
-    return fixture_sig(name)(tuple(_angle(k, order) for k in ks))
+    return _fixture_values(name, order)(ks)
 
 
 def _fail(name: str, detail: str) -> CriterionResult:

@@ -81,3 +81,17 @@ def test_8_hopf_nullity():
 
 def test_9_guard_discipline():
     _report(verify.guard_discipline())
+
+
+def test_fixture_evaluators_built_once_per_run(monkeypatch):
+    # both referee suites read the three fixtures through one evaluator each
+    built = []
+    real = verify.fixture_sig
+    monkeypatch.setattr(verify, "fixture_sig", lambda name: built.append(name) or real(name))
+    verify._fixture_values.cache_clear()
+    try:
+        _report(verify.referee_tables())
+        _report(verify.referee_splice())
+    finally:
+        verify._fixture_values.cache_clear()
+    assert sorted(built) == ["cable(4,2)+core", "torus(2,4)", "torus(3,6)"]

@@ -148,6 +148,27 @@ class TestAssemble:
             assemble(fam, (ang(1, 3),))
 
 
+class TestInvalidFamiliesRefuse:
+    """Every invariant goes through the checked assembly: no numbers from bad data."""
+
+    BAD = {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]}  # - is not the transpose of +
+
+    def test_signature_raises(self):
+        with pytest.raises(NotHermitian):
+            SeifertFamily(1, self.BAD).signature((ang(1, 3),))
+
+    def test_sig_fn_raises(self):
+        with pytest.raises(NotHermitian):
+            SeifertFamily(1, self.BAD).sig_fn()((ang(1, 3),))
+
+    def test_raw_inertia_and_nullity_raise(self):
+        fam = SeifertFamily(1, self.BAD, basis=True)
+        with pytest.raises(NotHermitian):
+            fam.raw_inertia((ang(1, 3),))
+        with pytest.raises(NotHermitian):
+            fam.signature_nullity((ang(1, 3),))
+
+
 class TestSignatureNullity:
     def test_trefoil_values(self):
         fam = trefoil_family()

@@ -83,6 +83,16 @@ class TestEval:
                      "--at", "1/6"]) == 0
         assert capsys.readouterr().out == "-1\nnullity 1\n"
 
+    def test_invalid_seifert_family_exit_2(self, tmp_path, capsys):
+        # the - form is not the transpose of the + form
+        bad = SeifertFamily(1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]})
+        path = tmp_path / "bad.json"
+        path.write_text(bad.dumps())
+        assert main(["eval", json.dumps({"seifert": str(path)}), "--at", "1/3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not the conjugate" in out.err
+
     def test_seifert_nullity_gated_without_basis(self, tmp_path, capsys):
         path = tmp_path / "trefoil.json"
         path.write_text(trefoil_family(basis=False).dumps())
