@@ -36,12 +36,8 @@ from .cyclotomic import (
     LaurentMatrix,
     LaurentPoly,
     cyclotomic_polynomial,
-    eigen_multiset_numeric,
-    evaluate,
-    sign_real,
-    signature_nullity,
 )
-from .ccomplex import SeifertFamily, assemble, nullity, sig_fn, signature, validate
+from .ccomplex import SeifertFamily
 from .splice import (
     DistinguishedSigFn,
     SigFn,

@@ -59,8 +59,11 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
     and the signature is b - a.  Sums hitting theta or theta + 1 exactly
     count toward neither (they contribute to the nullity instead).  The count
     is stated for theta in (0, 1/2]; for theta in (1/2, 1) the value at the
-    conjugate angle is the same, so we reflect.  All comparisons are exact
-    rational arithmetic.
+    conjugate angle is the same, so we reflect.  The count is symmetric in
+    (p, q), so it runs over the rows i of the smaller one: there
+    theta < s < theta + 1 says low < j < low + q with low = q*(theta - i/p),
+    an interval whose ends are ties exactly when low is an integer.  All
+    comparisons are exact rational arithmetic.
     """
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise InvalidParams(f"need coprime positive (p, q), got ({p}, {q})")
@@ -69,16 +72,15 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
     theta = zeta.value
     if theta > Fraction(1, 2):
         theta = 1 - theta
-    a = b = 0
+    p, q = min(p, q), max(p, q)
+    a = ties = 0
     for i in range(1, p):
-        for j in range(1, q):
-            s = Fraction(i, p) + Fraction(j, q)
-            if s == theta or s == theta + 1:
-                continue  # tie: neither side
-            if theta < s < theta + 1:
-                a += 1
-            else:
-                b += 1
+        low = q * (theta - Fraction(i, p))
+        first, last = max(1, math.floor(low) + 1), min(q - 1, math.ceil(low) + q - 1)
+        a += max(0, last - first + 1)
+        if low.denominator == 1:
+            ties += (1 <= low <= q - 1) + (1 <= low + q <= q - 1)
+    b = (p - 1) * (q - 1) - a - ties
     return b - a
 
 

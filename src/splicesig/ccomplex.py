@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .cyclotomic import HermitianMatrix, _common_level, _level, _steps
+from .cyclotomic import HermitianMatrix, LaurentMatrix, LaurentPoly
 from .errors import BoundaryCharacter, InvalidFamily, NullityUnavailable
 from .splice import SigFn, with_boundary
-from .torus import Character
+from .torus import Character, is_open
 
 Sign = Tuple[int, ...]  # entries +1 / -1, length = arity
 
@@ -140,34 +141,37 @@ class SeifertFamily:
                 f"coordinates {units} equal 1; the assembled form is only "
                 "defined on the open torus")
 
-    def assemble(self, omega: Character) -> HermitianMatrix:
-        """The Hermitian form H(omega) over Q(zeta_N), exactly checked."""
-        self._check_character(omega)
-        level = _common_level(omega)
-        steps = _steps(omega, level)
-        # prod_i (1 - t_i^-1) as (exponent of zeta_N, coefficient) terms
-        pref = [(0, 1)]
-        for s in steps:
-            pref += [(e - s, -c) for e, c in pref]
-        # times prod_{i: eps_i = -1} (-t_i), per shift direction
-        coefs = {}
-        for eps in _all_signs(self.arity):
-            shift = sum(s for s, e in zip(steps, eps) if e < 0)
-            coefs[eps] = [(e + shift, math.prod(eps) * c) for e, c in pref]
-        lv = _level(level)
-        g = self.generators
-        mat = []
+    @cached_property
+    def _laurent(self) -> LaurentMatrix:
+        """H(t) = prod_i (1 - t_i^-1) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps.
+
+        Compiled on first use, not at construction, which stays permissive.
+        """
+        mu, g = self.arity, self.generators
+        pre = LaurentPoly.const(mu, 1)
+        for i in range(mu):
+            pre = pre * (1 - LaurentPoly.var(mu, i, -1))
+        weights = [(self.forms[eps],
+                    pre * LaurentPoly(mu, {tuple(int(e < 0) for e in eps): math.prod(eps)}))
+                   for eps in _all_signs(mu)]
+        entries = []
         for i in range(g):
             row = []
             for j in range(g):
-                terms = []
-                for eps, pre in coefs.items():
-                    k = self.forms[eps][i][j]
+                terms: dict = {}  # sum_eps theta^eps[i][j] * weight_eps, term by term
+                for form, w in weights:
+                    k = form[i][j]
                     if k:
-                        terms += [(e, k * c) for e, c in pre]
-                row.append(lv.reduce(1, terms))
-            mat.append(row)
-        return HermitianMatrix(mat, level=level)
+                        for exps, c in w.terms.items():
+                            terms[exps] = terms.get(exps, 0) + k * c
+                row.append(LaurentPoly(mu, terms))
+            entries.append(row)
+        return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
+
+    def assemble(self, omega: Character) -> HermitianMatrix:
+        """The Hermitian form H(omega) over Q(zeta_N), exactly checked."""
+        self._check_character(omega)
+        return self._laurent.evaluate(omega)
 
     def _inertia_at(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), through the checked assembly."""
@@ -207,6 +211,8 @@ class SeifertFamily:
         boundary_table overrides the family's own boundary data when given.
         With distinguished=True, color 0 is marked distinguished and its
         linking vector is read off the linking matrix (which must be present).
+        The evaluator's nullity is this family's on the open torus when the
+        generators are a basis, None otherwise.
         """
         table = dict(boundary_table) if boundary_table is not None else self.boundary
         subs = {kept: fam.sig_fn() for kept, fam in table.items()}
@@ -216,8 +222,12 @@ class SeifertFamily:
                 raise InvalidFamily(
                     "distinguished evaluators need the linking matrix metadata")
             linking = tuple(self.linking[0][j] for j in range(1, self.arity))
+
+        def nullity(omega: Character) -> Optional[int]:
+            return self.nullity(omega) if self.basis and is_open(omega) else None
+
         return with_boundary(self.arity, self.signature, subs,
-                             linking=linking, label=self.label)
+                             linking=linking, label=self.label, nullity=nullity)
 
     # -- serialization --------------------------------------------------------------
 
@@ -278,27 +288,3 @@ class SeifertFamily:
         name = self.label or "family"
         return (f"SeifertFamily({name}, arity={self.arity}, "
                 f"generators={self.generators}, basis={self.basis})")
-
-
-# module-level aliases mirroring the operation names
-
-def validate(family: SeifertFamily) -> List[str]:
-    return family.validate()
-
-
-def assemble(family: SeifertFamily, omega: Character) -> HermitianMatrix:
-    return family.assemble(omega)
-
-
-def signature(family: SeifertFamily, omega: Character) -> int:
-    return family.signature(omega)
-
-
-def nullity(family: SeifertFamily, omega: Character) -> int:
-    return family.nullity(omega)
-
-
-def sig_fn(family: SeifertFamily,
-           boundary_table: Optional[Mapping[Tuple[int, ...], SeifertFamily]] = None,
-           **kw) -> SigFn:
-    return family.sig_fn(boundary_table, **kw)

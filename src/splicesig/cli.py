@@ -11,8 +11,7 @@ fixture name, or the shorthands "hopf M N", "fixture NAME", "zero K".
 Characters are comma-separated rational angles "a/b" with 0 the unit.
 
 All arithmetic is exact and iteration orders are fixed, so output is
-bit-stable across runs.  Certified sign evaluation starts at the interval
-precision given by the SPLICE_SIG_PRECISION environment variable (bits).
+bit-stable across runs.
 
 Exit codes: 0 success, 1 failed verification, 2 unusable input,
 3 GuardViolated, 4 BoundaryCharacter.  With --json every error is reported
@@ -28,14 +27,11 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from . import verify as verify_mod
-from .ccomplex import SeifertFamily
-from .errors import (BoundaryCharacter, ExpressionError, GuardViolated,
-                     NullityUnavailable, SpliceSigError)
+from .errors import BoundaryCharacter, ExpressionError, GuardViolated, SpliceSigError
 from .expr import parse as parse_expr
 from .fixtures import fixture_names
-from .hopf import hopf_nullity
 from .cables import hirzebruch
-from .torus import Angle, is_open
+from .torus import Angle
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
 
@@ -97,24 +93,6 @@ def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
         f'or "hopf M N" / "fixture NAME" / "zero K"')
 
 
-def _nullity_if_available(doc: dict, base_dir: Optional[str],
-                          omega: Tuple[Angle, ...]) -> Optional[int]:
-    """Closed-form or family nullity for the expression forms that carry one."""
-    form, value = next(iter(doc.items()))
-    if form == "hopf" and is_open(omega):
-        m, n = value
-        return hopf_nullity(m, n, omega[:m], omega[m:])
-    if form == "seifert" and is_open(omega):
-        path = value
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        try:
-            return SeifertFamily.load(path).nullity(omega)
-        except NullityUnavailable:
-            return None
-    return None
-
-
 def _emit_error(err: Exception, code: int, as_json: bool) -> int:
     if as_json:
         print(json.dumps({"error": {"type": type(err).__name__,
@@ -136,7 +114,7 @@ def cmd_eval(args) -> int:
         raise _CliError(f"expression {f.label or '?'} takes {f.arity} angles, "
                         f"got {len(omega)}")
     value = f(omega)
-    nullity = _nullity_if_available(doc, base_dir, omega)
+    nullity = f.nullity(omega) if f.nullity is not None else None
     if args.json:
         out = {"signature": value}
         if nullity is not None:
@@ -263,9 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="splice-sig",
         description="Exact multivariate link signatures: evaluation, sweeps, "
-                    "defect tables, verification.",
-        epilog="SPLICE_SIG_PRECISION sets the starting interval precision in "
-               "bits for certified sign evaluation.")
+                    "defect tables, verification.")
     top.add_argument("--json", action="store_true",
                      help="machine-parsable JSON output, including errors")
     sub = top.add_subparsers(dest="command", required=True)

@@ -20,8 +20,7 @@ pow_rows[-j mod N], and Hermitian forms are assembled from their (exponent,
 coefficient) terms straight into canonical pairs, then checked Hermitian on
 integers.
 
-The public CyclotomicNumber keeps its (unfaithful) coefficient vector of
-Q[x]/(x^N - 1) and decides equality, zero tests and signs on the pair.
+The public CyclotomicNumber is a view on one such pair at its level.
 
 Signatures and nullities of Hermitian matrices are computed by exact
 LDL-style elimination:
@@ -33,10 +32,7 @@ LDL-style elimination:
 * the sign of each nonzero real pivot is certified by interval arithmetic at
   adaptive precision, in private mpmath interval contexts: the interval is
   refined until it excludes zero, which terminates because zero has already
-  been excluded exactly.
-
-The starting interval precision is 64 bits, overridable with the
-SPLICE_SIG_PRECISION environment variable.
+  been excluded exactly.  Refinement starts at 64 bits and doubles.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import threading
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -164,6 +159,8 @@ class _Level:
     """The power table and the scalar operations of one level N."""
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("level must be a positive integer")
         if n > _LEVEL_CAP:
             raise LevelMismatch(f"level {n} exceeds the supported bound")
         self.n = n
@@ -289,12 +286,12 @@ class _Level:
             self._iv[prec] = cached
         return cached
 
-    def sign(self, a: QV, start_prec: Optional[int] = None) -> int:
+    def sign(self, a: QV) -> int:
         """Certified sign of a real element; 0 only for the exact zero."""
         if self.is_zero(a):
             return 0
         vec = a[1]  # den > 0
-        prec = start_prec or _default_precision()
+        prec = 64
         while True:
             ctx, coss = self._cos_intervals(prec)
             s = ctx.mpf(0)
@@ -325,54 +322,40 @@ def _level(n: int) -> _Level:
         return lv
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("SPLICE_SIG_PRECISION", "")
-    try:
-        p = int(raw)
-    except ValueError:
-        return 64
-    return max(p, 8) if p else 64
-
-
 # ---------------------------------------------------------------------------
 # public scalar type
 # ---------------------------------------------------------------------------
 
 class CyclotomicNumber:
-    """An element of Q(zeta_N), stored as a vector of Q[x]/(x^N - 1).
+    """An element of Q(zeta_N), stored as its level N and canonical pair.
 
-    coeffs[k] is the coefficient of zeta_N^k.  Conjugation reverses indices
-    (coeffs[k] -> coeffs[-k mod N]).  Equality, zero tests and realness are
-    decided on the canonical pair modulo Phi_N, so they are exact.
-
-    Arithmetic between different levels lifts both operands to the least
-    common multiple level.
+    The constructor takes the N coefficients of zeta_N^k and reduces them at
+    once; arithmetic and conjugation are the level's integer operations, so
+    equality, zero tests and signs are exact.  Arithmetic between different
+    levels lifts both operands to the least common multiple level.
     """
 
-    __slots__ = ("level", "coeffs", "_reduced")
+    __slots__ = ("level", "_reduced")
 
     def __init__(self, level: int, coeffs: Sequence[Union[int, Fraction]]):
-        if level < 1:
-            raise ValueError("level must be a positive integer")
         if len(coeffs) != level:
             raise ValueError(f"need exactly {level} coefficients, got {len(coeffs)}")
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.level = level
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self._reduced: Optional[QV] = None
+        self._reduced: QV = _level(level).reduce(
+            den, [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c])
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rational(cls, x: Union[int, Fraction], level: int = 1) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * level
-        coeffs[0] = Fraction(x)
-        return cls(level, coeffs)
+        x = Fraction(x)
+        return cls._from_canonical(level, _level(level).reduce(x.denominator, [(0, x.numerator)]))
 
     @classmethod
     def root_of_unity(cls, level: int, k: int = 1) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * level
-        coeffs[k % level] = Fraction(1)
-        return cls(level, coeffs)
+        return cls._from_canonical(level, _level(level).reduce(1, [(k, 1)]))
 
     @classmethod
     def from_angle(cls, a: Angle, level: int) -> "CyclotomicNumber":
@@ -383,8 +366,8 @@ class CyclotomicNumber:
 
     @classmethod
     def _from_canonical(cls, level: int, qv: QV) -> "CyclotomicNumber":
-        den, vec = qv
-        num = cls(level, [Fraction(c, den) for c in vec] + [0] * (level - len(vec)))
+        num = object.__new__(cls)
+        num.level = level
         num._reduced = qv
         return num
 
@@ -392,112 +375,97 @@ class CyclotomicNumber:
 
     def reduced(self) -> QV:
         """The canonical pair (den, vec) modulo Phi_N.  Unique per value."""
-        if self._reduced is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            self._reduced = _level(self.level).reduce(
-                den, [(k, c.numerator * (den // c.denominator))
-                      for k, c in enumerate(self.coeffs) if c])
         return self._reduced
 
     def is_zero(self) -> bool:
-        return not any(self.reduced()[1])
+        return not any(self._reduced[1])
 
     def is_real(self) -> bool:
         return self.conjugate() == self
 
     def lift(self, level: int) -> "CyclotomicNumber":
+        """The same value at a multiple N' of N: zeta_N^k = zeta_N'^(k*N'/N)."""
         if level == self.level:
             return self
         if level % self.level != 0:
             raise LevelMismatch(f"cannot lift level {self.level} to non-multiple {level}")
         step = level // self.level
-        coeffs = [Fraction(0)] * level
-        for k, c in enumerate(self.coeffs):
-            coeffs[k * step] = c
-        return CyclotomicNumber(level, coeffs)
+        den, vec = self._reduced
+        return CyclotomicNumber._from_canonical(
+            level, _level(level).reduce(den, [(k * step, c) for k, c in enumerate(vec)]))
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _common(self, other) -> Tuple["CyclotomicNumber", "CyclotomicNumber"]:
+    def _common(self, other) -> Optional[Tuple[_Level, QV, QV]]:
+        """Both operands' pairs at their common level; None for foreign types."""
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        if self.level == other.level:
-            return self, other
-        lcm = self.level * other.level // math.gcd(self.level, other.level)
-        if lcm > _LEVEL_CAP:
-            raise LevelMismatch(f"combined level {lcm} exceeds the supported bound")
-        return self.lift(lcm), other.lift(lcm)
+            other = CyclotomicNumber.from_rational(other, self.level)
+        elif not isinstance(other, CyclotomicNumber):
+            return None
+        n = math.lcm(self.level, other.level)
+        return _level(n), self.lift(n)._reduced, other.lift(n)._reduced
 
     def __add__(self, other):
-        a, b = self._common(other)
-        if a is NotImplemented:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        return CyclotomicNumber(a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        lv, a, b = common
+        return CyclotomicNumber._from_canonical(lv.n, lv.add(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.level, [-c for c in self.coeffs])
+        den, vec = self._reduced
+        return CyclotomicNumber._from_canonical(self.level, (den, tuple(-c for c in vec)))
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        if a is NotImplemented:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        return CyclotomicNumber(a.level, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        lv, a, b = common
+        return CyclotomicNumber._from_canonical(lv.n, lv.sub(a, b))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._common(other)
-        if a is NotImplemented:
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        n = a.level
-        out = [Fraction(0)] * n
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    out[(i + j) % n] += x * y
-        return CyclotomicNumber(n, out)
+        lv, a, b = common
+        return CyclotomicNumber._from_canonical(lv.n, lv.mul(a, b))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "CyclotomicNumber":
-        n = self.level
-        return CyclotomicNumber(n, [self.coeffs[(-k) % n] for k in range(n)])
+        return CyclotomicNumber._from_canonical(self.level, _level(self.level).conj(self._reduced))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
-        if not isinstance(other, CyclotomicNumber):
+        common = self._common(other)
+        if common is None:
             return NotImplemented
-        a, b = self._common(other)
-        return a.reduced() == b.reduced()
+        _, a, b = common
+        return a == b
 
     __hash__ = None  # values at different levels compare equal; do not hash
 
     def __repr__(self):
-        terms = [f"{c}*z{self.level}^{k}" for k, c in enumerate(self.coeffs) if c != 0]
+        den, vec = self._reduced
+        terms = [f"{Fraction(c, den)}*z{self.level}^{k}" for k, c in enumerate(vec) if c]
         return "CyclotomicNumber(" + (" + ".join(terms) if terms else "0") + ")"
 
     # -- analytic views ----------------------------------------------------------
 
     def to_complex(self) -> complex:
+        den, vec = self._reduced
         n = self.level
-        return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(self.coeffs) if c),
-            0j,
-        )
+        return sum((c * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(vec) if c), 0j) / den
 
-    def sign_real(self, start_prec: Optional[int] = None) -> int:
+    def sign_real(self) -> int:
         """Certified sign in {-1, 0, 1}; raises NotReal off the real line."""
         if not self.is_real():
             raise NotReal(f"{self!r} is not fixed by conjugation")
-        return _level(self.level).sign(self.reduced(), start_prec)
+        return _level(self.level).sign(self._reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +598,6 @@ def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
     return pos, neg, nul
 
 
-def signature_nullity(h: HermitianMatrix) -> Tuple[int, int]:
-    return h.signature_nullity()
-
-
-def sign_real(c: CyclotomicNumber, start_prec: Optional[int] = None) -> int:
-    return c.sign_real(start_prec)
-
-
-def eigen_multiset_numeric(h: HermitianMatrix) -> List[float]:
-    return h.eigen_multiset_numeric()
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomial matrices (the symbolic layer above the field)
 # ---------------------------------------------------------------------------
@@ -734,16 +690,6 @@ class LaurentPoly:
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
-    def evaluate(self, omega: Character, level: int) -> CyclotomicNumber:
-        qv = _level(level).reduce(*self._integer_terms(_steps(omega, level)))
-        return CyclotomicNumber._from_canonical(level, qv)
-
-    def _integer_terms(self, steps: Sequence[int]) -> Tuple[int, List[Tuple[int, int]]]:
-        """(den, [(k, c)]) with self = sum(c * zeta^k) / den at t_i = zeta^steps[i]."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return den, [(sum(e * s for e, s in zip(exps, steps)), c.numerator * (den // c.denominator))
-                     for exps, c in self.terms.items()]
-
 
 def _common_level(omega: Character) -> int:
     n = 1
@@ -776,6 +722,17 @@ class LaurentMatrix:
                     raise ValueError("entry arity does not match the variable list")
         self.entries = tuple(tuple(row) for row in entries)
         self.size = g
+        # each entry once as integers: (den, [(exponent vector, c)]) with
+        # entry = sum(c * t^exponents) / den
+        self._terms = []
+        for row in self.entries:
+            out_row = []
+            for e in row:
+                den = math.lcm(*(c.denominator for c in e.terms.values()))
+                out_row.append((den, [(exps, c.numerator * (den // c.denominator))
+                                      for exps, c in e.terms.items()]))
+            self._terms.append(out_row)
+        self._monomials = {exps for row in self._terms for _, terms in row for exps, _ in terms}
 
     @property
     def arity(self) -> int:
@@ -787,9 +744,11 @@ class LaurentMatrix:
             raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
         n = level or _common_level(omega)
         steps = _steps(omega, n)
+        # t^exponents = zeta_N^k at t_i = zeta_N^steps[i]
+        power = {exps: sum(e * s for e, s in zip(exps, steps)) for exps in self._monomials}
         lv = _level(n)
-        return HermitianMatrix([[lv.reduce(*e._integer_terms(steps)) for e in row]
-                                for row in self.entries], level=n)
+        return HermitianMatrix([[lv.reduce(den, [(power[exps], c) for exps, c in terms])
+                                 for den, terms in row] for row in self._terms], level=n)
 
     # -- serialization ------------------------------------------------------
 
@@ -828,7 +787,3 @@ class LaurentMatrix:
     @classmethod
     def loads(cls, text: str) -> "LaurentMatrix":
         return cls.from_json(json.loads(text))
-
-
-def evaluate(matrix: LaurentMatrix, omega: Character) -> HermitianMatrix:
-    return matrix.evaluate(omega)

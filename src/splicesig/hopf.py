@@ -89,6 +89,8 @@ def sigma_k(k: int, x: Angle) -> int:
 def hopf_sig_fn(m: int, n: int, *, distinguished: bool = False) -> SigFn:
     """The closed form as an evaluator of arity m+n, total on the torus.
 
+    Its nullity is the closed form on the open torus, None off it.
+
     With distinguished=True the first copy of the m-side is marked
     distinguished: it is unlinked from the other m-1 parallel copies and
     links each of the n opposite copies once, so the linking vector is
@@ -100,13 +102,16 @@ def hopf_sig_fn(m: int, n: int, *, distinguished: bool = False) -> SigFn:
     def fn(omega: Character) -> int:
         return hopf_signature(spec, omega[:m], omega[m:])
 
+    def nullity(omega: Character) -> Optional[int]:
+        return hopf_nullity(m, n, omega[:m], omega[m:]) if is_open(omega) else None
+
     if distinguished:
         if m < 1:
             raise ValueError("no component to distinguish")
         linking = (0,) * (m - 1) + (1,) * n
         return DistinguishedSigFn(m + n, fn, linking=linking,
-                                  domain=FULL_TORUS, label=label)
-    return SigFn(m + n, fn, domain=FULL_TORUS, label=label)
+                                  domain=FULL_TORUS, label=label, nullity=nullity)
+    return SigFn(m + n, fn, domain=FULL_TORUS, label=label, nullity=nullity)
 
 
 # ---------------------------------------------------------------------------

@@ -42,17 +42,21 @@ class SigFn:
     The evaluator is total on its declared domain and raises
     BoundaryCharacter outside of it; it never returns garbage.  domain is a
     human-readable note (FULL_TORUS, OPEN_TORUS, WITH_BOUNDARY), not a priori
-    enforced here: enforcement lives in the wrapped callable.
+    enforced here: enforcement lives in the wrapped callable.  nullity, when
+    the evaluator's source provides one, maps a character to the colored
+    nullity there, or to None where that source cannot give it.
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
-                 domain: str = FULL_TORUS, label: Optional[str] = None):
+                 domain: str = FULL_TORUS, label: Optional[str] = None,
+                 nullity: Optional[Callable[[Character], Optional[int]]] = None):
         if arity < 0:
             raise ValueError("arity must be non-negative")
         self.arity = arity
         self.fn = fn
         self.domain = domain
         self.label = label
+        self.nullity = nullity
 
     def __call__(self, omega: Character) -> int:
         omega = tuple(omega)
@@ -74,8 +78,9 @@ class DistinguishedSigFn(SigFn):
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
                  linking: Sequence[int],
-                 domain: str = FULL_TORUS, label: Optional[str] = None):
-        super().__init__(arity, fn, domain=domain, label=label)
+                 domain: str = FULL_TORUS, label: Optional[str] = None,
+                 nullity: Optional[Callable[[Character], Optional[int]]] = None):
+        super().__init__(arity, fn, domain=domain, label=label, nullity=nullity)
         self.linking = tuple(int(x) for x in linking)
         if len(self.linking) != arity - 1:
             raise ValueError(
@@ -94,7 +99,8 @@ def zero_fn(arity: int, label: str = "zero") -> SigFn:
 def with_boundary(arity: int, core: Callable[[Character], int],
                   boundary: Optional[Mapping[Tuple[int, ...], SigFn]] = None, *,
                   linking: Optional[Sequence[int]] = None,
-                  label: Optional[str] = None) -> SigFn:
+                  label: Optional[str] = None,
+                  nullity: Optional[Callable[[Character], Optional[int]]] = None) -> SigFn:
     """Extend an open-torus evaluator to boundary characters by color deletion.
 
     A unit coordinate does not contribute: the signature at a character with
@@ -121,8 +127,8 @@ def with_boundary(arity: int, core: Callable[[Character], int],
 
     if linking is not None:
         return DistinguishedSigFn(arity, fn, linking=linking,
-                                  domain=WITH_BOUNDARY, label=label)
-    return SigFn(arity, fn, domain=WITH_BOUNDARY, label=label)
+                                  domain=WITH_BOUNDARY, label=label, nullity=nullity)
+    return SigFn(arity, fn, domain=WITH_BOUNDARY, label=label, nullity=nullity)
 
 
 # ---------------------------------------------------------------------------

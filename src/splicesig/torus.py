@@ -116,13 +116,6 @@ def conjugate_character(omega: Character) -> Character:
     return tuple(a.conjugate() for a in omega)
 
 
-def concat(*parts: Character) -> Character:
-    out: tuple = ()
-    for p in parts:
-        out = out + tuple(p)
-    return out
-
-
 def delete_color(omega: Character, i: int) -> Character:
     return omega[:i] + omega[i + 1:]
 

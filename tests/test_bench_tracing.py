@@ -1,0 +1,30 @@
+"""The benchmark's tracer runs against the library as it is.
+
+bench/tracing.py wraps library names in place: CyclotomicNumber.reduced and
+its _reduced attribute, the scalar arithmetic methods, SeifertFamily.assemble,
+_inertia_at and load, LaurentMatrix.evaluate, HermitianMatrix, _level and
+_inertia.  `verify hirzebruch` is the traced request that reaches
+CyclotomicNumber.reduced, so a renamed or removed name fails here first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_verify_hirzebruch(tmp_path):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracing.py"), str(spans), "r0",
+         "verify", "hirzebruch"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS hirzebruch")
+    doc = json.loads(spans.read_text())
+    assert doc["request"] == "r0"
+    assert "verify.hirzebruch" in doc["names"]

@@ -9,7 +9,10 @@ worked fixture table, and the reduction formula by the Hopf identity.
 from fractions import Fraction
 from itertools import product
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from splicesig.cables import (CableParams, UnivariateReductionInput, cable_step,
                               default_torus_base, hirzebruch, tilde_from_multi,
@@ -36,6 +39,24 @@ def seifert_lt_signature(v_matrix, *, omega, level):
              for j in range(g)] for i in range(g)]
     s, _ = HermitianMatrix(rows).signature_nullity()
     return s
+
+
+def reference_hirzebruch(p, q, zeta):
+    """b - a by the plain double loop over all (p-1)(q-1) lattice points."""
+    theta = zeta.value
+    if theta > Fraction(1, 2):
+        theta = 1 - theta
+    a = b = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            if s == theta or s == theta + 1:
+                continue  # tie: neither side
+            if theta < s < theta + 1:
+                a += 1
+            else:
+                b += 1
+    return b - a
 
 
 class TestHirzebruch:
@@ -68,6 +89,17 @@ class TestHirzebruch:
         # theta = 5/6 hits i/p + j/q = 1/2 + 1/3 exactly on conjugation to 1/6:
         # the pair (1,1) joins the nullity, leaving one lattice point on each side
         assert hirzebruch(2, 3, ang(1, 6)) == -1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 200),
+           st.sampled_from([None, "pq", "2pq"]))
+    def test_row_count_matches_double_loop(self, p, q, num, den_kind):
+        assume(math.gcd(p, q) == 1)
+        # denominators p*q and 2*p*q put theta and theta + 1 on lattice sums
+        den = {None: 97, "pq": p * q, "2pq": 2 * p * q}[den_kind]
+        assume(num % den != 0)
+        z = ang(num % den, den)
+        assert hirzebruch(p, q, z) == reference_hirzebruch(p, q, z)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):

@@ -1,7 +1,8 @@
 """The integer form pipeline against independent references.
 
-Canonical reduction and the power table are checked against a plain
-long-division remainder over Fraction; the inertia that the integer path
+Canonical reduction, the power table and CyclotomicNumber arithmetic are
+checked against a plain long-division remainder over Fraction, the last on a
+Fraction coefficient model of Q[x]/(x^N - 1); the inertia that the integer path
 computes for random Laurent-polynomial Hermitian matrices is checked against
 numpy's eigvalsh on an independently evaluated complex matrix.  Certified
 signs must leave global mpmath state alone.
@@ -77,8 +78,79 @@ def test_power_table_matches_long_division():
 def test_scalar_canonical_form_is_the_reference_remainder():
     z = CyclotomicNumber.root_of_unity(15, 7)
     x = z * Fraction(3, 4) - z.conjugate() * 2 + Fraction(1, 6)
-    terms = [(k, c * 12) for k, c in enumerate(x.coeffs)]
+    # 3/4 z^7 - 2 z^8 + 1/6, over the common denominator 12
+    terms = [(7, 9), (8, -24), (0, 2)]
     assert as_fractions(x.reduced()) == reference_remainder(15, 12, terms)
+
+
+# ---------------------------------------------------------------------------
+# CyclotomicNumber vs a Fraction coefficient model on Q[x]/(x^N - 1)
+# ---------------------------------------------------------------------------
+
+def model_remainder(coeffs):
+    """The model's value mod Phi_N, for coeffs[k] the coefficient of x^k."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs)]
+    return reference_remainder(len(coeffs), den, terms)
+
+
+def model_mul(a, b):
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % n] += x * y
+    return out
+
+
+def model_lift(a, level):
+    step = level // len(a)
+    out = [Fraction(0)] * level
+    for k, c in enumerate(a):
+        out[k * step] = c
+    return out
+
+
+@st.composite
+def coefficients(draw, level):
+    out = [Fraction(0)] * level
+    for _ in range(draw(st.integers(0, 6))):
+        out[draw(st.integers(0, level - 1))] += Fraction(
+            draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+    return out
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Coefficients at a level N <= 60 and at a divisor of N."""
+    level = draw(st.integers(1, 60))
+    sub = draw(st.sampled_from([d for d in range(1, level + 1) if level % d == 0]))
+    return level, draw(coefficients(level)), sub, draw(coefficients(sub))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scalar_pairs(), st.integers(1, 3))
+def test_scalar_arithmetic_matches_coefficient_model(case, mult):
+    level, a, sub, b = case
+    x, y = CyclotomicNumber(level, a), CyclotomicNumber(sub, b)
+    b_up = model_lift(b, level)
+
+    def check(num, coeffs):
+        assert num.level == len(coeffs)
+        assert as_fractions(num.reduced()) == model_remainder(coeffs)
+
+    check(x, a)
+    check(x + y, [u + v for u, v in zip(a, b_up)])
+    check(y + x, [u + v for u, v in zip(a, b_up)])
+    check(x - y, [u - v for u, v in zip(a, b_up)])
+    check(y - x, [v - u for u, v in zip(a, b_up)])
+    check(x * y, model_mul(a, b_up))
+    check(x.conjugate(), [a[-k % level] for k in range(level)])
+    check(x.lift(level * mult), model_lift(a, level * mult))
+    # cross-level equality is equality of the model's values
+    assert (x == y) == (model_remainder(a) == model_remainder(b_up))
+    assert y == CyclotomicNumber(level, b_up) and y.lift(level * mult) == y
+    assert x + 1 != x
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ the boundary delegation of sig_fn.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splicesig.ccomplex import SeifertFamily, assemble, nullity, signature
+from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber
 from splicesig.errors import (BoundaryCharacter, InvalidFamily, NotHermitian,
                               NullityUnavailable)
@@ -81,7 +83,7 @@ class TestAssemble:
         # (1-wbar)*(theta^+ - w*theta^-) at w = -1 is 2*(a + a) = [[4a]]
         a = 3
         fam = SeifertFamily(1, {(1,): [[a]], (-1,): [[a]]}, basis=True)
-        h = assemble(fam, (ang(1, 2),))
+        h = fam.assemble((ang(1, 2),))
         assert h.entries[0][0] == CyclotomicNumber.from_rational(4 * a, 2)
 
     def test_mu1_matches_symmetrized_seifert_matrix(self):
@@ -95,7 +97,7 @@ class TestAssemble:
             direct = [[aa * CyclotomicNumber.from_rational(TREFOIL_V[i][j], 12)
                        + bb * CyclotomicNumber.from_rational(TREFOIL_V[j][i], 12)
                        for j in range(2)] for i in range(2)]
-            h = assemble(fam, (w,))
+            h = fam.assemble((w,))
             for i in range(2):
                 for j in range(2):
                     assert h.entries[i][j] == direct[i][j]
@@ -112,7 +114,7 @@ class TestAssemble:
 
         for a, b in product(range(1, 6), repeat=2):
             eta, zeta = ang(a, 6), ang(b, 6)
-            h = assemble(fam, (eta, zeta))
+            h = fam.assemble((eta, zeta))
             e = CyclotomicNumber.from_angle(eta, level)
             z = CyclotomicNumber.from_angle(zeta, level)
             pre = (one - e.conjugate()) * (one - z.conjugate())
@@ -124,28 +126,57 @@ class TestAssemble:
                                   + e * z * c(fam.forms[-1, -1][i][j]))
                     assert h.entries[i][j] == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2 ** 32),
+           st.lists(st.sampled_from([2, 3, 4, 5, 6, 8]), min_size=3, max_size=3),
+           st.lists(st.integers(1, 7), min_size=3, max_size=3))
+    def test_matches_defining_formula(self, mu, g, seed, dens, nums):
+        # prod_i (1 - conj t_i) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps
+        fam = random_family(mu, g, random.Random(seed))
+        omega = tuple(ang(1 + k % (d - 1), d) for k, d in zip(nums[:mu], dens[:mu]))
+        level = math.lcm(*(a.denominator for a in omega))
+        one = CyclotomicNumber.from_rational(1, level)
+        t = [CyclotomicNumber.from_angle(a, level) for a in omega]
+        pre = one
+        for ti in t:
+            pre = pre * (one - ti.conjugate())
+        weight = {}
+        for eps in product((1, -1), repeat=mu):
+            w = pre
+            for ti, e in zip(t, eps):
+                if e < 0:
+                    w = w * -ti
+            weight[eps] = w
+        h = fam.assemble(omega)
+        assert h.level == level
+        for i in range(g):
+            for j in range(g):
+                want = sum((weight[eps] * fam.forms[eps][i][j] for eps in weight),
+                           CyclotomicNumber.from_rational(0, level))
+                assert h[i, j] == want
+
     def test_boundary_character_rejected(self):
         fam = trefoil_family()
         with pytest.raises(BoundaryCharacter):
-            assemble(fam, (UNIT,))
+            fam.assemble((UNIT,))
 
     def test_empty_family_signature(self):
         fam = SeifertFamily(2, {eps: [] for eps in product((1, -1), repeat=2)},
                             basis=True)
-        assert signature(fam, (ang(1, 3), ang(1, 5))) == 0
-        assert nullity(fam, (ang(1, 3), ang(1, 5))) == 0
+        assert fam.signature((ang(1, 3), ang(1, 5))) == 0
+        assert fam.nullity((ang(1, 3), ang(1, 5))) == 0
 
     def test_always_hermitian_for_valid_families(self):
         rng = random.Random(7)
         for mu, g in [(1, 3), (2, 2), (3, 2)]:
             fam = random_family(mu, g, rng)
             omega = tuple(ang(rng.randrange(1, 8), 8) for _ in range(mu))
-            assemble(fam, omega)  # exact hermitian check inside
+            fam.assemble(omega)  # exact hermitian check inside
 
     def test_broken_duality_caught_at_assembly(self):
         fam = SeifertFamily(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]})
         with pytest.raises(NotHermitian):
-            assemble(fam, (ang(1, 3),))
+            fam.assemble((ang(1, 3),))
 
 
 class TestInvalidFamiliesRefuse:
@@ -175,12 +206,12 @@ class TestSignatureNullity:
         # angle 1/6 is the Alexander root e^{i*pi/3}: eigenvalues {0, -2}
         expected = {1: (-1, 1), 2: (-2, 0), 3: (-2, 0)}  # angles k/6
         for k, (s, nu) in expected.items():
-            assert signature(fam, (ang(k, 6),)) == s
-            assert nullity(fam, (ang(k, 6),)) == nu
+            assert fam.signature((ang(k, 6),)) == s
+            assert fam.nullity((ang(k, 6),)) == nu
 
     def test_hopf22_value(self):
         fam = hopf_seifert_family(2, 2)
-        assert signature(fam, (ang(1, 3), ang(1, 3))) == 1
+        assert fam.signature((ang(1, 3), ang(1, 3))) == 1
 
     def test_conjugation_symmetry(self):
         rng = random.Random(11)
@@ -189,12 +220,12 @@ class TestSignatureNullity:
         for fam in fams:
             for a, b in product(range(1, 6), repeat=2):
                 om = (ang(a, 6), ang(b, 6))
-                assert signature(fam, om) == signature(fam, conjugate_character(om))
+                assert fam.signature(om) == fam.signature(conjugate_character(om))
 
     def test_nullity_gated_by_basis_flag(self):
         fam = hopf_seifert_family(2, 2)
         with pytest.raises(NullityUnavailable):
-            nullity(fam, (ang(1, 3), ang(1, 3)))
+            fam.nullity((ang(1, 3), ang(1, 3)))
         # raw inertia stays available for oracle use
         pos, neg, nul = fam.raw_inertia((ang(1, 3), ang(1, 3)))
         assert pos + neg + nul == 4
@@ -223,7 +254,7 @@ class TestSigFn:
         fam = hopf_seifert_family(2, 2)
         f = fam.sig_fn()
         om = (ang(1, 3), ang(2, 5))
-        assert f(om) == signature(fam, om)
+        assert f(om) == fam.signature(om)
 
     def test_boundary_uses_sublink_families(self):
         # the Hopf family ships unlink boundary data: unit slots give 0

@@ -83,6 +83,21 @@ class TestEval:
                      "--at", "1/6"]) == 0
         assert capsys.readouterr().out == "-1\nnullity 1\n"
 
+    def test_seifert_family_loaded_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "trefoil.json"
+        path.write_text(trefoil_family().dumps())
+        loaded = []
+        load = SeifertFamily.load.__func__
+
+        def counting_load(cls, p):
+            loaded.append(p)
+            return load(cls, p)
+
+        monkeypatch.setattr(SeifertFamily, "load", classmethod(counting_load))
+        assert main(["eval", json.dumps({"seifert": str(path)}), "--at", "1/6"]) == 0
+        assert capsys.readouterr().out == "-1\nnullity 1\n"
+        assert loaded == [str(path)]
+
     def test_invalid_seifert_family_exit_2(self, tmp_path, capsys):
         # the - form is not the transpose of the + form
         bad = SeifertFamily(1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]})

@@ -13,7 +13,6 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from splicesig.ccomplex import assemble, signature
 from splicesig.errors import BoundaryCharacter
 from splicesig.hopf import (HopfSpec, hopf_nullity, hopf_seifert_family,
                             hopf_sig_fn, hopf_signature, hopf_spectrum,
@@ -72,7 +71,7 @@ class TestClosedForm:
             fam = hopf_seifert_family(m, n)
             for a, b in product(range(1, 6), repeat=2):
                 eta, zeta = ang(a, 6), ang(b, 6)
-                assert signature(fam, (eta, zeta)) == sigma_k(m, eta) * sigma_k(n, zeta)
+                assert fam.signature((eta, zeta)) == sigma_k(m, eta) * sigma_k(n, zeta)
 
 
 class TestSigmaK:
@@ -176,7 +175,7 @@ class TestSpectrum:
             for a, b in product(range(1, 6), repeat=2):
                 eta, zeta = ang(a, 6), ang(b, 6)
                 want = sorted(hopf_spectrum(m, n, eta, zeta))
-                got = sorted(assemble(fam, (eta, zeta)).eigen_multiset_numeric())
+                got = sorted(fam.assemble((eta, zeta)).eigen_multiset_numeric())
                 assert len(want) == len(got) == m * n
                 assert all(math.isclose(x, y, rel_tol=0, abs_tol=1e-9)
                            for x, y in zip(want, got))

@@ -190,7 +190,6 @@ class TestLtSplice:
     def test_example_against_seifert_oracle(self):
         # the splice is H_{2,2}; merge all four components to one color and
         # read the signature from the assembled Seifert family
-        from splicesig.ccomplex import signature
         fam = hopf_seifert_family(2, 2)
         f = h12_merged()
         lk_total = 4  # four cross pairs link once, same-side pairs are unlinked
@@ -198,7 +197,7 @@ class TestLtSplice:
             xi = ang(k, 10)
             if (2 * xi).is_unit():
                 continue
-            brute = signature(fam, (xi, xi)) - lk_total
+            brute = fam.signature((xi, xi)) - lk_total
             assert lt_splice(f, f, xi) == brute, k
 
     def test_guard(self):
