@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GuardViolated, InvalidParams, MissingBaseEvaluator
 from .hopf import HopfSpec, hopf_signature
-from .splice import FULL_TORUS, DistinguishedSigFn, SigFn, splice
+from .splice import DistinguishedSigFn, SigFn, splice
 from .torus import Angle, Character, ind
 
 TildeEvaluator = Callable[[Angle, Angle], int]
@@ -102,8 +102,7 @@ def _hopf_base(params: CableParams) -> SigFn:
         # copies are meridians of the core: lk(V, copy) = 0, lk(copy, copy') = 0
         if not kept:
             # V and d meridians are pairwise unlinked
-            return SigFn(1 + d, lambda omega: 0, domain=FULL_TORUS,
-                         label=f"unlink(1+{d})")
+            return SigFn(1 + d, lambda omega: 0, label=f"unlink(1+{d})")
         # V and the copies each form a Hopf pair with the core U
         spec = HopfSpec.make(1 + d, 1, nu=(1,) + (q,) * d)
 
@@ -111,8 +110,7 @@ def _hopf_base(params: CableParams) -> SigFn:
             side = (omega[0],) + omega[2:]
             return hopf_signature(spec, side, (omega[1],))
 
-        return SigFn(2 + d, fn_meridians, domain=FULL_TORUS,
-                     label=f"hopf_base(1+{d},1)")
+        return SigFn(2 + d, fn_meridians, label=f"hopf_base(1+{d},1)")
     # q = 0: copies are longitudes; they and the retained core (if any) are
     # pairwise unlinked and each forms a Hopf pair with the axis V
     side = d + (1 if kept else 0)
@@ -121,8 +119,7 @@ def _hopf_base(params: CableParams) -> SigFn:
     def fn_longitudes(omega: Character) -> int:
         return hopf_signature(spec, omega[1:], (omega[0],))
 
-    return SigFn(1 + side, fn_longitudes, domain=FULL_TORUS,
-                 label=f"hopf_base({side},1)")
+    return SigFn(1 + side, fn_longitudes, label=f"hopf_base({side},1)")
 
 
 def _hirzebruch_base(params: CableParams) -> SigFn:
@@ -146,7 +143,7 @@ def _hirzebruch_base(params: CableParams) -> SigFn:
         sign = 1 if p * q > 0 else -1
         return sign * hirzebruch(abs(p), abs(q), u)
 
-    return SigFn(2, fn, domain="axis character 1 only", label=f"torus({p},{q})")
+    return SigFn(2, fn, label=f"torus({p},{q})")
 
 
 def default_torus_base(params: CableParams) -> SigFn:
@@ -184,7 +181,6 @@ def cable_step(f: DistinguishedSigFn, params: CableParams,
             f"base evaluator has arity {storus.arity}, cable pattern needs "
             f"{1 + len(lam2)} (axis + {len(lam2)} colors)")
     base = DistinguishedSigFn(storus.arity, storus.fn, linking=lam2,
-                              domain=storus.domain,
                               label=storus.label or "torus base")
     out = splice(f, base)
     out.label = (f"cable({f.label or '?'}, {params.d}x({params.p},{params.q})"

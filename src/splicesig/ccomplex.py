@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import HermitianMatrix, LaurentMatrix, LaurentPoly
@@ -80,8 +80,8 @@ class SeifertFamily:
                         if linking is not None else None)
         self.label = label
         # construction is permissive so that validate() can report problems;
-        # every invariant goes through assemble(), whose exact Hermitian check
-        # refuses bad data, so it cannot leak numbers
+        # from_json refuses documents that fail it, and every invariant goes
+        # through assemble(), whose exact Hermitian check refuses bad data
 
     # -- validation -----------------------------------------------------------
 
@@ -112,7 +112,8 @@ class SeifertFamily:
             a, b = self.forms[eps], self.forms[neg]
             if any(a[i][j] != b[j][i] for i in range(g) for j in range(g)):
                 out.append(
-                    f"duality broken: {_sign_key(neg)} is not the transpose of {_sign_key(eps)}")
+                    f"duality broken: {_sign_key(neg)} is not the transpose of "
+                    f"{_sign_key(eps)}, so H(t) is not the conjugate transpose of itself")
         if self.linking is not None:
             if len(self.linking) != mu or any(len(row) != mu for row in self.linking):
                 out.append(f"linking matrix is not {mu}x{mu}")
@@ -184,18 +185,14 @@ class SeifertFamily:
         return pos - neg
 
     def nullity(self, omega: Character) -> int:
-        if not self.basis:
-            raise NullityUnavailable(
-                "generators are not marked as a basis of H_1; the kernel of the "
-                "form overshoots the nullity (see raw_inertia)")
-        return self._inertia_at(omega)[2]
+        return self.signature_nullity(omega)[1]
 
     def signature_nullity(self, omega: Character) -> Tuple[int, int]:
-        pos, neg, nul = self._inertia_at(omega)
         if not self.basis:
             raise NullityUnavailable(
                 "generators are not marked as a basis of H_1; the kernel of the "
                 "form overshoots the nullity (see raw_inertia)")
+        pos, neg, nul = self._inertia_at(omega)
         return pos - neg, nul
 
     def raw_inertia(self, omega: Character) -> Tuple[int, int, int]:
@@ -223,10 +220,17 @@ class SeifertFamily:
                     "distinguished evaluators need the linking matrix metadata")
             linking = tuple(self.linking[0][j] for j in range(1, self.arity))
 
-        def nullity(omega: Character) -> Optional[int]:
-            return self.nullity(omega) if self.basis and is_open(omega) else None
+        # signature and nullity at one character share one assembly and elimination
+        inertia = lru_cache(maxsize=1)(self._inertia_at)
 
-        return with_boundary(self.arity, self.signature, subs,
+        def signature(omega: Character) -> int:
+            pos, neg, _ = inertia(omega)
+            return pos - neg
+
+        def nullity(omega: Character) -> Optional[int]:
+            return inertia(omega)[2] if self.basis and is_open(omega) else None
+
+        return with_boundary(self.arity, signature, subs,
                              linking=linking, label=self.label, nullity=nullity)
 
     # -- serialization --------------------------------------------------------------
@@ -250,22 +254,30 @@ class SeifertFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SeifertFamily":
+        """The family of a JSON document, refused unless validate() is clean."""
+        fam = cls._from_doc(doc)
+        problems = fam.validate()
+        if problems:
+            raise InvalidFamily("; ".join(problems))
+        return fam
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "SeifertFamily":
         try:
             forms = {_parse_sign_key(k): v for k, v in doc["forms"].items()}
-            arity = int(doc["arity"])
+            boundary = None
+            if "boundary" in doc:
+                boundary = {}
+                for key, sub in doc["boundary"].items():
+                    kept = tuple(int(x) for x in key.split(",")) if key else ()
+                    boundary[kept] = cls._from_doc(sub)
+            fam = cls(int(doc["arity"]), forms,
+                      basis=bool(doc.get("basis", False)),
+                      boundary=boundary,
+                      linking=doc.get("linking"),
+                      label=doc.get("label"))
         except (KeyError, TypeError, AttributeError) as err:
             raise InvalidFamily(f"family document missing or malformed: {err!r}") from err
-        boundary = None
-        if "boundary" in doc:
-            boundary = {}
-            for key, sub in doc["boundary"].items():
-                kept = tuple(int(x) for x in key.split(",")) if key else ()
-                boundary[kept] = cls.from_json(sub)
-        fam = cls(arity, forms,
-                  basis=bool(doc.get("basis", False)),
-                  boundary=boundary,
-                  linking=doc.get("linking"),
-                  label=doc.get("label"))
         declared = int(doc.get("generators", fam.generators))
         if declared != fam.generators:
             raise InvalidFamily(

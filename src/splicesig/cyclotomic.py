@@ -23,12 +23,14 @@ integers.
 The public CyclotomicNumber is a view on one such pair at its level.
 
 Signatures and nullities of Hermitian matrices are computed by exact
-LDL-style elimination:
+LDL-style elimination with one pivot rule:
 
-* zero tests of pivots are exact (canonical form),
-* exactly-zero diagonals are handled structurally (symmetric swap to a nonzero
-  diagonal when one exists, otherwise a 2x2 block [[0,a],[conj(a),0]], which
-  contributes +1 and -1 regardless of a),
+* zero tests are exact (canonical form); the smallest nonzero diagonal entry
+  is the pivot,
+* when every remaining diagonal entry is exactly zero but some h_pq = a is
+  not, the congruence row_p += a*row_q, col_p += conj(a)*col_q first makes
+  h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
+  when no nonzero entry is left, the remaining rows are the nullity,
 * the sign of each nonzero real pivot is certified by interval arithmetic at
   adaptive precision, in private mpmath interval contexts: the interval is
   refined until it excludes zero, which terminates because zero has already
@@ -49,7 +51,10 @@ import mpmath
 from .errors import LevelMismatch, NotHermitian, NotReal
 from .torus import Angle, Character
 
-_LEVEL_CAP = 1_000_000  # refuse to silently build gigantic common levels
+# A level's power table holds N rows of up to phi(N) entries each.  Refuse
+# levels whose N*phi(N) exceeds this: level 1155 (554 400) is built in under
+# a second, level 8633 (about 7.3e7) would exhaust memory.
+_TABLE_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,20 @@ def _fdivmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List
     return _ptrim(q), a
 
 
+def _totient(n: int) -> int:
+    """Euler's phi(n), the degree of Phi_n, from the factorisation of n."""
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
 def _divisors(n: int) -> List[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -161,8 +180,10 @@ class _Level:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("level must be a positive integer")
-        if n > _LEVEL_CAP:
-            raise LevelMismatch(f"level {n} exceeds the supported bound")
+        # n > _TABLE_CAP already implies N*phi(N) > _TABLE_CAP; it skips factoring n
+        if n > _TABLE_CAP or n * _totient(n) > _TABLE_CAP:
+            raise LevelMismatch(f"level {n} exceeds the supported bound: its power "
+                                f"table would hold N*phi(N) > {_TABLE_CAP} entries")
         self.n = n
         self.phi = phi = cyclotomic_polynomial(n)
         self.deg = d = len(phi) - 1
@@ -513,14 +534,11 @@ class HermitianMatrix:
 
     def signature_nullity(self) -> Tuple[int, int]:
         """(signature, nullity), both exact."""
-        pos, neg, nul = self._compute_inertia()
+        pos, neg, nul = self.inertia()
         return pos - neg, nul
 
     def inertia(self) -> Tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts, exact."""
-        return self._compute_inertia()
-
-    def _compute_inertia(self) -> Tuple[int, int, int]:
         if self._inertia is None:
             self._inertia = _inertia([list(row) for row in self._mat], self._lv)
         return self._inertia
@@ -541,61 +559,48 @@ class HermitianMatrix:
 
 
 def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
-    """Exact inertia of a Hermitian matrix of fast scalars, destructively."""
+    """Exact inertia of a Hermitian matrix of canonical pairs, destructively.
+
+    Each step pivots on the smallest nonzero diagonal entry.  When every
+    remaining diagonal entry is zero, the congruence row_k += a*row_q,
+    col_k += conj(a)*col_q for the first nonzero h_kq = a makes
+    h_kk = 2|a|^2 > 0, which is then the pivot; when no nonzero entry is
+    left, the remaining rows are the kernel.
+    """
     alive = list(range(len(mat)))
-    pos = neg = nul = 0
+    pos = neg = 0
     while alive:
         diag = [i for i in alive if not lv.is_zero(mat[i][i])]
         if diag:
             k = min(diag, key=lambda i: lv.size(mat[i][i]))
-            d = mat[k][k]
-            if lv.sign(d) > 0:
-                pos += 1
-            else:
-                neg += 1
-            dinv = lv.inv(d)
-            alive.remove(k)
-            col = {i: mat[i][k] for i in alive if not lv.is_zero(mat[i][k])}
-            if col:
-                factors = {i: lv.mul(c, dinv) for i, c in col.items()}
-                conj_col = {i: lv.conj(c) for i, c in col.items()}
-                for i, fi in factors.items():
-                    row = mat[i]
-                    for j in col:
-                        row[j] = lv.sub(row[j], lv.mul(fi, conj_col[j]))
-            continue
-        # every remaining diagonal entry is exactly zero
-        block = None
-        for a_pos, i in enumerate(alive):
-            for j in alive[a_pos + 1:]:
-                if not lv.is_zero(mat[i][j]):
-                    block = (i, j)
-                    break
-            if block:
+        else:
+            pq = next(((p, q) for p in alive for q in alive if not lv.is_zero(mat[p][q])), None)
+            if pq is None:
                 break
-        if block is None:
-            nul += len(alive)
-            break
-        p, q = block
-        pos += 1
-        neg += 1
-        a = mat[p][q]
-        ainv = lv.inv(a)
-        ainv_c = lv.conj(ainv)
-        alive.remove(p)
-        alive.remove(q)
-        colp = {i: mat[i][p] for i in alive}
-        colq = {i: mat[i][q] for i in alive}
-        conj_p = {i: lv.conj(c) for i, c in colp.items()}
-        conj_q = {i: lv.conj(c) for i, c in colq.items()}
-        for i in alive:
-            ui = lv.mul(colp[i], ainv_c)
-            vi = lv.mul(colq[i], ainv)
-            row = mat[i]
-            for j in alive:
-                t = lv.add(lv.mul(ui, conj_q[j]), lv.mul(vi, conj_p[j]))
-                row[j] = lv.sub(row[j], t)
-    return pos, neg, nul
+            # only column k is folded: the pivot step reads no other entry of row k
+            k, q = pq
+            a_conj = lv.conj(mat[k][q])
+            for i in alive:
+                if i != k:
+                    mat[i][k] = lv.add(mat[i][k], lv.mul(mat[i][q], a_conj))
+            norm = lv.mul(mat[k][q], a_conj)
+            mat[k][k] = lv.add(norm, norm)
+        d = mat[k][k]
+        if lv.sign(d) > 0:
+            pos += 1
+        else:
+            neg += 1
+        dinv = lv.inv(d)
+        alive.remove(k)
+        col = {i: mat[i][k] for i in alive if not lv.is_zero(mat[i][k])}
+        if col:
+            factors = {i: lv.mul(c, dinv) for i, c in col.items()}
+            conj_col = {i: lv.conj(c) for i, c in col.items()}
+            for i, fi in factors.items():
+                row = mat[i]
+                for j in col:
+                    row[j] = lv.sub(row[j], lv.mul(fi, conj_col[j]))
+    return pos, neg, len(alive)
 
 
 # ---------------------------------------------------------------------------

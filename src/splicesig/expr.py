@@ -65,8 +65,7 @@ def _distinguish(f: SigFn, lam: tuple, form: str) -> DistinguishedSigFn:
         raise _fail(
             f'"{form}" linking vector has length {len(lam)}, operand '
             f"{f.label or '?'} needs {f.arity - 1}")
-    return DistinguishedSigFn(f.arity, f.fn, linking=lam,
-                              domain=f.domain, label=f.label)
+    return DistinguishedSigFn(f.arity, f.fn, linking=lam, label=f.label)
 
 
 def parse(doc, base_dir: Optional[str] = None) -> SigFn:

@@ -27,7 +27,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ccomplex import SeifertFamily
 from .errors import BoundaryCharacter
-from .splice import FULL_TORUS, DistinguishedSigFn, SigFn
+from .splice import DistinguishedSigFn, SigFn
 from .torus import Angle, Character, defect, ind, is_open, log_sum
 
 
@@ -109,9 +109,8 @@ def hopf_sig_fn(m: int, n: int, *, distinguished: bool = False) -> SigFn:
         if m < 1:
             raise ValueError("no component to distinguish")
         linking = (0,) * (m - 1) + (1,) * n
-        return DistinguishedSigFn(m + n, fn, linking=linking,
-                                  domain=FULL_TORUS, label=label, nullity=nullity)
-    return SigFn(m + n, fn, domain=FULL_TORUS, label=label, nullity=nullity)
+        return DistinguishedSigFn(m + n, fn, linking=linking, label=label, nullity=nullity)
+    return SigFn(m + n, fn, label=label, nullity=nullity)
 
 
 # ---------------------------------------------------------------------------

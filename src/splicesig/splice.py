@@ -14,8 +14,8 @@ Hopf links, and the worked torus-link example in the test fixtures checks the
 identity exhaustively over grids of roots of unity.
 
 Evaluators are represented by SigFn: a plain callable on characters with an
-arity and a domain note.  A DistinguishedSigFn additionally marks color 0 as a
-distinguished component and carries its linking vector.  Functions here never
+arity.  A DistinguishedSigFn additionally marks color 0 as a distinguished
+component and carries its linking vector.  Functions here never
 precompute piecewise-constant regions; evaluation is lazy and exact.
 """
 
@@ -27,34 +27,23 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 from .errors import BoundaryCharacter, GuardViolated
 from .torus import UNIT, Angle, Character, char_power, defect, defect1
 
-FULL_TORUS = "full torus"
-OPEN_TORUS = "open torus"
-WITH_BOUNDARY = "open torus with boundary data"
-
-
-def _combine_domain(*fs: "SigFn") -> str:
-    return FULL_TORUS if all(f.domain == FULL_TORUS for f in fs) else WITH_BOUNDARY
-
-
 class SigFn:
     """A signature evaluator Character^arity -> int.
 
-    The evaluator is total on its declared domain and raises
-    BoundaryCharacter outside of it; it never returns garbage.  domain is a
-    human-readable note (FULL_TORUS, OPEN_TORUS, WITH_BOUNDARY), not a priori
-    enforced here: enforcement lives in the wrapped callable.  nullity, when
-    the evaluator's source provides one, maps a character to the colored
-    nullity there, or to None where that source cannot give it.
+    The evaluator is total on its domain and raises BoundaryCharacter (or
+    another typed error) outside of it; it never returns garbage.  The
+    wrapped callable enforces the domain, not this class.  nullity, when the
+    evaluator's source provides one, maps a character to the colored nullity
+    there, or to None where that source cannot give it.
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
-                 domain: str = FULL_TORUS, label: Optional[str] = None,
+                 label: Optional[str] = None,
                  nullity: Optional[Callable[[Character], Optional[int]]] = None):
         if arity < 0:
             raise ValueError("arity must be non-negative")
         self.arity = arity
         self.fn = fn
-        self.domain = domain
         self.label = label
         self.nullity = nullity
 
@@ -67,7 +56,7 @@ class SigFn:
 
     def __repr__(self):
         name = self.label or "sig"
-        return f"SigFn({name}, arity={self.arity}, {self.domain})"
+        return f"SigFn({name}, arity={self.arity})"
 
 
 class DistinguishedSigFn(SigFn):
@@ -77,10 +66,9 @@ class DistinguishedSigFn(SigFn):
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
-                 linking: Sequence[int],
-                 domain: str = FULL_TORUS, label: Optional[str] = None,
+                 linking: Sequence[int], label: Optional[str] = None,
                  nullity: Optional[Callable[[Character], Optional[int]]] = None):
-        super().__init__(arity, fn, domain=domain, label=label, nullity=nullity)
+        super().__init__(arity, fn, label=label, nullity=nullity)
         self.linking = tuple(int(x) for x in linking)
         if len(self.linking) != arity - 1:
             raise ValueError(
@@ -88,12 +76,12 @@ class DistinguishedSigFn(SigFn):
 
     def __repr__(self):
         name = self.label or "sig"
-        return f"DistinguishedSigFn({name}, linking={self.linking}, {self.domain})"
+        return f"DistinguishedSigFn({name}, linking={self.linking})"
 
 
 def zero_fn(arity: int, label: str = "zero") -> SigFn:
     """The identically-zero signature function (e.g. unlinks, H_{1,n})."""
-    return SigFn(arity, lambda omega: 0, domain=FULL_TORUS, label=label)
+    return SigFn(arity, lambda omega: 0, label=label)
 
 
 def with_boundary(arity: int, core: Callable[[Character], int],
@@ -126,9 +114,8 @@ def with_boundary(arity: int, core: Callable[[Character], int],
         return sub(tuple(omega[i] for i in kept))
 
     if linking is not None:
-        return DistinguishedSigFn(arity, fn, linking=linking,
-                                  domain=WITH_BOUNDARY, label=label, nullity=nullity)
-    return SigFn(arity, fn, domain=WITH_BOUNDARY, label=label, nullity=nullity)
+        return DistinguishedSigFn(arity, fn, linking=linking, label=label, nullity=nullity)
+    return SigFn(arity, fn, label=label, nullity=nullity)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +145,7 @@ def splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn) -> SigFn:
                 + defect(lam1, om1) * defect(lam2, om2))
 
     label = f"splice({f1.label or '?'}, {f2.label or '?'})"
-    return SigFn(mu1 + mu2, fn, domain=_combine_domain(f1, f2), label=label)
+    return SigFn(mu1 + mu2, fn, label=label)
 
 
 def splice_knot(knot: SigFn, f2: DistinguishedSigFn) -> SigFn:
@@ -182,7 +169,7 @@ def splice_knot(knot: SigFn, f2: DistinguishedSigFn) -> SigFn:
         return knot((char_power(omega, lam2),)) + f2((UNIT,) + omega)
 
     label = f"splice_knot({knot.label or '?'}, {f2.label or '?'})"
-    return SigFn(len(lam2), fn, domain=_combine_domain(knot, f2), label=label)
+    return SigFn(len(lam2), fn, label=label)
 
 
 def lt_splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn, xi: Angle, *,
@@ -238,7 +225,7 @@ def cable_parallel(f: DistinguishedSigFn, nu: int) -> SigFn:
         return f((pi,) + om) + defect1(zeta) * defect(lam, om)
 
     label = f"cable({f.label or '?'}, {nu})"
-    return SigFn(nu + mu, fn, domain=f.domain, label=label)
+    return SigFn(nu + mu, fn, label=label)
 
 
 def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
@@ -258,10 +245,9 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     label = f"merge({f.label or '?'}, {lk_last_two})"
     if isinstance(f, DistinguishedSigFn) and len(f.linking) >= 2:
         linking = f.linking[:-2] + (f.linking[-2] + f.linking[-1],)
-        return DistinguishedSigFn(f.arity - 1, fn, linking=linking,
-                                  domain=f.domain, label=label)
+        return DistinguishedSigFn(f.arity - 1, fn, linking=linking, label=label)
     # merging into the distinguished slot collapses that structure
-    return SigFn(f.arity - 1, fn, domain=f.domain, label=label)
+    return SigFn(f.arity - 1, fn, label=label)
 
 
 def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
@@ -279,7 +265,7 @@ def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
         return sig_companion((q * omega[0],)) + sig_pattern(omega)
 
     label = f"satellite({sig_companion.label or 'K'}, {sig_pattern.label or 'k'}, {q})"
-    return SigFn(1, fn, domain=_combine_domain(sig_companion, sig_pattern), label=label)
+    return SigFn(1, fn, label=label)
 
 
 def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> SigFn:
@@ -302,4 +288,4 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     def fn(omega: Character) -> int:
         return f((omega[0],) * mu) - total
 
-    return SigFn(1, fn, domain=f.domain, label=f"lt({f.label or '?'})")
+    return SigFn(1, fn, label=f"lt({f.label or '?'})")

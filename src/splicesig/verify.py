@@ -9,10 +9,10 @@ exactly; nothing is tuned to the implementation under test.  The CLI's
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .cables import UnivariateReductionInput, hirzebruch, univariate_reduction
-from .cyclotomic import CyclotomicNumber, HermitianMatrix
+from .ccomplex import SeifertFamily
 from .errors import GuardViolated
 from .fixtures import cable42_sig, fixture_sig, fixture_table, torus24_sig
 from .hopf import (hopf_nullity, hopf_seifert_family, hopf_sig_fn,
@@ -197,26 +197,14 @@ def defect_lemma() -> CriterionResult:
 
 # -- 6 ----------------------------------------------------------------------
 
-def _seifert_signature_oracle(v_matrix: Sequence[Sequence[int]],
-                              omega: Angle, level: int) -> int:
-    g = len(v_matrix)
-    w = CyclotomicNumber.from_angle(omega, level)
-    one = CyclotomicNumber.from_rational(1, level)
-    a, b = one - w.conjugate(), one - w
-    rows = [[a * CyclotomicNumber.from_rational(v_matrix[i][j], level)
-             + b * CyclotomicNumber.from_rational(v_matrix[j][i], level)
-             for j in range(g)] for i in range(g)]
-    sig, _ = HermitianMatrix(rows).signature_nullity()
-    return sig
-
-
 def hirzebruch_sanity() -> CriterionResult:
     name = "hirzebruch"
-    trefoil = [[-1, 1], [0, -1]]
+    # H(omega) = (1 - conj(omega)) V + (1 - omega) V^T for the trefoil's Seifert matrix V
+    trefoil = SeifertFamily(1, {(1,): [[-1, 1], [0, -1]], (-1,): [[-1, 0], [1, -1]]})
     for k, want in ((6, -2), (1, 0)):
         z = _angle(k, 12)
         got = hirzebruch(2, 3, z)
-        oracle = _seifert_signature_oracle(trefoil, z, 12)
+        oracle = trefoil.signature((z,))
         if got != want or got != oracle:
             return _fail(name, f"torus(2,3) at {k}/12: lattice {got}, "
                                f"matrix {oracle}, expected {want}")

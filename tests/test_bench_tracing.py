@@ -3,8 +3,9 @@
 bench/tracing.py wraps library names in place: CyclotomicNumber.reduced and
 its _reduced attribute, the scalar arithmetic methods, SeifertFamily.assemble,
 _inertia_at and load, LaurentMatrix.evaluate, HermitianMatrix, _level and
-_inertia.  `verify hirzebruch` is the traced request that reaches
-CyclotomicNumber.reduced, so a renamed or removed name fails here first.
+_inertia.  It looks every one of them up before the request runs, so a
+renamed or removed name fails any traced request; `verify hirzebruch` is a
+short one that also takes a Seifert family through assemble and _inertia.
 """
 
 import json

@@ -193,16 +193,50 @@ def numeric_matrix(matrix, omega):
     return np.array([[value(p) for p in row] for row in matrix.entries], dtype=complex)
 
 
+def numeric_inertia(matrix, omega):
+    """(positive, negative, zero) from eigvalsh; rejects spectra too close to 0."""
+    eig = np.linalg.eigvalsh(numeric_matrix(matrix, omega))
+    # decide only where the spectrum is clearly split from zero
+    assume(all(abs(x) < 1e-9 or abs(x) > 1e-6 for x in eig))
+    return (sum(1 for x in eig if x > 1e-6), sum(1 for x in eig if x < -1e-6),
+            sum(1 for x in eig if abs(x) < 1e-9))
+
+
 @settings(max_examples=80, deadline=None)
 @given(hermitian_laurent_at_root())
 def test_integer_inertia_matches_eigvalsh(case):
     matrix, omega = case
-    eig = np.linalg.eigvalsh(numeric_matrix(matrix, omega))
-    # decide only where the spectrum is clearly split from zero
-    assume(all(abs(x) < 1e-9 or abs(x) > 1e-6 for x in eig))
-    want = (sum(1 for x in eig if x > 1e-6), sum(1 for x in eig if x < -1e-6),
-            sum(1 for x in eig if abs(x) < 1e-9))
-    assert matrix.evaluate(omega).inertia() == want
+    assert matrix.evaluate(omega).inertia() == numeric_inertia(matrix, omega)
+
+
+# levels N <= 60 of degree phi(N) <= 24: an example there takes well under a
+# second, while at the primes 29..59 the Fraction inverse in _Level.inv takes
+# up to about 15 s for g = 6
+SMALL_DEGREE_LEVELS = [n for n in range(1, 61) if len(cyclotomic_polynomial(n)) <= 25]
+
+
+@st.composite
+def zero_diagonal_laurent_at_level(draw):
+    """A Hermitian Laurent matrix with zero diagonal, g <= 6, at a level N <= 60."""
+    arity = draw(st.integers(1, 2))
+    g = draw(st.integers(2, 6))
+    rows = [[LaurentPoly(arity)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i + 1, g):
+            rows[i][j] = laurent(arity, draw)
+            rows[j][i] = rows[i][j].conjugate()
+    level = draw(st.sampled_from(SMALL_DEGREE_LEVELS))
+    omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
+                  for _ in range(arity))
+    return LaurentMatrix([f"t{i}" for i in range(arity)], rows), omega, level
+
+
+@settings(max_examples=80, deadline=None)
+@given(zero_diagonal_laurent_at_level())
+def test_zero_diagonal_inertia_matches_eigvalsh(case):
+    # every first pivot comes from the congruence that folds h_pq into h_pp
+    matrix, omega, level = case
+    assert matrix.evaluate(omega, level).inertia() == numeric_inertia(matrix, omega)
 
 
 # ---------------------------------------------------------------------------

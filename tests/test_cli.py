@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from splicesig import cyclotomic
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
 from splicesig.hopf import hopf_seifert_family
@@ -107,6 +108,40 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == ""
         assert "not the conjugate" in out.err
+
+    def test_one_inertia_per_eval(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "trefoil.json"
+        path.write_text(trefoil_family().dumps())
+        calls = []
+        inertia = cyclotomic._inertia
+
+        def counting_inertia(mat, lv):
+            calls.append(len(mat))
+            return inertia(mat, lv)
+
+        monkeypatch.setattr(cyclotomic, "_inertia", counting_inertia)
+        assert main(["eval", json.dumps({"seifert": str(path)}), "--at", "1/6"]) == 0
+        assert capsys.readouterr().out == "-1\nnullity 1\n"
+        assert calls == [2]
+
+    @pytest.mark.parametrize("doc", [
+        {"arity": 2, "forms": {"++": [[1]], "--": [[1]]}},           # no +- or -+ form
+        {"arity": 1, "forms": {"+": [[1, 0], [0]], "-": [[1, 0], [0]]}},  # ragged rows
+    ])
+    def test_malformed_family_document_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        character = ",".join(["1/3"] * doc["arity"])
+        assert main(["eval", json.dumps({"seifert": str(path)}), "--at", character]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: bad seifert family")
+
+    def test_level_over_bound_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "trefoil.json"
+        path.write_text(trefoil_family().dumps())
+        assert main(["eval", json.dumps({"seifert": str(path)}), "--at", "1/8633"]) == 2
+        assert "exceeds the supported bound" in capsys.readouterr().err
 
     def test_seifert_nullity_gated_without_basis(self, tmp_path, capsys):
         path = tmp_path / "trefoil.json"

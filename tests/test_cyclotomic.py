@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from splicesig.cyclotomic import (
     HermitianMatrix,
     LaurentMatrix,
     LaurentPoly,
+    _level,
     cyclotomic_polynomial,
 )
 from splicesig.errors import LevelMismatch, NotHermitian, NotReal
@@ -143,6 +145,17 @@ def test_level_mismatch_guard():
         CyclotomicNumber.from_angle(character("1/3")[0], 8)
 
 
+def test_level_bound_counts_the_table():
+    # 1155 * phi(1155) = 554 400 table entries are built; 8633 * phi(8633)
+    # (89 * 97, about 7.3e7) and a level past any table are refused at once
+    assert _level(1155).deg == 480
+    for n in (8633, 10 ** 30 + 7):
+        start = time.perf_counter()
+        with pytest.raises(LevelMismatch, match="exceeds the supported bound"):
+            CyclotomicNumber.root_of_unity(n)
+        assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # Hermitian matrices: inertia vs the oracle
 # ---------------------------------------------------------------------------
@@ -192,7 +205,7 @@ def test_rational_inertia_matches_oracle_random():
 
 
 def test_inertia_zero_diagonal_blocks():
-    # all-zero diagonal forces the hyperbolic path
+    # an all-zero diagonal forces the fold of an off-diagonal entry into the diagonal
     z = CyclotomicNumber.root_of_unity(8)
     zero = CyclotomicNumber.from_rational(0, 8)
     h = HermitianMatrix([[zero, z], [z.conjugate(), zero]])
@@ -203,6 +216,25 @@ def test_inertia_zero_diagonal_blocks():
         [zero, zero, zero],
     ])
     assert h3.signature_nullity() == (0, 1)
+    # [[0, B], [B*, 0]] has eigenvalues +-(singular values of B): B = [[1, z], [conj(z), 1]]
+    # has rank 1, so two of the four eigenvalues are zero
+    one = CyclotomicNumber.from_rational(1, 8)
+    zc = z.conjugate()
+    h4 = HermitianMatrix([
+        [zero, zero, one, z],
+        [zero, zero, zc, one],
+        [one, z, zero, zero],
+        [zc, one, zero, zero],
+    ])
+    assert h4.inertia() == (1, 1, 2)
+    # B = [[1, z], [0, 1]] is invertible: no zero eigenvalue
+    h4 = HermitianMatrix([
+        [zero, zero, one, z],
+        [zero, zero, zero, one],
+        [one, zero, zero, zero],
+        [zc, one, zero, zero],
+    ])
+    assert h4.inertia() == (2, 2, 0)
 
 
 def test_inertia_congruence_invariance():
