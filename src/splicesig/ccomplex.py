@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import HermitianMatrix, LaurentMatrix, LaurentPoly
-from .errors import BoundaryCharacter, InvalidFamily, NullityUnavailable
+from .errors import BoundaryCharacter, InvalidFamily, NotHermitian, NullityUnavailable
 from .splice import SigFn, with_boundary
 from .torus import Character, is_open
 
@@ -81,7 +81,7 @@ class SeifertFamily:
         self.label = label
         # construction is permissive so that validate() can report problems;
         # from_json refuses documents that fail it, and every invariant goes
-        # through assemble(), whose exact Hermitian check refuses bad data
+        # through assemble(), whose compile refuses broken duality
 
     # -- validation -----------------------------------------------------------
 
@@ -108,6 +108,8 @@ class SeifertFamily:
         if out:
             return out
         for eps in self.forms:
+            if eps[0] < 0:
+                continue  # each pair {eps, -eps} once, from its eps_0 = +1 side
             neg = tuple(-e for e in eps)
             a, b = self.forms[eps], self.forms[neg]
             if any(a[i][j] != b[j][i] for i in range(g) for j in range(g)):
@@ -146,7 +148,9 @@ class SeifertFamily:
     def _laurent(self) -> LaurentMatrix:
         """H(t) = prod_i (1 - t_i^-1) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps.
 
-        Compiled on first use, not at construction, which stays permissive.
+        Compiled on first use, not at construction, which stays permissive,
+        and refused with NotHermitian unless H(t) equals its conjugate
+        transpose as a Laurent matrix, which holds exactly when duality does.
         """
         mu, g = self.arity, self.generators
         pre = LaurentPoly.const(mu, 1)
@@ -167,6 +171,11 @@ class SeifertFamily:
                             terms[exps] = terms.get(exps, 0) + k * c
                 row.append(LaurentPoly(mu, terms))
             entries.append(row)
+        for i in range(g):
+            for j in range(i, g):
+                if entries[i][j] != entries[j][i].conjugate():
+                    raise NotHermitian(f"H(t) entry ({i},{j}) is not the conjugate of "
+                                       f"({j},{i}): the forms break duality")
         return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
 
     def assemble(self, omega: Character) -> HermitianMatrix:

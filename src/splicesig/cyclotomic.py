@@ -20,13 +20,19 @@ pow_rows[-j mod N], and Hermitian forms are assembled from their (exponent,
 coefficient) terms straight into canonical pairs, then checked Hermitian on
 integers.
 
+Phi_N itself is built from the distinct primes of N, one exact division each:
+Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p, then
+Phi_N(x) = Phi_rad(N)(x^(N/rad(N))).
+
 The public CyclotomicNumber is a view on one such pair at its level.
 
 Signatures and nullities of Hermitian matrices are computed by exact
 LDL-style elimination with one pivot rule:
 
 * zero tests are exact (canonical form); the smallest nonzero diagonal entry
-  is the pivot,
+  is the pivot, inverted by the extended Euclidean algorithm against Phi_N
+  on integer polynomials (each step scales by a leading coefficient instead
+  of dividing by it, then removes the common integer content),
 * when every remaining diagonal entry is exactly zero but some h_pq = a is
   not, the congruence row_p += a*row_q, col_p += conj(a)*col_q first makes
   h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
@@ -58,7 +64,7 @@ _TABLE_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
-# integer/rational polynomial helpers (dense ascending coefficient lists)
+# integer polynomial helpers (dense ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
 def _ptrim(p: List) -> List:
@@ -67,33 +73,10 @@ def _ptrim(p: List) -> List:
     return p
 
 
-def _pmul(a: Sequence, b: Sequence) -> List:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _psub(a: Sequence, b: Sequence) -> List:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _ptrim(out)
-
-
 def _pdivmod_exact(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Divide integer polynomials, requiring the division to stay integral.
 
-    Used only for building cyclotomic polynomials, where b | a exactly or b is
-    monic, so no rational coefficients ever appear.
+    Callers divide by monic polynomials, so no rational coefficients appear.
     """
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
@@ -109,62 +92,44 @@ def _pdivmod_exact(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[
     return q, a
 
 
-def _fdivmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-        _ptrim(a)
-    return _ptrim(q), a
+def _primes(n: int) -> List[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _totient(n: int) -> int:
-    """Euler's phi(n), the degree of Phi_n, from the factorisation of n."""
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    """Euler's phi(n), the degree of Phi_n: n * prod(1 - 1/p) over the primes of n."""
+    out = n
+    for p in _primes(n):
+        out -= out // p
     return out
-
-
-def _divisors(n: int) -> List[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-_phi_cache: Dict[int, List[int]] = {}
-_phi_lock = threading.Lock()
 
 
 def cyclotomic_polynomial(n: int) -> List[int]:
-    """Integer coefficients of Phi_n, ascending."""
-    with _phi_lock:
-        if n in _phi_cache:
-            return _phi_cache[n]
-    if n == 1:
-        result = [-1, 1]
-    else:
-        num = [0] * n + [1]
-        num[0] = -1  # x^n - 1
-        den = [1]
-        for d in _divisors(n)[:-1]:
-            den = _pmul(den, cyclotomic_polynomial(d))
-        result, rem = _pdivmod_exact(num, den)
-        if rem:
-            raise ArithmeticError(f"cyclotomic polynomial division left a remainder at n={n}")
-    with _phi_lock:
-        _phi_cache[n] = result
-    return result
+    """Integer coefficients of Phi_n, ascending.
+
+    From Phi_1 = x - 1, each prime p of n gives Phi_mp(x) = Phi_m(x^p) / Phi_m(x)
+    (p does not divide m), an exact division by a monic polynomial; this ends
+    at the radical r of n, and Phi_n(x) = Phi_r(x^(n/r)).
+    """
+    phi, r = [-1, 1], 1
+    for p in _primes(n):
+        spread = [0] * (p * (len(phi) - 1) + 1)
+        spread[::p] = phi
+        phi, _ = _pdivmod_exact(spread, phi)
+        r *= p
+    out = [0] * ((n // r) * (len(phi) - 1) + 1)
+    out[::n // r] = phi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +231,38 @@ class _Level:
         return a[0].bit_length() + sum(c.bit_length() for c in a[1])
 
     def inv(self, a: QV) -> QV:
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Field inverse by the extended Euclidean algorithm on integer polynomials.
+
+        The remainders r and Bezout cofactors s keep s * vec = r (mod Phi_N).
+        Each step cancels the leading term of r0 against r1 by scaling r0 with
+        the leading coefficient of r1 instead of dividing by it, does the same
+        to s0 against s1, and divides r0 and s0 by their common integer
+        content.  Phi_N is irreducible, so r ends at a nonzero constant c, and
+        (vec/den)^-1 = den * s / c.
+        """
         den, vec = a
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        r0 = [Fraction(c) for c in self.phi]
-        r1 = _ptrim([Fraction(c) for c in vec])
-        s0: List[Fraction] = []
-        s1: List[Fraction] = [Fraction(1)]
+        r0, s0 = list(self.phi), []
+        r1, s1 = _ptrim(list(vec)), [1]
         while len(r1) > 1:
-            q, r = _fdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with Phi_N; not invertible")
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                c, k = r0[-1], len(r0) - len(r1)
+                r0 = [lead * x for x in r0]
+                s0 = [lead * x for x in s0] + [0] * (k + len(s1) - len(s0))
+                for i, y in enumerate(r1):
+                    r0[k + i] -= c * y
+                for i, y in enumerate(s1):
+                    s0[k + i] -= c * y
+                g = math.gcd(*r0, *s0)
+                r0 = _ptrim([x // g for x in r0])
+                s0 = _ptrim([x // g for x in s0])
+            r0, s0, r1, s1 = r1, s1, r0, s0
         c = r1[0]
-        inv_coeffs = [x / c for x in s1]
-        # (vec/den)^-1 = den * inv(vec)
-        lcm = 1
-        for f in inv_coeffs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        out = [0] * self.deg
-        for i, f in enumerate(inv_coeffs):
-            out[i] = int(f * lcm) * den
-        if lcm < 0:
-            lcm, out = -lcm, [-c for c in out]
-        return self.normalize(lcm, out)
+        if c < 0:
+            c, s1 = -c, [-x for x in s1]
+        return self.reduce(c, ((i, den * x) for i, x in enumerate(s1)))
 
     # -- certified signs ----------------------------------------------------
 

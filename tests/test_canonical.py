@@ -4,8 +4,10 @@ Canonical reduction, the power table and CyclotomicNumber arithmetic are
 checked against a plain long-division remainder over Fraction, the last on a
 Fraction coefficient model of Q[x]/(x^N - 1); the inertia that the integer path
 computes for random Laurent-polynomial Hermitian matrices is checked against
-numpy's eigvalsh on an independently evaluated complex matrix.  Certified
-signs must leave global mpmath state alone.
+numpy's eigvalsh on an independently evaluated complex matrix.  The field
+inverse is checked by a * inv(a) = 1, and the cyclotomic polynomials by their
+definition, prod_{d | n} Phi_d = x^n - 1.  Certified signs must leave global
+mpmath state alone.
 """
 
 import cmath
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from splicesig.cyclotomic import (
@@ -73,6 +76,59 @@ def test_power_table_matches_long_division():
             for i, c in zip(idx, coefs):
                 dense[i] = c
             assert dense == rem, (level, k)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # the definition: x^n - 1 = prod of Phi_d over the divisors d of n
+    for n in range(1, 301):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+@st.composite
+def nonzero_pairs(draw):
+    """A level N <= 420 (with the primes 53 and 59) and a nonzero pair, dense or sparse.
+
+    A dense inverse makes O(d^2) operations on coefficients that grow to O(d)
+    bits (about 12 s at degree 388), so dense pairs are drawn at degree
+    d <= 96, the degree of level 420, and sparse ones at every level.
+    """
+    level = draw(st.one_of(st.sampled_from([53, 59]), st.integers(1, 420)))
+    deg = _level(level).deg
+    if deg <= 96 and draw(st.booleans()):
+        vec = draw(st.lists(st.integers(-50, 50), min_size=deg, max_size=deg))
+    else:
+        vec = [0] * deg
+        for _ in range(draw(st.integers(1, 4))):
+            vec[draw(st.integers(0, deg - 1))] = draw(st.integers(-50, 50))
+    assume(any(vec))
+    return level, _level(level).normalize(draw(st.integers(1, 30)), vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_pairs())
+def test_inverse_times_element_is_one(case):
+    level, a = case
+    lv = _level(level)
+    assert lv.mul(a, lv.inv(a)) == lv.reduce(1, [(0, 1)])
+
+
+def test_inverse_of_zero_raises():
+    for level in (1, 12, 59):
+        lv = _level(level)
+        with pytest.raises(ZeroDivisionError):
+            lv.inv(lv.reduce(1, []))
 
 
 def test_scalar_canonical_form_is_the_reference_remainder():
@@ -209,12 +265,6 @@ def test_integer_inertia_matches_eigvalsh(case):
     assert matrix.evaluate(omega).inertia() == numeric_inertia(matrix, omega)
 
 
-# levels N <= 60 of degree phi(N) <= 24: an example there takes well under a
-# second, while at the primes 29..59 the Fraction inverse in _Level.inv takes
-# up to about 15 s for g = 6
-SMALL_DEGREE_LEVELS = [n for n in range(1, 61) if len(cyclotomic_polynomial(n)) <= 25]
-
-
 @st.composite
 def zero_diagonal_laurent_at_level(draw):
     """A Hermitian Laurent matrix with zero diagonal, g <= 6, at a level N <= 60."""
@@ -225,7 +275,7 @@ def zero_diagonal_laurent_at_level(draw):
         for j in range(i + 1, g):
             rows[i][j] = laurent(arity, draw)
             rows[j][i] = rows[i][j].conjugate()
-    level = draw(st.sampled_from(SMALL_DEGREE_LEVELS))
+    level = draw(st.integers(1, 60))
     omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
                   for _ in range(arity))
     return LaurentMatrix([f"t{i}" for i in range(arity)], rows), omega, level

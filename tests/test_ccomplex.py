@@ -60,9 +60,16 @@ class TestValidate:
         assert fam.validate() == []
 
     def test_broken_duality_reported(self):
+        # once per pair {eps, -eps}, not once for each of eps and -eps
         fam = SeifertFamily(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]})
         report = fam.validate()
-        assert any("transpose" in line for line in report)
+        assert sum("transpose" in line for line in report) == 1
+        # arity 2: only the pair {+-, -+} is broken
+        forms = {(1, 1): [[1]], (-1, -1): [[1]], (1, -1): [[2]], (-1, 1): [[3]]}
+        report = SeifertFamily(2, forms).validate()
+        assert [line for line in report if "duality broken" in line] == [
+            "duality broken: -+ is not the transpose of +-, so H(t) is not the "
+            "conjugate transpose of itself"]
 
     def test_missing_sign_vector_reported(self):
         fam = SeifertFamily(2, {(1, 1): [[0]], (-1, -1): [[0]]})
@@ -191,6 +198,12 @@ class TestInvalidFamiliesRefuse:
     def test_sig_fn_raises(self):
         with pytest.raises(NotHermitian):
             SeifertFamily(1, self.BAD).sig_fn()((ang(1, 3),))
+
+    def test_broken_duality_refused_where_the_form_is_hermitian(self):
+        # at omega = 1/2, H = 2(theta+ + theta-) = [[2]] is Hermitian; H(t) is not
+        fam = SeifertFamily(1, {(1,): [[1]], (-1,): [[0]]})
+        with pytest.raises(NotHermitian):
+            fam.signature((ang(1, 2),))
 
     def test_raw_inertia_and_nullity_raise(self):
         fam = SeifertFamily(1, self.BAD, basis=True)

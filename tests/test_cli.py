@@ -108,6 +108,7 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == ""
         assert "not the conjugate" in out.err
+        assert out.err.count("duality broken") == 1
 
     def test_one_inertia_per_eval(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "trefoil.json"
