@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property, lru_cache
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple, Type
 
 from .cyclotomic import HermitianMatrix, LaurentMatrix, LaurentPoly
 from .errors import BoundaryCharacter, InvalidFamily, NotHermitian, NullityUnavailable
@@ -80,8 +80,9 @@ class SeifertFamily:
                         if linking is not None else None)
         self.label = label
         # construction is permissive so that validate() can report problems;
-        # from_json refuses documents that fail it, and every invariant goes
-        # through assemble(), whose compile refuses broken duality
+        # _gate refuses a family that fails it before any arithmetic: from_json
+        # on load (InvalidFamily), the compile of H(t) and sig_fn at use
+        # (NotHermitian)
 
     # -- validation -----------------------------------------------------------
 
@@ -132,6 +133,12 @@ class SeifertFamily:
                 out.append(f"boundary {kept}: {problem}")
         return out
 
+    def _gate(self, error: Type[Exception] = NotHermitian) -> None:
+        """Refuse the family with the validate() report unless it is clean."""
+        problems = self.validate()
+        if problems:
+            raise error("; ".join(problems))
+
     # -- assembly -------------------------------------------------------------
 
     def _check_character(self, omega: Character) -> None:
@@ -149,9 +156,10 @@ class SeifertFamily:
         """H(t) = prod_i (1 - t_i^-1) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps.
 
         Compiled on first use, not at construction, which stays permissive,
-        and refused with NotHermitian unless H(t) equals its conjugate
-        transpose as a Laurent matrix, which holds exactly when duality does.
+        and only after the gate: validate()'s shape rules make every form g x g,
+        and its duality rule is exactly what makes H(t) equal H(t)*.
         """
+        self._gate()
         mu, g = self.arity, self.generators
         pre = LaurentPoly.const(mu, 1)
         for i in range(mu):
@@ -171,11 +179,6 @@ class SeifertFamily:
                             terms[exps] = terms.get(exps, 0) + k * c
                 row.append(LaurentPoly(mu, terms))
             entries.append(row)
-        for i in range(g):
-            for j in range(i, g):
-                if entries[i][j] != entries[j][i].conjugate():
-                    raise NotHermitian(f"H(t) entry ({i},{j}) is not the conjugate of "
-                                       f"({j},{i}): the forms break duality")
         return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
 
     def assemble(self, omega: Character) -> HermitianMatrix:
@@ -210,18 +213,18 @@ class SeifertFamily:
 
     # -- evaluator wiring ---------------------------------------------------------
 
-    def sig_fn(self, boundary_table: Optional[Mapping[Tuple[int, ...], "SeifertFamily"]] = None,
-               *, distinguished: bool = False) -> SigFn:
+    def sig_fn(self, *, distinguished: bool = False) -> SigFn:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
-        boundary_table overrides the family's own boundary data when given.
+        The family, its linking matrix and its boundary families pass the gate
+        first, so an invalid family is refused with NotHermitian here.
         With distinguished=True, color 0 is marked distinguished and its
         linking vector is read off the linking matrix (which must be present).
         The evaluator's nullity is this family's on the open torus when the
         generators are a basis, None otherwise.
         """
-        table = dict(boundary_table) if boundary_table is not None else self.boundary
-        subs = {kept: fam.sig_fn() for kept, fam in table.items()}
+        self._gate()
+        subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
         linking = None
         if distinguished:
             if self.linking is None:
@@ -265,9 +268,7 @@ class SeifertFamily:
     def from_json(cls, doc: dict) -> "SeifertFamily":
         """The family of a JSON document, refused unless validate() is clean."""
         fam = cls._from_doc(doc)
-        problems = fam.validate()
-        if problems:
-            raise InvalidFamily("; ".join(problems))
+        fam._gate(InvalidFamily)
         return fam
 
     @classmethod

@@ -24,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import verify as verify_mod
 from .errors import BoundaryCharacter, ExpressionError, GuardViolated, SpliceSigError
@@ -34,6 +34,10 @@ from .cables import hirzebruch
 from .torus import Angle
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
+
+# sweep and defect-table refuse larger grids before computing a cell; below it
+# rows are built in memory, so a cell that raises leaves no half-written output
+MAX_GRID_CELLS = 100_000
 
 
 class _CliError(Exception):
@@ -102,6 +106,15 @@ def _emit_error(err: Exception, code: int, as_json: bool) -> int:
     return code
 
 
+def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[int, ...]]:
+    """The cells of range(start, order)^arity, refused above MAX_GRID_CELLS."""
+    cells = (order - start) ** arity
+    if cells > MAX_GRID_CELLS:
+        raise _CliError(f"grid of {cells} cells exceeds the limit of "
+                        f"{MAX_GRID_CELLS}; lower --order")
+    return product(range(start, order), repeat=arity)
+
+
 def _grid_label(ks: Tuple[int, ...], order: int) -> str:
     return ",".join(f"{k}/{order}" for k in ks)
 
@@ -135,7 +148,7 @@ def cmd_sweep(args) -> int:
         raise _CliError("--order must be at least 1")
     start = 0 if args.include_units else 1
     rows = []
-    for ks in product(range(start, order), repeat=f.arity):
+    for ks in _grid(start, order, f.arity):
         omega = tuple(Angle(Fraction(k, order)) for k in ks)
         try:
             rows.append((ks, str(f(omega))))
@@ -171,7 +184,7 @@ def cmd_defect_table(args) -> int:
         raise _CliError("--order must be at least 1 and --lambda non-empty")
     from .torus import defect
     cells = []
-    for ks in product(range(order), repeat=len(lam)):
+    for ks in _grid(0, order, len(lam)):
         omega = tuple(Angle(Fraction(k, order)) for k in ks)
         cells.append((ks, defect(lam, omega)))
     if args.csv:

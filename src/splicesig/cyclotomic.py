@@ -667,13 +667,6 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
 
-def _common_level(omega: Character) -> int:
-    n = 1
-    for a in omega:
-        n = n * a.denominator // math.gcd(n, a.denominator)
-    return n
-
-
 def _steps(omega: Character, level: int) -> List[int]:
     """The exponents k_i with omega_i = zeta_level^k_i."""
     steps = []
@@ -718,7 +711,7 @@ class LaurentMatrix:
         """Specialise at a character; the result is checked exactly Hermitian."""
         if len(omega) != self.arity:
             raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
-        n = level or _common_level(omega)
+        n = level or math.lcm(*(a.denominator for a in omega))
         steps = _steps(omega, n)
         # t^exponents = zeta_N^k at t_i = zeta_N^steps[i]
         power = {exps: sum(e * s for e, s in zip(exps, steps)) for exps in self._monomials}

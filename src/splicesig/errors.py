@@ -24,7 +24,9 @@ class BoundaryCharacter(SpliceSigError):
 
 
 class NotHermitian(SpliceSigError):
-    """An evaluated matrix failed the exact Hermitian check."""
+    """An evaluated matrix failed the exact Hermitian check, or a SeifertFamily
+    failed validate() when first used (the message is then its report).
+    """
 
 
 class NotReal(SpliceSigError):

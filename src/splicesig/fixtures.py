@@ -39,16 +39,6 @@ def _t(i: int, arity: int = ARITY) -> LaurentPoly:
     return LaurentPoly.var(arity, i)
 
 
-def _restrict(poly: LaurentPoly, arity: int) -> LaurentPoly:
-    """Drop trailing unused variables (exponent 0 everywhere)."""
-    terms = {}
-    for exps, c in poly.terms.items():
-        if any(exps[arity:]):
-            raise ValueError("polynomial actually uses a dropped variable")
-        terms[exps[:arity]] = c
-    return LaurentPoly(arity, terms)
-
-
 def torus24_matrix() -> LaurentMatrix:
     """C-complex form of the (2,4)-torus link, colors (t0, t1).
 
@@ -56,8 +46,8 @@ def torus24_matrix() -> LaurentMatrix:
     complex has a single homology generator, so the form is 1x1:
     -pibar_0 pibar_1 pi_01.
     """
-    entry = -(_pi([0]).conjugate() * _pi([1]).conjugate() * _pi([0, 1]))
-    return LaurentMatrix(("t0", "t1"), [[_restrict(entry, 2)]])
+    entry = -(_pi([0], 2).conjugate() * _pi([1], 2).conjugate() * _pi([0, 1], 2))
+    return LaurentMatrix(("t0", "t1"), [[entry]])
 
 
 def cable42_matrix() -> LaurentMatrix:

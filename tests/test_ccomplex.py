@@ -14,12 +14,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber
 from splicesig.errors import (BoundaryCharacter, InvalidFamily, NotHermitian,
-                              NullityUnavailable)
+                              NullityUnavailable, SpliceSigError)
 from splicesig.hopf import hopf_seifert_family, unlink_family
 from splicesig.torus import UNIT, Angle, character, conjugate_character
 
@@ -211,6 +211,70 @@ class TestInvalidFamiliesRefuse:
             fam.raw_inertia((ang(1, 3),))
         with pytest.raises(NotHermitian):
             fam.signature_nullity((ang(1, 3),))
+
+
+def _uses(fam, omega):
+    """Every way to get a number out of a family at omega."""
+    uses = [lambda: fam.signature(omega), lambda: fam.raw_inertia(omega),
+            lambda: fam.assemble(omega), lambda: fam.sig_fn()(omega)]
+    if fam.basis:
+        uses.append(lambda: fam.signature_nullity(omega))
+    if fam.linking is not None:
+        uses.append(lambda: fam.sig_fn(distinguished=True)(omega))
+    return uses
+
+
+class TestOneGate:
+    """validate() is the one validity rule, and every use of a family passes it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: SeifertFamily(1, {(1,): [[1, 0]], (-1,): [[1], [0]]}),  # ragged
+        lambda: SeifertFamily(1, {(1,): [[1]]}),  # no (-1,) form
+        lambda: SeifertFamily(2, random_family(2, 2, random.Random(1)).forms,
+                              linking=[[0, 1], [2, 0]]),  # asymmetric linking
+    ], ids=["ragged", "missing-form", "asymmetric-linking"])
+    def test_invalid_family_refused_by_every_use(self, make):
+        fam = make()
+        assert fam.validate()
+        for use in _uses(fam, (ang(1, 3),) * fam.arity):
+            with pytest.raises(SpliceSigError):
+                use()
+
+    def test_refusal_carries_the_validate_report(self):
+        fam = SeifertFamily(1, {(1,): [[1, 0]], (-1,): [[1], [0]]})
+        with pytest.raises(NotHermitian) as err:
+            fam.sig_fn()
+        assert str(err.value) == "; ".join(fam.validate())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32),
+           st.sampled_from(["entry", "row", "linking"]),
+           st.lists(st.tuples(st.integers(0, 10), st.sampled_from([3, 4, 5, 6, 8, 12])),
+                    min_size=3, max_size=3))
+    def test_injected_defect_refused_at_every_character(self, mu, g, seed, defect, angles):
+        assume(defect != "linking" or mu >= 2)
+        rng = random.Random(seed)
+        valid = random_family(mu, g, rng)
+        forms = {eps: [list(row) for row in mat] for eps, mat in valid.forms.items()}
+        linking = [[0 if i == j else 1 for j in range(mu)] for i in range(mu)]
+        eps = rng.choice(sorted(forms))
+        if defect == "entry":
+            forms[eps][rng.randrange(g)][rng.randrange(g)] += rng.choice([-2, -1, 1, 2])
+        elif defect == "row":
+            del forms[eps][rng.randrange(g)]
+        else:
+            i, j = rng.sample(range(mu), 2)
+            linking[i][j] += 1
+        fam = SeifertFamily(mu, forms, basis=rng.random() < 0.5, linking=linking)
+        assert fam.validate()
+        with pytest.raises(InvalidFamily):
+            SeifertFamily.from_json(fam.to_json())
+        # at omega = 1/2 a broken pair can still assemble to a Hermitian H(omega)
+        drawn = tuple(ang(1 + n % (d - 1), d) for n, d in angles[:mu])
+        for omega in [(ang(1, 2),) * mu, drawn]:
+            for use in _uses(fam, omega):
+                with pytest.raises(SpliceSigError):
+                    use()
 
 
 class TestSignatureNullity:

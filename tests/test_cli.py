@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: output shapes, exit codes, error envelopes."""
 
 import json
+import time
 
 import pytest
 
 from splicesig import cyclotomic
 from splicesig.ccomplex import SeifertFamily
-from splicesig.cli import main
+from splicesig.cli import MAX_GRID_CELLS, main
 from splicesig.hopf import hopf_seifert_family
 
 TREFOIL_V = [[-1, 1], [0, -1]]
@@ -209,6 +210,38 @@ class TestDefectTable:
 
     def test_bad_lambda_exit_2(self):
         assert main(["defect-table", "--lambda", "1,x"]) == 2
+
+
+class TestGridBound:
+    """sweep and defect-table refuse a grid above MAX_GRID_CELLS before any cell."""
+
+    OVER = [["sweep", "torus-3-6", "--order", "48"],            # 47^3 = 103 823 cells
+            ["defect-table", "--lambda", "1,2", "--order", "317"]]  # 317^2 = 100 489
+
+    def test_bound_sits_between_these_grids(self):
+        assert 46 ** 3 <= 316 ** 2 <= MAX_GRID_CELLS < 317 ** 2 < 47 ** 3
+
+    @pytest.mark.parametrize("argv", OVER, ids=["sweep", "defect-table"])
+    def test_over_bound_exit_2_fast(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "exceeds the limit" in out.err
+
+    @pytest.mark.parametrize("argv", OVER, ids=["sweep", "defect-table"])
+    def test_over_bound_json_is_only_the_error(self, argv, capsys):
+        assert main(["--json"] + argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "exceeds the limit" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("argv", OVER, ids=["sweep", "defect-table"])
+    def test_over_bound_writes_no_csv(self, argv, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        assert main(argv + ["--csv", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not path.exists()
 
 
 class TestVerify:
