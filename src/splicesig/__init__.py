@@ -12,6 +12,7 @@ from .errors import (
     NotReal,
     NullityUnavailable,
     SpliceSigError,
+    UsageError,
 )
 from .torus import (
     UNIT,

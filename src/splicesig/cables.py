@@ -48,6 +48,25 @@ class CableParams(NamedTuple):
         return cls(p, q, d, bool(core_kept))
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*i + b) / m) for i in range(n)), m > 0, in O(log m) steps.
+
+    The Euclid-like recursion: take the integer parts of a/m and b/m out in
+    closed form, then count the same lattice points by columns instead of
+    rows, which swaps m and a.
+    """
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
 def hirzebruch(p: int, q: int, zeta: Angle) -> int:
     """Levine-Tristram signature of the (p,q)-torus link U(p,q), p, q > 0 coprime.
 
@@ -59,11 +78,13 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
     and the signature is b - a.  Sums hitting theta or theta + 1 exactly
     count toward neither (they contribute to the nullity instead).  The count
     is stated for theta in (0, 1/2]; for theta in (1/2, 1) the value at the
-    conjugate angle is the same, so we reflect.  The count is symmetric in
-    (p, q), so it runs over the rows i of the smaller one: there
-    theta < s < theta + 1 says low < j < low + q with low = q*(theta - i/p),
-    an interval whose ends are ties exactly when low is an integer.  All
-    comparisons are exact rational arithmetic.
+    conjugate angle is the same, so we reflect.  In row i,
+    theta < s < theta + 1 says low < j < low + q with
+    low = q*(theta - i/p) in (-q, q/2), so the row holds q - 1 - floor(low)
+    points of a when low >= 0 and q - 1 + ceil(low) when low < 0.  Each of
+    the two ranges of rows is one floor sum, and the ties (low a nonzero
+    integer) are the solutions of one congruence, so the cost is logarithmic
+    in p and q.  All arithmetic is on integers.
     """
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise InvalidParams(f"need coprime positive (p, q), got ({p}, {q})")
@@ -72,14 +93,22 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
     theta = zeta.value
     if theta > Fraction(1, 2):
         theta = 1 - theta
-    p, q = min(p, q), max(p, q)
-    a = ties = 0
-    for i in range(1, p):
-        low = q * (theta - Fraction(i, p))
-        first, last = max(1, math.floor(low) + 1), min(q - 1, math.ceil(low) + q - 1)
-        a += max(0, last - first + 1)
-        if low.denominator == 1:
-            ties += (1 <= low <= q - 1) + (1 <= low + q <= q - 1)
+    u, v = theta.numerator, theta.denominator
+    # row i has low = (top - step*i) / den, which is >= 0 exactly for i <= split;
+    # theta <= 1/2 puts split = floor(theta*p) below p
+    top, step, den = q * u * p, q * v, v * p
+    split = u * p // v
+    a = (p - 1) * (q - 1) \
+        - _floor_sum(split, den, -step, top - step) \
+        - _floor_sum(p - 1 - split, den, step, step * (split + 1) - top)
+    # ties: rows 1 <= i <= p-1 with step*i = top (mod den), less the row
+    # i = theta*p where low = 0, when theta*p is an integer
+    g = math.gcd(step, den)
+    ties = 0
+    if top % g == 0:
+        mod = den // g
+        r = top // g * pow(step // g, -1, mod) % mod
+        ties = (p - 1 - r) // mod - (-r) // mod - (u * p % v == 0)
     b = (p - 1) * (q - 1) - a - ties
     return b - a
 

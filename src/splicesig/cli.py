@@ -27,7 +27,8 @@ from itertools import product
 from typing import Iterator, List, Optional, Tuple
 
 from . import verify as verify_mod
-from .errors import BoundaryCharacter, ExpressionError, GuardViolated, SpliceSigError
+from .errors import (BoundaryCharacter, ExpressionError, GuardViolated, SpliceSigError,
+                     UsageError)
 from .expr import parse as parse_expr
 from .fixtures import fixture_names
 from .cables import hirzebruch
@@ -40,24 +41,18 @@ EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
 MAX_GRID_CELLS = 100_000
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_PARSE):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_character(text: str) -> Tuple[Angle, ...]:
     try:
         return tuple(Angle(Fraction(tok)) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
-        raise _CliError(f"bad character {text!r}: {err}") from err
+        raise UsageError(f"bad character {text!r}: {err}") from err
 
 
 def _parse_angle(text: str) -> Angle:
     try:
         return Angle(Fraction(text))
     except (ValueError, ZeroDivisionError) as err:
-        raise _CliError(f"bad angle {text!r}: {err}") from err
+        raise UsageError(f"bad angle {text!r}: {err}") from err
 
 
 def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
@@ -68,30 +63,30 @@ def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
             try:
                 return json.loads(head), None
             except json.JSONDecodeError as err:
-                raise _CliError(f"invalid JSON expression: {err}") from err
+                raise UsageError(f"invalid JSON expression: {err}") from err
         if os.path.exists(head) or head.endswith(".json"):
             try:
                 with open(head, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
             except OSError as err:
-                raise _CliError(f"cannot read expression file {head!r}: {err}") from err
+                raise UsageError(f"cannot read expression file {head!r}: {err}") from err
             except json.JSONDecodeError as err:
-                raise _CliError(f"invalid JSON in {head!r}: {err}") from err
+                raise UsageError(f"invalid JSON in {head!r}: {err}") from err
             return doc, os.path.dirname(os.path.abspath(head))
         return {"fixture": head}, None
     if head == "hopf" and len(tokens) == 3:
         try:
             return {"hopf": [int(tokens[1]), int(tokens[2])]}, None
         except ValueError as err:
-            raise _CliError(f"hopf takes two integers: {err}") from err
+            raise UsageError(f"hopf takes two integers: {err}") from err
     if head == "fixture" and len(tokens) == 2:
         return {"fixture": tokens[1]}, None
     if head == "zero" and len(tokens) == 2:
         try:
             return {"zero": int(tokens[1])}, None
         except ValueError as err:
-            raise _CliError(f"zero takes an arity: {err}") from err
-    raise _CliError(
+            raise UsageError(f"zero takes an arity: {err}") from err
+    raise UsageError(
         f"cannot read expression {' '.join(tokens)!r}; expected a JSON file, "
         f"an inline JSON object, a fixture name ({', '.join(fixture_names())}), "
         f'or "hopf M N" / "fixture NAME" / "zero K"')
@@ -110,8 +105,8 @@ def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[int, ...]]:
     """The cells of range(start, order)^arity, refused above MAX_GRID_CELLS."""
     cells = (order - start) ** arity
     if cells > MAX_GRID_CELLS:
-        raise _CliError(f"grid of {cells} cells exceeds the limit of "
-                        f"{MAX_GRID_CELLS}; lower --order")
+        raise UsageError(f"grid of {cells} cells exceeds the limit of "
+                         f"{MAX_GRID_CELLS}; lower --order")
     return product(range(start, order), repeat=arity)
 
 
@@ -124,8 +119,8 @@ def cmd_eval(args) -> int:
     f = parse_expr(doc, base_dir)
     omega = _parse_character(args.at)
     if len(omega) != f.arity:
-        raise _CliError(f"expression {f.label or '?'} takes {f.arity} angles, "
-                        f"got {len(omega)}")
+        raise UsageError(f"expression {f.label or '?'} takes {f.arity} angles, "
+                         f"got {len(omega)}")
     value = f(omega)
     nullity = f.nullity(omega) if f.nullity is not None else None
     if args.json:
@@ -145,7 +140,7 @@ def cmd_sweep(args) -> int:
     f = parse_expr(doc, base_dir)
     order = args.order
     if order < 1:
-        raise _CliError("--order must be at least 1")
+        raise UsageError("--order must be at least 1")
     start = 0 if args.include_units else 1
     rows = []
     for ks in _grid(start, order, f.arity):
@@ -178,10 +173,10 @@ def cmd_defect_table(args) -> int:
     try:
         lam = tuple(int(tok) for tok in args.lam.split(","))
     except ValueError as err:
-        raise _CliError(f"bad --lambda {args.lam!r}: {err}") from err
+        raise UsageError(f"bad --lambda {args.lam!r}: {err}") from err
     order = args.order
     if order < 1 or not lam:
-        raise _CliError("--order must be at least 1 and --lambda non-empty")
+        raise UsageError("--order must be at least 1 and --lambda non-empty")
     from .torus import defect
     cells = []
     for ks in _grid(0, order, len(lam)):
@@ -214,7 +209,7 @@ def cmd_verify(args) -> int:
     try:
         results = verify_mod.run_suite(args.suite)
     except KeyError as err:
-        raise _CliError(str(err.args[0])) from err
+        raise UsageError(str(err.args[0])) from err
     if args.json:
         print(json.dumps({"passed": all(r.passed for r in results),
                           "results": [{"name": r.name, "passed": r.passed,
@@ -305,7 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as err:
+    except UsageError as err:
         return _emit_error(err, err.code, args.json)
     except ExpressionError as err:
         return _emit_error(err, EXIT_PARSE, args.json)

@@ -37,10 +37,11 @@ LDL-style elimination with one pivot rule:
   not, the congruence row_p += a*row_q, col_p += conj(a)*col_q first makes
   h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
   when no nonzero entry is left, the remaining rows are the nullity,
-* the sign of each nonzero real pivot is certified by interval arithmetic at
-  adaptive precision, in private mpmath interval contexts: the interval is
-  refined until it excludes zero, which terminates because zero has already
-  been excluded exactly.  Refinement starts at 64 bits and doubles.
+* the sign of each nonzero real pivot sum c_j cos(2*pi*j/N) is certified in
+  integer fixed point: the sum of c_j times cosines scaled by 2^prec, each
+  known to within e units, decides the sign once it exceeds e * sum |c_j|.
+  Otherwise prec doubles, from 64 bits; this terminates because zero has
+  already been excluded exactly.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ import math
 import threading
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import mpmath
 
 from .errors import LevelMismatch, NotHermitian, NotReal
 from .torus import Angle, Character
@@ -167,7 +166,7 @@ class _Level:
                 for i in range(d):
                     vec[i] -= top * phi[i]
         self.pow_rows = rows
-        self._iv: Dict[int, tuple] = {}
+        self._cos: Dict[int, Tuple[List[int], int]] = {}
 
     # -- scalar operations -------------------------------------------------
 
@@ -266,39 +265,100 @@ class _Level:
 
     # -- certified signs ----------------------------------------------------
 
-    def _cos_intervals(self, prec: int) -> tuple:
-        """A private interval context at prec, never changed after it is built,
-        and cos(2*pi*j/N) for j < deg in it."""
-        cached = self._iv.get(prec)
-        if cached is None:
-            ctx = type(mpmath.iv)()
-            ctx.prec = prec
-            two_pi = 2 * ctx.pi
-            cached = (ctx, [ctx.cos(two_pi * j / self.n) for j in range(self.deg)])
-            self._iv[prec] = cached
-        return cached
-
     def sign(self, a: QV) -> int:
-        """Certified sign of a real element; 0 only for the exact zero."""
+        """Certified sign of a real element; 0 only for the exact zero.
+
+        The element is sum c_j cos(2*pi*j/N) / den with den > 0, so its sign
+        is that of X = sum c_j * 2^prec * cos(2*pi*j/N).  S = sum c_j * C_j
+        is exact and |S - X| <= e * sum |c_j|, so S beyond that bound has
+        the sign of X.  Otherwise prec doubles, at most to 2^16 bits.
+        """
         if self.is_zero(a):
             return 0
-        vec = a[1]  # den > 0
+        vec = a[1]
+        slack = sum(abs(c) for c in vec)
         prec = 64
         while True:
-            ctx, coss = self._cos_intervals(prec)
-            s = ctx.mpf(0)
-            for c, ci in zip(vec, coss):
-                if c:
-                    s += c * ci
-            if s.a > 0:
-                return 1
-            if s.b < 0:
-                return -1
+            table = self._cos.get(prec)
+            if table is None:
+                table = self._cos[prec] = _fixed_cosines(self.n, self.deg, prec)
+            coss, e = table
+            s = sum(c * cj for c, cj in zip(vec, coss) if c)
+            if abs(s) > e * slack:
+                return 1 if s > 0 else -1
             prec *= 2
             if prec > (1 << 16):
                 raise ArithmeticError(
-                    "interval refinement did not separate a provably nonzero "
+                    "fixed-point refinement did not separate a provably nonzero "
                     "value from zero; this indicates a bug in the exact layer")
+
+
+def _fixed_cosines(n: int, deg: int, prec: int) -> Tuple[List[int], int]:
+    """Integers C_j and a bound e with |C_j - 2^prec * cos(2*pi*j/n)| <= e, j < deg.
+
+    Everything runs in fixed point at w = prec + g bits: an integer u stands
+    for u / 2^w, and one unit of 2^-w is an ulp.  Every step keeps an integer
+    bound on its error in ulps:
+
+    1. pi by Machin, pi = 16 atan(1/5) - 4 atan(1/239).  For atan(1/x) the
+       powers p_k = floor(p_(k-1) / x^2), p_0 = floor(2^w / x), stay within
+       x^2 / (x^2 - 1) < 2 ulps below 2^w / x^(2k+1); each term
+       floor(p_k / (2k+1)) adds under 1 more, so under 3 ulps per term.  The
+       series stops at the first p_K = 0, where the alternating tail is at
+       most its first term, under 2 ulps: atan errs by at most 3K + 2 ulps,
+       and pi by 16 and 4 times those.
+    2. theta = floor(2 * pi / n) errs by the pi error times 2/n, plus 1 for
+       the floor (carried as floor(...) + 2).
+    3. zeta = exp(i * theta) by its Taylor series at the rational theta:
+       t_k = floor(t_(k-1) * theta / k), whose error err_k is at most
+       err_(k-1) * theta / k + 1 (carried as floor(...) + 2).  The series
+       stops at a zero term once theta / (k+1) <= 1/2, so the tail is at most
+       2 * err_k.  |exp(i*x) - exp(i*y)| <= |x - y| carries theta's error
+       over unchanged: zeta errs by D = that + sum err_k + 2 * err_K in
+       complex modulus.
+    4. zeta^j = round(zeta^(j-1) * zeta): if zeta^(j-1) errs by E_(j-1), the
+       product errs by E_(j-1) * (1 + D / 2^w) + D before rounding both
+       parts to nearest adds at most 1, carried as
+       E_j = E_(j-1) + floor(E_(j-1) * D / 2^w) + D + 2.
+    5. C_j = round(Re(zeta^j) / 2^g) errs by at most E_j / 2^g + 1/2, and
+       e = floor(E / 2^g) + 2 with E >= every E_j covers it.
+
+    g grows with log prec and log deg, so E stays below 2^g and e = 2.
+    """
+    g = prec.bit_length() + deg.bit_length() + 8
+    w = prec + g
+    one = 1 << w
+    pi = pi_err = 0
+    for x, weight in ((5, 16), (239, -4)):
+        power, k = one // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            pi += weight * (-term if k & 1 else term)
+            power //= x * x
+            k += 1
+        pi_err += abs(weight) * (3 * k + 2)
+    theta = 2 * pi // n
+    d = 2 * pi_err // n + 2  # theta's error, then zeta's: D
+    parts = [0, 0]  # Re and Im of zeta: i^k cycles 1, i, -1, -i
+    t, err, k = one, 0, 0
+    while True:
+        parts[k & 1] += -t if k & 2 else t
+        d += err
+        k += 1
+        t = (t * theta >> w) // k
+        err = (err * theta >> w) // k + 2
+        if t == 0 and 2 * theta <= (k + 1) << w:
+            break
+    d += 2 * err
+    re, im = parts
+    half = 1 << (w - 1)
+    zr, zi, big_e = one, 0, 0
+    out = []
+    for _ in range(deg):
+        out.append((zr + (1 << (g - 1))) >> g)
+        zr, zi = (zr * re - zi * im + half) >> w, (zr * im + zi * re + half) >> w
+        big_e += (big_e * d >> w) + d + 2
+    return out, (big_e >> g) + 2
 
 
 _levels: Dict[int, _Level] = {}

@@ -59,5 +59,17 @@ class MissingBaseEvaluator(SpliceSigError):
     """
 
 
+class UsageError(SpliceSigError):
+    """The command line was unusable: a bad angle, --order or --lambda, an
+    unreadable expression file, or a grid above the cell limit.
+
+    code is the process exit code the CLI returns for it (2, unusable input).
+    """
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
+
+
 class ExpressionError(SpliceSigError):
     """A splice-expression document could not be parsed or wired together."""

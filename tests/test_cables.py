@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -59,6 +60,22 @@ def reference_hirzebruch(p, q, zeta):
     return b - a
 
 
+def reference_rows(p, q, zeta):
+    """b - a by one interval per lattice row, in exact rational arithmetic."""
+    theta = zeta.value
+    if theta > Fraction(1, 2):
+        theta = 1 - theta
+    p, q = min(p, q), max(p, q)
+    a = ties = 0
+    for i in range(1, p):
+        low = q * (theta - Fraction(i, p))
+        first, last = max(1, math.floor(low) + 1), min(q - 1, math.ceil(low) + q - 1)
+        a += max(0, last - first + 1)
+        if low.denominator == 1:
+            ties += (1 <= low <= q - 1) + (1 <= low + q <= q - 1)
+    return (p - 1) * (q - 1) - 2 * a - ties
+
+
 class TestHirzebruch:
     def test_hand_counts(self):
         assert hirzebruch(2, 3, ang(1, 2)) == -2
@@ -100,6 +117,19 @@ class TestHirzebruch:
         assume(num % den != 0)
         z = ang(num % den, den)
         assert hirzebruch(p, q, z) == reference_hirzebruch(p, q, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 199), st.integers(1, 199), st.data())
+    def test_floor_sums_match_row_count(self, p, q, data):
+        assume(math.gcd(p, q) == 1 and p * q > 1)
+        # the denominator divides p*q, so ties occur
+        z = ang(data.draw(st.integers(1, p * q - 1)), p * q)
+        assert hirzebruch(p, q, z) == reference_rows(p, q, z)
+
+    def test_large_coprime_pair_is_fast(self):
+        start = time.perf_counter()
+        assert hirzebruch(1000003, 1000005, ang(1, 3)) == -444448222228
+        assert time.perf_counter() - start < 1.0
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):

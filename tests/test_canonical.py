@@ -6,7 +6,10 @@ Fraction coefficient model of Q[x]/(x^N - 1); the inertia that the integer path
 computes for random Laurent-polynomial Hermitian matrices is checked against
 numpy's eigvalsh on an independently evaluated complex matrix.  The field
 inverse is checked by a * inv(a) = 1, and the cyclotomic polynomials by their
-definition, prod_{d | n} Phi_d = x^n - 1.  Certified signs must leave global
+definition, prod_{d | n} Phi_d = x^n - 1.  The fixed-point cosine tables
+behind certified signs are checked against mpmath at 200 extra bits, and the
+signs themselves on sqrt(k) * 10^d less its integer part, which needs
+refinement past the starting precision.  Certified signs must leave global
 mpmath state alone.
 """
 
@@ -17,14 +20,17 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from splicesig import cyclotomic
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     LaurentMatrix,
     LaurentPoly,
+    _fixed_cosines,
     _level,
     _pdivmod_exact,
+    _totient,
     cyclotomic_polynomial,
 )
 from splicesig.hopf import hopf_seifert_family, sigma_k
@@ -308,3 +314,57 @@ def test_family_signature_leaves_mpmath_precision_alone():
     eta, zeta = Angle(Fraction(1, 7)), Angle(Fraction(2, 5))
     assert hopf_seifert_family(2, 3).signature((eta, zeta)) == sigma_k(2, eta) * sigma_k(3, zeta)
     assert (mpmath.iv.prec, mpmath.mp.prec) == before
+
+
+# ---------------------------------------------------------------------------
+# fixed-point cosines and the certified sign
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 420) | st.just(1155), st.integers(64, 4096))
+@example(1, 64)
+@example(3, 4096)
+@example(1155, 4096)
+def test_fixed_cosines_within_their_bound(n, prec):
+    deg = _totient(n)
+    coss, e = _fixed_cosines(n, deg, prec)
+    assert len(coss) == deg
+    assert e <= 2  # the guard bits keep the bound tight, so it decides signs
+    with mpmath.workprec(prec + 200):
+        scale = mpmath.mpf(2) ** prec
+        for j, cj in enumerate(coss):
+            assert abs(cj - scale * mpmath.cospi(mpmath.mpf(2 * j) / n)) <= e, (n, prec, j)
+
+
+def _quadratic_irrational(level, k):
+    """sqrt(k) in Q(zeta_level), from zeta_8, zeta_12 or zeta_5."""
+    root = {2: 8, 3: 12, 5: 5}[k]
+    z = CyclotomicNumber.root_of_unity(level, level // root)
+    c = z + z.conjugate()
+    return 2 * c + 1 if k == 5 else c
+
+
+@pytest.mark.parametrize("level,k", [(8, 2), (40, 2), (120, 2), (840, 2),
+                                     (12, 3), (420, 3), (5, 5), (1155, 5)])
+@pytest.mark.parametrize("digits", [24, 60])
+def test_sign_escalates_on_near_integers(level, k, digits, monkeypatch):
+    # sqrt(k) * 10^digits lies within 1 of isqrt(k * 10^(2 digits)), so a
+    # decision needs 2^prec > 10^digits > 2^(3 digits): the 64-bit table
+    # cannot separate the difference from zero
+    asked = []
+
+    def recording(n, deg, prec):
+        asked.append(prec)
+        return _fixed_cosines(n, deg, prec)
+
+    monkeypatch.setattr(cyclotomic, "_fixed_cosines", recording)
+    lv = cyclotomic._Level(level)
+    root = _quadratic_irrational(level, k)
+    assert (root * root - k).is_zero()
+    floor = math.isqrt(k * 10 ** (2 * digits))
+    above = root * 10 ** digits - floor  # in (0, 1)
+    assert lv.sign(above.reduced()) == 1
+    assert lv.sign((above - 1).reduced()) == -1
+    assert lv.sign((-above).reduced()) == -1
+    assert asked[0] == 64 and max(asked) >= 2 ** (3 * digits).bit_length()
+    assert asked == sorted(set(asked)), "each precision is built once per level"

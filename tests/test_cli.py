@@ -1,14 +1,22 @@
 """End-to-end CLI behavior: output shapes, exit codes, error envelopes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from splicesig import cyclotomic
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import MAX_GRID_CELLS, main
-from splicesig.hopf import hopf_seifert_family
+from splicesig.hopf import hopf_seifert_family, sigma_k
+from splicesig.torus import Angle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TREFOIL_V = [[-1, 1], [0, -1]]
 
@@ -153,6 +161,25 @@ class TestEval:
         assert capsys.readouterr().out == "-1\n"
 
 
+    def test_eval_never_imports_mpmath(self, tmp_path):
+        # certified signs are integer work: a fresh process evaluates a
+        # Seifert family (pivot signs at level 63) without loading mpmath
+        path = tmp_path / "hopf-2-3.json"
+        path.write_text(hopf_seifert_family(2, 3).dumps())
+        code = ("import sys; from splicesig.cli import main; rc = main(sys.argv[1:]); "
+                "print('mpmath' in sys.modules); sys.exit(rc)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "eval", json.dumps({"seifert": str(path)}),
+             "--at", "1/7,2/9"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        want = sigma_k(2, Angle(Fraction(1, 7))) * sigma_k(3, Angle(Fraction(2, 9)))
+        lines = proc.stdout.splitlines()
+        assert lines[0] == str(want)
+        assert lines[-1] == "False"
+
+
 class TestSweep:
     def test_table_structure(self, capsys):
         assert main(["sweep", "referee-K'L'", "--order", "8"]) == 0
@@ -242,6 +269,21 @@ class TestGridBound:
         assert main(argv + ["--csv", str(path)]) == 2
         assert capsys.readouterr().out == ""
         assert not path.exists()
+
+
+class TestUsageError:
+    """Command-line refusals report the public UsageError type, with exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["defect-table", "--lambda", "1,2", "--order", "317"],   # grid over the bound
+        ["torus-sig", "2", "3", "1/0"],                           # bad angle
+        ["eval", "hopf", "1", "1", "--at", "1/0,1/2"],            # bad character
+        ["eval", "no-such-dir/expr.json", "--at", "1/2"],         # missing file
+    ], ids=["grid-bound", "bad-angle", "bad-character", "missing-file"])
+    def test_json_type_is_usage_error(self, argv, capsys):
+        assert main(["--json"] + argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "UsageError"
 
 
 class TestVerify:
