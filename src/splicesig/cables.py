@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import GuardViolated, InvalidParams, MissingBaseEvaluator
+from .errors import InvalidParams, MissingBaseEvaluator
 from .hopf import HopfSpec, hopf_signature
 from .splice import DistinguishedSigFn, SigFn, splice
 from .torus import Angle, Character, ind

@@ -13,9 +13,9 @@ Characters are comma-separated rational angles "a/b" with 0 the unit.
 All arithmetic is exact and iteration orders are fixed, so output is
 bit-stable across runs.
 
-Exit codes: 0 success, 1 failed verification, 2 unusable input,
-3 GuardViolated, 4 BoundaryCharacter.  With --json every error is reported
-as a JSON object on stdout.
+Exit codes, mapped in main alone: 0 success, 1 failed verification,
+3 GuardViolated, 4 BoundaryCharacter, 2 any other SpliceSigError, ValueError
+or OSError (unusable input).  With --json every error is a JSON object on stdout.
 """
 
 import argparse
@@ -27,12 +27,11 @@ from itertools import product
 from typing import Iterator, List, Optional, Tuple
 
 from . import verify as verify_mod
-from .errors import (BoundaryCharacter, ExpressionError, GuardViolated, SpliceSigError,
-                     UsageError)
+from .errors import BoundaryCharacter, GuardViolated, SpliceSigError, UsageError
 from .expr import parse as parse_expr
 from .fixtures import fixture_names
 from .cables import hirzebruch
-from .torus import Angle
+from .torus import Angle, Character, defect
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
 
@@ -101,13 +100,16 @@ def _emit_error(err: Exception, code: int, as_json: bool) -> int:
     return code
 
 
-def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[int, ...]]:
-    """The cells of range(start, order)^arity, refused above MAX_GRID_CELLS."""
+def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[Tuple[int, ...], Character]]:
+    """The cells ks of range(start, order)^arity with their characters ks/order,
+    refused above MAX_GRID_CELLS; the angles are built once (none for arity 0)."""
     cells = (order - start) ** arity
     if cells > MAX_GRID_CELLS:
         raise UsageError(f"grid of {cells} cells exceeds the limit of "
                          f"{MAX_GRID_CELLS}; lower --order")
-    return product(range(start, order), repeat=arity)
+    angles = [Angle(Fraction(k, order)) for k in (range(order) if arity else ())]
+    return ((ks, tuple(angles[k] for k in ks))
+            for ks in product(range(start, order), repeat=arity))
 
 
 def _grid_label(ks: Tuple[int, ...], order: int) -> str:
@@ -143,8 +145,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--order must be at least 1")
     start = 0 if args.include_units else 1
     rows = []
-    for ks in _grid(start, order, f.arity):
-        omega = tuple(Angle(Fraction(k, order)) for k in ks)
+    for ks, omega in _grid(start, order, f.arity):
         try:
             rows.append((ks, str(f(omega))))
         except GuardViolated:
@@ -177,11 +178,7 @@ def cmd_defect_table(args) -> int:
     order = args.order
     if order < 1 or not lam:
         raise UsageError("--order must be at least 1 and --lambda non-empty")
-    from .torus import defect
-    cells = []
-    for ks in _grid(0, order, len(lam)):
-        omega = tuple(Angle(Fraction(k, order)) for k in ks)
-        cells.append((ks, defect(lam, omega)))
+    cells = [(ks, defect(lam, omega)) for ks, omega in _grid(0, order, len(lam))]
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"omega_{i}" for i in range(len(lam))) + ",defect\n")
@@ -195,9 +192,9 @@ def cmd_defect_table(args) -> int:
     elif len(lam) == 2:
         print(f"# defect lambda=({','.join(map(str, lam))})  order {order}")
         print("\t" + "\t".join(f"{b}/{order}" for b in range(order)))
-        for a in range(order):
-            row = [val for ks, val in cells if ks[0] == a]
-            print(f"{a}/{order}\t" + "\t".join(str(v) for v in row))
+        for a in range(order):  # cells run row by row
+            row = cells[a * order:(a + 1) * order]
+            print(f"{a}/{order}\t" + "\t".join(str(v) for _, v in row))
     else:
         print(f"# defect lambda=({','.join(map(str, lam))})  order {order}")
         for ks, val in cells:
@@ -300,17 +297,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as err:
-        return _emit_error(err, err.code, args.json)
-    except ExpressionError as err:
-        return _emit_error(err, EXIT_PARSE, args.json)
     except GuardViolated as err:
         return _emit_error(err, EXIT_GUARD, args.json)
     except BoundaryCharacter as err:
         return _emit_error(err, EXIT_BOUNDARY, args.json)
-    except (SpliceSigError, ValueError) as err:
-        return _emit_error(err, EXIT_PARSE, args.json)
-    except OSError as err:
+    except (SpliceSigError, ValueError, OSError) as err:
         return _emit_error(err, EXIT_PARSE, args.json)
 
 

@@ -27,16 +27,19 @@ Phi_N(x) = Phi_rad(N)(x^(N/rad(N))).
 The public CyclotomicNumber is a view on one such pair at its level.
 
 Signatures and nullities of Hermitian matrices are computed by exact
-LDL-style elimination with one pivot rule:
+LDL-style elimination with one pivot rule, which keeps the working matrix
+exactly Hermitian at every step:
 
 * zero tests are exact (canonical form); the smallest nonzero diagonal entry
   is the pivot, inverted by the extended Euclidean algorithm against Phi_N
   on integer polynomials (each step scales by a leading coefficient instead
-  of dividing by it, then removes the common integer content),
+  of dividing by it, then removes the common integer content) once it has
+  a nonzero column left to clear,
 * when every remaining diagonal entry is exactly zero but some h_pq = a is
   not, the congruence row_p += a*row_q, col_p += conj(a)*col_q first makes
   h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
-  when no nonzero entry is left, the remaining rows are the nullity,
+  the fold writes column p and its conjugate row p.  When no nonzero entry
+  is left, the remaining rows are the nullity,
 * the sign of each nonzero real pivot sum c_j cos(2*pi*j/N) is certified in
   integer fixed point: the sum of c_j times cosines scaled by 2^prec, each
   known to within e units, decides the sign once it exceeds e * sum |c_j|.
@@ -138,6 +141,11 @@ def cyclotomic_polynomial(n: int) -> List[int]:
 QV = Tuple[int, Tuple[int, ...]]
 
 
+def _neg(a: QV) -> QV:
+    den, vec = a
+    return den, tuple(-c for c in vec)
+
+
 class _Level:
     """The power table and the scalar operations of one level N."""
 
@@ -202,10 +210,6 @@ class _Level:
         g = math.gcd(da, db)
         ma, mb = db // g, da // g
         return self.normalize(da * ma, [x * ma + y * mb for x, y in zip(va, vb)])
-
-    def sub(self, a: QV, b: QV) -> QV:
-        db, vb = b
-        return self.add(a, (db, tuple(-c for c in vb)))
 
     def mul(self, a: QV, b: QV) -> QV:
         da, va = a
@@ -366,10 +370,15 @@ _levels_lock = threading.Lock()
 
 
 def _level(n: int) -> _Level:
+    """The level-n tables, built once; the oldest levels are dropped whenever
+    the kept tables would hold more than _TABLE_CAP entries (N*phi(N)) in all."""
     with _levels_lock:
         lv = _levels.get(n)
         if lv is None:
             lv = _Level(n)
+            while _levels and (n * lv.deg + sum(m.n * m.deg for m in _levels.values())
+                               > _TABLE_CAP):
+                del _levels[next(iter(_levels))]
             _levels[n] = lv
         return lv
 
@@ -412,9 +421,7 @@ class CyclotomicNumber:
     @classmethod
     def from_angle(cls, a: Angle, level: int) -> "CyclotomicNumber":
         """The coordinate exp(2*pi*i*theta) at a level divisible by theta's denominator."""
-        if level % a.denominator != 0:
-            raise LevelMismatch(f"angle {a} does not live at level {level}")
-        return cls.root_of_unity(level, (level // a.denominator) * a.numerator)
+        return cls.root_of_unity(level, _steps((a,), level)[0])
 
     @classmethod
     def _from_canonical(cls, level: int, qv: QV) -> "CyclotomicNumber":
@@ -457,37 +464,26 @@ class CyclotomicNumber:
         n = math.lcm(self.level, other.level)
         return _level(n), self.lift(n)._reduced, other.lift(n)._reduced
 
-    def __add__(self, other):
-        common = self._common(other)
-        if common is None:
-            return NotImplemented
-        lv, a, b = common
-        return CyclotomicNumber._from_canonical(lv.n, lv.add(a, b))
+    def _binary(op):
+        """The operator op(level, a, b) on both operands' pairs at their common level."""
+        def method(self, other):
+            common = self._common(other)
+            if common is None:
+                return NotImplemented
+            lv, a, b = common
+            return CyclotomicNumber._from_canonical(lv.n, op(lv, a, b))
+        return method
 
-    __radd__ = __add__
+    __add__ = __radd__ = _binary(_Level.add)
+    __sub__ = _binary(lambda lv, a, b: lv.add(a, _neg(b)))
+    __mul__ = __rmul__ = _binary(_Level.mul)
+    del _binary
 
     def __neg__(self):
-        den, vec = self._reduced
-        return CyclotomicNumber._from_canonical(self.level, (den, tuple(-c for c in vec)))
-
-    def __sub__(self, other):
-        common = self._common(other)
-        if common is None:
-            return NotImplemented
-        lv, a, b = common
-        return CyclotomicNumber._from_canonical(lv.n, lv.sub(a, b))
+        return CyclotomicNumber._from_canonical(self.level, _neg(self._reduced))
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __mul__(self, other):
-        common = self._common(other)
-        if common is None:
-            return NotImplemented
-        lv, a, b = common
-        return CyclotomicNumber._from_canonical(lv.n, lv.mul(a, b))
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "CyclotomicNumber":
         return CyclotomicNumber._from_canonical(self.level, _level(self.level).conj(self._reduced))
@@ -551,7 +547,6 @@ class HermitianMatrix:
         self.size = g
         self._lv = lv
         self._mat = tuple(mat)
-        self._inertia: Optional[Tuple[int, int, int]] = None
 
     @property
     def entries(self) -> Tuple[Tuple[CyclotomicNumber, ...], ...]:
@@ -570,9 +565,7 @@ class HermitianMatrix:
 
     def inertia(self) -> Tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts, exact."""
-        if self._inertia is None:
-            self._inertia = _inertia([list(row) for row in self._mat], self._lv)
-        return self._inertia
+        return _inertia([list(row) for row in self._mat], self._lv)
 
     def to_complex_matrix(self) -> List[List[complex]]:
         roots = [cmath.exp(2j * cmath.pi * k / self.level) for k in range(self._lv.deg)]
@@ -592,11 +585,13 @@ class HermitianMatrix:
 def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
     """Exact inertia of a Hermitian matrix of canonical pairs, destructively.
 
-    Each step pivots on the smallest nonzero diagonal entry.  When every
-    remaining diagonal entry is zero, the congruence row_k += a*row_q,
-    col_k += conj(a)*col_q for the first nonzero h_kq = a makes
-    h_kk = 2|a|^2 > 0, which is then the pivot; when no nonzero entry is
-    left, the remaining rows are the kernel.
+    Each step pivots on the smallest nonzero diagonal entry d and adds
+    h_ik * (-d)^-1 * h_kj to every remaining h_ij.  d is real, so each update
+    is Hermitian in (i, j) and the matrix stays exactly Hermitian: row k is
+    read as it stands.  When every remaining diagonal entry is zero, the
+    congruence row_k += a*row_q, col_k += conj(a)*col_q for the first nonzero
+    h_kq = a makes h_kk = 2|a|^2 > 0, which is then the pivot; when no
+    nonzero entry is left, the remaining rows are the kernel.
     """
     alive = list(range(len(mat)))
     pos = neg = 0
@@ -608,12 +603,12 @@ def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
             pq = next(((p, q) for p in alive for q in alive if not lv.is_zero(mat[p][q])), None)
             if pq is None:
                 break
-            # only column k is folded: the pivot step reads no other entry of row k
             k, q = pq
             a_conj = lv.conj(mat[k][q])
             for i in alive:
                 if i != k:
                     mat[i][k] = lv.add(mat[i][k], lv.mul(mat[i][q], a_conj))
+                    mat[k][i] = lv.conj(mat[i][k])
             norm = lv.mul(mat[k][q], a_conj)
             mat[k][k] = lv.add(norm, norm)
         d = mat[k][k]
@@ -621,16 +616,16 @@ def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
-        dinv = lv.inv(d)
         alive.remove(k)
-        col = {i: mat[i][k] for i in alive if not lv.is_zero(mat[i][k])}
+        col = [i for i in alive if not lv.is_zero(mat[i][k])]
         if col:
-            factors = {i: lv.mul(c, dinv) for i, c in col.items()}
-            conj_col = {i: lv.conj(c) for i, c in col.items()}
-            for i, fi in factors.items():
+            row_k = mat[k]
+            neg_dinv = lv.inv(_neg(d))
+            for i in col:
+                fi = lv.mul(mat[i][k], neg_dinv)
                 row = mat[i]
                 for j in col:
-                    row[j] = lv.sub(row[j], lv.mul(fi, conj_col[j]))
+                    row[j] = lv.add(row[j], lv.mul(fi, row_k[j]))
     return pos, neg, len(alive)
 
 

@@ -61,14 +61,9 @@ class MissingBaseEvaluator(SpliceSigError):
 
 class UsageError(SpliceSigError):
     """The command line was unusable: a bad angle, --order or --lambda, an
-    unreadable expression file, or a grid above the cell limit.
-
-    code is the process exit code the CLI returns for it (2, unusable input).
+    unreadable expression file, or a grid above the cell limit.  The CLI
+    exits with 2 for it, as for every error without a code of its own.
     """
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
 
 
 class ExpressionError(SpliceSigError):

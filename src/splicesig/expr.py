@@ -38,31 +38,27 @@ _FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
           "satellite")
 
 
-def _fail(msg: str) -> "ExpressionError":
-    return ExpressionError(msg)
-
-
 def _expect_args(doc_value, count: int, form: str) -> list:
     if not isinstance(doc_value, list) or len(doc_value) != count:
-        raise _fail(f'"{form}" takes a list of {count} entries')
+        raise ExpressionError(f'"{form}" takes a list of {count} entries')
     return doc_value
 
 
 def _expect_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{what} must be an integer, got {value!r}")
+        raise ExpressionError(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def _expect_linking(value, what: str) -> tuple:
     if not isinstance(value, list):
-        raise _fail(f"{what} must be a list of integers")
+        raise ExpressionError(f"{what} must be a list of integers")
     return tuple(_expect_int(x, f"{what} entry") for x in value)
 
 
 def _distinguish(f: SigFn, lam: tuple, form: str) -> DistinguishedSigFn:
     if len(lam) != f.arity - 1:
-        raise _fail(
+        raise ExpressionError(
             f'"{form}" linking vector has length {len(lam)}, operand '
             f"{f.label or '?'} needs {f.arity - 1}")
     return DistinguishedSigFn(f.arity, f.fn, linking=lam, label=f.label)
@@ -75,42 +71,42 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
     the working directory otherwise.
     """
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise _fail("an expression is an object with exactly one key")
+        raise ExpressionError("an expression is an object with exactly one key")
     form, value = next(iter(doc.items()))
 
     if form == "hopf":
         m, n = _expect_args(value, 2, form)
         m, n = _expect_int(m, "hopf m"), _expect_int(n, "hopf n")
         if m < 1 or n < 1:
-            raise _fail("hopf needs positive component counts")
+            raise ExpressionError("hopf needs positive component counts")
         return hopf_sig_fn(m, n, distinguished=True)
 
     if form == "zero":
         arity = _expect_int(value, "zero arity")
         if arity < 0:
-            raise _fail("zero arity must be non-negative")
+            raise ExpressionError("zero arity must be non-negative")
         return zero_fn(arity)
 
     if form == "fixture":
         if not isinstance(value, str):
-            raise _fail("fixture takes a name")
+            raise ExpressionError("fixture takes a name")
         try:
             return fixture_sig(value)
         except KeyError as err:
-            raise _fail(str(err.args[0])) from err
+            raise ExpressionError(str(err.args[0])) from err
 
     if form == "seifert":
         if not isinstance(value, str):
-            raise _fail("seifert takes a file path")
+            raise ExpressionError("seifert takes a file path")
         path = value
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
             family = SeifertFamily.load(path)
         except OSError as err:
-            raise _fail(f"cannot read seifert family {value!r}: {err}") from err
+            raise ExpressionError(f"cannot read seifert family {value!r}: {err}") from err
         except (json.JSONDecodeError, ValueError, InvalidFamily) as err:
-            raise _fail(f"bad seifert family {value!r}: {err}") from err
+            raise ExpressionError(f"bad seifert family {value!r}: {err}") from err
         if family.linking is not None and family.arity >= 1:
             return family.sig_fn(distinguished=True)
         return family.sig_fn()
@@ -126,14 +122,14 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         f = parse(e, base_dir)
         nu = _expect_int(nu, "cable copy count")
         if not isinstance(f, DistinguishedSigFn):
-            raise _fail(
+            raise ExpressionError(
                 "cable operand carries no linking metadata for its "
                 "distinguished component; use hopf, a distinguished fixture, "
                 "or a seifert family with linking data")
         try:
             return cable_parallel(f, nu)
         except ValueError as err:
-            raise _fail(str(err)) from err
+            raise ExpressionError(str(err)) from err
 
     if form == "merge":
         e, lk = _expect_args(value, 2, form)
@@ -141,7 +137,7 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         try:
             return merge_colors(f, _expect_int(lk, "merge linking number"))
         except ValueError as err:
-            raise _fail(str(err)) from err
+            raise ExpressionError(str(err)) from err
 
     if form == "satellite":
         e_companion, e_pattern, q = _expect_args(value, 3, form)
@@ -150,16 +146,16 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         try:
             return satellite(fk, fp, _expect_int(q, "winding number"))
         except ValueError as err:
-            raise _fail(str(err)) from err
+            raise ExpressionError(str(err)) from err
 
-    raise _fail(f"unknown expression form {form!r}; supported: {', '.join(_FORMS)}")
+    raise ExpressionError(f"unknown expression form {form!r}; supported: {', '.join(_FORMS)}")
 
 
 def parse_text(text: str, base_dir: Optional[str] = None) -> SigFn:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise _fail(f"invalid JSON: {err}") from err
+        raise ExpressionError(f"invalid JSON: {err}") from err
     return parse(doc, base_dir)
 
 
@@ -168,5 +164,5 @@ def parse_file(path: str) -> SigFn:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
-        raise _fail(f"cannot read expression file {path!r}: {err}") from err
+        raise ExpressionError(f"cannot read expression file {path!r}: {err}") from err
     return parse_text(text, base_dir=os.path.dirname(os.path.abspath(path)))

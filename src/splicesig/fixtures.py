@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 from .cyclotomic import LaurentMatrix, LaurentPoly
 from .splice import DistinguishedSigFn, SigFn, with_boundary, zero_fn
-from .torus import Angle, Character
+from .torus import Character
 
 ARITY = 3  # all three matrices live in Z[t0^±, t1^±, t2^±]
 
@@ -196,52 +196,43 @@ TABLES: Dict[str, PiecewiseTable] = {
 # registry
 # ---------------------------------------------------------------------------
 
+# the canonical names are the keys of TABLES and _BUILDERS; these are aliases
 _CANONICAL: Dict[str, str] = {
     "referee-k'l'": "torus(2,4)",
     "referee-kl1": "torus(2,4)",
     "torus-2-4": "torus(2,4)",
-    "torus(2,4)": "torus(2,4)",
     "referee-k''l''": "cable(4,2)+core",
     "referee-kl2": "cable(4,2)+core",
     "cable-4-2": "cable(4,2)+core",
-    "cable(4,2)+core": "cable(4,2)+core",
     "referee-l": "torus(3,6)",
     "torus-3-6": "torus(3,6)",
-    "torus(3,6)": "torus(3,6)",
 }
 
-_MATRIX_BUILDERS: Dict[str, Callable[[], LaurentMatrix]] = {
-    "torus(2,4)": torus24_matrix,
-    "cable(4,2)+core": cable42_matrix,
-    "torus(3,6)": torus36_matrix,
-}
-
-_SIG_BUILDERS: Dict[str, Callable[[], SigFn]] = {
-    "torus(2,4)": torus24_sig,
-    "cable(4,2)+core": cable42_sig,
-    "torus(3,6)": torus36_sig,
+_BUILDERS: Dict[str, Tuple[Callable[[], LaurentMatrix], Callable[[], SigFn]]] = {
+    "torus(2,4)": (torus24_matrix, torus24_sig),
+    "cable(4,2)+core": (cable42_matrix, cable42_sig),
+    "torus(3,6)": (torus36_matrix, torus36_sig),
 }
 
 
 def _canonical(name: str) -> str:
     key = name.strip().lower().replace("′", "'").replace("″", "''")
-    try:
-        return _CANONICAL[key]
-    except KeyError:
-        known = ", ".join(sorted(set(_CANONICAL.values())))
-        raise KeyError(f"unknown fixture {name!r}; known: {known}") from None
+    key = _CANONICAL.get(key, key)
+    if key not in TABLES:
+        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+    return key
 
 
 def fixture_names() -> Tuple[str, ...]:
-    return tuple(sorted(set(_CANONICAL.values())))
+    return tuple(sorted(TABLES))
 
 
 def fixture_matrix(name: str) -> LaurentMatrix:
-    return _MATRIX_BUILDERS[_canonical(name)]()
+    return _BUILDERS[_canonical(name)][0]()
 
 
 def fixture_sig(name: str) -> SigFn:
-    return _SIG_BUILDERS[_canonical(name)]()
+    return _BUILDERS[_canonical(name)][1]()
 
 
 def fixture_table(name: str) -> PiecewiseTable:

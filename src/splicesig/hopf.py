@@ -21,7 +21,6 @@ m + n - 1 of the generating family, so it carries basis=False.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 

@@ -22,7 +22,7 @@ precompute piecewise-constant regions; evaluation is lazy and exact.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
 from .torus import UNIT, Angle, Character, char_power, defect, defect1

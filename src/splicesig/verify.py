@@ -18,7 +18,7 @@ from .fixtures import cable42_sig, fixture_sig, fixture_table, torus24_sig
 from .hopf import (hopf_nullity, hopf_seifert_family, hopf_sig_fn,
                    hopf_spectrum, sigma_k)
 from .splice import SigFn, merge_colors, splice, splice_knot
-from .torus import UNIT, Angle, defect, defect1
+from .torus import Angle, defect, defect1
 
 
 class CriterionResult(NamedTuple):
@@ -27,20 +27,18 @@ class CriterionResult(NamedTuple):
     detail: str
 
 
-def _angle(k: int, order: int) -> Angle:
-    return Angle(Fraction(k, order))
+@lru_cache(maxsize=None)
+def _angles(order: int) -> Tuple[Angle, ...]:
+    """The grid angles k/order, k < order, built once per order for every suite."""
+    return tuple(Angle(Fraction(k, order)) for k in range(order))
 
 
 @lru_cache(maxsize=None)
 def _fixture_values(name: str, order: int) -> Callable[[Tuple[int, ...]], int]:
     """The signature of a fixture at grid cells ks/order, one evaluator per fixture."""
     sig = fixture_sig(name)
-    angles = [_angle(k, order) for k in range(order)]  # shared by every character the leaf caches keep
+    angles = _angles(order)  # shared by every character the leaf caches keep
     return lambda ks: sig(tuple(angles[k] for k in ks))
-
-
-def _fixture_value(name: str, ks: Tuple[int, ...], order: int) -> int:
-    return _fixture_values(name, order)(ks)
 
 
 def _fail(name: str, detail: str) -> CriterionResult:
@@ -52,11 +50,12 @@ def _fail(name: str, detail: str) -> CriterionResult:
 def referee_tables() -> CriterionResult:
     name = "referee-tables"
     checked = 0
+    angles = _angles(8)
     for fix, arity in (("torus(2,4)", 2), ("cable(4,2)+core", 3), ("torus(3,6)", 3)):
-        table = fixture_table(fix)
+        table, value = fixture_table(fix), _fixture_values(fix, 8)
         for ks in product(range(1, 8), repeat=arity):
-            want = table.value(tuple(_angle(k, 8) for k in ks))
-            got = _fixture_value(fix, ks, 8)
+            want = table.value(tuple(angles[k] for k in ks))
+            got = value(ks)
             if got != want:
                 return _fail(name, f"{fix} at {ks}/8: got {got}, table says {want}")
             checked += 1
@@ -70,12 +69,14 @@ def referee_splice() -> CriterionResult:
     name = "referee-splice"
     lam1, lam2 = (2,), (1, 1)
     held, excluded = 0, 0
+    angles = _angles(8)
+    t36, t24, c42 = (_fixture_values(fix, 8)
+                     for fix in ("torus(3,6)", "torus(2,4)", "cable(4,2)+core"))
     for k0, k1, k2 in product(range(8), repeat=3):
-        om1 = (_angle(k0, 8),)
-        om2 = (_angle(k1, 8), _angle(k2, 8))
-        lhs = _fixture_value("torus(3,6)", (k0, k1, k2), 8)
-        rhs = (_fixture_value("torus(2,4)", ((k1 + k2) % 8, k0), 8)
-               + _fixture_value("cable(4,2)+core", ((2 * k0) % 8, k1, k2), 8)
+        om1 = (angles[k0],)
+        om2 = (angles[k1], angles[k2])
+        lhs = t36((k0, k1, k2))
+        rhs = (t24(((k1 + k2) % 8, k0)) + c42(((2 * k0) % 8, k1, k2))
                + defect(lam1, om1) * defect(lam2, om2))
         diff = lhs - rhs
         guarded = (2 * k0) % 8 == 0 and (k1 + k2) % 8 == 0
@@ -103,10 +104,11 @@ def referee_splice() -> CriterionResult:
 def hopf_oracle() -> CriterionResult:
     name = "hopf-oracle"
     cases = 0
+    angles = _angles(12)
     for m, n in product(range(1, 5), repeat=2):
         family = hopf_seifert_family(m, n)
         for a, b in product(range(1, 12), repeat=2):
-            eta, zeta = _angle(a, 12), _angle(b, 12)
+            eta, zeta = angles[a], angles[b]
             got = family.signature((eta, zeta))
             want = sigma_k(m, eta) * sigma_k(n, zeta)
             if got != want:
@@ -123,10 +125,11 @@ def hopf_spectrum_check() -> CriterionResult:
     name = "hopf-spectrum"
     tol = 1e-9
     cases = 0
+    angles = _angles(12)
     for m, n in product(range(1, 4), repeat=2):
         family = hopf_seifert_family(m, n)
         for a, b in product(range(1, 12), repeat=2):
-            eta, zeta = _angle(a, 12), _angle(b, 12)
+            eta, zeta = angles[a], angles[b]
             got = family.assemble((eta, zeta)).eigen_multiset_numeric()
             want = hopf_spectrum(m, n, eta, zeta)
             if len(got) != len(want) or any(abs(x - y) > tol
@@ -144,10 +147,11 @@ def hopf_spectrum_check() -> CriterionResult:
 def defect_lemma() -> CriterionResult:
     name = "defect-lemma"
     order = 24
-    grid1 = {(k,): defect1((_angle(k, order),)) for k in range(order)}
-    grid2 = {ks: defect1(tuple(_angle(k, order) for k in ks))
+    angles = _angles(order)
+    grid1 = {(k,): defect1((angles[k],)) for k in range(order)}
+    grid2 = {ks: defect1(tuple(angles[k] for k in ks))
              for ks in product(range(order), repeat=2)}
-    grid3 = {ks: defect1(tuple(_angle(k, order) for k in ks))
+    grid3 = {ks: defect1(tuple(angles[k] for k in ks))
              for ks in product(range(order), repeat=3)}
     grids = {1: grid1, 2: grid2, 3: grid3}
 
@@ -202,7 +206,7 @@ def hirzebruch_sanity() -> CriterionResult:
     # H(omega) = (1 - conj(omega)) V + (1 - omega) V^T for the trefoil's Seifert matrix V
     trefoil = SeifertFamily(1, {(1,): [[-1, 1], [0, -1]], (-1,): [[-1, 0], [1, -1]]})
     for k, want in ((6, -2), (1, 0)):
-        z = _angle(k, 12)
+        z = Angle(Fraction(k, 12))
         got = hirzebruch(2, 3, z)
         oracle = trefoil.signature((z,))
         if got != want or got != oracle:
@@ -214,8 +218,7 @@ def hirzebruch_sanity() -> CriterionResult:
             from math import gcd
             if gcd(p, q) != 1:
                 continue
-            for k in range(1, 21):
-                z = _angle(k, 41)
+            for k, z in enumerate(_angles(41)[1:21], 1):
                 if hirzebruch(p, q, z) != hirzebruch(q, p, z):
                     return _fail(name, f"symmetry fails for ({p},{q}) at {k}/41")
             pairs += 1
@@ -231,7 +234,7 @@ def univariate_reduction_check() -> CriterionResult:
     hopf = hopf_sig_fn(1, 1)
     cases = 0
     for n in range(2, 7):
-        xi = _angle(1, n)
+        xi = Angle(Fraction(1, n))
         for n1, n2 in product(range(1, n), repeat=2):
             closed = (1 - n1) * (1 - n2) - n1 * n2
             oracle = sigma_k(n1, xi) * sigma_k(n2, xi) - n1 * n2
@@ -258,11 +261,12 @@ def hopf_nullity_check() -> CriterionResult:
     cases = 0
 
     def side_integral(s):
-        return (_angle(1, s),) * s          # angles sum to 1
+        return (Angle(Fraction(1, s)),) * s          # angles sum to 1
 
     def side_generic(s):
-        return (_angle(1, 2 * s),) * s      # angles sum to 1/2
+        return (Angle(Fraction(1, 2 * s)),) * s      # angles sum to 1/2
 
+    sevenths = _angles(7)
     for m, n in product(range(1, 5), repeat=2):
         checks = [(side_generic(m), side_generic(n), 0)]
         if n >= 2:
@@ -278,19 +282,20 @@ def hopf_nullity_check() -> CriterionResult:
             cases += 1
         # generic characters: nullity 0 across a 7th-root diagonal sweep
         for a, b in product(range(1, 7), repeat=2):
-            if hopf_nullity(m, n, (_angle(a, 7),) * m, (_angle(b, 7),) * n) != 0:
+            if hopf_nullity(m, n, (sevenths[a],) * m, (sevenths[b],) * n) != 0:
                 return _fail(name, f"H({m},{n}) at ({a}/7,{b}/7): nonzero nullity "
                                    f"at a generic character")
             cases += 1
 
     # cross-check against the assembled family kernel (which also contains
     # one structural zero per copy beyond the first on each side)
+    sixths = _angles(6)
     for m, n in product(range(1, 4), repeat=2):
         family = hopf_seifert_family(m, n)
         for a, b in product(range(1, 6), repeat=2):
-            eta, zeta = (_angle(a, 6),) * m, (_angle(b, 6),) * n
+            eta, zeta = (sixths[a],) * m, (sixths[b],) * n
             closed = hopf_nullity(m, n, eta, zeta)
-            kernel = family.raw_inertia((_angle(a, 6), _angle(b, 6)))[2]
+            kernel = family.raw_inertia((sixths[a], sixths[b]))[2]
             if kernel != closed + (m + n - 1):
                 return _fail(name, f"H({m},{n}) at ({a}/6,{b}/6): family kernel "
                                    f"{kernel} != closed form {closed} + {m + n - 1}")
@@ -306,8 +311,9 @@ def guard_discipline() -> CriterionResult:
     name = "guard-discipline"
     spliced = splice(torus24_sig(), cable42_sig())
     raised, evaluated = 0, 0
+    eighths = _angles(8)
     for k0, k1, k2 in product(range(8), repeat=3):
-        om = (_angle(k0, 8), _angle(k1, 8), _angle(k2, 8))
+        om = (eighths[k0], eighths[k1], eighths[k2])
         guarded = (2 * k0) % 8 == 0 and (k1 + k2) % 8 == 0
         try:
             spliced(om)
@@ -323,8 +329,9 @@ def guard_discipline() -> CriterionResult:
 
     h12 = merge_colors(hopf_sig_fn(1, 2, distinguished=True), 0)
     self_splice = splice(h12, h12)
+    quarters = _angles(4)
     for a, b in product(range(4), repeat=2):
-        om = (_angle(a, 4), _angle(b, 4))
+        om = (quarters[a], quarters[b])
         both_unit = (2 * a) % 4 == 0 and (2 * b) % 4 == 0
         try:
             self_splice(om)
@@ -341,8 +348,8 @@ def guard_discipline() -> CriterionResult:
 
     knot = SigFn(1, trefoil_value, label="torus(2,3)")
     guard_free = splice_knot(knot, h12)
-    for k in range(4):
-        guard_free((_angle(k, 4),))  # k in {0, 2} raises w^2 to the unit
+    for w in quarters:
+        guard_free((w,))  # w in {0, 1/2} raises w^2 to the unit
     return CriterionResult(name, True,
                            "GuardViolated raised exactly on the excluded slice in 528 "
                            "splice evaluations; knot splice total on the circle")
