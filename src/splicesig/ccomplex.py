@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Mapping, Optional, Sequence, Tuple, Type
 
 from .cyclotomic import HermitianMatrix, LaurentMatrix, LaurentPoly
@@ -187,8 +187,9 @@ class SeifertFamily:
         return self._laurent.evaluate(omega)
 
     def _inertia_at(self, omega: Character) -> Tuple[int, int, int]:
-        """(positive, negative, zero) of H(omega), through the checked assembly."""
-        return self.assemble(omega).inertia()
+        """(positive, negative, zero) of H(omega), one elimination per Galois orbit."""
+        self._check_character(omega)
+        return self._laurent.inertia(omega)
 
     # -- invariants -------------------------------------------------------------
 
@@ -232,15 +233,12 @@ class SeifertFamily:
                     "distinguished evaluators need the linking matrix metadata")
             linking = tuple(self.linking[0][j] for j in range(1, self.arity))
 
-        # signature and nullity at one character share one assembly and elimination
-        inertia = lru_cache(maxsize=1)(self._inertia_at)
-
         def signature(omega: Character) -> int:
-            pos, neg, _ = inertia(omega)
+            pos, neg, _ = self._inertia_at(omega)
             return pos - neg
 
         def nullity(omega: Character) -> Optional[int]:
-            return inertia(omega)[2] if self.basis and is_open(omega) else None
+            return self._inertia_at(omega)[2] if self.basis and is_open(omega) else None
 
         return with_boundary(self.arity, signature, subs,
                              linking=linking, label=self.label, nullity=nullity)

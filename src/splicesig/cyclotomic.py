@@ -27,8 +27,10 @@ Phi_N(x) = Phi_rad(N)(x^(N/rad(N))).
 The public CyclotomicNumber is a view on one such pair at its level.
 
 Signatures and nullities of Hermitian matrices are computed by exact
-LDL-style elimination with one pivot rule, which keeps the working matrix
-exactly Hermitian at every step:
+LDL-style elimination, once per Galois orbit for a LaurentMatrix, which keeps
+its last _ORBIT_CACHE (sigma_u maps the form and its pivots at omega to those
+at omega^u; see LaurentMatrix.inertia), with one pivot rule, which keeps the
+working matrix exactly Hermitian at every step:
 
 * zero tests are exact (canonical form); the smallest nonzero diagonal entry
   is the pivot, inverted by the extended Euclidean algorithm against Phi_N
@@ -40,9 +42,9 @@ exactly Hermitian at every step:
   h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
   the fold writes column p and its conjugate row p.  When no nonzero entry
   is left, the remaining rows are the nullity,
-* the sign of each nonzero real pivot sum c_j cos(2*pi*j/N) is certified in
-  integer fixed point: the sum of c_j times cosines scaled by 2^prec, each
-  known to within e units, decides the sign once it exceeds e * sum |c_j|.
+* the sign of a nonzero real pivot's conjugate sigma_u, sum c_j cos(2*pi*u*j/N),
+  is certified in integer fixed point: the sum of c_j times cosines scaled by
+  2^prec, each within e units, decides the sign once it exceeds e * sum |c_j|.
   Otherwise prec doubles, from 64 bits; this terminates because zero has
   already been excluded exactly.
 """
@@ -53,7 +55,9 @@ import cmath
 import json
 import math
 import threading
+import weakref
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import LevelMismatch, NotHermitian, NotReal
@@ -63,6 +67,7 @@ from .torus import Angle, Character
 # levels whose N*phi(N) exceeds this: level 1155 (554 400) is built in under
 # a second, level 8633 (about 7.3e7) would exhaust memory.
 _TABLE_CAP = 4_000_000
+_ORBIT_CACHE = 1024  # eliminations a LaurentMatrix keeps, one per Galois orbit
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +274,31 @@ class _Level:
 
     # -- certified signs ----------------------------------------------------
 
-    def sign(self, a: QV) -> int:
-        """Certified sign of a real element; 0 only for the exact zero.
+    def inertia(self, pivots: Iterable[QV], nullity: int, u: int = 1) -> Tuple[int, int, int]:
+        """(positive, negative, zero) by Sylvester's law: the signs of sigma_u(pivots)."""
+        signs = [self.sign(d, u) for d in pivots]
+        return signs.count(1), signs.count(-1), nullity
 
-        The element is sum c_j cos(2*pi*j/N) / den with den > 0, so its sign
-        is that of X = sum c_j * 2^prec * cos(2*pi*j/N).  S = sum c_j * C_j
-        is exact and |S - X| <= e * sum |c_j|, so S beyond that bound has
-        the sign of X.  Otherwise prec doubles, at most to 2^16 bits.
+    def sign(self, a: QV, u: int = 1) -> int:
+        """Certified sign of sigma_u(a) for a real a; 0 only for the exact zero.
+
+        sigma_u(a) is sum c_j cos(2*pi*u*j/N) / den with den > 0, so its sign
+        is that of X = sum c_j * 2^prec * cos(2*pi*u*j/N), read off the
+        cosines of all N residues without reducing sigma_u(a).  S = sum c_j *
+        C_(u*j mod N) is exact and |S - X| <= e * sum |c_j|, so S beyond that
+        bound has the sign of X.  Otherwise prec doubles, at most to 2^16 bits.
         """
         if self.is_zero(a):
             return 0
-        vec = a[1]
+        n, vec = self.n, a[1]
         slack = sum(abs(c) for c in vec)
         prec = 64
         while True:
             table = self._cos.get(prec)
             if table is None:
-                table = self._cos[prec] = _fixed_cosines(self.n, self.deg, prec)
+                table = self._cos[prec] = _fixed_cosines(n, n, prec)
             coss, e = table
-            s = sum(c * cj for c, cj in zip(vec, coss) if c)
+            s = sum(c * coss[u * j % n] for j, c in enumerate(vec) if c)
             if abs(s) > e * slack:
                 return 1 if s > 0 else -1
             prec *= 2
@@ -565,7 +576,7 @@ class HermitianMatrix:
 
     def inertia(self) -> Tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts, exact."""
-        return _inertia([list(row) for row in self._mat], self._lv)
+        return self._lv.inertia(*_inertia(self._mat, self._lv))
 
     def to_complex_matrix(self) -> List[List[complex]]:
         roots = [cmath.exp(2j * cmath.pi * k / self.level) for k in range(self._lv.deg)]
@@ -582,8 +593,8 @@ class HermitianMatrix:
         return [float(x) for x in np.linalg.eigvalsh(a)]
 
 
-def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
-    """Exact inertia of a Hermitian matrix of canonical pairs, destructively.
+def _inertia(rows: Sequence[Sequence[QV]], lv: _Level) -> Tuple[Tuple[QV, ...], int]:
+    """(pivots in the order taken, kernel size) of a Hermitian matrix of canonical pairs.
 
     Each step pivots on the smallest nonzero diagonal entry d and adds
     h_ik * (-d)^-1 * h_kj to every remaining h_ij.  d is real, so each update
@@ -593,8 +604,9 @@ def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
     h_kq = a makes h_kk = 2|a|^2 > 0, which is then the pivot; when no
     nonzero entry is left, the remaining rows are the kernel.
     """
+    mat = [list(row) for row in rows]
     alive = list(range(len(mat)))
-    pos = neg = 0
+    pivots = []
     while alive:
         diag = [i for i in alive if not lv.is_zero(mat[i][i])]
         if diag:
@@ -612,10 +624,7 @@ def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
             norm = lv.mul(mat[k][q], a_conj)
             mat[k][k] = lv.add(norm, norm)
         d = mat[k][k]
-        if lv.sign(d) > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(d)
         alive.remove(k)
         col = [i for i in alive if not lv.is_zero(mat[i][k])]
         if col:
@@ -626,7 +635,7 @@ def _inertia(mat: List[List[QV]], lv: _Level) -> Tuple[int, int, int]:
                 row = mat[i]
                 for j in col:
                     row[j] = lv.add(row[j], lv.mul(fi, row_k[j]))
-    return pos, neg, len(alive)
+    return tuple(pivots), len(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +766,8 @@ class LaurentMatrix:
                                       for exps, c in e.terms.items()]))
             self._terms.append(out_row)
         self._monomials = {exps for row in self._terms for _, terms in row for exps, _ in terms}
+        # the orbit cache of inertia, on a proxy so that it does not keep self alive
+        self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
 
     @property
     def arity(self) -> int:
@@ -773,6 +784,33 @@ class LaurentMatrix:
         lv = _level(n)
         return HermitianMatrix([[lv.reduce(den, [(power[exps], c) for exps, c in terms])
                                  for den, terms in row] for row in self._terms], level=n)
+
+    def inertia(self, omega: Character) -> Tuple[int, int, int]:
+        """(positive, negative, zero) of H(omega), exact: one elimination per Galois orbit.
+
+        With omega = zeta_N^k, N the lcm of its denominators, H is evaluated,
+        checked Hermitian and eliminated only at rep = v*k mod N, the least
+        point of k's orbit under the units v.  sigma_u, u = v^-1, maps H(rep)
+        to H(omega), the coefficients being rational, and commutes with
+        conjugation, sigma_-1 (the Galois group is abelian): the check at rep
+        holds or fails on the whole orbit.  It keeps nonzero pivots nonzero and
+        maps the congruence, zero-diagonal fold included, to one diagonalising
+        H(omega) as sigma_u(pivots): by Sylvester's law their certified signs
+        are the inertia, and the kernel size is orbit-wide.  The matrix keeps
+        its last _ORBIT_CACHE eliminations; refusals are not kept.
+        """
+        n = math.lcm(*(a.denominator for a in omega))
+        lv = _level(n)  # the level bound comes first and bounds the units
+        steps = _steps(omega, n)
+        rep, v = min((tuple(v * k % n for k in steps), v)
+                     for v in range(1, n + 1) if math.gcd(v, n) == 1)
+        pivots, nullity = self._orbit(n, rep)
+        return lv.inertia(pivots, nullity, pow(v, -1, n))
+
+    def _eliminate(self, n: int, rep: Tuple[int, ...]) -> Tuple[Tuple[QV, ...], int]:
+        """The pivots and kernel size of H at zeta_n^rep, checked Hermitian."""
+        h = self.evaluate(tuple(Angle(Fraction(k, n)) for k in rep), n)
+        return _inertia(h._mat, h._lv)
 
     # -- serialization ------------------------------------------------------
 

@@ -21,6 +21,7 @@ from .splice import DistinguishedSigFn, SigFn, with_boundary, zero_fn
 from .torus import Character
 
 ARITY = 3  # all three matrices live in Z[t0^±, t1^±, t2^±]
+_LEAF_CACHE = 1024  # signatures kept per fixture leaf
 
 
 def _pi(indices: Sequence[int], arity: int = ARITY) -> LaurentPoly:
@@ -84,10 +85,10 @@ def torus36_matrix() -> LaurentMatrix:
 
 
 def _matrix_sig(matrix: LaurentMatrix) -> Callable[[Character], int]:
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=_LEAF_CACHE)
     def sig(omega: Character) -> int:
-        s, _ = matrix.evaluate(omega).signature_nullity()
-        return s
+        pos, neg, _ = matrix.inertia(omega)
+        return pos - neg
 
     return sig
 

@@ -11,18 +11,31 @@ behind certified signs are checked against mpmath at 200 extra bits, and the
 signs themselves on sqrt(k) * 10^d less its integer part, which needs
 refinement past the starting precision.  Certified signs must leave global
 mpmath state alone.
+
+LaurentMatrix.inertia eliminates once per Galois orbit and reads a conjugate
+sigma_u(d) of each pivot off the cosines of every residue, checked against
+mpmath and against the sign of sigma_u(d) reduced.  At every conjugate
+character it must give what a direct elimination there gives, the nullity
+is the same on a whole orbit, `verify hopf-oracle` eliminates once per
+distinct (level, orbit) of its grid, refusals keep nothing, and the orbit
+cache stays within its bound without changing an answer or keeping its
+matrix alive.
 """
 
 import cmath
 import math
+import weakref
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from splicesig import cyclotomic
+from splicesig import cyclotomic, verify
+from splicesig.ccomplex import SeifertFamily
+from splicesig.errors import NotHermitian
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     LaurentMatrix,
@@ -293,6 +306,133 @@ def test_zero_diagonal_inertia_matches_eigvalsh(case):
     # every first pivot comes from the congruence that folds h_pq into h_pp
     matrix, omega, level = case
     assert matrix.evaluate(omega, level).inertia() == numeric_inertia(matrix, omega)
+
+
+# ---------------------------------------------------------------------------
+# one elimination per Galois orbit
+# ---------------------------------------------------------------------------
+
+def conjugates(omega, level):
+    """omega^u for every unit u mod level."""
+    return [tuple(a * u for a in omega)
+            for u in range(1, level + 1) if math.gcd(u, level) == 1]
+
+
+def lcm_level(omega):
+    return math.lcm(*(a.denominator for a in omega))
+
+
+def sigma(level, a, u):
+    """sigma_u(a) by reduction: x^j -> x^(u*j mod N)."""
+    den, vec = a
+    return _level(level).reduce(den, ((u * j, c) for j, c in enumerate(vec)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_pairs(), st.integers(0, 10 ** 6))
+def test_sign_of_a_conjugate_is_the_sign_of_its_reduction(case, pick):
+    level, a = case
+    lv = _level(level)
+    d = lv.add(a, lv.conj(a))  # real
+    units = [u for u in range(1, level + 1) if math.gcd(u, level) == 1]
+    u = units[pick % len(units)]
+    assert lv.sign(d, u) == lv.sign(sigma(level, d, u))
+
+
+@pytest.mark.parametrize("n", [7, 12, 60, 97, 420])
+@pytest.mark.parametrize("prec", [64, 256])
+def test_fixed_cosines_of_every_residue(n, prec):
+    # signs of conjugates read C_k for every k < n, not only k < deg Phi_n
+    coss, e = _fixed_cosines(n, n, prec)
+    assert len(coss) == n and e <= 2
+    with mpmath.workprec(prec + 200):
+        scale = mpmath.mpf(2) ** prec
+        for k, ck in enumerate(coss):
+            assert abs(ck - scale * mpmath.cospi(mpmath.mpf(2 * k) / n)) <= e, (n, prec, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_laurent_at_root())
+def test_orbit_inertia_is_the_direct_inertia_at_every_conjugate(case):
+    matrix, omega = case
+    for om in conjugates(omega, lcm_level(omega)):
+        assert matrix.inertia(om) == matrix.evaluate(om).inertia()
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_diagonal_laurent_at_level())
+def test_orbit_inertia_through_the_fold_at_every_conjugate(case):
+    matrix, omega, level = case
+    for om in conjugates(omega, level):
+        assert matrix.inertia(om) == matrix.evaluate(om, level).inertia()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(hermitian_laurent_at_root(),
+                 zero_diagonal_laurent_at_level().map(lambda c: c[:2])))
+def test_nullity_is_galois_invariant(case):
+    matrix, omega = case
+    orbit = conjugates(omega, lcm_level(omega))
+    direct = {matrix.evaluate(om).inertia()[2] for om in orbit}
+    assert len(direct) == 1
+    assert {matrix.inertia(om)[2] for om in orbit} == direct
+
+
+def test_hopf_oracle_eliminates_once_per_orbit(monkeypatch):
+    orbits = set()
+    for a, b in product(range(1, 12), repeat=2):
+        omega = (Angle(Fraction(a, 12)), Angle(Fraction(b, 12)))
+        n = lcm_level(omega)
+        ks = [int(x.value * n) for x in omega]
+        orbits.add((n, frozenset(tuple(u * k % n for k in ks)
+                                 for u in range(1, n + 1) if math.gcd(u, n) == 1)))
+    calls = []
+    real = cyclotomic._inertia
+
+    def counting(mat, lv):
+        calls.append(lv.n)
+        return real(mat, lv)
+    monkeypatch.setattr(cyclotomic, "_inertia", counting)
+    assert verify.hopf_oracle().passed
+    assert len(calls) == 16 * len(orbits)  # 16 families, each a fresh H(t)
+
+
+def test_refusals_keep_no_orbit():
+    # not Hermitian: the + form's transpose is not the - form
+    fam = SeifertFamily(1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]})
+    skew = LaurentMatrix(["t0"], [[LaurentPoly.var(1, 0)]])
+    for omega in conjugates((Angle(Fraction(1, 12)),), 12):
+        with pytest.raises(NotHermitian, match="duality broken"):
+            fam.signature(omega)
+        with pytest.raises(NotHermitian):
+            skew.inertia(omega)
+    assert "_laurent" not in vars(fam)  # no form compiled, so no orbit kept
+    assert skew._orbit.cache_info().currsize == 0
+
+
+def test_orbit_cache_is_bounded():
+    t0, t1, t2 = (LaurentPoly.var(3, i) for i in range(3))
+    q = 1 + t0 * t1 - 2 * t2 + t0 * t2.conjugate()
+    matrix = LaurentMatrix(["t0", "t1", "t2"], [[q + q.conjugate()]])
+    # a first coordinate of 1/37 leaves each point alone in its orbit
+    points = [(Angle(Fraction(1, 37)), Angle(Fraction(b, 37)), Angle(Fraction(c, 37)))
+              for b in range(37) for c in range(37)]
+    maxsize = matrix._orbit.cache_info().maxsize
+    assert maxsize == cyclotomic._ORBIT_CACHE < len(points)
+    first = [matrix.inertia(om) for om in points]
+    assert matrix._orbit.cache_info().currsize <= maxsize
+    for om, want in zip(points[:20], first):  # long evicted
+        assert matrix.inertia(om) == matrix.evaluate(om).inertia() == want
+        for conj in conjugates(om, 37):
+            assert matrix.inertia(conj) == matrix.evaluate(conj).inertia()
+
+
+def test_orbit_cache_does_not_keep_its_matrix_alive():
+    matrix = LaurentMatrix(["t0"], [[LaurentPoly.const(1, 2)]])
+    assert matrix.inertia((Angle(Fraction(1, 5)),)) == (1, 0, 0)
+    ref = weakref.ref(matrix)
+    del matrix
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

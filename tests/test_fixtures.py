@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from splicesig import fixtures
 from splicesig.cyclotomic import LaurentMatrix
 from splicesig.fixtures import (PiecewiseTable, cable42_matrix, cable42_sig,
                                 fixture_matrix, fixture_names, fixture_sig,
@@ -152,6 +153,20 @@ class TestMatrices:
 
     def test_fixture_matrix_lookup_matches(self):
         assert fixture_matrix("referee-L").dumps() == torus36_matrix().dumps()
+
+    def test_leaf_cache_is_bounded(self):
+        # a sweep over more open-torus cells than the leaf keeps
+        order = 34
+        sig = fixtures._matrix_sig(torus24_matrix())
+        table = fixture_table("torus(2,4)")
+        cells = list(product(range(1, order), repeat=2))
+        assert len(cells) > fixtures._LEAF_CACHE
+        for ks in cells:
+            omega = tuple(ang(k, order) for k in ks)
+            assert sig(omega) == table.value(omega)
+        info = sig.cache_info()
+        assert info.maxsize == fixtures._LEAF_CACHE
+        assert info.currsize <= fixtures._LEAF_CACHE
 
 
 class TestPiecewiseTable:
