@@ -18,7 +18,6 @@ as a SeifertFamily fixture.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
@@ -90,10 +89,9 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
         raise InvalidParams(f"need coprime positive (p, q), got ({p}, {q})")
     if zeta.is_unit():
         raise InvalidParams("torus-link signature count needs zeta != 1")
-    theta = zeta.value
-    if theta > Fraction(1, 2):
-        theta = 1 - theta
-    u, v = theta.numerator, theta.denominator
+    u, v = zeta.numerator, zeta.denominator
+    if 2 * u > v:
+        u = v - u
     # row i has low = (top - step*i) / den, which is >= 0 exactly for i <= split;
     # theta <= 1/2 puts split = floor(theta*p) below p
     top, step, den = q * u * p, q * v, v * p
@@ -272,11 +270,11 @@ class UnivariateReductionInput(NamedTuple):
         return len(self.ni)
 
     def xi(self) -> Angle:
-        return Angle(Fraction(1, self.n))
+        return Angle.from_ratio(1, self.n)
 
     def omega(self) -> Character:
         """The multivariate character (xi^{n_1}, ..., xi^{n_mu})."""
-        return tuple(Angle(Fraction(k, self.n)) for k in self.ni)
+        return tuple(Angle.from_ratio(k, self.n) for k in self.ni)
 
 
 def weighted_linking(inp: UnivariateReductionInput, i: int) -> int:
@@ -311,8 +309,8 @@ def univariate_reduction(inp: UnivariateReductionInput, sigma_lbar: int,
                     f"color {i} has p_i = {inp.p[i]} != 0; a reduced torus "
                     f"signature evaluator for ({inp.ni[i]}, {inp.ni[i] * inp.p[i]}) "
                     "is required")
-            upsilon = Angle(Fraction(lw, n))
+            upsilon = Angle.from_ratio(lw, n)
             total -= evaluator(upsilon, xi)
-        total += (inp.ni[i] - 1) * ind(Fraction(lw, n))
+        total += (inp.ni[i] - 1) * ind(lw, n)
     total += sum(inp.linking[i][j] for i in range(mu) for j in range(i + 1, mu))
     return total

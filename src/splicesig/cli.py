@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, List, Optional, Tuple
 
@@ -42,14 +41,14 @@ MAX_GRID_CELLS = 100_000
 
 def _parse_character(text: str) -> Tuple[Angle, ...]:
     try:
-        return tuple(Angle(Fraction(tok)) for tok in text.split(","))
+        return tuple(Angle(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"bad character {text!r}: {err}") from err
 
 
 def _parse_angle(text: str) -> Angle:
     try:
-        return Angle(Fraction(text))
+        return Angle(text)
     except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"bad angle {text!r}: {err}") from err
 
@@ -107,7 +106,7 @@ def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[Tuple[int, ...],
     if cells > MAX_GRID_CELLS:
         raise UsageError(f"grid of {cells} cells exceeds the limit of "
                          f"{MAX_GRID_CELLS}; lower --order")
-    angles = [Angle(Fraction(k, order)) for k in (range(order) if arity else ())]
+    angles = [Angle.from_ratio(k, order) for k in (range(order) if arity else ())]
     return ((ks, tuple(angles[k] for k in ks))
             for ks in product(range(start, order), repeat=arity))
 

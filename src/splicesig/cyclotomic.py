@@ -180,6 +180,8 @@ class _Level:
                     vec[i] -= top * phi[i]
         self.pow_rows = rows
         self._cos: Dict[int, Tuple[List[int], int]] = {}
+        # the units v mod N, ascending, as 1 <= v <= N (so [1] at level 1)
+        self.units = [v for v in range(1, n + 1) if math.gcd(v, n) == 1]
 
     # -- scalar operations -------------------------------------------------
 
@@ -272,6 +274,22 @@ class _Level:
             c, s1 = -c, [-x for x in s1]
         return self.reduce(c, ((i, den * x) for i, x in enumerate(s1)))
 
+    # -- Galois orbits --------------------------------------------------------
+
+    def orbit_rep(self, steps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+        """(rep, v): rep = v*steps mod N, the lexicographically least point of
+        the orbit of steps under the units v mod N, and the least such v.
+
+        Only the units that minimise v*steps[0] mod N can reach the least
+        point, so the tuples are built for those alone.
+        """
+        n, units = self.n, self.units
+        if steps:
+            k0 = steps[0]
+            low = min(v * k0 % n for v in units)
+            units = [v for v in units if v * k0 % n == low]
+        return min((tuple(v * k % n for k in steps), v) for v in units)
+
     # -- certified signs ----------------------------------------------------
 
     def inertia(self, pivots: Iterable[QV], nullity: int, u: int = 1) -> Tuple[int, int, int]:
@@ -291,7 +309,7 @@ class _Level:
         if self.is_zero(a):
             return 0
         n, vec = self.n, a[1]
-        slack = sum(abs(c) for c in vec)
+        slack = sum(map(abs, vec))
         prec = 64
         while True:
             table = self._cos.get(prec)
@@ -801,15 +819,13 @@ class LaurentMatrix:
         """
         n = math.lcm(*(a.denominator for a in omega))
         lv = _level(n)  # the level bound comes first and bounds the units
-        steps = _steps(omega, n)
-        rep, v = min((tuple(v * k % n for k in steps), v)
-                     for v in range(1, n + 1) if math.gcd(v, n) == 1)
+        rep, v = lv.orbit_rep(_steps(omega, n))
         pivots, nullity = self._orbit(n, rep)
         return lv.inertia(pivots, nullity, pow(v, -1, n))
 
     def _eliminate(self, n: int, rep: Tuple[int, ...]) -> Tuple[Tuple[QV, ...], int]:
         """The pivots and kernel size of H at zeta_n^rep, checked Hermitian."""
-        h = self.evaluate(tuple(Angle(Fraction(k, n)) for k in rep), n)
+        h = self.evaluate(tuple(Angle.from_ratio(k, n) for k in rep), n)
         return _inertia(h._mat, h._lv)
 
     # -- serialization ------------------------------------------------------

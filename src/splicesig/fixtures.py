@@ -18,7 +18,7 @@ from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 from .cyclotomic import LaurentMatrix, LaurentPoly
 from .splice import DistinguishedSigFn, SigFn, with_boundary, zero_fn
-from .torus import Character
+from .torus import Character, weighted_sum
 
 ARITY = 3  # all three matrices live in Z[t0^±, t1^±, t2^±]
 _LEAF_CACHE = 1024  # signatures kept per fixture leaf
@@ -168,11 +168,13 @@ class PiecewiseTable(NamedTuple):
     values: Tuple[int, ...]
 
     def value(self, omega: Character) -> int:
-        s = sum((w * a.value for w, a in zip(self.weights, omega)), Fraction(0))
+        s, den = weighted_sum(self.weights, omega)
         for k, wall in enumerate(self.walls):
-            if s == wall:
+            # s/den against wall = p/q, both denominators positive
+            c = s * wall.denominator - wall.numerator * den
+            if c == 0:
                 return self.values[2 * k + 1]
-            if s < wall:
+            if c < 0:
                 return self.values[2 * k]
         return self.values[-1]
 

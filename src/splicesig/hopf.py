@@ -21,13 +21,12 @@ m + n - 1 of the generating family, so it carries basis=False.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ccomplex import SeifertFamily
 from .errors import BoundaryCharacter
 from .splice import DistinguishedSigFn, SigFn
-from .torus import Angle, Character, defect, ind, is_open, log_sum
+from .torus import Angle, Character, defect, ind, is_open, weighted_sum
 
 
 class HopfSpec(NamedTuple):
@@ -69,8 +68,8 @@ def hopf_nullity(m: int, n: int, eta: Character, zeta: Character) -> int:
         raise ValueError("character lengths do not match the copy counts")
     if not (is_open(eta) and is_open(zeta)):
         raise BoundaryCharacter("nullity closed form holds on the open torus only")
-    a = log_sum(eta).denominator == 1
-    b = log_sum(zeta).denominator == 1
+    a = _integral(eta)
+    b = _integral(zeta)
     if a and b:
         return m + n - 3
     if b:
@@ -80,9 +79,15 @@ def hopf_nullity(m: int, n: int, eta: Character, zeta: Character) -> int:
     return 0
 
 
+def _integral(omega: Character) -> bool:
+    """True when the angle sum Log omega is an integer."""
+    s, den = weighted_sum((1,) * len(omega), omega)
+    return s % den == 0
+
+
 def sigma_k(k: int, x: Angle) -> int:
     """ind(k * Log x) - k: the per-copy factor of the Hopf signature."""
-    return ind(k * x.value) - k
+    return ind(k * x.numerator, x.denominator) - k
 
 
 def hopf_sig_fn(m: int, n: int, *, distinguished: bool = False) -> SigFn:
@@ -173,14 +178,11 @@ def hopf_spectrum(m: int, n: int, eta: Angle, zeta: Angle) -> List[float]:
 
     The mn eigenvalues are the products lambda(eta, xi_m^i) *
     lambda(zeta, conj(xi_n^j)) over i in Z/m, j in Z/n, with xi_k the
-    primitive k-th root of unity.  Returned ascending.
+    primitive k-th root of unity: m + n factors, computed once each.
+    Returned ascending.
     """
     if eta.is_unit() or zeta.is_unit():
         raise BoundaryCharacter("spectrum closed form holds on the open torus only")
-    vals = []
-    for i in range(m):
-        for j in range(n):
-            vals.append(_lambda_factor(eta, Angle(Fraction(i, m)))
-                        * _lambda_factor(zeta, Angle(Fraction(-j, n))))
-    vals.sort()
-    return vals
+    left = [_lambda_factor(eta, Angle.from_ratio(i, m)) for i in range(m)]
+    right = [_lambda_factor(zeta, Angle.from_ratio(-j, n)) for j in range(n)]
+    return sorted(x * y for x in left for y in right)

@@ -3,7 +3,10 @@
 A character with mu colors is a tuple (omega_1, ..., omega_mu) of unit complex
 numbers omega_j = exp(2*pi*i*theta_j).  Everything here works with the angles
 theta_j as exact rationals in [0, 1), so membership tests ("is this coordinate
-equal to 1?", "is this angle sum an integer?") are decidable.
+equal to 1?", "is this angle sum an integer?") are decidable.  An angle is
+stored as its reduced integer pair num/den with 0 <= num < den, and every
+formula below computes on those integers; `Angle.value` and `log_sum` build
+a Fraction only for callers that ask for one.
 
 Conventions:
 
@@ -12,7 +15,8 @@ Conventions:
   in [0, mu).
 * ind(x) = floor(x) - floor(-x); equivalently 2*floor(x) + 1 away from the
   integers and 2*x on them.  This is the jump-averaged staircase that all the
-  closed signature formulas are written against.
+  closed signature formulas are written against.  For x = n/d with d > 0 it
+  is 2*(n // d) + (1 if d does not divide n else 0).
 * The defect of a character omega with respect to an integer weight vector
   lam is
 
@@ -20,14 +24,15 @@ Conventions:
 
   It vanishes on tuples of length 0 or 1 and measures the failure of ind to be
   additive; products of two defects are exactly the correction terms in the
-  splice formulas.
+  splice formulas.  ind(theta_j) is 1 on every coordinate but a unit, so the
+  defect is an integer sum over the common denominator of the angles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -35,53 +40,74 @@ RationalLike = Union[int, str, Fraction]
 class Angle:
     """An exact angle theta in [0, 1), i.e. a point exp(2*pi*i*theta) of T^1.
 
-    Construction reduces mod 1, so Angle(Fraction(9, 8)) == Angle(Fraction(1, 8)).
+    Stored as the integers numerator/denominator in lowest terms, with
+    0 <= numerator < denominator.  Construction reduces mod 1, so
+    Angle(Fraction(9, 8)) == Angle("1/8") == Angle(Fraction(2, 16)); `value`
+    is the same angle as a Fraction, built when asked for.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, value: RationalLike):
         v = Fraction(value)
-        object.__setattr__(self, "value", v - math.floor(v))
+        object.__setattr__(self, "numerator", v.numerator % v.denominator)
+        object.__setattr__(self, "denominator", v.denominator)
+
+    @staticmethod
+    def from_ratio(num: int, den: int) -> "Angle":
+        """The angle num/den mod 1, i.e. the point zeta_den^num, for den > 0."""
+        g = math.gcd(num, den)
+        return _pair(num // g % (den // g), den // g)
 
     def __setattr__(self, name, val):  # immutable
         raise AttributeError("Angle is immutable")
 
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
+    def __delattr__(self, name):
+        raise AttributeError("Angle is immutable")
 
     @property
-    def denominator(self) -> int:
-        return self.value.denominator
+    def value(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
 
     def is_unit(self) -> bool:
         """True when the coordinate is 1, i.e. theta = 0."""
-        return self.value == 0
+        return self.numerator == 0
 
     def conjugate(self) -> "Angle":
-        return Angle(-self.value)
+        return _pair(-self.numerator % self.denominator, self.denominator)
 
     def __mul__(self, k: int) -> "Angle":
         """The power omega^k, i.e. k*theta mod 1."""
-        return Angle(self.value * k)
+        return Angle.from_ratio(self.numerator * k, self.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Angle) and self.value == other.value
+        return (isinstance(other, Angle) and self.numerator == other.numerator
+                and self.denominator == other.denominator)
 
     def __hash__(self):
-        return hash(("Angle", self.value))
+        return hash((self.numerator, self.denominator))
 
     def __repr__(self):
-        return f"Angle({self.value})"
+        return f"Angle({self})"
 
     def __str__(self):
-        return str(self.value)
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"
 
     def to_complex(self) -> complex:
-        return complex(math.cos(2 * math.pi * self.value), math.sin(2 * math.pi * self.value))
+        t = 2 * math.pi * (self.numerator / self.denominator)
+        return complex(math.cos(t), math.sin(t))
+
+
+def _pair(num: int, den: int) -> Angle:
+    """The angle of an already reduced pair 0 <= num < den, gcd(num, den) = 1."""
+    a = object.__new__(Angle)
+    object.__setattr__(a, "numerator", num)
+    object.__setattr__(a, "denominator", den)
+    return a
 
 
 UNIT = Angle(0)
@@ -92,24 +118,24 @@ Character = tuple  # tuple[Angle, ...]
 
 def angle(value: RationalLike) -> Angle:
     """Convenience constructor accepting ints, Fractions or strings like '3/8'."""
-    return Angle(Fraction(value))
+    return Angle(value)
 
 
 def character(spec: Union[str, Iterable[RationalLike]]) -> Character:
     """Build a character from 'a/b,c/d,...' or an iterable of rationals."""
     if isinstance(spec, str):
         parts = [p.strip() for p in spec.split(",")] if spec.strip() else []
-        return tuple(Angle(Fraction(p)) for p in parts)
-    return tuple(a if isinstance(a, Angle) else Angle(Fraction(a)) for a in spec)
+        return tuple(Angle(p) for p in parts)
+    return tuple(a if isinstance(a, Angle) else Angle(a) for a in spec)
 
 
 def serialize_character(omega: Character) -> list:
     """Angles as 'num/den' strings (the wire format used by the CLI and JSON)."""
-    return [str(a.value) for a in omega]
+    return [str(a) for a in omega]
 
 
 def parse_character(items: Sequence[str]) -> Character:
-    return tuple(Angle(Fraction(s)) for s in items)
+    return tuple(Angle(s) for s in items)
 
 
 def conjugate_character(omega: Character) -> Character:
@@ -126,18 +152,26 @@ def insert_unit(omega: Character, i: int) -> Character:
 
 def is_open(omega: Character) -> bool:
     """True when no coordinate equals 1."""
-    return all(not a.is_unit() for a in omega)
+    return all(a.numerator for a in omega)
 
 
-def ind(x: Union[int, Fraction]) -> int:
-    """floor(x) - floor(-x): 2*floor(x)+1 off the integers, 2*x on them."""
-    x = Fraction(x)
-    return math.floor(x) - math.floor(-x)
+def ind(x: Union[int, Fraction], den: int = 1) -> int:
+    """floor(y) - floor(-y) for y = x / den: 2*floor(y)+1 off the integers,
+    2*y on them.  den > 0 lets callers pass y as an integer pair."""
+    num, den = x.numerator, x.denominator * den
+    return 2 * (num // den) + (num % den != 0)
+
+
+def weighted_sum(lam: Sequence[int], omega: Character) -> Tuple[int, int]:
+    """sum_j lam_j * theta_j as an integer pair (s, den), s / den not reduced:
+    den is the lcm of the angle denominators, 1 for the empty character."""
+    den = math.lcm(*[a.denominator for a in omega])
+    return sum(l * a.numerator * (den // a.denominator) for l, a in zip(lam, omega)), den
 
 
 def log_sum(omega: Character) -> Fraction:
     """Log of the tuple: the angle sum as a rational in [0, mu)."""
-    return sum((a.value for a in omega), Fraction(0))
+    return Fraction(*weighted_sum((1,) * len(omega), omega))
 
 
 def char_power(omega: Character, lam: Sequence[int]) -> Angle:
@@ -147,7 +181,7 @@ def char_power(omega: Character, lam: Sequence[int]) -> Angle:
     """
     if len(omega) != len(lam):
         raise ValueError(f"character has {len(omega)} colors, weight vector has {len(lam)}")
-    return Angle(sum((l * a.value for a, l in zip(omega, lam)), Fraction(0)))
+    return Angle.from_ratio(*weighted_sum(lam, omega))
 
 
 def defect(lam: Sequence[int], omega: Character) -> int:
@@ -159,8 +193,8 @@ def defect(lam: Sequence[int], omega: Character) -> int:
     """
     if len(omega) != len(lam):
         raise ValueError(f"character has {len(omega)} colors, weight vector has {len(lam)}")
-    total = sum((l * a.value for a, l in zip(omega, lam)), Fraction(0))
-    return ind(total) - sum(l * ind(a.value) for a, l in zip(omega, lam))
+    s, den = weighted_sum(lam, omega)
+    return 2 * (s // den) + (s % den != 0) - sum(l for l, a in zip(lam, omega) if a.numerator)
 
 
 def defect1(omega: Character) -> int:

@@ -6,7 +6,6 @@ exactly; nothing is tuned to the implementation under test.  The CLI's
 `verify` command runs these and exits non-zero on any failure.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, List, NamedTuple, Tuple
@@ -30,7 +29,7 @@ class CriterionResult(NamedTuple):
 @lru_cache(maxsize=None)
 def _angles(order: int) -> Tuple[Angle, ...]:
     """The grid angles k/order, k < order, built once per order for every suite."""
-    return tuple(Angle(Fraction(k, order)) for k in range(order))
+    return tuple(Angle.from_ratio(k, order) for k in range(order))
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +205,7 @@ def hirzebruch_sanity() -> CriterionResult:
     # H(omega) = (1 - conj(omega)) V + (1 - omega) V^T for the trefoil's Seifert matrix V
     trefoil = SeifertFamily(1, {(1,): [[-1, 1], [0, -1]], (-1,): [[-1, 0], [1, -1]]})
     for k, want in ((6, -2), (1, 0)):
-        z = Angle(Fraction(k, 12))
+        z = Angle.from_ratio(k, 12)
         got = hirzebruch(2, 3, z)
         oracle = trefoil.signature((z,))
         if got != want or got != oracle:
@@ -234,7 +233,7 @@ def univariate_reduction_check() -> CriterionResult:
     hopf = hopf_sig_fn(1, 1)
     cases = 0
     for n in range(2, 7):
-        xi = Angle(Fraction(1, n))
+        xi = Angle.from_ratio(1, n)
         for n1, n2 in product(range(1, n), repeat=2):
             closed = (1 - n1) * (1 - n2) - n1 * n2
             oracle = sigma_k(n1, xi) * sigma_k(n2, xi) - n1 * n2
@@ -261,10 +260,10 @@ def hopf_nullity_check() -> CriterionResult:
     cases = 0
 
     def side_integral(s):
-        return (Angle(Fraction(1, s)),) * s          # angles sum to 1
+        return (Angle.from_ratio(1, s),) * s          # angles sum to 1
 
     def side_generic(s):
-        return (Angle(Fraction(1, 2 * s)),) * s      # angles sum to 1/2
+        return (Angle.from_ratio(1, 2 * s),) * s      # angles sum to 1/2
 
     sevenths = _angles(7)
     for m, n in product(range(1, 5), repeat=2):

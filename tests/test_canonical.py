@@ -12,7 +12,8 @@ signs themselves on sqrt(k) * 10^d less its integer part, which needs
 refinement past the starting precision.  Certified signs must leave global
 mpmath state alone.
 
-LaurentMatrix.inertia eliminates once per Galois orbit and reads a conjugate
+LaurentMatrix.inertia eliminates once per Galois orbit, at the least point
+that a brute-force scan over every unit finds, and reads a conjugate
 sigma_u(d) of each pivot off the cosines of every residue, checked against
 mpmath and against the sign of sigma_u(d) reduced.  At every conjugate
 character it must give what a direct elimination there gives, the nullity
@@ -349,6 +350,20 @@ def test_fixed_cosines_of_every_residue(n, prec):
         scale = mpmath.mpf(2) ** prec
         for k, ck in enumerate(coss):
             assert abs(ck - scale * mpmath.cospi(mpmath.mpf(2 * k) / n)) <= e, (n, prec, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.lists(st.one_of(st.just(0), st.integers(0, 10 ** 6)), max_size=3))
+@example(1, [])
+@example(60, [])
+@example(12, [0])
+@example(60, [0, 0, 35])
+@example(42, [14, 0, 21])
+def test_orbit_rep_is_the_least_point_over_all_units(n, ks):
+    steps = [k % n for k in ks]
+    brute = min((tuple(v * k % n for k in steps), v)
+                for v in range(1, n + 1) if math.gcd(v, n) == 1)
+    assert _level(n).orbit_rep(steps) == brute
 
 
 @settings(max_examples=60, deadline=None)

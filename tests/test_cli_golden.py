@@ -151,6 +151,12 @@ def _cases():
         ("boundary", ["eval", inline({"seifert": "stripped.json"}), "--at", "0,1/3"], None),
         ("boundary-json", ["--json", "eval", inline({"seifert": "stripped.json"}),
                            "--at", "0,1/3"], None),
+        # angle normalisation (reduction mod 1, negatives, unreduced) and defects
+        ("eval-normalise", ["eval", "torus(3,6)", "--at", "9/8,-1/3,2/4"], None),
+        ("defect-3-neg", ["defect-table", "--lambda", "1,-2,3", "--order", "12"], None),
+        ("defect-3-neg-json", ["defect-table", "--lambda", "1,-2,3", "--order", "12",
+                               "--json"], None),
+        ("sweep-torus-2-4-json", ["sweep", "torus-2-4", "--order", "24", "--json"], None),
     ]
     # Seifert-family evals of the Hopf families at levels 12, 60, 84 and 420
     for m in range(1, 5):

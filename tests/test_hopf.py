@@ -6,6 +6,7 @@ nullity and spectrum.  Module tests run small grids; the wide grids run in
 the acceptance suite.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -179,6 +180,23 @@ class TestSpectrum:
                 assert len(want) == len(got) == m * n
                 assert all(math.isclose(x, y, rel_tol=0, abs_tol=1e-9)
                            for x, y in zip(want, got))
+
+    def test_is_every_pairwise_product_ascending(self):
+        # the m + n lambda factors combine into all mn products
+        def lam(x, y):
+            return (1j * (1 - x.conjugate()) * (1 - y.conjugate()) * (1 - x * y)).real
+
+        def root(k, n):
+            return cmath.exp(2j * cmath.pi * k / n)
+
+        for m, n in product(range(1, 5), repeat=2):
+            for a, b in product(range(1, 7), repeat=2):
+                want = sorted(lam(root(a, 7), root(i, m)) * lam(root(b, 7), root(-j, n))
+                              for i in range(m) for j in range(n))
+                got = hopf_spectrum(m, n, ang(a, 7), ang(b, 7))
+                assert got == sorted(got) and len(got) == m * n
+                assert all(math.isclose(x, y, rel_tol=0, abs_tol=1e-12)
+                           for x, y in zip(got, want))
 
     def test_sign_counts_give_signature(self):
         for a, b in product(range(1, 6), repeat=2):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from splicesig.fixtures import TABLES, PiecewiseTable
+from splicesig.hopf import sigma_k
 from splicesig.torus import (
     UNIT,
     Angle,
@@ -166,3 +168,133 @@ def test_defect_definition(om, lam):
     expected = ind(sum((l * a.value for l, a in zip(lam, om)), Fraction(0)))
     expected -= sum(l * ind(a.value) for l, a in zip(lam, om))
     assert defect(lam, om) == expected
+
+
+# ---------------------------------------------------------------------------
+# Angle as an integer pair
+# ---------------------------------------------------------------------------
+
+def test_angle_reduces_every_input_form():
+    assert Angle(Fraction(9, 8)) == Angle("1/8") == Angle(Fraction(2, 16))
+    assert Angle(Fraction(-1, 8)) == Angle("-9/8") == Angle("7/8") == angle(Fraction(15, 8))
+    assert Angle(3) == Angle(-3) == Angle("4/2") == Angle(Fraction(0)) == UNIT
+    assert Angle(" 1/3 ") == Angle.from_ratio(-2, 3) == Angle.from_ratio(2, 6)
+    assert Angle.from_ratio(0, 7) == Angle.from_ratio(14, 7) == UNIT
+
+
+@given(st.fractions(max_denominator=10 ** 6))
+def test_angle_is_a_reduced_pair_with_a_fraction_view(x):
+    a = Angle(x)
+    assert type(a.numerator) is int and type(a.denominator) is int
+    assert 0 <= a.numerator < a.denominator
+    assert math.gcd(a.numerator, a.denominator) == 1
+    assert isinstance(a.value, Fraction)
+    assert a.value == x - math.floor(x)
+    assert (a.numerator, a.denominator) == (a.value.numerator, a.value.denominator)
+    assert a == Angle(str(x)) == Angle.from_ratio(x.numerator, x.denominator)
+    assert str(a) == str(a.value) and repr(a) == f"Angle({a.value})"
+
+
+@given(st.fractions(max_denominator=10 ** 6), st.integers(-3, 3))
+def test_equal_angles_hash_equal(x, shift):
+    a, b = Angle(x), Angle(x + shift)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Angle(str(x))}) == 1
+    assert a != a.value and a != (a.numerator, a.denominator)
+
+
+def test_angle_attributes_cannot_change():
+    a = Angle("1/3")
+    for name, val in (("numerator", 2), ("denominator", 5), ("value", Fraction(1, 2)),
+                      ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, val)
+    for name in ("numerator", "denominator", "value"):
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.numerator, a.denominator) == (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer formulas against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def ref_ind(x: Fraction) -> int:
+    return math.floor(x) - math.floor(-x)
+
+
+def ref_theta(x) -> Fraction:
+    x = Fraction(x)
+    return x - math.floor(x)
+
+
+def ref_sum(weights, xs) -> Fraction:
+    return sum((w * ref_theta(x) for w, x in zip(weights, xs)), Fraction(0))
+
+
+def ref_defect(lam, xs) -> int:
+    return ref_ind(ref_sum(lam, xs)) - sum(l * ref_ind(ref_theta(x)) for l, x in zip(lam, xs))
+
+
+def ref_table_value(table, xs) -> int:
+    s = ref_sum(table.weights, xs)
+    for k, wall in enumerate(table.walls):
+        if s == wall:
+            return table.values[2 * k + 1]
+        if s < wall:
+            return table.values[2 * k]
+    return table.values[-1]
+
+
+# coordinates with denominators up to 10^6, negative and unit ones included
+coords = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-10 ** 7, 10 ** 7), st.integers(1, 10 ** 6)))
+weighted = st.lists(st.tuples(coords, st.integers(-5, 5)), max_size=4)
+
+
+@given(coords, st.integers(1, 10 ** 6))
+def test_ind_matches_floor_reference(x, den):
+    x = Fraction(x)
+    assert ind(x) == ref_ind(x)
+    assert ind(x.numerator, den) == ind(Fraction(x.numerator, den)) == ref_ind(
+        Fraction(x.numerator, den))
+
+
+@given(weighted)
+@example([])
+@example([(0, 3), (Fraction(1, 2), -2)])
+def test_defect_and_char_power_match_fraction_reference(cells):
+    xs = [x for x, _ in cells]
+    lam = tuple(l for _, l in cells)
+    om = tuple(Angle(x) for x in xs)
+    assert defect(lam, om) == ref_defect(lam, xs)
+    assert defect1(om) == ref_defect((1,) * len(xs), xs)
+    power = ref_theta(ref_sum(lam, xs))
+    got = char_power(om, lam)
+    assert (got.numerator, got.denominator) == (power.numerator, power.denominator)
+    assert log_sum(om) == ref_sum((1,) * len(xs), xs)
+
+
+@given(coords, st.integers(-6, 6))
+def test_sigma_k_matches_fraction_reference(x, k):
+    assert sigma_k(k, Angle(x)) == ref_ind(k * ref_theta(x)) - k
+
+
+walls = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=60),
+                 unique=True, max_size=4).map(sorted)
+tables = st.one_of(
+    st.sampled_from(list(TABLES.values())),
+    walls.flatmap(lambda ws: st.builds(
+        PiecewiseTable, st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(tuple),
+        st.just(tuple(ws)),
+        st.lists(st.integers(-9, 9), min_size=2 * len(ws) + 1,
+                 max_size=2 * len(ws) + 1).map(tuple))))
+
+
+@given(tables, st.lists(coords, min_size=3, max_size=3), st.integers(1, 60))
+def test_table_value_matches_fraction_reference(table, xs, order):
+    # on grid points too, where the sum lands on the walls
+    assert table.value(tuple(Angle(x) for x in xs)) == ref_table_value(table, xs)
+    grid_xs = [Fraction(x.numerator % order if isinstance(x, Fraction) else x, order)
+               for x in xs]
+    assert table.value(tuple(Angle(x) for x in grid_xs)) == ref_table_value(table, grid_xs)
