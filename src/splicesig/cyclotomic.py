@@ -17,8 +17,9 @@ because Phi_N is monic.  As x^N = 1, any integer combination sum c_e x^e
 reduces by folding each term with pow_rows[e mod N] (_Level.reduce, the only
 reduction): a product folds its convolution, conjugation sends x^j to
 pow_rows[-j mod N], and Hermitian forms are assembled from their (exponent,
-coefficient) terms straight into canonical pairs, then checked Hermitian on
-integers.
+coefficient) terms straight into canonical pairs.  A LaurentMatrix decides
+once, on its integer terms, whether H(t) = H(t)* (every SeifertFamily form
+does); only if not is H checked Hermitian on integers at each point.
 
 Phi_N itself is built from the distinct primes of N, one exact division each:
 Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p, then
@@ -29,8 +30,8 @@ The public CyclotomicNumber is a view on one such pair at its level.
 Signatures and nullities of Hermitian matrices are computed by exact
 LDL-style elimination, once per Galois orbit for a LaurentMatrix, which keeps
 its last _ORBIT_CACHE (sigma_u maps the form and its pivots at omega to those
-at omega^u; see LaurentMatrix.inertia), with one pivot rule, which keeps the
-working matrix exactly Hermitian at every step:
+at omega^u; see LaurentMatrix.inertia), on the upper triangle alone, with one
+pivot rule, which keeps the working matrix exactly Hermitian at every step:
 
 * zero tests are exact (canonical form); the smallest nonzero diagonal entry
   is the pivot, inverted by the extended Euclidean algorithm against Phi_N
@@ -40,8 +41,9 @@ working matrix exactly Hermitian at every step:
 * when every remaining diagonal entry is exactly zero but some h_pq = a is
   not, the congruence row_p += a*row_q, col_p += conj(a)*col_q first makes
   h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
-  the fold writes column p and its conjugate row p.  When no nonzero entry
-  is left, the remaining rows are the nullity,
+  the first such (p, q) in row-major order has p < q and zero rows above p,
+  so the fold writes row p alone.  When no nonzero entry is left, the
+  remaining rows are the nullity,
 * the sign of a nonzero real pivot's conjugate sigma_u, sum c_j cos(2*pi*u*j/N),
   is certified in integer fixed point: the sum of c_j times cosines scaled by
   2^prec, each within e units, decides the sign once it exceeds e * sum |c_j|.
@@ -228,6 +230,20 @@ class _Level:
                     if y:
                         conv[i + j] += x * y
         return self.reduce(da * db, enumerate(conv))
+
+    def addmul(self, acc: QV, a: QV, b: QV) -> QV:
+        """acc + a*b: one convolution over the common denominator, one reduction."""
+        (dc, vc), (da, va), (db, vb) = acc, a, b
+        g = math.gcd(dc, da * db)
+        mc, mp = da * db // g, dc // g
+        conv = [c * mc for c in vc] + [0] * (self.deg - 1)
+        for i, x in enumerate(va):
+            if x:
+                x *= mp
+                for j, y in enumerate(vb):
+                    if y:
+                        conv[i + j] += x * y
+        return self.reduce(dc * mc, enumerate(conv))
 
     def conj(self, a: QV) -> QV:
         """Complex conjugation: x^j -> x^(-j mod N)."""
@@ -555,7 +571,7 @@ class HermitianMatrix:
     entries are CyclotomicNumbers, lifted to their common level, or, when
     level is given, canonical pairs (den, vec) at that level, as the form
     assemblers emit them.  Either way the matrix is kept as canonical pairs
-    and checked on integers.
+    and checked on integers, unless LaurentMatrix.evaluate knows H(t) = H(t)*.
     """
 
     def __init__(self, entries: Sequence[Sequence[Union[CyclotomicNumber, QV]]],
@@ -576,6 +592,13 @@ class HermitianMatrix:
         self.size = g
         self._lv = lv
         self._mat = tuple(mat)
+
+    @classmethod
+    def _trusted(cls, mat: List[List[QV]], level: int) -> "HermitianMatrix":
+        """Canonical pairs at level that are Hermitian by construction: no check."""
+        h = object.__new__(cls)
+        h.level, h.size, h._lv, h._mat = level, len(mat), _level(level), tuple(mat)
+        return h
 
     @property
     def entries(self) -> Tuple[Tuple[CyclotomicNumber, ...], ...]:
@@ -614,13 +637,15 @@ class HermitianMatrix:
 def _inertia(rows: Sequence[Sequence[QV]], lv: _Level) -> Tuple[Tuple[QV, ...], int]:
     """(pivots in the order taken, kernel size) of a Hermitian matrix of canonical pairs.
 
-    Each step pivots on the smallest nonzero diagonal entry d and adds
-    h_ik * (-d)^-1 * h_kj to every remaining h_ij.  d is real, so each update
-    is Hermitian in (i, j) and the matrix stays exactly Hermitian: row k is
-    read as it stands.  When every remaining diagonal entry is zero, the
-    congruence row_k += a*row_q, col_k += conj(a)*col_q for the first nonzero
-    h_kq = a makes h_kk = 2|a|^2 > 0, which is then the pivot; when no
-    nonzero entry is left, the remaining rows are the kernel.
+    Only h_ij with i <= j is read or written, so the rows may hold anything
+    below the diagonal.  Each step pivots on the smallest nonzero diagonal
+    entry d and adds h_ik * (-d)^-1 * h_kj to every remaining h_ij, i <= j, by
+    one addmul; d is real, so the update is Hermitian in (i, j).  Each cleared
+    h_ik is stored as itself or as h_ki and conjugated once for the other.
+    When every remaining diagonal entry is zero, the congruence row_k +=
+    a*row_q, col_k += conj(a)*col_q for the first nonzero h_kq = a (k < q,
+    rows above k zero) makes h_kk = 2|a|^2 > 0, which is then the pivot; when
+    no nonzero entry is left, the remaining rows are the kernel.
     """
     mat = [list(row) for row in rows]
     alive = list(range(len(mat)))
@@ -630,29 +655,31 @@ def _inertia(rows: Sequence[Sequence[QV]], lv: _Level) -> Tuple[Tuple[QV, ...], 
         if diag:
             k = min(diag, key=lambda i: lv.size(mat[i][i]))
         else:
-            pq = next(((p, q) for p in alive for q in alive if not lv.is_zero(mat[p][q])), None)
+            pq = next(((p, q) for p in alive for q in alive
+                       if p < q and not lv.is_zero(mat[p][q])), None)
             if pq is None:
                 break
             k, q = pq
-            a_conj = lv.conj(mat[k][q])
-            for i in alive:
-                if i != k:
-                    mat[i][k] = lv.add(mat[i][k], lv.mul(mat[i][q], a_conj))
-                    mat[k][i] = lv.conj(mat[i][k])
-            norm = lv.mul(mat[k][q], a_conj)
+            a = mat[k][q]
+            for i in alive[alive.index(k) + 1:]:  # h_ik += h_iq * conj(a), as h_ki
+                h_qi = mat[q][i] if q <= i else lv.conj(mat[i][q])
+                mat[k][i] = lv.addmul(mat[k][i], h_qi, a)
+            norm = lv.mul(a, lv.conj(a))
             mat[k][k] = lv.add(norm, norm)
         d = mat[k][k]
         pivots.append(d)
         alive.remove(k)
-        col = [i for i in alive if not lv.is_zero(mat[i][k])]
+        col = [i for i in alive if not lv.is_zero(mat[i][k] if i < k else mat[k][i])]
         if col:
-            row_k = mat[k]
+            # (h_ik, h_ki): the stored entry and its conjugate
+            pairs = [(mat[i][k], lv.conj(mat[i][k])) if i < k else
+                     (lv.conj(mat[k][i]), mat[k][i]) for i in col]
             neg_dinv = lv.inv(_neg(d))
-            for i in col:
-                fi = lv.mul(mat[i][k], neg_dinv)
+            for at, i in enumerate(col):
+                fi = lv.mul(pairs[at][0], neg_dinv)
                 row = mat[i]
-                for j in col:
-                    row[j] = lv.add(row[j], lv.mul(fi, row_k[j]))
+                for j, (_, h_kj) in zip(col[at:], pairs[at:]):
+                    row[j] = lv.addmul(row[j], fi, h_kj)
     return tuple(pivots), len(alive)
 
 
@@ -773,17 +800,21 @@ class LaurentMatrix:
                     raise ValueError("entry arity does not match the variable list")
         self.entries = tuple(tuple(row) for row in entries)
         self.size = g
-        # each entry once as integers: (den, [(exponent vector, c)]) with
-        # entry = sum(c * t^exponents) / den
+        # each entry once as integers: (den, {exponent vector: c}) with
+        # entry = sum(c * t^exponents) / den, in lowest terms
         self._terms = []
         for row in self.entries:
             out_row = []
             for e in row:
                 den = math.lcm(*(c.denominator for c in e.terms.values()))
-                out_row.append((den, [(exps, c.numerator * (den // c.denominator))
-                                      for exps, c in e.terms.items()]))
+                out_row.append((den, {exps: c.numerator * (den // c.denominator)
+                                      for exps, c in e.terms.items()}))
             self._terms.append(out_row)
-        self._monomials = {exps for row in self._terms for _, terms in row for exps, _ in terms}
+        self._monomials = {exps for row in self._terms for _, terms in row for exps in terms}
+        # H(t) = H(t)* as polynomials: each (j, i) is (i, j) with exponents negated
+        self._hermitian = all(
+            self._terms[j][i] == (den, {tuple(-x for x in e): c for e, c in terms.items()})
+            for i, row in enumerate(self._terms) for j, (den, terms) in enumerate(row) if i <= j)
         # the orbit cache of inertia, on a proxy so that it does not keep self alive
         self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
 
@@ -792,16 +823,22 @@ class LaurentMatrix:
         return len(self.variables)
 
     def evaluate(self, omega: Character, level: Optional[int] = None) -> HermitianMatrix:
-        """Specialise at a character; the result is checked exactly Hermitian."""
+        """Specialise at a character; checked exactly Hermitian unless H(t) = H(t)*."""
         if len(omega) != self.arity:
             raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
         n = level or math.lcm(*(a.denominator for a in omega))
-        steps = _steps(omega, n)
-        # t^exponents = zeta_N^k at t_i = zeta_N^steps[i]
+        mat = self._at(n, _steps(omega, n))
+        if self._hermitian:
+            return HermitianMatrix._trusted(mat, n)
+        return HermitianMatrix(mat, level=n)
+
+    def _at(self, n: int, steps: Sequence[int], upper: bool = False) -> List[List[QV]]:
+        """The entries at t_i = zeta_n^steps[i]; with upper, None below the diagonal."""
         power = {exps: sum(e * s for e, s in zip(exps, steps)) for exps in self._monomials}
         lv = _level(n)
-        return HermitianMatrix([[lv.reduce(den, [(power[exps], c) for exps, c in terms])
-                                 for den, terms in row] for row in self._terms], level=n)
+        return [[lv.reduce(den, [(power[exps], c) for exps, c in terms.items()])
+                 if i <= j or not upper else None
+                 for j, (den, terms) in enumerate(row)] for i, row in enumerate(self._terms)]
 
     def inertia(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), exact: one elimination per Galois orbit.
@@ -824,9 +861,12 @@ class LaurentMatrix:
         return lv.inertia(pivots, nullity, pow(v, -1, n))
 
     def _eliminate(self, n: int, rep: Tuple[int, ...]) -> Tuple[Tuple[QV, ...], int]:
-        """The pivots and kernel size of H at zeta_n^rep, checked Hermitian."""
-        h = self.evaluate(tuple(Angle.from_ratio(k, n) for k in rep), n)
-        return _inertia(h._mat, h._lv)
+        """The pivots and kernel size of H at zeta_n^rep, checked Hermitian there
+        unless H(t) = H(t)*, when only its upper triangle is evaluated."""
+        mat = self._at(n, rep, upper=self._hermitian)
+        if not self._hermitian:
+            HermitianMatrix(mat, level=n)  # raises NotHermitian
+        return _inertia(mat, _level(n))
 
     # -- serialization ------------------------------------------------------
 

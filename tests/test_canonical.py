@@ -425,6 +425,34 @@ def test_refusals_keep_no_orbit():
     assert skew._orbit.cache_info().currsize == 0
 
 
+def test_hermitian_at_some_points_is_checked_at_each():
+    # t0 - t0^-1 = 2i*sin(2*pi*theta): zero at 1/2, not real at 1/3
+    t0 = LaurentPoly.var(1, 0)
+    matrix = LaurentMatrix(["t0"], [[t0 - t0.conjugate()]])
+    assert not matrix._hermitian
+    half, third = (Angle(Fraction(1, 2)),), (Angle(Fraction(1, 3)),)
+    assert matrix.evaluate(half).inertia() == matrix.inertia(half) == (0, 0, 1)
+    for call in (matrix.evaluate, matrix.inertia):
+        with pytest.raises(NotHermitian):
+            call(third)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
+def test_family_forms_are_hermitian_as_polynomials(m, n):
+    matrix = hopf_seifert_family(m, n)._laurent
+    assert matrix._hermitian
+    for omega in conjugates((Angle(Fraction(1, 12)), Angle(Fraction(5, 12))), 12):
+        h = matrix.evaluate(omega)
+        steps = [int(a.value * 12) for a in omega]
+        for i, row in enumerate(matrix.entries):
+            for j, poly in enumerate(row):
+                want = sum((c * CyclotomicNumber.root_of_unity(12, sum(
+                    e * k for e, k in zip(exps, steps)) % 12) for exps, c in poly.terms.items()),
+                    CyclotomicNumber.from_rational(0, 12))
+                assert h[i, j] == want
+        cyclotomic.HermitianMatrix(h.entries)  # the checked constructor agrees
+
+
 def test_orbit_cache_is_bounded():
     t0, t1, t2 = (LaurentPoly.var(3, i) for i in range(3))
     q = 1 + t0 * t1 - 2 * t2 + t0 * t2.conjugate()

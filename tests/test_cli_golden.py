@@ -157,6 +157,12 @@ def _cases():
         ("defect-3-neg-json", ["defect-table", "--lambda", "1,-2,3", "--order", "12",
                                "--json"], None),
         ("sweep-torus-2-4-json", ["sweep", "torus-2-4", "--order", "24", "--json"], None),
+        # Hermitian inertia: a zero diagonal (the fold), kernel points, every orbit
+        ("eval-hyperbolic-json", ["--json", "eval", inline({"seifert": "hyperbolic.json"}),
+                                  "--at", "2/7"], None),
+        ("sweep-h33", ["sweep", inline({"seifert": "h33.json"}), "--order", "6"], None),
+        ("sweep-h44-json", ["--json", "sweep", inline({"seifert": "h44.json"}),
+                            "--order", "4"], None),
     ]
     # Seifert-family evals of the Hopf families at levels 12, 60, 84 and 420
     for m in range(1, 5):
@@ -183,6 +189,10 @@ def _files():
                                           label="trefoil").dumps()
     files["trefoil_nobasis.json"] = SeifertFamily(1, {(1,): v, (-1,): vt},
                                                   label="trefoil").dumps()
+    hyperbolic = [[0, 1], [0, 0]]
+    files["hyperbolic.json"] = SeifertFamily(
+        1, {(1,): hyperbolic, (-1,): [list(r) for r in zip(*hyperbolic)]}, basis=True,
+        label="hyperbolic").dumps()
     files["invalid.json"] = SeifertFamily(
         1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]}).dumps()
     files["malformed.json"] = json.dumps({"arity": 2, "forms": {"++": [[1]], "--": [[1]]}})

@@ -140,6 +140,26 @@ def test_root_times_conjugate_is_one(n, k):
     assert (z * z.conjugate() - 1).is_zero()
 
 
+@st.composite
+def canonical_pairs(draw, level):
+    """A canonical pair at level: zero, or sparse integers over a denominator
+    dividing 12, so that den(acc) = den(a) * den(b) is drawn often."""
+    lv = _level(level)
+    vec = [0] * lv.deg
+    for _ in range(draw(st.integers(0, 4))):
+        vec[draw(st.integers(0, lv.deg - 1))] = draw(st.integers(-50, 50))
+    return lv.normalize(draw(st.sampled_from([1, 2, 3, 4, 6, 12])), vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.just(n), *[canonical_pairs(n)] * 3)))
+def test_addmul_is_add_of_mul(case):
+    n, acc, a, b = case
+    lv = _level(n)
+    assert lv.addmul(acc, a, b) == lv.add(acc, lv.mul(a, b))
+
+
 def test_level_mismatch_guard():
     with pytest.raises(LevelMismatch):
         CyclotomicNumber.from_angle(character("1/3")[0], 8)
