@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from functools import cached_property
 from typing import List, Mapping, Optional, Sequence, Tuple, Type
 
@@ -54,6 +55,19 @@ def _parse_sign_key(key: str) -> Sign:
     return tuple(1 if ch == "+" else -1 for ch in key.replace("−", "-"))
 
 
+def _json_typed(value, kind: type, what: str):
+    """value if its type is exactly kind: a boolean is no integer, 1 no boolean."""
+    if type(value) is not kind:
+        raise InvalidFamily(
+            f"{what} must be a JSON {'boolean' if kind is bool else 'integer'}, not {value!r}")
+    return value
+
+
+def _int_rows(rows, what: str) -> list:
+    """A JSON matrix of integers, each entry checked by _json_typed."""
+    return [[_json_typed(x, int, f"{what} entry") for x in row] for row in rows]
+
+
 class SeifertFamily:
     """The 2^mu Seifert forms of a C-complex, with optional geometric metadata.
 
@@ -70,19 +84,19 @@ class SeifertFamily:
                  linking: Optional[Sequence[Sequence[int]]] = None,
                  label: Optional[str] = None):
         self.arity = arity
-        self.forms = {tuple(eps): tuple(tuple(int(x) for x in row) for row in mat)
+        self.forms = {tuple(eps): tuple(tuple(operator.index(x) for x in row) for row in mat)
                       for eps, mat in forms.items()}
         some = next(iter(self.forms.values()), ())
         self.generators = len(some)
         self.basis = bool(basis)
         self.boundary = {tuple(k): v for k, v in (boundary or {}).items()}
-        self.linking = (tuple(tuple(int(x) for x in row) for row in linking)
+        self.linking = (tuple(tuple(operator.index(x) for x in row) for row in linking)
                         if linking is not None else None)
         self.label = label
-        # construction is permissive so that validate() can report problems;
-        # _gate refuses a family that fails it before any arithmetic: from_json
-        # on load (InvalidFamily), the compile of H(t) and sig_fn at use
-        # (NotHermitian)
+        # construction is permissive, save for non-integer entries, so that
+        # validate() can report problems; _gate refuses a family that fails it
+        # before any arithmetic: from_json on load (InvalidFamily), the compile
+        # of H(t) and sig_fn at use (NotHermitian)
 
     # -- validation -----------------------------------------------------------
 
@@ -161,11 +175,11 @@ class SeifertFamily:
         """
         self._gate()
         mu, g = self.arity, self.generators
-        pre = LaurentPoly.const(mu, 1)
-        for i in range(mu):
-            pre = pre * (1 - LaurentPoly.var(mu, i, -1))
+        # weight_eps = sum over subsets S of the colours, as signs s = -1 on S,
+        # of prod(eps) * (-1)^|S| * t^([eps < 0] - [S]): integer terms
         weights = [(self.forms[eps],
-                    pre * LaurentPoly(mu, {tuple(int(e < 0) for e in eps): math.prod(eps)}))
+                    [(tuple(int(e < 0) - int(s < 0) for e, s in zip(eps, sub)),
+                      math.prod(eps) * math.prod(sub)) for sub in _all_signs(mu)])
                    for eps in _all_signs(mu)]
         entries = []
         for i in range(g):
@@ -175,7 +189,7 @@ class SeifertFamily:
                 for form, w in weights:
                     k = form[i][j]
                     if k:
-                        for exps, c in w.terms.items():
+                        for exps, c in w:
                             terms[exps] = terms.get(exps, 0) + k * c
                 row.append(LaurentPoly(mu, terms))
             entries.append(row)
@@ -272,21 +286,22 @@ class SeifertFamily:
     @classmethod
     def _from_doc(cls, doc: dict) -> "SeifertFamily":
         try:
-            forms = {_parse_sign_key(k): v for k, v in doc["forms"].items()}
+            forms = {_parse_sign_key(k): _int_rows(v, f"form {k}") for k, v in doc["forms"].items()}
             boundary = None
             if "boundary" in doc:
                 boundary = {}
                 for key, sub in doc["boundary"].items():
                     kept = tuple(int(x) for x in key.split(",")) if key else ()
                     boundary[kept] = cls._from_doc(sub)
-            fam = cls(int(doc["arity"]), forms,
-                      basis=bool(doc.get("basis", False)),
+            linking = doc.get("linking")
+            fam = cls(_json_typed(doc["arity"], int, "arity"), forms,
+                      basis=_json_typed(doc.get("basis", False), bool, "basis"),
                       boundary=boundary,
-                      linking=doc.get("linking"),
+                      linking=None if linking is None else _int_rows(linking, "linking"),
                       label=doc.get("label"))
         except (KeyError, TypeError, AttributeError) as err:
             raise InvalidFamily(f"family document missing or malformed: {err!r}") from err
-        declared = int(doc.get("generators", fam.generators))
+        declared = _json_typed(doc.get("generators", fam.generators), int, "generators")
         if declared != fam.generators:
             raise InvalidFamily(
                 f"declared {declared} generators but forms are {fam.generators}x{fam.generators}")

@@ -4,51 +4,32 @@ A character coordinate with angle a/b is the root of unity zeta_N^(N*a/b) once
 N is a common multiple of the angle denominators, so every matrix we ever need
 to diagonalise has entries in Q(zeta_N).
 
-Canonical form.  An element is a pair (den, vec): a positive integer
-denominator and an integer vector of length d = deg Phi_N, the numerator in
-the power basis 1, x, ..., x^(d-1) of Q[x]/(Phi_N) at x = zeta_N =
-exp(2*pi*i/N).  Phi_N is the minimal polynomial of zeta_N and the pair is
-kept in lowest terms, so two elements are equal exactly when their pairs are
-equal; there is no epsilon anywhere.
+Canonical pairs.  Both exact types are a positive integer denominator over
+integer numerators, in lowest terms, so two values are equal exactly when
+their pairs are; there is no epsilon, and arithmetic builds no Fraction.
+A field element is (den, vec), vec its numerator in the power basis 1, x,
+..., x^(d-1) of Q[x]/(Phi_N), d = deg Phi_N, at x = zeta_N = exp(2*pi*i/N);
+CyclotomicNumber is a view on one.  A LaurentPoly, an entry of H(t), is
+(den, num) with num {exponent vector: nonzero int}.
 
 One integer table.  Each level holds pow_rows[k] = x^k mod Phi_N for
 0 <= k < N, filled by the multiply-by-x recurrence, which stays integral
 because Phi_N is monic.  As x^N = 1, any integer combination sum c_e x^e
 reduces by folding each term with pow_rows[e mod N] (_Level.reduce, the only
 reduction): a product folds its convolution, conjugation sends x^j to
-pow_rows[-j mod N], and Hermitian forms are assembled from their (exponent,
-coefficient) terms straight into canonical pairs.  A LaurentMatrix decides
-once, on its integer terms, whether H(t) = H(t)* (every SeifertFamily form
-does); only if not is H checked Hermitian on integers at each point.
-
+pow_rows[-j mod N], and a LaurentMatrix folds each entry's num at a point.
 Phi_N itself is built from the distinct primes of N, one exact division each:
 Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p, then
 Phi_N(x) = Phi_rad(N)(x^(N/rad(N))).
 
-The public CyclotomicNumber is a view on one such pair at its level.
-
-Signatures and nullities of Hermitian matrices are computed by exact
-LDL-style elimination, once per Galois orbit for a LaurentMatrix, which keeps
-its last _ORBIT_CACHE (sigma_u maps the form and its pivots at omega to those
-at omega^u; see LaurentMatrix.inertia), on the upper triangle alone, with one
-pivot rule, which keeps the working matrix exactly Hermitian at every step:
-
-* zero tests are exact (canonical form); the smallest nonzero diagonal entry
-  is the pivot, inverted by the extended Euclidean algorithm against Phi_N
-  on integer polynomials (each step scales by a leading coefficient instead
-  of dividing by it, then removes the common integer content) once it has
-  a nonzero column left to clear,
-* when every remaining diagonal entry is exactly zero but some h_pq = a is
-  not, the congruence row_p += a*row_q, col_p += conj(a)*col_q first makes
-  h_pp = 2|a|^2 > 0, which by Sylvester's law of inertia changes nothing;
-  the first such (p, q) in row-major order has p < q and zero rows above p,
-  so the fold writes row p alone.  When no nonzero entry is left, the
-  remaining rows are the nullity,
-* the sign of a nonzero real pivot's conjugate sigma_u, sum c_j cos(2*pi*u*j/N),
-  is certified in integer fixed point: the sum of c_j times cosines scaled by
-  2^prec, each within e units, decides the sign once it exceeds e * sum |c_j|.
-  Otherwise prec doubles, from 64 bits; this terminates because zero has
-  already been excluded exactly.
+Inertia.  One exact LDL-style elimination on the upper triangle (_inertia:
+exact zero tests, the smallest nonzero diagonal entry as pivot, a congruence
+fold when the diagonal is zero), with pivots inverted by an integer extended
+Euclid (_Level.inv) and their signs certified in integer fixed point
+(_Level.sign).  A LaurentMatrix decides once whether H(t) = H(t)* (every
+SeifertFamily form does; otherwise H is checked at each point) and
+eliminates once per Galois orbit, keeping its last _ORBIT_CACHE: sigma_u maps
+the form and its pivots at omega to those at omega^u (LaurentMatrix.inertia).
 """
 
 from __future__ import annotations
@@ -690,32 +671,51 @@ def _inertia(rows: Sequence[Sequence[QV]], lv: _Level) -> Tuple[Tuple[QV, ...], 
 class LaurentPoly:
     """A Laurent polynomial in mu commuting variables with rational coefficients.
 
-    Terms are kept in a dict {exponent-vector: coefficient}.  Negative
-    exponents are fine; on the unit torus they evaluate to conjugates.
+    Stored as one canonical integer pair: num maps exponent vectors to nonzero
+    ints, den > 0 and gcd(den, *num) = 1, and the polynomial is
+    sum(c * t^e for e, c in num.items()) / den, so == compares pairs.  The
+    constructor reads int, Fraction or "p/q" coefficients once; arithmetic
+    stays on integers.  Negative exponents are fine; on the unit torus they
+    evaluate to conjugates.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "den", "num")
 
-    def __init__(self, arity: int, terms: Optional[Dict[Tuple[int, ...], Fraction]] = None):
-        self.arity = arity
-        clean: Dict[Tuple[int, ...], Fraction] = {}
+    def __init__(self, arity: int,
+                 terms: Optional[Dict[Tuple[int, ...], Union[int, Fraction, str]]] = None):
+        coeffs = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                if len(exps) != arity:
-                    raise ValueError("exponent vector length does not match arity")
-                clean[tuple(exps)] = c
-        self.terms = clean
+            if len(exps) != arity:
+                raise ValueError("exponent vector length does not match arity")
+            coeffs[tuple(exps)] = c if isinstance(c, int) else Fraction(c)
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        p = self._make(arity, den, {e: c.numerator * (den // c.denominator)
+                                    for e, c in coeffs.items()})
+        self.arity, self.den, self.num = arity, p.den, p.num
+
+    @classmethod
+    def _make(cls, arity: int, den: int, num: Dict[Tuple[int, ...], int]) -> "LaurentPoly":
+        """sum(c * t^e for e, c in num.items()) / den, den > 0, as its canonical pair."""
+        p = object.__new__(cls)
+        num = {e: c for e, c in num.items() if c}
+        g = math.gcd(den, *num.values())
+        p.arity, p.den, p.num = arity, den // g, {e: c // g for e, c in num.items()}
+        return p
+
+    @property
+    def terms(self) -> Dict[Tuple[int, ...], Fraction]:
+        """{exponent vector: coefficient}, as Fractions."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     @classmethod
     def const(cls, arity: int, c: Union[int, Fraction]) -> "LaurentPoly":
-        return cls(arity, {(0,) * arity: Fraction(c)})
+        return cls(arity, {(0,) * arity: c})
 
     @classmethod
     def var(cls, arity: int, i: int, power: int = 1) -> "LaurentPoly":
         exps = [0] * arity
         exps[i] = power
-        return cls(arity, {tuple(exps): Fraction(1)})
+        return cls(arity, {tuple(exps): 1})
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -728,15 +728,17 @@ class LaurentPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return LaurentPoly(self.arity, terms)
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
+        num = {e: c * ma for e, c in self.num.items()}
+        for e, c in other.num.items():
+            num[e] = num.get(e, 0) + c * mb
+        return LaurentPoly._make(self.arity, self.den * ma, num)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.arity, self.den, {e: -c for e, c in self.num.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -746,28 +748,29 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num: Dict[Tuple[int, ...], int] = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.arity, terms)
+                num[e] = num.get(e, 0) + c1 * c2
+        return LaurentPoly._make(self.arity, self.den * other.den, num)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "LaurentPoly":
         """Conjugation on the torus: t_i -> t_i^-1, coefficients unchanged."""
-        return LaurentPoly(self.arity, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.arity, self.den,
+                                 {tuple(-x for x in e): c for e, c in self.num.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity, self.den, self.num) == (other.arity, other.den, other.num)
 
     __hash__ = None
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "LaurentPoly(0)"
         bits = []
         for e, c in sorted(self.terms.items()):
@@ -794,27 +797,15 @@ class LaurentMatrix:
         g = len(entries)
         if any(len(row) != g for row in entries):
             raise ValueError("matrix must be square")
-        for row in entries:
-            for e in row:
-                if e.arity != len(self.variables):
-                    raise ValueError("entry arity does not match the variable list")
+        if any(e.arity != len(self.variables) for row in entries for e in row):
+            raise ValueError("entry arity does not match the variable list")
         self.entries = tuple(tuple(row) for row in entries)
         self.size = g
-        # each entry once as integers: (den, {exponent vector: c}) with
-        # entry = sum(c * t^exponents) / den, in lowest terms
-        self._terms = []
-        for row in self.entries:
-            out_row = []
-            for e in row:
-                den = math.lcm(*(c.denominator for c in e.terms.values()))
-                out_row.append((den, {exps: c.numerator * (den // c.denominator)
-                                      for exps, c in e.terms.items()}))
-            self._terms.append(out_row)
-        self._monomials = {exps for row in self._terms for _, terms in row for exps in terms}
-        # H(t) = H(t)* as polynomials: each (j, i) is (i, j) with exponents negated
-        self._hermitian = all(
-            self._terms[j][i] == (den, {tuple(-x for x in e): c for e, c in terms.items()})
-            for i, row in enumerate(self._terms) for j, (den, terms) in enumerate(row) if i <= j)
+        self._monomials = {exps for row in self.entries for e in row for exps in e.num}
+        # H(t) = H(t)* as polynomials: each (j, i) is the conjugate of (i, j)
+        self._hermitian = all(self.entries[j][i] == e.conjugate()
+                              for i, row in enumerate(self.entries)
+                              for j, e in enumerate(row) if i <= j)
         # the orbit cache of inertia, on a proxy so that it does not keep self alive
         self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
 
@@ -836,9 +827,9 @@ class LaurentMatrix:
         """The entries at t_i = zeta_n^steps[i]; with upper, None below the diagonal."""
         power = {exps: sum(e * s for e, s in zip(exps, steps)) for exps in self._monomials}
         lv = _level(n)
-        return [[lv.reduce(den, [(power[exps], c) for exps, c in terms.items()])
+        return [[lv.reduce(e.den, [(power[exps], c) for exps, c in e.num.items()])
                  if i <= j or not upper else None
-                 for j, (den, terms) in enumerate(row)] for i, row in enumerate(self._terms)]
+                 for j, e in enumerate(row)] for i, row in enumerate(self.entries)]
 
     def inertia(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), exact: one elimination per Galois orbit.
@@ -871,14 +862,15 @@ class LaurentMatrix:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def term_obj(exps, c):
-            coeff = c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        def term_obj(exps, c, den):
+            g = math.gcd(c, den)
+            coeff = c // g if g == den else f"{c // g}/{den // g}"
             return {"coeff": coeff, "exps": list(exps)}
 
         return {
             "variables": list(self.variables),
             "entries": [
-                [[term_obj(e, c) for e, c in sorted(poly.terms.items())] for poly in row]
+                [[term_obj(e, c, poly.den) for e, c in sorted(poly.num.items())] for poly in row]
                 for row in self.entries
             ],
         }
@@ -887,16 +879,10 @@ class LaurentMatrix:
     def from_json(cls, doc: dict) -> "LaurentMatrix":
         variables = [str(v) for v in doc["variables"]]
         arity = len(variables)
-        entries = []
-        for row in doc["entries"]:
-            out_row = []
-            for terms in row:
-                d: Dict[Tuple[int, ...], Fraction] = {}
-                for t in terms:
-                    exps = tuple(int(x) for x in t["exps"])
-                    d[exps] = d.get(exps, Fraction(0)) + Fraction(str(t["coeff"]))
-                out_row.append(LaurentPoly(arity, d))
-            entries.append(out_row)
+        zero = LaurentPoly(arity)
+        entries = [[sum((LaurentPoly(arity, {tuple(int(x) for x in t["exps"]): str(t["coeff"])})
+                         for t in terms), zero) for terms in row]
+                   for row in doc["entries"]]
         return cls(variables, entries)
 
     def dumps(self) -> str:

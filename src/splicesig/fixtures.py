@@ -29,11 +29,7 @@ def _pi(indices: Sequence[int], arity: int = ARITY) -> LaurentPoly:
     exps = [0] * arity
     for i in indices:
         exps[i] += 1
-    sign = Fraction(-1) ** len(tuple(indices))
-    terms = {(0,) * arity: Fraction(1)}
-    key = tuple(exps)
-    terms[key] = terms.get(key, Fraction(0)) + sign
-    return LaurentPoly(arity, terms)
+    return 1 + LaurentPoly(arity, {tuple(exps): (-1) ** len(indices)})
 
 
 def _t(i: int, arity: int = ARITY) -> LaurentPoly:

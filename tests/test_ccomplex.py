@@ -205,6 +205,13 @@ class TestInvalidFamiliesRefuse:
         with pytest.raises(NotHermitian):
             fam.signature((ang(1, 2),))
 
+    def test_non_integer_entries_refused_at_construction(self):
+        with pytest.raises(TypeError):
+            SeifertFamily(1, {(1,): [[1.5]], (-1,): [[1.5]]})
+        with pytest.raises(TypeError):
+            SeifertFamily(2, {eps: [[0]] for eps in product((1, -1), repeat=2)},
+                          linking=[[0, 0.7], [0.7, 0]])
+
     def test_raw_inertia_and_nullity_raise(self):
         fam = SeifertFamily(1, self.BAD, basis=True)
         with pytest.raises(NotHermitian):

@@ -137,11 +137,21 @@ class TestEval:
     @pytest.mark.parametrize("doc", [
         {"arity": 2, "forms": {"++": [[1]], "--": [[1]]}},           # no +- or -+ form
         {"arity": 1, "forms": {"+": [[1, 0], [0]], "-": [[1, 0], [0]]}},  # ragged rows
+        {"arity": 1, "forms": {"+": [[1.5]], "-": [[1.5]]}},          # float form entry
+        {"arity": 1, "forms": {"+": [[True]], "-": [[True]]}},        # boolean form entry
+        {"arity": 1, "forms": {"+": [["1"]], "-": [["1"]]}},          # string form entry
+        {"arity": 2, "forms": {"++": [[0]], "+-": [[0]], "-+": [[0]], "--": [[0]]},
+         "linking": [[0, 0.7], [0.7, 0]]},                            # float linking entry
+        {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}, "basis": "false"},  # string basis
+        {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}, "basis": 1},  # integer basis
+        {"arity": 1.0, "forms": {"+": [[1]], "-": [[1]]}},            # float arity
+        {"arity": 1, "generators": 1.5, "forms": {"+": [[1]], "-": [[1]]}},  # float count
+        {"arity": 1, "generators": True, "forms": {"+": [[1]], "-": [[1]]}},  # boolean count
     ])
     def test_malformed_family_document_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(doc))
-        character = ",".join(["1/3"] * doc["arity"])
+        character = ",".join(["1/3"] * int(doc["arity"]))
         assert main(["eval", json.dumps({"seifert": str(path)}), "--at", character]) == 2
         out = capsys.readouterr()
         assert out.out == ""

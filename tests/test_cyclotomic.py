@@ -1,4 +1,8 @@
+import cProfile
+import hashlib
 import json
+import math
+import pstats
 import random
 import time
 from fractions import Fraction
@@ -6,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splicesig import fixtures
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     HermitianMatrix,
@@ -15,6 +20,7 @@ from splicesig.cyclotomic import (
     cyclotomic_polynomial,
 )
 from splicesig.errors import LevelMismatch, NotHermitian, NotReal
+from splicesig.hopf import hopf_seifert_family
 from splicesig.torus import character
 
 
@@ -329,6 +335,122 @@ def test_laurent_poly_algebra():
     assert q == (1 - t0) * (1 - t1)
     assert (p - p) == LaurentPoly(2)
     assert (p * q).conjugate() == p * q  # |p|^2 is conjugation-invariant
+
+
+def test_laurent_poly_checks_arity_of_every_term():
+    for terms in ({(1,): 1}, {(1,): 0}, {(0, 0): 1, (1, 0, 0): Fraction(0)}):
+        with pytest.raises(ValueError, match="arity"):
+            LaurentPoly(2, terms)
+
+
+# a Fraction-dict model of LaurentPoly: {exponents: nonzero Fraction}
+
+def model(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def model_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return model(out)
+
+
+def model_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return model(out)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two coefficient dicts with rational coefficients, zeros among them, where
+    some terms of the second cancel those of the first."""
+    arity = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * arity)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    a = draw(st.dictionaries(exps, coeff, max_size=4))
+    b = draw(st.dictionaries(exps, coeff, max_size=4))
+    if a:
+        for e in draw(st.lists(st.sampled_from(sorted(a)), unique=True)):
+            b[e] = -a[e]
+    return arity, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_pairs())
+def test_laurent_poly_matches_fraction_model(case):
+    arity, a, b = case
+    p, q = LaurentPoly(arity, a), LaurentPoly(arity, b)
+    ma, mb = model(a), model(b)
+    results = [(p + q, model_add(ma, mb)),
+               (p - q, model_add(ma, {e: -c for e, c in mb.items()})),
+               (p * q, model_mul(ma, mb)),
+               (p.conjugate(), {tuple(-x for x in e): c for e, c in ma.items()})]
+    for got, want in results:
+        assert got.terms == want
+        assert got.den > 0 and all(got.num.values())
+        assert math.gcd(got.den, *got.num.values()) == 1
+        # the same value from "p/q" strings has the same pair
+        again = LaurentPoly(arity, {e: str(c) for e, c in want.items()})
+        assert (again.den, again.num) == (got.den, got.num) and again == got
+    assert (p == q) == (ma == mb)
+    back = (p + q) - q  # equal values by another route: equal pairs
+    assert (back.den, back.num) == (p.den, p.num)
+    assert ((p * q).den, (p * q).num) == ((q * p).den, (q * p).num)
+
+
+# sha256 of LaurentMatrix.dumps(), recorded when LaurentPoly still held Fraction
+# terms and H(t) was compiled by LaurentPoly arithmetic
+RECORDED_DUMPS = {
+    "torus24": "7e168e49a124944810ac268f8845d4f20efeea95987dbf5e7c037226be5a0d75",
+    "cable42": "fd74806802ea546559dbdba9c32ee68d4d1eb8a073f76bc836035f5a6a4caf86",
+    "torus36": "808191a7b660bd968be2314c61ec80bf8717215282d29753270054972fa1b440",
+    (1, 1): "9a2fc66c79489acdc156539c223662b1f4239bba02be64c0352a8131de6ea90f",
+    (1, 2): "5845d2287983f7feabf253f9a186f6763e8140d00dfbc064d218fda0a528e7c3",
+    (1, 3): "cf29ebd966f3092a92a5cb890e11ab4b8c59dbabbbab89fd91544993b86ec69c",
+    (1, 4): "86ed179a4b3a3560ab5021d16fadfe3f5234dd0d6a821bf641d5446e7993bb2a",
+    (2, 1): "5845d2287983f7feabf253f9a186f6763e8140d00dfbc064d218fda0a528e7c3",
+    (2, 2): "bc1383ca928a50b46af9ab3861ac778f6aa0bc1727e2a64b7e41fe81fc6c2311",
+    (2, 3): "bcf3541b693b53356e9051e44abae0afbd2057caa1c0153ce3d7d2117a0145ff",
+    (2, 4): "d59c14207b4320d35593cf229dfecfa640584b96c83f91b482f6b6c0652c7474",
+    (3, 1): "cf29ebd966f3092a92a5cb890e11ab4b8c59dbabbbab89fd91544993b86ec69c",
+    (3, 2): "009669fe61036e74ef74c94730ae095e0b35967ce8b742b9a2891699404f9f60",
+    (3, 3): "515cfce8cacc0272c7b99b64486758b1c15d51517f858d11ef821fd97d342a83",
+    (3, 4): "bffc4fbe083c2d8baae690e8724176b3a8dcddcb3334bbb428dd969ba24e1bfb",
+    (4, 1): "86ed179a4b3a3560ab5021d16fadfe3f5234dd0d6a821bf641d5446e7993bb2a",
+    (4, 2): "c0f08ffed78079ef88378b9187893e7c49e1b1fdfd8ee39f1148992730221071",
+    (4, 3): "85bac9f82fdcd94ad54ab2a6a23c9039310592e0b6ee3ace83f8cca268da5115",
+    (4, 4): "fd6a70131f1c7b7107123b35ca64e9e77b51c0d6e620c530d851866ec5004c2b",
+}
+FIXTURE_MATRICES = {"torus24": fixtures.torus24_matrix, "cable42": fixtures.cable42_matrix,
+                    "torus36": fixtures.torus36_matrix}
+
+
+@pytest.mark.parametrize("key", list(RECORDED_DUMPS), ids=str)
+def test_dumps_match_the_recorded_text(key):
+    if key in FIXTURE_MATRICES:
+        matrix = FIXTURE_MATRICES[key]()
+    else:
+        matrix = hopf_seifert_family(*key)._laurent
+    text = matrix.dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DUMPS[key]
+    assert LaurentMatrix.loads(text).dumps() == text
+
+
+def test_compiling_forms_builds_no_fraction():
+    profile = cProfile.Profile()
+    profile.enable()
+    hopf_seifert_family(4, 4)._laurent
+    for build in FIXTURE_MATRICES.values():
+        build()
+    profile.disable()
+    ran = {(path, name) for path, _, name in pstats.Stats(profile).stats}
+    assert any(name == "_laurent" for _, name in ran)  # the compile did run
+    assert [name for path, name in ran if path.endswith("fractions.py")] == []
 
 
 def test_laurent_matrix_eval_and_json():
