@@ -52,7 +52,10 @@ def _sign_key(eps: Sign) -> str:
 
 
 def _parse_sign_key(key: str) -> Sign:
-    return tuple(1 if ch == "+" else -1 for ch in key.replace("−", "-"))
+    """One sign per color, each "+", "-" or "−"; anything else is refused."""
+    if key.strip("+-−"):
+        raise InvalidFamily(f"bad shift direction {key!r}: each sign is + or -")
+    return tuple(1 if ch == "+" else -1 for ch in key)
 
 
 def _json_typed(value, kind: type, what: str):
@@ -196,7 +199,7 @@ class SeifertFamily:
         return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
 
     def assemble(self, omega: Character) -> HermitianMatrix:
-        """The Hermitian form H(omega) over Q(zeta_N), exactly checked."""
+        """The Hermitian form H(omega) over Q(zeta_N)."""
         self._check_character(omega)
         return self._laurent.evaluate(omega)
 
@@ -287,6 +290,8 @@ class SeifertFamily:
     def _from_doc(cls, doc: dict) -> "SeifertFamily":
         try:
             forms = {_parse_sign_key(k): _int_rows(v, f"form {k}") for k, v in doc["forms"].items()}
+            if len(forms) < len(doc["forms"]):
+                raise InvalidFamily("two forms have one shift direction (- and − are one)")
             boundary = None
             if "boundary" in doc:
                 boundary = {}

@@ -115,6 +115,15 @@ def _grid_label(ks: Tuple[int, ...], order: int) -> str:
     return ",".join(f"{k}/{order}" for k in ks)
 
 
+def _write_csv(path: str, arity: int, column: str, rows, order: int) -> None:
+    """Grid rows (ks, value) as CSV: omega_0..omega_{arity-1}, then column."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"omega_{i}" for i in range(arity)] + [column]) + "\n")
+        for ks, val in rows:
+            fh.write(f"{_grid_label(ks, order)},{val}\n")
+    print(f"wrote {len(rows)} rows to {path}")
+
+
 def cmd_eval(args) -> int:
     doc, base_dir = _expr_doc(args.expr)
     f = parse_expr(doc, base_dir)
@@ -151,13 +160,8 @@ def cmd_sweep(args) -> int:
             rows.append((ks, "guard"))
         except BoundaryCharacter:
             rows.append((ks, "boundary"))
-    header = [f"omega_{i}" for i in range(f.arity)] + ["signature"]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for ks, val in rows:
-                fh.write(",".join(f"{k}/{order}" for k in ks) + f",{val}\n")
-        print(f"wrote {len(rows)} rows to {args.csv}")
+        _write_csv(args.csv, f.arity, "signature", rows, order)
     elif args.json:
         print(json.dumps({"label": f.label, "order": order,
                           "cells": [{"at": [f"{k}/{order}" for k in ks],
@@ -179,11 +183,7 @@ def cmd_defect_table(args) -> int:
         raise UsageError("--order must be at least 1 and --lambda non-empty")
     cells = [(ks, defect(lam, omega)) for ks, omega in _grid(0, order, len(lam))]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"omega_{i}" for i in range(len(lam))) + ",defect\n")
-            for ks, val in cells:
-                fh.write(",".join(f"{k}/{order}" for k in ks) + f",{val}\n")
-        print(f"wrote {len(cells)} rows to {args.csv}")
+        _write_csv(args.csv, len(lam), "defect", cells, order)
     elif args.json:
         print(json.dumps({"lambda": list(lam), "order": order,
                           "cells": [{"at": [f"{k}/{order}" for k in ks],

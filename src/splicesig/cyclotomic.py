@@ -26,10 +26,10 @@ Inertia.  One exact LDL-style elimination on the upper triangle (_inertia:
 exact zero tests, the smallest nonzero diagonal entry as pivot, a congruence
 fold when the diagonal is zero), with pivots inverted by an integer extended
 Euclid (_Level.inv) and their signs certified in integer fixed point
-(_Level.sign).  A LaurentMatrix decides once whether H(t) = H(t)* (every
-SeifertFamily form does; otherwise H is checked at each point) and
-eliminates once per Galois orbit, keeping its last _ORBIT_CACHE: sigma_u maps
-the form and its pivots at omega to those at omega^u (LaurentMatrix.inertia).
+(_Level.sign).  A LaurentMatrix is H(t) = H(t)* as polynomials or refused
+when built, and eliminates once per Galois orbit, keeping its last
+_ORBIT_CACHE: sigma_u maps the form and its pivots at omega to those at
+omega^u (LaurentMatrix.inertia).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 import threading
 import weakref
 from fractions import Fraction
@@ -549,22 +550,18 @@ class CyclotomicNumber:
 class HermitianMatrix:
     """A square matrix over Q(zeta_N), checked exactly Hermitian at construction.
 
-    entries are CyclotomicNumbers, lifted to their common level, or, when
-    level is given, canonical pairs (den, vec) at that level, as the form
-    assemblers emit them.  Either way the matrix is kept as canonical pairs
-    and checked on integers, unless LaurentMatrix.evaluate knows H(t) = H(t)*.
+    entries are CyclotomicNumbers, lifted to their common level and kept as
+    canonical pairs, so the check runs on integers.  _trusted is the one
+    constructor from pairs, for matrices Hermitian by construction.
     """
 
-    def __init__(self, entries: Sequence[Sequence[Union[CyclotomicNumber, QV]]],
-                 level: Optional[int] = None):
+    def __init__(self, entries: Sequence[Sequence[CyclotomicNumber]]):
         g = len(entries)
         if any(len(row) != g for row in entries):
             raise ValueError("matrix must be square")
-        numbers = level is None
-        if numbers:
-            level = math.lcm(*(e.level for row in entries for e in row))
+        level = math.lcm(*(e.level for row in entries for e in row))
         lv = _level(level)
-        mat = [[e.lift(level).reduced() if numbers else e for e in row] for row in entries]
+        mat = [[e.lift(level).reduced() for e in row] for row in entries]
         for i in range(g):
             for j in range(i, g):
                 if mat[i][j] != lv.conj(mat[j][i]):
@@ -674,9 +671,9 @@ class LaurentPoly:
     Stored as one canonical integer pair: num maps exponent vectors to nonzero
     ints, den > 0 and gcd(den, *num) = 1, and the polynomial is
     sum(c * t^e for e, c in num.items()) / den, so == compares pairs.  The
-    constructor reads int, Fraction or "p/q" coefficients once; arithmetic
-    stays on integers.  Negative exponents are fine; on the unit torus they
-    evaluate to conjugates.
+    constructor reads int, Fraction or "p/q" coefficients and int exponents
+    once; arithmetic stays on integers.  Negative exponents are fine; on the
+    unit torus they evaluate to conjugates.
     """
 
     __slots__ = ("arity", "den", "num")
@@ -687,7 +684,7 @@ class LaurentPoly:
         for exps, c in (terms or {}).items():
             if len(exps) != arity:
                 raise ValueError("exponent vector length does not match arity")
-            coeffs[tuple(exps)] = c if isinstance(c, int) else Fraction(c)
+            coeffs[tuple(map(operator.index, exps))] = c if isinstance(c, int) else Fraction(c)
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         p = self._make(arity, den, {e: c.numerator * (den // c.denominator)
                                     for e, c in coeffs.items()})
@@ -790,7 +787,7 @@ def _steps(omega: Character, level: int) -> List[int]:
 
 
 class LaurentMatrix:
-    """A square matrix of Laurent polynomials, Hermitian after evaluation on the torus."""
+    """A square matrix of Laurent polynomials with H(t) = H(t)*, so Hermitian on the torus."""
 
     def __init__(self, variables: Sequence[str], entries: Sequence[Sequence[LaurentPoly]]):
         self.variables = tuple(variables)
@@ -800,12 +797,12 @@ class LaurentMatrix:
         if any(e.arity != len(self.variables) for row in entries for e in row):
             raise ValueError("entry arity does not match the variable list")
         self.entries = tuple(tuple(row) for row in entries)
+        for i, row in enumerate(self.entries):
+            for j in range(i, g):
+                if self.entries[j][i] != row[j].conjugate():
+                    raise NotHermitian(f"entry ({j},{i}) is not the conjugate of ({i},{j}) in H(t)")
         self.size = g
         self._monomials = {exps for row in self.entries for e in row for exps in e.num}
-        # H(t) = H(t)* as polynomials: each (j, i) is the conjugate of (i, j)
-        self._hermitian = all(self.entries[j][i] == e.conjugate()
-                              for i, row in enumerate(self.entries)
-                              for j, e in enumerate(row) if i <= j)
         # the orbit cache of inertia, on a proxy so that it does not keep self alive
         self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
 
@@ -813,15 +810,16 @@ class LaurentMatrix:
     def arity(self) -> int:
         return len(self.variables)
 
-    def evaluate(self, omega: Character, level: Optional[int] = None) -> HermitianMatrix:
-        """Specialise at a character; checked exactly Hermitian unless H(t) = H(t)*."""
+    def _level_of(self, omega: Character, level: Optional[int] = None) -> int:
+        """level, or the lcm of omega's denominators; omega has one angle per variable."""
         if len(omega) != self.arity:
             raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
-        n = level or math.lcm(*(a.denominator for a in omega))
-        mat = self._at(n, _steps(omega, n))
-        if self._hermitian:
-            return HermitianMatrix._trusted(mat, n)
-        return HermitianMatrix(mat, level=n)
+        return level or math.lcm(*(a.denominator for a in omega))
+
+    def evaluate(self, omega: Character, level: Optional[int] = None) -> HermitianMatrix:
+        """Specialise at a character, at level or at omega's least level."""
+        n = self._level_of(omega, level)
+        return HermitianMatrix._trusted(self._at(n, _steps(omega, n)), n)
 
     def _at(self, n: int, steps: Sequence[int], upper: bool = False) -> List[List[QV]]:
         """The entries at t_i = zeta_n^steps[i]; with upper, None below the diagonal."""
@@ -834,30 +832,24 @@ class LaurentMatrix:
     def inertia(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), exact: one elimination per Galois orbit.
 
-        With omega = zeta_N^k, N the lcm of its denominators, H is evaluated,
-        checked Hermitian and eliminated only at rep = v*k mod N, the least
-        point of k's orbit under the units v.  sigma_u, u = v^-1, maps H(rep)
-        to H(omega), the coefficients being rational, and commutes with
-        conjugation, sigma_-1 (the Galois group is abelian): the check at rep
-        holds or fails on the whole orbit.  It keeps nonzero pivots nonzero and
-        maps the congruence, zero-diagonal fold included, to one diagonalising
+        With omega = zeta_N^k, N the lcm of its denominators, H is evaluated
+        and eliminated only at rep = v*k mod N, the least point of k's orbit
+        under the units v.  sigma_u, u = v^-1, maps H(rep) to H(omega), the
+        coefficients being rational.  It keeps nonzero pivots nonzero and maps
+        the congruence, zero-diagonal fold included, to one diagonalising
         H(omega) as sigma_u(pivots): by Sylvester's law their certified signs
         are the inertia, and the kernel size is orbit-wide.  The matrix keeps
-        its last _ORBIT_CACHE eliminations; refusals are not kept.
+        its last _ORBIT_CACHE eliminations.
         """
-        n = math.lcm(*(a.denominator for a in omega))
+        n = self._level_of(omega)
         lv = _level(n)  # the level bound comes first and bounds the units
         rep, v = lv.orbit_rep(_steps(omega, n))
         pivots, nullity = self._orbit(n, rep)
         return lv.inertia(pivots, nullity, pow(v, -1, n))
 
     def _eliminate(self, n: int, rep: Tuple[int, ...]) -> Tuple[Tuple[QV, ...], int]:
-        """The pivots and kernel size of H at zeta_n^rep, checked Hermitian there
-        unless H(t) = H(t)*, when only its upper triangle is evaluated."""
-        mat = self._at(n, rep, upper=self._hermitian)
-        if not self._hermitian:
-            HermitianMatrix(mat, level=n)  # raises NotHermitian
-        return _inertia(mat, _level(n))
+        """The pivots and kernel size of H at zeta_n^rep, from its upper triangle."""
+        return _inertia(self._at(n, rep, upper=True), _level(n))
 
     # -- serialization ------------------------------------------------------
 
@@ -880,7 +872,7 @@ class LaurentMatrix:
         variables = [str(v) for v in doc["variables"]]
         arity = len(variables)
         zero = LaurentPoly(arity)
-        entries = [[sum((LaurentPoly(arity, {tuple(int(x) for x in t["exps"]): str(t["coeff"])})
+        entries = [[sum((LaurentPoly(arity, {tuple(t["exps"]): str(t["coeff"])})
                          for t in terms), zero) for terms in row]
                    for row in doc["entries"]]
         return cls(variables, entries)

@@ -24,8 +24,10 @@ class BoundaryCharacter(SpliceSigError):
 
 
 class NotHermitian(SpliceSigError):
-    """An evaluated matrix failed the exact Hermitian check, or a SeifertFamily
-    failed validate() when first used (the message is then its report).
+    """A matrix failed the exact Hermitian check when it was built: a
+    LaurentMatrix that is not H(t) = H(t)* as polynomials, or a HermitianMatrix
+    of CyclotomicNumbers; or a SeifertFamily failed validate() when first used
+    (the message is then its report).
     """
 
 

@@ -20,7 +20,9 @@ character it must give what a direct elimination there gives, the nullity
 is the same on a whole orbit, `verify hopf-oracle` eliminates once per
 distinct (level, orbit) of its grid, refusals keep nothing, and the orbit
 cache stays within its bound without changing an answer or keeping its
-matrix alive.
+matrix alive.  A LaurentMatrix is refused when built exactly when some entry
+(j, i) is not (i, j) with its exponents negated, and an accepted one
+evaluates to matrices that the checked HermitianMatrix constructor accepts.
 """
 
 import cmath
@@ -415,32 +417,29 @@ def test_hopf_oracle_eliminates_once_per_orbit(monkeypatch):
 def test_refusals_keep_no_orbit():
     # not Hermitian: the + form's transpose is not the - form
     fam = SeifertFamily(1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]})
-    skew = LaurentMatrix(["t0"], [[LaurentPoly.var(1, 0)]])
     for omega in conjugates((Angle(Fraction(1, 12)),), 12):
         with pytest.raises(NotHermitian, match="duality broken"):
             fam.signature(omega)
-        with pytest.raises(NotHermitian):
-            skew.inertia(omega)
     assert "_laurent" not in vars(fam)  # no form compiled, so no orbit kept
-    assert skew._orbit.cache_info().currsize == 0
+    # a matrix that is not H(t) = H(t)* is refused before it has an orbit cache
+    with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
+        LaurentMatrix(["t0"], [[LaurentPoly.var(1, 0)]])
 
 
-def test_hermitian_at_some_points_is_checked_at_each():
+def test_hermitian_at_some_points_is_refused_when_built():
     # t0 - t0^-1 = 2i*sin(2*pi*theta): zero at 1/2, not real at 1/3
     t0 = LaurentPoly.var(1, 0)
-    matrix = LaurentMatrix(["t0"], [[t0 - t0.conjugate()]])
-    assert not matrix._hermitian
-    half, third = (Angle(Fraction(1, 2)),), (Angle(Fraction(1, 3)),)
-    assert matrix.evaluate(half).inertia() == matrix.inertia(half) == (0, 0, 1)
-    for call in (matrix.evaluate, matrix.inertia):
-        with pytest.raises(NotHermitian):
-            call(third)
+    with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
+        LaurentMatrix(["t0"], [[t0 - t0.conjugate()]])
+    # t0 and t0^-1 agree at 1/2 only: the lower entry is named
+    zero = LaurentPoly(1)
+    with pytest.raises(NotHermitian, match=r"entry \(1,0\)"):
+        LaurentMatrix(["t0"], [[zero, t0], [t0, zero]])
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
 def test_family_forms_are_hermitian_as_polynomials(m, n):
-    matrix = hopf_seifert_family(m, n)._laurent
-    assert matrix._hermitian
+    matrix = hopf_seifert_family(m, n)._laurent  # built, so H(t) = H(t)*
     for omega in conjugates((Angle(Fraction(1, 12)), Angle(Fraction(5, 12))), 12):
         h = matrix.evaluate(omega)
         steps = [int(a.value * 12) for a in omega]
@@ -451,6 +450,50 @@ def test_family_forms_are_hermitian_as_polynomials(m, n):
                     CyclotomicNumber.from_rational(0, 12))
                 assert h[i, j] == want
         cyclotomic.HermitianMatrix(h.entries)  # the checked constructor agrees
+    # the same form with its last upper entry moved off its conjugate is refused
+    rows = [list(row) for row in matrix.entries]
+    rows[0][-1] = rows[0][-1] + LaurentPoly.var(matrix.arity, 0)
+    with pytest.raises(NotHermitian):
+        LaurentMatrix(matrix.variables, rows)
+
+
+@st.composite
+def maybe_hermitian_laurent(draw):
+    """A mirrored Laurent matrix, g <= 3; when perturb, one entry gets a term more."""
+    arity = draw(st.integers(1, 2))
+    g = draw(st.integers(1, 3))
+    rows = [[None] * g for _ in range(g)]
+    for i in range(g):
+        q = laurent(arity, draw)
+        rows[i][i] = q + q.conjugate()
+        for j in range(i + 1, g):
+            rows[i][j] = laurent(arity, draw)
+            rows[j][i] = rows[i][j].conjugate()
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, g - 1))
+        rows[i][j] = rows[i][j] + laurent(arity, draw)
+    return arity, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(maybe_hermitian_laurent(), st.data())
+def test_laurent_matrix_is_refused_exactly_when_not_hermitian(case, data):
+    arity, rows = case
+    g = len(rows)
+    # (j, i) is (i, j) with every exponent negated, coefficient for coefficient
+    broken = any(rows[j][i].terms != {tuple(-x for x in e): c for e, c in rows[i][j].terms.items()}
+                 for i in range(g) for j in range(g))
+    variables = [f"t{i}" for i in range(arity)]
+    if broken:
+        with pytest.raises(NotHermitian):
+            LaurentMatrix(variables, rows)
+        return
+    matrix = LaurentMatrix(variables, rows)
+    omega = tuple(Angle(Fraction(data.draw(st.integers(0, b - 1)), b))
+                  for b in (data.draw(st.integers(1, 12)) for _ in range(arity)))
+    h = matrix.evaluate(omega)
+    cyclotomic.HermitianMatrix(h.entries)  # the checked constructor accepts it
+    assert matrix.inertia(omega) == h.inertia()
 
 
 def test_orbit_cache_is_bounded():

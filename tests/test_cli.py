@@ -147,6 +147,8 @@ class TestEval:
         {"arity": 1.0, "forms": {"+": [[1]], "-": [[1]]}},            # float arity
         {"arity": 1, "generators": 1.5, "forms": {"+": [[1]], "-": [[1]]}},  # float count
         {"arity": 1, "generators": True, "forms": {"+": [[1]], "-": [[1]]}},  # boolean count
+        {"arity": 1, "forms": {"+": [[-1, 1], [0, -1]], "x": [[-1, 0], [1, -1]]}},  # bad sign
+        {"arity": 1, "forms": {"+": [[1]], "-": [[1]], "−": [[1]]}},  # one direction twice
     ])
     def test_malformed_family_document_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "fam.json"

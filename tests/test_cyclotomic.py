@@ -467,13 +467,39 @@ def test_laurent_matrix_eval_and_json():
     assert again.evaluate(character("1/8,1/2")).signature_nullity() == (1, 0)
 
 
+def test_laurent_poly_refuses_non_integer_exponents():
+    with pytest.raises(TypeError, match="float"):
+        LaurentPoly(1, {(1.5,): 1})
+    assert LaurentPoly(1, {(2,): 1}) == LaurentPoly.var(1, 0, 2)
+
+
+def test_laurent_matrix_from_json_keeps_exponents_exact():
+    doc = {"variables": ["t0"], "entries": [[[{"coeff": 1, "exps": [1.5]},
+                                              {"coeff": 1, "exps": [-1.5]}]]]}
+    with pytest.raises(TypeError, match="float"):
+        LaurentMatrix.from_json(doc)  # not read as t0 + t0^-1
+
+
 def test_laurent_matrix_eval_hermitian_guard():
     t0 = LaurentPoly.var(1, 0)
-    m = LaurentMatrix(["t0"], [[t0]])  # t0 is not real on the torus
+    # t0 is real only at t0 = +-1, so it is no Hermitian form: refused when
+    # built, not answered at the fixed points of conjugation
     with pytest.raises(NotHermitian):
-        m.evaluate(character("1/8"))
-    # but it IS hermitian at the fixed points of conjugation
+        LaurentMatrix(["t0"], [[t0]])
+    m = LaurentMatrix(["t0"], [[t0 + t0.conjugate()]])
     assert m.evaluate(character("1/2")).signature_nullity() == (-1, 0)
+
+
+def test_laurent_matrix_refuses_a_character_of_the_wrong_length():
+    t0 = LaurentPoly.var(1, 0)
+    m = LaurentMatrix(["t0"], [[t0 + t0.conjugate()]])
+    for omega in ((), character("1/2,1/3")):
+        for call in (m.evaluate, m.inertia):
+            with pytest.raises(ValueError, match=f"character has {len(omega)} colors, "
+                                                 "matrix expects 1"):
+                call(omega)
+    with pytest.raises(ValueError, match="matrix expects 1"):
+        m.evaluate(character("1/2,1/3"), 6)
 
 
 def test_trefoil_seifert_matrix_signature():
