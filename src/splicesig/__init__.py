@@ -40,7 +40,6 @@ from .cyclotomic import (
 )
 from .ccomplex import SeifertFamily
 from .splice import (
-    DistinguishedSigFn,
     SigFn,
     cable_parallel,
     lt_splice,

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
 from .hopf import HopfSpec, hopf_signature
-from .splice import DistinguishedSigFn, SigFn, splice
+from .splice import SigFn, _linking, splice
 from .torus import Angle, Character, ind
 
 TildeEvaluator = Callable[[Angle, Angle], int]
@@ -185,19 +185,18 @@ def default_torus_base(params: CableParams) -> SigFn:
         "supply a base evaluator (e.g. from a SeifertFamily)")
 
 
-def cable_step(f: DistinguishedSigFn, params: CableParams,
+def cable_step(f: SigFn, params: CableParams,
                storus: Optional[SigFn] = None) -> SigFn:
     """Replace the distinguished component of f by a (dp, dq)-cable.
 
-    Splices f with the base link V u dU(p,q) (axis first, then the copies);
-    with core_kept the retained core sits between them and the base link is
-    V u U u dU(p,q).  The resulting evaluator takes (w', w'') where w' are
-    the surviving colors of f and w'' the new colors, and raises
-    GuardViolated when both raised characters equal 1.  linking vector of
-    the base: lk(V, copy) = p, and lk(V, U) = 1 when the core is kept.
+    f needs a linking vector (ValueError otherwise).  Splices f with the base
+    link V u dU(p,q) (axis first, then the copies; with core_kept the core U
+    sits between them), read from storus with the linking vector lk(V, copy)
+    = p, preceded by lk(V, U) = 1 when the core is kept.  The result takes
+    (w', w'') where w' are the surviving colors of f and w'' the new colors,
+    and raises GuardViolated when both raised characters equal 1.
     """
-    if not isinstance(f, DistinguishedSigFn):
-        raise TypeError("cable_step needs a distinguished component to cable")
+    _linking(f, "cable_step operand")
     params = CableParams.make(*params)
     if storus is None:
         storus = default_torus_base(params)
@@ -207,8 +206,8 @@ def cable_step(f: DistinguishedSigFn, params: CableParams,
         raise MissingBaseEvaluator(
             f"base evaluator has arity {storus.arity}, cable pattern needs "
             f"{1 + len(lam2)} (axis + {len(lam2)} colors)")
-    base = DistinguishedSigFn(storus.arity, storus.fn, linking=lam2,
-                              label=storus.label or "torus base")
+    base = SigFn(storus.arity, storus.fn, linking=lam2,
+                 label=storus.label or "torus base", nullity=storus.nullity)
     out = splice(f, base)
     out.label = (f"cable({f.label or '?'}, {params.d}x({params.p},{params.q})"
                  f"{', core kept' if params.core_kept else ''})")

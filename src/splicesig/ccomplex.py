@@ -231,33 +231,24 @@ class SeifertFamily:
 
     # -- evaluator wiring ---------------------------------------------------------
 
-    def sig_fn(self, *, distinguished: bool = False) -> SigFn:
+    def sig_fn(self) -> SigFn:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
         The family, its linking matrix and its boundary families pass the gate
         first, so an invalid family is refused with NotHermitian here.
-        With distinguished=True, color 0 is marked distinguished and its
-        linking vector is read off the linking matrix (which must be present).
+        With a linking matrix, color 0 is distinguished and the evaluator's
+        linking vector is the matrix's first row less its diagonal entry.
         The evaluator's nullity is this family's on the open torus when the
         generators are a basis, None otherwise.
         """
         self._gate()
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
-        linking = None
-        if distinguished:
-            if self.linking is None:
-                raise InvalidFamily(
-                    "distinguished evaluators need the linking matrix metadata")
-            linking = tuple(self.linking[0][j] for j in range(1, self.arity))
-
-        def signature(omega: Character) -> int:
-            pos, neg, _ = self._inertia_at(omega)
-            return pos - neg
+        linking = None if self.linking is None else self.linking[0][1:]
 
         def nullity(omega: Character) -> Optional[int]:
             return self._inertia_at(omega)[2] if self.basis and is_open(omega) else None
 
-        return with_boundary(self.arity, signature, subs,
+        return with_boundary(self.arity, self.signature, subs,
                              linking=linking, label=self.label, nullity=nullity)
 
     # -- serialization --------------------------------------------------------------

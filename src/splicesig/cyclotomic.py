@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import LevelMismatch, NotHermitian, NotReal
+from .errors import InvalidFamily, LevelMismatch, NotHermitian, NotReal
 from .torus import Angle, Character
 
 # A level's power table holds N rows of up to phi(N) entries each.  Refuse
@@ -671,9 +671,9 @@ class LaurentPoly:
     Stored as one canonical integer pair: num maps exponent vectors to nonzero
     ints, den > 0 and gcd(den, *num) = 1, and the polynomial is
     sum(c * t^e for e, c in num.items()) / den, so == compares pairs.  The
-    constructor reads int, Fraction or "p/q" coefficients and int exponents
-    once; arithmetic stays on integers.  Negative exponents are fine; on the
-    unit torus they evaluate to conjugates.
+    constructor reads int, Fraction or "p/q" coefficients, never a float,
+    and int exponents once; arithmetic stays on integers.  Negative
+    exponents are fine; on the unit torus they evaluate to conjugates.
     """
 
     __slots__ = ("arity", "den", "num")
@@ -684,6 +684,8 @@ class LaurentPoly:
         for exps, c in (terms or {}).items():
             if len(exps) != arity:
                 raise ValueError("exponent vector length does not match arity")
+            if isinstance(c, float):
+                raise TypeError(f"float coefficient {c!r} is inexact; use int, Fraction or 'p/q'")
             coeffs[tuple(map(operator.index, exps))] = c if isinstance(c, int) else Fraction(c)
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         p = self._make(arity, den, {e: c.numerator * (den // c.denominator)
@@ -869,12 +871,15 @@ class LaurentMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LaurentMatrix":
-        variables = [str(v) for v in doc["variables"]]
-        arity = len(variables)
-        zero = LaurentPoly(arity)
-        entries = [[sum((LaurentPoly(arity, {tuple(t["exps"]): str(t["coeff"])})
-                         for t in terms), zero) for terms in row]
-                   for row in doc["entries"]]
+        try:
+            variables = [str(v) for v in doc["variables"]]
+            arity = len(variables)
+            zero = LaurentPoly(arity)
+            entries = [[sum((LaurentPoly(arity, {tuple(t["exps"]): str(t["coeff"])})
+                             for t in terms), zero) for terms in row]
+                       for row in doc["entries"]]
+        except (KeyError, TypeError, ValueError) as err:
+            raise InvalidFamily(f"form document missing or malformed: {err!r}") from err
         return cls(variables, entries)
 
     def dumps(self) -> str:

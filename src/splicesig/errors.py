@@ -44,7 +44,7 @@ class LevelMismatch(SpliceSigError):
 
 
 class InvalidFamily(SpliceSigError):
-    """A Seifert family violated a structural invariant badly enough to stop."""
+    """A Seifert family, or a family or Laurent form document, is malformed or invalid."""
 
 
 class InvalidParams(SpliceSigError):

@@ -31,8 +31,7 @@ from .ccomplex import SeifertFamily
 from .errors import ExpressionError, InvalidFamily
 from .fixtures import fixture_sig
 from .hopf import hopf_sig_fn
-from .splice import (DistinguishedSigFn, SigFn, cable_parallel, merge_colors,
-                     satellite, splice, zero_fn)
+from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero_fn
 
 _FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
           "satellite")
@@ -56,12 +55,11 @@ def _expect_linking(value, what: str) -> tuple:
     return tuple(_expect_int(x, f"{what} entry") for x in value)
 
 
-def _distinguish(f: SigFn, lam: tuple, form: str) -> DistinguishedSigFn:
-    if len(lam) != f.arity - 1:
-        raise ExpressionError(
-            f'"{form}" linking vector has length {len(lam)}, operand '
-            f"{f.label or '?'} needs {f.arity - 1}")
-    return DistinguishedSigFn(f.arity, f.fn, linking=lam, label=f.label)
+def _distinguish(f: SigFn, lam: tuple, form: str) -> SigFn:
+    try:
+        return SigFn(f.arity, f.fn, linking=lam, label=f.label, nullity=f.nullity)
+    except ValueError as err:
+        raise ExpressionError(f'"{form}" operand {f.label or "?"}: {err}') from err
 
 
 def parse(doc, base_dir: Optional[str] = None) -> SigFn:
@@ -79,7 +77,7 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         m, n = _expect_int(m, "hopf m"), _expect_int(n, "hopf n")
         if m < 1 or n < 1:
             raise ExpressionError("hopf needs positive component counts")
-        return hopf_sig_fn(m, n, distinguished=True)
+        return hopf_sig_fn(m, n)
 
     if form == "zero":
         arity = _expect_int(value, "zero arity")
@@ -107,8 +105,6 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
             raise ExpressionError(f"cannot read seifert family {value!r}: {err}") from err
         except (json.JSONDecodeError, ValueError, InvalidFamily) as err:
             raise ExpressionError(f"bad seifert family {value!r}: {err}") from err
-        if family.linking is not None and family.arity >= 1:
-            return family.sig_fn(distinguished=True)
         return family.sig_fn()
 
     if form == "splice":
@@ -121,7 +117,7 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         e, nu = _expect_args(value, 2, form)
         f = parse(e, base_dir)
         nu = _expect_int(nu, "cable copy count")
-        if not isinstance(f, DistinguishedSigFn):
+        if f.linking is None:
             raise ExpressionError(
                 "cable operand carries no linking metadata for its "
                 "distinguished component; use hopf, a distinguished fixture, "

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 from .cyclotomic import LaurentMatrix, LaurentPoly
-from .splice import DistinguishedSigFn, SigFn, with_boundary, zero_fn
+from .splice import SigFn, with_boundary, zero_fn
 from .torus import Character, weighted_sum
 
 ARITY = 3  # all three matrices live in Z[t0^±, t1^±, t2^±]
@@ -93,7 +93,7 @@ def _matrix_sig(matrix: LaurentMatrix) -> Callable[[Character], int]:
 # signature evaluators with boundary data
 # ---------------------------------------------------------------------------
 
-def torus24_sig() -> DistinguishedSigFn:
+def torus24_sig() -> SigFn:
     """Signature of the 2-colored (2,4)-torus link, first color distinguished.
 
     Both sublinks are unknots, so deleting either color gives the zero
@@ -105,7 +105,7 @@ def torus24_sig() -> DistinguishedSigFn:
         linking=(2,), label="torus(2,4)")
 
 
-def cable42_sig() -> DistinguishedSigFn:
+def cable42_sig() -> SigFn:
     """Signature of the cored (4,2)-cable, core color distinguished.
 
     Deleting the core leaves the two strands, which form a (2,4)-torus link

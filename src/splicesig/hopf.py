@@ -25,7 +25,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ccomplex import SeifertFamily
 from .errors import BoundaryCharacter
-from .splice import DistinguishedSigFn, SigFn
+from .splice import SigFn
 from .torus import Angle, Character, defect, ind, is_open, weighted_sum
 
 
@@ -90,18 +90,17 @@ def sigma_k(k: int, x: Angle) -> int:
     return ind(k * x.numerator, x.denominator) - k
 
 
-def hopf_sig_fn(m: int, n: int, *, distinguished: bool = False) -> SigFn:
+def hopf_sig_fn(m: int, n: int) -> SigFn:
     """The closed form as an evaluator of arity m+n, total on the torus.
 
     Its nullity is the closed form on the open torus, None off it.
 
-    With distinguished=True the first copy of the m-side is marked
-    distinguished: it is unlinked from the other m-1 parallel copies and
-    links each of the n opposite copies once, so the linking vector is
-    (0, ..., 0, 1, ..., 1).
+    For m >= 1 the first copy of the m-side is the distinguished component:
+    it is unlinked from the other m-1 parallel copies and links each of the
+    n opposite copies once, so the linking vector is (0, ..., 0, 1, ..., 1).
+    For m = 0 there is no linking vector.
     """
     spec = HopfSpec.make(m, n)
-    label = f"hopf({m},{n})"
 
     def fn(omega: Character) -> int:
         return hopf_signature(spec, omega[:m], omega[m:])
@@ -109,12 +108,8 @@ def hopf_sig_fn(m: int, n: int, *, distinguished: bool = False) -> SigFn:
     def nullity(omega: Character) -> Optional[int]:
         return hopf_nullity(m, n, omega[:m], omega[m:]) if is_open(omega) else None
 
-    if distinguished:
-        if m < 1:
-            raise ValueError("no component to distinguish")
-        linking = (0,) * (m - 1) + (1,) * n
-        return DistinguishedSigFn(m + n, fn, linking=linking, label=label, nullity=nullity)
-    return SigFn(m + n, fn, label=label, nullity=nullity)
+    linking = (0,) * (m - 1) + (1,) * n if m else None
+    return SigFn(m + n, fn, linking=linking, label=f"hopf({m},{n})", nullity=nullity)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ Hopf links, and the worked torus-link example in the test fixtures checks the
 identity exhaustively over grids of roots of unity.
 
 Evaluators are represented by SigFn: a plain callable on characters with an
-arity.  A DistinguishedSigFn additionally marks color 0 as a distinguished
-component and carries its linking vector.  Functions here never
-precompute piecewise-constant regions; evaluation is lazy and exact.
+arity and, when color 0 is a distinguished component, its linking vector,
+which the splice combinators need.  Functions here never precompute
+piecewise-constant regions; evaluation is lazy and exact.
 """
 
 from __future__ import annotations
@@ -32,18 +32,27 @@ class SigFn:
 
     The evaluator is total on its domain and raises BoundaryCharacter (or
     another typed error) outside of it; it never returns garbage.  The
-    wrapped callable enforces the domain, not this class.  nullity, when the
-    evaluator's source provides one, maps a character to the colored nullity
-    there, or to None where that source cannot give it.
+    wrapped callable enforces the domain, not this class.  linking, when
+    color 0 is a distinguished component K, is its linking vector
+    (lk(K, L_1), ..., lk(K, L_{arity-1})) with the other colors; else None.
+    nullity, when the evaluator's source provides one, maps a character to
+    the colored nullity there, or to None where that source cannot give it.
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
+                 linking: Optional[Sequence[int]] = None,
                  label: Optional[str] = None,
                  nullity: Optional[Callable[[Character], Optional[int]]] = None):
         if arity < 0:
             raise ValueError("arity must be non-negative")
+        if linking is not None:
+            linking = tuple(int(x) for x in linking)
+            if len(linking) != arity - 1:
+                raise ValueError(
+                    f"linking vector has length {len(linking)}, expected {arity - 1}")
         self.arity = arity
         self.fn = fn
+        self.linking = linking
         self.label = label
         self.nullity = nullity
 
@@ -56,27 +65,15 @@ class SigFn:
 
     def __repr__(self):
         name = self.label or "sig"
-        return f"SigFn({name}, arity={self.arity})"
+        return f"SigFn({name}, arity={self.arity}, linking={self.linking})"
 
 
-class DistinguishedSigFn(SigFn):
-    """A link K cup L with distinguished component K in the color-0 slot.
-
-    linking[i] = lk(K, L_i); the evaluator has arity 1 + len(linking).
-    """
-
-    def __init__(self, arity: int, fn: Callable[[Character], int], *,
-                 linking: Sequence[int], label: Optional[str] = None,
-                 nullity: Optional[Callable[[Character], Optional[int]]] = None):
-        super().__init__(arity, fn, label=label, nullity=nullity)
-        self.linking = tuple(int(x) for x in linking)
-        if len(self.linking) != arity - 1:
-            raise ValueError(
-                f"linking vector has length {len(self.linking)}, expected {arity - 1}")
-
-    def __repr__(self):
-        name = self.label or "sig"
-        return f"DistinguishedSigFn({name}, linking={self.linking})"
+def _linking(f: SigFn, role: str) -> Tuple[int, ...]:
+    """f's linking vector; a ValueError naming f (as role) when it has none."""
+    if f.linking is None:
+        raise ValueError(f"{role} {f.label or '?'} has no linking vector: "
+                         "color 0 is not a distinguished component")
+    return f.linking
 
 
 def zero_fn(arity: int, label: str = "zero") -> SigFn:
@@ -113,25 +110,24 @@ def with_boundary(arity: int, core: Callable[[Character], int],
                 f"{label or 'evaluator'}: no sublink data for kept colors {kept}")
         return sub(tuple(omega[i] for i in kept))
 
-    if linking is not None:
-        return DistinguishedSigFn(arity, fn, linking=linking, label=label, nullity=nullity)
-    return SigFn(arity, fn, label=label, nullity=nullity)
+    return SigFn(arity, fn, linking=linking, label=label, nullity=nullity)
 
 
 # ---------------------------------------------------------------------------
 # the splice theorem and its relatives
 # ---------------------------------------------------------------------------
 
-def splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn) -> SigFn:
+def splice(f1: SigFn, f2: SigFn) -> SigFn:
     """Splice two links along their distinguished components.
 
-    The resulting evaluator takes (w', w'') with w' the colors of the first
+    Both operands need a linking vector (ValueError otherwise).  The
+    resulting evaluator takes (w', w'') with w' the colors of the first
     operand and w'' of the second.  Raises GuardViolated when both raised
     characters u' = (w')^l' and u'' = (w'')^l'' are 1: the additivity formula
     acquires an extra correction term there and is not computed by this
     calculus.
     """
-    lam1, lam2 = f1.linking, f2.linking
+    lam1, lam2 = _linking(f1, "splice operand 1"), _linking(f2, "splice operand 2")
     mu1, mu2 = len(lam1), len(lam2)
 
     def fn(omega: Character) -> int:
@@ -148,8 +144,8 @@ def splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn) -> SigFn:
     return SigFn(mu1 + mu2, fn, label=label)
 
 
-def splice_knot(knot: SigFn, f2: DistinguishedSigFn) -> SigFn:
-    """Splice a knot (a link with no extra colors) into a distinguished slot.
+def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
+    """Splice a knot (a link with no extra colors) into f2's distinguished slot.
 
     This is the stronger, guard-free form: the first operand contributes
     through the raised character only, and the second through its sublink
@@ -163,7 +159,7 @@ def splice_knot(knot: SigFn, f2: DistinguishedSigFn) -> SigFn:
     """
     if knot.arity != 1:
         raise ValueError("first operand must be a 1-colored evaluator")
-    lam2 = f2.linking
+    lam2 = _linking(f2, "splice_knot operand 2")
 
     def fn(omega: Character) -> int:
         return knot((char_power(omega, lam2),)) + f2((UNIT,) + omega)
@@ -172,13 +168,12 @@ def splice_knot(knot: SigFn, f2: DistinguishedSigFn) -> SigFn:
     return SigFn(len(lam2), fn, label=label)
 
 
-def lt_splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn, xi: Angle, *,
-              lam1: Optional[int] = None, lam2: Optional[int] = None) -> int:
+def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
     """Univariate signature of a splice of two (1,1)-colored links.
 
-    Both operands have one distinguished component and one other color; l'
-    and l'' default to their linking numbers.  Viewing the splice as a
-    1-colored link,
+    Both operands have one distinguished component and one other color, and
+    l' and l'' are the one entries of their linking vectors.  Viewing the
+    splice as a 1-colored link,
 
         sigma(xi) = f1(xi^l'', xi) + f2(xi^l', xi) - l'*l'' + defect*defect,
 
@@ -187,8 +182,7 @@ def lt_splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn, xi: Angle, *,
     """
     if f1.arity != 2 or f2.arity != 2:
         raise ValueError("operands must be (1,1)-colored: arity 2")
-    l1 = f1.linking[0] if lam1 is None else int(lam1)
-    l2 = f2.linking[0] if lam2 is None else int(lam2)
+    (l1,), (l2,) = _linking(f1, "lt_splice operand 1"), _linking(f2, "lt_splice operand 2")
     if (math.gcd(l1, l2) * xi).is_unit():
         raise GuardViolated(
             f"character to the power gcd({l1},{l2}) equals 1; univariate splice "
@@ -197,11 +191,11 @@ def lt_splice(f1: DistinguishedSigFn, f2: DistinguishedSigFn, xi: Angle, *,
     return f1((l2 * xi, xi)) + f2((l1 * xi, xi)) - l1 * l2 + corr
 
 
-def cable_parallel(f: DistinguishedSigFn, nu: int) -> SigFn:
+def cable_parallel(f: SigFn, nu: int) -> SigFn:
     """Replace the distinguished component by nu parallel copies, one color each.
 
-    The copies occupy the first nu slots of the result.  With pi the product
-    of the copy coordinates and u = w^l,
+    f needs a linking vector l.  The copies occupy the first nu slots of the
+    result.  With pi the product of the copy coordinates and u = w^l,
 
         sigma(z, w) = f(pi, w) + defect(z) * defect_l(w),
 
@@ -211,7 +205,7 @@ def cable_parallel(f: DistinguishedSigFn, nu: int) -> SigFn:
     """
     if nu < 1:
         raise ValueError("need at least one parallel copy")
-    lam = f.linking
+    lam = _linking(f, "cable_parallel operand")
     mu = len(lam)
 
     def fn(omega: Character) -> int:
@@ -232,9 +226,10 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     """Merge the last two colors into one.
 
     sigma_merged(w_1..w_mu) = f(w_1..w_mu, w_mu) - lk, where lk is the total
-    linking number between the two merged color classes.  When the input is a
-    distinguished evaluator the merge happens within its non-distinguished
-    part and the linking vector entries add up.
+    linking number between the two merged color classes.  When the input's
+    linking vector has two entries or more, the merge happens within its
+    non-distinguished part and their last two entries add up; merging into
+    the distinguished slot leaves the result without a linking vector.
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")
@@ -243,11 +238,10 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
         return f(omega + (omega[-1],)) - lk_last_two
 
     label = f"merge({f.label or '?'}, {lk_last_two})"
-    if isinstance(f, DistinguishedSigFn) and len(f.linking) >= 2:
+    linking = None
+    if f.linking is not None and len(f.linking) >= 2:
         linking = f.linking[:-2] + (f.linking[-2] + f.linking[-1],)
-        return DistinguishedSigFn(f.arity - 1, fn, linking=linking, label=label)
-    # merging into the distinguished slot collapses that structure
-    return SigFn(f.arity - 1, fn, label=label)
+    return SigFn(f.arity - 1, fn, linking=linking, label=label)
 
 
 def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:

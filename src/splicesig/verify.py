@@ -326,7 +326,7 @@ def guard_discipline() -> CriterionResult:
     if (evaluated, raised) != (496, 16):
         return _fail(name, f"unexpected guard partition {evaluated}+{raised}")
 
-    h12 = merge_colors(hopf_sig_fn(1, 2, distinguished=True), 0)
+    h12 = merge_colors(hopf_sig_fn(1, 2), 0)
     self_splice = splice(h12, h12)
     quarters = _angles(4)
     for a, b in product(range(4), repeat=2):

@@ -21,7 +21,7 @@ from splicesig.cables import (CableParams, UnivariateReductionInput, cable_step,
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix
 from splicesig.errors import GuardViolated, InvalidParams, MissingBaseEvaluator
 from splicesig.hopf import hopf_sig_fn, sigma_k
-from splicesig.splice import DistinguishedSigFn, zero_fn
+from splicesig.splice import SigFn, zero_fn
 from splicesig.torus import UNIT, Angle
 
 
@@ -160,7 +160,7 @@ class TestCableParams:
 
 class TestCableStep:
     def test_trivial_params_reduce_to_operand(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         g = cable_step(f, CableParams.make(1, 0, 1))
         for a, b, c in product(range(4), repeat=3):
             om = (ang(a, 4), ang(b, 4), ang(c, 4))
@@ -171,18 +171,18 @@ class TestCableStep:
             assert got == f((om[2],) + om[:2])
 
     def test_guard(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         g = cable_step(f, CableParams.make(1, 0, 1))
         with pytest.raises(GuardViolated):
             g((ang(1, 3), ang(2, 3), UNIT))
 
     def test_missing_base(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         with pytest.raises(MissingBaseEvaluator):
             cable_step(f, CableParams.make(2, 3, 2))
 
     def test_base_arity_checked(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         with pytest.raises(MissingBaseEvaluator):
             cable_step(f, CableParams.make(2, 3, 2), zero_fn(2))
 
@@ -213,7 +213,7 @@ class TestCableStep:
         # the unknot; the base link axis+strands is the cored (4,2)-cable
         # fixture read with its core as the axis
         from splicesig.fixtures import cable42_sig, fixture_table
-        unknot = DistinguishedSigFn(1, lambda om: 0, linking=(), label="unknot")
+        unknot = SigFn(1, lambda om: 0, linking=(), label="unknot")
         g = cable_step(unknot, CableParams.make(1, 2, 2), cable42_sig())
         table = fixture_table("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
@@ -225,7 +225,7 @@ class TestCableStep:
             assert g(om) == table.value(om), (a, b)
 
     def test_core_kept_wires_extra_color(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         g = cable_step(f, CableParams.make(0, 1, 2, core_kept=True))
         assert g.arity == 2 + 3  # two surviving colors + core + two copies
 

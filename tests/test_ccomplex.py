@@ -20,7 +20,8 @@ from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber
 from splicesig.errors import (BoundaryCharacter, InvalidFamily, NotHermitian,
                               NullityUnavailable, SpliceSigError)
-from splicesig.hopf import hopf_seifert_family, unlink_family
+from splicesig.hopf import hopf_seifert_family, hopf_sig_fn, unlink_family
+from splicesig.splice import splice
 from splicesig.torus import UNIT, Angle, character, conjugate_character
 
 
@@ -226,8 +227,6 @@ def _uses(fam, omega):
             lambda: fam.assemble(omega), lambda: fam.sig_fn()(omega)]
     if fam.basis:
         uses.append(lambda: fam.signature_nullity(omega))
-    if fam.linking is not None:
-        uses.append(lambda: fam.sig_fn(distinguished=True)(omega))
     return uses
 
 
@@ -359,12 +358,13 @@ class TestSigFn:
             f((UNIT, ang(1, 3)))
 
     def test_distinguished_requires_linking(self):
-        fam = random_family(2, 2, random.Random(5))  # no linking metadata
-        with pytest.raises(InvalidFamily):
-            fam.sig_fn(distinguished=True)
+        f = random_family(2, 2, random.Random(5)).sig_fn()  # no linking metadata
+        assert f.linking is None
+        with pytest.raises(ValueError, match="splice operand 1 .* has no linking vector"):
+            splice(f, hopf_sig_fn(1, 1))
 
     def test_distinguished_from_linking_metadata(self):
-        f = hopf_seifert_family(2, 3).sig_fn(distinguished=True)
+        f = hopf_seifert_family(2, 3).sig_fn()
         assert f.linking == (6,)
 
 

@@ -19,7 +19,7 @@ from splicesig.cyclotomic import (
     _level,
     cyclotomic_polynomial,
 )
-from splicesig.errors import LevelMismatch, NotHermitian, NotReal
+from splicesig.errors import InvalidFamily, LevelMismatch, NotHermitian, NotReal
 from splicesig.hopf import hopf_seifert_family
 from splicesig.torus import character
 
@@ -476,8 +476,30 @@ def test_laurent_poly_refuses_non_integer_exponents():
 def test_laurent_matrix_from_json_keeps_exponents_exact():
     doc = {"variables": ["t0"], "entries": [[[{"coeff": 1, "exps": [1.5]},
                                               {"coeff": 1, "exps": [-1.5]}]]]}
-    with pytest.raises(TypeError, match="float"):
+    with pytest.raises(InvalidFamily, match="float"):
         LaurentMatrix.from_json(doc)  # not read as t0 + t0^-1
+
+
+def test_laurent_poly_refuses_float_coefficients():
+    with pytest.raises(TypeError, match="float coefficient 0.1"):
+        LaurentPoly(1, {(0,): 0.1})  # not 3602879701896397/2^55
+    tenth = LaurentPoly(1, {(0,): Fraction(1, 10)})
+    assert tenth == LaurentPoly(1, {(0,): "1/10"})
+    assert (tenth.den, tenth.num) == (10, {(0,): 1})
+
+
+@pytest.mark.parametrize("entries, why", [
+    ([[[{"coeff": "x", "exps": [0]}]]], "Fraction"),
+    ([[[{"coeff": 1, "exps": [1.5]}]]], "float"),
+    (None, "entries"),
+    ([[[{"exps": [0]}]]], "coeff"),
+])
+def test_laurent_matrix_from_json_refuses_malformed_documents(entries, why):
+    doc = {"variables": ["t0"]}
+    if entries is not None:
+        doc["entries"] = entries
+    with pytest.raises(InvalidFamily, match=why):
+        LaurentMatrix.from_json(doc)
 
 
 def test_laurent_matrix_eval_hermitian_guard():

@@ -10,7 +10,6 @@ from splicesig.errors import ExpressionError, GuardViolated
 from splicesig.expr import parse, parse_file, parse_text
 from splicesig.fixtures import fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
-from splicesig.splice import DistinguishedSigFn
 from splicesig.torus import Angle
 
 
@@ -22,7 +21,7 @@ class TestLeafForms:
     def test_hopf(self):
         f = parse({"hopf": [2, 2]})
         assert f.arity == 4
-        assert isinstance(f, DistinguishedSigFn)
+        assert f.linking == (0, 1, 1)
         assert f((ang(1, 3),) * 4) == hopf_sig_fn(2, 2)((ang(1, 3),) * 4) == 1
 
     def test_zero(self):
@@ -38,7 +37,7 @@ class TestLeafForms:
         path = tmp_path / "h22.json"
         path.write_text(hopf_seifert_family(2, 2).dumps())
         f = parse({"seifert": str(path)})
-        assert isinstance(f, DistinguishedSigFn)  # family carries linking data
+        assert f.linking == (4,)  # family carries linking data
         assert f((ang(1, 3), ang(1, 3))) == 1
 
     def test_seifert_relative_path(self, tmp_path):
@@ -47,6 +46,34 @@ class TestLeafForms:
         exprfile.write_text(json.dumps({"seifert": "fam.json"}))
         f = parse_file(str(exprfile))
         assert f.arity == 2
+
+
+@pytest.mark.parametrize("doc, linking", [
+    ({"hopf": [1, 2]}, (1, 1)),
+    ({"hopf": [3, 2]}, (0, 0, 1, 1)),
+    ({"fixture": "torus-2-4"}, (2,)),
+    ({"fixture": "cable-4-2"}, (1, 1)),
+    ({"fixture": "torus-3-6"}, None),
+    ({"zero": 2}, None),
+    ({"merge": [{"hopf": [1, 3]}, 0]}, (1, 2)),
+    ({"merge": [{"fixture": "cable-4-2"}, 2]}, (2,)),
+    ({"merge": [{"hopf": [1, 1]}, 1]}, None),
+    ({"merge": [{"fixture": "torus-3-6"}, 2]}, None),
+    ({"splice": [{"hopf": [1, 2]}, [1, 1], {"hopf": [1, 2]}, [1, 1]]}, None),
+    ({"cable": [{"hopf": [1, 2]}, 2]}, None),
+    ({"satellite": [{"zero": 1}, {"zero": 1}, 3]}, None),
+])
+def test_linking_vector_by_form(doc, linking):
+    assert parse(doc).linking == linking
+
+
+def test_seifert_linking_vector_follows_the_family(tmp_path):
+    doc = hopf_seifert_family(2, 3).to_json()
+    (tmp_path / "with.json").write_text(json.dumps(doc))
+    del doc["linking"]
+    (tmp_path / "without.json").write_text(json.dumps(doc))
+    assert parse({"seifert": "with.json"}, str(tmp_path)).linking == (6,)
+    assert parse({"seifert": "without.json"}, str(tmp_path)).linking is None
 
 
 class TestCombinedForms:

@@ -208,7 +208,7 @@ class TestSpectrum:
 
 class TestSigFnMetadata:
     def test_distinguished_linking(self):
-        f = hopf_sig_fn(3, 2, distinguished=True)
+        f = hopf_sig_fn(3, 2)
         assert f.linking == (0, 0, 1, 1)
 
     def test_plain_arity(self):

@@ -13,9 +13,10 @@ import pytest
 
 from splicesig.errors import BoundaryCharacter, GuardViolated
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
-from splicesig.splice import (DistinguishedSigFn, SigFn, cable_parallel, lt_splice,
-                              merge_colors, satellite, splice, splice_knot,
-                              to_levine_tristram, with_boundary, zero_fn)
+from splicesig.cables import CableParams, cable_step
+from splicesig.splice import (SigFn, cable_parallel, lt_splice, merge_colors,
+                              satellite, splice, splice_knot, to_levine_tristram,
+                              with_boundary, zero_fn)
 from splicesig.torus import UNIT, Angle, defect
 
 
@@ -34,7 +35,7 @@ def h12_merged():
     The copies are unlinked from each other (disk framing), so merging them
     subtracts nothing; the linking vector collapses to (2,).
     """
-    return merge_colors(hopf_sig_fn(1, 2, distinguished=True), 0)
+    return merge_colors(hopf_sig_fn(1, 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +50,25 @@ class TestSigFn:
 
     def test_distinguished_linking_length(self):
         with pytest.raises(ValueError):
-            DistinguishedSigFn(2, lambda om: 0, linking=(1, 2))
+            SigFn(2, lambda om: 0, linking=(1, 2))
 
     def test_zero_fn(self):
         assert zero_fn(3)((UNIT, ang(1, 3), ang(2, 5))) == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda bare, f: splice(bare, f),
+        lambda bare, f: splice(f, bare),
+        lambda bare, f: splice_knot(zero_fn(1), bare),
+        lambda bare, f: lt_splice(bare, f, ang(1, 3)),
+        lambda bare, f: lt_splice(f, bare, ang(1, 3)),
+        lambda bare, f: cable_parallel(bare, 2),
+        lambda bare, f: cable_step(bare, CableParams.make(1, 0, 1)),
+    ], ids=["splice-1", "splice-2", "splice_knot", "lt_splice-1", "lt_splice-2",
+            "cable_parallel", "cable_step"])
+    def test_operand_without_linking_vector_is_refused(self, call):
+        bare = SigFn(2, lambda om: 0, label="bare")
+        with pytest.raises(ValueError, match="operand.* bare has no linking vector"):
+            call(bare, h12_merged())
 
 
 class TestWithBoundary:
@@ -94,8 +110,8 @@ class TestSplice:
         # H_{m,n} is the splice of H_{1,m} and H_{1,n} along the single V
         # components; checked at every grid point where the guard holds.
         for m, n in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
-            f1 = hopf_sig_fn(1, m, distinguished=True)
-            f2 = hopf_sig_fn(1, n, distinguished=True)
+            f1 = hopf_sig_fn(1, m)
+            f2 = hopf_sig_fn(1, n)
             spliced = splice(f1, f2)
             closed = hopf_sig_fn(m, n)
             guarded = checked = 0
@@ -110,8 +126,8 @@ class TestSplice:
             assert checked > 0 and guarded > 0
 
     def test_symmetry(self):
-        f1 = hopf_sig_fn(1, 2, distinguished=True)
-        f2 = hopf_sig_fn(1, 3, distinguished=True)
+        f1 = hopf_sig_fn(1, 2)
+        f2 = hopf_sig_fn(1, 3)
         a, b = splice(f1, f2), splice(f2, f1)
         for om in grid(5, 3, start=1):
             v, w = om[:2], om[2:]
@@ -151,8 +167,8 @@ class TestSplice:
         # the knot-splice form has no guard; where the guard holds the two
         # computations must agree (take K' = unknot, so f1 = 0 with no colors)
         knot = zero_fn(1, "unknot")
-        f1 = DistinguishedSigFn(1, lambda om: 0, linking=(), label="unknot+axis")
-        f2 = hopf_sig_fn(1, 2, distinguished=True)
+        f1 = SigFn(1, lambda om: 0, linking=(), label="unknot+axis")
+        f2 = hopf_sig_fn(1, 2)
         a = splice_knot(knot, f2)
         b = splice(f1, f2)
         for om in grid(2, 5, start=1):
@@ -161,7 +177,7 @@ class TestSplice:
 
     def test_splice_knot_total_without_guard(self):
         knot = SigFn(1, lambda om: -2 if not om[0].is_unit() else 0)
-        f2 = hopf_sig_fn(1, 2, distinguished=True)
+        f2 = hopf_sig_fn(1, 2)
         s = splice_knot(knot, f2)
         # w^(1,1) = 1 here, where the guarded splice is undefined
         assert s((ang(1, 3), ang(2, 3))) == 0
@@ -170,8 +186,8 @@ class TestSplice:
 
     def test_splice_knot_zero_linking(self):
         knot = SigFn(1, lambda om: 99 if not om[0].is_unit() else 0)
-        f2 = hopf_sig_fn(1, 2, distinguished=True)
-        s = splice_knot(knot, DistinguishedSigFn(3, f2.fn, linking=(0, 0)))
+        f2 = hopf_sig_fn(1, 2)
+        s = splice_knot(knot, SigFn(3, f2.fn, linking=(0, 0)))
         # lambda'' = 0 evaluates the knot at 1, which contributes nothing
         assert s((ang(1, 3), ang(1, 5))) == 0
 
@@ -205,13 +221,13 @@ class TestLtSplice:
         with pytest.raises(GuardViolated):
             lt_splice(f, f, ang(1, 2))  # xi^gcd(2,2) = 1
         # lambda' = lambda'' = 0: gcd 0, xi^0 = 1 always, never defined
-        g = DistinguishedSigFn(2, lambda om: 0, linking=(0,))
+        g = SigFn(2, lambda om: 0, linking=(0,))
         with pytest.raises(GuardViolated):
             lt_splice(g, g, ang(1, 3))
 
     def test_arity_enforced(self):
         with pytest.raises(ValueError):
-            lt_splice(hopf_sig_fn(1, 2, distinguished=True), h12_merged(), ang(1, 3))
+            lt_splice(hopf_sig_fn(1, 2), h12_merged(), ang(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +239,7 @@ class TestCableParallel:
         # cabling the V side of H_{1,m} by nu parallel copies yields H_{nu,m};
         # the correction enters with + (a minus sign fails at angles 1/3)
         for nu, m in [(2, 1), (2, 2), (3, 2)]:
-            cabled = cable_parallel(hopf_sig_fn(1, m, distinguished=True), nu)
+            cabled = cable_parallel(hopf_sig_fn(1, m), nu)
             closed = hopf_sig_fn(nu, m)
             for om in grid(nu + m, 3, start=1):
                 try:
@@ -233,14 +249,14 @@ class TestCableParallel:
                 assert got == closed(om), (nu, m, om)
 
     def test_minus_sign_would_fail(self):
-        cabled = cable_parallel(hopf_sig_fn(1, 2, distinguished=True), 2)
+        cabled = cable_parallel(hopf_sig_fn(1, 2), 2)
         om = (ang(1, 3),) * 4
         correction = defect((1, 1), om[:2]) * defect((1, 1), om[2:])
         assert correction == 1  # nonzero, so the sign is observable
         assert cabled(om) == hopf_sig_fn(2, 2)(om) == 1
 
     def test_trivial_cable(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         c = cable_parallel(f, 1)
         for om in grid(3, 3, start=1):
             try:
@@ -279,9 +295,8 @@ class TestMergeColors:
         assert g.arity == 2
 
     def test_preserves_distinguished_linking(self):
-        f = hopf_sig_fn(1, 2, distinguished=True)
+        f = hopf_sig_fn(1, 2)
         g = merge_colors(f, 0)
-        assert isinstance(g, DistinguishedSigFn)
         assert g.linking == (2,)
 
     def test_iterated_merge_of_hopf_family(self):
