@@ -10,6 +10,7 @@ An expression document is a JSON object with exactly one key:
     {"splice": [e1, lam1, e2, lam2]} splice along the color-0 components;
                                      lam lists the distinguished component's
                                      linking numbers with the other colors
+                                     and must equal any the operand carries
     {"cable": [e, nu]}               nu parallel copies of the color-0
                                      component (operand must carry linking
                                      metadata: hopf, a distinguished fixture,
@@ -56,10 +57,17 @@ def _expect_linking(value, what: str) -> tuple:
 
 
 def _distinguish(f: SigFn, lam: tuple, form: str) -> SigFn:
+    """f with the document's linking vector; one its builder knows must agree."""
     try:
-        return SigFn(f.arity, f.fn, linking=lam, label=f.label, nullity=f.nullity)
+        distinguished = SigFn(f.arity, f.fn, linking=lam, label=f.label,
+                              nullity=f.nullity)
     except ValueError as err:
         raise ExpressionError(f'"{form}" operand {f.label or "?"}: {err}') from err
+    if f.linking not in (None, distinguished.linking):
+        raise ExpressionError(
+            f'"{form}" operand {f.label or "?"} has linking vector '
+            f'{list(f.linking)}, the document gives {list(lam)}')
+    return distinguished
 
 
 def parse(doc, base_dir: Optional[str] = None) -> SigFn:

@@ -3,9 +3,12 @@
 Every suite recomputes its expected values from an independent route
 (piecewise tables, Seifert-matrix oracles, closed forms) and compares
 exactly; nothing is tuned to the implementation under test.  The CLI's
-`verify` command runs these and exits non-zero on any failure.
+`verify` command runs these and exits non-zero on any failure.  The suites
+share no result, so `run_suite` may run them in separate worker processes,
+each of which fills caches such as the fixture evaluators below for itself.
 """
 
+import os
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, List, NamedTuple, Tuple
@@ -34,7 +37,8 @@ def _angles(order: int) -> Tuple[Angle, ...]:
 
 @lru_cache(maxsize=None)
 def _fixture_values(name: str, order: int) -> Callable[[Tuple[int, ...]], int]:
-    """The signature of a fixture at grid cells ks/order, one evaluator per fixture."""
+    """The signature of a fixture at grid cells ks/order, one evaluator per fixture
+    in each process that runs criteria."""
     sig = fixture_sig(name)
     angles = _angles(order)  # shared by every character the leaf caches keep
     return lambda ks: sig(tuple(angles[k] for k in ks))
@@ -42,6 +46,10 @@ def _fixture_values(name: str, order: int) -> Callable[[Tuple[int, ...]], int]:
 
 def _fail(name: str, detail: str) -> CriterionResult:
     return CriterionResult(name, False, detail)
+
+
+def _raised(name: str, err: BaseException) -> CriterionResult:
+    return _fail(name, f"raised {type(err).__name__}: {err}")
 
 
 # -- 1 ----------------------------------------------------------------------
@@ -371,16 +379,43 @@ def suite_names() -> List[str]:
     return ["all"] + [name for name, _ in CRITERIA]
 
 
+def _run(i: int) -> CriterionResult:
+    """Run CRITERIA[i]; a crashed criterion is a failed criterion."""
+    name, fn = CRITERIA[i]
+    try:
+        return fn()
+    except Exception as err:
+        return _raised(name, err)
+
+
 def run_suite(suite: str) -> List[CriterionResult]:
-    """Run one named suite ("all" runs every criterion in order)."""
-    wanted = [(n, f) for n, f in CRITERIA if suite in ("all", n)]
+    """Run one named suite ("all" runs every criterion), results in CRITERIA order.
+
+    Several criteria run in a pool of forked workers, up to one per usable
+    CPU; one criterion, one CPU, or a platform without fork runs in-process.
+    A task is an index into CRITERIA, never the function, so entries that
+    cannot be pickled still run.  A worker that dies fails every criterion
+    it leaves unfinished instead of hanging the run.
+    """
+    wanted = [i for i, (name, _) in enumerate(CRITERIA) if suite in ("all", name)]
     if not wanted:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(suite_names())}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(wanted), cpus)
+    if workers > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        return [_run(i) for i in wanted]
+
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     results = []
-    for crit_name, fn in wanted:
-        try:
-            results.append(fn())
-        except Exception as err:  # a crashed criterion is a failed criterion
-            results.append(CriterionResult(crit_name, False,
-                                           f"raised {type(err).__name__}: {err}"))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run, i) for i in wanted]
+        for i, future in zip(wanted, futures):
+            try:
+                results.append(future.result())
+            except BrokenExecutor as err:  # a worker died
+                results.append(_raised(CRITERIA[i][0], err))
     return results

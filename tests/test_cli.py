@@ -191,6 +191,17 @@ class TestEval:
         assert lines[0] == str(want)
         assert lines[-1] == "False"
 
+    def test_cold_start_imports_no_pool_or_numpy(self):
+        # verify imports its process pool and numpy only when it needs them,
+        # so neither adds to the start-up of every other command
+        code = ("import sys, splicesig.cli; print(sorted(m for m in ("
+                "'numpy', 'multiprocessing', 'concurrent.futures') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestSweep:
     def test_table_structure(self, capsys):

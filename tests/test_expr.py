@@ -6,10 +6,12 @@ from itertools import product
 
 import pytest
 
+from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
 from splicesig.expr import parse, parse_file, parse_text
-from splicesig.fixtures import fixture_table
+from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
+from splicesig.splice import SigFn, splice
 from splicesig.torus import Angle
 
 
@@ -159,3 +161,40 @@ class TestErrors:
                               {"merge": [{"hopf": [1, 2]}, 0]}, [2]]})
         with pytest.raises(GuardViolated):
             f((ang(1, 2), ang(1, 2)))
+
+
+class TestSpliceLinkingVector:
+    """A splice document's vector must agree with one the operand's builder knows."""
+
+    AT = (ang(1, 3), ang(1, 3), ang(1, 5), ang(1, 5))
+
+    def test_disagreeing_vector_refused(self):
+        doc = {"splice": [{"hopf": [1, 2]}, [5, 7], {"hopf": [1, 2]}, [1, 1]]}
+        with pytest.raises(ExpressionError, match=r"operand hopf\(1,2\) has linking "
+                                                  r"vector \[1, 1\], the document gives \[5, 7\]"):
+            parse(doc)
+
+    def test_disagreeing_vector_exits_2(self, capsys):
+        doc = {"splice": [{"hopf": [1, 2]}, [5, 7], {"hopf": [1, 2]}, [1, 1]]}
+        assert main(["eval", json.dumps(doc), "--at", "1/3,1/3,1/5,1/5"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_agreeing_vector_evaluates(self, capsys):
+        doc = {"splice": [{"hopf": [1, 2]}, [1, 1], {"hopf": [1, 2]}, [1, 1]]}
+        assert parse(doc)(self.AT) == 1
+        assert main(["eval", json.dumps(doc), "--at", "1/3,1/3,1/5,1/5"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+    def test_unknown_vector_taken_from_document(self):
+        # torus-3-6 carries no vector, so the document's one enters the defect term
+        t36, h12 = fixture_sig("torus-3-6"), hopf_sig_fn(1, 2)
+        cells = [tuple(ang(k, 8) for k in ks)
+                 for ks in ((1, 1, 1, 1), (1, 2, 3, 1), (3, 1, 2, 5), (1, 3, 5, 7))]
+        seen = set()
+        for lam in ([0, 0], [1, 2], [2, -1]):
+            f = parse({"splice": [{"fixture": "torus-3-6"}, lam, {"hopf": [1, 2]}, [1, 1]]})
+            want = splice(SigFn(3, t36.fn, linking=lam), h12)
+            values = tuple(f(om) for om in cells)
+            assert values == tuple(want(om) for om in cells)
+            seen.add(values)
+        assert len(seen) == 3

@@ -1,0 +1,87 @@
+"""`run_suite` runs criteria in forked workers and reports them in CRITERIA order.
+
+Most tests pretend to have two usable CPUs so that the pool runs even on a
+one-CPU machine, where `run_suite` would otherwise stay in-process.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from splicesig import verify
+from splicesig.cli import main
+from splicesig.verify import CriterionResult
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+def test_parallel_results_equal_the_criteria_in_turn(two_cpus):
+    assert verify.run_suite("all") == [fn() for _, fn in verify.CRITERIA]
+
+
+def test_criterion_raising_in_a_worker_fails_as_in_process(two_cpus, monkeypatch):
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("fine", lambda: CriterionResult("fine", True, "ok")), ("boom", _boom)])
+    in_process = verify.run_suite("boom")
+    assert in_process == [CriterionResult("boom", False, "raised ValueError: boom")]
+    assert verify.run_suite("all") == [CriterionResult("fine", True, "ok")] + in_process
+
+
+def test_dead_worker_fails_its_criteria_instead_of_hanging():
+    script = textwrap.dedent("""
+        import os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        from splicesig import verify
+        from splicesig.cli import main
+        verify.CRITERIA[:] = [("dies", lambda: os._exit(3)),
+                              ("hirzebruch", verify.hirzebruch_sanity)]
+        sys.exit(main(["verify"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("FAIL dies") and "raised BrokenProcessPool" in lines[0]
+    assert lines[1].split()[1] == "hirzebruch"
+    assert "criteria failed: dies" in proc.stderr
+
+
+def test_unpicklable_criteria_still_run(two_cpus, monkeypatch):
+    # bench/tracing.py replaces every entry by a local closure, in place
+    def span(fn):
+        def timed():
+            return fn()
+        return timed
+
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(span(verify.hirzebruch_sanity))
+    monkeypatch.setattr(verify, "CRITERIA", list(verify.CRITERIA))
+    verify.CRITERIA[:] = [(name, span(fn)) for name, fn in verify.CRITERIA]
+    results = verify.run_suite("all")
+    assert [r.name for r in results] == [name for name, _ in verify.CRITERIA]
+    assert all(r.passed for r in results), results
+
+
+def test_single_suite_runs_without_a_pool(two_cpus, monkeypatch, capsys):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single suite started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["verify", "hirzebruch"]) == 0
+    assert capsys.readouterr().out.startswith("PASS hirzebruch")
