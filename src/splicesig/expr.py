@@ -28,10 +28,7 @@ import json
 import os
 from typing import Optional
 
-from .ccomplex import SeifertFamily
 from .errors import ExpressionError, InvalidFamily
-from .fixtures import fixture_sig
-from .hopf import hopf_sig_fn
 from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero_fn
 
 _FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
@@ -85,6 +82,7 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         m, n = _expect_int(m, "hopf m"), _expect_int(n, "hopf n")
         if m < 1 or n < 1:
             raise ExpressionError("hopf needs positive component counts")
+        from .hopf import hopf_sig_fn
         return hopf_sig_fn(m, n)
 
     if form == "zero":
@@ -96,6 +94,7 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
     if form == "fixture":
         if not isinstance(value, str):
             raise ExpressionError("fixture takes a name")
+        from .fixtures import fixture_sig
         try:
             return fixture_sig(value)
         except KeyError as err:
@@ -107,6 +106,7 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         path = value
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
+        from .ccomplex import SeifertFamily
         try:
             family = SeifertFamily.load(path)
         except OSError as err:

@@ -5,7 +5,8 @@ Every suite recomputes its expected values from an independent route
 exactly; nothing is tuned to the implementation under test.  The CLI's
 `verify` command runs these and exits non-zero on any failure.  The suites
 share no result, so `run_suite` may run them in separate worker processes,
-each of which fills caches such as the fixture evaluators below for itself.
+each of which fills caches such as the fixture evaluators below for itself;
+the two referee suites read the same fixture evaluators, so they share a worker.
 """
 
 import os
@@ -375,17 +376,25 @@ CRITERIA: List[Tuple[str, Callable[[], CriterionResult]]] = [
 ]
 
 
+# criteria that read the same fixture evaluators (_fixture_values)
+_SHARED_CACHES = ("referee-tables", "referee-splice")
+
+
 def suite_names() -> List[str]:
     return ["all"] + [name for name, _ in CRITERIA]
 
 
-def _run(i: int) -> CriterionResult:
-    """Run CRITERIA[i]; a crashed criterion is a failed criterion."""
-    name, fn = CRITERIA[i]
-    try:
-        return fn()
-    except Exception as err:
-        return _raised(name, err)
+def _run(task: Tuple[int, ...]) -> List[CriterionResult]:
+    """Run CRITERIA[i] for each i in task, in turn; a crashed criterion is a
+    failed criterion."""
+    results = []
+    for i in task:
+        name, fn = CRITERIA[i]
+        try:
+            results.append(fn())
+        except Exception as err:
+            results.append(_raised(name, err))
+    return results
 
 
 def run_suite(suite: str) -> List[CriterionResult]:
@@ -393,29 +402,32 @@ def run_suite(suite: str) -> List[CriterionResult]:
 
     Several criteria run in a pool of forked workers, up to one per usable
     CPU; one criterion, one CPU, or a platform without fork runs in-process.
-    A task is an index into CRITERIA, never the function, so entries that
-    cannot be pickled still run.  A worker that dies fails every criterion
-    it leaves unfinished instead of hanging the run.
+    A task is a tuple of indices into CRITERIA, never the functions, so
+    entries that cannot be pickled still run.  The criteria of
+    _SHARED_CACHES form one task, so the second reuses the first's caches.
+    A worker that dies fails every criterion it leaves unfinished instead of
+    hanging the run.
     """
     wanted = [i for i, (name, _) in enumerate(CRITERIA) if suite in ("all", name)]
     if not wanted:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(suite_names())}")
+    shared = tuple(i for i in wanted if CRITERIA[i][0] in _SHARED_CACHES)
+    tasks = sorted({shared if i in shared else (i,) for i in wanted})
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(wanted), cpus)
+    workers = min(len(tasks), cpus)
     if workers > 1:
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers == 1:
-        return [_run(i) for i in wanted]
+        return _run(tuple(wanted))
 
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-    results = []
+    done = {}
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run, i) for i in wanted]
-        for i, future in zip(wanted, futures):
+        for task, future in [(task, pool.submit(_run, task)) for task in tasks]:
             try:
-                results.append(future.result())
+                done.update(zip(task, future.result()))
             except BrokenExecutor as err:  # a worker died
-                results.append(_raised(CRITERIA[i][0], err))
-    return results
+                done.update((i, _raised(CRITERIA[i][0], err)) for i in task)
+    return [done[i] for i in wanted]

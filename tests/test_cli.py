@@ -191,16 +191,35 @@ class TestEval:
         assert lines[0] == str(want)
         assert lines[-1] == "False"
 
-    def test_cold_start_imports_no_pool_or_numpy(self):
+    def test_cold_start_imports_no_pool_or_numpy(self, tmp_path):
         # verify imports its process pool and numpy only when it needs them,
-        # so neither adds to the start-up of every other command
-        code = ("import sys, splicesig.cli; print(sorted(m for m in ("
-                "'numpy', 'multiprocessing', 'concurrent.futures') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=str(SRC)))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        # so neither adds to the start-up of every other command; each command
+        # and expression form loads only the splicesig modules it runs
+        path = tmp_path / "hopf-1-1.json"
+        path.write_text(hopf_seifert_family(1, 1).dumps())
+        heavy = {"cyclotomic", "ccomplex", "fixtures", "hopf", "cables", "verify"}
+        cases = [
+            ([], heavy),
+            (["eval", "zero", "1", "--at", "1/2"], {"cyclotomic"}),
+            (["eval", "torus-3-6", "--at", "1/8,1/8,1/8"],
+             {"ccomplex", "hopf", "cables", "verify"}),
+            (["eval", json.dumps({"seifert": str(path)}), "--at", "1/3,1/3"],
+             {"fixtures", "hopf", "cables", "verify"}),
+        ]
+        code = ("import sys; from splicesig.cli import main; "
+                "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                "print(sorted(m for m in ('numpy', 'multiprocessing', "
+                "'concurrent.futures') if m in sys.modules)); "
+                "print(' '.join(sorted(m.split('.')[1] for m in sys.modules "
+                "if m.startswith('splicesig.')))); sys.exit(rc)")
+        for args, absent in cases:
+            proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                                  text=True, timeout=120,
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)))
+            assert proc.returncode == 0, (args, proc.stderr)
+            *_, stdlib, loaded = proc.stdout.splitlines()
+            assert stdlib == "[]", args
+            assert not absent & set(loaded.split()), (args, loaded)
 
 
 class TestSweep:
@@ -310,6 +329,15 @@ class TestUsageError:
 
 
 class TestVerify:
+    def test_help_lists_the_suites_without_importing_verify(self, capsys):
+        # the parser lists the suites from a copy, so that only verify loads verify
+        from splicesig import cli, verify
+        assert cli.SUITES == tuple(verify.suite_names())
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        # argparse wraps the list, also at hyphens
+        assert ",".join(cli.SUITES) in "".join(capsys.readouterr().out.split())
+
     def test_single_suite(self, capsys):
         assert main(["verify", "univariate-reduction"]) == 0
         out = capsys.readouterr().out

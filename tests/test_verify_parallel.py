@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,55 @@ def test_dead_worker_fails_its_criteria_instead_of_hanging():
     assert "criteria failed: dies" in proc.stderr
 
 
+_RAN_TABLES = []  # pids that ran _tables, in the process that reads it
+
+
+def _tables():
+    time.sleep(0.2)  # a second worker, if there is one, takes the next task
+    _RAN_TABLES.append(os.getpid())
+    return CriterionResult("referee-tables", True, str(os.getpid()))
+
+
+def _splice():
+    return CriterionResult("referee-splice", True, " ".join(map(str, _RAN_TABLES)))
+
+
+def test_referee_pair_is_one_task_in_order(two_cpus, monkeypatch):
+    # the two referee criteria share the fixture caches, so they run in one
+    # worker, one after the other; one raising leaves the other's result intact
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("referee-tables", _boom), ("other", _splice), ("referee-splice", _splice)])
+    boom, other, splice = verify.run_suite("all")
+    assert boom == CriterionResult("referee-tables", False, "raised ValueError: boom")
+    assert other.passed and splice.passed
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("referee-tables", _tables), ("referee-splice", _splice), ("other", _splice)])
+    tables, splice, other = verify.run_suite("all")
+    assert (tables.name, splice.name) == ("referee-tables", "referee-splice")
+    assert splice.detail == tables.detail != str(os.getpid())
+    assert other.detail == "" and _RAN_TABLES == []
+
+
+def test_dead_worker_fails_both_referee_criteria():
+    script = textwrap.dedent("""
+        import os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        from splicesig import verify
+        from splicesig.cli import main
+        verify.CRITERIA[:] = [("referee-tables", lambda: os._exit(3)),
+                              ("referee-splice", verify.referee_splice),
+                              ("hirzebruch", verify.hirzebruch_sanity)]
+        sys.exit(main(["verify"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    for line, name in zip(lines, ("referee-tables", "referee-splice")):
+        assert line.startswith(f"FAIL {name}") and "raised BrokenProcessPool" in line
+    assert lines[2].split()[1] == "hirzebruch"
+
+
 def test_unpicklable_criteria_still_run(two_cpus, monkeypatch):
     # bench/tracing.py replaces every entry by a local closure, in place
     def span(fn):
@@ -83,5 +133,6 @@ def test_single_suite_runs_without_a_pool(two_cpus, monkeypatch, capsys):
         raise AssertionError("a single suite started a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert main(["verify", "hirzebruch"]) == 0
-    assert capsys.readouterr().out.startswith("PASS hirzebruch")
+    for suite in ("hirzebruch", "referee-splice"):
+        assert main(["verify", suite]) == 0
+        assert capsys.readouterr().out.startswith(f"PASS {suite}")
