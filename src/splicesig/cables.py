@@ -21,7 +21,6 @@ import math
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
-from .hopf import HopfSpec, hopf_signature
 from .splice import SigFn, _linking, splice
 from .torus import Angle, Character, ind
 
@@ -124,6 +123,7 @@ def _hopf_base(params: CableParams) -> SigFn:
     and the closed form applies.  Component order of the evaluator: axis V,
     then the retained core if any, then the d copies.
     """
+    from .hopf import HopfSpec, hopf_signature
     p, q, d, kept = params
     if p == 0:
         # copies are meridians of the core: lk(V, copy) = 0, lk(copy, copy') = 0

@@ -198,10 +198,10 @@ class SeifertFamily:
             entries.append(row)
         return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
 
-    def assemble(self, omega: Character) -> HermitianMatrix:
-        """The Hermitian form H(omega) over Q(zeta_N)."""
+    def assemble(self, omega: Character, level: Optional[int] = None) -> HermitianMatrix:
+        """The Hermitian form H(omega) over Q(zeta_N), N = level or omega's least level."""
         self._check_character(omega)
-        return self._laurent.evaluate(omega)
+        return self._laurent.evaluate(omega, level)
 
     def _inertia_at(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), one elimination per Galois orbit."""

@@ -598,12 +598,13 @@ class HermitianMatrix:
         return self._lv.inertia(*_inertia(self._mat, self._lv))
 
     def to_complex_matrix(self) -> List[List[complex]]:
+        """The entries as complex floats, for the tests' numeric oracle."""
         roots = [cmath.exp(2j * cmath.pi * k / self.level) for k in range(self._lv.deg)]
         return [[sum(c * r for c, r in zip(vec, roots)) / den for den, vec in row]
                 for row in self._mat]
 
     def eigen_multiset_numeric(self) -> List[float]:
-        """Eigenvalues as floats, ascending.  For cross-checks, not proofs."""
+        """Eigenvalues as floats, ascending, by numpy: the tests' oracle, not a proof."""
         import numpy as np
 
         if self.size == 0:

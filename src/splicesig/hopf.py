@@ -21,12 +21,17 @@ m + n - 1 of the generating family, so it carries basis=False.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+import math
+from fractions import Fraction
+from numbers import Rational
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from .ccomplex import SeifertFamily
 from .errors import BoundaryCharacter
 from .splice import SigFn
 from .torus import Angle, Character, defect, ind, is_open, weighted_sum
+
+if TYPE_CHECKING:  # imported where used: a closed-form eval loads no ccomplex or cyclotomic
+    from .ccomplex import SeifertFamily
 
 
 class HopfSpec(NamedTuple):
@@ -122,6 +127,7 @@ def unlink_family(components: int) -> SeifertFamily:
     The complex is disconnected for n > 1, so the (empty) form's kernel does
     not compute the link's nullity; basis stays False.
     """
+    from .ccomplex import SeifertFamily
     return SeifertFamily(1, {(1,): [], (-1,): []}, basis=False,
                          label=f"unlink({components})")
 
@@ -136,6 +142,7 @@ def hopf_seifert_family(m: int, n: int) -> SeifertFamily:
     m or n in {1, 2} the cyclic indices collide and the contributions add up;
     at m = n = 1 everything cancels to the zero 1x1 form.
     """
+    from .ccomplex import SeifertFamily
     if m < 1 or n < 1:
         raise ValueError("need at least one copy on each side")
     g = m * n
@@ -162,10 +169,11 @@ def hopf_seifert_family(m: int, n: int) -> SeifertFamily:
         label=f"hopf_family({m},{n})")
 
 
-def _lambda_factor(x: Angle, y: Angle) -> float:
-    """lambda(x, y) = i(1 - conj x)(1 - conj y)(1 - xy); real for |x|=|y|=1."""
-    zx, zy = x.to_complex(), y.to_complex()
-    return (1j * (1 - zx.conjugate()) * (1 - zy.conjugate()) * (1 - zx * zy)).real
+def _lambda_terms(q: Rational, a: Rational, b: Rational) -> Tuple[Tuple[Rational, int], ...]:
+    """lambda(x, y) = i(1 - conj x)(1 - conj y)(1 - xy) = i(x + y - conj x - conj y
+    + conj(xy) - xy) as (exponent, coefficient) terms in z, for x = z^a, y = z^b and
+    i = z^q: exact at z = zeta_L (certify_spectrum), in turns at z = exp(2 pi i)."""
+    return ((q + a, 1), (q + b, 1), (q - a, -1), (q - b, -1), (q - a - b, 1), (q + a + b, -1))
 
 
 def hopf_spectrum(m: int, n: int, eta: Angle, zeta: Angle) -> List[float]:
@@ -174,10 +182,48 @@ def hopf_spectrum(m: int, n: int, eta: Angle, zeta: Angle) -> List[float]:
     The mn eigenvalues are the products lambda(eta, xi_m^i) *
     lambda(zeta, conj(xi_n^j)) over i in Z/m, j in Z/n, with xi_k the
     primitive k-th root of unity: m + n factors, computed once each.
-    Returned ascending.
+    Returned ascending; certify_spectrum proves them exactly.
     """
     if eta.is_unit() or zeta.is_unit():
         raise BoundaryCharacter("spectrum closed form holds on the open torus only")
-    left = [_lambda_factor(eta, Angle.from_ratio(i, m)) for i in range(m)]
-    right = [_lambda_factor(zeta, Angle.from_ratio(-j, n)) for j in range(n)]
+    quarter = Fraction(1, 4)  # i = z^quarter at z = exp(2 pi i): exponents in turns
+
+    def lam(x: Fraction, y: Fraction) -> float:
+        # fsum cancels equal terms exactly: at x, y or xy = 1 the factor is 0.0
+        return math.fsum(c * math.cos(2 * math.pi * e) for e, c in _lambda_terms(quarter, x, y))
+    left = [lam(eta.value, Fraction(i, m)) for i in range(m)]
+    right = [lam(zeta.value, Fraction(-j, n)) for j in range(n)]
     return sorted(x * y for x in left for y in right)
+
+
+def certify_spectrum(family: SeifertFamily, m: int, n: int,
+                     characters: Sequence[Tuple[Angle, Angle]]) -> Optional[int]:
+    """The index of the first (eta, zeta) where family's form H, generators indexed
+    by Z/m x Z/n, is not proved in Q(zeta_L) to have the eigenvalues of hopf_spectrum.
+
+    Each Fourier vector v(i, j) = xi_m^(a*i) * xi_n^(b*j), a basis of C^(mn), is an
+    eigenvector when conj(v_r) * (H*v)_r is one value mu for every r, and the mu
+    must be the predicted products as a multiset.  One proof serves a Galois orbit,
+    as in LaurentMatrix.inertia: u permutes the xi, and i^u = +-i squares away.
+    """
+    from .cyclotomic import _level, _steps
+    L = math.lcm(4, m, n, *(a.denominator for omega in characters for a in omega))
+    lv, proved, q = _level(L), {}, L // 4  # i = zeta_L^q
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    fourier = [[L // m * a * i + L // n * b * j for i, j in cells] for a, b in cells]
+    for at, omega in enumerate(characters):
+        rep = lv.orbit_rep(_steps(omega, L))[0]
+        if rep not in proved:
+            rows = family.assemble(tuple(Angle.from_ratio(k, L) for k in rep), L)._mat
+            den = math.lcm(*(d for row in rows for d, _ in row))
+            mus = [{lv.reduce(den, [(k + e - w, c * (den // d)) for (d, vec), e in zip(row, v)
+                                    for k, c in enumerate(vec) if c])
+                    for row, w in zip(rows, v)} for v in fourier]
+            left = [lv.reduce(1, _lambda_terms(q, rep[0], L // m * i)) for i in range(m)]
+            right = [lv.reduce(1, _lambda_terms(q, rep[1], -(L // n) * j)) for j in range(n)]
+            want = sorted(lv.mul(x, y) for x in left for y in right)
+            proved[rep] = (len(rows) == m * n and all(len(mu) == 1 for mu in mus)
+                           and sorted(mu.pop() for mu in mus) == want)
+        if not proved[rep]:
+            return at
+    return None

@@ -97,10 +97,6 @@ class Angle:
             return str(self.numerator)
         return f"{self.numerator}/{self.denominator}"
 
-    def to_complex(self) -> complex:
-        t = 2 * math.pi * (self.numerator / self.denominator)
-        return complex(math.cos(t), math.sin(t))
-
 
 def _pair(num: int, den: int) -> Angle:
     """The angle of an already reduced pair 0 <= num < den, gcd(num, den) = 1."""

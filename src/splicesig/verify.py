@@ -12,14 +12,15 @@ the two referee suites read the same fixture evaluators, so they share a worker.
 import os
 from functools import lru_cache
 from itertools import permutations, product
+from math import gcd
 from typing import Callable, List, NamedTuple, Tuple
 
 from .cables import UnivariateReductionInput, hirzebruch, univariate_reduction
 from .ccomplex import SeifertFamily
 from .errors import GuardViolated
 from .fixtures import cable42_sig, fixture_sig, fixture_table, torus24_sig
-from .hopf import (hopf_nullity, hopf_seifert_family, hopf_sig_fn,
-                   hopf_spectrum, sigma_k)
+from .hopf import (certify_spectrum, hopf_nullity, hopf_seifert_family,
+                   hopf_sig_fn, sigma_k)
 from .splice import SigFn, merge_colors, splice, splice_knot
 from .torus import Angle, defect, defect1
 
@@ -131,23 +132,16 @@ def hopf_oracle() -> CriterionResult:
 
 def hopf_spectrum_check() -> CriterionResult:
     name = "hopf-spectrum"
-    tol = 1e-9
-    cases = 0
-    angles = _angles(12)
+    cells = list(product(range(1, 12), repeat=2))
+    characters = [(_angles(12)[a], _angles(12)[b]) for a, b in cells]
     for m, n in product(range(1, 4), repeat=2):
-        family = hopf_seifert_family(m, n)
-        for a, b in product(range(1, 12), repeat=2):
-            eta, zeta = angles[a], angles[b]
-            got = family.assemble((eta, zeta)).eigen_multiset_numeric()
-            want = hopf_spectrum(m, n, eta, zeta)
-            if len(got) != len(want) or any(abs(x - y) > tol
-                                            for x, y in zip(got, want)):
-                return _fail(name, f"H({m},{n}) at ({a}/12,{b}/12): "
-                                   f"eigenvalue multisets differ beyond {tol}")
-            cases += 1
-    return CriterionResult(name, True,
-                           f"numeric eigenvalues match the product formula within {tol} "
-                           f"in {cases} cases")
+        bad = certify_spectrum(hopf_seifert_family(m, n), m, n, characters)
+        if bad is not None:
+            a, b = cells[bad]
+            return _fail(name, f"H({m},{n}) at ({a}/12,{b}/12): exact eigenvalues "
+                               f"not proved equal to the product formula")
+    return CriterionResult(name, True, f"exact eigenvalues equal the product formula "
+                                       f"in {9 * len(cells)} cases")
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -223,7 +217,6 @@ def hirzebruch_sanity() -> CriterionResult:
     pairs = 0
     for p in range(1, 8):
         for q in range(1, 8):
-            from math import gcd
             if gcd(p, q) != 1:
                 continue
             for k, z in enumerate(_angles(41)[1:21], 1):

@@ -2,8 +2,8 @@
 
 Each test drives the corresponding verification suite and prints a single
 PASS/FAIL line with the suite's detail (visible with pytest -s or -rA; the
-per-test PASSED/FAILED line of pytest -v mirrors it).  Everything is exact
-except the spectrum check, which carries an explicit 1e-9 tolerance.
+per-test PASSED/FAILED line of pytest -v mirrors it).  Everything is exact,
+the spectrum check included.
 """
 
 from fractions import Fraction

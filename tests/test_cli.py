@@ -192,9 +192,10 @@ class TestEval:
         assert lines[-1] == "False"
 
     def test_cold_start_imports_no_pool_or_numpy(self, tmp_path):
-        # verify imports its process pool and numpy only when it needs them,
-        # so neither adds to the start-up of every other command; each command
-        # and expression form loads only the splicesig modules it runs
+        # verify imports its process pool only when it runs several criteria,
+        # and no command imports numpy, so neither adds to the start-up of
+        # every other command; each command and expression form loads only
+        # the splicesig modules it runs
         path = tmp_path / "hopf-1-1.json"
         path.write_text(hopf_seifert_family(1, 1).dumps())
         heavy = {"cyclotomic", "ccomplex", "fixtures", "hopf", "cables", "verify"}
@@ -205,6 +206,12 @@ class TestEval:
              {"ccomplex", "hopf", "cables", "verify"}),
             (["eval", json.dumps({"seifert": str(path)}), "--at", "1/3,1/3"],
              {"fixtures", "hopf", "cables", "verify"}),
+            (["eval", "hopf", "2", "2", "--at", "1/3,1/3,1/3,1/3"],
+             {"ccomplex", "cyclotomic", "fixtures", "cables", "verify"}),
+            (["torus-sig", "5", "7", "1/3"],
+             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
+            # one criterion runs in-process, so its imports are visible here
+            (["verify", "hopf-spectrum"], set()),
         ]
         code = ("import sys; from splicesig.cli import main; "
                 "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -220,6 +227,17 @@ class TestEval:
             *_, stdlib, loaded = proc.stdout.splitlines()
             assert stdlib == "[]", args
             assert not absent & set(loaded.split()), (args, loaded)
+
+
+    def test_verify_runs_without_numpy(self):
+        # numpy is a test-only oracle: with its import blocked, every criterion
+        # still passes, in the pool's forked workers as in the parent
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "from splicesig.cli import main; sys.exit(main(['verify']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=300, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "all 9 criteria passed"
 
 
 class TestSweep:

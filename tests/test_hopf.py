@@ -13,11 +13,14 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from splicesig import hopf, verify
+from splicesig.ccomplex import SeifertFamily
 from splicesig.errors import BoundaryCharacter
-from splicesig.hopf import (HopfSpec, hopf_nullity, hopf_seifert_family,
-                            hopf_sig_fn, hopf_signature, hopf_spectrum,
-                            sigma_k, unlink_family)
+from splicesig.hopf import (HopfSpec, certify_spectrum, hopf_nullity,
+                            hopf_seifert_family, hopf_sig_fn, hopf_signature,
+                            hopf_spectrum, sigma_k, unlink_family)
 from splicesig.torus import Angle, conjugate_character
 
 
@@ -198,12 +201,113 @@ class TestSpectrum:
                 assert all(math.isclose(x, y, rel_tol=0, abs_tol=1e-12)
                            for x, y in zip(got, want))
 
+    def test_any_level_on_the_open_torus(self):
+        # the float view needs no cyclotomic field, so coprime levels far past
+        # the exact tables' size still give the product formula
+        def lam(x, y):
+            return (1j * (1 - x.conjugate()) * (1 - y.conjugate()) * (1 - x * y)).real
+
+        for (a, p), (b, q) in [((1, 37), (1, 41)), ((1, 101), (1, 103)),
+                               ((500, 1009), (3, 1013))]:
+            for m, n in [(1, 1), (2, 2), (3, 4)]:
+                x, y = cmath.exp(2j * cmath.pi * a / p), cmath.exp(2j * cmath.pi * b / q)
+                want = sorted(lam(x, cmath.exp(2j * cmath.pi * i / m))
+                              * lam(y, cmath.exp(-2j * cmath.pi * j / n))
+                              for i in range(m) for j in range(n))
+                got = hopf_spectrum(m, n, ang(a, p), ang(b, q))
+                assert len(got) == m * n
+                assert all(math.isclose(u, w, rel_tol=0, abs_tol=1e-12)
+                           for u, w in zip(got, want))
+
+    def test_no_copies_on_a_side_is_an_empty_spectrum(self):
+        assert hopf_spectrum(0, 2, ang(1, 3), ang(1, 3)) == []
+
     def test_sign_counts_give_signature(self):
         for a, b in product(range(1, 6), repeat=2):
             eta, zeta = ang(a, 6), ang(b, 6)
             spec = hopf_spectrum(2, 2, eta, zeta)
             s = sum(1 for x in spec if x > 1e-12) - sum(1 for x in spec if x < -1e-12)
             assert s == sigma_k(2, eta) * sigma_k(2, zeta)
+
+
+@st.composite
+def hopf_points(draw):
+    """(m, n, eta, zeta): m, n <= 4, the angles at one of the levels 5, 7, 8, 9, 10, 12."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    level = draw(st.sampled_from((5, 7, 8, 9, 10, 12)))
+    a, b = draw(st.integers(1, level - 1)), draw(st.integers(1, level - 1))
+    return m, n, ang(a, level), ang(b, level)
+
+
+def with_forms(family, change):
+    """family with each form theta^eps replaced by change(eps, theta^eps)."""
+    return SeifertFamily(family.arity, {eps: change(eps, [list(row) for row in mat])
+                                        for eps, mat in family.forms.items()},
+                         boundary=family.boundary, linking=family.linking)
+
+
+class TestExactSpectrum:
+    @settings(max_examples=100, deadline=None)
+    @given(hopf_points())
+    def test_certified_and_equal_to_numeric_eigenvalues(self, case):
+        # numpy's eigvalsh of the assembled form is the independent oracle
+        m, n, eta, zeta = case
+        fam = hopf_seifert_family(m, n)
+        assert certify_spectrum(fam, m, n, [(eta, zeta)]) is None
+        got = fam.assemble((eta, zeta)).eigen_multiset_numeric()
+        want = hopf_spectrum(m, n, eta, zeta)
+        assert len(got) == len(want) == m * n
+        assert np.allclose(got, want, rtol=0, atol=1e-9), (got, want)
+
+    def test_boundary_character_refused(self):
+        with pytest.raises(BoundaryCharacter):
+            certify_spectrum(hopf_seifert_family(2, 2), 2, 2, [(ang(1, 3), Angle(0))])
+
+    def test_doubled_forms_fail_verify_naming_the_case(self, monkeypatch):
+        # every eigenvalue doubles; H(1,n) and H(m,1) are zero forms, so the
+        # first case that can tell is H(2,2)
+        monkeypatch.setattr(verify, "hopf_seifert_family", lambda m, n: with_forms(
+            hopf_seifert_family(m, n), lambda eps, mat: [[2 * x for x in row] for row in mat]))
+        result = verify.hopf_spectrum_check()
+        assert not result.passed
+        assert result.detail.startswith("H(2,2) at (1/12,1/12): ")
+
+    def test_perturbed_prediction_fails(self, monkeypatch):
+        # the predicted factors lambda(x, 1), i = 0 and j = 0, each gain 1
+        real = hopf._lambda_terms
+
+        def plus_one_at_the_unit(q, a, b):
+            return real(q, a, b) + (((0, 1),) if b == 0 else ())
+        monkeypatch.setattr(hopf, "_lambda_terms", plus_one_at_the_unit)
+        characters = [(ang(1, 3), ang(1, 3)), (ang(1, 5), ang(2, 7))]
+        assert certify_spectrum(hopf_seifert_family(2, 3), 2, 3, characters) == 0
+        result = verify.hopf_spectrum_check()
+        assert not result.passed
+        assert result.detail.startswith("H(1,1) at (1/12,1/12): ")
+
+    def test_every_coordinate_of_the_eigenvector_is_checked(self):
+        # theta^++ and theta^-- gain 1 at (1, 1): row 0 of H, hence every
+        # mu = (H*v)_0, stays the same, but H*v = mu*v fails at coordinate 1
+        def bump(eps, mat):
+            if eps in ((1, 1), (-1, -1)):
+                mat[1][1] += 1
+            return mat
+        fam = with_forms(hopf_seifert_family(2, 2), bump)
+        assert certify_spectrum(fam, 2, 2, [(ang(1, 3), ang(1, 5))]) == 0
+
+    def test_one_proof_per_galois_orbit(self, monkeypatch):
+        # at level 12 the units 1, 5, 7, 11 act on the 121 grid points
+        orbits = {frozenset((u * a % 12, u * b % 12) for u in (1, 5, 7, 11))
+                  for a, b in product(range(1, 12), repeat=2)}
+        calls = []
+        real = SeifertFamily.assemble
+
+        def counting(self, omega, level=None):
+            calls.append(level)
+            return real(self, omega, level)
+        monkeypatch.setattr(SeifertFamily, "assemble", counting)
+        assert verify.hopf_spectrum_check().passed
+        assert calls == [12] * (9 * len(orbits))
 
 
 class TestSigFnMetadata:
