@@ -29,7 +29,9 @@ Euclid (_Level.inv) and their signs certified in integer fixed point
 (_Level.sign).  A LaurentMatrix is H(t) = H(t)* as polynomials or refused
 when built, and eliminates once per Galois orbit, keeping its last
 _ORBIT_CACHE: sigma_u maps the form and its pivots at omega to those at
-omega^u (LaurentMatrix.inertia).
+omega^u (LaurentMatrix.inertia).  It eliminates only the principal submatrix
+on the pivot columns of its integer coefficients, found once per matrix; the
+other columns are a constant kernel common to every H(omega).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import operator
 import threading
 import weakref
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidFamily, LevelMismatch, NotHermitian, NotReal
@@ -824,13 +826,15 @@ class LaurentMatrix:
         n = self._level_of(omega, level)
         return HermitianMatrix._trusted(self._at(n, _steps(omega, n)), n)
 
-    def _at(self, n: int, steps: Sequence[int], upper: bool = False) -> List[List[QV]]:
-        """The entries at t_i = zeta_n^steps[i]; with upper, None below the diagonal."""
+    def _at(self, n: int, steps: Sequence[int],
+            kept: Optional[Sequence[int]] = None) -> List[List[Optional[QV]]]:
+        """The entries at t_i = zeta_n^steps[i]; with kept, ascending, only the
+        principal submatrix on kept, None below its diagonal."""
         power = {exps: sum(e * s for e, s in zip(exps, steps)) for exps in self._monomials}
-        lv = _level(n)
+        lv, index = _level(n), range(self.size) if kept is None else kept
         return [[lv.reduce(e.den, [(power[exps], c) for exps, c in e.num.items()])
-                 if i <= j or not upper else None
-                 for j, e in enumerate(row)] for i, row in enumerate(self.entries)]
+                 if kept is None or i <= j else None
+                 for j in index for e in (self.entries[i][j],)] for i in index]
 
     def inertia(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), exact: one elimination per Galois orbit.
@@ -843,6 +847,12 @@ class LaurentMatrix:
         H(omega) as sigma_u(pivots): by Sylvester's law their certified signs
         are the inertia, and the kernel size is orbit-wide.  The matrix keeps
         its last _ORBIT_CACHE eliminations.
+
+        Only H_JJ is eliminated, J = _kept.  With R the reduced echelon form of
+        the C_e stacked, P = [e_j (j in J) | e_f - sum_(p in J) R_pf e_p (f not
+        in J)] is rational, constant, of determinant +-1, and its columns v past
+        J have C_e v = 0 = v^T C_e (C_e^T = C_-e), so P^T H(omega) P =
+        H_JJ(omega) + 0 at every omega: the dropped columns add to the kernel.
         """
         n = self._level_of(omega)
         lv = _level(n)  # the level bound comes first and bounds the units
@@ -851,8 +861,33 @@ class LaurentMatrix:
         return lv.inertia(pivots, nullity, pow(v, -1, n))
 
     def _eliminate(self, n: int, rep: Tuple[int, ...]) -> Tuple[Tuple[QV, ...], int]:
-        """The pivots and kernel size of H at zeta_n^rep, from its upper triangle."""
-        return _inertia(self._at(n, rep, upper=True), _level(n))
+        """The pivots and kernel size of H at zeta_n^rep, from the upper triangle
+        of H_JJ, J = _kept; each dropped column adds one to the kernel."""
+        kept = self._kept
+        pivots, nullity = _inertia(self._at(n, rep, kept), _level(n))
+        return pivots, nullity + self.size - len(kept)
+
+    @cached_property
+    def _kept(self) -> Tuple[int, ...]:
+        """J, the pivot columns of the C_e of H(t) = sum_e t^e C_e stacked, ascending.
+
+        One fraction-free integer elimination on the distinct rows (e, i),
+        each scaled to integers, which keeps the row space.
+        """
+        rows = set()
+        for row in self.entries:
+            den = math.lcm(*(e.den for e in row))
+            rows.update(tuple(e.num.get(exps, 0) * (den // e.den) for e in row)
+                        for exps in self._monomials)
+        kept = []
+        for j in range(self.size):
+            top = next((r for r in rows if r[j]), None)
+            if top is not None:
+                kept.append(j)
+                rows = [[top[j] * x - r[j] * y for x, y in zip(r, top)] if r[j] else r
+                        for r in rows if r is not top]
+                rows = [[x // g for x in r] for r in rows if (g := math.gcd(*r))]
+        return tuple(kept)
 
     # -- serialization ------------------------------------------------------
 

@@ -31,6 +31,10 @@ from typing import Optional
 from .errors import ExpressionError, InvalidFamily
 from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero_fn
 
+# One command-line argument holds at most 131 072 bytes on Linux, at least two
+# an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
+MAX_HOPF_COMPONENTS = 65_536
+
 _FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
           "satellite")
 
@@ -82,6 +86,9 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
         m, n = _expect_int(m, "hopf m"), _expect_int(n, "hopf n")
         if m < 1 or n < 1:
             raise ExpressionError("hopf needs positive component counts")
+        if m + n > MAX_HOPF_COMPONENTS:
+            raise ExpressionError(f"hopf takes at most {MAX_HOPF_COMPONENTS} components "
+                                  f"in all, got {m} + {n}")
         from .hopf import hopf_sig_fn
         return hopf_sig_fn(m, n)
 

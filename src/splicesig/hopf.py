@@ -16,7 +16,9 @@ C-complex (m disks clasping n disks), whose mn generators are cyclically
 indexed and linearly dependent: the assembled form computes the signature of
 H_{m,n} by brute force, which is the oracle pinning every sign convention in
 the splice calculus.  Its kernel overshoots the nullity by the excess
-m + n - 1 of the generating family, so it carries basis=False.
+m + n - 1 of the generating family, so it carries basis=False.  That excess
+is a constant kernel of every form, split off before elimination: the
+inertia comes from (m - 1)(n - 1) of the mn rows (LaurentMatrix.inertia).
 """
 
 from __future__ import annotations

@@ -23,6 +23,12 @@ cache stays within its bound without changing an answer or keeping its
 matrix alive.  A LaurentMatrix is refused when built exactly when some entry
 (j, i) is not (i, j) with its exponents negated, and an accepted one
 evaluates to matrices that the checked HermitianMatrix constructor accepts.
+
+LaurentMatrix.inertia eliminates only the principal submatrix on the pivot
+columns of the stacked coefficients: on forms congruent by a unimodular
+integer matrix to a random form padded with a zero block it must give the
+inertia of the full matrix and keep as many columns as a Fraction rank says,
+the Hopf families keep (m - 1)(n - 1) of their mn rows and the fixtures all.
 """
 
 import cmath
@@ -36,7 +42,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from splicesig import cyclotomic, verify
+from splicesig import cyclotomic, fixtures, verify
 from splicesig.ccomplex import SeifertFamily
 from splicesig.errors import NotHermitian
 from splicesig.cyclotomic import (
@@ -519,6 +525,89 @@ def test_orbit_cache_does_not_keep_its_matrix_alive():
     ref = weakref.ref(matrix)
     del matrix
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the constant common kernel, split off before elimination
+# ---------------------------------------------------------------------------
+
+SMALL_LEVELS = [n for n in range(1, 61) if _totient(n) <= 24]
+
+
+def stacked_rank(matrix):
+    """The rank of the coefficient matrices C_e of H(t) = sum_e t^e C_e stacked,
+    by Fraction elimination on the columns: an oracle sharing no code with _kept."""
+    exps = {e for row in matrix.entries for p in row for e in p.terms}
+    cols = [[p.terms.get(e, Fraction(0)) for e in exps for p in (row[j] for row in matrix.entries)]
+            for j in range(matrix.size)]
+    rank = 0
+    while cols:
+        pivot = next((c for c in cols if any(c)), None)
+        if pivot is None:
+            break
+        k = next(i for i, x in enumerate(pivot) if x)
+        cols = [[x - c[k] / pivot[k] * y for x, y in zip(c, pivot)]
+                for c in cols if c is not pivot]
+        rank += 1
+    return rank
+
+
+@st.composite
+def congruent_to_a_padded_form(draw):
+    """P^T (H' + 0_k) P at a character of level <= 60 and degree <= 24: H' a random
+    Hermitian Laurent matrix, g' <= 4, arity <= 2, singular draws included, and
+    P a random unimodular integer matrix, so the kernel leaves the coordinates."""
+    arity = draw(st.integers(1, 2))
+    small, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    g = small + k
+    zero = LaurentPoly(arity)
+    d = [[zero] * g for _ in range(g)]
+    for i in range(small):
+        q = laurent(arity, draw)
+        d[i][i] = q + q.conjugate()
+        for j in range(i + 1, small):
+            d[i][j] = laurent(arity, draw)
+            d[j][i] = d[i][j].conjugate()
+    p = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(draw(st.integers(0, 3 * g))):  # row_i += c * row_j, then a row permutation
+        i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, g - 1))
+        if i != j:
+            c = draw(st.integers(-2, 2))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    if g:
+        order = draw(st.permutations(range(g)))
+        p = [p[i] for i in order]
+    h = [[sum((p[a][i] * p[b][j] * d[a][b] for a in range(g) for b in range(g)
+               if p[a][i] and p[b][j]), zero) for j in range(g)] for i in range(g)]
+    level = draw(st.sampled_from(SMALL_LEVELS))
+    omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
+                  for _ in range(arity))
+    return LaurentMatrix([f"t{i}" for i in range(arity)], h), omega
+
+
+@settings(max_examples=80, deadline=None)
+@given(congruent_to_a_padded_form())
+@example((LaurentMatrix(["t0"], [[LaurentPoly(1)] * 3] * 3), (Angle(Fraction(1, 5)),)))
+@example((LaurentMatrix(["t0"], [[LaurentPoly.const(1, 2), LaurentPoly.var(1, 0)],
+                                 [LaurentPoly.var(1, 0, -1), LaurentPoly.const(1, 1)]]),
+          (Angle(Fraction(1, 7)),)))
+def test_split_inertia_is_the_full_inertia(case):
+    matrix, omega = case
+    assert matrix.inertia(omega) == matrix.evaluate(omega).inertia()
+    assert len(matrix._kept) == stacked_rank(matrix)
+
+
+@pytest.mark.parametrize("m,n", list(product(range(1, 5), repeat=2)))
+def test_hopf_families_keep_their_rank(m, n):
+    # the mn clasp generators satisfy m + n - 1 constant relations
+    assert len(hopf_seifert_family(m, n)._laurent._kept) == (m - 1) * (n - 1)
+
+
+@pytest.mark.parametrize("build", [fixtures.torus24_matrix, fixtures.cable42_matrix,
+                                   fixtures.torus36_matrix])
+def test_fixtures_keep_every_row(build):
+    matrix = build()
+    assert matrix._kept == tuple(range(matrix.size))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from splicesig import cyclotomic
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import MAX_GRID_CELLS, main
+from splicesig.expr import MAX_HOPF_COMPONENTS
 from splicesig.hopf import hopf_seifert_family, sigma_k
 from splicesig.torus import Angle
 
@@ -71,6 +72,15 @@ class TestEval:
 
     def test_arity_mismatch_exit_2(self):
         assert main(["eval", "hopf", "1", "1", "--at", "1/2"]) == 2
+
+    def test_hopf_over_the_component_bound_exit_2_fast(self, capsys):
+        # an --at argument cannot hold more angles, so the link is never built
+        start = time.perf_counter()
+        assert main(["eval", "hopf", "30000000", "1", "--at", "1/2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"at most {MAX_HOPF_COMPONENTS} components" in capsys.readouterr().err
+        assert main(["eval", "hopf", "2", "3", "--at", "1/4,3/4,1/3,1/3,1/3"]) == 0
+        assert capsys.readouterr().out == "0\nnullity 2\n"
 
     def test_bad_angle_exit_2(self):
         assert main(["eval", "hopf", "1", "1", "--at", "1/0,1/2"]) == 2

@@ -8,7 +8,7 @@ import pytest
 
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
-from splicesig.expr import parse, parse_file, parse_text
+from splicesig.expr import MAX_HOPF_COMPONENTS, parse, parse_file, parse_text
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import SigFn, splice
@@ -25,6 +25,11 @@ class TestLeafForms:
         assert f.arity == 4
         assert f.linking == (0, 1, 1)
         assert f((ang(1, 3),) * 4) == hopf_sig_fn(2, 2)((ang(1, 3),) * 4) == 1
+
+    def test_hopf_component_bound(self):
+        assert parse({"hopf": [MAX_HOPF_COMPONENTS - 1, 1]}).arity == MAX_HOPF_COMPONENTS
+        with pytest.raises(ExpressionError, match=f"at most {MAX_HOPF_COMPONENTS}"):
+            parse({"splice": [{"hopf": [1, MAX_HOPF_COMPONENTS]}, [1], {"hopf": [1, 1]}, [1]]})
 
     def test_zero(self):
         f = parse({"zero": 3})

@@ -7,6 +7,7 @@ the acceptance suite.
 """
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -26,6 +27,11 @@ from splicesig.torus import Angle, conjugate_character
 
 def ang(num, den):
     return Angle(Fraction(num, den))
+
+
+@functools.lru_cache(maxsize=None)
+def _hopf_family(m, n):
+    return hopf_seifert_family(m, n)
 
 
 class TestClosedForm:
@@ -121,6 +127,16 @@ class TestNullity:
                 _, _, kernel = fam.raw_inertia((ang(a, 4), ang(b, 4)))
                 want = hopf_nullity(m, n, eta, zeta) + (m + n - 1)
                 assert kernel == want, (m, n, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 60), st.data())
+    def test_against_family_kernel_at_random_levels(self, m, n, level, data):
+        # the m + n - 1 excess is split off before elimination, so the kernel
+        # must come out right at characters verify's sixths do not reach
+        a, b = (data.draw(st.integers(1, level - 1)) for _ in range(2))
+        _, _, kernel = _hopf_family(m, n).raw_inertia((ang(a, level), ang(b, level)))
+        want = hopf_nullity(m, n, (ang(a, level),) * m, (ang(b, level),) * n)
+        assert kernel == want + (m + n - 1), (m, n, a, b, level)
 
 
 class TestSeifertFamily:
