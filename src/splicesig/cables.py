@@ -21,7 +21,7 @@ import math
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
-from .splice import SigFn, _linking, splice
+from .splice import SigFn, linking_of, splice
 from .torus import Angle, Character, ind
 
 TildeEvaluator = Callable[[Angle, Angle], int]
@@ -196,7 +196,7 @@ def cable_step(f: SigFn, params: CableParams,
     (w', w'') where w' are the surviving colors of f and w'' the new colors,
     and raises GuardViolated when both raised characters equal 1.
     """
-    _linking(f, "cable_step operand")
+    linking_of(f, "cable_step operand")
     params = CableParams.make(*params)
     if storus is None:
         storus = default_torus_base(params)

@@ -58,6 +58,15 @@ def _parse_sign_key(key: str) -> Sign:
     return tuple(1 if ch == "+" else -1 for ch in key)
 
 
+def _parse_boundary_key(key: str) -> Tuple[int, ...]:
+    """The kept colors of a boundary key, comma-separated integers ("" keeps none)."""
+    try:
+        return tuple(int(x) for x in key.split(",")) if key else ()
+    except ValueError:
+        raise InvalidFamily(
+            f"bad boundary key {key!r}: kept colors are comma-separated integers") from None
+
+
 def _json_typed(value, kind: type, what: str):
     """value if its type is exactly kind: a boolean is no integer, 1 no boolean."""
     if type(value) is not kind:
@@ -169,12 +178,12 @@ class SeifertFamily:
                 "defined on the open torus")
 
     @cached_property
-    def _laurent(self) -> LaurentMatrix:
+    def laurent(self) -> LaurentMatrix:
         """H(t) = prod_i (1 - t_i^-1) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps.
 
-        Compiled on first use, not at construction, which stays permissive,
-        and only after the gate: validate()'s shape rules make every form g x g,
-        and its duality rule is exactly what makes H(t) equal H(t)*.
+        Compiled on first use, not at construction, which stays permissive, and
+        only after the gate: validate()'s shape rules make every form g x g, and
+        its duality rule makes H(t) equal H(t)*.  H(omega) is its value at omega.
         """
         self._gate()
         mu, g = self.arity, self.generators
@@ -198,15 +207,15 @@ class SeifertFamily:
             entries.append(row)
         return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
 
-    def assemble(self, omega: Character, level: Optional[int] = None) -> HermitianMatrix:
-        """The Hermitian form H(omega) over Q(zeta_N), N = level or omega's least level."""
+    def assemble(self, omega: Character) -> HermitianMatrix:
+        """The Hermitian form H(omega) over Q(zeta_N), N the lcm of omega's denominators."""
         self._check_character(omega)
-        return self._laurent.evaluate(omega, level)
+        return self.laurent.evaluate(omega)
 
     def _inertia_at(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), one elimination per Galois orbit."""
         self._check_character(omega)
-        return self._laurent.inertia(omega)
+        return self.laurent.inertia(omega)
 
     # -- invariants -------------------------------------------------------------
 
@@ -287,7 +296,7 @@ class SeifertFamily:
             if "boundary" in doc:
                 boundary = {}
                 for key, sub in doc["boundary"].items():
-                    kept = tuple(int(x) for x in key.split(",")) if key else ()
+                    kept = _parse_boundary_key(key)
                     boundary[kept] = cls._from_doc(sub)
             linking = doc.get("linking")
             fam = cls(_json_typed(doc["arity"], int, "arity"), forms,

@@ -791,6 +791,14 @@ def _steps(omega: Character, level: int) -> List[int]:
     return steps
 
 
+def _json_coeff(c) -> Union[int, str]:
+    """A coefficient as to_json writes it, an integer or a "p/q" string; a float or
+    a boolean is refused, not rounded or read as a number."""
+    if type(c) is int or isinstance(c, str):
+        return c
+    raise InvalidFamily(f"coefficient {c!r} is not an integer or a 'p/q' string")
+
+
 class LaurentMatrix:
     """A square matrix of Laurent polynomials with H(t) = H(t)*, so Hermitian on the torus."""
 
@@ -911,7 +919,7 @@ class LaurentMatrix:
             variables = [str(v) for v in doc["variables"]]
             arity = len(variables)
             zero = LaurentPoly(arity)
-            entries = [[sum((LaurentPoly(arity, {tuple(t["exps"]): str(t["coeff"])})
+            entries = [[sum((LaurentPoly(arity, {tuple(t["exps"]): _json_coeff(t["coeff"])})
                              for t in terms), zero) for terms in row]
                        for row in doc["entries"]]
         except (KeyError, TypeError, ValueError) as err:

@@ -16,16 +16,16 @@ C-complex (m disks clasping n disks), whose mn generators are cyclically
 indexed and linearly dependent: the assembled form computes the signature of
 H_{m,n} by brute force, which is the oracle pinning every sign convention in
 the splice calculus.  Its kernel overshoots the nullity by the excess
-m + n - 1 of the generating family, so it carries basis=False.  That excess
-is a constant kernel of every form, split off before elimination: the
-inertia comes from (m - 1)(n - 1) of the mn rows (LaurentMatrix.inertia).
+m + n - 1 (basis=False), a constant kernel LaurentMatrix.inertia splits off.
+certify_spectrum proves the eigenvalues of hopf_spectrum at every open
+character at once, by one Laurent-polynomial identity on the terms of H(t).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from numbers import Rational
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter
@@ -171,11 +171,9 @@ def hopf_seifert_family(m: int, n: int) -> SeifertFamily:
         label=f"hopf_family({m},{n})")
 
 
-def _lambda_terms(q: Rational, a: Rational, b: Rational) -> Tuple[Tuple[Rational, int], ...]:
-    """lambda(x, y) = i(1 - conj x)(1 - conj y)(1 - xy) = i(x + y - conj x - conj y
-    + conj(xy) - xy) as (exponent, coefficient) terms in z, for x = z^a, y = z^b and
-    i = z^q: exact at z = zeta_L (certify_spectrum), in turns at z = exp(2 pi i)."""
-    return ((q + a, 1), (q + b, 1), (q - a, -1), (q - b, -1), (q - a - b, 1), (q + a + b, -1))
+# lambda(x, y) / i = (1 - 1/x)(1 - 1/y)(1 - xy) on the unit torus: ((power of x, of y), coeff)
+_LAMBDA_TERMS = (((1, 0), 1), ((0, 1), 1), ((-1, 0), -1), ((0, -1), -1), ((-1, -1), 1),
+                 ((1, 1), -1))
 
 
 def hopf_spectrum(m: int, n: int, eta: Angle, zeta: Angle) -> List[float]:
@@ -188,44 +186,46 @@ def hopf_spectrum(m: int, n: int, eta: Angle, zeta: Angle) -> List[float]:
     """
     if eta.is_unit() or zeta.is_unit():
         raise BoundaryCharacter("spectrum closed form holds on the open torus only")
-    quarter = Fraction(1, 4)  # i = z^quarter at z = exp(2 pi i): exponents in turns
 
     def lam(x: Fraction, y: Fraction) -> float:
-        # fsum cancels equal terms exactly: at x, y or xy = 1 the factor is 0.0
-        return math.fsum(c * math.cos(2 * math.pi * e) for e, c in _lambda_terms(quarter, x, y))
+        # Re(i e^(2 pi i a)) = -sin(2 pi a); a mod 1 lets fsum give 0.0 at x, y or xy = 1
+        return math.fsum(-c * math.sin(2 * math.pi * ((p * x + q * y) % 1))
+                         for (p, q), c in _LAMBDA_TERMS)
     left = [lam(eta.value, Fraction(i, m)) for i in range(m)]
     right = [lam(zeta.value, Fraction(-j, n)) for j in range(n)]
     return sorted(x * y for x in left for y in right)
 
 
+def _polynomial(terms) -> frozenset:
+    """The sum of (key, coefficient) terms, as the set of its nonzero terms."""
+    total: Counter = Counter()
+    for key, c in terms:
+        total[key] += c
+    return frozenset(term for term in total.items() if term[1])
+
+
 def certify_spectrum(family: SeifertFamily, m: int, n: int,
                      characters: Sequence[Tuple[Angle, Angle]]) -> Optional[int]:
-    """The index of the first (eta, zeta) where family's form H, generators indexed
-    by Z/m x Z/n, is not proved in Q(zeta_L) to have the eigenvalues of hopf_spectrum.
-
-    Each Fourier vector v(i, j) = xi_m^(a*i) * xi_n^(b*j), a basis of C^(mn), is an
-    eigenvector when conj(v_r) * (H*v)_r is one value mu for every r, and the mu
-    must be the predicted products as a multiset.  One proof serves a Galois orbit,
-    as in LaurentMatrix.inertia: u permutes the xi, and i^u = +-i squares away.
+    """None if family's H(t), generator i*n + j for (i, j) in Z/m x Z/n, is proved to
+    have the eigenvalues of hopf_spectrum at every open character; else 0, the first
+    character (None for no characters).  No form is evaluated: with s = xi_L,
+    L = lcm(m, n), and Fourier vector v_r = s^(L/m*a*i + L/n*b*j), every row r must
+    give one conj(v_r)(H(t) v)_r = sum_c H_rc(t) s^(v_c - v_r) mod s^L - 1, and these
+    mu_v the products lambda(t0, s^(L/m*i)) * lambda(t1, s^(-L/n*j)) as a multiset.
+    s = xi_L, t = omega is a ring map, so H(omega) v = mu_v(omega) v for a basis v.
     """
-    from .cyclotomic import _level, _steps
-    L = math.lcm(4, m, n, *(a.denominator for omega in characters for a in omega))
-    lv, proved, q = _level(L), {}, L // 4  # i = zeta_L^q
+    if any(eta.is_unit() or zeta.is_unit() for eta, zeta in characters):  # ValueError if no pair
+        raise BoundaryCharacter("spectrum closed form holds on the open torus only")
+    rows, L = family.laurent.entries, math.lcm(m, n)
     cells = [(i, j) for i in range(m) for j in range(n)]
-    fourier = [[L // m * a * i + L // n * b * j for i, j in cells] for a, b in cells]
-    for at, omega in enumerate(characters):
-        rep = lv.orbit_rep(_steps(omega, L))[0]
-        if rep not in proved:
-            rows = family.assemble(tuple(Angle.from_ratio(k, L) for k in rep), L)._mat
-            den = math.lcm(*(d for row in rows for d, _ in row))
-            mus = [{lv.reduce(den, [(k + e - w, c * (den // d)) for (d, vec), e in zip(row, v)
-                                    for k, c in enumerate(vec) if c])
-                    for row, w in zip(rows, v)} for v in fourier]
-            left = [lv.reduce(1, _lambda_terms(q, rep[0], L // m * i)) for i in range(m)]
-            right = [lv.reduce(1, _lambda_terms(q, rep[1], -(L // n) * j)) for j in range(n)]
-            want = sorted(lv.mul(x, y) for x in left for y in right)
-            proved[rep] = (len(rows) == m * n and all(len(mu) == 1 for mu in mus)
-                           and sorted(mu.pop() for mu in mus) == want)
-        if not proved[rep]:
-            return at
-    return None
+    den = math.lcm(*(e.den for row in rows for e in row))  # one denominator: integer terms
+
+    def mus(v: List[int]) -> frozenset:  # the conj(v_r)(H(t) v)_r of all rows r, den times
+        return frozenset(_polynomial(((t, (v[c] - v[r]) % L), k * (den // e.den))
+                                     for c, e in enumerate(row) for t, k in e.num.items())
+                         for r, row in enumerate(rows))
+    want = Counter(frozenset({_polynomial(  # each product, the one value of every row
+        (((p, p2), (L // m * i * q - L // n * j * q2) % L), -den * c * c2)  # i * i = -1
+        for (p, q), c in _LAMBDA_TERMS for (p2, q2), c2 in _LAMBDA_TERMS)}) for i, j in cells)
+    return None if not characters or len(rows) == m * n and want == Counter(
+        mus([L // m * a * i + L // n * b * j for i, j in cells]) for a, b in cells) else 0

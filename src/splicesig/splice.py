@@ -68,7 +68,7 @@ class SigFn:
         return f"SigFn({name}, arity={self.arity}, linking={self.linking})"
 
 
-def _linking(f: SigFn, role: str) -> Tuple[int, ...]:
+def linking_of(f: SigFn, role: str) -> Tuple[int, ...]:
     """f's linking vector; a ValueError naming f (as role) when it has none."""
     if f.linking is None:
         raise ValueError(f"{role} {f.label or '?'} has no linking vector: "
@@ -127,7 +127,7 @@ def splice(f1: SigFn, f2: SigFn) -> SigFn:
     acquires an extra correction term there and is not computed by this
     calculus.
     """
-    lam1, lam2 = _linking(f1, "splice operand 1"), _linking(f2, "splice operand 2")
+    lam1, lam2 = linking_of(f1, "splice operand 1"), linking_of(f2, "splice operand 2")
     mu1, mu2 = len(lam1), len(lam2)
 
     def fn(omega: Character) -> int:
@@ -159,7 +159,7 @@ def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
     """
     if knot.arity != 1:
         raise ValueError("first operand must be a 1-colored evaluator")
-    lam2 = _linking(f2, "splice_knot operand 2")
+    lam2 = linking_of(f2, "splice_knot operand 2")
 
     def fn(omega: Character) -> int:
         return knot((char_power(omega, lam2),)) + f2((UNIT,) + omega)
@@ -182,7 +182,7 @@ def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
     """
     if f1.arity != 2 or f2.arity != 2:
         raise ValueError("operands must be (1,1)-colored: arity 2")
-    (l1,), (l2,) = _linking(f1, "lt_splice operand 1"), _linking(f2, "lt_splice operand 2")
+    (l1,), (l2,) = linking_of(f1, "lt_splice operand 1"), linking_of(f2, "lt_splice operand 2")
     if (math.gcd(l1, l2) * xi).is_unit():
         raise GuardViolated(
             f"character to the power gcd({l1},{l2}) equals 1; univariate splice "
@@ -205,7 +205,7 @@ def cable_parallel(f: SigFn, nu: int) -> SigFn:
     """
     if nu < 1:
         raise ValueError("need at least one parallel copy")
-    lam = _linking(f, "cable_parallel operand")
+    lam = linking_of(f, "cable_parallel operand")
     mu = len(lam)
 
     def fn(omega: Character) -> int:

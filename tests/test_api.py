@@ -2,9 +2,11 @@
 
 `splicesig` imports `errors`, `torus` and `splice` eagerly and serves every
 other public name through a module `__getattr__`.  These tests pin the public
-name set and check that each name is the object its defining module binds.
+name set and check that each name is the object its defining module binds,
+and that modules reach each other through public names only.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -95,3 +97,30 @@ def test_every_lazy_entry_resolves():
     assert lazy <= STAR
     for name in lazy:
         assert splicesig.__getattr__(name) is getattr(splicesig, name)
+
+
+def _package_imports(path):
+    """(module, name) for each name path imports from a splicesig module, at any depth;
+    `from . import cyclotomic` gives ("cyclotomic", None)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "splicesig"
+                                                 or node.module.startswith("splicesig.")):
+            module = (node.module or "").removeprefix("splicesig").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("splicesig."):
+                    yield alias.name.removeprefix("splicesig."), None
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "splicesig").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    private = [f"{module}.{name}" for module, name in _package_imports(path)
+               if name is not None and name.startswith("_") and module != path.stem]
+    assert private == []
+
+
+def test_hopf_imports_nothing_from_cyclotomic():
+    # its spectrum certificate is an identity in H(t): no cyclotomic field
+    assert [m for m, _ in _package_imports(SRC / "splicesig" / "hopf.py") if m == "cyclotomic"] == []

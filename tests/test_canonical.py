@@ -426,7 +426,7 @@ def test_refusals_keep_no_orbit():
     for omega in conjugates((Angle(Fraction(1, 12)),), 12):
         with pytest.raises(NotHermitian, match="duality broken"):
             fam.signature(omega)
-    assert "_laurent" not in vars(fam)  # no form compiled, so no orbit kept
+    assert "laurent" not in vars(fam)  # no form compiled, so no orbit kept
     # a matrix that is not H(t) = H(t)* is refused before it has an orbit cache
     with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
         LaurentMatrix(["t0"], [[LaurentPoly.var(1, 0)]])
@@ -445,7 +445,7 @@ def test_hermitian_at_some_points_is_refused_when_built():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
 def test_family_forms_are_hermitian_as_polynomials(m, n):
-    matrix = hopf_seifert_family(m, n)._laurent  # built, so H(t) = H(t)*
+    matrix = hopf_seifert_family(m, n).laurent  # built, so H(t) = H(t)*
     for omega in conjugates((Angle(Fraction(1, 12)), Angle(Fraction(5, 12))), 12):
         h = matrix.evaluate(omega)
         steps = [int(a.value * 12) for a in omega]
@@ -600,7 +600,7 @@ def test_split_inertia_is_the_full_inertia(case):
 @pytest.mark.parametrize("m,n", list(product(range(1, 5), repeat=2)))
 def test_hopf_families_keep_their_rank(m, n):
     # the mn clasp generators satisfy m + n - 1 constant relations
-    assert len(hopf_seifert_family(m, n)._laurent._kept) == (m - 1) * (n - 1)
+    assert len(hopf_seifert_family(m, n).laurent._kept) == (m - 1) * (n - 1)
 
 
 @pytest.mark.parametrize("build", [fixtures.torus24_matrix, fixtures.cable42_matrix,

@@ -391,6 +391,13 @@ class TestJson:
         with pytest.raises(InvalidFamily):
             SeifertFamily.from_json(doc)
 
+    @pytest.mark.parametrize("key", ["x", "1.0", "0,y"])
+    def test_boundary_key_of_non_integers_refused(self, key):
+        doc = hopf_seifert_family(2, 2).to_json()
+        doc["boundary"] = {key: unlink_family(1).to_json()}
+        with pytest.raises(InvalidFamily, match=f"bad boundary key '{key}'"):
+            SeifertFamily.from_json(doc)
+
     def test_json_is_valid_json(self):
         blob = unlink_family(3).dumps()
         json.loads(blob)

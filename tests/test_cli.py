@@ -169,6 +169,17 @@ class TestEval:
         assert out.out == ""
         assert out.err.startswith("error: bad seifert family")
 
+    def test_non_integer_boundary_key_exit_2(self, tmp_path, capsys):
+        doc = hopf_seifert_family(2, 2).to_json()
+        doc["boundary"] = {"1.0": doc["boundary"]["1"]}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", json.dumps({"seifert": str(path)}), "--at", "1/3,1/3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: bad seifert family")
+        assert "bad boundary key '1.0'" in out.err
+
     def test_level_over_bound_exit_2(self, tmp_path, capsys):
         path = tmp_path / "trefoil.json"
         path.write_text(trefoil_family().dumps())

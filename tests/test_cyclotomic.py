@@ -435,7 +435,7 @@ def test_dumps_match_the_recorded_text(key):
     if key in FIXTURE_MATRICES:
         matrix = FIXTURE_MATRICES[key]()
     else:
-        matrix = hopf_seifert_family(*key)._laurent
+        matrix = hopf_seifert_family(*key).laurent
     text = matrix.dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DUMPS[key]
     assert LaurentMatrix.loads(text).dumps() == text
@@ -446,11 +446,11 @@ def test_compiling_forms_builds_no_fraction():
     points = {arity: character(",".join(["1/12"] * arity)) for arity in (1, 2, 3)}
     profile = cProfile.Profile()
     profile.enable()
-    for matrix in [hopf_seifert_family(4, 4)._laurent] + [b() for b in FIXTURE_MATRICES.values()]:
+    for matrix in [hopf_seifert_family(4, 4).laurent] + [b() for b in FIXTURE_MATRICES.values()]:
         matrix.inertia(points[matrix.arity])
     profile.disable()
     ran = {(path, name) for path, _, name in pstats.Stats(profile).stats}
-    assert any(name == "_laurent" for _, name in ran)  # the compile did run
+    assert any(name == "laurent" for _, name in ran)  # the compile did run
     assert any(name == "_kept" for _, name in ran)  # and so did the split
     assert [name for path, name in ran if path.endswith("fractions.py")] == []
 
@@ -495,6 +495,12 @@ def test_laurent_poly_refuses_float_coefficients():
     ([[[{"coeff": 1, "exps": [1.5]}]]], "float"),
     (None, "entries"),
     ([[[{"exps": [0]}]]], "coeff"),
+    # JSON floats are refused, not read through str(): 1e-400 is 0.0 and would
+    # drop the term, 12345678901234567890.0 would lose digits, 0.5 would be 1/2
+    ([[[{"coeff": 1e-400, "exps": [0]}]]], "coefficient 0.0 is not an integer"),
+    ([[[{"coeff": 12345678901234567890.0, "exps": [0]}]]], "coefficient 1.2345678901234567e"),
+    ([[[{"coeff": 0.5, "exps": [0]}]]], "coefficient 0.5 is not an integer"),
+    ([[[{"coeff": True, "exps": [0]}]]], "coefficient True is not an integer"),
 ])
 def test_laurent_matrix_from_json_refuses_malformed_documents(entries, why):
     doc = {"variables": ["t0"]}

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splicesig import hopf, verify
+from splicesig import cyclotomic, hopf, verify
 from splicesig.ccomplex import SeifertFamily
+from splicesig.cyclotomic import LaurentMatrix
 from splicesig.errors import BoundaryCharacter
 from splicesig.hopf import (HopfSpec, certify_spectrum, hopf_nullity,
                             hopf_seifert_family, hopf_sig_fn, hopf_signature,
@@ -289,12 +290,9 @@ class TestExactSpectrum:
         assert result.detail.startswith("H(2,2) at (1/12,1/12): ")
 
     def test_perturbed_prediction_fails(self, monkeypatch):
-        # the predicted factors lambda(x, 1), i = 0 and j = 0, each gain 1
-        real = hopf._lambda_terms
-
-        def plus_one_at_the_unit(q, a, b):
-            return real(q, a, b) + (((0, 1),) if b == 0 else ())
-        monkeypatch.setattr(hopf, "_lambda_terms", plus_one_at_the_unit)
+        # every factor lambda / i gains 1, so even lambda(x, 1), zero before, does
+        # not: the zero form of H(1,1) no longer has the predicted eigenvalue
+        monkeypatch.setattr(hopf, "_LAMBDA_TERMS", hopf._LAMBDA_TERMS + (((0, 0), 1),))
         characters = [(ang(1, 3), ang(1, 3)), (ang(1, 5), ang(2, 7))]
         assert certify_spectrum(hopf_seifert_family(2, 3), 2, 3, characters) == 0
         result = verify.hopf_spectrum_check()
@@ -311,19 +309,52 @@ class TestExactSpectrum:
         fam = with_forms(hopf_seifert_family(2, 2), bump)
         assert certify_spectrum(fam, 2, 2, [(ang(1, 3), ang(1, 5))]) == 0
 
-    def test_one_proof_per_galois_orbit(self, monkeypatch):
-        # at level 12 the units 1, 5, 7, 11 act on the 121 grid points
-        orbits = {frozenset((u * a % 12, u * b % 12) for u in (1, 5, 7, 11))
-                  for a, b in product(range(1, 12), repeat=2)}
-        calls = []
-        real = SeifertFamily.assemble
-
-        def counting(self, omega, level=None):
-            calls.append(level)
-            return real(self, omega, level)
-        monkeypatch.setattr(SeifertFamily, "assemble", counting)
+    def test_no_form_is_evaluated(self, monkeypatch):
+        # one identity in H(t) per family: no H(omega), no cyclotomic field
+        def refuse(*args, **kwargs):
+            raise AssertionError("a form was evaluated")
+        monkeypatch.setattr(SeifertFamily, "assemble", refuse)
+        monkeypatch.setattr(LaurentMatrix, "evaluate", refuse)
+        levels = set(cyclotomic._levels)
         assert verify.hopf_spectrum_check().passed
-        assert calls == [12] * (9 * len(orbits))
+        assert set(cyclotomic._levels) <= levels
+
+    @pytest.mark.parametrize("m, n", list(product(range(1, 7), repeat=2)))
+    def test_every_family_up_to_six_is_proved(self, m, n):
+        assert certify_spectrum(hopf_seifert_family(m, n), m, n, [(ang(1, 3), ang(1, 5))]) is None
+
+    def test_empty_characters_and_non_pairs(self):
+        def doubled(eps, mat):
+            return [[2 * x for x in row] for row in mat]
+        assert certify_spectrum(with_forms(hopf_seifert_family(2, 2), doubled), 2, 2, []) is None
+        with pytest.raises(ValueError):
+            certify_spectrum(hopf_seifert_family(2, 2), 2, 2, [(ang(1, 3),)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_a_proved_family_has_the_predicted_eigenvalues(self, m, n, data):
+        # soundness: bump one entry of theta^eps and its transpose in theta^-eps,
+        # keeping duality; whatever is proved, numpy's eigvalsh must confirm
+        eps = data.draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        r, c = data.draw(st.integers(0, m * n - 1)), data.draw(st.integers(0, m * n - 1))
+        delta = data.draw(st.integers(-2, 2))
+
+        def bump(e, mat):
+            if e == eps:
+                mat[r][c] += delta
+            if e == (-eps[0], -eps[1]):
+                mat[c][r] += delta
+            return mat
+        fam = with_forms(hopf_seifert_family(m, n), bump)
+        level = data.draw(st.sampled_from((5, 7, 8, 9, 12)))
+        points = data.draw(st.lists(st.tuples(st.integers(1, level - 1),
+                                              st.integers(1, level - 1)), min_size=1, max_size=3))
+        characters = [(ang(a, level), ang(b, level)) for a, b in points]
+        if certify_spectrum(fam, m, n, characters) is None:
+            for eta, zeta in characters:
+                got = np.linalg.eigvalsh(np.array(fam.assemble((eta, zeta)).to_complex_matrix()))
+                want = hopf_spectrum(m, n, eta, zeta)
+                assert np.allclose(got, want, rtol=0, atol=1e-9), (got, want)
 
 
 class TestSigFnMetadata:
