@@ -11,9 +11,8 @@ from importlib import import_module as _import_module
 from .errors import (BoundaryCharacter, ExpressionError, GuardViolated, InvalidFamily,
                      InvalidParams, LevelMismatch, MissingBaseEvaluator, NotHermitian,
                      NotReal, NullityUnavailable, SpliceSigError, UsageError)
-from .torus import (UNIT, Angle, angle, char_power, character, conjugate_character, defect,
-                    defect1, delete_color, ind, insert_unit, is_open, log_sum,
-                    parse_character, serialize_character)
+from .torus import (UNIT, Angle, char_power, character, conjugate_character, defect, defect1,
+                    delete_color, ind, insert_unit, is_open, log_sum)
 from .splice import (SigFn, cable_parallel, lt_splice, merge_colors, satellite, splice,
                      splice_knot, to_levine_tristram, with_boundary, zero_fn)
 
@@ -27,7 +26,7 @@ _LAZY = {
     "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
               "hirzebruch tilde_from_multi univariate_reduction weighted_linking",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
-    "expr": "parse_expression=parse parse_expression_file=parse_file",
+    "expr": "parse_expression=parse",
 }
 _ORIGIN = {alias: (module, attr or alias) for module, names in _LAZY.items()
            for alias, _, attr in (name.partition("=") for name in names.split())}

@@ -18,6 +18,7 @@ as a SeifertFamily fixture.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
@@ -37,7 +38,7 @@ class CableParams(NamedTuple):
 
     @classmethod
     def make(cls, p: int, q: int, d: int, core_kept: bool = False) -> "CableParams":
-        p, q, d = int(p), int(q), int(d)
+        p, q, d = operator.index(p), operator.index(q), operator.index(d)
         if d < 1:
             raise InvalidParams(f"need at least one cable copy, got d={d}")
         if math.gcd(p, q) != 1:
@@ -243,10 +244,10 @@ class UnivariateReductionInput(NamedTuple):
     @classmethod
     def make(cls, n: int, ni: Sequence[int], p: Sequence[int],
              linking: Sequence[Sequence[int]]) -> "UnivariateReductionInput":
-        n = int(n)
-        ni = tuple(int(x) for x in ni)
-        p = tuple(int(x) for x in p)
-        lam = tuple(tuple(int(x) for x in row) for row in linking)
+        n = operator.index(n)
+        ni = tuple(operator.index(x) for x in ni)
+        p = tuple(operator.index(x) for x in p)
+        lam = tuple(tuple(operator.index(x) for x in row) for row in linking)
         if n < 1:
             raise InvalidParams(f"root order must be positive, got {n}")
         mu = len(ni)
@@ -298,7 +299,7 @@ def univariate_reduction(inp: UnivariateReductionInput, sigma_lbar: int,
     mu = inp.mu
     n = inp.n
     xi = inp.xi()
-    total = int(sigma_lbar)
+    total = operator.index(sigma_lbar)
     for i in range(mu):
         lw = weighted_linking(inp, i)
         if inp.p[i] != 0:

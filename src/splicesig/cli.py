@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated, SpliceSigError, UsageError
 from .expr import parse as parse_expr
-from .torus import Angle, Character, defect
+from .torus import Angle, Character, character, defect
 
 # commands import the modules they need when they run, so each compiles only
 # those; the verify help lists verify.suite_names() from this copy
@@ -42,9 +42,9 @@ EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
 MAX_GRID_CELLS = 100_000
 
 
-def _parse_character(text: str) -> Tuple[Angle, ...]:
+def _parse_character(text: str) -> Character:
     try:
-        return tuple(Angle(tok) for tok in text.split(","))
+        return character(text)
     except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"bad character {text!r}: {err}") from err
 
@@ -105,9 +105,13 @@ def _emit_error(err: Exception, code: int, as_json: bool) -> int:
 
 def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[Tuple[int, ...], Character]]:
     """The cells ks of range(start, order)^arity with their characters ks/order,
-    refused above MAX_GRID_CELLS; the angles are built once (none for arity 0)."""
-    cells = (order - start) ** arity
-    if cells > MAX_GRID_CELLS:
+    refused above MAX_GRID_CELLS; the angles are built once (none for arity 0).
+    With 2 or more cells a side, more colors than the limit has bits exceed
+    it, and the size is then given as a power, which may be too large to compute."""
+    side = order - start
+    big = side > 1 and arity > MAX_GRID_CELLS.bit_length()
+    if big or side ** arity > MAX_GRID_CELLS:
+        cells = f"{side}^{arity}" if big else side ** arity
         raise UsageError(f"grid of {cells} cells exceeds the limit of "
                          f"{MAX_GRID_CELLS}; lower --order")
     angles = [Angle.from_ratio(k, order) for k in (range(order) if arity else ())]

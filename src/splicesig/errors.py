@@ -40,7 +40,10 @@ class NullityUnavailable(SpliceSigError):
 
 
 class LevelMismatch(SpliceSigError):
-    """Arithmetic combined cyclotomic numbers living at different levels N."""
+    """A level N that cannot serve: a cyclotomic number lifted to a level that
+    is not a multiple of its own, an angle that does not live at the level
+    asked for, or a level past the bound on its power table (N*phi(N) entries).
+    """
 
 
 class InvalidFamily(SpliceSigError):

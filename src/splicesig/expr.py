@@ -75,8 +75,16 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
     """Build a signature evaluator from a decoded expression document.
 
     Relative paths in "seifert" forms resolve against base_dir when given,
-    the working directory otherwise.
+    the working directory otherwise.  A combinator's ValueError (an operand
+    of the wrong arity, say) becomes an ExpressionError here, once.
     """
+    try:
+        return _parse(doc, base_dir)
+    except ValueError as err:
+        raise ExpressionError(str(err)) from err
+
+
+def _parse(doc, base_dir: Optional[str]) -> SigFn:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ExpressionError("an expression is an object with exactly one key")
     form, value = next(iter(doc.items()))
@@ -124,56 +132,31 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
 
     if form == "splice":
         e1, lam1, e2, lam2 = _expect_args(value, 4, form)
-        f1 = _distinguish(parse(e1, base_dir), _expect_linking(lam1, "splice lam1"), form)
-        f2 = _distinguish(parse(e2, base_dir), _expect_linking(lam2, "splice lam2"), form)
+        f1 = _distinguish(_parse(e1, base_dir), _expect_linking(lam1, "splice lam1"), form)
+        f2 = _distinguish(_parse(e2, base_dir), _expect_linking(lam2, "splice lam2"), form)
         return splice(f1, f2)
 
     if form == "cable":
         e, nu = _expect_args(value, 2, form)
-        f = parse(e, base_dir)
+        f = _parse(e, base_dir)
         nu = _expect_int(nu, "cable copy count")
         if f.linking is None:
             raise ExpressionError(
                 "cable operand carries no linking metadata for its "
                 "distinguished component; use hopf, a distinguished fixture, "
                 "or a seifert family with linking data")
-        try:
-            return cable_parallel(f, nu)
-        except ValueError as err:
-            raise ExpressionError(str(err)) from err
+        return cable_parallel(f, nu)
 
     if form == "merge":
         e, lk = _expect_args(value, 2, form)
-        f = parse(e, base_dir)
-        try:
-            return merge_colors(f, _expect_int(lk, "merge linking number"))
-        except ValueError as err:
-            raise ExpressionError(str(err)) from err
+        f = _parse(e, base_dir)
+        return merge_colors(f, _expect_int(lk, "merge linking number"))
 
     if form == "satellite":
         e_companion, e_pattern, q = _expect_args(value, 3, form)
-        fk = parse(e_companion, base_dir)
-        fp = parse(e_pattern, base_dir)
-        try:
-            return satellite(fk, fp, _expect_int(q, "winding number"))
-        except ValueError as err:
-            raise ExpressionError(str(err)) from err
+        fk = _parse(e_companion, base_dir)
+        fp = _parse(e_pattern, base_dir)
+        return satellite(fk, fp, _expect_int(q, "winding number"))
 
     raise ExpressionError(f"unknown expression form {form!r}; supported: {', '.join(_FORMS)}")
 
-
-def parse_text(text: str, base_dir: Optional[str] = None) -> SigFn:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ExpressionError(f"invalid JSON: {err}") from err
-    return parse(doc, base_dir)
-
-
-def parse_file(path: str) -> SigFn:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ExpressionError(f"cannot read expression file {path!r}: {err}") from err
-    return parse_text(text, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -22,6 +22,7 @@ piecewise-constant regions; evaluation is lazy and exact.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
@@ -46,7 +47,7 @@ class SigFn:
         if arity < 0:
             raise ValueError("arity must be non-negative")
         if linking is not None:
-            linking = tuple(int(x) for x in linking)
+            linking = tuple(operator.index(x) for x in linking)
             if len(linking) != arity - 1:
                 raise ValueError(
                     f"linking vector has length {len(linking)}, expected {arity - 1}")

@@ -43,12 +43,15 @@ class Angle:
     Stored as the integers numerator/denominator in lowest terms, with
     0 <= numerator < denominator.  Construction reduces mod 1, so
     Angle(Fraction(9, 8)) == Angle("1/8") == Angle(Fraction(2, 16)); `value`
-    is the same angle as a Fraction, built when asked for.
+    is the same angle as a Fraction, built when asked for.  A float or a bool
+    is refused with TypeError: Angle(0.1) would be its binary approximation.
     """
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, value: RationalLike):
+        if isinstance(value, (float, bool)):
+            raise TypeError(f"angle {value!r} is not exact; use int, Fraction or 'p/q'")
         v = Fraction(value)
         object.__setattr__(self, "numerator", v.numerator % v.denominator)
         object.__setattr__(self, "denominator", v.denominator)
@@ -112,26 +115,12 @@ UNIT = Angle(0)
 Character = tuple  # tuple[Angle, ...]
 
 
-def angle(value: RationalLike) -> Angle:
-    """Convenience constructor accepting ints, Fractions or strings like '3/8'."""
-    return Angle(value)
-
-
 def character(spec: Union[str, Iterable[RationalLike]]) -> Character:
     """Build a character from 'a/b,c/d,...' or an iterable of rationals."""
     if isinstance(spec, str):
         parts = [p.strip() for p in spec.split(",")] if spec.strip() else []
         return tuple(Angle(p) for p in parts)
     return tuple(a if isinstance(a, Angle) else Angle(a) for a in spec)
-
-
-def serialize_character(omega: Character) -> list:
-    """Angles as 'num/den' strings (the wire format used by the CLI and JSON)."""
-    return [str(a) for a in omega]
-
-
-def parse_character(items: Sequence[str]) -> Character:
-    return tuple(Angle(s) for s in items)
 
 
 def conjugate_character(omega: Character) -> Character:

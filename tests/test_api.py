@@ -20,14 +20,15 @@ import splicesig
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # module -> public names as the package exported them when every module loaded
-# eagerly; "alias=attr" names attr of the module
+# eagerly, less angle, parse_character, serialize_character and
+# parse_expression_file (the CLI, Angle and character are the one reader of
+# each input); "alias=attr" names attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
               "LevelMismatch MissingBaseEvaluator NotHermitian NotReal NullityUnavailable "
               "SpliceSigError UsageError",
-    "torus": "UNIT Angle angle char_power character conjugate_character defect defect1 "
-             "delete_color ind insert_unit is_open log_sum parse_character "
-             "serialize_character",
+    "torus": "UNIT Angle char_power character conjugate_character defect defect1 "
+             "delete_color ind insert_unit is_open log_sum",
     "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix LaurentPoly "
                   "cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
@@ -38,7 +39,7 @@ EXPORTS = {
     "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
               "hirzebruch tilde_from_multi univariate_reduction weighted_linking",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
-    "expr": "parse_expression=parse parse_expression_file=parse_file",
+    "expr": "parse_expression=parse",
 }
 ORIGIN = {alias: (module, attr or alias) for module, names in EXPORTS.items()
           for alias, _, attr in (name.partition("=") for name in names.split())}

@@ -157,6 +157,12 @@ class TestCableParams:
         with pytest.raises(InvalidParams):
             CableParams.make(1, 2, 0)
 
+    @pytest.mark.parametrize("args", [(2.7, 3, 1), (2, 3.0, 1), (2, 3, "1"), (2, 3, 1.5)])
+    def test_inexact_parameters_refused(self, args):
+        # a float or a string is not truncated to an integer
+        with pytest.raises(TypeError):
+            CableParams.make(*args)
+
 
 class TestCableStep:
     def test_trivial_params_reduce_to_operand(self):
@@ -257,6 +263,16 @@ class TestReductionInput:
         with pytest.raises(InvalidParams):
             UnivariateReductionInput.make(6, (2, 3), (0, 0), [[0, 2], [1, 0]])
 
+    @pytest.mark.parametrize("args", [
+        (5.9, (2, 3), (0, 0), [[0, 1], [1, 0]]),
+        (6, (1.5, 3), (0, 0), [[0, 1], [1, 0]]),
+        (6, (2, 3), ("0", 0), [[0, 1], [1, 0]]),
+        (6, (2, 3), (0, 0), [[0, 1.0], [1.0, 0]]),
+    ], ids=["n", "ni", "p", "linking"])
+    def test_inexact_input_refused(self, args):
+        with pytest.raises(TypeError):
+            UnivariateReductionInput.make(*args)
+
     def test_character(self):
         inp = UnivariateReductionInput.make(6, (2, 3), (0, 0), [[0, 1], [1, 0]])
         assert inp.omega() == (ang(1, 3), ang(1, 2))
@@ -293,6 +309,11 @@ class TestUnivariateReduction:
     def test_mu1_passthrough(self):
         inp = UnivariateReductionInput.make(5, (2,), (0,), [[0]])
         assert univariate_reduction(inp, -4) == -4
+
+    def test_inexact_signature_refused(self):
+        inp = UnivariateReductionInput.make(5, (2,), (0,), [[0]])
+        with pytest.raises(TypeError):
+            univariate_reduction(inp, 1.9)
 
     def test_mu2_small_linking_shortcut(self):
         # with p = 0 and |lk| <= 1 the correction is (n1 + n2 - 1) * lk

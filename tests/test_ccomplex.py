@@ -74,7 +74,23 @@ class TestValidate:
 
     def test_missing_sign_vector_reported(self):
         fam = SeifertFamily(2, {(1, 1): [[0]], (-1, -1): [[0]]})
-        assert fam.validate()
+        assert fam.validate() == ["missing shift directions ['+-', '-+']"]
+
+    def test_malformed_sign_vectors_are_unexpected(self):
+        # a key of the wrong length, or with an entry other than +-1, is no
+        # shift direction: it is reported, and the one it displaces is missing
+        forms = {(1, 1): [[0]], (-1, -1): [[0]], (1, -1): [[0]], (-1, 0): [[0]],
+                 (1,): [[0]], (1, 1, 1): [[0]]}
+        assert SeifertFamily(2, forms).validate() == [
+            "missing shift directions ['-+']",
+            "unexpected shift directions ['+', '+++', '-?']"]
+
+    @pytest.mark.parametrize("arity", [9, 64, 10 ** 9])
+    def test_large_arity_counted_not_listed(self, arity):
+        # past arity 8 the 2^arity directions are counted, never built
+        assert SeifertFamily(arity, {}).validate() == [
+            f"missing shift directions: 0 of the 2^{arity} are given"]
+        assert SeifertFamily(8, {}).validate()[0].count("'") == 2 * 2 ** 8
 
     def test_shape_mismatch_reported(self):
         fam = SeifertFamily(1, {(1,): [[0, 0]], (-1,): [[0], [0]]})

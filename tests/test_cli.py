@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -72,6 +73,13 @@ class TestEval:
 
     def test_arity_mismatch_exit_2(self):
         assert main(["eval", "hopf", "1", "1", "--at", "1/2"]) == 2
+
+    def test_at_reads_like_character(self, capsys):
+        # --at is read by torus.character: "" is the one point of T^0
+        assert main(["eval", "zero", "0", "--at", ""]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(["eval", "hopf", "1", "1", "--at", "1/2,"]) == 2
+        assert "bad character '1/2,'" in capsys.readouterr().err
 
     def test_hopf_over_the_component_bound_exit_2_fast(self, capsys):
         # an --at argument cannot hold more angles, so the link is never built
@@ -350,6 +358,46 @@ class TestGridBound:
         assert main(argv + ["--csv", str(path)]) == 2
         assert capsys.readouterr().out == ""
         assert not path.exists()
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+class TestRefusalsFailFast:
+    """Inputs a few bytes long that would need seconds or gigabytes to compute
+    are refused first: each runs in a process capped at 1 GiB and 10 s."""
+
+    CASES = [
+        (["eval", json.dumps({"seifert": "arity-40.json"}), "--at", "1/2"],
+         "ExpressionError", "0 of the 2^40 are given"),
+        (["sweep", json.dumps({"zero": 6000}), "--order", "8"],
+         "UsageError", "grid of 7^6000 cells"),
+        (["sweep", json.dumps({"cable": [{"hopf": [1, 1]}, 10 ** 7]}), "--order", "8"],
+         "UsageError", "grid of 7^10000001 cells"),
+        (["eval", json.dumps({"seifert": "trefoil.json"}), "--at", "1/8633"],
+         "LevelMismatch", "level 8633 exceeds the supported bound"),
+        (["eval", "hopf", "30000000", "1", "--at", "1/2"],
+         "ExpressionError", f"at most {MAX_HOPF_COMPONENTS} components"),
+        (["sweep", "torus-3-6", "--order", "48"],
+         "UsageError", "grid of 103823 cells"),
+    ]
+
+    @pytest.mark.parametrize("argv, kind, message", CASES, ids=[
+        "family-arity", "grid-arity", "cable-copies", "level-bound", "hopf-components",
+        "grid-cells"])
+    def test_refused_within_time_and_memory(self, argv, kind, message, tmp_path):
+        (tmp_path / "arity-40.json").write_text(json.dumps({"arity": 40, "forms": {}}))
+        (tmp_path / "trefoil.json").write_text(trefoil_family().dumps())
+        code = "import sys; from splicesig.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, "--json", *argv],
+                              capture_output=True, text=True, timeout=10, cwd=tmp_path,
+                              preexec_fn=_cap_memory,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == kind
+        assert message in error["message"]
 
 
 class TestUsageError:

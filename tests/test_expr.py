@@ -8,7 +8,7 @@ import pytest
 
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
-from splicesig.expr import MAX_HOPF_COMPONENTS, parse, parse_file, parse_text
+from splicesig.expr import MAX_HOPF_COMPONENTS, parse
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import SigFn, splice
@@ -47,12 +47,20 @@ class TestLeafForms:
         assert f.linking == (4,)  # family carries linking data
         assert f((ang(1, 3), ang(1, 3))) == 1
 
-    def test_seifert_relative_path(self, tmp_path):
+    def test_seifert_relative_path(self, tmp_path, monkeypatch, capsys):
+        # the CLI resolves a family path against the expression file's
+        # directory, not the working directory
         (tmp_path / "fam.json").write_text(hopf_seifert_family(1, 2).dumps())
         exprfile = tmp_path / "expr.json"
         exprfile.write_text(json.dumps({"seifert": "fam.json"}))
-        f = parse_file(str(exprfile))
-        assert f.arity == 2
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        want = hopf_seifert_family(1, 2).signature((ang(1, 3),) * 2)
+        assert main(["eval", str(exprfile), "--at", "1/3,1/3"]) == 0
+        assert capsys.readouterr().out == f"{want}\n"
+        with pytest.raises(ExpressionError, match="cannot read seifert family 'fam.json'"):
+            parse({"seifert": "fam.json"})
 
 
 @pytest.mark.parametrize("doc, linking", [
@@ -147,13 +155,18 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse(doc)
 
-    def test_bad_json_text(self):
-        with pytest.raises(ExpressionError):
-            parse_text("{not json")
+    # the CLI alone reads expression text and files
+    def test_bad_json_text(self, capsys):
+        assert main(["--json", "eval", "{not json", "--at", "1/2"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith("invalid JSON expression: ")
 
-    def test_missing_expr_file(self):
-        with pytest.raises(ExpressionError):
-            parse_file("/no/such/expr.json")
+    def test_missing_expr_file(self, capsys):
+        assert main(["--json", "eval", "/no/such/expr.json", "--at", "1/2"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith("cannot read expression file '/no/such/expr.json'")
 
     def test_bad_seifert_payload(self, tmp_path):
         path = tmp_path / "fam.json"

@@ -52,6 +52,12 @@ class TestSigFn:
         with pytest.raises(ValueError):
             SigFn(2, lambda om: 0, linking=(1, 2))
 
+    @pytest.mark.parametrize("linking", [[1.9], ["3"], [1.0]])
+    def test_inexact_linking_refused(self, linking):
+        # a float or a string is not read as an integer linking number
+        with pytest.raises(TypeError):
+            SigFn(2, lambda om: 0, linking=linking)
+
     def test_zero_fn(self):
         assert zero_fn(3)((UNIT, ang(1, 3), ang(2, 5))) == 0
 
