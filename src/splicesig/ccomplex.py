@@ -27,12 +27,12 @@ supplied sublink families (sig_fn), never recomputed from the full-link data.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from functools import cached_property
+from itertools import product
 from typing import List, Mapping, Optional, Sequence, Tuple, Type
 
-from .cyclotomic import HermitianMatrix, LaurentMatrix, LaurentPoly
+from .cyclotomic import HermitianMatrix, LaurentMatrix
 from .errors import BoundaryCharacter, InvalidFamily, NotHermitian, NullityUnavailable
 from .splice import SigFn, with_boundary
 from .torus import Character, is_open
@@ -41,13 +41,6 @@ Sign = Tuple[int, ...]  # entries +1 / -1, length = arity
 
 # validate() lists the missing shift directions by name up to this arity
 _LISTED_ARITY = 8
-
-
-def _all_signs(mu: int) -> List[Sign]:
-    out = [()]
-    for _ in range(mu):
-        out = [s + (e,) for s in out for e in (1, -1)]
-    return out
 
 
 def _sign_key(eps: Sign) -> str:
@@ -127,7 +120,8 @@ class SeifertFamily:
         have = {eps for eps in self.forms if len(eps) == mu and set(eps) <= {1, -1}}
         if len(have) >> mu == 0:  # fewer than 2^mu
             if mu <= _LISTED_ARITY:
-                missing = sorted(_sign_key(e) for e in _all_signs(mu) if e not in have)
+                missing = sorted(_sign_key(e) for e in product((1, -1), repeat=mu)
+                                 if e not in have)
                 out.append(f"missing shift directions {missing}")
             else:
                 out.append(f"missing shift directions: {len(have)} of the 2^{mu} are given")
@@ -156,9 +150,11 @@ class SeifertFamily:
             elif any(self.linking[i][j] != self.linking[j][i]
                      for i in range(mu) for j in range(mu)):
                 out.append("linking matrix is not symmetric")
+        # a key keeping every colour is never read and lets boundaries nest forever
         for kept, sub in self.boundary.items():
-            if not all(0 <= i < mu for i in kept) or list(kept) != sorted(set(kept)):
-                out.append(f"bad boundary key {kept}")
+            if (not all(0 <= i < mu for i in kept) or list(kept) != sorted(set(kept))
+                    or len(kept) == mu):
+                out.append(f"bad boundary key {','.join(map(str, kept))!r}")
                 continue
             if sub.arity != len(kept):
                 out.append(f"boundary family for {kept} has arity {sub.arity}")
@@ -186,33 +182,14 @@ class SeifertFamily:
 
     @cached_property
     def laurent(self) -> LaurentMatrix:
-        """H(t) = prod_i (1 - t_i^-1) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps.
+        """H(t), compiled by LaurentMatrix.from_forms from the forms.
 
         Compiled on first use, not at construction, which stays permissive, and
         only after the gate: validate()'s shape rules make every form g x g, and
         its duality rule makes H(t) equal H(t)*.  H(omega) is its value at omega.
         """
         self._gate()
-        mu, g = self.arity, self.generators
-        # weight_eps = sum over subsets S of the colours, as signs s = -1 on S,
-        # of prod(eps) * (-1)^|S| * t^([eps < 0] - [S]): integer terms
-        weights = [(self.forms[eps],
-                    [(tuple(int(e < 0) - int(s < 0) for e, s in zip(eps, sub)),
-                      math.prod(eps) * math.prod(sub)) for sub in _all_signs(mu)])
-                   for eps in _all_signs(mu)]
-        entries = []
-        for i in range(g):
-            row = []
-            for j in range(g):
-                terms: dict = {}  # sum_eps theta^eps[i][j] * weight_eps, term by term
-                for form, w in weights:
-                    k = form[i][j]
-                    if k:
-                        for exps, c in w:
-                            terms[exps] = terms.get(exps, 0) + k * c
-                row.append(LaurentPoly(mu, terms))
-            entries.append(row)
-        return LaurentMatrix([f"t{i}" for i in range(mu)], entries)
+        return LaurentMatrix.from_forms(self.arity, self.forms)
 
     def assemble(self, omega: Character) -> HermitianMatrix:
         """The Hermitian form H(omega) over Q(zeta_N), N the lcm of omega's denominators."""

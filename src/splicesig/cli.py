@@ -63,7 +63,7 @@ def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
         if head.lstrip().startswith("{"):
             try:
                 return json.loads(head), None
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, RecursionError) as err:
                 raise UsageError(f"invalid JSON expression: {err}") from err
         if os.path.exists(head) or head.endswith(".json"):
             try:
@@ -71,7 +71,7 @@ def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
                     doc = json.load(fh)
             except OSError as err:
                 raise UsageError(f"cannot read expression file {head!r}: {err}") from err
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, RecursionError) as err:
                 raise UsageError(f"invalid JSON in {head!r}: {err}") from err
             return doc, os.path.dirname(os.path.abspath(head))
         return {"fixture": head}, None

@@ -10,7 +10,9 @@ their pairs are; there is no epsilon, and arithmetic builds no Fraction.
 A field element is (den, vec), vec its numerator in the power basis 1, x,
 ..., x^(d-1) of Q[x]/(Phi_N), d = deg Phi_N, at x = zeta_N = exp(2*pi*i/N);
 CyclotomicNumber is a view on one.  A LaurentPoly, an entry of H(t), is
-(den, num) with num {exponent vector: nonzero int}.
+(den, num) with num {exponent vector: nonzero int}; LaurentMatrix.from_forms,
+the one constructor of H(t), builds every entry term by term from the integer
+Seifert forms theta^eps of a C-complex, for families and fixtures alike.
 
 One integer table.  Each level holds pow_rows[k] = x^k mod Phi_N for
 0 <= k < N, filled by the multiply-by-x recurrence, which stays integral
@@ -37,16 +39,16 @@ other columns are a constant kernel common to every H(omega).
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import operator
 import threading
 import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidFamily, LevelMismatch, NotHermitian, NotReal
+from .errors import LevelMismatch, NotHermitian, NotReal
 from .torus import Angle, Character
 
 # A level's power table holds N rows of up to phi(N) entries each.  Refuse
@@ -675,8 +677,9 @@ class LaurentPoly:
     ints, den > 0 and gcd(den, *num) = 1, and the polynomial is
     sum(c * t^e for e, c in num.items()) / den, so == compares pairs.  The
     constructor reads int, Fraction or "p/q" coefficients, never a float,
-    and int exponents once; arithmetic stays on integers.  Negative
-    exponents are fine; on the unit torus they evaluate to conjugates.
+    and int exponents once.  There is no ring arithmetic: an entry of H(t) is
+    built term by term by LaurentMatrix.from_forms.  Negative exponents are
+    fine; on the unit torus they evaluate to conjugates.
     """
 
     __slots__ = ("arity", "den", "num")
@@ -708,56 +711,6 @@ class LaurentPoly:
     def terms(self) -> Dict[Tuple[int, ...], Fraction]:
         """{exponent vector: coefficient}, as Fractions."""
         return {e: Fraction(c, self.den) for e, c in self.num.items()}
-
-    @classmethod
-    def const(cls, arity: int, c: Union[int, Fraction]) -> "LaurentPoly":
-        return cls(arity, {(0,) * arity: c})
-
-    @classmethod
-    def var(cls, arity: int, i: int, power: int = 1) -> "LaurentPoly":
-        exps = [0] * arity
-        exps[i] = power
-        return cls(arity, {tuple(exps): 1})
-
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(self.arity, other)
-        if isinstance(other, LaurentPoly):
-            if other.arity != self.arity:
-                raise ValueError("mixed arities")
-            return other
-        raise TypeError(f"cannot combine LaurentPoly with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        g = math.gcd(self.den, other.den)
-        ma, mb = other.den // g, self.den // g
-        num = {e: c * ma for e, c in self.num.items()}
-        for e, c in other.num.items():
-            num[e] = num.get(e, 0) + c * mb
-        return LaurentPoly._make(self.arity, self.den * ma, num)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly._make(self.arity, self.den, {e: -c for e, c in self.num.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        num: Dict[Tuple[int, ...], int] = {}
-        for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                num[e] = num.get(e, 0) + c1 * c2
-        return LaurentPoly._make(self.arity, self.den * other.den, num)
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "LaurentPoly":
         """Conjugation on the torus: t_i -> t_i^-1, coefficients unchanged."""
@@ -791,14 +744,6 @@ def _steps(omega: Character, level: int) -> List[int]:
     return steps
 
 
-def _json_coeff(c) -> Union[int, str]:
-    """A coefficient as to_json writes it, an integer or a "p/q" string; a float or
-    a boolean is refused, not rounded or read as a number."""
-    if type(c) is int or isinstance(c, str):
-        return c
-    raise InvalidFamily(f"coefficient {c!r} is not an integer or a 'p/q' string")
-
-
 class LaurentMatrix:
     """A square matrix of Laurent polynomials with H(t) = H(t)*, so Hermitian on the torus."""
 
@@ -818,6 +763,36 @@ class LaurentMatrix:
         self._monomials = {exps for row in self.entries for e in row for exps in e.num}
         # the orbit cache of inertia, on a proxy so that it does not keep self alive
         self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
+
+    @classmethod
+    def from_forms(cls, arity: int,
+                   forms: Mapping[Tuple[int, ...], Sequence[Sequence[int]]]) -> "LaurentMatrix":
+        """H(t) = prod_i (1 - t_i^-1) * sum_eps prod_{i: eps_i=-1} (-t_i) theta^eps.
+
+        forms maps sign vectors eps in {1, -1}^arity to g x g integer Seifert
+        forms theta^eps, a direction left out having the zero form.  H(t) is
+        refused with NotHermitian unless theta^-eps = transpose(theta^eps).
+        """
+        g = len(next(iter(forms.values()), ()))
+        if any(len(form) != g or any(len(row) != g for row in form) for form in forms.values()):
+            raise ValueError(f"every form must be {g}x{g}")
+        # weight_eps = sum over subsets S of the colours, as signs s = -1 on S,
+        # of prod(eps) * (-1)^|S| * t^([eps < 0] - [S]): integer terms
+        signs = list(product((1, -1), repeat=arity))
+        weights = [(form, [(tuple(int(e < 0) - int(s < 0) for e, s in zip(eps, sub)),
+                            math.prod(eps) * math.prod(sub)) for sub in signs])
+                   for eps, form in forms.items()]
+
+        def entry(i: int, j: int) -> LaurentPoly:
+            terms: dict = {}  # sum_eps theta^eps[i][j] * weight_eps, term by term
+            for form, w in weights:
+                if form[i][j]:
+                    for exps, c in w:
+                        terms[exps] = terms.get(exps, 0) + form[i][j] * c
+            return LaurentPoly(arity, terms)
+
+        return cls([f"t{i}" for i in range(arity)],
+                   [[entry(i, j) for j in range(g)] for i in range(g)])
 
     @property
     def arity(self) -> int:
@@ -896,39 +871,3 @@ class LaurentMatrix:
                         for r in rows if r is not top]
                 rows = [[x // g for x in r] for r in rows if (g := math.gcd(*r))]
         return tuple(kept)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        def term_obj(exps, c, den):
-            g = math.gcd(c, den)
-            coeff = c // g if g == den else f"{c // g}/{den // g}"
-            return {"coeff": coeff, "exps": list(exps)}
-
-        return {
-            "variables": list(self.variables),
-            "entries": [
-                [[term_obj(e, c, poly.den) for e, c in sorted(poly.num.items())] for poly in row]
-                for row in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LaurentMatrix":
-        try:
-            variables = [str(v) for v in doc["variables"]]
-            arity = len(variables)
-            zero = LaurentPoly(arity)
-            entries = [[sum((LaurentPoly(arity, {tuple(t["exps"]): _json_coeff(t["coeff"])})
-                             for t in terms), zero) for terms in row]
-                       for row in doc["entries"]]
-        except (KeyError, TypeError, ValueError) as err:
-            raise InvalidFamily(f"form document missing or malformed: {err!r}") from err
-        return cls(variables, entries)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "LaurentMatrix":
-        return cls.from_json(json.loads(text))

@@ -47,7 +47,7 @@ class LevelMismatch(SpliceSigError):
 
 
 class InvalidFamily(SpliceSigError):
-    """A Seifert family, or a family or Laurent form document, is malformed or invalid."""
+    """A Seifert family or its JSON document is malformed or invalid."""
 
 
 class InvalidParams(SpliceSigError):

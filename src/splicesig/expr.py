@@ -19,8 +19,9 @@ An expression document is a JSON object with exactly one key:
                                      total linking number
     {"satellite": [eK, ek, q]}       satellite knot with winding number q
 
-Structural problems (unknown key, wrong operand shape, unknown fixture,
-unreadable file) raise ExpressionError.  Evaluation-time conditions such as
+Combinators nest at most MAX_DEPTH deep.  Structural problems (unknown key,
+wrong operand shape, unknown fixture, unreadable file, nesting past
+MAX_DEPTH) raise ExpressionError.  Evaluation-time conditions such as
 GuardViolated pass through untouched.
 """
 
@@ -34,6 +35,9 @@ from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero
 # One command-line argument holds at most 131 072 bytes on Linux, at least two
 # an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
 MAX_HOPF_COMPONENTS = 65_536
+# An evaluator costs two Python frames per combinator it nests, so documents
+# up to this depth evaluate well inside the default recursion limit of 1000.
+MAX_DEPTH = 256
 
 _FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
           "satellite")
@@ -79,15 +83,19 @@ def parse(doc, base_dir: Optional[str] = None) -> SigFn:
     of the wrong arity, say) becomes an ExpressionError here, once.
     """
     try:
-        return _parse(doc, base_dir)
+        return _parse(doc, base_dir, 0)
     except ValueError as err:
         raise ExpressionError(str(err)) from err
 
 
-def _parse(doc, base_dir: Optional[str]) -> SigFn:
+def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
+    """The evaluator of doc, an operand nested under depth combinators."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nests combinators more than {MAX_DEPTH} deep")
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ExpressionError("an expression is an object with exactly one key")
     form, value = next(iter(doc.items()))
+    below = depth + 1  # the depth of a combinator's operands
 
     if form == "hopf":
         m, n = _expect_args(value, 2, form)
@@ -126,19 +134,19 @@ def _parse(doc, base_dir: Optional[str]) -> SigFn:
             family = SeifertFamily.load(path)
         except OSError as err:
             raise ExpressionError(f"cannot read seifert family {value!r}: {err}") from err
-        except (json.JSONDecodeError, ValueError, InvalidFamily) as err:
+        except (json.JSONDecodeError, ValueError, InvalidFamily, RecursionError) as err:
             raise ExpressionError(f"bad seifert family {value!r}: {err}") from err
         return family.sig_fn()
 
     if form == "splice":
         e1, lam1, e2, lam2 = _expect_args(value, 4, form)
-        f1 = _distinguish(_parse(e1, base_dir), _expect_linking(lam1, "splice lam1"), form)
-        f2 = _distinguish(_parse(e2, base_dir), _expect_linking(lam2, "splice lam2"), form)
+        f1 = _distinguish(_parse(e1, base_dir, below), _expect_linking(lam1, "splice lam1"), form)
+        f2 = _distinguish(_parse(e2, base_dir, below), _expect_linking(lam2, "splice lam2"), form)
         return splice(f1, f2)
 
     if form == "cable":
         e, nu = _expect_args(value, 2, form)
-        f = _parse(e, base_dir)
+        f = _parse(e, base_dir, below)
         nu = _expect_int(nu, "cable copy count")
         if f.linking is None:
             raise ExpressionError(
@@ -149,13 +157,13 @@ def _parse(doc, base_dir: Optional[str]) -> SigFn:
 
     if form == "merge":
         e, lk = _expect_args(value, 2, form)
-        f = _parse(e, base_dir)
+        f = _parse(e, base_dir, below)
         return merge_colors(f, _expect_int(lk, "merge linking number"))
 
     if form == "satellite":
         e_companion, e_pattern, q = _expect_args(value, 3, form)
-        fk = _parse(e_companion, base_dir)
-        fp = _parse(e_pattern, base_dir)
+        fk = _parse(e_companion, base_dir, below)
+        fp = _parse(e_pattern, base_dir, below)
         return satellite(fk, fp, _expect_int(q, "winding number"))
 
     raise ExpressionError(f"unknown expression form {form!r}; supported: {', '.join(_FORMS)}")

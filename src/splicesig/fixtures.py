@@ -2,49 +2,52 @@
 
 The chain here is the (2,4)-torus link, the (4,2)-cable over the unknot with
 the core retained, and the (3,6)-torus link, which is the splice of the first
-two along the distinguished components.  Each ships as a LaurentMatrix (the
-C-complex form, already assembled, in the shortcut notation
-pi_I = 1 + prod_{i in I}(-t_i)), as a signature evaluator wired with the
-boundary data of its sublinks, and as a piecewise-constant table of the known
-signature values on the open torus.  Together they exercise the splice
-calculus end to end: signatures, walls, boundary characters and the guard.
+two along the distinguished components.  Each is given as the integer Seifert
+forms theta^eps of a C-complex, compiled to H(t) by LaurentMatrix.from_forms,
+as a signature evaluator wired with the boundary data of its sublinks, and as
+a piecewise-constant table of the known signature values on the open torus.
+Together they exercise the splice calculus end to end: signatures, walls,
+boundary characters and the guard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
-from .cyclotomic import LaurentMatrix, LaurentPoly
+from .cyclotomic import LaurentMatrix
 from .splice import SigFn, with_boundary, zero_fn
 from .torus import Character, weighted_sum
 
-ARITY = 3  # all three matrices live in Z[t0^±, t1^±, t2^±]
 _LEAF_CACHE = 1024  # signatures kept per fixture leaf
 
 
-def _pi(indices: Sequence[int], arity: int = ARITY) -> LaurentPoly:
-    """pi_I = 1 + prod_{i in I}(-t_i), as a Laurent polynomial."""
-    exps = [0] * arity
-    for i in indices:
-        exps[i] += 1
-    return 1 + LaurentPoly(arity, {tuple(exps): (-1) ** len(indices)})
-
-
-def _t(i: int, arity: int = ARITY) -> LaurentPoly:
-    return LaurentPoly.var(arity, i)
+# (arity, {eps: theta^eps}) per fixture; a direction left out has the zero form
+FORMS: Dict[str, Tuple[int, Dict[Tuple[int, ...], list]]] = {
+    "torus(2,4)": (2, {(1, 1): [[-1]], (-1, -1): [[-1]]}),
+    "cable(4,2)+core": (3, {
+        (1, 1, 1): [[-1, 0], [1, -1]], (1, -1, -1): [[-1, 1], [0, 0]],
+        (-1, 1, 1): [[-1, 0], [1, 0]], (-1, -1, -1): [[-1, 1], [0, -1]]}),
+    "torus(3,6)": (3, {
+        (1, 1, 1): [[-1, 0, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]],
+        (1, 1, -1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, -1]],
+        (1, -1, 1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0]],
+        (1, -1, -1): [[-1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 1, 0]],
+        (-1, 1, 1): [[-1, 0, 0, 0], [1, 0, 0, -1], [0, 0, 0, 1], [0, 0, 0, 0]],
+        (-1, 1, -1): [[0, 0, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1], [0, 0, 0, 0]],
+        (-1, -1, 1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, -1]],
+        (-1, -1, -1): [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]}),
+}
 
 
 def torus24_matrix() -> LaurentMatrix:
     """C-complex form of the (2,4)-torus link, colors (t0, t1).
 
     Both components are unknotted (1,2)-curves with linking number 2; the
-    complex has a single homology generator, so the form is 1x1:
-    -pibar_0 pibar_1 pi_01.
+    complex has a single homology generator, so the forms are 1x1.
     """
-    entry = -(_pi([0], 2).conjugate() * _pi([1], 2).conjugate() * _pi([0, 1], 2))
-    return LaurentMatrix(("t0", "t1"), [[entry]])
+    return LaurentMatrix.from_forms(*FORMS["torus(2,4)"])
 
 
 def cable42_matrix() -> LaurentMatrix:
@@ -53,13 +56,7 @@ def cable42_matrix() -> LaurentMatrix:
     Colors (t0, t1, t2): t0 is the core, t1 and t2 the two parallel
     (2,1)-strands.  lk(core, strand) = 1, lk(strand, strand) = 2.
     """
-    pre = _pi([0]).conjugate() * _pi([1]).conjugate() * _pi([2]).conjugate()
-    rows = [
-        [-(_pi([0]) * _pi([1, 2])), _t(1) * _t(2) * _pi([0])],
-        [_pi([0]), -_pi([0, 1, 2])],
-    ]
-    return LaurentMatrix(("t0", "t1", "t2"),
-                         [[pre * e for e in row] for row in rows])
+    return LaurentMatrix.from_forms(*FORMS["cable(4,2)+core"])
 
 
 def torus36_matrix() -> LaurentMatrix:
@@ -68,16 +65,7 @@ def torus36_matrix() -> LaurentMatrix:
     The splice of the previous two links along their distinguished
     components; three unknotted strands with pairwise linking number 2.
     """
-    pre = _pi([0]).conjugate() * _pi([1]).conjugate() * _pi([2]).conjugate()
-    zero = LaurentPoly(ARITY)
-    rows = [
-        [-(_pi([0]) * _pi([1, 2])), _t(1) * _t(2) * _pi([0]), zero, zero],
-        [_pi([0]), -_pi([0, 1, 2]), _t(0) * _t(2) * _pi([1]), _t(0) * _pi([2])],
-        [zero, _pi([1]), -(_pi([1]) * _pi([0, 2])), -(_t(0) * _pi([1]) * _pi([2]))],
-        [zero, _t(1) * _pi([2]), _pi([1]) * _pi([2]), -(_pi([2]) * _pi([0, 1]))],
-    ]
-    return LaurentMatrix(("t0", "t1", "t2"),
-                         [[pre * e for e in row] for row in rows])
+    return LaurentMatrix.from_forms(*FORMS["torus(3,6)"])
 
 
 def _matrix_sig(matrix: LaurentMatrix) -> Callable[[Character], int]:

@@ -249,14 +249,27 @@ def laurent(arity, draw):
     return LaurentPoly(arity, terms)
 
 
+def combine(arity, pairs):
+    """sum(k * p for k, p in pairs), term by term."""
+    terms = {}
+    for k, p in pairs:
+        for exps, c in p.terms.items():
+            terms[exps] = terms.get(exps, 0) + k * c
+    return LaurentPoly(arity, terms)
+
+
+def hermitian(q):
+    """q + conj(q)."""
+    return combine(q.arity, [(1, q), (1, q.conjugate())])
+
+
 @st.composite
 def hermitian_laurent_at_root(draw):
     arity = draw(st.integers(1, 2))
     g = draw(st.integers(1, 4))
     rows = [[None] * g for _ in range(g)]
     for i in range(g):
-        q = laurent(arity, draw)
-        rows[i][i] = q + q.conjugate()
+        rows[i][i] = hermitian(laurent(arity, draw))
         for j in range(i + 1, g):
             rows[i][j] = laurent(arity, draw)
             rows[j][i] = rows[i][j].conjugate()
@@ -429,16 +442,15 @@ def test_refusals_keep_no_orbit():
     assert "laurent" not in vars(fam)  # no form compiled, so no orbit kept
     # a matrix that is not H(t) = H(t)* is refused before it has an orbit cache
     with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
-        LaurentMatrix(["t0"], [[LaurentPoly.var(1, 0)]])
+        LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1})]])
 
 
 def test_hermitian_at_some_points_is_refused_when_built():
     # t0 - t0^-1 = 2i*sin(2*pi*theta): zero at 1/2, not real at 1/3
-    t0 = LaurentPoly.var(1, 0)
     with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
-        LaurentMatrix(["t0"], [[t0 - t0.conjugate()]])
+        LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1, (-1,): -1})]])
     # t0 and t0^-1 agree at 1/2 only: the lower entry is named
-    zero = LaurentPoly(1)
+    zero, t0 = LaurentPoly(1), LaurentPoly(1, {(1,): 1})
     with pytest.raises(NotHermitian, match=r"entry \(1,0\)"):
         LaurentMatrix(["t0"], [[zero, t0], [t0, zero]])
 
@@ -458,7 +470,8 @@ def test_family_forms_are_hermitian_as_polynomials(m, n):
         cyclotomic.HermitianMatrix(h.entries)  # the checked constructor agrees
     # the same form with its last upper entry moved off its conjugate is refused
     rows = [list(row) for row in matrix.entries]
-    rows[0][-1] = rows[0][-1] + LaurentPoly.var(matrix.arity, 0)
+    t0 = LaurentPoly(matrix.arity, {(1,) + (0,) * (matrix.arity - 1): 1})
+    rows[0][-1] = combine(matrix.arity, [(1, rows[0][-1]), (1, t0)])
     with pytest.raises(NotHermitian):
         LaurentMatrix(matrix.variables, rows)
 
@@ -470,14 +483,13 @@ def maybe_hermitian_laurent(draw):
     g = draw(st.integers(1, 3))
     rows = [[None] * g for _ in range(g)]
     for i in range(g):
-        q = laurent(arity, draw)
-        rows[i][i] = q + q.conjugate()
+        rows[i][i] = hermitian(laurent(arity, draw))
         for j in range(i + 1, g):
             rows[i][j] = laurent(arity, draw)
             rows[j][i] = rows[i][j].conjugate()
     if draw(st.booleans()):
         i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, g - 1))
-        rows[i][j] = rows[i][j] + laurent(arity, draw)
+        rows[i][j] = combine(arity, [(1, rows[i][j]), (1, laurent(arity, draw))])
     return arity, rows
 
 
@@ -503,9 +515,8 @@ def test_laurent_matrix_is_refused_exactly_when_not_hermitian(case, data):
 
 
 def test_orbit_cache_is_bounded():
-    t0, t1, t2 = (LaurentPoly.var(3, i) for i in range(3))
-    q = 1 + t0 * t1 - 2 * t2 + t0 * t2.conjugate()
-    matrix = LaurentMatrix(["t0", "t1", "t2"], [[q + q.conjugate()]])
+    q = LaurentPoly(3, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -2, (1, 0, -1): 1})
+    matrix = LaurentMatrix(["t0", "t1", "t2"], [[hermitian(q)]])
     # a first coordinate of 1/37 leaves each point alone in its orbit
     points = [(Angle(Fraction(1, 37)), Angle(Fraction(b, 37)), Angle(Fraction(c, 37)))
               for b in range(37) for c in range(37)]
@@ -520,7 +531,7 @@ def test_orbit_cache_is_bounded():
 
 
 def test_orbit_cache_does_not_keep_its_matrix_alive():
-    matrix = LaurentMatrix(["t0"], [[LaurentPoly.const(1, 2)]])
+    matrix = LaurentMatrix(["t0"], [[LaurentPoly(1, {(0,): 2})]])
     assert matrix.inertia((Angle(Fraction(1, 5)),)) == (1, 0, 0)
     ref = weakref.ref(matrix)
     del matrix
@@ -563,8 +574,7 @@ def congruent_to_a_padded_form(draw):
     zero = LaurentPoly(arity)
     d = [[zero] * g for _ in range(g)]
     for i in range(small):
-        q = laurent(arity, draw)
-        d[i][i] = q + q.conjugate()
+        d[i][i] = hermitian(laurent(arity, draw))
         for j in range(i + 1, small):
             d[i][j] = laurent(arity, draw)
             d[j][i] = d[i][j].conjugate()
@@ -577,8 +587,8 @@ def congruent_to_a_padded_form(draw):
     if g:
         order = draw(st.permutations(range(g)))
         p = [p[i] for i in order]
-    h = [[sum((p[a][i] * p[b][j] * d[a][b] for a in range(g) for b in range(g)
-               if p[a][i] and p[b][j]), zero) for j in range(g)] for i in range(g)]
+    h = [[combine(arity, [(p[a][i] * p[b][j], d[a][b]) for a in range(g) for b in range(g)])
+          for j in range(g)] for i in range(g)]
     level = draw(st.sampled_from(SMALL_LEVELS))
     omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
                   for _ in range(arity))
@@ -588,8 +598,8 @@ def congruent_to_a_padded_form(draw):
 @settings(max_examples=80, deadline=None)
 @given(congruent_to_a_padded_form())
 @example((LaurentMatrix(["t0"], [[LaurentPoly(1)] * 3] * 3), (Angle(Fraction(1, 5)),)))
-@example((LaurentMatrix(["t0"], [[LaurentPoly.const(1, 2), LaurentPoly.var(1, 0)],
-                                 [LaurentPoly.var(1, 0, -1), LaurentPoly.const(1, 1)]]),
+@example((LaurentMatrix(["t0"], [[LaurentPoly(1, {(0,): 2}), LaurentPoly(1, {(1,): 1})],
+                                 [LaurentPoly(1, {(-1,): 1}), LaurentPoly(1, {(0,): 1})]]),
           (Angle(Fraction(1, 7)),)))
 def test_split_inertia_is_the_full_inertia(case):
     matrix, omega = case

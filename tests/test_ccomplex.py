@@ -407,7 +407,8 @@ class TestJson:
         with pytest.raises(InvalidFamily):
             SeifertFamily.from_json(doc)
 
-    @pytest.mark.parametrize("key", ["x", "1.0", "0,y"])
+    # "0,1" keeps both colours of the family: never read, and so refused too
+    @pytest.mark.parametrize("key", ["x", "1.0", "0,y", "0,1"])
     def test_boundary_key_of_non_integers_refused(self, key):
         doc = hopf_seifert_family(2, 2).to_json()
         doc["boundary"] = {key: unlink_family(1).to_json()}

@@ -14,7 +14,7 @@ import pytest
 from splicesig import cyclotomic
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import MAX_GRID_CELLS, main
-from splicesig.expr import MAX_HOPF_COMPONENTS
+from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS
 from splicesig.hopf import hopf_seifert_family, sigma_k
 from splicesig.torus import Angle
 
@@ -364,8 +364,27 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
+def _merges(depth):
+    """depth merges around a zero evaluator, concatenated: json.dumps recurses."""
+    return '{"merge": [' * depth + f'{{"zero": {depth + 1}}}' + ', 0]}' * depth
+
+
+def _deep_family(depth):
+    """An arity-1 family whose boundary key "0", which keeps its one colour, nests depth deep."""
+    doc = '{"arity": 1, "forms": {"+": [[1]], "-": [[1]]}'
+    return (doc + ', "boundary": {"0": ') * depth + doc + "}" + "}}" * depth
+
+
+def _run_cli(argv, cwd):
+    code = "import sys; from splicesig.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, "--json", *argv],
+                          capture_output=True, text=True, timeout=10, cwd=cwd,
+                          preexec_fn=_cap_memory, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
 class TestRefusalsFailFast:
-    """Inputs a few bytes long that would need seconds or gigabytes to compute
+    """Inputs a few bytes long that would need seconds or gigabytes to compute,
+    and documents nested deeper than the reader or the evaluator can recurse,
     are refused first: each runs in a process capped at 1 GiB and 10 s."""
 
     CASES = [
@@ -381,23 +400,40 @@ class TestRefusalsFailFast:
          "ExpressionError", f"at most {MAX_HOPF_COMPONENTS} components"),
         (["sweep", "torus-3-6", "--order", "48"],
          "UsageError", "grid of 103823 cells"),
+        (["eval", _merges(450), "--at", "1/2"],
+         "ExpressionError", f"nests combinators more than {MAX_DEPTH} deep"),
+        (["eval", _merges(5000), "--at", "1/2"],
+         "UsageError", "invalid JSON expression: maximum recursion depth"),
+        (["eval", "merge-5000.json", "--at", "1/2"],
+         "UsageError", "invalid JSON in 'merge-5000.json': maximum recursion depth"),
+        (["eval", json.dumps({"seifert": "deep-700.json"}), "--at", "1/2"],
+         "ExpressionError", "bad seifert family 'deep-700.json': maximum recursion depth"),
     ]
 
     @pytest.mark.parametrize("argv, kind, message", CASES, ids=[
         "family-arity", "grid-arity", "cable-copies", "level-bound", "hopf-components",
-        "grid-cells"])
+        "grid-cells", "merge-450", "merge-5000", "merge-5000-file", "family-700"])
     def test_refused_within_time_and_memory(self, argv, kind, message, tmp_path):
         (tmp_path / "arity-40.json").write_text(json.dumps({"arity": 40, "forms": {}}))
         (tmp_path / "trefoil.json").write_text(trefoil_family().dumps())
-        code = "import sys; from splicesig.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run([sys.executable, "-c", code, "--json", *argv],
-                              capture_output=True, text=True, timeout=10, cwd=tmp_path,
-                              preexec_fn=_cap_memory,
-                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        (tmp_path / "merge-5000.json").write_text(_merges(5000))
+        (tmp_path / "deep-700.json").write_text(_deep_family(700))
+        proc = _run_cli(argv, tmp_path)
         assert proc.returncode == 2, proc.stderr
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == kind
         assert message in error["message"]
+
+    def test_documents_at_the_depth_limit_evaluate(self, tmp_path):
+        assert MAX_DEPTH >= 200
+        proc = _run_cli(["eval", _merges(MAX_DEPTH), "--at", "1/2"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, '{"signature": 0}\n'), proc.stderr
+        # satellites with the zero pattern around a merged fixture, whose
+        # value at 1/3 is torus(2,4)'s at (1/3, 1/3) less 2: -1 - 2
+        knot = '{"merge": [{"fixture": "torus-2-4"}, 2]}'
+        doc = '{"satellite": [' * (MAX_DEPTH - 1) + knot + ', {"zero": 1}, 1]}' * (MAX_DEPTH - 1)
+        proc = _run_cli(["eval", doc, "--at", "1/3"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, '{"signature": -3}\n'), proc.stderr
 
 
 class TestUsageError:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splicesig import fixtures
+from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     HermitianMatrix,
@@ -19,7 +20,7 @@ from splicesig.cyclotomic import (
     _level,
     cyclotomic_polynomial,
 )
-from splicesig.errors import InvalidFamily, LevelMismatch, NotHermitian, NotReal
+from splicesig.errors import LevelMismatch, NotHermitian, NotReal
 from splicesig.hopf import hopf_seifert_family
 from splicesig.torus import character
 
@@ -327,16 +328,6 @@ def test_inertia_parity_and_bound():
 # Laurent matrices
 # ---------------------------------------------------------------------------
 
-def test_laurent_poly_algebra():
-    t0 = LaurentPoly.var(2, 0)
-    t1 = LaurentPoly.var(2, 1)
-    p = (1 - t0.conjugate()) * (1 - t1.conjugate())
-    q = p.conjugate()
-    assert q == (1 - t0) * (1 - t1)
-    assert (p - p) == LaurentPoly(2)
-    assert (p * q).conjugate() == p * q  # |p|^2 is conjugation-invariant
-
-
 def test_laurent_poly_checks_arity_of_every_term():
     for terms in ({(1,): 1}, {(1,): 0}, {(0, 0): 1, (1, 0, 0): Fraction(0)}):
         with pytest.raises(ValueError, match="arity"):
@@ -349,34 +340,17 @@ def model(terms):
     return {e: Fraction(c) for e, c in terms.items() if c}
 
 
-def model_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return model(out)
-
-
-def model_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return model(out)
-
-
 @st.composite
 def laurent_pairs(draw):
-    """Two coefficient dicts with rational coefficients, zeros among them, where
-    some terms of the second cancel those of the first."""
+    """Two coefficient dicts with rational coefficients, zeros among them; at
+    times the second holds the first's terms and zero terms besides."""
     arity = draw(st.integers(1, 2))
     exps = st.tuples(*[st.integers(-2, 2)] * arity)
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     a = draw(st.dictionaries(exps, coeff, max_size=4))
     b = draw(st.dictionaries(exps, coeff, max_size=4))
-    if a:
-        for e in draw(st.lists(st.sampled_from(sorted(a)), unique=True)):
-            b[e] = -a[e]
+    if draw(st.booleans()):
+        b = {**{e: 0 for e in b}, **a}
     return arity, a, b
 
 
@@ -386,9 +360,7 @@ def test_laurent_poly_matches_fraction_model(case):
     arity, a, b = case
     p, q = LaurentPoly(arity, a), LaurentPoly(arity, b)
     ma, mb = model(a), model(b)
-    results = [(p + q, model_add(ma, mb)),
-               (p - q, model_add(ma, {e: -c for e, c in mb.items()})),
-               (p * q, model_mul(ma, mb)),
+    results = [(p, ma), (q, mb),
                (p.conjugate(), {tuple(-x for x in e): c for e, c in ma.items()})]
     for got, want in results:
         assert got.terms == want
@@ -398,13 +370,23 @@ def test_laurent_poly_matches_fraction_model(case):
         again = LaurentPoly(arity, {e: str(c) for e, c in want.items()})
         assert (again.den, again.num) == (got.den, got.num) and again == got
     assert (p == q) == (ma == mb)
-    back = (p + q) - q  # equal values by another route: equal pairs
-    assert (back.den, back.num) == (p.den, p.num)
-    assert ((p * q).den, (p * q).num) == ((q * p).den, (q * p).num)
+    assert p.conjugate().conjugate() == p
 
 
-# sha256 of LaurentMatrix.dumps(), recorded when LaurentPoly still held Fraction
-# terms and H(t) was compiled by LaurentPoly arithmetic
+def dumps(matrix):
+    """H(t) as the JSON text that LaurentMatrix.dumps once wrote."""
+    def term(exps, c, den):
+        g = math.gcd(c, den)
+        return {"coeff": c // g if g == den else f"{c // g}/{den // g}", "exps": list(exps)}
+
+    doc = {"variables": list(matrix.variables),
+           "entries": [[[term(e, c, poly.den) for e, c in sorted(poly.num.items())]
+                        for poly in row] for row in matrix.entries]}
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+# sha256 of dumps(H(t)), recorded when LaurentPoly still held Fraction terms
+# and H(t) was compiled by LaurentPoly arithmetic
 RECORDED_DUMPS = {
     "torus24": "7e168e49a124944810ac268f8845d4f20efeea95987dbf5e7c037226be5a0d75",
     "cable42": "fd74806802ea546559dbdba9c32ee68d4d1eb8a073f76bc836035f5a6a4caf86",
@@ -436,9 +418,7 @@ def test_dumps_match_the_recorded_text(key):
         matrix = FIXTURE_MATRICES[key]()
     else:
         matrix = hopf_seifert_family(*key).laurent
-    text = matrix.dumps()
-    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DUMPS[key]
-    assert LaurentMatrix.loads(text).dumps() == text
+    assert hashlib.sha256(dumps(matrix).encode()).hexdigest() == RECORDED_DUMPS[key]
 
 
 def test_compiling_forms_builds_no_fraction():
@@ -456,30 +436,23 @@ def test_compiling_forms_builds_no_fraction():
 
 
 def test_laurent_matrix_eval_and_json():
-    t0 = LaurentPoly.var(2, 0)
-    t1 = LaurentPoly.var(2, 1)
-    p = t0 + t0.conjugate() - t1 - t1.conjugate()
+    p = LaurentPoly(2, {(1, 0): 1, (-1, 0): 1, (0, 1): -1, (0, -1): -1})  # t0 + 1/t0 - t1 - 1/t1
     m = LaurentMatrix(["t0", "t1"], [[p]])
     h = m.evaluate(character("1/8,1/2"))
     # 2cos(pi/4) - 2cos(pi) = sqrt(2) + 2 > 0
     assert h.signature_nullity() == (1, 0)
-    doc = m.to_json()
-    again = LaurentMatrix.from_json(json.loads(json.dumps(doc)))
-    assert again.dumps() == m.dumps()
-    assert again.evaluate(character("1/8,1/2")).signature_nullity() == (1, 0)
+    # the one JSON form document is a family's: its H(t) survives the round trip
+    fam = hopf_seifert_family(2, 3)
+    again = SeifertFamily.from_json(json.loads(json.dumps(fam.to_json()))).laurent
+    assert again.entries == fam.laurent.entries
+    assert dumps(again) == dumps(fam.laurent)
 
 
 def test_laurent_poly_refuses_non_integer_exponents():
     with pytest.raises(TypeError, match="float"):
         LaurentPoly(1, {(1.5,): 1})
-    assert LaurentPoly(1, {(2,): 1}) == LaurentPoly.var(1, 0, 2)
-
-
-def test_laurent_matrix_from_json_keeps_exponents_exact():
-    doc = {"variables": ["t0"], "entries": [[[{"coeff": 1, "exps": [1.5]},
-                                              {"coeff": 1, "exps": [-1.5]}]]]}
-    with pytest.raises(InvalidFamily, match="float"):
-        LaurentMatrix.from_json(doc)  # not read as t0 + t0^-1
+    square = LaurentPoly(1, {(2,): 1})
+    assert (square.den, square.num) == (1, {(2,): 1})
 
 
 def test_laurent_poly_refuses_float_coefficients():
@@ -490,39 +463,18 @@ def test_laurent_poly_refuses_float_coefficients():
     assert (tenth.den, tenth.num) == (10, {(0,): 1})
 
 
-@pytest.mark.parametrize("entries, why", [
-    ([[[{"coeff": "x", "exps": [0]}]]], "Fraction"),
-    ([[[{"coeff": 1, "exps": [1.5]}]]], "float"),
-    (None, "entries"),
-    ([[[{"exps": [0]}]]], "coeff"),
-    # JSON floats are refused, not read through str(): 1e-400 is 0.0 and would
-    # drop the term, 12345678901234567890.0 would lose digits, 0.5 would be 1/2
-    ([[[{"coeff": 1e-400, "exps": [0]}]]], "coefficient 0.0 is not an integer"),
-    ([[[{"coeff": 12345678901234567890.0, "exps": [0]}]]], "coefficient 1.2345678901234567e"),
-    ([[[{"coeff": 0.5, "exps": [0]}]]], "coefficient 0.5 is not an integer"),
-    ([[[{"coeff": True, "exps": [0]}]]], "coefficient True is not an integer"),
-])
-def test_laurent_matrix_from_json_refuses_malformed_documents(entries, why):
-    doc = {"variables": ["t0"]}
-    if entries is not None:
-        doc["entries"] = entries
-    with pytest.raises(InvalidFamily, match=why):
-        LaurentMatrix.from_json(doc)
-
-
 def test_laurent_matrix_eval_hermitian_guard():
-    t0 = LaurentPoly.var(1, 0)
+    t0 = LaurentPoly(1, {(1,): 1})
     # t0 is real only at t0 = +-1, so it is no Hermitian form: refused when
     # built, not answered at the fixed points of conjugation
     with pytest.raises(NotHermitian):
         LaurentMatrix(["t0"], [[t0]])
-    m = LaurentMatrix(["t0"], [[t0 + t0.conjugate()]])
+    m = LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1, (-1,): 1})]])
     assert m.evaluate(character("1/2")).signature_nullity() == (-1, 0)
 
 
 def test_laurent_matrix_refuses_a_character_of_the_wrong_length():
-    t0 = LaurentPoly.var(1, 0)
-    m = LaurentMatrix(["t0"], [[t0 + t0.conjugate()]])
+    m = LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1, (-1,): 1})]])
     for omega in ((), character("1/2,1/3")):
         for call in (m.evaluate, m.inertia):
             with pytest.raises(ValueError, match=f"character has {len(omega)} colors, "
@@ -535,11 +487,17 @@ def test_laurent_matrix_refuses_a_character_of_the_wrong_length():
 def test_trefoil_seifert_matrix_signature():
     # (1 - conj(w)) V + (1 - w) V^T for V = [[-1, 1], [0, -1]]
     v = [[-1, 1], [0, -1]]
-    t = LaurentPoly.var(1, 0)
-    entries = [[(1 - t.conjugate()) * v[i][j] + (1 - t) * v[j][i] for j in range(2)]
-               for i in range(2)]
-    m = LaurentMatrix(["t"], [[e for e in row] for row in entries])
+    vt = [[v[j][i] for j in range(2)] for i in range(2)]
+    m = LaurentMatrix.from_forms(1, {(1,): v, (-1,): vt})
     assert m.evaluate(character("1/2")).signature_nullity() == (-2, 0)
     # e^(2*pi*i/6) is a root of the Alexander polynomial: eigenvalues {0, -2}
     assert m.evaluate(character("1/6")).signature_nullity() == (-1, 1)
     assert m.evaluate(character("1/3")).signature_nullity() == (-2, 0)
+
+
+def test_from_forms_refuses_forms_not_dual_or_not_square():
+    v = [[-1, 1], [0, -1]]
+    with pytest.raises(NotHermitian, match=r"entry \(1,0\)"):
+        LaurentMatrix.from_forms(1, {(1,): v, (-1,): v})  # theta^- is not theta^+ transposed
+    with pytest.raises(ValueError, match="every form must be 2x2"):
+        LaurentMatrix.from_forms(1, {(1,): v, (-1,): [[-1, 0], [1]]})

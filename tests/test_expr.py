@@ -8,7 +8,7 @@ import pytest
 
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
-from splicesig.expr import MAX_HOPF_COMPONENTS, parse
+from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS, parse
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import SigFn, splice
@@ -125,6 +125,19 @@ class TestCombinedForms:
                                      {"hopf": [1, 2]}, [1, 1]]}, 0]}
         f = parse(doc)
         assert f.arity == 3
+
+    def test_nesting_is_bounded_as_parse_descends(self):
+        # a document far deeper than the interpreter recurses: refused at the
+        # first operand past MAX_DEPTH, not by a RecursionError
+        doc = {"zero": 1}
+        for _ in range(10 * MAX_DEPTH):
+            doc = {"satellite": [doc, {"zero": 1}, 1]}
+        with pytest.raises(ExpressionError, match=f"more than {MAX_DEPTH} deep"):
+            parse(doc)
+        doc = {"zero": 1}
+        for _ in range(MAX_DEPTH):
+            doc = {"satellite": [doc, {"zero": 1}, 1]}
+        assert parse(doc)((ang(1, 5),)) == 0
 
 
 class TestErrors:

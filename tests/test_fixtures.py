@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from splicesig import fixtures
-from splicesig.cyclotomic import LaurentMatrix
+from splicesig.ccomplex import SeifertFamily
 from splicesig.fixtures import (PiecewiseTable, cable42_matrix, cable42_sig,
                                 fixture_matrix, fixture_names, fixture_sig,
                                 fixture_table, torus24_matrix, torus24_sig,
@@ -28,6 +28,15 @@ def ang(num, den):
 
 def eighth(k):
     return ang(k % 8, 8)
+
+
+def family(name):
+    """The fixture's forms as a SeifertFamily, the directions left out as zero forms."""
+    arity, forms = fixtures.FORMS[name]
+    g = len(next(iter(forms.values())))
+    zero = [[0] * g for _ in range(g)]
+    return SeifertFamily(arity, {eps: forms.get(eps, zero)
+                                 for eps in product((1, -1), repeat=arity)})
 
 
 class TestSpotValues:
@@ -134,11 +143,20 @@ class TestMatrices:
         assert len(m2.entries) == 2 and m2.variables == ("t0", "t1", "t2")
         assert len(m3.entries) == 4 and m3.variables == ("t0", "t1", "t2")
 
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_forms_are_a_valid_family(self, name):
+        # the forms pass the family gate and compile to the fixture's H(t)
+        assert sorted(fixtures.FORMS) == list(fixture_names())
+        fam = family(name)
+        assert fam.validate() == []
+        assert fam.laurent.entries == fixture_matrix(name).entries
+
     def test_json_round_trip(self):
+        # the family document is the one JSON form document
         for name in fixture_names():
             m = fixture_matrix(name)
-            again = LaurentMatrix.loads(m.dumps())
-            assert again.dumps() == m.dumps()
+            again = SeifertFamily.loads(family(name).dumps()).laurent
+            assert again.entries == m.entries
             om = (ang(1, 8),) * len(m.variables)
             a = m.evaluate(om, 8).signature_nullity()
             b = again.evaluate(om, 8).signature_nullity()
@@ -152,7 +170,7 @@ class TestMatrices:
             assert s + n <= 2
 
     def test_fixture_matrix_lookup_matches(self):
-        assert fixture_matrix("referee-L").dumps() == torus36_matrix().dumps()
+        assert fixture_matrix("referee-L").entries == torus36_matrix().entries
 
     def test_leaf_cache_is_bounded(self):
         # a sweep over more open-torus cells than the leaf keeps
