@@ -18,8 +18,7 @@ from .splice import (SigFn, cable_parallel, lt_splice, merge_colors, satellite, 
 
 # module -> the public names it serves lazily; "alias=attr" binds attr as alias
 _LAZY = {
-    "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix LaurentPoly "
-                  "cyclotomic_polynomial",
+    "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
     "hopf": "HopfSpec hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature "
             "hopf_spectrum sigma_k unlink_family",

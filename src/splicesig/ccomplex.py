@@ -33,7 +33,7 @@ from itertools import product
 from typing import List, Mapping, Optional, Sequence, Tuple, Type
 
 from .cyclotomic import HermitianMatrix, LaurentMatrix
-from .errors import BoundaryCharacter, InvalidFamily, NotHermitian, NullityUnavailable
+from .errors import MAX_DEPTH, BoundaryCharacter, InvalidFamily, NotHermitian, NullityUnavailable
 from .splice import SigFn, with_boundary
 from .torus import Character, is_open
 
@@ -61,6 +61,13 @@ def _parse_boundary_key(key: str) -> Tuple[int, ...]:
     except ValueError:
         raise InvalidFamily(
             f"bad boundary key {key!r}: kept colors are comma-separated integers") from None
+
+
+def _bad_key(kept: Tuple[int, ...], mu: int) -> Optional[str]:
+    """Unless kept is some of the mu colours, ascending, the problem: a key keeping
+    every colour is never read and lets boundaries nest forever."""
+    if not (all(0 <= i < mu for i in kept) and list(kept) == sorted(set(kept)) and len(kept) < mu):
+        return f"bad boundary key {','.join(map(str, kept))!r}"
 
 
 def _json_typed(value, kind: type, what: str):
@@ -150,11 +157,9 @@ class SeifertFamily:
             elif any(self.linking[i][j] != self.linking[j][i]
                      for i in range(mu) for j in range(mu)):
                 out.append("linking matrix is not symmetric")
-        # a key keeping every colour is never read and lets boundaries nest forever
         for kept, sub in self.boundary.items():
-            if (not all(0 <= i < mu for i in kept) or list(kept) != sorted(set(kept))
-                    or len(kept) == mu):
-                out.append(f"bad boundary key {','.join(map(str, kept))!r}")
+            if bad := _bad_key(kept, mu):
+                out.append(bad)
                 continue
             if sub.arity != len(kept):
                 out.append(f"boundary family for {kept} has arity {sub.arity}")
@@ -271,19 +276,23 @@ class SeifertFamily:
         return fam
 
     @classmethod
-    def _from_doc(cls, doc: dict) -> "SeifertFamily":
+    def _from_doc(cls, doc: dict, depth: int = 0) -> "SeifertFamily":
         try:
             forms = {_parse_sign_key(k): _int_rows(v, f"form {k}") for k, v in doc["forms"].items()}
             if len(forms) < len(doc["forms"]):
                 raise InvalidFamily("two forms have one shift direction (- and − are one)")
-            boundary = None
+            mu, boundary = _json_typed(doc["arity"], int, "arity"), None
             if "boundary" in doc:
+                if depth == MAX_DEPTH:  # checked while descending, as the keys are
+                    raise InvalidFamily(f"boundary families nest more than {MAX_DEPTH} deep")
                 boundary = {}
                 for key, sub in doc["boundary"].items():
                     kept = _parse_boundary_key(key)
-                    boundary[kept] = cls._from_doc(sub)
+                    if bad := _bad_key(kept, mu):
+                        raise InvalidFamily(bad)
+                    boundary[kept] = cls._from_doc(sub, depth + 1)
             linking = doc.get("linking")
-            fam = cls(_json_typed(doc["arity"], int, "arity"), forms,
+            fam = cls(mu, forms,
                       basis=_json_typed(doc.get("basis", False), bool, "basis"),
                       boundary=boundary,
                       linking=None if linking is None else _int_rows(linking, "linking"),

@@ -9,17 +9,17 @@ integer numerators, in lowest terms, so two values are equal exactly when
 their pairs are; there is no epsilon, and arithmetic builds no Fraction.
 A field element is (den, vec), vec its numerator in the power basis 1, x,
 ..., x^(d-1) of Q[x]/(Phi_N), d = deg Phi_N, at x = zeta_N = exp(2*pi*i/N);
-CyclotomicNumber is a view on one.  A LaurentPoly, an entry of H(t), is
-(den, num) with num {exponent vector: nonzero int}; LaurentMatrix.from_forms,
-the one constructor of H(t), builds every entry term by term from the integer
-Seifert forms theta^eps of a C-complex, for families and fixtures alike.
+CyclotomicNumber is a view on one.  H(t) = sum_e t^e C_e has integer
+coefficient matrices C_e, which a LaurentMatrix holds; LaurentMatrix.from_forms
+adds each integer Seifert form theta^eps of a C-complex into its C_e, for
+families and fixtures alike.
 
 One integer table.  Each level holds pow_rows[k] = x^k mod Phi_N for
 0 <= k < N, filled by the multiply-by-x recurrence, which stays integral
 because Phi_N is monic.  As x^N = 1, any integer combination sum c_e x^e
 reduces by folding each term with pow_rows[e mod N] (_Level.reduce, the only
 reduction): a product folds its convolution, conjugation sends x^j to
-pow_rows[-j mod N], and a LaurentMatrix folds each entry's num at a point.
+pow_rows[-j mod N], and a LaurentMatrix folds each entry's terms at a point.
 Phi_N itself is built from the distinct primes of N, one exact division each:
 Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p, then
 Phi_N(x) = Phi_rad(N)(x^(N/rad(N))).
@@ -670,70 +670,6 @@ def _inertia(rows: Sequence[Sequence[QV]], lv: _Level) -> Tuple[Tuple[QV, ...], 
 # Laurent polynomial matrices (the symbolic layer above the field)
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """A Laurent polynomial in mu commuting variables with rational coefficients.
-
-    Stored as one canonical integer pair: num maps exponent vectors to nonzero
-    ints, den > 0 and gcd(den, *num) = 1, and the polynomial is
-    sum(c * t^e for e, c in num.items()) / den, so == compares pairs.  The
-    constructor reads int, Fraction or "p/q" coefficients, never a float,
-    and int exponents once.  There is no ring arithmetic: an entry of H(t) is
-    built term by term by LaurentMatrix.from_forms.  Negative exponents are
-    fine; on the unit torus they evaluate to conjugates.
-    """
-
-    __slots__ = ("arity", "den", "num")
-
-    def __init__(self, arity: int,
-                 terms: Optional[Dict[Tuple[int, ...], Union[int, Fraction, str]]] = None):
-        coeffs = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != arity:
-                raise ValueError("exponent vector length does not match arity")
-            if isinstance(c, float):
-                raise TypeError(f"float coefficient {c!r} is inexact; use int, Fraction or 'p/q'")
-            coeffs[tuple(map(operator.index, exps))] = c if isinstance(c, int) else Fraction(c)
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        p = self._make(arity, den, {e: c.numerator * (den // c.denominator)
-                                    for e, c in coeffs.items()})
-        self.arity, self.den, self.num = arity, p.den, p.num
-
-    @classmethod
-    def _make(cls, arity: int, den: int, num: Dict[Tuple[int, ...], int]) -> "LaurentPoly":
-        """sum(c * t^e for e, c in num.items()) / den, den > 0, as its canonical pair."""
-        p = object.__new__(cls)
-        num = {e: c for e, c in num.items() if c}
-        g = math.gcd(den, *num.values())
-        p.arity, p.den, p.num = arity, den // g, {e: c // g for e, c in num.items()}
-        return p
-
-    @property
-    def terms(self) -> Dict[Tuple[int, ...], Fraction]:
-        """{exponent vector: coefficient}, as Fractions."""
-        return {e: Fraction(c, self.den) for e, c in self.num.items()}
-
-    def conjugate(self) -> "LaurentPoly":
-        """Conjugation on the torus: t_i -> t_i^-1, coefficients unchanged."""
-        return LaurentPoly._make(self.arity, self.den,
-                                 {tuple(-x for x in e): c for e, c in self.num.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return (self.arity, self.den, self.num) == (other.arity, other.den, other.num)
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.num:
-            return "LaurentPoly(0)"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(f"t{i}^{p}" for i, p in enumerate(e) if p)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "LaurentPoly(" + " + ".join(bits) + ")"
-
-
 def _steps(omega: Character, level: int) -> List[int]:
     """The exponents k_i with omega_i = zeta_level^k_i."""
     steps = []
@@ -745,22 +681,33 @@ def _steps(omega: Character, level: int) -> List[int]:
 
 
 class LaurentMatrix:
-    """A square matrix of Laurent polynomials with H(t) = H(t)*, so Hermitian on the torus."""
+    """H(t) = sum_e t^e C_e in arity variables, held as its integer size x size
+    coefficient matrices coeffs = {e: C_e}, a direction left out being zero.
 
-    def __init__(self, variables: Sequence[str], entries: Sequence[Sequence[LaurentPoly]]):
-        self.variables = tuple(variables)
-        g = len(entries)
-        if any(len(row) != g for row in entries):
-            raise ValueError("matrix must be square")
-        if any(e.arity != len(self.variables) for row in entries for e in row):
-            raise ValueError("entry arity does not match the variable list")
-        self.entries = tuple(tuple(row) for row in entries)
-        for i, row in enumerate(self.entries):
-            for j in range(i, g):
-                if self.entries[j][i] != row[j].conjugate():
-                    raise NotHermitian(f"entry ({j},{i}) is not the conjugate of ({i},{j}) in H(t)")
-        self.size = g
-        self._monomials = {exps for row in self.entries for e in row for exps in e.num}
+    Exponents and entries are read as ints once (a float is refused with
+    TypeError), and the matrix is refused with NotHermitian unless
+    C_-e = transpose(C_e), i.e. H(t) = H(t)*, so Hermitian on the torus.
+    """
+
+    def __init__(self, arity: int, size: int,
+                 coeffs: Mapping[Tuple[int, ...], Sequence[Sequence[int]]]):
+        self.arity, self.size, self.coeffs = arity, size, {}
+        for exps, c in coeffs.items():
+            if len(exps) != arity:
+                raise ValueError("exponent vector length does not match arity")
+            if len(c) != size or any(len(row) != size for row in c):
+                raise ValueError(f"every coefficient matrix must be {size}x{size}")
+            exps = tuple(map(operator.index, exps))
+            c = tuple(tuple(map(operator.index, row)) for row in c)
+            if any(map(any, c)):  # a zero C_e is left out: equal H(t), equal coeffs
+                self.coeffs[exps] = c
+        zero = ((0,) * size,) * size
+        bad = [(min(i, j), max(i, j)) for e, c in self.coeffs.items()
+               for mirror in (self.coeffs.get(tuple(-x for x in e), zero),)
+               for i in range(size) for j in range(size) if c[i][j] != mirror[j][i]]
+        if bad:
+            i, j = min(bad)
+            raise NotHermitian(f"entry ({j},{i}) is not the conjugate of ({i},{j}) in H(t)")
         # the orbit cache of inertia, on a proxy so that it does not keep self alive
         self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
 
@@ -776,27 +723,18 @@ class LaurentMatrix:
         g = len(next(iter(forms.values()), ()))
         if any(len(form) != g or any(len(row) != g for row in form) for form in forms.values()):
             raise ValueError(f"every form must be {g}x{g}")
-        # weight_eps = sum over subsets S of the colours, as signs s = -1 on S,
-        # of prod(eps) * (-1)^|S| * t^([eps < 0] - [S]): integer terms
-        signs = list(product((1, -1), repeat=arity))
-        weights = [(form, [(tuple(int(e < 0) - int(s < 0) for e, s in zip(eps, sub)),
-                            math.prod(eps) * math.prod(sub)) for sub in signs])
-                   for eps, form in forms.items()]
-
-        def entry(i: int, j: int) -> LaurentPoly:
-            terms: dict = {}  # sum_eps theta^eps[i][j] * weight_eps, term by term
-            for form, w in weights:
-                if form[i][j]:
-                    for exps, c in w:
-                        terms[exps] = terms.get(exps, 0) + form[i][j] * c
-            return LaurentPoly(arity, terms)
-
-        return cls([f"t{i}" for i in range(arity)],
-                   [[entry(i, j) for j in range(g)] for i in range(g)])
-
-    @property
-    def arity(self) -> int:
-        return len(self.variables)
+        # for each subset S of the colours, as signs s = -1 on S, theta^eps
+        # adds prod(eps) * (-1)^|S| * theta^eps to C_e, e = [eps < 0] - [S]
+        coeffs: Dict[Tuple[int, ...], List[List[int]]] = {}
+        for eps, form in forms.items():
+            for sub in product((1, -1), repeat=arity):
+                k = math.prod(eps) * math.prod(sub)
+                c = coeffs.setdefault(tuple(int(x < 0) - int(s < 0) for x, s in zip(eps, sub)),
+                                      [[0] * g for _ in range(g)])
+                for row, theta in zip(c, form):
+                    for j, x in enumerate(theta):
+                        row[j] += k * x
+        return cls(arity, g, coeffs)
 
     def _level_of(self, omega: Character, level: Optional[int] = None) -> int:
         """level, or the lcm of omega's denominators; omega has one angle per variable."""
@@ -813,11 +751,10 @@ class LaurentMatrix:
             kept: Optional[Sequence[int]] = None) -> List[List[Optional[QV]]]:
         """The entries at t_i = zeta_n^steps[i]; with kept, ascending, only the
         principal submatrix on kept, None below its diagonal."""
-        power = {exps: sum(e * s for e, s in zip(exps, steps)) for exps in self._monomials}
+        power = {e: sum(x * s for x, s in zip(e, steps)) for e in self.coeffs}
         lv, index = _level(n), range(self.size) if kept is None else kept
-        return [[lv.reduce(e.den, [(power[exps], c) for exps, c in e.num.items()])
-                 if kept is None or i <= j else None
-                 for j in index for e in (self.entries[i][j],)] for i in index]
+        return [[lv.reduce(1, [(power[e], c[i][j]) for e, c in self.coeffs.items()])
+                 if kept is None or i <= j else None for j in index] for i in index]
 
     def inertia(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, zero) of H(omega), exact: one elimination per Galois orbit.
@@ -825,7 +762,7 @@ class LaurentMatrix:
         With omega = zeta_N^k, N the lcm of its denominators, H is evaluated
         and eliminated only at rep = v*k mod N, the least point of k's orbit
         under the units v.  sigma_u, u = v^-1, maps H(rep) to H(omega), the
-        coefficients being rational.  It keeps nonzero pivots nonzero and maps
+        coefficients being integers.  It keeps nonzero pivots nonzero and maps
         the congruence, zero-diagonal fold included, to one diagonalising
         H(omega) as sigma_u(pivots): by Sylvester's law their certified signs
         are the inertia, and the kernel size is orbit-wide.  The matrix keeps
@@ -852,16 +789,9 @@ class LaurentMatrix:
 
     @cached_property
     def _kept(self) -> Tuple[int, ...]:
-        """J, the pivot columns of the C_e of H(t) = sum_e t^e C_e stacked, ascending.
-
-        One fraction-free integer elimination on the distinct rows (e, i),
-        each scaled to integers, which keeps the row space.
-        """
-        rows = set()
-        for row in self.entries:
-            den = math.lcm(*(e.den for e in row))
-            rows.update(tuple(e.num.get(exps, 0) * (den // e.den) for e in row)
-                        for exps in self._monomials)
+        """J, the pivot columns of the C_e stacked, ascending: one fraction-free
+        integer elimination on their distinct rows, which keeps the row space."""
+        rows = {row for c in self.coeffs.values() for row in c}
         kept = []
         for j in range(self.size):
             top = next((r for r in rows if r[j]), None)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the nesting limit they enforce."""
+
+# How deep expression combinators and Seifert boundary families may nest.  An
+# evaluator costs two Python frames per combinator it nests, so documents up to
+# this depth evaluate well inside the default recursion limit of 1000.
+MAX_DEPTH = 256
 
 
 class SpliceSigError(Exception):

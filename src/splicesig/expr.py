@@ -29,15 +29,12 @@ import json
 import os
 from typing import Optional
 
-from .errors import ExpressionError, InvalidFamily
+from .errors import MAX_DEPTH, ExpressionError, InvalidFamily
 from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero_fn
 
 # One command-line argument holds at most 131 072 bytes on Linux, at least two
 # an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
 MAX_HOPF_COMPONENTS = 65_536
-# An evaluator costs two Python frames per combinator it nests, so documents
-# up to this depth evaluate well inside the default recursion limit of 1000.
-MAX_DEPTH = 256
 
 _FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
           "satellite")

@@ -18,7 +18,7 @@ H_{m,n} by brute force, which is the oracle pinning every sign convention in
 the splice calculus.  Its kernel overshoots the nullity by the excess
 m + n - 1 (basis=False), a constant kernel LaurentMatrix.inertia splits off.
 certify_spectrum proves the eigenvalues of hopf_spectrum at every open
-character at once, by one Laurent-polynomial identity on the terms of H(t).
+character at once, by one Laurent-polynomial identity on the integer C_e of H(t).
 """
 
 from __future__ import annotations
@@ -210,22 +210,21 @@ def certify_spectrum(family: SeifertFamily, m: int, n: int,
     have the eigenvalues of hopf_spectrum at every open character; else 0, the first
     character (None for no characters).  No form is evaluated: with s = xi_L,
     L = lcm(m, n), and Fourier vector v_r = s^(L/m*a*i + L/n*b*j), every row r must
-    give one conj(v_r)(H(t) v)_r = sum_c H_rc(t) s^(v_c - v_r) mod s^L - 1, and these
-    mu_v the products lambda(t0, s^(L/m*i)) * lambda(t1, s^(-L/n*j)) as a multiset.
+    give one conj(v_r)(H(t) v)_r = sum_(e,c) C_e[r][c] t^e s^(v_c - v_r) mod s^L - 1,
+    and these mu_v the products lambda(t0, s^(L/m*i)) * lambda(t1, s^(-L/n*j)) as a multiset.
     s = xi_L, t = omega is a ring map, so H(omega) v = mu_v(omega) v for a basis v.
     """
     if any(eta.is_unit() or zeta.is_unit() for eta, zeta in characters):  # ValueError if no pair
         raise BoundaryCharacter("spectrum closed form holds on the open torus only")
-    rows, L = family.laurent.entries, math.lcm(m, n)
+    h, L = family.laurent, math.lcm(m, n)
     cells = [(i, j) for i in range(m) for j in range(n)]
-    den = math.lcm(*(e.den for row in rows for e in row))  # one denominator: integer terms
 
-    def mus(v: List[int]) -> frozenset:  # the conj(v_r)(H(t) v)_r of all rows r, den times
-        return frozenset(_polynomial(((t, (v[c] - v[r]) % L), k * (den // e.den))
-                                     for c, e in enumerate(row) for t, k in e.num.items())
-                         for r, row in enumerate(rows))
+    def mus(v: List[int]) -> frozenset:  # the conj(v_r)(H(t) v)_r of all rows r
+        return frozenset(_polynomial(((e, (v[c] - v[r]) % L), k) for e, coef in h.coeffs.items()
+                                     for c, k in enumerate(coef[r]))
+                         for r in range(h.size))
     want = Counter(frozenset({_polynomial(  # each product, the one value of every row
-        (((p, p2), (L // m * i * q - L // n * j * q2) % L), -den * c * c2)  # i * i = -1
+        (((p, p2), (L // m * i * q - L // n * j * q2) % L), -c * c2)  # i * i = -1
         for (p, q), c in _LAMBDA_TERMS for (p2, q2), c2 in _LAMBDA_TERMS)}) for i, j in cells)
-    return None if not characters or len(rows) == m * n and want == Counter(
+    return None if not characters or h.size == m * n and want == Counter(
         mus([L // m * a * i + L // n * b * j for i, j in cells]) for a, b in cells) else 0

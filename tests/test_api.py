@@ -22,15 +22,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # module -> public names as the package exported them when every module loaded
 # eagerly, less angle, parse_character, serialize_character and
 # parse_expression_file (the CLI, Angle and character are the one reader of
-# each input); "alias=attr" names attr of the module
+# each input) and LaurentPoly (a LaurentMatrix holds its integer coefficient
+# matrices); "alias=attr" names attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
               "LevelMismatch MissingBaseEvaluator NotHermitian NotReal NullityUnavailable "
               "SpliceSigError UsageError",
     "torus": "UNIT Angle char_power character conjugate_character defect defect1 "
              "delete_color ind insert_unit is_open log_sum",
-    "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix LaurentPoly "
-                  "cyclotomic_polynomial",
+    "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
     "splice": "SigFn cable_parallel lt_splice merge_colors satellite splice splice_knot "
               "to_levine_tristram with_boundary zero_fn",

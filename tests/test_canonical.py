@@ -23,6 +23,8 @@ cache stays within its bound without changing an answer or keeping its
 matrix alive.  A LaurentMatrix is refused when built exactly when some entry
 (j, i) is not (i, j) with its exponents negated, and an accepted one
 evaluates to matrices that the checked HermitianMatrix constructor accepts.
+The random matrices are drawn entry by entry, as polynomials {exponents: int},
+and handed to LaurentMatrix as their coefficient matrices C_e.
 
 LaurentMatrix.inertia eliminates only the principal submatrix on the pivot
 columns of the stacked coefficients: on forms congruent by a unimodular
@@ -48,7 +50,6 @@ from splicesig.errors import NotHermitian
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     LaurentMatrix,
-    LaurentPoly,
     _fixed_cosines,
     _level,
     _pdivmod_exact,
@@ -241,26 +242,50 @@ def test_scalar_arithmetic_matches_coefficient_model(case, mult):
 # integer-path inertia vs numpy
 # ---------------------------------------------------------------------------
 
+# an entry of H(t) is drawn as a polynomial {exponent vector: nonzero int}
+
+def combine(pairs):
+    """sum(k * p for k, p in pairs), term by term."""
+    terms = {}
+    for k, p in pairs:
+        for exps, c in p.items():
+            terms[exps] = terms.get(exps, 0) + k * c
+    return {e: c for e, c in terms.items() if c}
+
+
 def laurent(arity, draw):
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         exps = tuple(draw(st.integers(-2, 2)) for _ in range(arity))
         terms[exps] = terms.get(exps, 0) + draw(st.integers(-3, 3))
-    return LaurentPoly(arity, terms)
+    return combine([(1, terms)])
 
 
-def combine(arity, pairs):
-    """sum(k * p for k, p in pairs), term by term."""
-    terms = {}
-    for k, p in pairs:
-        for exps, c in p.terms.items():
-            terms[exps] = terms.get(exps, 0) + k * c
-    return LaurentPoly(arity, terms)
+def conj(p):
+    """Conjugation on the torus: t_i -> t_i^-1, coefficients unchanged."""
+    return {tuple(-x for x in e): c for e, c in p.items()}
 
 
 def hermitian(q):
     """q + conj(q)."""
-    return combine(q.arity, [(1, q), (1, q.conjugate())])
+    return combine([(1, q), (1, conj(q))])
+
+
+def laurent_matrix(arity, rows):
+    """The LaurentMatrix whose entry (i, j) is the polynomial rows[i][j]."""
+    g = len(rows)
+    coeffs = {}
+    for i, row in enumerate(rows):
+        for j, p in enumerate(row):
+            for e, c in p.items():
+                coeffs.setdefault(e, [[0] * g for _ in range(g)])[i][j] += c
+    return LaurentMatrix(arity, g, coeffs)
+
+
+def entries(matrix):
+    """The polynomial entries of H(t), read back off its C_e."""
+    return [[{e: c[i][j] for e, c in matrix.coeffs.items() if c[i][j]}
+             for j in range(matrix.size)] for i in range(matrix.size)]
 
 
 @st.composite
@@ -272,22 +297,22 @@ def hermitian_laurent_at_root(draw):
         rows[i][i] = hermitian(laurent(arity, draw))
         for j in range(i + 1, g):
             rows[i][j] = laurent(arity, draw)
-            rows[j][i] = rows[i][j].conjugate()
+            rows[j][i] = conj(rows[i][j])
     omega = tuple(Angle(Fraction(draw(st.integers(0, b - 1)), b))
                   for b in (draw(st.sampled_from([2, 3, 4, 5, 6, 8, 10, 12]))
                             for _ in range(arity)))
-    return LaurentMatrix([f"t{i}" for i in range(arity)], rows), omega
+    return laurent_matrix(arity, rows), omega
 
 
 def numeric_matrix(matrix, omega):
     """The complex matrix straight from the Laurent terms, in floating point."""
     def value(poly):
         total = 0j
-        for exps, c in poly.terms.items():
+        for exps, c in poly.items():
             turns = float(sum(e * a.value for e, a in zip(exps, omega)))
-            total += float(c) * cmath.exp(2j * cmath.pi * turns)
+            total += c * cmath.exp(2j * cmath.pi * turns)
         return total
-    return np.array([[value(p) for p in row] for row in matrix.entries], dtype=complex)
+    return np.array([[value(p) for p in row] for row in entries(matrix)], dtype=complex)
 
 
 def numeric_inertia(matrix, omega):
@@ -311,15 +336,15 @@ def zero_diagonal_laurent_at_level(draw):
     """A Hermitian Laurent matrix with zero diagonal, g <= 6, at a level N <= 60."""
     arity = draw(st.integers(1, 2))
     g = draw(st.integers(2, 6))
-    rows = [[LaurentPoly(arity)] * g for _ in range(g)]
+    rows = [[{}] * g for _ in range(g)]
     for i in range(g):
         for j in range(i + 1, g):
             rows[i][j] = laurent(arity, draw)
-            rows[j][i] = rows[i][j].conjugate()
+            rows[j][i] = conj(rows[i][j])
     level = draw(st.integers(1, 60))
     omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
                   for _ in range(arity))
-    return LaurentMatrix([f"t{i}" for i in range(arity)], rows), omega, level
+    return laurent_matrix(arity, rows), omega, level
 
 
 @settings(max_examples=80, deadline=None)
@@ -442,17 +467,16 @@ def test_refusals_keep_no_orbit():
     assert "laurent" not in vars(fam)  # no form compiled, so no orbit kept
     # a matrix that is not H(t) = H(t)* is refused before it has an orbit cache
     with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
-        LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1})]])
+        LaurentMatrix(1, 1, {(1,): [[1]]})
 
 
 def test_hermitian_at_some_points_is_refused_when_built():
     # t0 - t0^-1 = 2i*sin(2*pi*theta): zero at 1/2, not real at 1/3
     with pytest.raises(NotHermitian, match=r"entry \(0,0\)"):
-        LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1, (-1,): -1})]])
+        LaurentMatrix(1, 1, {(1,): [[1]], (-1,): [[-1]]})
     # t0 and t0^-1 agree at 1/2 only: the lower entry is named
-    zero, t0 = LaurentPoly(1), LaurentPoly(1, {(1,): 1})
-    with pytest.raises(NotHermitian, match=r"entry \(1,0\)"):
-        LaurentMatrix(["t0"], [[zero, t0], [t0, zero]])
+    with pytest.raises(NotHermitian, match=r"entry \(1,0\) is not the conjugate of \(0,1\)"):
+        LaurentMatrix(1, 2, {(1,): [[0, 1], [1, 0]]})
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
@@ -461,19 +485,18 @@ def test_family_forms_are_hermitian_as_polynomials(m, n):
     for omega in conjugates((Angle(Fraction(1, 12)), Angle(Fraction(5, 12))), 12):
         h = matrix.evaluate(omega)
         steps = [int(a.value * 12) for a in omega]
-        for i, row in enumerate(matrix.entries):
+        for i, row in enumerate(entries(matrix)):
             for j, poly in enumerate(row):
                 want = sum((c * CyclotomicNumber.root_of_unity(12, sum(
-                    e * k for e, k in zip(exps, steps)) % 12) for exps, c in poly.terms.items()),
+                    e * k for e, k in zip(exps, steps)) % 12) for exps, c in poly.items()),
                     CyclotomicNumber.from_rational(0, 12))
                 assert h[i, j] == want
         cyclotomic.HermitianMatrix(h.entries)  # the checked constructor agrees
     # the same form with its last upper entry moved off its conjugate is refused
-    rows = [list(row) for row in matrix.entries]
-    t0 = LaurentPoly(matrix.arity, {(1,) + (0,) * (matrix.arity - 1): 1})
-    rows[0][-1] = combine(matrix.arity, [(1, rows[0][-1]), (1, t0)])
+    rows = entries(matrix)
+    rows[0][-1] = combine([(1, rows[0][-1]), (1, {(1,) + (0,) * (matrix.arity - 1): 1})])
     with pytest.raises(NotHermitian):
-        LaurentMatrix(matrix.variables, rows)
+        laurent_matrix(matrix.arity, rows)
 
 
 @st.composite
@@ -486,10 +509,10 @@ def maybe_hermitian_laurent(draw):
         rows[i][i] = hermitian(laurent(arity, draw))
         for j in range(i + 1, g):
             rows[i][j] = laurent(arity, draw)
-            rows[j][i] = rows[i][j].conjugate()
+            rows[j][i] = conj(rows[i][j])
     if draw(st.booleans()):
         i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, g - 1))
-        rows[i][j] = combine(arity, [(1, rows[i][j]), (1, laurent(arity, draw))])
+        rows[i][j] = combine([(1, rows[i][j]), (1, laurent(arity, draw))])
     return arity, rows
 
 
@@ -499,14 +522,12 @@ def test_laurent_matrix_is_refused_exactly_when_not_hermitian(case, data):
     arity, rows = case
     g = len(rows)
     # (j, i) is (i, j) with every exponent negated, coefficient for coefficient
-    broken = any(rows[j][i].terms != {tuple(-x for x in e): c for e, c in rows[i][j].terms.items()}
-                 for i in range(g) for j in range(g))
-    variables = [f"t{i}" for i in range(arity)]
+    broken = any(rows[j][i] != conj(rows[i][j]) for i in range(g) for j in range(g))
     if broken:
         with pytest.raises(NotHermitian):
-            LaurentMatrix(variables, rows)
+            laurent_matrix(arity, rows)
         return
-    matrix = LaurentMatrix(variables, rows)
+    matrix = laurent_matrix(arity, rows)
     omega = tuple(Angle(Fraction(data.draw(st.integers(0, b - 1)), b))
                   for b in (data.draw(st.integers(1, 12)) for _ in range(arity)))
     h = matrix.evaluate(omega)
@@ -515,8 +536,8 @@ def test_laurent_matrix_is_refused_exactly_when_not_hermitian(case, data):
 
 
 def test_orbit_cache_is_bounded():
-    q = LaurentPoly(3, {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -2, (1, 0, -1): 1})
-    matrix = LaurentMatrix(["t0", "t1", "t2"], [[hermitian(q)]])
+    q = {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -2, (1, 0, -1): 1}
+    matrix = laurent_matrix(3, [[hermitian(q)]])
     # a first coordinate of 1/37 leaves each point alone in its orbit
     points = [(Angle(Fraction(1, 37)), Angle(Fraction(b, 37)), Angle(Fraction(c, 37)))
               for b in range(37) for c in range(37)]
@@ -531,7 +552,7 @@ def test_orbit_cache_is_bounded():
 
 
 def test_orbit_cache_does_not_keep_its_matrix_alive():
-    matrix = LaurentMatrix(["t0"], [[LaurentPoly(1, {(0,): 2})]])
+    matrix = LaurentMatrix(1, 1, {(0,): [[2]]})
     assert matrix.inertia((Angle(Fraction(1, 5)),)) == (1, 0, 0)
     ref = weakref.ref(matrix)
     del matrix
@@ -548,8 +569,9 @@ SMALL_LEVELS = [n for n in range(1, 61) if _totient(n) <= 24]
 def stacked_rank(matrix):
     """The rank of the coefficient matrices C_e of H(t) = sum_e t^e C_e stacked,
     by Fraction elimination on the columns: an oracle sharing no code with _kept."""
-    exps = {e for row in matrix.entries for p in row for e in p.terms}
-    cols = [[p.terms.get(e, Fraction(0)) for e in exps for p in (row[j] for row in matrix.entries)]
+    rows = entries(matrix)
+    exps = {e for row in rows for p in row for e in p}
+    cols = [[Fraction(p.get(e, 0)) for e in exps for p in (row[j] for row in rows)]
             for j in range(matrix.size)]
     rank = 0
     while cols:
@@ -571,13 +593,12 @@ def congruent_to_a_padded_form(draw):
     arity = draw(st.integers(1, 2))
     small, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
     g = small + k
-    zero = LaurentPoly(arity)
-    d = [[zero] * g for _ in range(g)]
+    d = [[{}] * g for _ in range(g)]
     for i in range(small):
         d[i][i] = hermitian(laurent(arity, draw))
         for j in range(i + 1, small):
             d[i][j] = laurent(arity, draw)
-            d[j][i] = d[i][j].conjugate()
+            d[j][i] = conj(d[i][j])
     p = [[int(i == j) for j in range(g)] for i in range(g)]
     for _ in range(draw(st.integers(0, 3 * g))):  # row_i += c * row_j, then a row permutation
         i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, g - 1))
@@ -587,20 +608,19 @@ def congruent_to_a_padded_form(draw):
     if g:
         order = draw(st.permutations(range(g)))
         p = [p[i] for i in order]
-    h = [[combine(arity, [(p[a][i] * p[b][j], d[a][b]) for a in range(g) for b in range(g)])
+    h = [[combine([(p[a][i] * p[b][j], d[a][b]) for a in range(g) for b in range(g)])
           for j in range(g)] for i in range(g)]
     level = draw(st.sampled_from(SMALL_LEVELS))
     omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
                   for _ in range(arity))
-    return LaurentMatrix([f"t{i}" for i in range(arity)], h), omega
+    return laurent_matrix(arity, h), omega
 
 
 @settings(max_examples=80, deadline=None)
 @given(congruent_to_a_padded_form())
-@example((LaurentMatrix(["t0"], [[LaurentPoly(1)] * 3] * 3), (Angle(Fraction(1, 5)),)))
-@example((LaurentMatrix(["t0"], [[LaurentPoly(1, {(0,): 2}), LaurentPoly(1, {(1,): 1})],
-                                 [LaurentPoly(1, {(-1,): 1}), LaurentPoly(1, {(0,): 1})]]),
-          (Angle(Fraction(1, 7)),)))
+@example((LaurentMatrix(1, 3, {}), (Angle(Fraction(1, 5)),)))
+@example((LaurentMatrix(1, 2, {(0,): [[2, 0], [0, 1]], (1,): [[0, 1], [0, 0]],
+                               (-1,): [[0, 0], [1, 0]]}), (Angle(Fraction(1, 7)),)))
 def test_split_inertia_is_the_full_inertia(case):
     matrix, omega = case
     assert matrix.inertia(omega) == matrix.evaluate(omega).inertia()

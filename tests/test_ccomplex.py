@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber
+from splicesig.expr import MAX_DEPTH
 from splicesig.errors import (BoundaryCharacter, InvalidFamily, NotHermitian,
                               NullityUnavailable, SpliceSigError)
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn, unlink_family
@@ -43,6 +44,24 @@ def random_family(mu, g, rng, basis=False):
 
 
 TREFOIL_V = [[-1, 1], [0, -1]]
+
+
+def nested_family(depth):
+    """An arity-1 family document whose boundary key "0", which keeps its one colour,
+    nests depth deep."""
+    doc = {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}}
+    for _ in range(depth):
+        doc = {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}, "boundary": {"0": doc}}
+    return doc
+
+
+def descending_family(arity):
+    """A family document of the given arity whose boundary keeps every colour but the
+    last, down to arity 1: arity - 1 boundary families deep, each key valid."""
+    doc = {"arity": 1, "forms": {}}
+    for mu in range(2, arity + 1):
+        doc = {"arity": mu, "forms": {}, "boundary": {",".join(map(str, range(mu - 1))): doc}}
+    return doc
 
 
 def trefoil_family():
@@ -407,13 +426,27 @@ class TestJson:
         with pytest.raises(InvalidFamily):
             SeifertFamily.from_json(doc)
 
-    # "0,1" keeps both colours of the family: never read, and so refused too
-    @pytest.mark.parametrize("key", ["x", "1.0", "0,y", "0,1"])
-    def test_boundary_key_of_non_integers_refused(self, key):
-        doc = hopf_seifert_family(2, 2).to_json()
-        doc["boundary"] = {key: unlink_family(1).to_json()}
-        with pytest.raises(InvalidFamily, match=f"bad boundary key '{key}'"):
+    # "0,1" keeps both colours of the family: never read, and so refused too,
+    # as is "0" of an arity-1 family, checked before the reader descends: a
+    # chain of them 2000 deep is refused at its top, not by a RecursionError
+    @pytest.mark.parametrize("key, depth", [("x", 0), ("1.0", 0), ("0,y", 0), ("0,1", 0),
+                                            ("0", 2000)],
+                             ids=["x", "1.0", "0,y", "0,1", "0-nested-2000"])
+    def test_boundary_key_of_non_integers_refused(self, key, depth):
+        if depth:
+            doc = nested_family(depth)
+        else:
+            doc = hopf_seifert_family(2, 2).to_json()
+            doc["boundary"] = {key: unlink_family(1).to_json()}
+        with pytest.raises(InvalidFamily, match=f"^bad boundary key '{key}'"):
             SeifertFamily.from_json(doc)
+
+    def test_boundary_families_nest_at_most_max_depth(self):
+        # every key is valid; the top arity needs 2^arity forms, so both are refused
+        with pytest.raises(InvalidFamily, match=f"^boundary families nest more than {MAX_DEPTH}"):
+            SeifertFamily.from_json(descending_family(MAX_DEPTH + 2))
+        with pytest.raises(InvalidFamily, match="^missing shift directions: 0 of the 2"):
+            SeifertFamily.from_json(descending_family(MAX_DEPTH + 1))
 
     def test_json_is_valid_json(self):
         blob = unlink_family(3).dumps()

@@ -375,6 +375,16 @@ def _deep_family(depth):
     return (doc + ', "boundary": {"0": ') * depth + doc + "}" + "}}" * depth
 
 
+def _descending_family(arity):
+    """A family of the given arity whose boundary keeps every colour but the last,
+    down to arity 1: arity - 1 boundary families deep, each key valid."""
+    doc = '{"arity": 1, "forms": {}}'
+    for mu in range(2, arity + 1):
+        key = ",".join(map(str, range(mu - 1)))
+        doc = '{"arity": %d, "forms": {}, "boundary": {"%s": %s}}' % (mu, key, doc)
+    return doc
+
+
 def _run_cli(argv, cwd):
     code = "import sys; from splicesig.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, "--json", *argv],
@@ -408,16 +418,20 @@ class TestRefusalsFailFast:
          "UsageError", "invalid JSON in 'merge-5000.json': maximum recursion depth"),
         (["eval", json.dumps({"seifert": "deep-700.json"}), "--at", "1/2"],
          "ExpressionError", "bad seifert family 'deep-700.json': maximum recursion depth"),
+        (["eval", json.dumps({"seifert": "chain.json"}), "--at", "1/2"],
+         "ExpressionError", f"'chain.json': boundary families nest more than {MAX_DEPTH} deep"),
     ]
 
     @pytest.mark.parametrize("argv, kind, message", CASES, ids=[
         "family-arity", "grid-arity", "cable-copies", "level-bound", "hopf-components",
-        "grid-cells", "merge-450", "merge-5000", "merge-5000-file", "family-700"])
+        "grid-cells", "merge-450", "merge-5000", "merge-5000-file", "family-700",
+        "family-chain"])
     def test_refused_within_time_and_memory(self, argv, kind, message, tmp_path):
         (tmp_path / "arity-40.json").write_text(json.dumps({"arity": 40, "forms": {}}))
         (tmp_path / "trefoil.json").write_text(trefoil_family().dumps())
         (tmp_path / "merge-5000.json").write_text(_merges(5000))
         (tmp_path / "deep-700.json").write_text(_deep_family(700))
+        (tmp_path / "chain.json").write_text(_descending_family(MAX_DEPTH + 2))
         proc = _run_cli(argv, tmp_path)
         assert proc.returncode == 2, proc.stderr
         error = json.loads(proc.stdout)["error"]

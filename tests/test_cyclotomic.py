@@ -16,7 +16,6 @@ from splicesig.cyclotomic import (
     CyclotomicNumber,
     HermitianMatrix,
     LaurentMatrix,
-    LaurentPoly,
     _level,
     cyclotomic_polynomial,
 )
@@ -328,65 +327,25 @@ def test_inertia_parity_and_bound():
 # Laurent matrices
 # ---------------------------------------------------------------------------
 
-def test_laurent_poly_checks_arity_of_every_term():
-    for terms in ({(1,): 1}, {(1,): 0}, {(0, 0): 1, (1, 0, 0): Fraction(0)}):
+def test_laurent_matrix_checks_arity_of_every_exponent():
+    for coeffs in ({(1,): [[1]]}, {(1,): [[0]]}, {(0, 0): [[1]], (1, 0, 0): [[0]]}):
         with pytest.raises(ValueError, match="arity"):
-            LaurentPoly(2, terms)
-
-
-# a Fraction-dict model of LaurentPoly: {exponents: nonzero Fraction}
-
-def model(terms):
-    return {e: Fraction(c) for e, c in terms.items() if c}
-
-
-@st.composite
-def laurent_pairs(draw):
-    """Two coefficient dicts with rational coefficients, zeros among them; at
-    times the second holds the first's terms and zero terms besides."""
-    arity = draw(st.integers(1, 2))
-    exps = st.tuples(*[st.integers(-2, 2)] * arity)
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    a = draw(st.dictionaries(exps, coeff, max_size=4))
-    b = draw(st.dictionaries(exps, coeff, max_size=4))
-    if draw(st.booleans()):
-        b = {**{e: 0 for e in b}, **a}
-    return arity, a, b
-
-
-@settings(max_examples=200, deadline=None)
-@given(laurent_pairs())
-def test_laurent_poly_matches_fraction_model(case):
-    arity, a, b = case
-    p, q = LaurentPoly(arity, a), LaurentPoly(arity, b)
-    ma, mb = model(a), model(b)
-    results = [(p, ma), (q, mb),
-               (p.conjugate(), {tuple(-x for x in e): c for e, c in ma.items()})]
-    for got, want in results:
-        assert got.terms == want
-        assert got.den > 0 and all(got.num.values())
-        assert math.gcd(got.den, *got.num.values()) == 1
-        # the same value from "p/q" strings has the same pair
-        again = LaurentPoly(arity, {e: str(c) for e, c in want.items()})
-        assert (again.den, again.num) == (got.den, got.num) and again == got
-    assert (p == q) == (ma == mb)
-    assert p.conjugate().conjugate() == p
+            LaurentMatrix(2, 1, coeffs)
 
 
 def dumps(matrix):
-    """H(t) as the JSON text that LaurentMatrix.dumps once wrote."""
-    def term(exps, c, den):
-        g = math.gcd(c, den)
-        return {"coeff": c // g if g == den else f"{c // g}/{den // g}", "exps": list(exps)}
-
-    doc = {"variables": list(matrix.variables),
-           "entries": [[[term(e, c, poly.den) for e, c in sorted(poly.num.items())]
-                        for poly in row] for row in matrix.entries]}
+    """H(t) as the JSON text that LaurentMatrix.dumps once wrote, read off the C_e:
+    entry (i, j) lists its terms C_e[i][j] * t^e, ascending in e."""
+    g = range(matrix.size)
+    doc = {"variables": [f"t{i}" for i in range(matrix.arity)],
+           "entries": [[[{"coeff": c[i][j], "exps": list(e)}
+                         for e, c in sorted(matrix.coeffs.items()) if c[i][j]]
+                        for j in g] for i in g]}
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-# sha256 of dumps(H(t)), recorded when LaurentPoly still held Fraction terms
-# and H(t) was compiled by LaurentPoly arithmetic
+# sha256 of dumps(H(t)), recorded when H(t) was a matrix of Laurent polynomials
+# with Fraction terms, compiled by Laurent polynomial arithmetic
 RECORDED_DUMPS = {
     "torus24": "7e168e49a124944810ac268f8845d4f20efeea95987dbf5e7c037226be5a0d75",
     "cable42": "fd74806802ea546559dbdba9c32ee68d4d1eb8a073f76bc836035f5a6a4caf86",
@@ -436,45 +395,45 @@ def test_compiling_forms_builds_no_fraction():
 
 
 def test_laurent_matrix_eval_and_json():
-    p = LaurentPoly(2, {(1, 0): 1, (-1, 0): 1, (0, 1): -1, (0, -1): -1})  # t0 + 1/t0 - t1 - 1/t1
-    m = LaurentMatrix(["t0", "t1"], [[p]])
+    # t0 + 1/t0 - t1 - 1/t1
+    m = LaurentMatrix(2, 1, {(1, 0): [[1]], (-1, 0): [[1]], (0, 1): [[-1]], (0, -1): [[-1]]})
     h = m.evaluate(character("1/8,1/2"))
     # 2cos(pi/4) - 2cos(pi) = sqrt(2) + 2 > 0
     assert h.signature_nullity() == (1, 0)
     # the one JSON form document is a family's: its H(t) survives the round trip
     fam = hopf_seifert_family(2, 3)
     again = SeifertFamily.from_json(json.loads(json.dumps(fam.to_json()))).laurent
-    assert again.entries == fam.laurent.entries
+    assert again.coeffs == fam.laurent.coeffs
     assert dumps(again) == dumps(fam.laurent)
 
 
-def test_laurent_poly_refuses_non_integer_exponents():
+def test_laurent_matrix_refuses_non_integer_exponents():
     with pytest.raises(TypeError, match="float"):
-        LaurentPoly(1, {(1.5,): 1})
-    square = LaurentPoly(1, {(2,): 1})
-    assert (square.den, square.num) == (1, {(2,): 1})
+        LaurentMatrix(1, 1, {(1.5,): [[1]], (-1.5,): [[1]]})
+    square = LaurentMatrix(1, 1, {(2,): [[1]], (-2,): [[1]]})
+    assert square.coeffs == {(2,): ((1,),), (-2,): ((1,),)}
 
 
-def test_laurent_poly_refuses_float_coefficients():
-    with pytest.raises(TypeError, match="float coefficient 0.1"):
-        LaurentPoly(1, {(0,): 0.1})  # not 3602879701896397/2^55
-    tenth = LaurentPoly(1, {(0,): Fraction(1, 10)})
-    assert tenth == LaurentPoly(1, {(0,): "1/10"})
-    assert (tenth.den, tenth.num) == (10, {(0,): 1})
+def test_laurent_matrix_refuses_non_integer_coefficients():
+    # H(t) is integral: a float is inexact (not 3602879701896397/2^55) and a
+    # Fraction has no place in it
+    for c in (0.1, 1.0, Fraction(1, 10), "1/10"):
+        with pytest.raises(TypeError):
+            LaurentMatrix(1, 1, {(0,): [[c]]})
+    assert LaurentMatrix(1, 1, {(0,): [[3]]}).coeffs == {(0,): ((3,),)}
 
 
 def test_laurent_matrix_eval_hermitian_guard():
-    t0 = LaurentPoly(1, {(1,): 1})
     # t0 is real only at t0 = +-1, so it is no Hermitian form: refused when
     # built, not answered at the fixed points of conjugation
     with pytest.raises(NotHermitian):
-        LaurentMatrix(["t0"], [[t0]])
-    m = LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1, (-1,): 1})]])
+        LaurentMatrix(1, 1, {(1,): [[1]]})
+    m = LaurentMatrix(1, 1, {(1,): [[1]], (-1,): [[1]]})
     assert m.evaluate(character("1/2")).signature_nullity() == (-1, 0)
 
 
 def test_laurent_matrix_refuses_a_character_of_the_wrong_length():
-    m = LaurentMatrix(["t0"], [[LaurentPoly(1, {(1,): 1, (-1,): 1})]])
+    m = LaurentMatrix(1, 1, {(1,): [[1]], (-1,): [[1]]})
     for omega in ((), character("1/2,1/3")):
         for call in (m.evaluate, m.inertia):
             with pytest.raises(ValueError, match=f"character has {len(omega)} colors, "
