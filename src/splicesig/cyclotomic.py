@@ -418,13 +418,22 @@ def _level(n: int) -> _Level:
 # public scalar type
 # ---------------------------------------------------------------------------
 
+def _exact(x: Union[int, Fraction]) -> Fraction:
+    """x as a Fraction; a float is refused, since 0.1 would be its binary
+    approximation 3602879701896397/2^55."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is not exact; use int or Fraction")
+    return Fraction(x)
+
+
 class CyclotomicNumber:
     """An element of Q(zeta_N), stored as its level N and canonical pair.
 
     The constructor takes the N coefficients of zeta_N^k and reduces them at
     once; arithmetic and conjugation are the level's integer operations, so
     equality, zero tests and signs are exact.  Arithmetic between different
-    levels lifts both operands to the least common multiple level.
+    levels lifts both operands to the least common multiple level.  A float
+    coefficient or operand is refused with TypeError.
     """
 
     __slots__ = ("level", "_reduced")
@@ -432,7 +441,7 @@ class CyclotomicNumber:
     def __init__(self, level: int, coeffs: Sequence[Union[int, Fraction]]):
         if len(coeffs) != level:
             raise ValueError(f"need exactly {level} coefficients, got {len(coeffs)}")
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coeffs))
         self.level = level
         self._reduced: QV = _level(level).reduce(
@@ -442,7 +451,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, x: Union[int, Fraction], level: int = 1) -> "CyclotomicNumber":
-        x = Fraction(x)
+        x = _exact(x)
         return cls._from_canonical(level, _level(level).reduce(x.denominator, [(0, x.numerator)]))
 
     @classmethod

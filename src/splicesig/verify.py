@@ -18,7 +18,7 @@ from typing import Callable, List, NamedTuple, Tuple
 from .cables import UnivariateReductionInput, hirzebruch, univariate_reduction
 from .ccomplex import SeifertFamily
 from .errors import GuardViolated
-from .fixtures import cable42_sig, fixture_sig, fixture_table, torus24_sig
+from .fixtures import fixture_sig, fixture_table
 from .hopf import (certify_spectrum, hopf_nullity, hopf_seifert_family,
                    hopf_sig_fn, sigma_k)
 from .splice import SigFn, merge_colors, splice, splice_knot
@@ -310,7 +310,7 @@ def hopf_nullity_check() -> CriterionResult:
 
 def guard_discipline() -> CriterionResult:
     name = "guard-discipline"
-    spliced = splice(torus24_sig(), cable42_sig())
+    spliced = splice(fixture_sig("torus(2,4)"), fixture_sig("cable(4,2)+core"))
     raised, evaluated = 0, 0
     eighths = _angles(8)
     for k0, k1, k2 in product(range(8), repeat=3):

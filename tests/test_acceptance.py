@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from splicesig import verify
-from splicesig.fixtures import cable42_sig, torus24_sig, torus36_sig
+from splicesig.fixtures import fixture_sig
 from splicesig.torus import Angle, defect
 
 
@@ -31,7 +31,8 @@ def test_2b_excluded_triples_frozen():
     # the sixteen 8th-root triples violating the guard, pinned one by one:
     # on the open torus the identity misses by exactly 1, with a unit
     # coordinate color deletion restores equality
-    f1, f2, fl = torus24_sig(), cable42_sig(), torus36_sig()
+    f1, f2, fl = (fixture_sig(name) for name in ("torus(2,4)", "cable(4,2)+core",
+                                                 "torus(3,6)"))
     eighth = lambda k: Angle(Fraction(k % 8, 8))
     seen = []
     for k0, k1, k2 in product(range(8), repeat=3):

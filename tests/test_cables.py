@@ -218,9 +218,9 @@ class TestCableStep:
         # the 2-colored (2,4)-torus link is the d=2, (p,q)=(1,2) cable over
         # the unknot; the base link axis+strands is the cored (4,2)-cable
         # fixture read with its core as the axis
-        from splicesig.fixtures import cable42_sig, fixture_table
+        from splicesig.fixtures import fixture_sig, fixture_table
         unknot = SigFn(1, lambda om: 0, linking=(), label="unknot")
-        g = cable_step(unknot, CableParams.make(1, 2, 2), cable42_sig())
+        g = cable_step(unknot, CableParams.make(1, 2, 2), fixture_sig("cable-4-2"))
         table = fixture_table("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
             om = (ang(a, 8), ang(b, 8))

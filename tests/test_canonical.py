@@ -633,10 +633,9 @@ def test_hopf_families_keep_their_rank(m, n):
     assert len(hopf_seifert_family(m, n).laurent._kept) == (m - 1) * (n - 1)
 
 
-@pytest.mark.parametrize("build", [fixtures.torus24_matrix, fixtures.cable42_matrix,
-                                   fixtures.torus36_matrix])
-def test_fixtures_keep_every_row(build):
-    matrix = build()
+@pytest.mark.parametrize("name", fixtures.fixture_names())
+def test_fixtures_keep_every_row(name):
+    matrix = fixtures.fixture_matrix(name)
     assert matrix._kept == tuple(range(matrix.size))
 
 

@@ -72,6 +72,8 @@ def _cases():
         ("sweep-units", ["sweep", "torus-2-4", "--order", "6", "--include-units"], None),
         ("sweep-units-json", ["sweep", "fixture", "cable-4-2", "--order", "4",
                               "--include-units", "--json"], None),
+        ("sweep-units-torus-3-6", ["sweep", "torus-3-6", "--order", "4", "--include-units"],
+         None),
         ("sweep-units-csv", ["sweep", "hopf", "1", "1", "--order", "6", "--include-units",
                              "--csv", "units.csv"], "units.csv"),
         ("sweep-guard", ["sweep", inline(guard_doc), "--order", "4", "--include-units"], None),

@@ -367,14 +367,14 @@ RECORDED_DUMPS = {
     (4, 3): "85bac9f82fdcd94ad54ab2a6a23c9039310592e0b6ee3ace83f8cca268da5115",
     (4, 4): "fd6a70131f1c7b7107123b35ca64e9e77b51c0d6e620c530d851866ec5004c2b",
 }
-FIXTURE_MATRICES = {"torus24": fixtures.torus24_matrix, "cable42": fixtures.cable42_matrix,
-                    "torus36": fixtures.torus36_matrix}
+FIXTURE_MATRICES = {"torus24": "torus(2,4)", "cable42": "cable(4,2)+core",
+                    "torus36": "torus(3,6)"}
 
 
 @pytest.mark.parametrize("key", list(RECORDED_DUMPS), ids=str)
 def test_dumps_match_the_recorded_text(key):
     if key in FIXTURE_MATRICES:
-        matrix = FIXTURE_MATRICES[key]()
+        matrix = fixtures.fixture_matrix(FIXTURE_MATRICES[key])
     else:
         matrix = hopf_seifert_family(*key).laurent
     assert hashlib.sha256(dumps(matrix).encode()).hexdigest() == RECORDED_DUMPS[key]
@@ -385,7 +385,8 @@ def test_compiling_forms_builds_no_fraction():
     points = {arity: character(",".join(["1/12"] * arity)) for arity in (1, 2, 3)}
     profile = cProfile.Profile()
     profile.enable()
-    for matrix in [hopf_seifert_family(4, 4).laurent] + [b() for b in FIXTURE_MATRICES.values()]:
+    fixture_matrices = [fixtures.fixture_matrix(name) for name in FIXTURE_MATRICES.values()]
+    for matrix in [hopf_seifert_family(4, 4).laurent] + fixture_matrices:
         matrix.inertia(points[matrix.arity])
     profile.disable()
     ran = {(path, name) for path, _, name in pstats.Stats(profile).stats}
@@ -421,6 +422,16 @@ def test_laurent_matrix_refuses_non_integer_coefficients():
         with pytest.raises(TypeError):
             LaurentMatrix(1, 1, {(0,): [[c]]})
     assert LaurentMatrix(1, 1, {(0,): [[3]]}).coeffs == {(0,): ((3,),)}
+    # nor does an exact scalar: a float coefficient or operand is refused
+    tenth = CyclotomicNumber.from_rational(Fraction(1, 10), 4)
+    for c in (0.1, 0.5):
+        with pytest.raises(TypeError, match="not exact"):
+            CyclotomicNumber.from_rational(c, 4)
+        with pytest.raises(TypeError, match="not exact"):
+            CyclotomicNumber(4, [c, 0, 0, 0])
+        with pytest.raises(TypeError):
+            tenth + c
+    assert CyclotomicNumber(4, [Fraction(1, 10), 0, 0, 0]) == tenth
 
 
 def test_laurent_matrix_eval_hermitian_guard():

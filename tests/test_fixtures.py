@@ -9,16 +9,14 @@ check and exercise the plumbing.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from splicesig import fixtures
 from splicesig.ccomplex import SeifertFamily
-from splicesig.fixtures import (PiecewiseTable, cable42_matrix, cable42_sig,
-                                fixture_matrix, fixture_names, fixture_sig,
-                                fixture_table, torus24_matrix, torus24_sig,
-                                torus36_matrix, torus36_sig)
+from splicesig.fixtures import (FIXTURES, PiecewiseTable, fixture_matrix, fixture_names,
+                                fixture_sig, fixture_table)
 from splicesig.torus import UNIT, Angle
 
 
@@ -32,7 +30,7 @@ def eighth(k):
 
 def family(name):
     """The fixture's forms as a SeifertFamily, the directions left out as zero forms."""
-    arity, forms = fixtures.FORMS[name]
+    arity, forms = FIXTURES[name].arity, FIXTURES[name].forms
     g = len(next(iter(forms.values())))
     zero = [[0] * g for _ in range(g)]
     return SeifertFamily(arity, {eps: forms.get(eps, zero)
@@ -41,35 +39,35 @@ def family(name):
 
 class TestSpotValues:
     def test_torus24(self):
-        f = torus24_sig()
+        f = fixture_sig("torus(2,4)")
         assert f((eighth(1), eighth(1))) == 1
         assert f((eighth(1), eighth(3))) == 0   # wall s = 1/2
         assert f((eighth(3), eighth(3))) == -1
         assert f((eighth(7), eighth(7))) == 1
 
     def test_cable42(self):
-        f = cable42_sig()
+        f = fixture_sig("cable(4,2)+core")
         assert f((eighth(1), eighth(1), eighth(1))) == 2
         assert f((eighth(4), eighth(2), eighth(2))) == 0   # s = 3/2
         assert f((eighth(7), eighth(7), eighth(7))) == 2   # s = 35/8, past last wall
         assert f((eighth(4), eighth(4), eighth(4))) == -2  # s = 5/2
 
     def test_torus36(self):
-        f = torus36_sig()
+        f = fixture_sig("torus(3,6)")
         assert f((eighth(1), eighth(1), eighth(1))) == 4
         assert f((eighth(2), eighth(1), eighth(1))) == 2   # wall s = 1/2
         assert f((eighth(4), eighth(3), eighth(3))) == -2
         assert f((eighth(7), eighth(7), eighth(7))) == 4
 
     def test_torus24_full_grid(self):
-        f = torus24_sig()
+        f = fixture_sig("torus(2,4)")
         table = fixture_table("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
             om = (eighth(a), eighth(b))
             assert f(om) == table.value(om), (a, b)
 
     def test_bigger_fixtures_sampled_rows(self):
-        f2, f3 = cable42_sig(), torus36_sig()
+        f2, f3 = fixture_sig("cable(4,2)+core"), fixture_sig("torus(3,6)")
         t2, t3 = fixture_table("cable(4,2)+core"), fixture_table("torus(3,6)")
         for a, b in product(range(1, 8), repeat=2):
             om = (eighth(a), eighth(b), eighth(1))
@@ -79,18 +77,18 @@ class TestSpotValues:
 
 class TestBoundary:
     def test_cable_core_deletion_gives_torus24(self):
-        f2, f1 = cable42_sig(), torus24_sig()
+        f2, f1 = fixture_sig("cable(4,2)+core"), fixture_sig("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
             assert f2((UNIT, eighth(a), eighth(b))) == f1((eighth(a), eighth(b)))
 
     def test_cable_copy_deletion_gives_hopf(self):
-        f2 = cable42_sig()
+        f2 = fixture_sig("cable(4,2)+core")
         for a, b in product(range(1, 8), repeat=2):
             assert f2((eighth(a), UNIT, eighth(b))) == 0
             assert f2((eighth(a), eighth(b), UNIT)) == 0
 
     def test_torus36_single_deletion_gives_torus24(self):
-        f3, f1 = torus36_sig(), torus24_sig()
+        f3, f1 = fixture_sig("torus(3,6)"), fixture_sig("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
             om1 = (eighth(a), eighth(b))
             assert f3((UNIT,) + om1) == f1(om1)
@@ -98,13 +96,44 @@ class TestBoundary:
             assert f3(om1 + (UNIT,)) == f1(om1)
 
     def test_double_deletion_unknots(self):
-        assert torus36_sig()((UNIT, UNIT, eighth(3))) == 0
-        assert torus24_sig()((UNIT, eighth(5))) == 0
-        assert cable42_sig()((eighth(5), UNIT, UNIT)) == 0
+        assert fixture_sig("torus(3,6)")((UNIT, UNIT, eighth(3))) == 0
+        assert fixture_sig("torus(2,4)")((UNIT, eighth(5))) == 0
+        assert fixture_sig("cable(4,2)+core")((eighth(5), UNIT, UNIT)) == 0
 
     def test_all_units_empty(self):
-        assert torus24_sig()((UNIT, UNIT)) == 0
-        assert torus36_sig()((UNIT, UNIT, UNIT)) == 0
+        assert fixture_sig("torus(2,4)")((UNIT, UNIT)) == 0
+        assert fixture_sig("torus(3,6)")((UNIT, UNIT, UNIT)) == 0
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_every_deletion_gives_its_sublink(self, name):
+        # the deleted colors at 1 and the kept ones at open k/8 angles give the
+        # named sublink at the kept coordinates, and 0 for the zero-signature
+        # links; the tests above pin which link each deletion of the fixtures
+        # leaves, this one that every registry entry is wired as it says
+        fix, f = FIXTURES[name], fixture_sig(name)
+        colors = range(fix.arity)
+        assert set(fix.boundary) == {kept for r in range(1, fix.arity)
+                                     for kept in combinations(colors, r)}
+        for kept, sub in fix.boundary.items():
+            g = fixture_sig(sub) if sub in FIXTURES else None
+            assert g is not None or sub in ("unknot", "hopf(1,1)")
+            for ks in product(range(1, 8), repeat=len(kept)):
+                at = dict(zip(kept, map(eighth, ks)))
+                om = tuple(at.get(i, UNIT) for i in colors)
+                sub_om = tuple(at.values())
+                assert f(om) == (g(sub_om) if g else 0), (kept, ks)
+                if g:
+                    assert g(sub_om) == fixture_table(sub).value(sub_om)
+
+    @pytest.mark.parametrize("name,calls", [("torus(2,4)", 1), ("cable(4,2)+core", 2),
+                                            ("torus(3,6)", 2)])
+    def test_each_sublink_built_once(self, name, calls, monkeypatch):
+        # torus(3,6)'s three pairs share one torus(2,4) evaluator and leaf cache
+        made = []
+        real = fixtures._matrix_sig
+        monkeypatch.setattr(fixtures, "_matrix_sig", lambda m: made.append(m) or real(m))
+        fixture_sig(name)
+        assert len(made) == calls
 
 
 class TestRegistry:
@@ -115,16 +144,16 @@ class TestRegistry:
         assert "torus(3,6)" in names
 
     def test_aliases(self):
-        assert fixture_sig("torus-2-4").label == torus24_sig().label
-        assert fixture_sig("referee-kl1").label == torus24_sig().label
-        assert fixture_sig("referee-k'l'").label == torus24_sig().label
-        assert fixture_sig("referee-K''L''").label == cable42_sig().label
-        assert fixture_sig("referee-L").label == torus36_sig().label
-        assert fixture_sig("TORUS-3-6").label == torus36_sig().label
+        assert fixture_sig("torus-2-4").label == "torus(2,4)"
+        assert fixture_sig("referee-kl1").label == "torus(2,4)"
+        assert fixture_sig("referee-k'l'").label == "torus(2,4)"
+        assert fixture_sig("referee-K''L''").label == "cable(4,2)+core"
+        assert fixture_sig("referee-L").label == "torus(3,6)"
+        assert fixture_sig("TORUS-3-6").label == "torus(3,6)"
 
     def test_unicode_primes(self):
-        assert fixture_sig("referee-K′L′").label == torus24_sig().label
-        assert fixture_sig("referee-K″L″").label == cable42_sig().label
+        assert fixture_sig("referee-K′L′").label == "torus(2,4)"
+        assert fixture_sig("referee-K″L″").label == "cable(4,2)+core"
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError) as info:
@@ -138,7 +167,8 @@ class TestRegistry:
 
 class TestMatrices:
     def test_shapes_and_variables(self):
-        m1, m2, m3 = torus24_matrix(), cable42_matrix(), torus36_matrix()
+        m1, m2, m3 = (fixture_matrix(name) for name in ("torus(2,4)", "cable(4,2)+core",
+                                                         "torus(3,6)"))
         assert (m1.size, m1.arity) == (1, 2)
         assert (m2.size, m2.arity) == (2, 3)
         assert (m3.size, m3.arity) == (4, 3)
@@ -146,7 +176,6 @@ class TestMatrices:
     @pytest.mark.parametrize("name", fixture_names())
     def test_forms_are_a_valid_family(self, name):
         # the forms pass the family gate and compile to the fixture's H(t)
-        assert sorted(fixtures.FORMS) == list(fixture_names())
         fam = family(name)
         assert fam.validate() == []
         assert fam.laurent.coeffs == fixture_matrix(name).coeffs
@@ -163,19 +192,19 @@ class TestMatrices:
             assert a == b
 
     def test_hermitian_everywhere_sampled(self):
-        m = cable42_matrix()
+        m = fixture_matrix("cable(4,2)+core")
         for a, b, c in [(1, 1, 1), (3, 5, 7), (2, 6, 4), (7, 1, 3)]:
             h = m.evaluate((eighth(a), eighth(b), eighth(c)), 8)
             s, n = h.signature_nullity()
             assert s + n <= 2
 
     def test_fixture_matrix_lookup_matches(self):
-        assert fixture_matrix("referee-L").coeffs == torus36_matrix().coeffs
+        assert fixture_matrix("referee-L").coeffs == fixture_matrix("torus(3,6)").coeffs
 
     def test_leaf_cache_is_bounded(self):
         # a sweep over more open-torus cells than the leaf keeps
         order = 34
-        sig = fixtures._matrix_sig(torus24_matrix())
+        sig = fixtures._matrix_sig(fixture_matrix("torus(2,4)"))
         table = fixture_table("torus(2,4)")
         cells = list(product(range(1, order), repeat=2))
         assert len(cells) > fixtures._LEAF_CACHE

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from splicesig.fixtures import TABLES, PiecewiseTable
+from splicesig.fixtures import PiecewiseTable, fixture_names, fixture_table
 from splicesig.hopf import sigma_k
 from splicesig.torus import (
     UNIT,
@@ -290,7 +290,7 @@ def test_sigma_k_matches_fraction_reference(x, k):
 walls = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=60),
                  unique=True, max_size=4).map(sorted)
 tables = st.one_of(
-    st.sampled_from(list(TABLES.values())),
+    st.sampled_from([fixture_table(name) for name in fixture_names()]),
     walls.flatmap(lambda ws: st.builds(
         PiecewiseTable, st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(tuple),
         st.just(tuple(ws)),
