@@ -178,8 +178,15 @@ def defect(lam: Sequence[int], omega: Character) -> int:
     """
     if len(omega) != len(lam):
         raise ValueError(f"character has {len(omega)} colors, weight vector has {len(lam)}")
-    s, den = weighted_sum(lam, omega)
-    return 2 * (s // den) + (s % den != 0) - sum(l for l, a in zip(lam, omega) if a.numerator)
+    s, den, ones = 0, 1, 0  # sum lam_j theta_j = s / den; ones = sum lam_j ind(theta_j)
+    for l, a in zip(lam, omega):
+        if den % a.denominator:
+            lcm = math.lcm(den, a.denominator)
+            s, den = s * (lcm // den), lcm
+        if a.numerator:
+            s += l * a.numerator * (den // a.denominator)
+            ones += l
+    return 2 * (s // den) + (s % den != 0) - ones
 
 
 def defect1(omega: Character) -> int:

@@ -4,14 +4,16 @@ Every suite recomputes its expected values from an independent route
 (piecewise tables, Seifert-matrix oracles, closed forms) and compares
 exactly; nothing is tuned to the implementation under test.  The CLI's
 `verify` command runs these and exits non-zero on any failure.  The suites
-share no result, so `run_suite` may run them in separate worker processes,
-each of which fills caches such as the fixture evaluators below for itself;
-the two referee suites read the same fixture evaluators, so they share a worker.
+share no result, so `run_suite` may run them in forked children, which
+fill their own caches; criteria that read the same caches (the fixture
+evaluators below, the Hopf families) share a child as one of _CACHE_GROUPS.
 """
 
 import os
+import pickle
+from contextlib import suppress
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import gcd
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -38,12 +40,9 @@ def _angles(order: int) -> Tuple[Angle, ...]:
 
 
 @lru_cache(maxsize=None)
-def _fixture_values(name: str, order: int) -> Callable[[Tuple[int, ...]], int]:
-    """The signature of a fixture at grid cells ks/order, one evaluator per fixture
-    in each process that runs criteria."""
-    sig = fixture_sig(name)
-    angles = _angles(order)  # shared by every character the leaf caches keep
-    return lambda ks: sig(tuple(angles[k] for k in ks))
+def _fixture(name: str) -> SigFn:
+    """A fixture's evaluator, built once per process: its leaf caches serve every criterion."""
+    return fixture_sig(name)
 
 
 def _fail(name: str, detail: str) -> CriterionResult:
@@ -61,10 +60,10 @@ def referee_tables() -> CriterionResult:
     checked = 0
     angles = _angles(8)
     for fix, arity in (("torus(2,4)", 2), ("cable(4,2)+core", 3), ("torus(3,6)", 3)):
-        table, value = fixture_table(fix), _fixture_values(fix, 8)
+        table, sig = fixture_table(fix), _fixture(fix)
         for ks in product(range(1, 8), repeat=arity):
-            want = table.value(tuple(angles[k] for k in ks))
-            got = value(ks)
+            om = tuple(angles[k] for k in ks)
+            want, got = table.value(om), sig(om)
             if got != want:
                 return _fail(name, f"{fix} at {ks}/8: got {got}, table says {want}")
             checked += 1
@@ -79,13 +78,13 @@ def referee_splice() -> CriterionResult:
     lam1, lam2 = (2,), (1, 1)
     held, excluded = 0, 0
     angles = _angles(8)
-    t36, t24, c42 = (_fixture_values(fix, 8)
-                     for fix in ("torus(3,6)", "torus(2,4)", "cable(4,2)+core"))
+    t36, t24, c42 = map(_fixture, ("torus(3,6)", "torus(2,4)", "cable(4,2)+core"))
     for k0, k1, k2 in product(range(8), repeat=3):
         om1 = (angles[k0],)
         om2 = (angles[k1], angles[k2])
-        lhs = t36((k0, k1, k2))
-        rhs = (t24(((k1 + k2) % 8, k0)) + c42(((2 * k0) % 8, k1, k2))
+        lhs = t36(om1 + om2)
+        rhs = (t24((angles[(k1 + k2) % 8], angles[k0]))
+               + c42((angles[(2 * k0) % 8], angles[k1], angles[k2]))
                + defect(lam1, om1) * defect(lam2, om2))
         diff = lhs - rhs
         guarded = (2 * k0) % 8 == 0 and (k1 + k2) % 8 == 0
@@ -150,52 +149,63 @@ def defect_lemma() -> CriterionResult:
     name = "defect-lemma"
     order = 24
     angles = _angles(order)
-    grid1 = {(k,): defect1((angles[k],)) for k in range(order)}
-    grid2 = {ks: defect1(tuple(angles[k] for k in ks))
-             for ks in product(range(order), repeat=2)}
-    grid3 = {ks: defect1(tuple(angles[k] for k in ks))
-             for ks in product(range(order), repeat=3)}
-    grids = {1: grid1, 2: grid2, 3: grid3}
+    # flat grids: the cell ks/24 sits at the index whose base-24 digits are ks
+    grids = {mu: [defect1(om) for om in product(angles, repeat=mu)] for mu in (1, 2, 3)}
+
+    def moved(mu, slots, digits):
+        """grids[mu] moved by the map of cells that takes the coordinate k at
+        position p to digits[k] at position slots[p]."""
+        index = [0]
+        for slot in slots:
+            weight = order ** (mu - 1 - slot)
+            index = [i + digits[k] * weight for i in index for k in range(order)]
+        return [grids[mu][i] for i in index]
+
+    def first_change(mu, values, sign=1):  # the first ks with values != sign * grids[mu]
+        cells = product(range(order), repeat=mu)
+        return next((ks for ks, v, w in zip(cells, grids[mu], values) if w != sign * v), None)
 
     # vanishing: at the unit character, and identically for mu <= 1
     if defect1(()) != 0:
         return _fail(name, "defect of the empty character is not 0")
     for mu in (1, 2, 3):
-        if grids[mu][(0,) * mu] != 0:
+        if grids[mu][0] != 0:
             return _fail(name, f"defect at the unit character, mu={mu}")
-    if any(v != 0 for v in grid1.values()):
+    if any(grids[1]):
         return _fail(name, "defect not identically zero for mu=1")
 
     # conjugation antisymmetry
+    neg = [(-k) % order for k in range(order)]
     for mu in (2, 3):
-        for ks, v in grids[mu].items():
-            if grids[mu][tuple((-k) % order for k in ks)] != -v:
-                return _fail(name, f"conjugation antisymmetry fails at {ks}, mu={mu}")
+        ks = first_change(mu, moved(mu, range(mu), neg), -1)
+        if ks is not None:
+            return _fail(name, f"conjugation antisymmetry fails at {ks}, mu={mu}")
 
-    # symmetric group invariance
+    # symmetric group invariance, through the adjacent transpositions (they generate S_mu)
     for mu in (2, 3):
-        for ks, v in grids[mu].items():
-            for perm in permutations(ks):
-                if grids[mu][perm] != v:
-                    return _fail(name, f"permutation invariance fails at {ks}, mu={mu}")
+        for p in range(mu - 1):
+            slots = [*range(p), p + 1, p, *range(p + 2, mu)]
+            ks = first_change(mu, moved(mu, slots, range(order)))
+            if ks is not None:
+                return _fail(name, f"permutation invariance fails at {ks}, mu={mu}")
 
-    # stability under appending a unit coordinate
+    # stability under appending a unit coordinate: ks + (0,) sits at order * index(ks)
     for mu in (1, 2):
-        for ks, v in grids[mu].items():
-            if grids[mu + 1][ks + (0,)] != v:
-                return _fail(name, f"unit embedding fails at {ks}, mu={mu}")
-    if grid1[(0,)] != defect1(()):
+        ks = first_change(mu, grids[mu + 1][::order])
+        if ks is not None:
+            return _fail(name, f"unit embedding fails at {ks}, mu={mu}")
+    if grids[1][0] != defect1(()):
         return _fail(name, "unit embedding fails at mu=0")
 
     # stability under appending a conjugate pair
     for e in range(order):
-        pair = (e, (-e) % order)
-        if grid2[pair] != defect1(()):
+        pair = e * order + neg[e]
+        if grids[2][pair] != defect1(()):
             return _fail(name, f"conjugate-pair embedding fails at mu=0, eta={e}/24")
-        for (k,), v in grid1.items():
-            if grid3[(k,) + pair] != v:
+        for k, v in enumerate(grids[1]):
+            if grids[3][k * order * order + pair] != v:
                 return _fail(name, f"conjugate-pair embedding fails at ({k},{e})/24")
-    total = len(grid1) + len(grid2) + len(grid3)
+    total = sum(map(len, grids.values()))
     return CriterionResult(name, True,
                            f"all five defect properties hold exhaustively on {total} "
                            f"grid points (24th roots, mu <= 3)")
@@ -310,7 +320,7 @@ def hopf_nullity_check() -> CriterionResult:
 
 def guard_discipline() -> CriterionResult:
     name = "guard-discipline"
-    spliced = splice(fixture_sig("torus(2,4)"), fixture_sig("cable(4,2)+core"))
+    spliced = splice(_fixture("torus(2,4)"), _fixture("cable(4,2)+core"))
     raised, evaluated = 0, 0
     eighths = _angles(8)
     for k0, k1, k2 in product(range(8), repeat=3):
@@ -369,8 +379,8 @@ CRITERIA: List[Tuple[str, Callable[[], CriterionResult]]] = [
 ]
 
 
-# criteria that read the same fixture evaluators (_fixture_values)
-_SHARED_CACHES = ("referee-tables", "referee-splice")
+_CACHE_GROUPS = (("referee-tables", "referee-splice", "guard-discipline"),
+                 ("hopf-oracle", "hopf-spectrum", "hopf-nullity"))
 
 
 def suite_names() -> List[str]:
@@ -378,8 +388,7 @@ def suite_names() -> List[str]:
 
 
 def _run(task: Tuple[int, ...]) -> List[CriterionResult]:
-    """Run CRITERIA[i] for each i in task, in turn; a crashed criterion is a
-    failed criterion."""
+    """Run CRITERIA[i] for each i in task, in turn; a crashed criterion fails."""
     results = []
     for i in task:
         name, fn = CRITERIA[i]
@@ -393,34 +402,45 @@ def _run(task: Tuple[int, ...]) -> List[CriterionResult]:
 def run_suite(suite: str) -> List[CriterionResult]:
     """Run one named suite ("all" runs every criterion), results in CRITERIA order.
 
-    Several criteria run in a pool of forked workers, up to one per usable
-    CPU; one criterion, one CPU, or a platform without fork runs in-process.
-    A task is a tuple of indices into CRITERIA, never the functions, so
-    entries that cannot be pickled still run.  The criteria of
-    _SHARED_CACHES form one task, so the second reuses the first's caches.
-    A worker that dies fails every criterion it leaves unfinished instead of
-    hanging the run.
+    Several criteria run in P = min(usable CPUs, tasks) forked children; one
+    criterion, one CPU, or a platform without fork runs in-process.  A task
+    is the CRITERIA indices of one of _CACHE_GROUPS or of one other criterion,
+    so entries that cannot be pickled still run.  Child k runs tasks[k::P];
+    the parent collects and reaps every child.  A child that dies fails the
+    criteria of the tasks it did not report; the rest stand.
     """
     wanted = [i for i, (name, _) in enumerate(CRITERIA) if suite in ("all", name)]
     if not wanted:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(suite_names())}")
-    shared = tuple(i for i in wanted if CRITERIA[i][0] in _SHARED_CACHES)
-    tasks = sorted({shared if i in shared else (i,) for i in wanted})
+    groups = [tuple(i for i in wanted if CRITERIA[i][0] in group) for group in _CACHE_GROUPS]
+    tasks = sorted({next((g for g in groups if i in g), (i,)) for i in wanted})
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(tasks), cpus)
-    if workers > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers == 1:
+    procs = min(len(tasks), cpus) if hasattr(os, "fork") else 1
+    if procs == 1:
         return _run(tuple(wanted))
 
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-    done = {}
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        for task, future in [(task, pool.submit(_run, task)) for task in tasks]:
+    children = []
+    for k in range(procs):
+        src, out = os.pipe()
+        if (pid := os.fork()) == 0:  # the child: report each task as it ends
+            os.close(src)
             try:
-                done.update(zip(task, future.result()))
-            except BrokenExecutor as err:  # a worker died
-                done.update((i, _raised(CRITERIA[i][0], err)) for i in task)
+                with open(out, "wb") as pipe:
+                    for task in tasks[k::procs]:
+                        pickle.dump((task, _run(task)), pipe)
+                        pipe.flush()
+                os._exit(0)
+            finally:  # something escaped: exit all the same, never return
+                os._exit(1)
+        os.close(out)
+        children.append((pid, src))
+    done = {}
+    for k, (pid, src) in enumerate(children):
+        with open(src, "rb") as pipe, suppress(EOFError, pickle.UnpicklingError):
+            while True:  # to the end, or to a record cut short by the child's death
+                done.update(zip(*pickle.load(pipe)))
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        err = ChildProcessError(f"worker exited with status {status}")
+        for i in (i for task in tasks[k::procs] for i in task if i not in done):
+            done[i] = _raised(CRITERIA[i][0], err)
     return [done[i] for i in wanted]

@@ -7,7 +7,9 @@ the spectrum check included.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+
+import pytest
 
 from splicesig import verify
 from splicesig.fixtures import fixture_sig
@@ -68,6 +70,41 @@ def test_5_defect_lemma():
     _report(verify.defect_lemma())
 
 
+def _orbit(ks, d):
+    """d at every permutation of the cell ks/24, -d at every permutation of its
+    conjugate: a change that keeps antisymmetry and permutation invariance."""
+    conj = tuple((-k) % 24 for k in ks)
+    return {**dict.fromkeys(permutations(conj), -d), **dict.fromkeys(permutations(ks), d)}
+
+
+@pytest.mark.parametrize("changes, detail", [
+    ({(): 1}, "defect of the empty character is not 0"),
+    ({(0, 0): 1}, "defect at the unit character, mu=2"),
+    ({(0, 0, 0): -1}, "defect at the unit character, mu=3"),
+    ({(12,): 1}, "defect not identically zero for mu=1"),
+    (dict.fromkeys(permutations((1, 2, 3)), 1),
+     "conjugation antisymmetry fails at (1, 2, 3), mu=3"),
+    ({(1, 2): 1, (23, 22): -1}, "permutation invariance fails at (1, 2), mu=2"),
+    ({(1, 2, 3): 1, (23, 22, 21): -1}, "permutation invariance fails at (1, 2, 3), mu=3"),
+    ({(1, 1, 2): 1, (23, 23, 22): -1}, "permutation invariance fails at (1, 1, 2), mu=3"),
+    (_orbit((5, 0), 1), "unit embedding fails at (5,), mu=1"),
+    (_orbit((5, 7, 0), 1), "unit embedding fails at (5, 7), mu=2"),
+    (_orbit((3, 5, 19), 1), "conjugate-pair embedding fails at (3,5)/24"),
+])
+def test_5b_defect_lemma_fails_on_a_change_at_one_cell(monkeypatch, changes, detail):
+    # each mutant breaks one of the five properties at one cell (and, where the
+    # earlier properties demand it, at its permutations and conjugates), so the
+    # flat grids must look up exactly the cells the property relates
+    real = verify.defect1
+
+    def mutant(omega):
+        return real(omega) + changes.get(tuple(a.numerator * 24 // a.denominator
+                                               for a in omega), 0)
+
+    monkeypatch.setattr(verify, "defect1", mutant)
+    assert verify.defect_lemma() == verify.CriterionResult("defect-lemma", False, detail)
+
+
 def test_6_hirzebruch_sanity():
     _report(verify.hirzebruch_sanity())
 
@@ -85,14 +122,16 @@ def test_9_guard_discipline():
 
 
 def test_fixture_evaluators_built_once_per_run(monkeypatch):
-    # both referee suites read the three fixtures through one evaluator each
+    # both referee suites and guard-discipline read the three fixtures
+    # through one evaluator each
     built = []
     real = verify.fixture_sig
     monkeypatch.setattr(verify, "fixture_sig", lambda name: built.append(name) or real(name))
-    verify._fixture_values.cache_clear()
+    verify._fixture.cache_clear()
     try:
         _report(verify.referee_tables())
         _report(verify.referee_splice())
+        _report(verify.guard_discipline())
     finally:
-        verify._fixture_values.cache_clear()
+        verify._fixture.cache_clear()
     assert sorted(built) == ["cable(4,2)+core", "torus(2,4)", "torus(3,6)"]

@@ -221,10 +221,10 @@ class TestEval:
         assert lines[-1] == "False"
 
     def test_cold_start_imports_no_pool_or_numpy(self, tmp_path):
-        # verify imports its process pool only when it runs several criteria,
+        # verify forks its workers with os.fork, importing no process pool,
         # and no command imports numpy, so neither adds to the start-up of
-        # every other command; each command and expression form loads only
-        # the splicesig modules it runs
+        # any command; each command and expression form loads only the
+        # splicesig modules it runs
         path = tmp_path / "hopf-1-1.json"
         path.write_text(hopf_seifert_family(1, 1).dumps())
         heavy = {"cyclotomic", "ccomplex", "fixtures", "hopf", "cables", "verify"}
@@ -241,6 +241,7 @@ class TestEval:
              {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
             # one criterion runs in-process, so its imports are visible here
             (["verify", "hopf-spectrum"], set()),
+            (["verify"], set()),
         ]
         code = ("import sys; from splicesig.cli import main; "
                 "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
@@ -260,7 +261,7 @@ class TestEval:
 
     def test_verify_runs_without_numpy(self):
         # numpy is a test-only oracle: with its import blocked, every criterion
-        # still passes, in the pool's forked workers as in the parent
+        # still passes, in the forked workers as in the parent
         code = ("import sys; sys.modules['numpy'] = None; "
                 "from splicesig.cli import main; sys.exit(main(['verify']))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

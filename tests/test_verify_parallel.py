@@ -1,7 +1,7 @@
 """`run_suite` runs criteria in forked workers and reports them in CRITERIA order.
 
-Most tests pretend to have two usable CPUs so that the pool runs even on a
-one-CPU machine, where `run_suite` would otherwise stay in-process.
+Most tests pretend to have two usable CPUs so that the workers are forked even
+on a one-CPU machine, where `run_suite` would otherwise stay in-process.
 """
 
 import os
@@ -30,8 +30,19 @@ def _boom():
     raise ValueError("boom")
 
 
-def test_parallel_results_equal_the_criteria_in_turn(two_cpus):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returned to this process."""
+    pids, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(real()) or pids[-1])
+    return pids
+
+
+def test_parallel_results_equal_the_criteria_in_turn(two_cpus, forks):
     assert verify.run_suite("all") == [fn() for _, fn in verify.CRITERIA]
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_criterion_raising_in_a_worker_fails_as_in_process(two_cpus, monkeypatch):
@@ -56,9 +67,27 @@ def test_dead_worker_fails_its_criteria_instead_of_hanging():
                           timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("FAIL dies") and "raised BrokenProcessPool" in lines[0]
+    assert lines[0].startswith("FAIL dies") and "raised ChildProcessError" in lines[0]
     assert lines[1].split()[1] == "hirzebruch"
     assert "criteria failed: dies" in proc.stderr
+
+
+def test_dead_worker_keeps_the_tasks_it_reported(two_cpus, monkeypatch):
+    # three tasks on two workers: the first worker reports "first", then dies
+    parent = os.getpid()
+
+    def dies():
+        if os.getpid() != parent:  # never end the test process itself
+            os._exit(3)
+        raise AssertionError("ran in-process")
+
+    monkeypatch.setattr(verify, "CRITERIA", [
+        ("first", lambda: CriterionResult("first", True, "ok")),
+        ("other", lambda: CriterionResult("other", True, "ok")), ("dies", dies)])
+    assert verify.run_suite("all") == [
+        CriterionResult("first", True, "ok"), CriterionResult("other", True, "ok"),
+        CriterionResult("dies", False,
+                        "raised ChildProcessError: worker exited with status 3")]
 
 
 _RAN_TABLES = []  # pids that ran _tables, in the process that reads it
@@ -90,6 +119,19 @@ def test_referee_pair_is_one_task_in_order(two_cpus, monkeypatch):
     assert other.detail == "" and _RAN_TABLES == []
 
 
+def test_cache_groups_share_a_worker(two_cpus, monkeypatch):
+    # on two CPUs: the fixture group, defect-lemma and univariate-reduction
+    # in one worker, the Hopf group and hirzebruch in the other
+    monkeypatch.setattr(verify, "CRITERIA", [
+        (name, lambda name=name: CriterionResult(name, True, str(os.getpid())))
+        for name, _ in verify.CRITERIA])
+    pids = {r.name: r.detail for r in verify.run_suite("all")}
+    assert {frozenset(n for n in pids if pids[n] == pid) for pid in pids.values()} == {
+        frozenset({"referee-tables", "referee-splice", "guard-discipline",
+                   "defect-lemma", "univariate-reduction"}),
+        frozenset({"hopf-oracle", "hopf-spectrum", "hopf-nullity", "hirzebruch"})}
+
+
 def test_dead_worker_fails_both_referee_criteria():
     script = textwrap.dedent("""
         import os, sys
@@ -106,7 +148,7 @@ def test_dead_worker_fails_both_referee_criteria():
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     for line, name in zip(lines, ("referee-tables", "referee-splice")):
-        assert line.startswith(f"FAIL {name}") and "raised BrokenProcessPool" in line
+        assert line.startswith(f"FAIL {name}") and "raised ChildProcessError" in line
     assert lines[2].split()[1] == "hirzebruch"
 
 
@@ -126,13 +168,8 @@ def test_unpicklable_criteria_still_run(two_cpus, monkeypatch):
     assert all(r.passed for r in results), results
 
 
-def test_single_suite_runs_without_a_pool(two_cpus, monkeypatch, capsys):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a single suite started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+def test_single_suite_runs_without_a_pool(two_cpus, forks, capsys):
     for suite in ("hirzebruch", "referee-splice"):
         assert main(["verify", suite]) == 0
         assert capsys.readouterr().out.startswith(f"PASS {suite}")
+    assert forks == []
