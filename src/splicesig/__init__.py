@@ -10,9 +10,8 @@ from importlib import import_module as _import_module
 
 from .errors import (BoundaryCharacter, ExpressionError, GuardViolated, InvalidFamily,
                      InvalidParams, LevelMismatch, MissingBaseEvaluator, NotHermitian,
-                     NotReal, NullityUnavailable, SpliceSigError, UsageError)
-from .torus import (UNIT, Angle, char_power, character, conjugate_character, defect, defect1,
-                    delete_color, ind, insert_unit, is_open, log_sum)
+                     NullityUnavailable, SpliceSigError, UsageError)
+from .torus import UNIT, Angle, char_power, character, defect, defect1, ind, is_open
 from .splice import (SigFn, cable_parallel, lt_splice, merge_colors, satellite, splice,
                      splice_knot, to_levine_tristram, with_boundary, zero_fn)
 
@@ -23,7 +22,7 @@ _LAZY = {
     "hopf": "HopfSpec hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature "
             "hopf_spectrum sigma_k unlink_family",
     "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
-              "hirzebruch tilde_from_multi univariate_reduction weighted_linking",
+              "hirzebruch univariate_reduction weighted_linking",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
     "expr": "parse_expression=parse",
 }

@@ -25,9 +25,6 @@ from .errors import InvalidParams, MissingBaseEvaluator
 from .splice import SigFn, linking_of, splice
 from .torus import Angle, Character, ind
 
-TildeEvaluator = Callable[[Angle, Angle], int]
-
-
 class CableParams(NamedTuple):
     """A (dp, dq)-cabling: d parallel (p,q)-curves, core removed or retained."""
 
@@ -215,15 +212,6 @@ def cable_step(f: SigFn, params: CableParams,
     return out
 
 
-def tilde_from_multi(sigma_multi: int, d: int, p: int, q: int) -> int:
-    """Reduced torus signature from the multivariate value at (v, u, ..., u).
-
-    The d cable colors of V u dU(p,q) merged to one color subtract the total
-    linking among the copies: d(d-1)/2 pairs of lk = pq each.
-    """
-    return sigma_multi - d * (d - 1) * p * q // 2
-
-
 # ---------------------------------------------------------------------------
 # multivariate -> univariate reduction
 # ---------------------------------------------------------------------------
@@ -284,7 +272,7 @@ def weighted_linking(inp: UnivariateReductionInput, i: int) -> int:
 
 
 def univariate_reduction(inp: UnivariateReductionInput, sigma_lbar: int,
-                         tilde: Optional[Mapping[int, TildeEvaluator]] = None) -> int:
+                         tilde: Optional[Mapping[int, Callable[[Angle, Angle], int]]] = None) -> int:
     """Multivariate signature at omega from the monochrome signature at xi.
 
         sigma_L(w) = sigma_Lbar(xi) - sum_i tilde_storus_{n_i, n_i p_i}(u_i, xi)

@@ -33,7 +33,8 @@ when built, and eliminates once per Galois orbit, keeping its last
 _ORBIT_CACHE: sigma_u maps the form and its pivots at omega to those at
 omega^u (LaurentMatrix.inertia).  It eliminates only the principal submatrix
 on the pivot columns of its integer coefficients, found once per matrix; the
-other columns are a constant kernel common to every H(omega).
+other columns are a constant kernel common to every H(omega).  None is kept
+only when every C_e is zero: then the inertia is (0, 0, size), with no orbit.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import LevelMismatch, NotHermitian, NotReal
+from .errors import LevelMismatch, NotHermitian
 from .torus import Angle, Character
 
 # A level's power table holds N rows of up to phi(N) entries each.  Refuse
@@ -479,9 +480,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self._reduced[1])
 
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
     def lift(self, level: int) -> "CyclotomicNumber":
         """The same value at a multiple N' of N: zeta_N^k = zeta_N'^(k*N'/N)."""
         if level == self.level:
@@ -548,12 +546,6 @@ class CyclotomicNumber:
         den, vec = self._reduced
         n = self.level
         return sum((c * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(vec) if c), 0j) / den
-
-    def sign_real(self) -> int:
-        """Certified sign in {-1, 0, 1}; raises NotReal off the real line."""
-        if not self.is_real():
-            raise NotReal(f"{self!r} is not fixed by conjugation")
-        return _level(self.level).sign(self._reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -745,15 +737,15 @@ class LaurentMatrix:
                         row[j] += k * x
         return cls(arity, g, coeffs)
 
-    def _level_of(self, omega: Character, level: Optional[int] = None) -> int:
-        """level, or the lcm of omega's denominators; omega has one angle per variable."""
+    def _level_of(self, omega: Character) -> int:
+        """The lcm of omega's denominators; omega has one angle per variable."""
         if len(omega) != self.arity:
             raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
-        return level or math.lcm(*(a.denominator for a in omega))
+        return math.lcm(*(a.denominator for a in omega))
 
-    def evaluate(self, omega: Character, level: Optional[int] = None) -> HermitianMatrix:
-        """Specialise at a character, at level or at omega's least level."""
-        n = self._level_of(omega, level)
+    def evaluate(self, omega: Character) -> HermitianMatrix:
+        """Specialise at a character, at omega's least level."""
+        n = self._level_of(omega)
         return HermitianMatrix._trusted(self._at(n, _steps(omega, n)), n)
 
     def _at(self, n: int, steps: Sequence[int],
@@ -785,9 +777,10 @@ class LaurentMatrix:
         """
         n = self._level_of(omega)
         lv = _level(n)  # the level bound comes first and bounds the units
+        if not self.coeffs:  # J is empty: H is zero, and takes no orbit
+            return 0, 0, self.size
         rep, v = lv.orbit_rep(_steps(omega, n))
-        pivots, nullity = self._orbit(n, rep)
-        return lv.inertia(pivots, nullity, pow(v, -1, n))
+        return lv.inertia(*self._orbit(n, rep), pow(v, -1, n))
 
     def _eliminate(self, n: int, rep: Tuple[int, ...]) -> Tuple[Tuple[QV, ...], int]:
         """The pivots and kernel size of H at zeta_n^rep, from the upper triangle

@@ -36,10 +36,6 @@ class NotHermitian(SpliceSigError):
     """
 
 
-class NotReal(SpliceSigError):
-    """sign_real() was called on a cyclotomic number not fixed by conjugation."""
-
-
 class NullityUnavailable(SpliceSigError):
     """Nullity was requested from a Seifert family whose generators are not a basis."""
 

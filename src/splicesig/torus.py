@@ -5,8 +5,8 @@ numbers omega_j = exp(2*pi*i*theta_j).  Everything here works with the angles
 theta_j as exact rationals in [0, 1), so membership tests ("is this coordinate
 equal to 1?", "is this angle sum an integer?") are decidable.  An angle is
 stored as its reduced integer pair num/den with 0 <= num < den, and every
-formula below computes on those integers; `Angle.value` and `log_sum` build
-a Fraction only for callers that ask for one.
+formula below computes on those integers; `Angle.value` builds a Fraction
+only for callers that ask for one.
 
 Conventions:
 
@@ -123,18 +123,6 @@ def character(spec: Union[str, Iterable[RationalLike]]) -> Character:
     return tuple(a if isinstance(a, Angle) else Angle(a) for a in spec)
 
 
-def conjugate_character(omega: Character) -> Character:
-    return tuple(a.conjugate() for a in omega)
-
-
-def delete_color(omega: Character, i: int) -> Character:
-    return omega[:i] + omega[i + 1:]
-
-
-def insert_unit(omega: Character, i: int) -> Character:
-    return omega[:i] + (UNIT,) + omega[i:]
-
-
 def is_open(omega: Character) -> bool:
     """True when no coordinate equals 1."""
     return all(a.numerator for a in omega)
@@ -152,11 +140,6 @@ def weighted_sum(lam: Sequence[int], omega: Character) -> Tuple[int, int]:
     den is the lcm of the angle denominators, 1 for the empty character."""
     den = math.lcm(*[a.denominator for a in omega])
     return sum(l * a.numerator * (den // a.denominator) for l, a in zip(lam, omega)), den
-
-
-def log_sum(omega: Character) -> Fraction:
-    """Log of the tuple: the angle sum as a rational in [0, mu)."""
-    return Fraction(*weighted_sum((1,) * len(omega), omega))
 
 
 def char_power(omega: Character, lam: Sequence[int]) -> Angle:

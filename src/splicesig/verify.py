@@ -45,6 +45,12 @@ def _fixture(name: str) -> SigFn:
     return fixture_sig(name)
 
 
+@lru_cache(maxsize=None)
+def _family(m: int, n: int) -> SeifertFamily:
+    """H_{m,n}'s Seifert family, built once per process: its orbit caches serve every criterion."""
+    return hopf_seifert_family(m, n)
+
+
 def _fail(name: str, detail: str) -> CriterionResult:
     return CriterionResult(name, False, detail)
 
@@ -114,7 +120,7 @@ def hopf_oracle() -> CriterionResult:
     cases = 0
     angles = _angles(12)
     for m, n in product(range(1, 5), repeat=2):
-        family = hopf_seifert_family(m, n)
+        family = _family(m, n)
         for a, b in product(range(1, 12), repeat=2):
             eta, zeta = angles[a], angles[b]
             got = family.signature((eta, zeta))
@@ -134,7 +140,7 @@ def hopf_spectrum_check() -> CriterionResult:
     cells = list(product(range(1, 12), repeat=2))
     characters = [(_angles(12)[a], _angles(12)[b]) for a, b in cells]
     for m, n in product(range(1, 4), repeat=2):
-        bad = certify_spectrum(hopf_seifert_family(m, n), m, n, characters)
+        bad = certify_spectrum(_family(m, n), m, n, characters)
         if bad is not None:
             a, b = cells[bad]
             return _fail(name, f"H({m},{n}) at ({a}/12,{b}/12): exact eigenvalues "
@@ -302,7 +308,7 @@ def hopf_nullity_check() -> CriterionResult:
     # one structural zero per copy beyond the first on each side)
     sixths = _angles(6)
     for m, n in product(range(1, 4), repeat=2):
-        family = hopf_seifert_family(m, n)
+        family = _family(m, n)
         for a, b in product(range(1, 6), repeat=2):
             eta, zeta = (sixths[a],) * m, (sixths[b],) * n
             closed = hopf_nullity(m, n, eta, zeta)

@@ -22,14 +22,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # module -> public names as the package exported them when every module loaded
 # eagerly, less angle, parse_character, serialize_character and
 # parse_expression_file (the CLI, Angle and character are the one reader of
-# each input) and LaurentPoly (a LaurentMatrix holds its integer coefficient
-# matrices); "alias=attr" names attr of the module
+# each input), LaurentPoly (a LaurentMatrix holds its integer coefficient
+# matrices), and NotReal, conjugate_character, delete_color, insert_unit,
+# log_sum and tilde_from_multi (no module called them); "alias=attr" names
+# attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
-              "LevelMismatch MissingBaseEvaluator NotHermitian NotReal NullityUnavailable "
+              "LevelMismatch MissingBaseEvaluator NotHermitian NullityUnavailable "
               "SpliceSigError UsageError",
-    "torus": "UNIT Angle char_power character conjugate_character defect defect1 "
-             "delete_color ind insert_unit is_open log_sum",
+    "torus": "UNIT Angle char_power character defect defect1 ind is_open",
     "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
     "splice": "SigFn cable_parallel lt_splice merge_colors satellite splice splice_knot "
@@ -37,7 +38,7 @@ EXPORTS = {
     "hopf": "HopfSpec hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature "
             "hopf_spectrum sigma_k unlink_family",
     "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
-              "hirzebruch tilde_from_multi univariate_reduction weighted_linking",
+              "hirzebruch univariate_reduction weighted_linking",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
     "expr": "parse_expression=parse",
 }

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from splicesig.cables import (CableParams, UnivariateReductionInput, cable_step,
-                              default_torus_base, hirzebruch, tilde_from_multi,
-                              univariate_reduction, weighted_linking)
+                              default_torus_base, hirzebruch, univariate_reduction,
+                              weighted_linking)
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix
 from splicesig.errors import GuardViolated, InvalidParams, MissingBaseEvaluator
 from splicesig.hopf import hopf_sig_fn, sigma_k
@@ -234,18 +234,6 @@ class TestCableStep:
         f = hopf_sig_fn(1, 2)
         g = cable_step(f, CableParams.make(0, 1, 2, core_kept=True))
         assert g.arity == 2 + 3  # two surviving colors + core + two copies
-
-
-class TestTildeFromMulti:
-    def test_identity_when_d1(self):
-        assert tilde_from_multi(5, 1, 7, -3) == 5
-
-    def test_subtracts_internal_linking(self):
-        assert tilde_from_multi(0, 2, 3, 3) == -9
-        assert tilde_from_multi(4, 3, 1, 2) == 4 - 6
-
-    def test_hopf_pattern_unchanged(self):
-        assert tilde_from_multi(2, 4, 1, 0) == 2
 
 
 class TestReductionInput:

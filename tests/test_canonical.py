@@ -18,7 +18,8 @@ sigma_u(d) of each pivot off the cosines of every residue, checked against
 mpmath and against the sign of sigma_u(d) reduced.  At every conjugate
 character it must give what a direct elimination there gives, the nullity
 is the same on a whole orbit, `verify hopf-oracle` eliminates once per
-distinct (level, orbit) of its grid, refusals keep nothing, and the orbit
+distinct (level, orbit) of its grid in each family that is not a zero form,
+`hopf-nullity` eliminates nothing after it, refusals keep nothing, and the orbit
 cache stays within its bound without changing an answer or keeping its
 matrix alive.  A LaurentMatrix is refused when built exactly when some entry
 (j, i) is not (i, j) with its exponents negated, and an accepted one
@@ -31,11 +32,15 @@ columns of the stacked coefficients: on forms congruent by a unimodular
 integer matrix to a random form padded with a zero block it must give the
 inertia of the full matrix and keep as many columns as a Fraction rank says,
 the Hopf families keep (m - 1)(n - 1) of their mn rows and the fixtures all.
+A rank-deficient form, the zero form included, gives the direct inertia at
+any level <= 60 and keeps its refusals of a wrong arity and a level past the
+table bound.
 """
 
 import cmath
 import math
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -46,7 +51,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig import cyclotomic, fixtures, verify
 from splicesig.ccomplex import SeifertFamily
-from splicesig.errors import NotHermitian
+from splicesig.errors import LevelMismatch, NotHermitian
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     LaurentMatrix,
@@ -351,8 +356,8 @@ def zero_diagonal_laurent_at_level(draw):
 @given(zero_diagonal_laurent_at_level())
 def test_zero_diagonal_inertia_matches_eigvalsh(case):
     # every first pivot comes from the congruence that folds h_pq into h_pp
-    matrix, omega, level = case
-    assert matrix.evaluate(omega, level).inertia() == numeric_inertia(matrix, omega)
+    matrix, omega, _ = case
+    assert matrix.evaluate(omega).inertia() == numeric_inertia(matrix, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +430,7 @@ def test_orbit_inertia_is_the_direct_inertia_at_every_conjugate(case):
 def test_orbit_inertia_through_the_fold_at_every_conjugate(case):
     matrix, omega, level = case
     for om in conjugates(omega, level):
-        assert matrix.inertia(om) == matrix.evaluate(om, level).inertia()
+        assert matrix.inertia(om) == matrix.evaluate(om).inertia()
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,6 +452,26 @@ def test_hopf_oracle_eliminates_once_per_orbit(monkeypatch):
         ks = [int(x.value * n) for x in omega]
         orbits.add((n, frozenset(tuple(u * k % n for k in ks)
                                  for u in range(1, n + 1) if math.gcd(u, n) == 1)))
+    sizes = Counter()
+    real = cyclotomic._inertia
+
+    def counting(mat, lv):
+        sizes[len(mat)] += 1
+        return real(mat, lv)
+    monkeypatch.setattr(cyclotomic, "_inertia", counting)
+    assert verify.hopf_oracle().passed
+    # 16 families, each a fresh H(t) eliminated on its (m - 1)(n - 1) kept
+    # rows; the 7 with m = 1 or n = 1 are zero forms and take no orbit
+    kept = Counter((m - 1) * (n - 1) for m, n in product(range(1, 5), repeat=2))
+    assert len(orbits) == 39
+    assert dict(sizes) == {g: k * len(orbits) for g, k in kept.items() if g}
+    assert sum(sizes.values()) == 9 * len(orbits)
+
+
+def test_hopf_nullity_reads_the_oracles_orbits(monkeypatch):
+    # hopf-nullity's kernel checks at sixths lie on hopf-oracle's twelfths grid,
+    # and verify builds each Hopf family once
+    assert verify.hopf_oracle().passed
     calls = []
     real = cyclotomic._inertia
 
@@ -454,8 +479,8 @@ def test_hopf_oracle_eliminates_once_per_orbit(monkeypatch):
         calls.append(lv.n)
         return real(mat, lv)
     monkeypatch.setattr(cyclotomic, "_inertia", counting)
-    assert verify.hopf_oracle().passed
-    assert len(calls) == 16 * len(orbits)  # 16 families, each a fresh H(t)
+    assert verify.hopf_nullity_check().passed
+    assert calls == []
 
 
 def test_refusals_keep_no_orbit():
@@ -586,12 +611,14 @@ def stacked_rank(matrix):
 
 
 @st.composite
-def congruent_to_a_padded_form(draw):
-    """P^T (H' + 0_k) P at a character of level <= 60 and degree <= 24: H' a random
-    Hermitian Laurent matrix, g' <= 4, arity <= 2, singular draws included, and
-    P a random unimodular integer matrix, so the kernel leaves the coordinates."""
+def congruent_to_a_padded_form(draw, levels=st.sampled_from(SMALL_LEVELS),
+                               zeros=st.integers(0, 3)):
+    """P^T (H' + 0_k) P at a character of a level drawn from levels (by default
+    <= 60 and of degree <= 24): H' a random Hermitian Laurent matrix, g' <= 4,
+    arity <= 2, singular draws included, k drawn from zeros, and P a random
+    unimodular integer matrix, so the kernel leaves the coordinates."""
     arity = draw(st.integers(1, 2))
-    small, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    small, k = draw(st.integers(0, 4)), draw(zeros)
     g = small + k
     d = [[{}] * g for _ in range(g)]
     for i in range(small):
@@ -610,7 +637,7 @@ def congruent_to_a_padded_form(draw):
         p = [p[i] for i in order]
     h = [[combine([(p[a][i] * p[b][j], d[a][b]) for a in range(g) for b in range(g)])
           for j in range(g)] for i in range(g)]
-    level = draw(st.sampled_from(SMALL_LEVELS))
+    level = draw(levels)
     omega = tuple(Angle(Fraction(draw(st.integers(0, level - 1)), level))
                   for _ in range(arity))
     return laurent_matrix(arity, h), omega
@@ -625,6 +652,21 @@ def test_split_inertia_is_the_full_inertia(case):
     matrix, omega = case
     assert matrix.inertia(omega) == matrix.evaluate(omega).inertia()
     assert len(matrix._kept) == stacked_rank(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(congruent_to_a_padded_form(st.integers(1, 60), st.integers(1, 3)))
+@example((LaurentMatrix(2, 3, {}), (Angle(Fraction(1, 59)), Angle(Fraction(5, 12)))))
+@example((LaurentMatrix(1, 1, {}), (Angle(0),)))
+def test_zero_and_rank_deficient_forms(case):
+    # a zero form (no random block) is answered without an orbit: its inertia is
+    # still the direct one, and the arity and level-bound refusals still come first
+    matrix, omega = case
+    assert matrix.inertia(omega) == matrix.evaluate(omega).inertia()
+    with pytest.raises(ValueError, match=f"character has {matrix.arity + 1} colors"):
+        matrix.inertia(omega + omega[:1])
+    with pytest.raises(LevelMismatch, match="exceeds the supported bound"):
+        matrix.inertia((Angle(Fraction(1, 8633)),) * matrix.arity)
 
 
 @pytest.mark.parametrize("m,n", list(product(range(1, 5), repeat=2)))
@@ -647,9 +689,9 @@ def test_sign_real_leaves_mpmath_precision_alone():
     before = (mpmath.iv.prec, mpmath.mp.prec)
     z = CyclotomicNumber.root_of_unity(8)
     c = z + z.conjugate()
-    assert c.sign_real() == 1
+    assert _level(8).sign(c.reduced()) == 1
     # needs refinement past the starting precision
-    assert (c * 10 ** 24 - 1414213562373095048801688).sign_real() == 1
+    assert _level(8).sign((c * 10 ** 24 - 1414213562373095048801688).reduced()) == 1
     assert (mpmath.iv.prec, mpmath.mp.prec) == before
 
 

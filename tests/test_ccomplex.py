@@ -23,7 +23,7 @@ from splicesig.errors import (BoundaryCharacter, InvalidFamily, NotHermitian,
                               NullityUnavailable, SpliceSigError)
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn, unlink_family
 from splicesig.splice import splice
-from splicesig.torus import UNIT, Angle, character, conjugate_character
+from splicesig.torus import UNIT, Angle, character
 
 
 def ang(num, den):
@@ -338,7 +338,7 @@ class TestSignatureNullity:
         for fam in fams:
             for a, b in product(range(1, 6), repeat=2):
                 om = (ang(a, 6), ang(b, 6))
-                assert fam.signature(om) == fam.signature(conjugate_character(om))
+                assert fam.signature(om) == fam.signature(tuple(a.conjugate() for a in om))
 
     def test_nullity_gated_by_basis_flag(self):
         fam = hopf_seifert_family(2, 2)

@@ -187,14 +187,14 @@ class TestMatrices:
             again = SeifertFamily.loads(family(name).dumps()).laurent
             assert again.coeffs == m.coeffs
             om = (ang(1, 8),) * m.arity
-            a = m.evaluate(om, 8).signature_nullity()
-            b = again.evaluate(om, 8).signature_nullity()
+            a = m.evaluate(om).signature_nullity()
+            b = again.evaluate(om).signature_nullity()
             assert a == b
 
     def test_hermitian_everywhere_sampled(self):
         m = fixture_matrix("cable(4,2)+core")
         for a, b, c in [(1, 1, 1), (3, 5, 7), (2, 6, 4), (7, 1, 3)]:
-            h = m.evaluate((eighth(a), eighth(b), eighth(c)), 8)
+            h = m.evaluate((eighth(a), eighth(b), eighth(c)))
             s, n = h.signature_nullity()
             assert s + n <= 2
 

@@ -23,7 +23,7 @@ from splicesig.errors import BoundaryCharacter
 from splicesig.hopf import (HopfSpec, certify_spectrum, hopf_nullity,
                             hopf_seifert_family, hopf_sig_fn, hopf_signature,
                             hopf_spectrum, sigma_k, unlink_family)
-from splicesig.torus import Angle, conjugate_character
+from splicesig.torus import Angle
 
 
 def ang(num, den):

@@ -11,14 +11,11 @@ from splicesig.torus import (
     Angle,
     char_power,
     character,
-    conjugate_character,
     defect,
     defect1,
-    delete_color,
     ind,
-    insert_unit,
     is_open,
-    log_sum,
+    weighted_sum,
 )
 
 rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=60)
@@ -93,18 +90,16 @@ def test_character_parsing_roundtrip():
 
 def test_character_edits():
     om = character("1/8,5/8")
-    assert delete_color(om, 0) == character("5/8")
-    assert insert_unit(om, 1) == character("1/8,0,5/8")
-    assert conjugate_character(om) == character("7/8,3/8")
+    assert tuple(a.conjugate() for a in om) == character("7/8,3/8")
     assert is_open(om)
     assert not is_open(character("1/8,0"))
     assert is_open(())  # nothing is pinned to 1 on the empty torus
 
 
 def test_log_sum_is_plain_sum():
-    # tuple logs add up in [0, mu); they are NOT reduced mod 1
-    assert log_sum(character("5/8,5/8")) == Fraction(5, 4)
-    assert log_sum(()) == 0
+    # tuple logs (unit weights) add up in [0, mu); they are NOT reduced mod 1
+    assert weighted_sum((1, 1), character("5/8,5/8")) == (10, 8)
+    assert weighted_sum((), ()) == (0, 1)
 
 
 def test_char_power():
@@ -144,7 +139,7 @@ def grid(mu, order):
 @pytest.mark.parametrize("mu", [2, 3])
 def test_defect_conjugation_flips_sign(mu):
     for om in grid(mu, 8):
-        assert defect1(conjugate_character(om)) == -defect1(om)
+        assert defect1(tuple(a.conjugate() for a in om)) == -defect1(om)
 
 
 def test_defect_symmetric():
@@ -279,7 +274,7 @@ def test_defect_and_char_power_match_fraction_reference(cells):
     power = ref_theta(ref_sum(lam, xs))
     got = char_power(om, lam)
     assert (got.numerator, got.denominator) == (power.numerator, power.denominator)
-    assert log_sum(om) == ref_sum((1,) * len(xs), xs)
+    assert Fraction(*weighted_sum((1,) * len(xs), om)) == ref_sum((1,) * len(xs), xs)
 
 
 @given(coords, st.integers(-6, 6))
