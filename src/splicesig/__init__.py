@@ -10,7 +10,7 @@ from importlib import import_module as _import_module
 
 from .errors import (BoundaryCharacter, ExpressionError, GuardViolated, InvalidFamily,
                      InvalidParams, LevelMismatch, MissingBaseEvaluator, NotHermitian,
-                     NullityUnavailable, SpliceSigError, UsageError)
+                     SpliceSigError, UsageError)
 from .torus import UNIT, Angle, char_power, character, defect, defect1, ind, is_open
 from .splice import (SigFn, cable_parallel, lt_splice, merge_colors, satellite, splice,
                      splice_knot, to_levine_tristram, with_boundary, zero_fn)

@@ -15,9 +15,9 @@ expands to the classical
 When the chosen generators are an honest basis of H_1, the nullity of
 H(omega) is the colored nullity (a twisted Betti number of the complement).
 A redundant generating family still computes the signature, but its kernel
-carries the excess rank on top of the nullity, so nullity queries are refused
-unless the basis flag is set; the raw kernel dimension stays available for
-callers who correct for the excess themselves.
+carries the excess rank on top of the nullity, so sig_fn's nullity is None
+unless the basis flag is set; the raw kernel dimension stays available
+(raw_inertia) for callers who correct for the excess themselves.
 
 Characters with unit coordinates do not reach the form at all: deleting a
 color changes the C-complex, so boundary values are delegated to explicitly
@@ -30,10 +30,10 @@ import json
 import operator
 from functools import cached_property
 from itertools import product
-from typing import List, Mapping, Optional, Sequence, Tuple, Type
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import HermitianMatrix, LaurentMatrix
-from .errors import MAX_DEPTH, BoundaryCharacter, InvalidFamily, NotHermitian, NullityUnavailable
+from .errors import MAX_DEPTH, BoundaryCharacter, InvalidFamily
 from .splice import SigFn, with_boundary
 from .torus import Character, is_open
 
@@ -73,8 +73,8 @@ def _bad_key(kept: Tuple[int, ...], mu: int) -> Optional[str]:
 def _json_typed(value, kind: type, what: str):
     """value if its type is exactly kind: a boolean is no integer, 1 no boolean."""
     if type(value) is not kind:
-        raise InvalidFamily(
-            f"{what} must be a JSON {'boolean' if kind is bool else 'integer'}, not {value!r}")
+        name = {bool: "boolean", int: "integer", str: "string"}[kind]
+        raise InvalidFamily(f"{what} must be a JSON {name}, not {value!r}")
     return value
 
 
@@ -110,8 +110,8 @@ class SeifertFamily:
         self.label = label
         # construction is permissive, save for non-integer entries, so that
         # validate() can report problems; _gate refuses a family that fails it
-        # before any arithmetic: from_json on load (InvalidFamily), the compile
-        # of H(t) and sig_fn at use (NotHermitian)
+        # with InvalidFamily before any arithmetic: from_json on load, the
+        # compile of H(t) and sig_fn at use
 
     # -- validation -----------------------------------------------------------
 
@@ -167,11 +167,11 @@ class SeifertFamily:
                 out.append(f"boundary {kept}: {problem}")
         return out
 
-    def _gate(self, error: Type[Exception] = NotHermitian) -> None:
+    def _gate(self) -> None:
         """Refuse the family with the validate() report unless it is clean."""
         problems = self.validate()
         if problems:
-            raise error("; ".join(problems))
+            raise InvalidFamily("; ".join(problems))
 
     # -- assembly -------------------------------------------------------------
 
@@ -212,17 +212,6 @@ class SeifertFamily:
         pos, neg, _ = self._inertia_at(omega)
         return pos - neg
 
-    def nullity(self, omega: Character) -> int:
-        return self.signature_nullity(omega)[1]
-
-    def signature_nullity(self, omega: Character) -> Tuple[int, int]:
-        if not self.basis:
-            raise NullityUnavailable(
-                "generators are not marked as a basis of H_1; the kernel of the "
-                "form overshoots the nullity (see raw_inertia)")
-        pos, neg, nul = self._inertia_at(omega)
-        return pos - neg, nul
-
     def raw_inertia(self, omega: Character) -> Tuple[int, int, int]:
         """(positive, negative, kernel) of the form itself, basis or not."""
         return self._inertia_at(omega)
@@ -233,7 +222,7 @@ class SeifertFamily:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
         The family, its linking matrix and its boundary families pass the gate
-        first, so an invalid family is refused with NotHermitian here.
+        first, so an invalid family is refused with InvalidFamily here.
         With a linking matrix, color 0 is distinguished and the evaluator's
         linking vector is the matrix's first row less its diagonal entry.
         The evaluator's nullity is this family's on the open torus when the
@@ -272,7 +261,7 @@ class SeifertFamily:
     def from_json(cls, doc: dict) -> "SeifertFamily":
         """The family of a JSON document, refused unless validate() is clean."""
         fam = cls._from_doc(doc)
-        fam._gate(InvalidFamily)
+        fam._gate()
         return fam
 
     @classmethod
@@ -296,7 +285,7 @@ class SeifertFamily:
                       basis=_json_typed(doc.get("basis", False), bool, "basis"),
                       boundary=boundary,
                       linking=None if linking is None else _int_rows(linking, "linking"),
-                      label=doc.get("label"))
+                      label=_json_typed(doc["label"], str, "label") if "label" in doc else None)
         except (KeyError, TypeError, AttributeError) as err:
             raise InvalidFamily(f"family document missing or malformed: {err!r}") from err
         declared = _json_typed(doc.get("generators", fam.generators), int, "generators")

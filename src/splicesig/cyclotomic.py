@@ -50,7 +50,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import LevelMismatch, NotHermitian
-from .torus import Angle, Character
+from .torus import Character
 
 # A level's power table holds N rows of up to phi(N) entries each.  Refuse
 # levels whose N*phi(N) exceeds this: level 1155 (554 400) is built in under
@@ -456,15 +456,6 @@ class CyclotomicNumber:
         return cls._from_canonical(level, _level(level).reduce(x.denominator, [(0, x.numerator)]))
 
     @classmethod
-    def root_of_unity(cls, level: int, k: int = 1) -> "CyclotomicNumber":
-        return cls._from_canonical(level, _level(level).reduce(1, [(k, 1)]))
-
-    @classmethod
-    def from_angle(cls, a: Angle, level: int) -> "CyclotomicNumber":
-        """The coordinate exp(2*pi*i*theta) at a level divisible by theta's denominator."""
-        return cls.root_of_unity(level, _steps((a,), level)[0])
-
-    @classmethod
     def _from_canonical(cls, level: int, qv: QV) -> "CyclotomicNumber":
         num = object.__new__(cls)
         num.level = level
@@ -540,13 +531,6 @@ class CyclotomicNumber:
         terms = [f"{Fraction(c, den)}*z{self.level}^{k}" for k, c in enumerate(vec) if c]
         return "CyclotomicNumber(" + (" + ".join(terms) if terms else "0") + ")"
 
-    # -- analytic views ----------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        den, vec = self._reduced
-        n = self.level
-        return sum((c * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(vec) if c), 0j) / den
-
 
 # ---------------------------------------------------------------------------
 # Hermitian matrices over one cyclotomic field
@@ -592,11 +576,6 @@ class HermitianMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return CyclotomicNumber._from_canonical(self.level, self._mat[i][j])
-
-    def signature_nullity(self) -> Tuple[int, int]:
-        """(signature, nullity), both exact."""
-        pos, neg, nul = self.inertia()
-        return pos - neg, nul
 
     def inertia(self) -> Tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts, exact."""
@@ -672,13 +651,9 @@ def _inertia(rows: Sequence[Sequence[QV]], lv: _Level) -> Tuple[Tuple[QV, ...], 
 # ---------------------------------------------------------------------------
 
 def _steps(omega: Character, level: int) -> List[int]:
-    """The exponents k_i with omega_i = zeta_level^k_i."""
-    steps = []
-    for a in omega:
-        if level % a.denominator != 0:
-            raise LevelMismatch(f"angle {a} does not live at level {level}")
-        steps.append((level // a.denominator) * a.numerator)
-    return steps
+    """The exponents k_i with omega_i = zeta_level^k_i, level a multiple of every
+    denominator."""
+    return [(level // a.denominator) * a.numerator for a in omega]
 
 
 class LaurentMatrix:

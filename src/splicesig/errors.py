@@ -31,24 +31,20 @@ class BoundaryCharacter(SpliceSigError):
 class NotHermitian(SpliceSigError):
     """A matrix failed the exact Hermitian check when it was built: a
     LaurentMatrix that is not H(t) = H(t)* as polynomials, or a HermitianMatrix
-    of CyclotomicNumbers; or a SeifertFamily failed validate() when first used
-    (the message is then its report).
+    of CyclotomicNumbers.
     """
-
-
-class NullityUnavailable(SpliceSigError):
-    """Nullity was requested from a Seifert family whose generators are not a basis."""
 
 
 class LevelMismatch(SpliceSigError):
     """A level N that cannot serve: a cyclotomic number lifted to a level that
-    is not a multiple of its own, an angle that does not live at the level
-    asked for, or a level past the bound on its power table (N*phi(N) entries).
+    is not a multiple of its own, or a level past the bound on its power table
+    (N*phi(N) entries).
     """
 
 
 class InvalidFamily(SpliceSigError):
-    """A Seifert family or its JSON document is malformed or invalid."""
+    """A Seifert family or its JSON document is malformed or invalid; a family
+    that fails validate() is refused with its report, on load or first use."""
 
 
 class InvalidParams(SpliceSigError):

@@ -3,7 +3,9 @@
 `splicesig` imports `errors`, `torus` and `splice` eagerly and serves every
 other public name through a module `__getattr__`.  These tests pin the public
 name set and check that each name is the object its defining module binds,
-and that modules reach each other through public names only.
+that modules reach each other through public names only, that every function
+and class in `src/splicesig` has a caller, and that README's library example
+runs.
 """
 
 import ast
@@ -17,19 +19,20 @@ import pytest
 
 import splicesig
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # module -> public names as the package exported them when every module loaded
 # eagerly, less angle, parse_character, serialize_character and
 # parse_expression_file (the CLI, Angle and character are the one reader of
 # each input), LaurentPoly (a LaurentMatrix holds its integer coefficient
-# matrices), and NotReal, conjugate_character, delete_color, insert_unit,
-# log_sum and tilde_from_multi (no module called them); "alias=attr" names
-# attr of the module
+# matrices), NotReal, conjugate_character, delete_color, insert_unit,
+# log_sum and tilde_from_multi (no module called them), and NullityUnavailable
+# (a family's nullity is sig_fn().nullity, None without a basis); "alias=attr"
+# names attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
-              "LevelMismatch MissingBaseEvaluator NotHermitian NullityUnavailable "
-              "SpliceSigError UsageError",
+              "LevelMismatch MissingBaseEvaluator NotHermitian SpliceSigError UsageError",
     "torus": "UNIT Angle char_power character defect defect1 ind is_open",
     "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
@@ -126,3 +129,50 @@ def test_no_module_imports_a_private_name_of_another(path):
 def test_hopf_imports_nothing_from_cyclotomic():
     # its spectrum certificate is an identity in H(t): no cyclotomic field
     assert [m for m, _ in _package_imports(SRC / "splicesig" / "hopf.py") if m == "cyclotomic"] == []
+
+
+def _referenced(path, strings=False):
+    """The names path refers to: names, attributes and import aliases, and with
+    strings its string constants too."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_has_a_caller():
+    """Each function and class in src/splicesig, dunders aside, is referenced by
+    name: somewhere in src/, in the package's lazy table, or in bench/*.py (names
+    and string constants), where the benchmark's wraps bind names it reads only.
+
+    Matching is by name alone, so a definition that shares its name with some
+    other attribute is not caught: a family method `nullity` would pass on
+    `SigFn.nullity`, and `HermitianMatrix.inertia` passes on
+    `LaurentMatrix.inertia`.
+    """
+    sources = sorted((SRC / "splicesig").glob("*.py"))
+    defined = {(path.stem, node.name) for path in sources
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    used = {name for path in sources for name in _referenced(path)}
+    used |= {part for names in splicesig._LAZY.values() for name in names.split()
+             for part in name.split("=")}
+    used |= {name for path in sorted((ROOT / "bench").glob("*.py"))
+             for name in _referenced(path, strings=True)}
+    assert sorted(f"{module}.{name}" for module, name in defined if name not in used) == []
+
+
+def test_readme_library_example_runs():
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    ns = {}
+    exec(blocks[0].split("```", 1)[0], ns)
+    assert (ns["sig"], ns["nul"]) == (-1, 1)
+    assert ns["f"].linking == (0, 1, 1, 1)
+    assert ns["g"].arity == 6

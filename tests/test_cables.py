@@ -32,14 +32,15 @@ def ang(num, den):
 def seifert_lt_signature(v_matrix, *, omega, level):
     """Oracle: exact signature of (1-wbar)V + (1-w)V^T at a root of unity."""
     g = len(v_matrix)
-    w = CyclotomicNumber.from_angle(omega, level)
+    k = level // omega.denominator * omega.numerator
+    w = CyclotomicNumber(level, [int(j == k) for j in range(level)])
     one = CyclotomicNumber.from_rational(1, level)
     a, b = one - w.conjugate(), one - w
     rows = [[a * CyclotomicNumber.from_rational(v_matrix[i][j], level)
              + b * CyclotomicNumber.from_rational(v_matrix[j][i], level)
              for j in range(g)] for i in range(g)]
-    s, _ = HermitianMatrix(rows).signature_nullity()
-    return s
+    pos, neg, _ = HermitianMatrix(rows).inertia()
+    return pos - neg
 
 
 def reference_hirzebruch(p, q, zeta):

@@ -51,7 +51,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig import cyclotomic, fixtures, verify
 from splicesig.ccomplex import SeifertFamily
-from splicesig.errors import LevelMismatch, NotHermitian
+from splicesig.errors import InvalidFamily, LevelMismatch, NotHermitian
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     LaurentMatrix,
@@ -82,6 +82,11 @@ def reference_remainder(level, den, terms):
 def as_fractions(qv):
     den, vec = qv
     return [Fraction(c, den) for c in vec]
+
+
+def root_of_unity(n, k=1):
+    """zeta_n^k, from its coefficients over 1, zeta_n, ..., zeta_n^(n-1)."""
+    return CyclotomicNumber(n, [int(j == k % n) for j in range(n)])
 
 
 sparse_terms = st.lists(
@@ -166,7 +171,7 @@ def test_inverse_of_zero_raises():
 
 
 def test_scalar_canonical_form_is_the_reference_remainder():
-    z = CyclotomicNumber.root_of_unity(15, 7)
+    z = root_of_unity(15, 7)
     x = z * Fraction(3, 4) - z.conjugate() * 2 + Fraction(1, 6)
     # 3/4 z^7 - 2 z^8 + 1/6, over the common denominator 12
     terms = [(7, 9), (8, -24), (0, 2)]
@@ -487,7 +492,7 @@ def test_refusals_keep_no_orbit():
     # not Hermitian: the + form's transpose is not the - form
     fam = SeifertFamily(1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]})
     for omega in conjugates((Angle(Fraction(1, 12)),), 12):
-        with pytest.raises(NotHermitian, match="duality broken"):
+        with pytest.raises(InvalidFamily, match="duality broken"):
             fam.signature(omega)
     assert "laurent" not in vars(fam)  # no form compiled, so no orbit kept
     # a matrix that is not H(t) = H(t)* is refused before it has an orbit cache
@@ -512,7 +517,7 @@ def test_family_forms_are_hermitian_as_polynomials(m, n):
         steps = [int(a.value * 12) for a in omega]
         for i, row in enumerate(entries(matrix)):
             for j, poly in enumerate(row):
-                want = sum((c * CyclotomicNumber.root_of_unity(12, sum(
+                want = sum((c * root_of_unity(12, sum(
                     e * k for e, k in zip(exps, steps)) % 12) for exps, c in poly.items()),
                     CyclotomicNumber.from_rational(0, 12))
                 assert h[i, j] == want
@@ -687,7 +692,7 @@ def test_fixtures_keep_every_row(name):
 
 def test_sign_real_leaves_mpmath_precision_alone():
     before = (mpmath.iv.prec, mpmath.mp.prec)
-    z = CyclotomicNumber.root_of_unity(8)
+    z = root_of_unity(8)
     c = z + z.conjugate()
     assert _level(8).sign(c.reduced()) == 1
     # needs refinement past the starting precision
@@ -725,7 +730,7 @@ def test_fixed_cosines_within_their_bound(n, prec):
 def _quadratic_irrational(level, k):
     """sqrt(k) in Q(zeta_level), from zeta_8, zeta_12 or zeta_5."""
     root = {2: 8, 3: 12, 5: 5}[k]
-    z = CyclotomicNumber.root_of_unity(level, level // root)
+    z = root_of_unity(level, level // root)
     c = z + z.conjugate()
     return 2 * c + 1 if k == 5 else c
 

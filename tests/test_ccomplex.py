@@ -1,4 +1,4 @@
-"""Seifert families: validation, assembly, signatures, nullity gating, JSON.
+"""Seifert families: validation, assembly, signatures, nullity, JSON.
 
 The bicolored assembly formula is pinned entry-by-entry against its expanded
 form, and the general shape is cross-checked through the Hopf oracle tests;
@@ -19,8 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber
 from splicesig.expr import MAX_DEPTH
-from splicesig.errors import (BoundaryCharacter, InvalidFamily, NotHermitian,
-                              NullityUnavailable, SpliceSigError)
+from splicesig.errors import BoundaryCharacter, InvalidFamily, SpliceSigError
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn, unlink_family
 from splicesig.splice import splice
 from splicesig.torus import UNIT, Angle, character
@@ -28,6 +27,12 @@ from splicesig.torus import UNIT, Angle, character
 
 def ang(num, den):
     return Angle(Fraction(num, den))
+
+
+def root(a, level):
+    """exp(2*pi*i*a) at a level divisible by a's denominator."""
+    k = level // a.denominator * a.numerator
+    return CyclotomicNumber(level, [int(j == k) for j in range(level)])
 
 
 def random_family(mu, g, rng, basis=False):
@@ -134,7 +139,7 @@ class TestAssemble:
         fam = trefoil_family()
         for k in range(1, 12):
             w = ang(k, 12)
-            wc = CyclotomicNumber.from_angle(w, 12)
+            wc = root(w, 12)
             one = CyclotomicNumber.from_rational(1, 12)
             aa, bb = one - wc.conjugate(), one - wc
             direct = [[aa * CyclotomicNumber.from_rational(TREFOIL_V[i][j], 12)
@@ -158,8 +163,8 @@ class TestAssemble:
         for a, b in product(range(1, 6), repeat=2):
             eta, zeta = ang(a, 6), ang(b, 6)
             h = fam.assemble((eta, zeta))
-            e = CyclotomicNumber.from_angle(eta, level)
-            z = CyclotomicNumber.from_angle(zeta, level)
+            e = root(eta, level)
+            z = root(zeta, level)
             pre = (one - e.conjugate()) * (one - z.conjugate())
             for i in range(2):
                 for j in range(2):
@@ -179,7 +184,7 @@ class TestAssemble:
         omega = tuple(ang(1 + k % (d - 1), d) for k, d in zip(nums[:mu], dens[:mu]))
         level = math.lcm(*(a.denominator for a in omega))
         one = CyclotomicNumber.from_rational(1, level)
-        t = [CyclotomicNumber.from_angle(a, level) for a in omega]
+        t = [root(a, level) for a in omega]
         pre = one
         for ti in t:
             pre = pre * (one - ti.conjugate())
@@ -207,7 +212,7 @@ class TestAssemble:
         fam = SeifertFamily(2, {eps: [] for eps in product((1, -1), repeat=2)},
                             basis=True)
         assert fam.signature((ang(1, 3), ang(1, 5))) == 0
-        assert fam.nullity((ang(1, 3), ang(1, 5))) == 0
+        assert fam.sig_fn().nullity((ang(1, 3), ang(1, 5))) == 0
 
     def test_always_hermitian_for_valid_families(self):
         rng = random.Random(7)
@@ -218,7 +223,7 @@ class TestAssemble:
 
     def test_broken_duality_caught_at_assembly(self):
         fam = SeifertFamily(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]})
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidFamily):
             fam.assemble((ang(1, 3),))
 
 
@@ -228,17 +233,17 @@ class TestInvalidFamiliesRefuse:
     BAD = {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]}  # - is not the transpose of +
 
     def test_signature_raises(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidFamily):
             SeifertFamily(1, self.BAD).signature((ang(1, 3),))
 
     def test_sig_fn_raises(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidFamily):
             SeifertFamily(1, self.BAD).sig_fn()((ang(1, 3),))
 
     def test_broken_duality_refused_where_the_form_is_hermitian(self):
         # at omega = 1/2, H = 2(theta+ + theta-) = [[2]] is Hermitian; H(t) is not
         fam = SeifertFamily(1, {(1,): [[1]], (-1,): [[0]]})
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidFamily):
             fam.signature((ang(1, 2),))
 
     def test_non_integer_entries_refused_at_construction(self):
@@ -250,19 +255,17 @@ class TestInvalidFamiliesRefuse:
 
     def test_raw_inertia_and_nullity_raise(self):
         fam = SeifertFamily(1, self.BAD, basis=True)
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidFamily):
             fam.raw_inertia((ang(1, 3),))
-        with pytest.raises(NotHermitian):
-            fam.signature_nullity((ang(1, 3),))
+        with pytest.raises(InvalidFamily):
+            fam.sig_fn().nullity((ang(1, 3),))
 
 
 def _uses(fam, omega):
     """Every way to get a number out of a family at omega."""
-    uses = [lambda: fam.signature(omega), lambda: fam.raw_inertia(omega),
-            lambda: fam.assemble(omega), lambda: fam.sig_fn()(omega)]
-    if fam.basis:
-        uses.append(lambda: fam.signature_nullity(omega))
-    return uses
+    return [lambda: fam.signature(omega), lambda: fam.raw_inertia(omega),
+            lambda: fam.assemble(omega), lambda: fam.sig_fn()(omega),
+            lambda: fam.sig_fn().nullity(omega)]
 
 
 class TestOneGate:
@@ -283,7 +286,7 @@ class TestOneGate:
 
     def test_refusal_carries_the_validate_report(self):
         fam = SeifertFamily(1, {(1,): [[1, 0]], (-1,): [[1], [0]]})
-        with pytest.raises(NotHermitian) as err:
+        with pytest.raises(InvalidFamily) as err:
             fam.sig_fn()
         assert str(err.value) == "; ".join(fam.validate())
 
@@ -325,7 +328,7 @@ class TestSignatureNullity:
         expected = {1: (-1, 1), 2: (-2, 0), 3: (-2, 0)}  # angles k/6
         for k, (s, nu) in expected.items():
             assert fam.signature((ang(k, 6),)) == s
-            assert fam.nullity((ang(k, 6),)) == nu
+            assert fam.sig_fn().nullity((ang(k, 6),)) == nu
 
     def test_hopf22_value(self):
         fam = hopf_seifert_family(2, 2)
@@ -340,10 +343,29 @@ class TestSignatureNullity:
                 om = (ang(a, 6), ang(b, 6))
                 assert fam.signature(om) == fam.signature(tuple(a.conjugate() for a in om))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 3), st.integers(0, 2 ** 32), st.booleans(),
+           st.integers(2, 24).flatmap(lambda n: st.tuples(
+               st.just(n), st.lists(st.integers(1, n - 1), min_size=2, max_size=2))),
+           st.integers(0, 1))
+    def test_nullity_is_the_kernel_with_a_basis(self, mu, g, seed, basis, point, unit):
+        # one nullity path: sig_fn().nullity, the kernel on the open torus with a
+        # basis, None without one and wherever a coordinate is 1
+        fam = random_family(mu, g, random.Random(seed), basis=basis)
+        n, nums = point
+        omega = tuple(ang(k, n) for k in nums[:mu])
+        f = fam.sig_fn()
+        assert f(omega) == fam.signature(omega)
+        if basis:
+            assert f.nullity(omega) == fam.raw_inertia(omega)[2]
+        else:
+            assert f.nullity(omega) is None
+        i = unit % mu
+        assert f.nullity(omega[:i] + (UNIT,) + omega[i + 1:]) is None
+
     def test_nullity_gated_by_basis_flag(self):
         fam = hopf_seifert_family(2, 2)
-        with pytest.raises(NullityUnavailable):
-            fam.nullity((ang(1, 3), ang(1, 3)))
+        assert fam.sig_fn().nullity((ang(1, 3), ang(1, 3))) is None
         # raw inertia stays available for oracle use
         pos, neg, nul = fam.raw_inertia((ang(1, 3), ang(1, 3)))
         assert pos + neg + nul == 4
@@ -364,7 +386,7 @@ class TestSignatureNullity:
                              basis=True)
         for k in range(1, 12):
             om = (ang(k, 12),)
-            assert fam.signature_nullity(om) == fam2.signature_nullity(om)
+            assert fam.raw_inertia(om) == fam2.raw_inertia(om)
 
 
 class TestSigFn:

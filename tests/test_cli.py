@@ -167,6 +167,10 @@ class TestEval:
         {"arity": 1, "generators": True, "forms": {"+": [[1]], "-": [[1]]}},  # boolean count
         {"arity": 1, "forms": {"+": [[-1, 1], [0, -1]], "x": [[-1, 0], [1, -1]]}},  # bad sign
         {"arity": 1, "forms": {"+": [[1]], "-": [[1]], "−": [[1]]}},  # one direction twice
+        # a label that is no string: sweep would print its Python repr as a header
+        {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}, "label": {"x": [1, 2]}},
+        {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}, "label": ["x"]},
+        {"arity": 1, "forms": {"+": [[1]], "-": [[1]]}, "label": 7},
     ])
     def test_malformed_family_document_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "fam.json"
@@ -176,6 +180,13 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: bad seifert family")
+
+    def test_string_label_heads_the_sweep(self, tmp_path, capsys):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"arity": 1, "forms": {"+": [[1]], "-": [[1]]},
+                                    "label": "one"}))
+        assert main(["sweep", json.dumps({"seifert": str(path)}), "--order", "4"]) == 0
+        assert capsys.readouterr().out.startswith("# one  order 4  3 cells\n")
 
     def test_non_integer_boundary_key_exit_2(self, tmp_path, capsys):
         doc = hopf_seifert_family(2, 2).to_json()

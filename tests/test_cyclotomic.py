@@ -1,3 +1,4 @@
+import cmath
 import cProfile
 import hashlib
 import json
@@ -83,11 +84,22 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(7) == [1] * 7
 
 
+def root_of_unity(n, k=1):
+    """zeta_n^k, from its coefficients over 1, zeta_n, ..., zeta_n^(n-1)."""
+    return CyclotomicNumber(n, [int(j == k % n) for j in range(n)])
+
+
+def as_complex(x):
+    """x's value in C, from its canonical pair over the power basis of zeta_N."""
+    den, vec = x.reduced()
+    return sum(c * cmath.exp(2j * cmath.pi * k / x.level) for k, c in enumerate(vec)) / den
+
+
 def test_root_relations():
-    z = CyclotomicNumber.root_of_unity(8)
+    z = root_of_unity(8)
     assert (z * z * z * z + 1).is_zero()
     assert (z * z.conjugate()) == 1
-    total = sum((CyclotomicNumber.root_of_unity(12, k) for k in range(12)),
+    total = sum((root_of_unity(12, k) for k in range(12)),
                 CyclotomicNumber.from_rational(0, 12))
     assert total.is_zero()
 
@@ -96,31 +108,31 @@ def test_zero_test_is_canonical_not_coefficientwise():
     # 1 + z5 + z5^2 + z5^3 + z5^4 vanishes in C though no coefficient does
     s = CyclotomicNumber(5, [1] * 5)
     assert s.is_zero()
-    assert s == sum((CyclotomicNumber.root_of_unity(5, k) for k in range(5)),
+    assert s == sum((root_of_unity(5, k) for k in range(5)),
                     CyclotomicNumber.from_rational(0, 5))
-    assert abs(s.to_complex()) < 1e-12
+    assert abs(as_complex(s)) < 1e-12
 
 
 def test_cross_level_equality():
-    z8 = CyclotomicNumber.root_of_unity(8)
-    z4 = CyclotomicNumber.root_of_unity(4)
+    z8 = root_of_unity(8)
+    z4 = root_of_unity(4)
     assert z8 * z8 == z4
     assert z8 != z4
     assert CyclotomicNumber.from_rational(3, 1) == CyclotomicNumber.from_rational(3, 12)
 
 
 def test_conjugation_and_realness():
-    z = CyclotomicNumber.root_of_unity(12)
+    z = root_of_unity(12)
     c = z + z.conjugate()  # 2cos(pi/6) = sqrt(3)
     assert c.conjugate() == c
     assert _level(12).sign(c.reduced()) == 1
-    assert abs(c.to_complex().real - 3 ** 0.5) < 1e-12
+    assert abs(as_complex(c).real - 3 ** 0.5) < 1e-12
     assert z.conjugate() != z
 
 
 def test_sign_real_certified_on_small_values():
     # sqrt(2) - 1.41... style near-cancellations stay exact: 8*cos(pi/4)^2 - 4 = 0
-    z = CyclotomicNumber.root_of_unity(8)
+    z = root_of_unity(8)
     c = z + z.conjugate()  # sqrt(2)
     assert (c * c - 2).is_zero()
     assert _level(8).sign((c * c - 2).reduced()) == 0
@@ -131,7 +143,7 @@ def test_sign_real_certified_on_small_values():
 def test_sign_real_refines_precision():
     # sqrt(2)*10^24 = 1414213562373095048801688.72...; separating it from its
     # integer part needs more than the starting 64 bits of precision
-    z = CyclotomicNumber.root_of_unity(8)
+    z = root_of_unity(8)
     c = z + z.conjugate()
     approx = 1414213562373095048801688
     assert _level(8).sign((c * 10 ** 24 - approx).reduced()) == 1
@@ -140,7 +152,7 @@ def test_sign_real_refines_precision():
 
 @given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=23))
 def test_root_times_conjugate_is_one(n, k):
-    z = CyclotomicNumber.root_of_unity(n, k % n)
+    z = root_of_unity(n, k % n)
     assert (z * z.conjugate() - 1).is_zero()
 
 
@@ -165,8 +177,10 @@ def test_addmul_is_add_of_mul(case):
 
 
 def test_level_mismatch_guard():
-    with pytest.raises(LevelMismatch):
-        CyclotomicNumber.from_angle(character("1/3")[0], 8)
+    z = root_of_unity(6)
+    assert z.lift(12) == z
+    with pytest.raises(LevelMismatch, match="cannot lift level 6 to non-multiple 8"):
+        z.lift(8)
 
 
 def test_level_bound_counts_the_table():
@@ -176,7 +190,7 @@ def test_level_bound_counts_the_table():
     for n in (8633, 10 ** 30 + 7):
         start = time.perf_counter()
         with pytest.raises(LevelMismatch, match="exceeds the supported bound"):
-            CyclotomicNumber.root_of_unity(n)
+            CyclotomicNumber.from_rational(1, n)
         assert time.perf_counter() - start < 1.0
 
 
@@ -190,7 +204,7 @@ def as_matrix(rows, level=1):
 
 
 def test_hermitian_check():
-    z = CyclotomicNumber.root_of_unity(8)
+    z = root_of_unity(8)
     one = CyclotomicNumber.from_rational(1, 8)
     with pytest.raises(NotHermitian):
         HermitianMatrix([[one, z], [z, one]])  # off-diagonals not conjugate
@@ -210,7 +224,7 @@ def test_rational_inertia_matches_oracle_fixed():
     for rows in cases:
         frac = [[Fraction(x) for x in row] for row in rows]
         pos, neg, nul = rational_inertia_oracle(frac)
-        assert as_matrix(rows).signature_nullity() == (pos - neg, nul), rows
+        assert as_matrix(rows).inertia() == (pos, neg, nul), rows
 
 
 def test_rational_inertia_matches_oracle_random():
@@ -225,21 +239,21 @@ def test_rational_inertia_matches_oracle_random():
                     x = Fraction(0)
                 a[i][j] = a[j][i] = x
         pos, neg, nul = rational_inertia_oracle(a)
-        assert as_matrix(a).signature_nullity() == (pos - neg, nul), a
+        assert as_matrix(a).inertia() == (pos, neg, nul), a
 
 
 def test_inertia_zero_diagonal_blocks():
     # an all-zero diagonal forces the fold of an off-diagonal entry into the diagonal
-    z = CyclotomicNumber.root_of_unity(8)
+    z = root_of_unity(8)
     zero = CyclotomicNumber.from_rational(0, 8)
     h = HermitianMatrix([[zero, z], [z.conjugate(), zero]])
-    assert h.signature_nullity() == (0, 0)
+    assert h.inertia() == (1, 1, 0)
     h3 = HermitianMatrix([
         [zero, z, zero],
         [z.conjugate(), zero, zero],
         [zero, zero, zero],
     ])
-    assert h3.signature_nullity() == (0, 1)
+    assert h3.inertia() == (1, 1, 1)
     # [[0, B], [B*, 0]] has eigenvalues +-(singular values of B): B = [[1, z], [conj(z), 1]]
     # has rank 1, so two of the four eigenvalues are zero
     one = CyclotomicNumber.from_rational(1, 8)
@@ -263,7 +277,7 @@ def test_inertia_zero_diagonal_blocks():
 
 def test_inertia_congruence_invariance():
     # G* A G has the same signature and nullity for invertible G
-    z = CyclotomicNumber.root_of_unity(12)
+    z = root_of_unity(12)
     zero = CyclotomicNumber.from_rational(0, 12)
     one = CyclotomicNumber.from_rational(1, 12)
     a = [
@@ -282,7 +296,7 @@ def test_inertia_congruence_invariance():
                CyclotomicNumber.from_rational(0, 12)) for j in range(n)] for i in range(n)]
     gag = [[sum((ga[i][k] * g[k][j] for k in range(n)),
                 CyclotomicNumber.from_rational(0, 12)) for j in range(n)] for i in range(n)]
-    assert HermitianMatrix(gag).signature_nullity() == h.signature_nullity()
+    assert HermitianMatrix(gag).inertia() == h.inertia()
 
 
 def test_inertia_cross_check_numeric():
@@ -300,12 +314,11 @@ def test_inertia_cross_check_numeric():
                 entries[i][j] = CyclotomicNumber(level, coeffs)
                 entries[j][i] = entries[i][j].conjugate()
         h = HermitianMatrix(entries)
-        sig, nul = h.signature_nullity()
         eig = h.eigen_multiset_numeric()
         pos = sum(1 for v in eig if v > 1e-9)
         neg = sum(1 for v in eig if v < -1e-9)
         zer = sum(1 for v in eig if abs(v) <= 1e-9)
-        assert (pos - neg, zer) == (sig, nul)
+        assert (pos, neg, zer) == h.inertia()
 
 
 def test_inertia_parity_and_bound():
@@ -316,9 +329,9 @@ def test_inertia_parity_and_bound():
         for i in range(n):
             for j in range(i, n):
                 a[i][j] = a[j][i] = Fraction(rng.randint(-3, 3))
-        sig, nul = as_matrix(a).signature_nullity()
-        assert abs(sig) + nul <= n
-        assert (abs(sig) + nul - n) % 2 == 0
+        pos, neg, nul = as_matrix(a).inertia()
+        assert abs(pos - neg) + nul <= n
+        assert (abs(pos - neg) + nul - n) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +411,7 @@ def test_laurent_matrix_eval_and_json():
     m = LaurentMatrix(2, 1, {(1, 0): [[1]], (-1, 0): [[1]], (0, 1): [[-1]], (0, -1): [[-1]]})
     h = m.evaluate(character("1/8,1/2"))
     # 2cos(pi/4) - 2cos(pi) = sqrt(2) + 2 > 0
-    assert h.signature_nullity() == (1, 0)
+    assert h.inertia() == (1, 0, 0)
     # the one JSON form document is a family's: its H(t) survives the round trip
     fam = hopf_seifert_family(2, 3)
     again = SeifertFamily.from_json(json.loads(json.dumps(fam.to_json()))).laurent
@@ -438,7 +451,7 @@ def test_laurent_matrix_eval_hermitian_guard():
     with pytest.raises(NotHermitian):
         LaurentMatrix(1, 1, {(1,): [[1]]})
     m = LaurentMatrix(1, 1, {(1,): [[1]], (-1,): [[1]]})
-    assert m.evaluate(character("1/2")).signature_nullity() == (-1, 0)
+    assert m.evaluate(character("1/2")).inertia() == (0, 1, 0)
 
 
 def test_laurent_matrix_refuses_a_character_of_the_wrong_length():
@@ -455,10 +468,10 @@ def test_trefoil_seifert_matrix_signature():
     v = [[-1, 1], [0, -1]]
     vt = [[v[j][i] for j in range(2)] for i in range(2)]
     m = LaurentMatrix.from_forms(1, {(1,): v, (-1,): vt})
-    assert m.evaluate(character("1/2")).signature_nullity() == (-2, 0)
+    assert m.evaluate(character("1/2")).inertia() == (0, 2, 0)
     # e^(2*pi*i/6) is a root of the Alexander polynomial: eigenvalues {0, -2}
-    assert m.evaluate(character("1/6")).signature_nullity() == (-1, 1)
-    assert m.evaluate(character("1/3")).signature_nullity() == (-2, 0)
+    assert m.evaluate(character("1/6")).inertia() == (0, 1, 1)
+    assert m.evaluate(character("1/3")).inertia() == (0, 2, 0)
 
 
 def test_from_forms_refuses_forms_not_dual_or_not_square():
