@@ -9,10 +9,12 @@ the axis V of the complementary solid torus.  The splice calculus then gives
 with l'' = (p, ..., p).  The catch is storus: no closed form is known for the
 signature of V u dU(p,q) at an arbitrary multivariate character, so the base
 evaluator is an explicit argument.  Built-in bases cover the degenerate
-patterns (p*q = 0, where the link is a generalized Hopf link or an unlink)
-and the d = 1 evaluation at axis character 1, where the classical lattice
-point count of Hirzebruch applies.  Everything else must be supplied, e.g.
-as a SeifertFamily fixture.
+patterns and the d = 1 evaluation at axis character 1, where the classical
+lattice point count of Hirzebruch applies.  A degenerate pattern (p*q = 0)
+is a generalized Hopf link H_{k,1} or an unlink, and its signature
+defect * defect vanishes because the defect of a single component is 0, so
+its base is the zero evaluator.  Everything else must be supplied, e.g. as a
+SeifertFamily fixture.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import operator
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
-from .splice import SigFn, linking_of, splice
+from .splice import SigFn, linking_of, splice, zero_fn
 from .torus import Angle, Character, ind
 
 class CableParams(NamedTuple):
@@ -112,41 +114,6 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
 # built-in base evaluators for V u dU(p,q)
 # ---------------------------------------------------------------------------
 
-def _hopf_base(params: CableParams) -> SigFn:
-    """Base evaluator when p*q = 0: the cable pattern degenerates.
-
-    With q = 0 the copies are longitudes, with p = 0 they are meridians; in
-    both cases every pair of components either bounds disjointly or forms a
-    Hopf pair, so V u [U u] dU(p,q) is a generalized Hopf link (or an unlink)
-    and the closed form applies.  Component order of the evaluator: axis V,
-    then the retained core if any, then the d copies.
-    """
-    from .hopf import HopfSpec, hopf_signature
-    p, q, d, kept = params
-    if p == 0:
-        # copies are meridians of the core: lk(V, copy) = 0, lk(copy, copy') = 0
-        if not kept:
-            # V and d meridians are pairwise unlinked
-            return SigFn(1 + d, lambda omega: 0, label=f"unlink(1+{d})")
-        # V and the copies each form a Hopf pair with the core U
-        spec = HopfSpec.make(1 + d, 1, nu=(1,) + (q,) * d)
-
-        def fn_meridians(omega: Character) -> int:
-            side = (omega[0],) + omega[2:]
-            return hopf_signature(spec, side, (omega[1],))
-
-        return SigFn(2 + d, fn_meridians, label=f"hopf_base(1+{d},1)")
-    # q = 0: copies are longitudes; they and the retained core (if any) are
-    # pairwise unlinked and each forms a Hopf pair with the axis V
-    side = d + (1 if kept else 0)
-    spec = HopfSpec.make(side, 1, nu=((1,) if kept else ()) + (p,) * d)
-
-    def fn_longitudes(omega: Character) -> int:
-        return hopf_signature(spec, omega[1:], (omega[0],))
-
-    return SigFn(1 + side, fn_longitudes, label=f"hopf_base({side},1)")
-
-
 def _hirzebruch_base(params: CableParams) -> SigFn:
     """Base evaluator for d = 1, valid only at axis character 1.
 
@@ -172,14 +139,27 @@ def _hirzebruch_base(params: CableParams) -> SigFn:
 
 
 def default_torus_base(params: CableParams) -> SigFn:
-    """Pick a built-in base evaluator for V u [U u] dU(p,q), if one exists."""
-    if params.p == 0 or params.q == 0:
-        return _hopf_base(params)
-    if params.d == 1 and not params.core_kept:
+    """Pick a built-in base evaluator for V u [U u] dU(p,q), if one exists.
+
+    Component order: axis V, then the retained core if any, then the d
+    copies.  With p = 0 the copies are meridians of the core: without it the
+    link is an unlink, with it V and the copies each form a Hopf pair with
+    the core, H_{1+d,1}.  With q = 0 they are longitudes: they and the core
+    each form a Hopf pair with V, H_{d,1} or H_{d+1,1}.  Either way one side
+    holds a single component, whose defect ind(+-theta) -+ ind(theta) is 0,
+    so the signature is 0 at every character, units included.
+    """
+    p, q, d, kept = params
+    if p == 0:
+        return zero_fn(2 + d, f"hopf_base(1+{d},1)") if kept \
+            else zero_fn(1 + d, f"unlink(1+{d})")
+    if q == 0:
+        return zero_fn(1 + d + kept, f"hopf_base({d + kept},1)")
+    if d == 1 and not kept:
         return _hirzebruch_base(params)
     raise MissingBaseEvaluator(
-        f"no built-in signature for the cable pattern d={params.d}, "
-        f"(p,q)=({params.p},{params.q}), core_kept={params.core_kept}; "
+        f"no built-in signature for the cable pattern d={d}, "
+        f"(p,q)=({p},{q}), core_kept={kept}; "
         "supply a base evaluator (e.g. from a SeifertFamily)")
 
 

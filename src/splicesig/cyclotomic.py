@@ -317,7 +317,7 @@ class _Level:
         while True:
             table = self._cos.get(prec)
             if table is None:
-                table = self._cos[prec] = _fixed_cosines(n, n, prec)
+                table = self._cos[prec] = _fixed_cosines(n, prec)
             coss, e = table
             s = sum(c * coss[u * j % n] for j, c in enumerate(vec) if c)
             if abs(s) > e * slack:
@@ -329,8 +329,8 @@ class _Level:
                     "value from zero; this indicates a bug in the exact layer")
 
 
-def _fixed_cosines(n: int, deg: int, prec: int) -> Tuple[List[int], int]:
-    """Integers C_j and a bound e with |C_j - 2^prec * cos(2*pi*j/n)| <= e, j < deg.
+def _fixed_cosines(n: int, prec: int) -> Tuple[List[int], int]:
+    """Integers C_j and a bound e with |C_j - 2^prec * cos(2*pi*j/n)| <= e, j < n.
 
     Everything runs in fixed point at w = prec + g bits: an integer u stands
     for u / 2^w, and one unit of 2^-w is an ulp.  Every step keeps an integer
@@ -359,9 +359,9 @@ def _fixed_cosines(n: int, deg: int, prec: int) -> Tuple[List[int], int]:
     5. C_j = round(Re(zeta^j) / 2^g) errs by at most E_j / 2^g + 1/2, and
        e = floor(E / 2^g) + 2 with E >= every E_j covers it.
 
-    g grows with log prec and log deg, so E stays below 2^g and e = 2.
+    g grows with log prec and log n, so E stays below 2^g and e = 2.
     """
-    g = prec.bit_length() + deg.bit_length() + 8
+    g = prec.bit_length() + n.bit_length() + 8
     w = prec + g
     one = 1 << w
     pi = pi_err = 0
@@ -390,7 +390,7 @@ def _fixed_cosines(n: int, deg: int, prec: int) -> Tuple[List[int], int]:
     half = 1 << (w - 1)
     zr, zi, big_e = one, 0, 0
     out = []
-    for _ in range(deg):
+    for _ in range(n):
         out.append((zr + (1 << (g - 1))) >> g)
         zr, zi = (zr * re - zi * im + half) >> w, (zr * im + zi * re + half) >> w
         big_e += (big_e * d >> w) + d + 2

@@ -21,7 +21,6 @@ piecewise-constant regions; evaluation is lazy and exact.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -173,23 +172,20 @@ def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
     """Univariate signature of a splice of two (1,1)-colored links.
 
     Both operands have one distinguished component and one other color, and
-    l' and l'' are the one entries of their linking vectors.  Viewing the
-    splice as a 1-colored link,
+    l' and l'' are the one entries of their linking vectors.  This is the
+    Levine-Tristram collapse of splice: the two colors of splice(f1, f2)
+    link l'*l'' times, so
 
         sigma(xi) = f1(xi^l'', xi) + f2(xi^l', xi) - l'*l'' + defect*defect,
 
-    valid when xi^gcd(l', l'') != 1.  With l' = l'' = 0 the guard condition
-    is xi^0 != 1, which never holds: every evaluation raises GuardViolated.
+    valid when xi^gcd(l', l'') != 1, that is unless xi^l' = xi^l'' = 1, the
+    splice guard.  With l' = l'' = 0 every evaluation raises GuardViolated.
     """
     if f1.arity != 2 or f2.arity != 2:
         raise ValueError("operands must be (1,1)-colored: arity 2")
     (l1,), (l2,) = linking_of(f1, "lt_splice operand 1"), linking_of(f2, "lt_splice operand 2")
-    if (math.gcd(l1, l2) * xi).is_unit():
-        raise GuardViolated(
-            f"character to the power gcd({l1},{l2}) equals 1; univariate splice "
-            "additivity does not apply")
-    corr = defect((l1,), (xi,)) * defect((l2,), (xi,))
-    return f1((l2 * xi, xi)) + f2((l1 * xi, xi)) - l1 * l2 + corr
+    lk = l1 * l2
+    return to_levine_tristram(splice(f1, f2), ((0, lk), (lk, 0)))((xi,))
 
 
 def cable_parallel(f: SigFn, nu: int) -> SigFn:

@@ -20,8 +20,9 @@ from splicesig.cables import (CableParams, UnivariateReductionInput, cable_step,
                               weighted_linking)
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix
 from splicesig.errors import GuardViolated, InvalidParams, MissingBaseEvaluator
+from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_sig_fn, sigma_k
-from splicesig.splice import SigFn, zero_fn
+from splicesig.splice import SigFn, cable_parallel, merge_colors, zero_fn
 from splicesig.torus import UNIT, Angle
 
 
@@ -165,6 +166,18 @@ class TestCableParams:
             CableParams.make(*args)
 
 
+# operands with a linking vector, built on demand
+CABLED = {
+    "hopf(1,1)": lambda: hopf_sig_fn(1, 1),
+    "hopf(1,2)": lambda: hopf_sig_fn(1, 2),
+    "hopf(1,3)": lambda: hopf_sig_fn(1, 3),
+    "hopf(2,1)": lambda: hopf_sig_fn(2, 1),
+    "merged hopf(1,2)": lambda: merge_colors(hopf_sig_fn(1, 2), 0),
+    "torus-2-4": lambda: fixture_sig("torus-2-4"),
+    "cable-4-2": lambda: fixture_sig("cable-4-2"),
+}
+
+
 class TestCableStep:
     def test_trivial_params_reduce_to_operand(self):
         f = hopf_sig_fn(1, 2)
@@ -204,22 +217,52 @@ class TestCableStep:
         base = default_torus_base(CableParams.make(-2, 3, 1))
         assert base((UNIT, ang(1, 2))) == 2
 
-    def test_builtin_hopf_bases_vanish(self):
-        # every p*q = 0 pattern has one component on a side of the Hopf
-        # pairing, and a one-sided defect factor vanishes identically
-        for params in [CableParams.make(0, 1, 2), CableParams.make(0, -1, 2, True),
-                       CableParams.make(1, 0, 3), CableParams.make(-1, 0, 2, True)]:
-            base = default_torus_base(params)
-            want_arity = 1 + params.d + (1 if params.core_kept else 0)
-            assert base.arity == want_arity
-            for om in product((ang(1, 3), ang(2, 3)), repeat=base.arity):
-                assert base(om) == 0
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.sampled_from([-1, 1]), st.integers(1, 4), st.booleans(),
+           st.integers(1, 60), st.data())
+    def test_builtin_hopf_bases_vanish(self, zero_p, sign, d, kept, n, data):
+        # every p*q = 0 pattern is a generalized Hopf link H_{k,1} (or an
+        # unlink): a one-sided defect factor vanishes identically, units
+        # included
+        p, q = (0, sign) if zero_p else (sign, 0)
+        base = default_torus_base(CableParams.make(p, q, d, kept))
+        if p == 0:
+            want = (2 + d, f"hopf_base(1+{d},1)") if kept else (1 + d, f"unlink(1+{d})")
+        else:
+            side = d + kept
+            want = (1 + side, f"hopf_base({side},1)")
+        assert (base.arity, base.label) == want
+        om = tuple(ang(k, n) for k in data.draw(
+            st.lists(st.integers(0, n - 1), min_size=base.arity, max_size=base.arity)))
+        assert base(om) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(CABLED)), st.integers(1, 3), st.integers(1, 24),
+           st.data())
+    def test_longitude_cable_step_is_parallel_cabling(self, name, nu, n, data):
+        # a (1,0)-cable with nu copies replaces the component by nu parallel
+        # longitudes: cable_step at (w, z) is cable_parallel at (z, w), value
+        # or refusal alike
+        f = CABLED[name]()
+        stepped = cable_step(f, CableParams.make(1, 0, nu))
+        parallel = cable_parallel(f, nu)
+        ks = data.draw(st.lists(st.integers(0, n - 1), min_size=stepped.arity,
+                                max_size=stepped.arity))
+        om = tuple(ang(k, n) for k in ks)
+        w, z = om[:f.arity - 1], om[f.arity - 1:]
+
+        def outcome(g, omega):
+            try:
+                return g(omega)
+            except GuardViolated:
+                return "guard"
+
+        assert outcome(stepped, w + z) == outcome(parallel, z + w)
 
     def test_unknot_cable_reproduces_fixture_table(self):
         # the 2-colored (2,4)-torus link is the d=2, (p,q)=(1,2) cable over
         # the unknot; the base link axis+strands is the cored (4,2)-cable
         # fixture read with its core as the axis
-        from splicesig.fixtures import fixture_sig, fixture_table
         unknot = SigFn(1, lambda om: 0, linking=(), label="unknot")
         g = cable_step(unknot, CableParams.make(1, 2, 2), fixture_sig("cable-4-2"))
         table = fixture_table("torus(2,4)")

@@ -400,7 +400,7 @@ def test_sign_of_a_conjugate_is_the_sign_of_its_reduction(case, pick):
 @pytest.mark.parametrize("prec", [64, 256])
 def test_fixed_cosines_of_every_residue(n, prec):
     # signs of conjugates read C_k for every k < n, not only k < deg Phi_n
-    coss, e = _fixed_cosines(n, n, prec)
+    coss, e = _fixed_cosines(n, prec)
     assert len(coss) == n and e <= 2
     with mpmath.workprec(prec + 200):
         scale = mpmath.mpf(2) ** prec
@@ -717,14 +717,16 @@ def test_family_signature_leaves_mpmath_precision_alone():
 @example(3, 4096)
 @example(1155, 4096)
 def test_fixed_cosines_within_their_bound(n, prec):
-    deg = _totient(n)
-    coss, e = _fixed_cosines(n, deg, prec)
-    assert len(coss) == deg
+    coss, e = _fixed_cosines(n, prec)
+    assert len(coss) == n
     assert e <= 2  # the guard bits keep the bound tight, so it decides signs
+    # cos(2*pi*j/n) = cos(2*pi*(n-j)/n): one reference value checks both
     with mpmath.workprec(prec + 200):
         scale = mpmath.mpf(2) ** prec
-        for j, cj in enumerate(coss):
-            assert abs(cj - scale * mpmath.cospi(mpmath.mpf(2 * j) / n)) <= e, (n, prec, j)
+        for j in range(n // 2 + 1):
+            want = scale * mpmath.cospi(mpmath.mpf(2 * j) / n)
+            for k in {j, (n - j) % n}:
+                assert abs(coss[k] - want) <= e, (n, prec, k)
 
 
 def _quadratic_irrational(level, k):
@@ -744,9 +746,9 @@ def test_sign_escalates_on_near_integers(level, k, digits, monkeypatch):
     # cannot separate the difference from zero
     asked = []
 
-    def recording(n, deg, prec):
+    def recording(n, prec):
         asked.append(prec)
-        return _fixed_cosines(n, deg, prec)
+        return _fixed_cosines(n, prec)
 
     monkeypatch.setattr(cyclotomic, "_fixed_cosines", recording)
     lv = cyclotomic._Level(level)

@@ -34,6 +34,7 @@ def _cases():
                              {"fixture": "cable-4-2"}, [1, 1]]}
     guard_doc = {"splice": [{"merge": [{"hopf": [1, 2]}, 0]}, [2],
                             {"merge": [{"hopf": [1, 2]}, 0]}, [2]]}
+    cable_doc = {"cable": [{"hopf": [1, 2]}, 2]}
     out = [
         # README examples
         ("readme-eval-hopf", ["eval", "hopf", "2", "2", "--at", "1/3,1/3,1/3,1/3"], None),
@@ -79,6 +80,10 @@ def _cases():
         ("sweep-guard", ["sweep", inline(guard_doc), "--order", "4", "--include-units"], None),
         ("sweep-guard-csv", ["sweep", inline(guard_doc), "--order", "4",
                              "--csv", "guard.csv"], "guard.csv"),
+        ("sweep-cable-units", ["sweep", inline(cable_doc), "--order", "3",
+                               "--include-units"], None),
+        ("sweep-cable-units-json", ["sweep", inline(cable_doc), "--order", "3",
+                                    "--include-units", "--json"], None),
         ("sweep-boundary", ["sweep", inline({"seifert": "stripped.json"}), "--order", "4",
                             "--include-units"], None),
         ("sweep-arity-0", ["sweep", "zero", "0", "--order", "1000000000"], None),
@@ -150,6 +155,7 @@ def _cases():
         # exit 3 and exit 4
         ("guard", ["eval", inline(guard_doc), "--at", "1/2,1/2"], None),
         ("guard-json", ["--json", "eval", inline(guard_doc), "--at", "1/2,1/2"], None),
+        ("cable-guard", ["eval", inline(cable_doc), "--at", "1/2,1/2,1/2,1/2"], None),
         ("boundary", ["eval", inline({"seifert": "stripped.json"}), "--at", "0,1/3"], None),
         ("boundary-json", ["--json", "eval", inline({"seifert": "stripped.json"}),
                            "--at", "0,1/3"], None),
@@ -231,6 +237,10 @@ def test_transcript(case, tmp_path, monkeypatch, capsys):
 def test_transcripts_cover_every_exit_code():
     assert {c["expect"]["exit"] for c in _DOC["cases"]} == {0, 2, 3, 4}
     assert len(_DOC["cases"]) >= 60
+    # each guarded form has a recorded GuardViolated refusal
+    guarded = {form for c in _DOC["cases"] if c["expect"]["exit"] == 3
+               for form in ("splice", "cable") if f'"{form}"' in " ".join(c["argv"])}
+    assert guarded == {"splice", "cable"}
 
 
 def _record() -> None:

@@ -6,10 +6,12 @@ must reproduce H_{m,n}, and parallel cabling of H_{1,m} must reproduce
 H_{nu,m}.  Both comparisons are exhaustive over small root-of-unity grids.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig.errors import BoundaryCharacter, GuardViolated
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
@@ -209,18 +211,44 @@ class TestLtSplice:
         f = h12_merged()
         assert lt_splice(f, f, ang(3, 10)) == -3
 
-    def test_example_against_seifert_oracle(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60).flatmap(
+        lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+    def test_example_against_seifert_oracle(self, kn):
         # the splice is H_{2,2}; merge all four components to one color and
         # read the signature from the assembled Seifert family
-        fam = hopf_seifert_family(2, 2)
+        xi = ang(*kn)
+        assume(not (2 * xi).is_unit())
         f = h12_merged()
         lk_total = 4  # four cross pairs link once, same-side pairs are unlinked
-        for k in (1, 2, 3, 4, 6, 7, 9):
-            xi = ang(k, 10)
-            if (2 * xi).is_unit():
-                continue
-            brute = fam.signature((xi, xi)) - lk_total
-            assert lt_splice(f, f, xi) == brute, k
+        brute = hopf_seifert_family(2, 2).signature((xi, xi)) - lk_total
+        assert lt_splice(f, f, xi) == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-5, 5),
+           st.integers(-5, 5), st.integers(1, 60).flatmap(
+               lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+    @example(0, 0, 1, 2, (1, 3))  # gcd 0: xi^0 = 1, never defined
+    @example(2, 2, 1, 2, (1, 2))  # xi^2 = 1
+    @example(2, -3, 1, 2, (0, 1))  # the unit character
+    def test_formula_and_guard(self, l1, l2, c1, c2, kn):
+        # integer-valued operands with one-entry linking vectors l', l'':
+        # refused exactly when xi^gcd(l', l'') = 1, else
+        # f1(xi^l'', xi) + f2(xi^l', xi) - l'*l'' + defect_l'(xi) * defect_l''(xi)
+        xi = ang(*kn)
+
+        def g(c):
+            return lambda om: c * om[0].numerator - om[1].denominator + c * c
+
+        f1 = SigFn(2, g(c1), linking=(l1,))
+        f2 = SigFn(2, g(c2), linking=(l2,))
+        if (math.gcd(l1, l2) * xi).is_unit():
+            with pytest.raises(GuardViolated):
+                lt_splice(f1, f2, xi)
+            return
+        want = (f1((l2 * xi, xi)) + f2((l1 * xi, xi)) - l1 * l2
+                + defect((l1,), (xi,)) * defect((l2,), (xi,)))
+        assert lt_splice(f1, f2, xi) == want
 
     def test_guard(self):
         f = h12_merged()
