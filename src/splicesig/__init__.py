@@ -19,8 +19,8 @@ from .splice import (SigFn, cable_parallel, lt_splice, merge_colors, satellite, 
 _LAZY = {
     "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
-    "hopf": "HopfSpec hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature "
-            "hopf_spectrum sigma_k unlink_family",
+    "hopf": "hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature hopf_spectrum "
+            "sigma_k unlink_family",
     "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
               "hirzebruch univariate_reduction weighted_linking",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",

@@ -208,15 +208,7 @@ class _Level:
         return self.normalize(da * ma, [x * ma + y * mb for x, y in zip(va, vb)])
 
     def mul(self, a: QV, b: QV) -> QV:
-        da, va = a
-        db, vb = b
-        conv = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(va):
-            if x:
-                for j, y in enumerate(vb):
-                    if y:
-                        conv[i + j] += x * y
-        return self.reduce(da * db, enumerate(conv))
+        return self.addmul((1, (0,) * self.deg), a, b)
 
     def addmul(self, acc: QV, a: QV, b: QV) -> QV:
         """acc + a*b: one convolution over the common denominator, one reduction."""

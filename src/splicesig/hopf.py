@@ -7,9 +7,9 @@ the closed form
 
     sigma_{H_{m,n}}(v, u) = defect(v) * defect(u)
 
-on the full character torus (orientation-reversed components contribute
-weight -1 in the defect instead of +1).  The nullity on the open torus
-depends only on whether the angle sums are integers.
+on the full character torus; reversing a copy's orientation conjugates its
+coordinate.  The nullity on the open torus depends only on whether the angle
+sums are integers.
 
 The module also builds the explicit bicolored Seifert family of the standard
 C-complex (m disks clasping n disks), whose mn generators are cyclically
@@ -26,53 +26,28 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter
 from .splice import SigFn
-from .torus import Angle, Character, defect, ind, is_open, weighted_sum
+from .torus import Angle, Character, defect1, ind, is_open, weighted_sum
 
 if TYPE_CHECKING:  # imported where used: a closed-form eval loads no ccomplex or cyclotomic
     from .ccomplex import SeifertFamily
 
 
-class HopfSpec(NamedTuple):
-    """m and n parallel copies, with per-copy orientations (+1/-1)."""
-
-    m: int
-    n: int
-    nu: Tuple[int, ...] = ()
-    lam: Tuple[int, ...] = ()
-
-    @classmethod
-    def make(cls, m: int, n: int,
-             nu: Optional[Sequence[int]] = None,
-             lam: Optional[Sequence[int]] = None) -> "HopfSpec":
-        if m < 0 or n < 0:
-            raise ValueError("component counts must be non-negative")
-        nu = tuple(nu) if nu is not None else (1,) * m
-        lam = tuple(lam) if lam is not None else (1,) * n
-        if len(nu) != m or len(lam) != n:
-            raise ValueError("orientation vectors must match the copy counts")
-        if any(x not in (1, -1) for x in nu + lam):
-            raise ValueError("orientations are +1 or -1")
-        return cls(m, n, nu, lam)
+def hopf_signature(v: Character, u: Character) -> int:
+    """sigma_{H_{m,n}}(v, u) = defect(v) * defect(u) on the full torus; the side
+    lengths are m = len(v) and n = len(u)."""
+    return defect1(v) * defect1(u)
 
 
-def hopf_signature(spec: HopfSpec, v: Character, u: Character) -> int:
-    """sigma_{H_{m,n}}(v, u) = defect_nu(v) * defect_lam(u), on the full torus."""
-    if len(v) != spec.m or len(u) != spec.n:
-        raise ValueError(
-            f"characters of lengths {len(v)},{len(u)} do not match H_{{{spec.m},{spec.n}}}")
-    return defect(spec.nu, v) * defect(spec.lam, u)
-
-
-def hopf_nullity(m: int, n: int, eta: Character, zeta: Character) -> int:
-    """Nullity of H_{m,n} on the open torus: a function of the angle sums only."""
+def hopf_nullity(eta: Character, zeta: Character) -> int:
+    """Nullity of H_{m,n} on the open torus: a function of the angle sums only.
+    The side lengths are m = len(eta) and n = len(zeta)."""
+    m, n = len(eta), len(zeta)
     if m < 1 or n < 1:
         raise ValueError("need at least one copy on each side")
-    if len(eta) != m or len(zeta) != n:
-        raise ValueError("character lengths do not match the copy counts")
     if not (is_open(eta) and is_open(zeta)):
         raise BoundaryCharacter("nullity closed form holds on the open torus only")
     a = _integral(eta)
@@ -107,13 +82,16 @@ def hopf_sig_fn(m: int, n: int) -> SigFn:
     n opposite copies once, so the linking vector is (0, ..., 0, 1, ..., 1).
     For m = 0 there is no linking vector.
     """
-    spec = HopfSpec.make(m, n)
+    if m < 0 or n < 0:
+        raise ValueError("component counts must be non-negative")
 
     def fn(omega: Character) -> int:
-        return hopf_signature(spec, omega[:m], omega[m:])
+        return hopf_signature(omega[:m], omega[m:])
 
     def nullity(omega: Character) -> Optional[int]:
-        return hopf_nullity(m, n, omega[:m], omega[m:]) if is_open(omega) else None
+        if len(omega) != m + n:  # SigFn checks the arity of a signature, not of a nullity
+            raise ValueError("character lengths do not match the copy counts")
+        return hopf_nullity(omega[:m], omega[m:]) if is_open(omega) else None
 
     linking = (0,) * (m - 1) + (1,) * n if m else None
     return SigFn(m + n, fn, linking=linking, label=f"hopf({m},{n})", nullity=nullity)

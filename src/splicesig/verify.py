@@ -293,13 +293,13 @@ def hopf_nullity_check() -> CriterionResult:
         if m >= 2 and n >= 2:
             checks.append((side_integral(m), side_integral(n), m + n - 3))
         for eta, zeta, want in checks:
-            got = hopf_nullity(m, n, eta, zeta)
+            got = hopf_nullity(eta, zeta)
             if got != want:
                 return _fail(name, f"H({m},{n}) nullity case: got {got}, want {want}")
             cases += 1
         # generic characters: nullity 0 across a 7th-root diagonal sweep
         for a, b in product(range(1, 7), repeat=2):
-            if hopf_nullity(m, n, (sevenths[a],) * m, (sevenths[b],) * n) != 0:
+            if hopf_nullity((sevenths[a],) * m, (sevenths[b],) * n) != 0:
                 return _fail(name, f"H({m},{n}) at ({a}/7,{b}/7): nonzero nullity "
                                    f"at a generic character")
             cases += 1
@@ -311,7 +311,7 @@ def hopf_nullity_check() -> CriterionResult:
         family = _family(m, n)
         for a, b in product(range(1, 6), repeat=2):
             eta, zeta = (sixths[a],) * m, (sixths[b],) * n
-            closed = hopf_nullity(m, n, eta, zeta)
+            closed = hopf_nullity(eta, zeta)
             kernel = family.raw_inertia((sixths[a], sixths[b]))[2]
             if kernel != closed + (m + n - 1):
                 return _fail(name, f"H({m},{n}) at ({a}/6,{b}/6): family kernel "

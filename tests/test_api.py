@@ -28,7 +28,8 @@ SRC = ROOT / "src"
 # each input), LaurentPoly (a LaurentMatrix holds its integer coefficient
 # matrices), NotReal, conjugate_character, delete_color, insert_unit,
 # log_sum and tilde_from_multi (no module called them), and NullityUnavailable
-# (a family's nullity is sig_fn().nullity, None without a basis); "alias=attr"
+# (a family's nullity is sig_fn().nullity, None without a basis), and HopfSpec
+# (hopf_signature and hopf_nullity read m and n off their two sides); "alias=attr"
 # names attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
@@ -38,8 +39,8 @@ EXPORTS = {
     "ccomplex": "SeifertFamily",
     "splice": "SigFn cable_parallel lt_splice merge_colors satellite splice splice_knot "
               "to_levine_tristram with_boundary zero_fn",
-    "hopf": "HopfSpec hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature "
-            "hopf_spectrum sigma_k unlink_family",
+    "hopf": "hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature hopf_spectrum "
+            "sigma_k unlink_family",
     "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
               "hirzebruch univariate_reduction weighted_linking",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",

@@ -52,6 +52,12 @@ def _cases():
                                "--at", "1/4,3/4,1/3,1/3,1/3"], None),
         ("eval-json-after", ["eval", "hopf", "2", "3", "--at", "1/4,3/4,1/3,1/3,1/3",
                              "--json"], None),
+        # the hopf nullity when one angle sum is an integer, and at a unit coordinate
+        ("eval-hopf-eta-integral", ["eval", "hopf", "3", "2",
+                                    "--at", "1/3,1/3,1/3,1/4,1/4"], None),
+        ("eval-hopf-zeta-integral", ["--json", "eval", "hopf", "3", "2",
+                                     "--at", "1/5,1/5,1/5,1/2,1/2"], None),
+        ("eval-hopf-unit", ["eval", "hopf", "2", "2", "--at", "0,1/3,1/2,1/2"], None),
         ("eval-zero", ["eval", "zero", "2", "--at", "1/3,1/5"], None),
         ("eval-file-splice", ["eval", "splice.json", "--at", "3/8,1/8,5/8"], None),
         ("eval-file-merge", ["eval", "merge.json", "--at", "2/7"], None),

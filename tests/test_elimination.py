@@ -67,9 +67,10 @@ def test_dense_definite_matrix_inverts_all_but_the_last_pivot(level_calls):
                           for j in range(g)] for i in range(g)])
     assert h.inertia() == (g, 0, 0)
     assert level_calls["inv"] == g - 1
-    # one conj per cleared entry, one addmul per updated h_ij with i <= j
+    # one conj per cleared entry; one addmul per updated h_ij with i <= j, and
+    # one more per cleared entry, whose h_ik * (-d)^-1 is a mul, an addmul onto 0
     assert level_calls["conj"] == g * (g - 1) // 2
-    assert level_calls["addmul"] == (g - 1) * g * (g + 1) // 6
+    assert level_calls["addmul"] == (g - 1) * g * (g + 1) // 6 + g * (g - 1) // 2
 
 
 def test_hopf_oracle_inertia_never_subtracts(level_calls):

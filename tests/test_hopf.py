@@ -20,9 +20,9 @@ from splicesig import cyclotomic, hopf, verify
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import LaurentMatrix
 from splicesig.errors import BoundaryCharacter
-from splicesig.hopf import (HopfSpec, certify_spectrum, hopf_nullity,
-                            hopf_seifert_family, hopf_sig_fn, hopf_signature,
-                            hopf_spectrum, sigma_k, unlink_family)
+from splicesig.hopf import (certify_spectrum, hopf_nullity, hopf_seifert_family,
+                            hopf_sig_fn, hopf_signature, hopf_spectrum, sigma_k,
+                            unlink_family)
 from splicesig.torus import Angle
 
 
@@ -38,44 +38,30 @@ def _hopf_family(m, n):
 class TestClosedForm:
     def test_one_sided_links_vanish(self):
         for m, n in [(1, 1), (3, 1), (5, 0), (1, 4)]:
-            spec = HopfSpec.make(m, n)
             for k in range(1, 5):
                 v = tuple(ang(k, 5) for _ in range(m))
                 u = tuple(ang(3, 7) for _ in range(n))
                 if min(m, n) <= 1:
-                    assert hopf_signature(spec, v, u) == 0
+                    assert hopf_signature(v, u) == 0
 
     def test_hand_values(self):
-        spec = HopfSpec.make(2, 2)
         half = (ang(1, 2), ang(1, 2))
         third = (ang(1, 3), ang(1, 3))
-        assert hopf_signature(spec, half, half) == 0
-        assert hopf_signature(spec, third, third) == 1
-
-    def test_arity_mismatch(self):
-        spec = HopfSpec.make(2, 2)
-        with pytest.raises(ValueError):
-            hopf_signature(spec, (ang(1, 3),), (ang(1, 3), ang(1, 3)))
+        assert hopf_signature(half, half) == 0
+        assert hopf_signature(third, third) == 1
 
     def test_permutation_invariance(self):
-        spec = HopfSpec.make(3, 2)
         v = (ang(1, 5), ang(2, 5), ang(4, 5))
         u = (ang(1, 3), ang(2, 3))
-        base = hopf_signature(spec, v, u)
+        base = hopf_signature(v, u)
         for pv in permutations(v):
             for pu in permutations(u):
-                assert hopf_signature(spec, pv, pu) == base
+                assert hopf_signature(pv, pu) == base
 
-    def test_orientation_flip_is_conjugation(self):
-        # reversing copy i flips its nu entry; evaluating the all-positive
-        # form at the conjugated slot gives the same number
-        flipped = HopfSpec.make(2, 1, nu=(1, -1))
-        plain = HopfSpec.make(2, 1)
-        for a, b, c in product(range(1, 5), repeat=3):
-            v = (ang(a, 5), ang(b, 5))
-            u = (ang(c, 5),)
-            v_conj = (v[0], v[1].conjugate())
-            assert hopf_signature(flipped, v, u) == hopf_signature(plain, v_conj, u)
+    def test_sig_fn_refuses_negative_counts(self):
+        for m, n in [(-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="must be non-negative"):
+                hopf_sig_fn(m, n)
 
     def test_against_seifert_oracle_small(self):
         for m, n in [(2, 2), (2, 3), (3, 3)]:
@@ -103,20 +89,31 @@ class TestNullity:
     def test_four_cases(self):
         half2 = (ang(1, 2), ang(1, 2))
         third2 = (ang(1, 3), ang(1, 3))
-        assert hopf_nullity(2, 2, half2, half2) == 1      # both sums integral
-        assert hopf_nullity(2, 2, third2, third2) == 0    # neither
-        assert hopf_nullity(2, 2, half2, third2) == 1     # n-1 with eta integral
-        assert hopf_nullity(2, 2, third2, half2) == 1     # m-1
-        assert hopf_nullity(3, 2, (ang(1, 3),) * 3, half2) == 2  # m+n-3
+        assert hopf_nullity(half2, half2) == 1      # both sums integral
+        assert hopf_nullity(third2, third2) == 0    # neither
+        assert hopf_nullity(half2, third2) == 1     # n-1 with eta integral
+        assert hopf_nullity(third2, half2) == 1     # m-1
+        assert hopf_nullity((ang(1, 3),) * 3, half2) == 2  # m+n-3
 
     def test_generic_character_zero(self):
         eta = (ang(1, 7), ang(2, 7), ang(3, 7))
         zeta = (ang(1, 5),)
-        assert hopf_nullity(3, 1, eta, zeta) == 0
+        assert hopf_nullity(eta, zeta) == 0
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryCharacter):
-            hopf_nullity(2, 1, (Angle(0), ang(1, 3)), (ang(1, 3),))
+            hopf_nullity((Angle(0), ang(1, 3)), (ang(1, 3),))
+
+    def test_needs_a_copy_on_each_side(self):
+        for eta, zeta in [((), (ang(1, 3),)), ((ang(1, 3),), ()), ((), ())]:
+            with pytest.raises(ValueError, match="at least one copy"):
+                hopf_nullity(eta, zeta)
+
+    def test_sig_fn_nullity_checks_the_arity(self):
+        # the sides are cut from one character, so a wrong length is refused, not split
+        for size in (3, 5):
+            with pytest.raises(ValueError, match="do not match the copy counts"):
+                hopf_sig_fn(2, 2).nullity((ang(1, 3),) * size)
 
     def test_against_family_kernel(self):
         # the redundant family has m+n-1 dependent generators: its kernel
@@ -126,7 +123,7 @@ class TestNullity:
             for a, b in product(range(1, 4), repeat=2):
                 eta, zeta = (ang(a, 4),) * m, (ang(b, 4),) * n
                 _, _, kernel = fam.raw_inertia((ang(a, 4), ang(b, 4)))
-                want = hopf_nullity(m, n, eta, zeta) + (m + n - 1)
+                want = hopf_nullity(eta, zeta) + (m + n - 1)
                 assert kernel == want, (m, n, a, b)
 
     @settings(max_examples=40, deadline=None)
@@ -136,7 +133,7 @@ class TestNullity:
         # must come out right at characters verify's sixths do not reach
         a, b = (data.draw(st.integers(1, level - 1)) for _ in range(2))
         _, _, kernel = _hopf_family(m, n).raw_inertia((ang(a, level), ang(b, level)))
-        want = hopf_nullity(m, n, (ang(a, level),) * m, (ang(b, level),) * n)
+        want = hopf_nullity((ang(a, level),) * m, (ang(b, level),) * n)
         assert kernel == want + (m + n - 1), (m, n, a, b, level)
 
 

@@ -172,6 +172,21 @@ def test_defect_definition(om, lam):
     assert defect(lam, om) == expected
 
 
+@given(st.integers(1, 30).flatmap(lambda level: st.lists(
+           st.tuples(st.integers(0, level - 1).map(lambda k: Angle.from_ratio(k, level)),
+                     st.integers(-3, 3)), min_size=1, max_size=4)),
+       st.data())
+def test_reversed_orientation_is_a_conjugated_coordinate(cells, data):
+    # reversing copy i negates its weight: the same defect as conjugating its
+    # coordinate, units included
+    om = tuple(a for a, _ in cells)
+    lam = tuple(l for _, l in cells)
+    i = data.draw(st.integers(0, len(cells) - 1))
+    flipped = lam[:i] + (-lam[i],) + lam[i + 1:]
+    conj = om[:i] + (om[i].conjugate(),) + om[i + 1:]
+    assert defect(flipped, om) == defect(lam, conj)
+
+
 # ---------------------------------------------------------------------------
 # Angle as an integer pair
 # ---------------------------------------------------------------------------
