@@ -21,8 +21,7 @@ _LAZY = {
     "ccomplex": "SeifertFamily",
     "hopf": "hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature hopf_spectrum "
             "sigma_k unlink_family",
-    "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
-              "hirzebruch univariate_reduction weighted_linking",
+    "cables": "cable_step default_torus_base hirzebruch univariate_reduction",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
     "expr": "parse_expression=parse",
 }

@@ -15,35 +15,34 @@ is a generalized Hopf link H_{k,1} or an unlink, and its signature
 defect * defect vanishes because the defect of a single component is 0, so
 its base is the zero evaluator.  Everything else must be supplied, e.g. as a
 SeifertFamily fixture.
+
+The pattern is passed as it is: cable_step(f, p, q, d, core_kept=False,
+storus=None) and default_torus_base(p, q, d, core_kept=False) both refuse
+d < 1 and gcd(p, q) != 1 with InvalidParams.  univariate_reduction(n, ni, p,
+linking, sigma_lbar, tilde=None) recovers sigma_L at (xi^{n_1}, ...,
+xi^{n_mu}) from the monochrome signature sigma_lbar at xi.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidParams, MissingBaseEvaluator
 from .splice import SigFn, linking_of, splice, zero_fn
 from .torus import Angle, Character, ind
 
-class CableParams(NamedTuple):
-    """A (dp, dq)-cabling: d parallel (p,q)-curves, core removed or retained."""
 
-    p: int
-    q: int
-    d: int
-    core_kept: bool = False
-
-    @classmethod
-    def make(cls, p: int, q: int, d: int, core_kept: bool = False) -> "CableParams":
-        p, q, d = operator.index(p), operator.index(q), operator.index(d)
-        if d < 1:
-            raise InvalidParams(f"need at least one cable copy, got d={d}")
-        if math.gcd(p, q) != 1:
-            # covers (0, 0) and also forces |p| = 1 or |q| = 1 when the other is 0
-            raise InvalidParams(f"(p, q) = ({p}, {q}) are not coprime")
-        return cls(p, q, d, bool(core_kept))
+def _pattern(p: int, q: int, d: int) -> Tuple[int, int, int]:
+    """A (dp, dq)-cabling pattern read exactly: d >= 1 copies, p and q coprime."""
+    p, q, d = operator.index(p), operator.index(q), operator.index(d)
+    if d < 1:
+        raise InvalidParams(f"need at least one cable copy, got d={d}")
+    if math.gcd(p, q) != 1:
+        # covers (0, 0) and also forces |p| = 1 or |q| = 1 when the other is 0
+        raise InvalidParams(f"(p, q) = ({p}, {q}) are not coprime")
+    return p, q, d
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -114,7 +113,7 @@ def hirzebruch(p: int, q: int, zeta: Angle) -> int:
 # built-in base evaluators for V u dU(p,q)
 # ---------------------------------------------------------------------------
 
-def _hirzebruch_base(params: CableParams) -> SigFn:
+def _hirzebruch_base(p: int, q: int) -> SigFn:
     """Base evaluator for d = 1, valid only at axis character 1.
 
     At axis character 1 the axis color drops and what is left is the
@@ -122,7 +121,6 @@ def _hirzebruch_base(params: CableParams) -> SigFn:
     count.  Negative p or q mirrors the knot and flips the sign; evaluation
     at any other axis character raises MissingBaseEvaluator.
     """
-    p, q = params.p, params.q
 
     def fn(omega: Character) -> int:
         axis, u = omega
@@ -138,36 +136,40 @@ def _hirzebruch_base(params: CableParams) -> SigFn:
     return SigFn(2, fn, label=f"torus({p},{q})")
 
 
-def default_torus_base(params: CableParams) -> SigFn:
+def default_torus_base(p: int, q: int, d: int, core_kept: bool = False) -> SigFn:
     """Pick a built-in base evaluator for V u [U u] dU(p,q), if one exists.
 
-    Component order: axis V, then the retained core if any, then the d
-    copies.  With p = 0 the copies are meridians of the core: without it the
-    link is an unlink, with it V and the copies each form a Hopf pair with
-    the core, H_{1+d,1}.  With q = 0 they are longitudes: they and the core
-    each form a Hopf pair with V, H_{d,1} or H_{d+1,1}.  Either way one side
-    holds a single component, whose defect ind(+-theta) -+ ind(theta) is 0,
-    so the signature is 0 at every character, units included.
+    p, q and d are read with operator.index, and InvalidParams refuses d < 1
+    or gcd(p, q) != 1.  Component order: axis V, then the retained core if
+    any, then the d copies.  With p = 0 the copies are meridians of the
+    core: without it the link is an unlink, with it V and the copies each
+    form a Hopf pair with the core, H_{1+d,1}.  With q = 0 they are
+    longitudes: they and the core each form a Hopf pair with V, H_{d,1} or
+    H_{d+1,1}.  Either way one side holds a single component, whose defect
+    ind(+-theta) -+ ind(theta) is 0, so the signature is 0 at every
+    character, units included.
     """
-    p, q, d, kept = params
+    p, q, d = _pattern(p, q, d)
+    kept = bool(core_kept)
     if p == 0:
         return zero_fn(2 + d, f"hopf_base(1+{d},1)") if kept \
             else zero_fn(1 + d, f"unlink(1+{d})")
     if q == 0:
         return zero_fn(1 + d + kept, f"hopf_base({d + kept},1)")
     if d == 1 and not kept:
-        return _hirzebruch_base(params)
+        return _hirzebruch_base(p, q)
     raise MissingBaseEvaluator(
         f"no built-in signature for the cable pattern d={d}, "
         f"(p,q)=({p},{q}), core_kept={kept}; "
         "supply a base evaluator (e.g. from a SeifertFamily)")
 
 
-def cable_step(f: SigFn, params: CableParams,
+def cable_step(f: SigFn, p: int, q: int, d: int, core_kept: bool = False,
                storus: Optional[SigFn] = None) -> SigFn:
     """Replace the distinguished component of f by a (dp, dq)-cable.
 
-    f needs a linking vector (ValueError otherwise).  Splices f with the base
+    f needs a linking vector (ValueError otherwise), and (p, q, d) the checks
+    of default_torus_base (InvalidParams otherwise).  Splices f with the base
     link V u dU(p,q) (axis first, then the copies; with core_kept the core U
     sits between them), read from storus with the linking vector lk(V, copy)
     = p, preceded by lk(V, U) = 1 when the core is kept.  The result takes
@@ -175,11 +177,10 @@ def cable_step(f: SigFn, params: CableParams,
     and raises GuardViolated when both raised characters equal 1.
     """
     linking_of(f, "cable_step operand")
-    params = CableParams.make(*params)
+    p, q, d = _pattern(p, q, d)
     if storus is None:
-        storus = default_torus_base(params)
-    lam2 = ((1,) + (params.p,) * params.d) if params.core_kept \
-        else (params.p,) * params.d
+        storus = default_torus_base(p, q, d, core_kept)
+    lam2 = ((1,) + (p,) * d) if core_kept else (p,) * d
     if storus.arity != 1 + len(lam2):
         raise MissingBaseEvaluator(
             f"base evaluator has arity {storus.arity}, cable pattern needs "
@@ -187,8 +188,8 @@ def cable_step(f: SigFn, params: CableParams,
     base = SigFn(storus.arity, storus.fn, linking=lam2,
                  label=storus.label or "torus base", nullity=storus.nullity)
     out = splice(f, base)
-    out.label = (f"cable({f.label or '?'}, {params.d}x({params.p},{params.q})"
-                 f"{', core kept' if params.core_kept else ''})")
+    out.label = (f"cable({f.label or '?'}, {d}x({p},{q})"
+                 f"{', core kept' if core_kept else ''})")
     return out
 
 
@@ -196,89 +197,55 @@ def cable_step(f: SigFn, params: CableParams,
 # multivariate -> univariate reduction
 # ---------------------------------------------------------------------------
 
-class UnivariateReductionInput(NamedTuple):
-    """Data for evaluating a multivariate signature through a monochrome link.
-
-    The character is w_i = xi^{n_i} with xi = exp(2*pi*i/n); the auxiliary
-    monochrome link is built by (n_i, n_i*p_i)-cabling each component.
-    linking is the full linking matrix of the colored link, zero diagonal.
-    """
-
-    n: int
-    ni: Tuple[int, ...]
-    p: Tuple[int, ...]
-    linking: Tuple[Tuple[int, ...], ...]
-
-    @classmethod
-    def make(cls, n: int, ni: Sequence[int], p: Sequence[int],
-             linking: Sequence[Sequence[int]]) -> "UnivariateReductionInput":
-        n = operator.index(n)
-        ni = tuple(operator.index(x) for x in ni)
-        p = tuple(operator.index(x) for x in p)
-        lam = tuple(tuple(operator.index(x) for x in row) for row in linking)
-        if n < 1:
-            raise InvalidParams(f"root order must be positive, got {n}")
-        mu = len(ni)
-        if any(not 0 < x < n for x in ni):
-            raise InvalidParams(f"exponents must satisfy 0 < n_i < n, got {ni}")
-        if len(p) != mu:
-            raise InvalidParams(f"p has length {len(p)}, expected {mu}")
-        if len(lam) != mu or any(len(row) != mu for row in lam):
-            raise InvalidParams(f"linking matrix must be {mu}x{mu}")
-        for i in range(mu):
-            if lam[i][i] != 0:
-                raise InvalidParams("linking matrix must have zero diagonal")
-            for j in range(mu):
-                if lam[i][j] != lam[j][i]:
-                    raise InvalidParams("linking matrix must be symmetric")
-        return cls(n, ni, p, lam)
-
-    @property
-    def mu(self) -> int:
-        return len(self.ni)
-
-    def xi(self) -> Angle:
-        return Angle.from_ratio(1, self.n)
-
-    def omega(self) -> Character:
-        """The multivariate character (xi^{n_1}, ..., xi^{n_mu})."""
-        return tuple(Angle.from_ratio(k, self.n) for k in self.ni)
-
-
-def weighted_linking(inp: UnivariateReductionInput, i: int) -> int:
-    """Weighted linking number of color i: sum_j n_j * lambda_{ij}."""
-    row = inp.linking[i]
-    return sum(nj * lij for nj, lij in zip(inp.ni, row))
-
-
-def univariate_reduction(inp: UnivariateReductionInput, sigma_lbar: int,
+def univariate_reduction(n: int, ni: Sequence[int], p: Sequence[int],
+                         linking: Sequence[Sequence[int]], sigma_lbar: int,
                          tilde: Optional[Mapping[int, Callable[[Angle, Angle], int]]] = None) -> int:
     """Multivariate signature at omega from the monochrome signature at xi.
+
+    The character is w_i = xi^{n_i} with xi = exp(2*pi*i/n) and 0 < n_i < n;
+    the auxiliary monochrome link Lbar is built by (n_i, n_i*p_i)-cabling each
+    component, and linking is the full linking matrix lambda of the colored
+    link, symmetric with zero diagonal (InvalidParams otherwise).  Inputs are
+    read with operator.index, so a float or a string raises TypeError.
 
         sigma_L(w) = sigma_Lbar(xi) - sum_i tilde_storus_{n_i, n_i p_i}(u_i, xi)
                      + sum_i (n_i - 1) ind(lw_i / n) + sum_{i<j} lambda_{ij}
 
-    with lw_i the weighted linking numbers and u_i = xi^{lw_i}.  The torus
-    correction for color i is only needed when p_i != 0 (otherwise the cable
-    pattern is a generalized Hopf link with vanishing signature), so with
-    p = 0 no tilde evaluators are required at all.  tilde maps a color index
-    to a callable (u_i, xi) -> int.
+    with lw_i = sum_j n_j * lambda_{ij} the weighted linking numbers and
+    u_i = xi^{lw_i}.  The torus correction for color i is only needed when
+    p_i != 0 (otherwise the cable pattern is a generalized Hopf link with
+    vanishing signature), so with p = 0 no tilde evaluators are required at
+    all.  tilde maps a color index to a callable (u_i, xi) -> int.
     """
-    mu = inp.mu
-    n = inp.n
-    xi = inp.xi()
+    n = operator.index(n)
+    ni = tuple(operator.index(x) for x in ni)
+    p = tuple(operator.index(x) for x in p)
+    lam = tuple(tuple(operator.index(x) for x in row) for row in linking)
+    if n < 1:
+        raise InvalidParams(f"root order must be positive, got {n}")
+    mu = len(ni)
+    if any(not 0 < x < n for x in ni):
+        raise InvalidParams(f"exponents must satisfy 0 < n_i < n, got {ni}")
+    if len(p) != mu:
+        raise InvalidParams(f"p has length {len(p)}, expected {mu}")
+    if len(lam) != mu or any(len(row) != mu for row in lam):
+        raise InvalidParams(f"linking matrix must be {mu}x{mu}")
+    for i in range(mu):
+        if lam[i][i] != 0:
+            raise InvalidParams("linking matrix must have zero diagonal")
+        if any(lam[i][j] != lam[j][i] for j in range(mu)):
+            raise InvalidParams("linking matrix must be symmetric")
+    xi = Angle.from_ratio(1, n)
     total = operator.index(sigma_lbar)
     for i in range(mu):
-        lw = weighted_linking(inp, i)
-        if inp.p[i] != 0:
+        lw = sum(nj * lij for nj, lij in zip(ni, lam[i]))
+        if p[i] != 0:
             evaluator = None if tilde is None else tilde.get(i)
             if evaluator is None:
                 raise MissingBaseEvaluator(
-                    f"color {i} has p_i = {inp.p[i]} != 0; a reduced torus "
-                    f"signature evaluator for ({inp.ni[i]}, {inp.ni[i] * inp.p[i]}) "
-                    "is required")
-            upsilon = Angle.from_ratio(lw, n)
-            total -= evaluator(upsilon, xi)
-        total += (inp.ni[i] - 1) * ind(lw, n)
-    total += sum(inp.linking[i][j] for i in range(mu) for j in range(i + 1, mu))
+                    f"color {i} has p_i = {p[i]} != 0; a reduced torus signature "
+                    f"evaluator for ({ni[i]}, {ni[i] * p[i]}) is required")
+            total -= evaluator(Angle.from_ratio(lw, n), xi)
+        total += (ni[i] - 1) * ind(lw, n)
+    total += sum(lam[i][j] for i in range(mu) for j in range(i + 1, mu))
     return total

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import BoundaryCharacter
 from .splice import SigFn
@@ -182,18 +182,14 @@ def _polynomial(terms) -> frozenset:
     return frozenset(term for term in total.items() if term[1])
 
 
-def certify_spectrum(family: SeifertFamily, m: int, n: int,
-                     characters: Sequence[Tuple[Angle, Angle]]) -> Optional[int]:
-    """None if family's H(t), generator i*n + j for (i, j) in Z/m x Z/n, is proved to
-    have the eigenvalues of hopf_spectrum at every open character; else 0, the first
-    character (None for no characters).  No form is evaluated: with s = xi_L,
-    L = lcm(m, n), and Fourier vector v_r = s^(L/m*a*i + L/n*b*j), every row r must
-    give one conj(v_r)(H(t) v)_r = sum_(e,c) C_e[r][c] t^e s^(v_c - v_r) mod s^L - 1,
-    and these mu_v the products lambda(t0, s^(L/m*i)) * lambda(t1, s^(-L/n*j)) as a multiset.
-    s = xi_L, t = omega is a ring map, so H(omega) v = mu_v(omega) v for a basis v.
+def certify_spectrum(family: SeifertFamily, m: int, n: int) -> bool:
+    """Whether family's H(t), generator i*n + j for (i, j) in Z/m x Z/n, is proved to
+    have the eigenvalues of hopf_spectrum at every open character.  No form is
+    evaluated: with s = xi_L, L = lcm(m, n), and Fourier vector v_r = s^(L/m*a*i + L/n*b*j),
+    every row r must give one conj(v_r)(H(t) v)_r = sum_(e,c) C_e[r][c] t^e s^(v_c - v_r)
+    mod s^L - 1, and these mu_v the products lambda(t0, s^(L/m*i)) * lambda(t1, s^(-L/n*j))
+    as a multiset.  s = xi_L, t = omega is a ring map, so H(omega) v = mu_v(omega) v for a basis v.
     """
-    if any(eta.is_unit() or zeta.is_unit() for eta, zeta in characters):  # ValueError if no pair
-        raise BoundaryCharacter("spectrum closed form holds on the open torus only")
     h, L = family.laurent, math.lcm(m, n)
     cells = [(i, j) for i in range(m) for j in range(n)]
 
@@ -204,5 +200,5 @@ def certify_spectrum(family: SeifertFamily, m: int, n: int,
     want = Counter(frozenset({_polynomial(  # each product, the one value of every row
         (((p, p2), (L // m * i * q - L // n * j * q2) % L), -c * c2)  # i * i = -1
         for (p, q), c in _LAMBDA_TERMS for (p2, q2), c2 in _LAMBDA_TERMS)}) for i, j in cells)
-    return None if not characters or h.size == m * n and want == Counter(
-        mus([L // m * a * i + L // n * b * j for i, j in cells]) for a, b in cells) else 0
+    return h.size == m * n and want == Counter(
+        mus([L // m * a * i + L // n * b * j for i, j in cells]) for a, b in cells)

@@ -200,6 +200,7 @@ def cable_parallel(f: SigFn, nu: int) -> SigFn:
     generalized Hopf oracle: cabling H_{1,m} this way must reproduce the
     closed form for H_{nu,m}.
     """
+    nu = operator.index(nu)
     if nu < 1:
         raise ValueError("need at least one parallel copy")
     lam = linking_of(f, "cable_parallel operand")
@@ -230,6 +231,7 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")
+    lk_last_two = operator.index(lk_last_two)
 
     def fn(omega: Character) -> int:
         return f(omega + (omega[-1],)) - lk_last_two
@@ -251,6 +253,7 @@ def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
     """
     if sig_companion.arity != 1 or sig_pattern.arity != 1:
         raise ValueError("satellite operands are 1-colored evaluators")
+    q = operator.index(q)
 
     def fn(omega: Character) -> int:
         return sig_companion((q * omega[0],)) + sig_pattern(omega)
@@ -268,12 +271,11 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     forms do not determine.
     """
     mu = f.arity
+    linking_matrix = [[operator.index(x) for x in row] for row in linking_matrix]
     if len(linking_matrix) != mu or any(len(row) != mu for row in linking_matrix):
         raise ValueError(f"linking matrix must be {mu}x{mu}")
-    for i in range(mu):
-        for j in range(mu):
-            if linking_matrix[i][j] != linking_matrix[j][i]:
-                raise ValueError("linking matrix must be symmetric")
+    if any(linking_matrix[i][j] != linking_matrix[j][i] for i in range(mu) for j in range(i)):
+        raise ValueError("linking matrix must be symmetric")
     total = sum(linking_matrix[i][j] for i in range(mu) for j in range(i + 1, mu))
 
     def fn(omega: Character) -> int:

@@ -29,8 +29,10 @@ SRC = ROOT / "src"
 # matrices), NotReal, conjugate_character, delete_color, insert_unit,
 # log_sum and tilde_from_multi (no module called them), and NullityUnavailable
 # (a family's nullity is sig_fn().nullity, None without a basis), and HopfSpec
-# (hopf_signature and hopf_nullity read m and n off their two sides); "alias=attr"
-# names attr of the module
+# (hopf_signature and hopf_nullity read m and n off their two sides), and
+# CableParams, UnivariateReductionInput and weighted_linking (cable_step,
+# default_torus_base and univariate_reduction take and check their inputs
+# directly); "alias=attr" names attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
               "LevelMismatch MissingBaseEvaluator NotHermitian SpliceSigError UsageError",
@@ -41,8 +43,7 @@ EXPORTS = {
               "to_levine_tristram with_boundary zero_fn",
     "hopf": "hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature hopf_spectrum "
             "sigma_k unlink_family",
-    "cables": "CableParams UnivariateReductionInput cable_step default_torus_base "
-              "hirzebruch univariate_reduction weighted_linking",
+    "cables": "cable_step default_torus_base hirzebruch univariate_reduction",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
     "expr": "parse_expression=parse",
 }

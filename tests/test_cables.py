@@ -15,15 +15,13 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from splicesig.cables import (CableParams, UnivariateReductionInput, cable_step,
-                              default_torus_base, hirzebruch, univariate_reduction,
-                              weighted_linking)
+from splicesig.cables import cable_step, default_torus_base, hirzebruch, univariate_reduction
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix
 from splicesig.errors import GuardViolated, InvalidParams, MissingBaseEvaluator
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_sig_fn, sigma_k
 from splicesig.splice import SigFn, cable_parallel, merge_colors, zero_fn
-from splicesig.torus import UNIT, Angle
+from splicesig.torus import UNIT, Angle, ind
 
 
 def ang(num, den):
@@ -143,27 +141,35 @@ class TestHirzebruch:
 
 
 class TestCableParams:
+    # default_torus_base and cable_step check the pattern (p, q, d) alike;
+    # (0, 0, 1) and (1, 0, 0) hold no cable and are refused, not read as the
+    # zero evaluator
     def test_coprimality_enforced(self):
-        with pytest.raises(InvalidParams):
-            CableParams.make(2, 4, 1)
-        with pytest.raises(InvalidParams):
-            CableParams.make(0, 0, 1)
-        with pytest.raises(InvalidParams):
-            CableParams.make(0, 2, 1)  # p = 0 forces q = +-1
+        for pattern in [(2, 4, 1), (0, 0, 1), (0, 2, 1)]:  # p = 0 forces q = +-1
+            with pytest.raises(InvalidParams, match="are not coprime"):
+                default_torus_base(*pattern)
+            with pytest.raises(InvalidParams, match="are not coprime"):
+                cable_step(hopf_sig_fn(1, 2), *pattern)
 
     def test_degenerate_ok(self):
-        assert CableParams.make(0, -1, 3).q == -1
-        assert CableParams.make(1, 0, 2).core_kept is False
+        assert default_torus_base(0, -1, 3).label == "unlink(1+3)"
+        assert default_torus_base(1, 0, 2).label == "hopf_base(2,1)"
+        assert cable_step(hopf_sig_fn(1, 2), 0, -1, 3).arity == 2 + 3
 
     def test_copies_positive(self):
-        with pytest.raises(InvalidParams):
-            CableParams.make(1, 2, 0)
+        for d in (0, -1):
+            with pytest.raises(InvalidParams, match=f"need at least one cable copy, got d={d}"):
+                default_torus_base(1, 0, d)
+            with pytest.raises(InvalidParams, match=f"need at least one cable copy, got d={d}"):
+                cable_step(hopf_sig_fn(1, 2), 1, 0, d)
 
     @pytest.mark.parametrize("args", [(2.7, 3, 1), (2, 3.0, 1), (2, 3, "1"), (2, 3, 1.5)])
     def test_inexact_parameters_refused(self, args):
         # a float or a string is not truncated to an integer
         with pytest.raises(TypeError):
-            CableParams.make(*args)
+            default_torus_base(*args)
+        with pytest.raises(TypeError):
+            cable_step(hopf_sig_fn(1, 2), *args, storus=zero_fn(2))
 
 
 # operands with a linking vector, built on demand
@@ -181,7 +187,7 @@ CABLED = {
 class TestCableStep:
     def test_trivial_params_reduce_to_operand(self):
         f = hopf_sig_fn(1, 2)
-        g = cable_step(f, CableParams.make(1, 0, 1))
+        g = cable_step(f, 1, 0, 1)
         for a, b, c in product(range(4), repeat=3):
             om = (ang(a, 4), ang(b, 4), ang(c, 4))
             try:
@@ -192,29 +198,29 @@ class TestCableStep:
 
     def test_guard(self):
         f = hopf_sig_fn(1, 2)
-        g = cable_step(f, CableParams.make(1, 0, 1))
+        g = cable_step(f, 1, 0, 1)
         with pytest.raises(GuardViolated):
             g((ang(1, 3), ang(2, 3), UNIT))
 
     def test_missing_base(self):
         f = hopf_sig_fn(1, 2)
         with pytest.raises(MissingBaseEvaluator):
-            cable_step(f, CableParams.make(2, 3, 2))
+            cable_step(f, 2, 3, 2)
 
     def test_base_arity_checked(self):
         f = hopf_sig_fn(1, 2)
         with pytest.raises(MissingBaseEvaluator):
-            cable_step(f, CableParams.make(2, 3, 2), zero_fn(2))
+            cable_step(f, 2, 3, 2, storus=zero_fn(2))
 
     def test_builtin_d1_base(self):
-        base = default_torus_base(CableParams.make(2, 3, 1))
+        base = default_torus_base(2, 3, 1)
         assert base((UNIT, ang(1, 2))) == -2
         assert base((UNIT, UNIT)) == 0
         with pytest.raises(MissingBaseEvaluator):
             base((ang(1, 2), ang(1, 2)))
 
     def test_builtin_d1_base_mirrors(self):
-        base = default_torus_base(CableParams.make(-2, 3, 1))
+        base = default_torus_base(-2, 3, 1)
         assert base((UNIT, ang(1, 2))) == 2
 
     @settings(max_examples=200, deadline=None)
@@ -225,7 +231,7 @@ class TestCableStep:
         # unlink): a one-sided defect factor vanishes identically, units
         # included
         p, q = (0, sign) if zero_p else (sign, 0)
-        base = default_torus_base(CableParams.make(p, q, d, kept))
+        base = default_torus_base(p, q, d, kept)
         if p == 0:
             want = (2 + d, f"hopf_base(1+{d},1)") if kept else (1 + d, f"unlink(1+{d})")
         else:
@@ -244,7 +250,7 @@ class TestCableStep:
         # longitudes: cable_step at (w, z) is cable_parallel at (z, w), value
         # or refusal alike
         f = CABLED[name]()
-        stepped = cable_step(f, CableParams.make(1, 0, nu))
+        stepped = cable_step(f, 1, 0, nu)
         parallel = cable_parallel(f, nu)
         ks = data.draw(st.lists(st.integers(0, n - 1), min_size=stepped.arity,
                                 max_size=stepped.arity))
@@ -264,7 +270,7 @@ class TestCableStep:
         # the unknot; the base link axis+strands is the cored (4,2)-cable
         # fixture read with its core as the axis
         unknot = SigFn(1, lambda om: 0, linking=(), label="unknot")
-        g = cable_step(unknot, CableParams.make(1, 2, 2), fixture_sig("cable-4-2"))
+        g = cable_step(unknot, 1, 2, 2, storus=fixture_sig("cable-4-2"))
         table = fixture_table("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
             om = (ang(a, 8), ang(b, 8))
@@ -276,24 +282,32 @@ class TestCableStep:
 
     def test_core_kept_wires_extra_color(self):
         f = hopf_sig_fn(1, 2)
-        g = cable_step(f, CableParams.make(0, 1, 2, core_kept=True))
+        g = cable_step(f, 0, 1, 2, core_kept=True)
         assert g.arity == 2 + 3  # two surviving colors + core + two copies
+
+
+HOPF_LINKING = [[0, 1], [1, 0]]
 
 
 class TestReductionInput:
     def test_validation(self):
-        good = UnivariateReductionInput.make(6, (2, 3), (0, 0), [[0, 1], [1, 0]])
-        assert good.mu == 2
-        with pytest.raises(InvalidParams):
-            UnivariateReductionInput.make(6, (0, 3), (0, 0), [[0, 1], [1, 0]])
-        with pytest.raises(InvalidParams):
-            UnivariateReductionInput.make(6, (2, 6), (0, 0), [[0, 1], [1, 0]])
-        with pytest.raises(InvalidParams):
-            UnivariateReductionInput.make(6, (2, 3), (0,), [[0, 1], [1, 0]])
-        with pytest.raises(InvalidParams):
-            UnivariateReductionInput.make(6, (2, 3), (0, 0), [[1, 1], [1, 0]])
-        with pytest.raises(InvalidParams):
-            UnivariateReductionInput.make(6, (2, 3), (0, 0), [[0, 2], [1, 0]])
+        # the refusals and messages of the checked reduction input, in order
+        refused = [
+            ((0, (), (), []), "root order must be positive, got 0"),
+            ((6, (0, 3), (0, 0), HOPF_LINKING), "exponents must satisfy 0 < n_i < n, got (0, 3)"),
+            ((6, (2, 6), (0, 0), HOPF_LINKING), "exponents must satisfy 0 < n_i < n, got (2, 6)"),
+            ((6, (2, 3), (0,), HOPF_LINKING), "p has length 1, expected 2"),
+            ((6, (2, 3), (0, 0), [[0, 1]]), "linking matrix must be 2x2"),
+            ((6, (2, 3), (0, 0), [[0, 1], [1]]), "linking matrix must be 2x2"),
+            ((6, (2, 3), (0, 0), [[1, 1], [1, 0]]), "linking matrix must have zero diagonal"),
+            ((6, (2, 3), (0, 0), [[0, 2], [1, 0]]), "linking matrix must be symmetric"),
+            ((6, (2, 3), (0, 0), [[0, 2], [1, 1]]), "linking matrix must be symmetric"),
+        ]
+        for args, message in refused:
+            with pytest.raises(InvalidParams) as err:
+                univariate_reduction(*args, 0)
+            assert str(err.value) == message
+        assert univariate_reduction(6, (2, 3), (0, 0), HOPF_LINKING, 0) == 4
 
     @pytest.mark.parametrize("args", [
         (5.9, (2, 3), (0, 0), [[0, 1], [1, 0]]),
@@ -303,30 +317,38 @@ class TestReductionInput:
     ], ids=["n", "ni", "p", "linking"])
     def test_inexact_input_refused(self, args):
         with pytest.raises(TypeError):
-            UnivariateReductionInput.make(*args)
+            univariate_reduction(*args, 0)
 
-    def test_character(self):
-        inp = UnivariateReductionInput.make(6, (2, 3), (0, 0), [[0, 1], [1, 0]])
-        assert inp.omega() == (ang(1, 3), ang(1, 2))
-        assert inp.xi() == ang(1, 6)
+
+def p0_reduction(n, ni, linking, lw):
+    """univariate_reduction's value at p = 0 and sigma_lbar = 0, given the
+    weighted linking numbers lw: sum_i (n_i - 1) ind(lw_i, n) + sum_{i<j} lambda_ij."""
+    mu = len(ni)
+    return (sum((ni[i] - 1) * ind(lw[i], n) for i in range(mu))
+            + sum(linking[i][j] for i in range(mu) for j in range(i + 1, mu)))
 
 
 class TestWeightedLinking:
+    # univariate_reduction reads lw_i = sum_j n_j * lambda_ij only through
+    # ind(lw_i, n); each lw here is worked out by hand
     def test_zero_matrix(self):
-        inp = UnivariateReductionInput.make(4, (1, 2), (0, 0), [[0, 0], [0, 0]])
-        assert weighted_linking(inp, 0) == 0
+        zero = [[0, 0], [0, 0]]
+        assert univariate_reduction(4, (1, 2), (0, 0), zero, 0) \
+            == p0_reduction(4, (1, 2), zero, (0, 0)) == 0
 
     def test_hopf_example(self):
-        inp = UnivariateReductionInput.make(6, (2, 3), (0, 0), [[0, 1], [1, 0]])
-        assert weighted_linking(inp, 0) == 3
-        assert weighted_linking(inp, 1) == 2
+        # lw = (3 * 1, 2 * 1): ind(3/6) = ind(2/6) = 1, so 1*1 + 2*1 + lk 1
+        got = univariate_reduction(6, (2, 3), (0, 0), HOPF_LINKING, 0)
+        assert got == p0_reduction(6, (2, 3), HOPF_LINKING, (3, 2)) == 4
 
     def test_general_row(self):
-        inp = UnivariateReductionInput.make(
-            9, (2, 3, 4), (0, 0, 0),
-            [[0, 1, -2], [1, 0, 3], [-2, 3, 0]])
-        assert weighted_linking(inp, 0) == 3 * 1 + 4 * (-2)
-        assert weighted_linking(inp, 2) == 2 * (-2) + 3 * 3
+        lam = [[0, 1, -2], [1, 0, 3], [-2, 3, 0]]
+        lw = (3 * 1 + 4 * (-2), 2 * 1 + 4 * 3, 2 * (-2) + 3 * 3)
+        for n in range(5, 16):
+            got = univariate_reduction(n, (2, 3, 4), (0, 0, 0), lam, 0)
+            assert got == p0_reduction(n, (2, 3, 4), lam, lw)
+        # at n = 9, ind(-5/9) = -1, ind(14/9) = 3, ind(5/9) = 1: 1*(-1) + 2*3 + 3*1 + (1 - 2 + 3)
+        assert univariate_reduction(9, (2, 3, 4), (0, 0, 0), lam, 0) == 10
 
 
 class TestUnivariateReduction:
@@ -335,42 +357,36 @@ class TestUnivariateReduction:
         for n, n1, n2 in [(3, 1, 2), (5, 2, 3), (6, 4, 1)]:
             xi = ang(1, n)
             slbar = sigma_k(n1, xi) * sigma_k(n2, xi) - n1 * n2
-            inp = UnivariateReductionInput.make(n, (n1, n2), (0, 0), [[0, 1], [1, 0]])
-            assert univariate_reduction(inp, slbar) == hopf(inp.omega()) == 0
+            got = univariate_reduction(n, (n1, n2), (0, 0), HOPF_LINKING, slbar)
+            assert got == hopf((ang(n1, n), ang(n2, n))) == 0
 
     def test_mu1_passthrough(self):
-        inp = UnivariateReductionInput.make(5, (2,), (0,), [[0]])
-        assert univariate_reduction(inp, -4) == -4
+        assert univariate_reduction(5, (2,), (0,), [[0]], -4) == -4
 
     def test_inexact_signature_refused(self):
-        inp = UnivariateReductionInput.make(5, (2,), (0,), [[0]])
         with pytest.raises(TypeError):
-            univariate_reduction(inp, 1.9)
+            univariate_reduction(5, (2,), (0,), [[0]], 1.9)
 
     def test_mu2_small_linking_shortcut(self):
         # with p = 0 and |lk| <= 1 the correction is (n1 + n2 - 1) * lk
         for n, n1, n2, lk in [(5, 2, 3, 1), (7, 4, 2, -1), (4, 1, 3, 0)]:
-            inp = UnivariateReductionInput.make(n, (n1, n2), (0, 0),
-                                                [[0, lk], [lk, 0]])
-            assert univariate_reduction(inp, 10) == 10 + (n1 + n2 - 1) * lk
+            got = univariate_reduction(n, (n1, n2), (0, 0), [[0, lk], [lk, 0]], 10)
+            assert got == 10 + (n1 + n2 - 1) * lk
 
     def test_torus_term_requires_evaluator(self):
-        inp = UnivariateReductionInput.make(5, (2, 3), (1, 0), [[0, 1], [1, 0]])
         with pytest.raises(MissingBaseEvaluator):
-            univariate_reduction(inp, 0)
+            univariate_reduction(5, (2, 3), (1, 0), HOPF_LINKING, 0)
 
     def test_torus_term_plumbing(self):
         # the evaluator for color i receives (xi^{lw_i}, xi) and its value is
         # subtracted
-        inp = UnivariateReductionInput.make(5, (2, 3), (1, 0), [[0, 1], [1, 0]])
         seen = []
 
         def fake(upsilon, xi):
             seen.append((upsilon, xi))
             return 11
 
-        base = univariate_reduction(
-            UnivariateReductionInput.make(5, (2, 3), (0, 0), [[0, 1], [1, 0]]), 0)
-        got = univariate_reduction(inp, 0, {0: fake})
+        base = univariate_reduction(5, (2, 3), (0, 0), HOPF_LINKING, 0)
+        got = univariate_reduction(5, (2, 3), (1, 0), HOPF_LINKING, 0, {0: fake})
         assert seen == [(ang(3, 5), ang(1, 5))]
         assert got == base - 11

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig.errors import BoundaryCharacter, GuardViolated
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
-from splicesig.cables import CableParams, cable_step
+from splicesig.cables import cable_step
 from splicesig.splice import (SigFn, cable_parallel, lt_splice, merge_colors,
                               satellite, splice, splice_knot, to_levine_tristram,
                               with_boundary, zero_fn)
@@ -70,7 +70,7 @@ class TestSigFn:
         lambda bare, f: lt_splice(bare, f, ang(1, 3)),
         lambda bare, f: lt_splice(f, bare, ang(1, 3)),
         lambda bare, f: cable_parallel(bare, 2),
-        lambda bare, f: cable_step(bare, CableParams.make(1, 0, 1)),
+        lambda bare, f: cable_step(bare, 1, 0, 1),
     ], ids=["splice-1", "splice-2", "splice_knot", "lt_splice-1", "lt_splice-2",
             "cable_parallel", "cable_step"])
     def test_operand_without_linking_vector_is_refused(self, call):
@@ -309,6 +309,12 @@ class TestCableParallel:
         with pytest.raises(ValueError):
             cable_parallel(h12_merged(), 0)
 
+    @pytest.mark.parametrize("nu", [2.0, 1.5])
+    def test_inexact_copy_count_refused(self, nu):
+        # refused when built, not by a slice or gcd error at the first evaluation
+        with pytest.raises(TypeError):
+            cable_parallel(h12_merged(), nu)
+
 
 class TestMergeColors:
     def test_hopf_to_monochrome(self):
@@ -332,6 +338,12 @@ class TestMergeColors:
         f = hopf_sig_fn(1, 2)
         g = merge_colors(f, 0)
         assert g.linking == (2,)
+
+    @pytest.mark.parametrize("lk", [0.5, 1.0])
+    def test_inexact_linking_refused(self, lk):
+        # a non-integer linking number would shift every value by a fraction
+        with pytest.raises(TypeError):
+            merge_colors(hopf_sig_fn(1, 2), lk)
 
     def test_iterated_merge_of_hopf_family(self):
         # H_{n1,n2} to one color: (1-n1)(1-n2) - n1*n2 at xi = exp(2pi*i/n)
@@ -367,6 +379,11 @@ class TestSatellite:
         s = satellite(t, zero_fn(1), 2)
         assert s((ang(1, 4),)) == t((ang(1, 2),)) == -2
 
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_inexact_winding_refused(self, q):
+        with pytest.raises(TypeError):
+            satellite(self.trefoil(), zero_fn(1), q)
+
 
 class TestToLevineTristram:
     def test_matrix_validated(self):
@@ -379,3 +396,8 @@ class TestToLevineTristram:
     def test_hopf_value(self):
         f = to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]])
         assert f((ang(1, 3),)) == -1
+
+    @pytest.mark.parametrize("lk", [0.5, 1.0])
+    def test_inexact_entries_refused(self, lk):
+        with pytest.raises(TypeError):
+            to_levine_tristram(hopf_sig_fn(1, 1), [[0, lk], [lk, 0]])
