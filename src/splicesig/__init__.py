@@ -9,8 +9,8 @@ would otherwise bind the module, not the function, on the package.
 from importlib import import_module as _import_module
 
 from .errors import (BoundaryCharacter, ExpressionError, GuardViolated, InvalidFamily,
-                     InvalidParams, LevelMismatch, MissingBaseEvaluator, NotHermitian,
-                     SpliceSigError, UsageError)
+                     InvalidParams, LevelMismatch, NotHermitian, SpliceSigError,
+                     UsageError)
 from .torus import UNIT, Angle, char_power, character, defect, defect1, ind, is_open
 from .splice import (SigFn, cable_parallel, lt_splice, merge_colors, satellite, splice,
                      splice_knot, to_levine_tristram, with_boundary, zero_fn)
@@ -21,7 +21,7 @@ _LAZY = {
     "ccomplex": "SeifertFamily",
     "hopf": "hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature hopf_spectrum "
             "sigma_k unlink_family",
-    "cables": "cable_step default_torus_base hirzebruch univariate_reduction",
+    "cables": "hirzebruch univariate_reduction",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
     "expr": "parse_expression=parse",
 }

@@ -48,17 +48,7 @@ class InvalidFamily(SpliceSigError):
 
 
 class InvalidParams(SpliceSigError):
-    """Cabling or reduction parameters violate their invariants (e.g. gcd(p, q) != 1)."""
-
-
-class MissingBaseEvaluator(SpliceSigError):
-    """A cabling step needed a torus-link base signature that was not supplied.
-
-    There is no closed form for the signature of V u dU(p,q) at arbitrary
-    multivariate characters, so the caller must provide one (a SeifertFamily
-    fixture, usually) except in the built-in cases: p*q = 0, or d = 1 with the
-    axis character equal to 1.
-    """
+    """Lattice-count or reduction parameters violate their invariants (e.g. p = 0)."""
 
 
 class UsageError(SpliceSigError):

@@ -7,6 +7,8 @@ An expression document is a JSON object with exactly one key:
     {"zero": arity}                  identically-zero evaluator
     {"fixture": "name"}              built-in worked example (see fixtures)
     {"seifert": "family.json"}       Seifert family loaded from a file
+    {"torus": [p, q]}                torus knot T(p, q), p and q coprime and
+                                     nonzero; a negative p*q is the mirror
     {"splice": [e1, lam1, e2, lam2]} splice along the color-0 components;
                                      lam lists the distinguished component's
                                      linking numbers with the other colors
@@ -26,6 +28,7 @@ GuardViolated pass through untouched.
 """
 
 import json
+import math
 import os
 from typing import Optional
 
@@ -36,7 +39,7 @@ from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero
 # an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
 MAX_HOPF_COMPONENTS = 65_536
 
-_FORMS = ("hopf", "zero", "fixture", "seifert", "splice", "cable", "merge",
+_FORMS = ("hopf", "zero", "fixture", "seifert", "torus", "splice", "cable", "merge",
           "satellite")
 
 
@@ -134,6 +137,23 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
         except (json.JSONDecodeError, ValueError, InvalidFamily, RecursionError) as err:
             raise ExpressionError(f"bad seifert family {value!r}: {err}") from err
         return family.sig_fn()
+
+    if form == "torus":
+        p, q = _expect_args(value, 2, form)
+        p, q = _expect_int(p, "torus p"), _expect_int(q, "torus q")
+        # a link's leaf would need a linking vector its arity-1 form has no room for
+        if p * q == 0 or math.gcd(p, q) != 1:
+            raise ExpressionError(f"torus ({p}, {q}) is not a knot: the leaf needs "
+                                  "coprime nonzero p and q; torus-sig counts torus links")
+        from .cables import hirzebruch, torus_nullity
+
+        def sig(omega):
+            return 0 if omega[0].is_unit() else hirzebruch(p, q, omega[0])
+
+        def nullity(omega):
+            return None if omega[0].is_unit() else torus_nullity(p, q, omega[0])
+
+        return SigFn(1, sig, linking=(), label=f"torus({p},{q})", nullity=nullity)
 
     if form == "splice":
         e1, lam1, e2, lam2 = _expect_args(value, 4, form)

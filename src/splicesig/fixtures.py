@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .cyclotomic import LaurentMatrix
 from .splice import SigFn, with_boundary, zero_fn
@@ -52,14 +52,14 @@ class PiecewiseTable(NamedTuple):
 
 class Fixture(NamedTuple):
     """One worked example.  forms maps eps to theta^eps, a direction left out
-    being the zero form; linking is the linking vector of the distinguished
-    color 0, None if no color is distinguished; boundary maps the kept colors
-    of each deletion to another fixture's name or to a zero-signature link
-    ("unknot", "hopf(1,1)")."""
+    being the zero form; linking is the linking vector of color 0, the
+    distinguished component; boundary maps the kept colors of each deletion
+    to another fixture's name or to a zero-signature link ("unknot",
+    "hopf(1,1)")."""
 
     arity: int
     forms: Dict[Tuple[int, ...], list]
-    linking: Optional[Tuple[int, ...]]
+    linking: Tuple[int, ...]
     boundary: Dict[Tuple[int, ...], str]
     table: PiecewiseTable
     aliases: Tuple[str, ...]
@@ -89,7 +89,8 @@ FIXTURES: Dict[str, Fixture] = {
         ("referee-k''l''", "referee-kl2", "cable-4-2")),
     # one color per component: the splice of the previous two links along
     # their distinguished components, three unknotted strands with pairwise
-    # linking number 2.  Any two strands form a (2,4)-torus link.
+    # linking number 2, so color 0 has linking vector (2, 2).  Any two strands
+    # form a (2,4)-torus link.
     "torus(3,6)": Fixture(
         3, {(1, 1, 1): [[-1, 0, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]],
             (1, 1, -1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, -1]],
@@ -99,7 +100,7 @@ FIXTURES: Dict[str, Fixture] = {
             (-1, 1, -1): [[0, 0, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1], [0, 0, 0, 0]],
             (-1, -1, 1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, -1]],
             (-1, -1, -1): [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]},
-        None,
+        (2, 2),
         {(0, 1): "torus(2,4)", (0, 2): "torus(2,4)", (1, 2): "torus(2,4)", **_SINGLES},
         PiecewiseTable((1, 1, 1), (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)),
                        (4, 2, 0, -1, -2, -1, 0, 2, 4)),

@@ -266,14 +266,16 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     """Collapse all colors to one: the classical univariate signature.
 
     Iterated color merging subtracts the linking number of every merged pair,
-    so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j).  The full
-    off-diagonal linking matrix must be supplied; it is metadata the Seifert
-    forms do not determine.
+    so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j).  The full linking
+    matrix must be supplied, symmetric with zero diagonal (ValueError
+    otherwise); it is metadata the Seifert forms do not determine.
     """
     mu = f.arity
     linking_matrix = [[operator.index(x) for x in row] for row in linking_matrix]
     if len(linking_matrix) != mu or any(len(row) != mu for row in linking_matrix):
         raise ValueError(f"linking matrix must be {mu}x{mu}")
+    if any(linking_matrix[i][i] for i in range(mu)):
+        raise ValueError("linking matrix must have zero diagonal")
     if any(linking_matrix[i][j] != linking_matrix[j][i] for i in range(mu) for j in range(i)):
         raise ValueError("linking matrix must be symmetric")
     total = sum(linking_matrix[i][j] for i in range(mu) for j in range(i + 1, mu))

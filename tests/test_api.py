@@ -31,11 +31,13 @@ SRC = ROOT / "src"
 # (a family's nullity is sig_fn().nullity, None without a basis), and HopfSpec
 # (hopf_signature and hopf_nullity read m and n off their two sides), and
 # CableParams, UnivariateReductionInput and weighted_linking (cable_step,
-# default_torus_base and univariate_reduction take and check their inputs
-# directly); "alias=attr" names attr of the module
+# default_torus_base and univariate_reduction took and checked their inputs
+# directly), and cable_step, default_torus_base and MissingBaseEvaluator (the
+# cable of a knot is satellite(K, T(p, q), p) with the torus leaf, and any
+# other cable a splice with its base link); "alias=attr" names attr of the module
 EXPORTS = {
     "errors": "BoundaryCharacter ExpressionError GuardViolated InvalidFamily InvalidParams "
-              "LevelMismatch MissingBaseEvaluator NotHermitian SpliceSigError UsageError",
+              "LevelMismatch NotHermitian SpliceSigError UsageError",
     "torus": "UNIT Angle char_power character defect defect1 ind is_open",
     "cyclotomic": "CyclotomicNumber HermitianMatrix LaurentMatrix cyclotomic_polynomial",
     "ccomplex": "SeifertFamily",
@@ -43,7 +45,7 @@ EXPORTS = {
               "to_levine_tristram with_boundary zero_fn",
     "hopf": "hopf_nullity hopf_seifert_family hopf_sig_fn hopf_signature hopf_spectrum "
             "sigma_k unlink_family",
-    "cables": "cable_step default_torus_base hirzebruch univariate_reduction",
+    "cables": "hirzebruch univariate_reduction",
     "fixtures": "PiecewiseTable fixture_matrix fixture_names fixture_sig fixture_table",
     "expr": "parse_expression=parse",
 }

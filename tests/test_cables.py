@@ -1,9 +1,12 @@
-"""Torus-link bases, the cabling step, and the univariate reduction.
+"""The torus-link lattice count, the torus knot leaf, and the univariate reduction.
 
-The lattice count is validated against an independent oracle: the exact
-signature of the symmetrized Seifert matrix of the trefoil, evaluated through
-the cyclotomic machinery.  The cabling step is validated by reconstructing a
-worked fixture table, and the reduction formula by the Hopf identity.
+The lattice count is validated against independent oracles: a brute-force
+count of the lattice points, and the exact signature and nullity of the
+Brieskorn-Pham Seifert matrix of T(p, q), evaluated through the cyclotomic
+machinery, for knots and links alike.  Cabling a knot is the satellite with
+a torus knot leaf, and the splice form with a fixture or a zero base covers
+the cables of link components; the reduction formula is checked by the Hopf
+identity.
 """
 
 from fractions import Fraction
@@ -15,12 +18,14 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from splicesig.cables import cable_step, default_torus_base, hirzebruch, univariate_reduction
+from splicesig.cables import _lattice, hirzebruch, torus_nullity, univariate_reduction
+from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix
-from splicesig.errors import GuardViolated, InvalidParams, MissingBaseEvaluator
+from splicesig.errors import ExpressionError, GuardViolated, InvalidParams
+from splicesig.expr import parse
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_sig_fn, sigma_k
-from splicesig.splice import SigFn, cable_parallel, merge_colors, zero_fn
+from splicesig.splice import cable_parallel, satellite, to_levine_tristram
 from splicesig.torus import UNIT, Angle, ind
 
 
@@ -76,11 +81,56 @@ def reference_rows(p, q, zeta):
     return (p - 1) * (q - 1) - 2 * a - ties
 
 
+def brute_lattice(p, q, zeta):
+    """(b - a, ties) by the plain double loop over {1..|p|-1} x {1..|q|-1}, in
+    integers and without reflecting zeta; a negative p*q flips the sign."""
+    sign = 1 if p * q > 0 else -1
+    p, q = abs(p), abs(q)
+    u, v = zeta.numerator, zeta.denominator
+    lo, hi = u * p * q, (u + v) * p * q  # theta and theta + 1, times v*p*q
+    a = b = ties = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            s = (i * q + j * p) * v
+            if s in (lo, hi):
+                ties += 1
+            elif lo < s < hi:
+                a += 1
+            else:
+                b += 1
+    return sign * (b - a), ties
+
+
+def open_angles(max_den):
+    """Every reduced angle k/N other than the unit, N <= max_den."""
+    return [ang(k, n) for n in range(2, max_den + 1) for k in range(1, n)
+            if math.gcd(k, n) == 1]
+
+
+def brieskorn_pham(p, q):
+    """A Seifert family of T(p, q), p, q >= 2, with its generators a basis:
+    V = -(V_p (x) V_q), V_n the (n-1)x(n-1) matrix with -1 on the diagonal and
+    +1 just above it; the Milnor fiber of x^p + y^q (Sakamoto 1974)."""
+    def vn(n):
+        return [[-1 if k == i else int(k == i + 1) for k in range(n - 1)] for i in range(n - 1)]
+
+    vp, vq = vn(p), vn(q)
+    v = [[-vp[i][k] * vq[j][m] for k in range(p - 1) for m in range(q - 1)]
+         for i in range(p - 1) for j in range(q - 1)]
+    return SeifertFamily(1, {(1,): v, (-1,): [list(r) for r in zip(*v)]}, basis=True)
+
+
 class TestHirzebruch:
     def test_hand_counts(self):
         assert hirzebruch(2, 3, ang(1, 2)) == -2
         assert hirzebruch(2, 3, ang(1, 12)) == 0
         assert hirzebruch(1, 9, ang(1, 3)) == 0  # empty lattice
+        # a pair that is not coprime is a link, not an error.  T(2,4) at 1/4:
+        # the sums 3/4, 1, 5/4 give two points inside (1/4, 5/4) and one tie.
+        # T(3,6) at 1/2: the sums (2i + j)/6 hit 1/2 and 3/2 once each and
+        # put the other eight points inside (1/2, 3/2)
+        assert _lattice(2, 4, ang(1, 4)) == (-2, 1)
+        assert _lattice(3, 6, ang(1, 2)) == (-8, 2)
 
     def test_against_trefoil_oracle(self):
         trefoil_v = [[-1, 1], [0, -1]]
@@ -96,22 +146,41 @@ class TestHirzebruch:
             assert hirzebruch(2, 5, ang(k, 10)) == want, k
 
     def test_symmetries(self):
-        for p, q in [(2, 3), (3, 4), (2, 5), (3, 5), (4, 7)]:
+        for p, q in [(2, 3), (3, 4), (2, 5), (3, 5), (4, 7), (2, 4), (6, 9)]:
             for num in range(1, 16):
                 z = ang(num, 16)
                 assert hirzebruch(p, q, z) == hirzebruch(q, p, z)
                 assert hirzebruch(p, q, z) == hirzebruch(p, q, z.conjugate())
 
+    def test_mirror_flips_the_signature_and_keeps_the_ties(self):
+        for p, q in product(range(1, 8), repeat=2):
+            for z in open_angles(12):
+                sig, ties = _lattice(p, q, z)
+                assert _lattice(-p, q, z) == _lattice(p, -q, z) == (-sig, ties)
+                assert _lattice(-p, -q, z) == (sig, ties)
+                assert hirzebruch(-p, q, z) == -hirzebruch(p, q, z)
+
     def test_tie_angles_counted_neither_side(self):
         # theta = 5/6 hits i/p + j/q = 1/2 + 1/3 exactly on conjugation to 1/6:
         # the pair (1,1) joins the nullity, leaving one lattice point on each side
         assert hirzebruch(2, 3, ang(1, 6)) == -1
+        assert torus_nullity(2, 3, ang(1, 6)) == 1
+
+    def test_count_matches_brute_force(self):
+        # every pair 1 <= p, q <= 10, links included, at every reduced angle of
+        # denominator <= 18 and at every angle k/(pq) and k/(2pq), where the
+        # walls theta and theta + 1 pass through lattice sums
+        grid = open_angles(18)
+        for p, q in product(range(1, 11), repeat=2):
+            angles = grid + [ang(k, den) for den in (p * q, 2 * p * q)
+                             for k in range(1, den)]
+            for z in angles:
+                assert _lattice(p, q, z) == brute_lattice(p, q, z), (p, q, z)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 200),
            st.sampled_from([None, "pq", "2pq"]))
     def test_row_count_matches_double_loop(self, p, q, num, den_kind):
-        assume(math.gcd(p, q) == 1)
         # denominators p*q and 2*p*q put theta and theta + 1 on lattice sums
         den = {None: 97, "pq": p * q, "2pq": 2 * p * q}[den_kind]
         assume(num % den != 0)
@@ -121,7 +190,7 @@ class TestHirzebruch:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 199), st.integers(1, 199), st.data())
     def test_floor_sums_match_row_count(self, p, q, data):
-        assume(math.gcd(p, q) == 1 and p * q > 1)
+        assume(p * q > 1)
         # the denominator divides p*q, so ties occur
         z = ang(data.draw(st.integers(1, p * q - 1)), p * q)
         assert hirzebruch(p, q, z) == reference_rows(p, q, z)
@@ -132,125 +201,129 @@ class TestHirzebruch:
         assert time.perf_counter() - start < 1.0
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
-            hirzebruch(2, 4, ang(1, 3))
-        with pytest.raises(InvalidParams):
-            hirzebruch(0, 3, ang(1, 3))
+        for p, q in [(0, 3), (3, 0), (0, 0)]:
+            with pytest.raises(InvalidParams, match=rf"need nonzero \(p, q\), got \({p}, {q}\)"):
+                hirzebruch(p, q, ang(1, 3))
         with pytest.raises(InvalidParams):
             hirzebruch(2, 3, UNIT)
 
 
+class TestBrieskornPham:
+    # the lattice count against the exact inertia of a Seifert form of T(p, q)
+    def test_links_against_the_seifert_form(self):
+        for p, q in product(range(2, 6), repeat=2):
+            family = brieskorn_pham(p, q)
+            for z in open_angles(12):
+                pos, neg, zero = family.raw_inertia((z,))
+                assert _lattice(p, q, z) == (pos - neg, zero), (p, q, z)
+
+    def test_knot_leaf_against_the_seifert_form(self):
+        for p, q in product(range(2, 7), repeat=2):
+            if math.gcd(p, q) != 1:
+                continue
+            family, leaf = brieskorn_pham(p, q).sig_fn(), parse({"torus": [p, q]})
+            for z in open_angles(18):
+                assert (leaf((z,)), leaf.nullity((z,))) \
+                    == (family((z,)), family.nullity((z,))), (p, q, z)
+
+    def test_fixture_collapses_are_the_torus_link_count(self):
+        # the Levine-Tristram collapse of the torus(2,4) and torus(3,6)
+        # fixtures, whose strands link pairwise twice, is T(2,4) and T(3,6)
+        t24 = to_levine_tristram(fixture_sig("torus-2-4"), [[0, 2], [2, 0]])
+        t36 = to_levine_tristram(fixture_sig("torus-3-6"),
+                                 [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        for z in open_angles(39):
+            assert t24((z,)) == hirzebruch(2, 4, z), z
+            assert t36((z,)) == hirzebruch(3, 6, z), z
+
+
 class TestCableParams:
-    # default_torus_base and cable_step check the pattern (p, q, d) alike;
-    # (0, 0, 1) and (1, 0, 0) hold no cable and are refused, not read as the
-    # zero evaluator
+    # the (p, q) of the torus count and of the torus knot leaf: the pattern
+    # of the cable knot satellite(K, T(p, q), p)
     def test_coprimality_enforced(self):
-        for pattern in [(2, 4, 1), (0, 0, 1), (0, 2, 1)]:  # p = 0 forces q = +-1
-            with pytest.raises(InvalidParams, match="are not coprime"):
-                default_torus_base(*pattern)
-            with pytest.raises(InvalidParams, match="are not coprime"):
-                cable_step(hopf_sig_fn(1, 2), *pattern)
+        # a pair that is not coprime, or has a zero, is a link or no cable:
+        # the arity-1 leaf has no room for its linking numbers
+        for pattern in [(2, 4), (0, 0), (0, 2), (0, 1), (-3, 6)]:
+            with pytest.raises(ExpressionError, match="torus-sig counts torus links"):
+                parse({"torus": list(pattern)})
 
     def test_degenerate_ok(self):
-        assert default_torus_base(0, -1, 3).label == "unlink(1+3)"
-        assert default_torus_base(1, 0, 2).label == "hopf_base(2,1)"
-        assert cable_step(hopf_sig_fn(1, 2), 0, -1, 3).arity == 2 + 3
+        # a (0, +-1)-cable with d copies is the splice with an unlink base of
+        # vector (0, ..., 0): the operand with its component deleted
+        f = hopf_sig_fn(1, 2)
+        g = parse({"splice": [{"hopf": [1, 2]}, [1, 1], {"zero": 4}, [0, 0, 0]]})
+        assert g.arity == 2 + 3
+        for ks in product(range(1, 5), repeat=5):
+            om = tuple(ang(k, 5) for k in ks)
+            if (ks[0] + ks[1]) % 5 == 0:  # the guard: the copies' raised character is 1
+                with pytest.raises(GuardViolated):
+                    g(om)
+                continue
+            assert g(om) == f((UNIT,) + om[:2])
 
-    def test_copies_positive(self):
-        for d in (0, -1):
-            with pytest.raises(InvalidParams, match=f"need at least one cable copy, got d={d}"):
-                default_torus_base(1, 0, d)
-            with pytest.raises(InvalidParams, match=f"need at least one cable copy, got d={d}"):
-                cable_step(hopf_sig_fn(1, 2), 1, 0, d)
-
-    @pytest.mark.parametrize("args", [(2.7, 3, 1), (2, 3.0, 1), (2, 3, "1"), (2, 3, 1.5)])
+    @pytest.mark.parametrize("args", [(2.7, 3), (2, 3.0), (2, "3"), (1.5, 3)])
     def test_inexact_parameters_refused(self, args):
         # a float or a string is not truncated to an integer
         with pytest.raises(TypeError):
-            default_torus_base(*args)
-        with pytest.raises(TypeError):
-            cable_step(hopf_sig_fn(1, 2), *args, storus=zero_fn(2))
+            hirzebruch(*args, ang(1, 3))
+        with pytest.raises(ExpressionError, match="must be an integer"):
+            parse({"torus": list(args)})
 
 
-# operands with a linking vector, built on demand
+# documents of operands with a linking vector
 CABLED = {
-    "hopf(1,1)": lambda: hopf_sig_fn(1, 1),
-    "hopf(1,2)": lambda: hopf_sig_fn(1, 2),
-    "hopf(1,3)": lambda: hopf_sig_fn(1, 3),
-    "hopf(2,1)": lambda: hopf_sig_fn(2, 1),
-    "merged hopf(1,2)": lambda: merge_colors(hopf_sig_fn(1, 2), 0),
-    "torus-2-4": lambda: fixture_sig("torus-2-4"),
-    "cable-4-2": lambda: fixture_sig("cable-4-2"),
+    "hopf(1,1)": {"hopf": [1, 1]},
+    "hopf(1,2)": {"hopf": [1, 2]},
+    "hopf(1,3)": {"hopf": [1, 3]},
+    "hopf(2,1)": {"hopf": [2, 1]},
+    "merged hopf(1,2)": {"merge": [{"hopf": [1, 2]}, 0]},
+    "torus-2-4": {"fixture": "torus-2-4"},
+    "cable-4-2": {"fixture": "cable-4-2"},
+    "torus-3-6": {"fixture": "torus-3-6"},
 }
 
 
 class TestCableStep:
+    # a cable of a knot is the satellite with a torus knot leaf, and a cable
+    # of a link component is a splice with the base link's evaluator
     def test_trivial_params_reduce_to_operand(self):
-        f = hopf_sig_fn(1, 2)
-        g = cable_step(f, 1, 0, 1)
-        for a, b, c in product(range(4), repeat=3):
-            om = (ang(a, 4), ang(b, 4), ang(c, 4))
-            try:
-                got = g(om)
-            except GuardViolated:
-                continue
-            assert got == f((om[2],) + om[:2])
+        # T(1, q) is the unknot, wound once: the (1, q)-cable of K is K
+        knot = parse({"torus": [2, 5]})
+        for q in (-3, 1, 4):
+            g = satellite(knot, parse({"torus": [1, q]}), 1)
+            for n in range(2, 13):
+                for k in range(n):
+                    assert g((ang(k, n),)) == knot((ang(k, n),))
 
     def test_guard(self):
-        f = hopf_sig_fn(1, 2)
-        g = cable_step(f, 1, 0, 1)
+        # a (1,0)-cable of a link component is a splice with a zero base, so it
+        # is refused where both raised characters are 1
+        g = parse({"splice": [{"hopf": [1, 2]}, [1, 1], {"zero": 2}, [1]]})
         with pytest.raises(GuardViolated):
             g((ang(1, 3), ang(2, 3), UNIT))
 
-    def test_missing_base(self):
-        f = hopf_sig_fn(1, 2)
-        with pytest.raises(MissingBaseEvaluator):
-            cable_step(f, 2, 3, 2)
-
-    def test_base_arity_checked(self):
-        f = hopf_sig_fn(1, 2)
-        with pytest.raises(MissingBaseEvaluator):
-            cable_step(f, 2, 3, 2, storus=zero_fn(2))
-
     def test_builtin_d1_base(self):
-        base = default_torus_base(2, 3, 1)
-        assert base((UNIT, ang(1, 2))) == -2
-        assert base((UNIT, UNIT)) == 0
-        with pytest.raises(MissingBaseEvaluator):
-            base((ang(1, 2), ang(1, 2)))
+        leaf = parse({"torus": [2, 3]})
+        assert (leaf.arity, leaf.linking, leaf.label) == (1, (), "torus(2,3)")
+        assert (leaf((ang(1, 2),)), leaf.nullity((ang(1, 2),))) == (-2, 0)
+        assert (leaf((ang(1, 6),)), leaf.nullity((ang(1, 6),))) == (-1, 1)
+        assert (leaf((UNIT,)), leaf.nullity((UNIT,))) == (0, None)
 
     def test_builtin_d1_base_mirrors(self):
-        base = default_torus_base(-2, 3, 1)
-        assert base((UNIT, ang(1, 2))) == 2
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.booleans(), st.sampled_from([-1, 1]), st.integers(1, 4), st.booleans(),
-           st.integers(1, 60), st.data())
-    def test_builtin_hopf_bases_vanish(self, zero_p, sign, d, kept, n, data):
-        # every p*q = 0 pattern is a generalized Hopf link H_{k,1} (or an
-        # unlink): a one-sided defect factor vanishes identically, units
-        # included
-        p, q = (0, sign) if zero_p else (sign, 0)
-        base = default_torus_base(p, q, d, kept)
-        if p == 0:
-            want = (2 + d, f"hopf_base(1+{d},1)") if kept else (1 + d, f"unlink(1+{d})")
-        else:
-            side = d + kept
-            want = (1 + side, f"hopf_base({side},1)")
-        assert (base.arity, base.label) == want
-        om = tuple(ang(k, n) for k in data.draw(
-            st.lists(st.integers(0, n - 1), min_size=base.arity, max_size=base.arity)))
-        assert base(om) == 0
+        leaf = parse({"torus": [-2, 3]})
+        assert (leaf((ang(1, 2),)), leaf.nullity((ang(1, 2),))) == (2, 0)
+        assert (leaf((ang(1, 6),)), leaf.nullity((ang(1, 6),))) == (1, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(CABLED)), st.integers(1, 3), st.integers(1, 24),
            st.data())
     def test_longitude_cable_step_is_parallel_cabling(self, name, nu, n, data):
         # a (1,0)-cable with nu copies replaces the component by nu parallel
-        # longitudes: cable_step at (w, z) is cable_parallel at (z, w), value
-        # or refusal alike
-        f = CABLED[name]()
-        stepped = cable_step(f, 1, 0, nu)
+        # longitudes: the splice with a zero base of linking vector (1, ..., 1)
+        # at (w, z) is cable_parallel at (z, w), value or refusal alike
+        f = parse(CABLED[name])
+        stepped = parse({"splice": [CABLED[name], list(f.linking),
+                                    {"zero": 1 + nu}, [1] * nu]})
         parallel = cable_parallel(f, nu)
         ks = data.draw(st.lists(st.integers(0, n - 1), min_size=stepped.arity,
                                 max_size=stepped.arity))
@@ -267,10 +340,9 @@ class TestCableStep:
 
     def test_unknot_cable_reproduces_fixture_table(self):
         # the 2-colored (2,4)-torus link is the d=2, (p,q)=(1,2) cable over
-        # the unknot; the base link axis+strands is the cored (4,2)-cable
-        # fixture read with its core as the axis
-        unknot = SigFn(1, lambda om: 0, linking=(), label="unknot")
-        g = cable_step(unknot, 1, 2, 2, storus=fixture_sig("cable-4-2"))
+        # the unknot: the splice of the unknot with the base link axis+strands,
+        # the cored (4,2)-cable fixture read with its core as the axis
+        g = parse({"splice": [{"zero": 1}, [], {"fixture": "cable-4-2"}, [1, 1]]})
         table = fixture_table("torus(2,4)")
         for a, b in product(range(1, 8), repeat=2):
             om = (ang(a, 8), ang(b, 8))
@@ -279,11 +351,6 @@ class TestCableStep:
                     g(om)
                 continue
             assert g(om) == table.value(om), (a, b)
-
-    def test_core_kept_wires_extra_color(self):
-        f = hopf_sig_fn(1, 2)
-        g = cable_step(f, 0, 1, 2, core_kept=True)
-        assert g.arity == 2 + 3  # two surviving colors + core + two copies
 
 
 HOPF_LINKING = [[0, 1], [1, 0]]
@@ -374,7 +441,8 @@ class TestUnivariateReduction:
             assert got == 10 + (n1 + n2 - 1) * lk
 
     def test_torus_term_requires_evaluator(self):
-        with pytest.raises(MissingBaseEvaluator):
+        with pytest.raises(InvalidParams, match=r"color 0 has p_i = 1 != 0; a reduced torus "
+                                                r"signature evaluator for \(2, 2\) is required"):
             univariate_reduction(5, (2, 3), (1, 0), HOPF_LINKING, 0)
 
     def test_torus_term_plumbing(self):
@@ -390,3 +458,4 @@ class TestUnivariateReduction:
         got = univariate_reduction(5, (2, 3), (1, 0), HOPF_LINKING, 0, {0: fake})
         assert seen == [(ang(3, 5), ang(1, 5))]
         assert got == base - 11
+

@@ -250,6 +250,8 @@ class TestEval:
              {"ccomplex", "cyclotomic", "fixtures", "cables", "verify"}),
             (["torus-sig", "5", "7", "1/3"],
              {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
+            (["eval", json.dumps({"torus": [2, 3]}), "--at", "1/3"],
+             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
             # one criterion runs in-process, so its imports are visible here
             (["verify", "hopf-spectrum"], set()),
             (["verify"], set()),
@@ -514,7 +516,14 @@ class TestTorusSig:
         assert json.loads(capsys.readouterr().out) == {"signature": 0}
 
     def test_invalid_params_exit_2(self):
-        assert main(["torus-sig", "2", "4", "1/2"]) == 2
+        assert main(["torus-sig", "0", "3", "1/2"]) == 2
+
+    def test_links_and_mirrors(self, capsys):
+        # T(2,4), T(3,6) and the mirrored trefoil answer instead of exiting 2
+        assert main(["torus-sig", "2", "4", "1/2"]) == 0
+        assert main(["torus-sig", "3", "6", "1/5"]) == 0
+        assert main(["torus-sig", "-2", "3", "1/2"]) == 0
+        assert capsys.readouterr().out == "-3\n-6\n2\n"
 
     def test_unit_angle_exit_2(self):
         assert main(["torus-sig", "2", "3", "0"]) == 2

@@ -115,6 +115,15 @@ def _cases():
         ("torus-sig-5-2", ["torus-sig", "5", "2", "2/9"], None),
         ("torus-sig-1-1", ["torus-sig", "1", "1", "1/2"], None),
         ("torus-sig-2-7-json", ["--json", "torus-sig", "2", "7", "1/3"], None),
+        # links and mirrors
+        ("torus-sig-2-4", ["torus-sig", "2", "4", "1/3"], None),
+        ("torus-sig-3-6", ["torus-sig", "3", "6", "1/5"], None),
+        ("torus-sig-mirror", ["torus-sig", "-2", "3", "1/2"], None),
+        # the torus knot leaf, its nullity, and the cable knot through satellite
+        ("eval-torus-knot", ["eval", inline({"torus": [2, 3]}), "--at", "1/6"], None),
+        ("eval-cable-knot", ["eval", inline({"satellite": [{"torus": [2, 3]},
+                                                           {"torus": [2, 5]}, 2]}),
+                             "--at", "1/3"], None),
         # refusals with exit 2
         ("err-bad-angle", ["eval", "hopf", "1", "1", "--at", "1/0,1/2"], None),
         ("err-bad-angle-json", ["--json", "eval", "hopf", "1", "1", "--at", "x,1/2"], None),
@@ -137,8 +146,9 @@ def _cases():
                                  "--at", "1/3"], None),
         ("err-malformed-family", ["eval", inline({"seifert": "malformed.json"}),
                                   "--at", "1/3,1/3"], None),
-        ("err-cable-no-linking", ["eval", inline({"cable": [{"fixture": "torus-3-6"}, 2]}),
-                                  "--at", "1/3"], None),
+        ("err-cable-no-linking", ["eval", inline({"cable": [{"zero": 2}, 2]}),
+                                  "--at", "1/3,1/3,1/3"], None),
+        ("err-torus-link", ["eval", inline({"torus": [2, 4]}), "--at", "1/3"], None),
         ("err-level-bound", ["eval", inline({"seifert": "trefoil.json"}), "--at", "1/8633"],
          None),
         ("err-level-bound-json", ["--json", "eval", inline({"seifert": "trefoil.json"}),
@@ -155,7 +165,7 @@ def _cases():
          None),
         ("err-unknown-suite", ["verify", "nosuch"], None),
         ("err-unknown-suite-json", ["--json", "verify", "nosuch"], None),
-        ("err-torus-params", ["torus-sig", "2", "4", "1/3"], None),
+        ("err-torus-params", ["torus-sig", "0", "3", "1/3"], None),
         ("err-torus-unit", ["torus-sig", "2", "3", "0"], None),
         ("err-torus-angle-json", ["--json", "torus-sig", "2", "3", "1/x"], None),
         # exit 3 and exit 4

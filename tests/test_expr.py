@@ -9,7 +9,7 @@ import pytest
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
 from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS, parse
-from splicesig.fixtures import fixture_sig, fixture_table
+from splicesig.fixtures import fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import SigFn, splice
 from splicesig.torus import Angle
@@ -68,15 +68,16 @@ class TestLeafForms:
     ({"hopf": [3, 2]}, (0, 0, 1, 1)),
     ({"fixture": "torus-2-4"}, (2,)),
     ({"fixture": "cable-4-2"}, (1, 1)),
-    ({"fixture": "torus-3-6"}, None),
+    ({"fixture": "torus-3-6"}, (2, 2)),
     ({"zero": 2}, None),
     ({"merge": [{"hopf": [1, 3]}, 0]}, (1, 2)),
     ({"merge": [{"fixture": "cable-4-2"}, 2]}, (2,)),
     ({"merge": [{"hopf": [1, 1]}, 1]}, None),
-    ({"merge": [{"fixture": "torus-3-6"}, 2]}, None),
+    ({"merge": [{"fixture": "torus-3-6"}, 2]}, (4,)),
     ({"splice": [{"hopf": [1, 2]}, [1, 1], {"hopf": [1, 2]}, [1, 1]]}, None),
     ({"cable": [{"hopf": [1, 2]}, 2]}, None),
     ({"satellite": [{"zero": 1}, {"zero": 1}, 3]}, None),
+    ({"torus": [2, 3]}, ()),
 ])
 def test_linking_vector_by_form(doc, linking):
     assert parse(doc).linking == linking
@@ -119,6 +120,17 @@ class TestCombinedForms:
     def test_satellite(self):
         f = parse({"satellite": [{"zero": 1}, {"zero": 1}, 3]})
         assert f.arity == 1 and f((ang(1, 5),)) == 0
+
+    def test_satellite_with_a_torus_leaf_is_the_cable(self):
+        # Litherland: the (2, 5)-cable of the trefoil at w is sigma_{T(2,3)}(w^2)
+        # + sigma_{T(2,5)}(w), with no guard where w^2 = 1
+        f = parse({"satellite": [{"torus": [2, 3]}, {"torus": [2, 5]}, 2]})
+        trefoil, t25 = parse({"torus": [2, 3]}), parse({"torus": [2, 5]})
+        for n in range(1, 13):
+            for k in range(n):
+                w = ang(k, n)
+                assert f((w,)) == trefoil((ang(2 * k, n),)) + t25((w,))
+        assert f((ang(1, 2),)) == 0 - 4
 
     def test_deep_nesting(self):
         doc = {"merge": [{"splice": [{"hopf": [1, 2]}, [1, 1],
@@ -163,6 +175,10 @@ class TestErrors:
         {"cable": [{"hopf": [1, 1]}, 0]},
         {"merge": [{"zero": 1}, 0]},
         {"satellite": [{"zero": 2}, {"zero": 1}, 1]},
+        {"torus": [2]},
+        {"torus": [2, "3"]},
+        {"torus": [2, 4]},
+        {"torus": [0, 1]},
     ])
     def test_rejected(self, doc):
         with pytest.raises(ExpressionError):
@@ -217,15 +233,30 @@ class TestSpliceLinkingVector:
         assert capsys.readouterr().out == "1\n"
 
     def test_unknown_vector_taken_from_document(self):
-        # torus-3-6 carries no vector, so the document's one enters the defect term
-        t36, h12 = fixture_sig("torus-3-6"), hopf_sig_fn(1, 2)
+        # a zero operand carries no vector, so the document's one enters the
+        # splice through the raised character and the defect term
+        z3, h12 = parse({"zero": 3}), hopf_sig_fn(1, 2)
         cells = [tuple(ang(k, 8) for k in ks)
                  for ks in ((1, 1, 1, 1), (1, 2, 3, 1), (3, 1, 2, 5), (1, 3, 5, 7))]
         seen = set()
         for lam in ([0, 0], [1, 2], [2, -1]):
-            f = parse({"splice": [{"fixture": "torus-3-6"}, lam, {"hopf": [1, 2]}, [1, 1]]})
-            want = splice(SigFn(3, t36.fn, linking=lam), h12)
+            f = parse({"splice": [{"zero": 3}, lam, {"hopf": [1, 2]}, [1, 1]]})
+            want = splice(SigFn(3, z3.fn, linking=lam), h12)
             values = tuple(f(om) for om in cells)
             assert values == tuple(want(om) for om in cells)
             seen.add(values)
         assert len(seen) == 3
+
+    # torus-3-6's strands link pairwise twice, so its vector is (2, 2) and a
+    # document giving another is refused
+    T36_SPLICE = {"splice": [{"fixture": "torus-3-6"}, [5, -7], {"fixture": "torus-2-4"}, [2]]}
+
+    def test_fixture_vector_checked(self, capsys):
+        assert main(["eval", json.dumps(self.T36_SPLICE), "--at", "1/6,1/6,1/6"]) == 2
+        assert "has linking vector [2, 2], the document gives [5, -7]" \
+            in capsys.readouterr().err
+
+    def test_fixture_vector_evaluates(self, capsys):
+        doc = {"splice": [{"fixture": "torus-3-6"}, [2, 2], {"fixture": "torus-2-4"}, [2]]}
+        assert main(["eval", json.dumps(doc), "--at", "1/6,1/6,1/6"]) == 0
+        assert capsys.readouterr().out == "2\n"

@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig.errors import BoundaryCharacter, GuardViolated
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
-from splicesig.cables import cable_step
 from splicesig.splice import (SigFn, cable_parallel, lt_splice, merge_colors,
                               satellite, splice, splice_knot, to_levine_tristram,
                               with_boundary, zero_fn)
@@ -70,9 +69,8 @@ class TestSigFn:
         lambda bare, f: lt_splice(bare, f, ang(1, 3)),
         lambda bare, f: lt_splice(f, bare, ang(1, 3)),
         lambda bare, f: cable_parallel(bare, 2),
-        lambda bare, f: cable_step(bare, 1, 0, 1),
     ], ids=["splice-1", "splice-2", "splice_knot", "lt_splice-1", "lt_splice-2",
-            "cable_parallel", "cable_step"])
+            "cable_parallel"])
     def test_operand_without_linking_vector_is_refused(self, call):
         bare = SigFn(2, lambda om: 0, label="bare")
         with pytest.raises(ValueError, match="operand.* bare has no linking vector"):
@@ -401,3 +399,10 @@ class TestToLevineTristram:
     def test_inexact_entries_refused(self, lk):
         with pytest.raises(TypeError):
             to_levine_tristram(hopf_sig_fn(1, 1), [[0, lk], [lk, 0]])
+
+    @pytest.mark.parametrize("matrix", [[[5, 1], [1, 0]], [[0, 1], [1, -2]]])
+    def test_nonzero_diagonal_refused(self, matrix):
+        # a component does not link itself; univariate_reduction refuses the
+        # same matrices
+        with pytest.raises(ValueError, match="linking matrix must have zero diagonal"):
+            to_levine_tristram(hopf_sig_fn(1, 1), matrix)
