@@ -6,19 +6,18 @@ nonzero p and q; a negative p*q is the mirror.  The torus knot leaf of the
 expression language reads both, and through the satellite form it gives
 Litherland's cable knot: the (p, q)-cable of K is satellite(K, T(p, q), p).
 
-univariate_reduction(n, ni, p, linking, sigma_lbar, tilde=None) recovers
-sigma_L at (xi^{n_1}, ..., xi^{n_mu}) from the monochrome signature
-sigma_lbar at xi.
+univariate_reduction(n, ni, linking, sigma_lbar) recovers sigma_L at
+(xi^{n_1}, ..., xi^{n_mu}) from the monochrome signature sigma_lbar at xi.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InvalidParams
-from .torus import Angle, ind
+from .torus import Angle, ind, linking_problem
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -105,55 +104,31 @@ def torus_nullity(p: int, q: int, zeta: Angle) -> int:
 # multivariate -> univariate reduction
 # ---------------------------------------------------------------------------
 
-def univariate_reduction(n: int, ni: Sequence[int], p: Sequence[int],
-                         linking: Sequence[Sequence[int]], sigma_lbar: int,
-                         tilde: Optional[Mapping[int, Callable[[Angle, Angle], int]]] = None) -> int:
+def univariate_reduction(n: int, ni: Sequence[int], linking: Sequence[Sequence[int]],
+                         sigma_lbar: int) -> int:
     """Multivariate signature at omega from the monochrome signature at xi.
 
     The character is w_i = xi^{n_i} with xi = exp(2*pi*i/n) and 0 < n_i < n;
-    the auxiliary monochrome link Lbar is built by (n_i, n_i*p_i)-cabling each
-    component, and linking is the full linking matrix lambda of the colored
-    link, symmetric with zero diagonal (InvalidParams otherwise).  Inputs are
-    read with operator.index, so a float or a string raises TypeError.
+    the auxiliary monochrome link Lbar replaces component i by n_i parallel
+    copies, and linking is the full linking matrix lambda of the colored link
+    (InvalidParams unless torus.linking_problem accepts it).  Inputs are read
+    with operator.index, so a float or a string raises TypeError.
 
-        sigma_L(w) = sigma_Lbar(xi) - sum_i tilde_storus_{n_i, n_i p_i}(u_i, xi)
-                     + sum_i (n_i - 1) ind(lw_i / n) + sum_{i<j} lambda_{ij}
+        sigma_L(w) = sigma_Lbar(xi) + sum_i (n_i - 1) ind(lw_i / n) + sum_{i<j} lambda_{ij}
 
-    with lw_i = sum_j n_j * lambda_{ij} the weighted linking numbers and
-    u_i = xi^{lw_i}.  The torus correction for color i is only needed when
-    p_i != 0 (otherwise the cable pattern is a generalized Hopf link with
-    vanishing signature), so with p = 0 no tilde evaluators are required at
-    all.  tilde maps a color index to a callable (u_i, xi) -> int.
+    with lw_i = sum_j n_j * lambda_{ij} the weighted linking numbers.  Twisted
+    copies ((n_i, n_i p_i)-cables, p_i != 0) would need a torus-link term per color.
     """
     n = operator.index(n)
     ni = tuple(operator.index(x) for x in ni)
-    p = tuple(operator.index(x) for x in p)
     lam = tuple(tuple(operator.index(x) for x in row) for row in linking)
     if n < 1:
         raise InvalidParams(f"root order must be positive, got {n}")
-    mu = len(ni)
     if any(not 0 < x < n for x in ni):
         raise InvalidParams(f"exponents must satisfy 0 < n_i < n, got {ni}")
-    if len(p) != mu:
-        raise InvalidParams(f"p has length {len(p)}, expected {mu}")
-    if len(lam) != mu or any(len(row) != mu for row in lam):
-        raise InvalidParams(f"linking matrix must be {mu}x{mu}")
-    for i in range(mu):
-        if lam[i][i] != 0:
-            raise InvalidParams("linking matrix must have zero diagonal")
-        if any(lam[i][j] != lam[j][i] for j in range(mu)):
-            raise InvalidParams("linking matrix must be symmetric")
-    xi = Angle.from_ratio(1, n)
+    if problem := linking_problem(lam, len(ni)):
+        raise InvalidParams(problem)
     total = operator.index(sigma_lbar)
-    for i in range(mu):
-        lw = sum(nj * lij for nj, lij in zip(ni, lam[i]))
-        if p[i] != 0:
-            evaluator = None if tilde is None else tilde.get(i)
-            if evaluator is None:
-                raise InvalidParams(
-                    f"color {i} has p_i = {p[i]} != 0; a reduced torus signature "
-                    f"evaluator for ({ni[i]}, {ni[i] * p[i]}) is required")
-            total -= evaluator(Angle.from_ratio(lw, n), xi)
-        total += (ni[i] - 1) * ind(lw, n)
-    total += sum(lam[i][j] for i in range(mu) for j in range(i + 1, mu))
-    return total
+    for i, row in enumerate(lam):
+        total += (ni[i] - 1) * ind(sum(nj * lij for nj, lij in zip(ni, row)), n)
+    return total + sum(row[j] for i, row in enumerate(lam) for j in range(i + 1, len(lam)))

@@ -35,7 +35,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from .cyclotomic import HermitianMatrix, LaurentMatrix
 from .errors import MAX_DEPTH, BoundaryCharacter, InvalidFamily
 from .splice import SigFn, with_boundary
-from .torus import Character, is_open
+from .torus import Character, is_open, linking_problem
 
 Sign = Tuple[int, ...]  # entries +1 / -1, length = arity
 
@@ -87,10 +87,9 @@ class SeifertFamily:
     """The 2^mu Seifert forms of a C-complex, with optional geometric metadata.
 
     forms maps each sign vector to a g x g integer matrix; duality demands
-    theta^{-eps} = transpose(theta^{eps}).  linking, if present, is the
-    symmetric matrix of total linking numbers between color classes (zero
-    diagonal), needed by color-merging operations.  boundary, if present,
-    maps tuples of kept color indices to the sublink's own family.
+    theta^{-eps} = transpose(theta^{eps}).  linking, if present, is the matrix
+    of total linking numbers between color classes (torus.linking_problem);
+    boundary, if present, maps tuples of kept color indices to the sublink's family.
     """
 
     def __init__(self, arity: int, forms: Mapping[Sign, Sequence[Sequence[int]]], *,
@@ -151,12 +150,8 @@ class SeifertFamily:
                 out.append(
                     f"duality broken: {_sign_key(neg)} is not the transpose of "
                     f"{_sign_key(eps)}, so H(t) is not the conjugate transpose of itself")
-        if self.linking is not None:
-            if len(self.linking) != mu or any(len(row) != mu for row in self.linking):
-                out.append(f"linking matrix is not {mu}x{mu}")
-            elif any(self.linking[i][j] != self.linking[j][i]
-                     for i in range(mu) for j in range(mu)):
-                out.append("linking matrix is not symmetric")
+        if self.linking is not None and (problem := linking_problem(self.linking, mu)):
+            out.append(problem)
         for kept, sub in self.boundary.items():
             if bad := _bad_key(kept, mu):
                 out.append(bad)

@@ -140,7 +140,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"expression {f.label or '?'} takes {f.arity} angles, "
                          f"got {len(omega)}")
     value = f(omega)
-    nullity = f.nullity(omega) if f.nullity is not None else None
+    nullity = f.nullity(omega)
     if args.json:
         out = {"signature": value}
         if nullity is not None:

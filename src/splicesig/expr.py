@@ -14,11 +14,12 @@ An expression document is a JSON object with exactly one key:
                                      linking numbers with the other colors
                                      and must equal any the operand carries
     {"cable": [e, nu]}               nu parallel copies of the color-0
-                                     component (operand must carry linking
-                                     metadata: hopf, a distinguished fixture,
-                                     or a seifert family with linking data)
+                                     component, whose linking vector the
+                                     operand must carry
     {"merge": [e, lk]}               merge the last two colors; lk is their
-                                     total linking number
+                                     total linking number and must equal the
+                                     operand's one entry when they are its
+                                     only two colors
     {"satellite": [eK, ek, q]}       satellite knot with winding number q
 
 Combinators nest at most MAX_DEPTH deep.  Structural problems (unknown key,
@@ -64,8 +65,7 @@ def _expect_linking(value, what: str) -> tuple:
 def _distinguish(f: SigFn, lam: tuple, form: str) -> SigFn:
     """f with the document's linking vector; one its builder knows must agree."""
     try:
-        distinguished = SigFn(f.arity, f.fn, linking=lam, label=f.label,
-                              nullity=f.nullity)
+        distinguished = SigFn(f.arity, f.fn, linking=lam, label=f.label, nullity=f.nullity)
     except ValueError as err:
         raise ExpressionError(f'"{form}" operand {f.label or "?"}: {err}') from err
     if f.linking not in (None, distinguished.linking):
@@ -163,14 +163,7 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
 
     if form == "cable":
         e, nu = _expect_args(value, 2, form)
-        f = _parse(e, base_dir, below)
-        nu = _expect_int(nu, "cable copy count")
-        if f.linking is None:
-            raise ExpressionError(
-                "cable operand carries no linking metadata for its "
-                "distinguished component; use hopf, a distinguished fixture, "
-                "or a seifert family with linking data")
-        return cable_parallel(f, nu)
+        return cable_parallel(_parse(e, base_dir, below), _expect_int(nu, "cable copy count"))
 
     if form == "merge":
         e, lk = _expect_args(value, 2, form)

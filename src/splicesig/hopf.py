@@ -89,8 +89,6 @@ def hopf_sig_fn(m: int, n: int) -> SigFn:
         return hopf_signature(omega[:m], omega[m:])
 
     def nullity(omega: Character) -> Optional[int]:
-        if len(omega) != m + n:  # SigFn checks the arity of a signature, not of a nullity
-            raise ValueError("character lengths do not match the copy counts")
         return hopf_nullity(omega[:m], omega[m:]) if is_open(omega) else None
 
     linking = (0,) * (m - 1) + (1,) * n if m else None

@@ -25,7 +25,7 @@ import operator
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
-from .torus import UNIT, Angle, Character, char_power, defect, defect1
+from .torus import UNIT, Angle, Character, char_power, defect, defect1, linking_problem
 
 class SigFn:
     """A signature evaluator Character^arity -> int.
@@ -54,14 +54,21 @@ class SigFn:
         self.fn = fn
         self.linking = linking
         self.label = label
-        self.nullity = nullity
+        self._nullity = nullity or (lambda omega: None)
 
-    def __call__(self, omega: Character) -> int:
+    def _colors(self, omega: Character) -> Character:
         omega = tuple(omega)
         if len(omega) != self.arity:
             raise ValueError(
                 f"character has {len(omega)} colors, {self.label or 'evaluator'} expects {self.arity}")
-        return self.fn(omega)
+        return omega
+
+    def __call__(self, omega: Character) -> int:
+        return self.fn(self._colors(omega))
+
+    def nullity(self, omega: Character) -> Optional[int]:
+        """The colored nullity at omega, None where the source gives none."""
+        return self._nullity(self._colors(omega))
 
     def __repr__(self):
         name = self.label or "sig"
@@ -227,11 +234,15 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     linking number between the two merged color classes.  When the input's
     linking vector has two entries or more, the merge happens within its
     non-distinguished part and their last two entries add up; merging into
-    the distinguished slot leaves the result without a linking vector.
+    the distinguished slot leaves the result without a linking vector, and
+    lk must be that vector's one entry (ValueError otherwise).
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")
     lk_last_two = operator.index(lk_last_two)
+    if f.arity == 2 and f.linking not in (None, (lk_last_two,)):
+        raise ValueError(f"merge operand {f.label or '?'} links its two colors "
+                         f"{f.linking[0]} times, not {lk_last_two}")
 
     def fn(omega: Character) -> int:
         return f(omega + (omega[-1],)) - lk_last_two
@@ -267,17 +278,17 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
 
     Iterated color merging subtracts the linking number of every merged pair,
     so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j).  The full linking
-    matrix must be supplied, symmetric with zero diagonal (ValueError
-    otherwise); it is metadata the Seifert forms do not determine.
+    matrix must be supplied, as torus.linking_problem reads it; it is metadata
+    the Seifert forms do not determine.  When f has a linking vector, row 0
+    less its diagonal entry must equal it.  ValueError otherwise.
     """
     mu = f.arity
     linking_matrix = [[operator.index(x) for x in row] for row in linking_matrix]
-    if len(linking_matrix) != mu or any(len(row) != mu for row in linking_matrix):
-        raise ValueError(f"linking matrix must be {mu}x{mu}")
-    if any(linking_matrix[i][i] for i in range(mu)):
-        raise ValueError("linking matrix must have zero diagonal")
-    if any(linking_matrix[i][j] != linking_matrix[j][i] for i in range(mu) for j in range(i)):
-        raise ValueError("linking matrix must be symmetric")
+    if problem := linking_problem(linking_matrix, mu):
+        raise ValueError(problem)
+    if f.linking is not None and f.linking != tuple(linking_matrix[0][1:]):
+        raise ValueError(f"linking matrix row 0 gives {linking_matrix[0][1:]}, "
+                         f"{f.label or '?'} has linking vector {list(f.linking)}")
     total = sum(linking_matrix[i][j] for i in range(mu) for j in range(i + 1, mu))
 
     def fn(omega: Character) -> int:

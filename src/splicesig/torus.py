@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -175,3 +175,14 @@ def defect(lam: Sequence[int], omega: Character) -> int:
 def defect1(omega: Character) -> int:
     """The defect with all weights equal to 1."""
     return defect((1,) * len(omega), omega)
+
+
+def linking_problem(rows: Sequence[Sequence[int]], mu: int) -> Optional[str]:
+    """What keeps rows from being the linking matrix of a mu-colored link, or
+    None: it is mu x mu, no component links itself, and it is symmetric."""
+    if len(rows) != mu or any(len(row) != mu for row in rows):
+        return f"linking matrix must be {mu}x{mu}"
+    if any(rows[i][i] for i in range(mu)):
+        return "linking matrix must have zero diagonal"
+    if any(rows[i][j] != rows[j][i] for i in range(mu) for j in range(i)):
+        return "linking matrix must be symmetric"

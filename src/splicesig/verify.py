@@ -255,7 +255,7 @@ def univariate_reduction_check() -> CriterionResult:
             if closed != oracle:
                 return _fail(name, f"sigma of the monochrome H({n1},{n2}) at 1/{n}: "
                                    f"{oracle} != {closed}")
-            got = univariate_reduction(n, (n1, n2), (0, 0), [[0, 1], [1, 0]], closed)
+            got = univariate_reduction(n, (n1, n2), [[0, 1], [1, 0]], closed)
             want = hopf((Angle.from_ratio(n1, n), Angle.from_ratio(n2, n)))
             if got != want:
                 return _fail(name, f"reduction at n={n}, (n1,n2)=({n1},{n2}): "

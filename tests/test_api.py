@@ -135,6 +135,12 @@ def test_hopf_imports_nothing_from_cyclotomic():
     assert [m for m, _ in _package_imports(SRC / "splicesig" / "hopf.py") if m == "cyclotomic"] == []
 
 
+def test_cables_imports_neither_splice_nor_ccomplex():
+    # its reduction shares the linking-matrix rule with them through torus
+    imported = {m for m, _ in _package_imports(SRC / "splicesig" / "cables.py")}
+    assert imported & {"splice", "ccomplex"} == set() and "torus" in imported
+
+
 def _referenced(path, strings=False):
     """The names path refers to: names, attributes and import aliases, and with
     strings its string constants too."""

@@ -25,8 +25,8 @@ from splicesig.errors import ExpressionError, GuardViolated, InvalidParams
 from splicesig.expr import parse
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_sig_fn, sigma_k
-from splicesig.splice import cable_parallel, satellite, to_levine_tristram
-from splicesig.torus import UNIT, Angle, ind
+from splicesig.splice import cable_parallel, satellite, to_levine_tristram, zero_fn
+from splicesig.torus import UNIT, Angle, ind, linking_problem
 
 
 def ang(num, den):
@@ -236,6 +236,15 @@ class TestBrieskornPham:
             assert t24((z,)) == hirzebruch(2, 4, z), z
             assert t36((z,)) == hirzebruch(3, 6, z), z
 
+    def test_collapse_refuses_a_row_the_fixture_contradicts(self):
+        # torus-3-6's color 0 links the others twice each; a matrix claiming 5
+        # would subtract 9 instead of 6
+        own = to_levine_tristram(fixture_sig("torus-3-6"), [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        assert own((ang(1, 5),)) == hirzebruch(3, 6, ang(1, 5)) == -6
+        with pytest.raises(ValueError, match=r"row 0 gives \[5, 2\], torus\(3,6\) has "
+                                             r"linking vector \[2, 2\]"):
+            to_levine_tristram(fixture_sig("torus-3-6"), [[0, 5, 2], [5, 0, 2], [2, 2, 0]])
+
 
 class TestCableParams:
     # the (p, q) of the torus count and of the torus knot leaf: the pattern
@@ -309,6 +318,13 @@ class TestCableStep:
         assert (leaf((ang(1, 6),)), leaf.nullity((ang(1, 6),))) == (-1, 1)
         assert (leaf((UNIT,)), leaf.nullity((UNIT,))) == (0, None)
 
+    def test_leaf_nullity_checks_the_arity(self):
+        # a two-color character is refused, as by the signature, not read at its first angle
+        leaf = parse({"torus": [2, 3]})
+        for call in (leaf, leaf.nullity):
+            with pytest.raises(ValueError, match="character has 2 colors, torus"):
+                call((ang(1, 6), ang(1, 3)))
+
     def test_builtin_d1_base_mirrors(self):
         leaf = parse({"torus": [-2, 3]})
         assert (leaf((ang(1, 2),)), leaf.nullity((ang(1, 2),))) == (2, 0)
@@ -360,35 +376,33 @@ class TestReductionInput:
     def test_validation(self):
         # the refusals and messages of the checked reduction input, in order
         refused = [
-            ((0, (), (), []), "root order must be positive, got 0"),
-            ((6, (0, 3), (0, 0), HOPF_LINKING), "exponents must satisfy 0 < n_i < n, got (0, 3)"),
-            ((6, (2, 6), (0, 0), HOPF_LINKING), "exponents must satisfy 0 < n_i < n, got (2, 6)"),
-            ((6, (2, 3), (0,), HOPF_LINKING), "p has length 1, expected 2"),
-            ((6, (2, 3), (0, 0), [[0, 1]]), "linking matrix must be 2x2"),
-            ((6, (2, 3), (0, 0), [[0, 1], [1]]), "linking matrix must be 2x2"),
-            ((6, (2, 3), (0, 0), [[1, 1], [1, 0]]), "linking matrix must have zero diagonal"),
-            ((6, (2, 3), (0, 0), [[0, 2], [1, 0]]), "linking matrix must be symmetric"),
-            ((6, (2, 3), (0, 0), [[0, 2], [1, 1]]), "linking matrix must be symmetric"),
+            ((0, (), []), "root order must be positive, got 0"),
+            ((6, (0, 3), HOPF_LINKING), "exponents must satisfy 0 < n_i < n, got (0, 3)"),
+            ((6, (2, 6), HOPF_LINKING), "exponents must satisfy 0 < n_i < n, got (2, 6)"),
+            ((6, (2, 3), [[0, 1]]), "linking matrix must be 2x2"),
+            ((6, (2, 3), [[0, 1], [1]]), "linking matrix must be 2x2"),
+            ((6, (2, 3), [[1, 1], [1, 0]]), "linking matrix must have zero diagonal"),
+            ((6, (2, 3), [[0, 2], [1, 0]]), "linking matrix must be symmetric"),
+            ((6, (2, 3), [[0, 2], [1, 1]]), "linking matrix must have zero diagonal"),
         ]
         for args, message in refused:
             with pytest.raises(InvalidParams) as err:
                 univariate_reduction(*args, 0)
             assert str(err.value) == message
-        assert univariate_reduction(6, (2, 3), (0, 0), HOPF_LINKING, 0) == 4
+        assert univariate_reduction(6, (2, 3), HOPF_LINKING, 0) == 4
 
     @pytest.mark.parametrize("args", [
-        (5.9, (2, 3), (0, 0), [[0, 1], [1, 0]]),
-        (6, (1.5, 3), (0, 0), [[0, 1], [1, 0]]),
-        (6, (2, 3), ("0", 0), [[0, 1], [1, 0]]),
-        (6, (2, 3), (0, 0), [[0, 1.0], [1.0, 0]]),
-    ], ids=["n", "ni", "p", "linking"])
+        (5.9, (2, 3), [[0, 1], [1, 0]]),
+        (6, (1.5, 3), [[0, 1], [1, 0]]),
+        (6, (2, 3), [[0, 1.0], [1.0, 0]]),
+    ], ids=["n", "ni", "linking"])
     def test_inexact_input_refused(self, args):
         with pytest.raises(TypeError):
             univariate_reduction(*args, 0)
 
 
-def p0_reduction(n, ni, linking, lw):
-    """univariate_reduction's value at p = 0 and sigma_lbar = 0, given the
+def reduction_at_zero(n, ni, linking, lw):
+    """univariate_reduction's value at sigma_lbar = 0, given the
     weighted linking numbers lw: sum_i (n_i - 1) ind(lw_i, n) + sum_{i<j} lambda_ij."""
     mu = len(ni)
     return (sum((ni[i] - 1) * ind(lw[i], n) for i in range(mu))
@@ -400,22 +414,22 @@ class TestWeightedLinking:
     # ind(lw_i, n); each lw here is worked out by hand
     def test_zero_matrix(self):
         zero = [[0, 0], [0, 0]]
-        assert univariate_reduction(4, (1, 2), (0, 0), zero, 0) \
-            == p0_reduction(4, (1, 2), zero, (0, 0)) == 0
+        assert univariate_reduction(4, (1, 2), zero, 0) \
+            == reduction_at_zero(4, (1, 2), zero, (0, 0)) == 0
 
     def test_hopf_example(self):
         # lw = (3 * 1, 2 * 1): ind(3/6) = ind(2/6) = 1, so 1*1 + 2*1 + lk 1
-        got = univariate_reduction(6, (2, 3), (0, 0), HOPF_LINKING, 0)
-        assert got == p0_reduction(6, (2, 3), HOPF_LINKING, (3, 2)) == 4
+        got = univariate_reduction(6, (2, 3), HOPF_LINKING, 0)
+        assert got == reduction_at_zero(6, (2, 3), HOPF_LINKING, (3, 2)) == 4
 
     def test_general_row(self):
         lam = [[0, 1, -2], [1, 0, 3], [-2, 3, 0]]
         lw = (3 * 1 + 4 * (-2), 2 * 1 + 4 * 3, 2 * (-2) + 3 * 3)
         for n in range(5, 16):
-            got = univariate_reduction(n, (2, 3, 4), (0, 0, 0), lam, 0)
-            assert got == p0_reduction(n, (2, 3, 4), lam, lw)
+            got = univariate_reduction(n, (2, 3, 4), lam, 0)
+            assert got == reduction_at_zero(n, (2, 3, 4), lam, lw)
         # at n = 9, ind(-5/9) = -1, ind(14/9) = 3, ind(5/9) = 1: 1*(-1) + 2*3 + 3*1 + (1 - 2 + 3)
-        assert univariate_reduction(9, (2, 3, 4), (0, 0, 0), lam, 0) == 10
+        assert univariate_reduction(9, (2, 3, 4), lam, 0) == 10
 
 
 class TestUnivariateReduction:
@@ -424,38 +438,55 @@ class TestUnivariateReduction:
         for n, n1, n2 in [(3, 1, 2), (5, 2, 3), (6, 4, 1)]:
             xi = ang(1, n)
             slbar = sigma_k(n1, xi) * sigma_k(n2, xi) - n1 * n2
-            got = univariate_reduction(n, (n1, n2), (0, 0), HOPF_LINKING, slbar)
+            got = univariate_reduction(n, (n1, n2), HOPF_LINKING, slbar)
             assert got == hopf((ang(n1, n), ang(n2, n))) == 0
 
     def test_mu1_passthrough(self):
-        assert univariate_reduction(5, (2,), (0,), [[0]], -4) == -4
+        assert univariate_reduction(5, (2,), [[0]], -4) == -4
 
     def test_inexact_signature_refused(self):
         with pytest.raises(TypeError):
-            univariate_reduction(5, (2,), (0,), [[0]], 1.9)
+            univariate_reduction(5, (2,), [[0]], 1.9)
 
     def test_mu2_small_linking_shortcut(self):
-        # with p = 0 and |lk| <= 1 the correction is (n1 + n2 - 1) * lk
+        # with |lk| <= 1 the correction is (n1 + n2 - 1) * lk
         for n, n1, n2, lk in [(5, 2, 3, 1), (7, 4, 2, -1), (4, 1, 3, 0)]:
-            got = univariate_reduction(n, (n1, n2), (0, 0), [[0, lk], [lk, 0]], 10)
+            got = univariate_reduction(n, (n1, n2), [[0, lk], [lk, 0]], 10)
             assert got == 10 + (n1 + n2 - 1) * lk
 
-    def test_torus_term_requires_evaluator(self):
-        with pytest.raises(InvalidParams, match=r"color 0 has p_i = 1 != 0; a reduced torus "
-                                                r"signature evaluator for \(2, 2\) is required"):
-            univariate_reduction(5, (2, 3), (1, 0), HOPF_LINKING, 0)
 
-    def test_torus_term_plumbing(self):
-        # the evaluator for color i receives (xi^{lw_i}, xi) and its value is
-        # subtracted
-        seen = []
+class TestOneLinkingRule:
+    """A family, the Levine-Tristram collapse and the reduction read a linking
+    matrix by one rule: the same matrices pass, and a refusal names the same
+    problem."""
 
-        def fake(upsilon, xi):
-            seen.append((upsilon, xi))
-            return 11
-
-        base = univariate_reduction(5, (2, 3), (0, 0), HOPF_LINKING, 0)
-        got = univariate_reduction(5, (2, 3), (1, 0), HOPF_LINKING, 0, {0: fake})
-        assert seen == [(ang(3, 5), ang(1, 5))]
-        assert got == base - 11
-
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+           st.sampled_from(["none", "diagonal", "asymmetric", "short row", "extra row"]),
+           st.integers(0, 3), st.integers(1, 3))
+    def test_same_matrices_same_problem(self, mu, draws, defect, k, shift):
+        rows = [[draws[4 * min(i, j) + max(i, j)] if i != j else 0 for j in range(mu)]
+                for i in range(mu)]
+        i, j = k % mu, (k + 1) % mu
+        if defect == "diagonal":
+            rows[i][i] = shift
+        elif defect == "asymmetric" and mu > 1:
+            rows[i][j] += shift
+        elif defect == "short row":
+            del rows[i][-1]
+        elif defect == "extra row":
+            rows.append([0] * mu)
+        problem = linking_problem(rows, mu)
+        square = len(rows) == mu and all(len(row) == mu for row in rows)
+        assert (problem is None) == (square and all(
+            rows[i][j] == rows[j][i] and not rows[i][i] for i in range(mu) for j in range(mu)))
+        forms = {eps: [] for eps in product((1, -1), repeat=mu)}
+        assert SeifertFamily(mu, forms, linking=rows).validate() == ([problem] if problem else [])
+        refusals = []
+        for use, error in [(lambda: to_levine_tristram(zero_fn(mu), rows), ValueError),
+                           (lambda: univariate_reduction(2, (1,) * mu, rows, 0), InvalidParams)]:
+            try:
+                use()
+            except error as err:
+                refusals.append(str(err))
+        assert refusals == ([problem] * 2 if problem else [])

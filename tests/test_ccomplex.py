@@ -125,6 +125,14 @@ class TestValidate:
                             linking=[[0, 1], [2, 0]])
         assert fam.validate()
 
+    def test_linking_diagonal_reported(self):
+        # a component does not link itself: the document is refused, not read
+        src = hopf_seifert_family(1, 2)
+        fam = SeifertFamily(2, src.forms, boundary=src.boundary, linking=[[5, 2], [2, 0]])
+        assert fam.validate() == ["linking matrix must have zero diagonal"]
+        with pytest.raises(InvalidFamily, match="zero diagonal"):
+            SeifertFamily.from_json(fam.to_json())
+
 
 class TestAssemble:
     def test_mu1_at_minus_one(self):
@@ -292,7 +300,7 @@ class TestOneGate:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32),
-           st.sampled_from(["entry", "row", "linking"]),
+           st.sampled_from(["entry", "row", "linking", "diagonal"]),
            st.lists(st.tuples(st.integers(0, 10), st.sampled_from([3, 4, 5, 6, 8, 12])),
                     min_size=3, max_size=3))
     def test_injected_defect_refused_at_every_character(self, mu, g, seed, defect, angles):
@@ -306,6 +314,8 @@ class TestOneGate:
             forms[eps][rng.randrange(g)][rng.randrange(g)] += rng.choice([-2, -1, 1, 2])
         elif defect == "row":
             del forms[eps][rng.randrange(g)]
+        elif defect == "diagonal":
+            linking[rng.randrange(mu)][rng.randrange(mu)] += rng.choice([-2, -1, 1, 2])
         else:
             i, j = rng.sample(range(mu), 2)
             linking[i][j] += 1

@@ -148,6 +148,11 @@ def _cases():
                                   "--at", "1/3,1/3"], None),
         ("err-cable-no-linking", ["eval", inline({"cable": [{"zero": 2}, 2]}),
                                   "--at", "1/3,1/3,1/3"], None),
+        # h12's two colors link twice, and a component does not link itself
+        ("err-merge-lk", ["eval", inline({"merge": [{"seifert": "h12.json"}, 1]}),
+                          "--at", "2/7"], None),
+        ("err-family-diagonal", ["eval", inline({"seifert": "diagonal.json"}),
+                                 "--at", "1/3,1/3"], None),
         ("err-torus-link", ["eval", inline({"torus": [2, 4]}), "--at", "1/3"], None),
         ("err-level-bound", ["eval", inline({"seifert": "trefoil.json"}), "--at", "1/8633"],
          None),
@@ -223,7 +228,10 @@ def _files():
     files["broken.json"] = "{"
     files["splice.json"] = json.dumps({"splice": [{"fixture": "torus-2-4"}, [2],
                                                   {"fixture": "cable-4-2"}, [1, 1]]})
-    files["merge.json"] = json.dumps({"merge": [{"seifert": "h12.json"}, 1]})
+    files["merge.json"] = json.dumps({"merge": [{"seifert": "h12.json"}, 2]})
+    h12 = hopf_seifert_family(1, 2)
+    files["diagonal.json"] = SeifertFamily(2, h12.forms, boundary=h12.boundary,
+                                           linking=[[5, 2], [2, 0]]).dumps()
     files["cable.json"] = json.dumps({"cable": [{"hopf": [1, 1]}, 2]})
     return files
 

@@ -112,7 +112,7 @@ class TestNullity:
     def test_sig_fn_nullity_checks_the_arity(self):
         # the sides are cut from one character, so a wrong length is refused, not split
         for size in (3, 5):
-            with pytest.raises(ValueError, match="do not match the copy counts"):
+            with pytest.raises(ValueError, match=f"character has {size} colors, hopf.2,2. expects 4"):
                 hopf_sig_fn(2, 2).nullity((ang(1, 3),) * size)
 
     def test_against_family_kernel(self):

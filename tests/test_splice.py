@@ -332,6 +332,19 @@ class TestMergeColors:
         assert h(om) == f(om + (om[-1],))
         assert g.arity == 2
 
+    def test_lk_of_a_linked_pair_checked(self):
+        # hopf(1,1)'s two colors link once; a document saying 0 or 2 is refused
+        for lk in (0, 2):
+            with pytest.raises(ValueError, match=f"hopf.1,1. links its two colors 1 times, not {lk}"):
+                merge_colors(hopf_sig_fn(1, 1), lk)
+
+    def test_merged_family_is_the_collapse(self):
+        # the h12 family's colors link twice: merging it by 2 is the independent
+        # collapse of the closed form H_{1,2}, whose three components link (1, 1, 0)
+        lt = to_levine_tristram(hopf_sig_fn(1, 2), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        merged = merge_colors(hopf_seifert_family(1, 2).sig_fn(), 2)
+        assert merged((ang(2, 7),)) == lt((ang(2, 7),)) == -2
+
     def test_preserves_distinguished_linking(self):
         f = hopf_sig_fn(1, 2)
         g = merge_colors(f, 0)
