@@ -1,22 +1,22 @@
 """Combinators on colored signature functions: the splice calculus.
 
 The splice of two links glues their exteriors along tubular neighbourhoods of
-distinguished components, trading meridian for longitude.  Signatures are
-additive under this operation up to a defect correction:
+distinguished components, trading meridian for longitude.  One theorem gives
+its signature, the correction being a generalized Hopf link's signature:
 
     sigma_L(w', w'') = sigma_1(u'', w') + sigma_2(u', w'') + defect_l'(w') * defect_l''(w'')
 
 where u* = (w*)^(l*) raises the character to the linking vector of the
-distinguished component, and the identity requires the guard (u', u'') != (1, 1).
-The correction sign is pinned to + by two independent computations: the
-splice of the standard generators reproduces the closed form for generalized
-Hopf links, and the worked torus-link example in the test fixtures checks the
-identity exhaustively over grids of roots of unity.
+distinguished component.  It needs the guard (u', u'') != (1, 1) unless the
+first link is a knot, where u' = 1.  The splice of the standard generators
+reproducing the Hopf closed form pins the correction sign to +.  Cables and
+satellites are splices with a base link: H_{1,nu} for nu parallel copies,
+the pattern plus the axis of its solid torus for a satellite.
 
 Evaluators are represented by SigFn: a plain callable on characters with an
-arity and, when color 0 is a distinguished component, its linking vector,
-which the splice combinators need.  Functions here never precompute
-piecewise-constant regions; evaluation is lazy and exact.
+arity and, when color 0 is a distinguished component, its linking vector.
+Combinators call their operands through SigFn.fn, so a character's number of
+colors is checked once, where it enters.  Evaluation is lazy and exact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import operator
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
-from .torus import UNIT, Angle, Character, char_power, defect, defect1, linking_problem
+from .torus import Angle, Character, char_power, defect, linking_problem
 
 class SigFn:
     """A signature evaluator Character^arity -> int.
@@ -98,12 +98,14 @@ def with_boundary(arity: int, core: Callable[[Character], int],
     A unit coordinate does not contribute: the signature at a character with
     some omega_i = 1 equals the signature of the sublink with color i removed.
     All unit colors are deleted at once and the evaluation is dispatched to
-    boundary[kept] where kept is the tuple of surviving color indices.  If
-    every color is deleted the link is empty and the signature is 0.  A
-    missing sublink entry raises BoundaryCharacter: the data cannot be
-    reconstructed from the full-link Seifert data alone.
+    boundary[kept], an evaluator of the len(kept) surviving colors (ValueError
+    otherwise).  If every color is deleted the link is empty and the
+    signature is 0.  A missing sublink entry raises BoundaryCharacter: the
+    data cannot be reconstructed from the full-link Seifert data alone.
     """
     table: Dict[Tuple[int, ...], SigFn] = dict(boundary or {})
+    if bad := [kept for kept, sub in table.items() if sub.arity != len(kept)]:
+        raise ValueError(f"{label or 'evaluator'}: wrong sublink arity for kept colors {bad}")
 
     def fn(omega: Character) -> int:
         kept = tuple(i for i, a in enumerate(omega) if not a.is_unit())
@@ -115,7 +117,7 @@ def with_boundary(arity: int, core: Callable[[Character], int],
         if sub is None:
             raise BoundaryCharacter(
                 f"{label or 'evaluator'}: no sublink data for kept colors {kept}")
-        return sub(tuple(omega[i] for i in kept))
+        return sub.fn(tuple(omega[i] for i in kept))
 
     return SigFn(arity, fn, linking=linking, label=label, nullity=nullity)
 
@@ -124,55 +126,44 @@ def with_boundary(arity: int, core: Callable[[Character], int],
 # the splice theorem and its relatives
 # ---------------------------------------------------------------------------
 
-def splice(f1: SigFn, f2: SigFn) -> SigFn:
+def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
+           roles: Tuple[str, str] = ("splice operand 1", "splice operand 2")) -> SigFn:
     """Splice two links along their distinguished components.
 
-    Both operands need a linking vector (ValueError otherwise).  The
-    resulting evaluator takes (w', w'') with w' the colors of the first
-    operand and w'' of the second.  Raises GuardViolated when both raised
-    characters u' = (w')^l' and u'' = (w'')^l'' are 1: the additivity formula
-    acquires an extra correction term there and is not computed by this
-    calculus.
+    Both operands need a linking vector (ValueError naming the operand by its
+    role otherwise).  The resulting evaluator takes (w', w'') with w' the
+    colors of the first operand and w'' of the second.  Raises GuardViolated
+    when the first operand has other colors and both raised characters
+    u' = (w')^l' and u'' = (w'')^l'' are 1: the formula acquires an extra
+    correction term there and is not computed by this calculus.  With a knot
+    first (vector ()), u' = 1 and the value is the knot-splice form
+    sigma_1(w^l'') + sigma_2(1, w).
     """
-    lam1, lam2 = linking_of(f1, "splice operand 1"), linking_of(f2, "splice operand 2")
+    lam1, lam2 = linking_of(f1, roles[0]), linking_of(f2, roles[1])
     mu1, mu2 = len(lam1), len(lam2)
 
     def fn(omega: Character) -> int:
         om1, om2 = omega[:mu1], omega[mu1:]
         up1 = char_power(om1, lam1)
         up2 = char_power(om2, lam2)
-        if up1.is_unit() and up2.is_unit():
+        if mu1 and up1.is_unit() and up2.is_unit():
             raise GuardViolated(
                 "both raised characters equal 1; splice additivity does not apply")
-        return (f1((up2,) + om1) + f2((up1,) + om2)
+        return (f1.fn((up2,) + om1) + f2.fn((up1,) + om2)
                 + defect(lam1, om1) * defect(lam2, om2))
 
-    label = f"splice({f1.label or '?'}, {f2.label or '?'})"
+    label = label or f"splice({f1.label or '?'}, {f2.label or '?'})"
     return SigFn(mu1 + mu2, fn, label=label)
 
 
 def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
-    """Splice a knot (a link with no extra colors) into f2's distinguished slot.
-
-    This is the stronger, guard-free form: the first operand contributes
-    through the raised character only, and the second through its sublink
-    with the distinguished component deleted,
-
-        sigma(w) = sigma_knot(w^l'') + sigma_2(1, w).
-
-    The evaluation at a unit first slot needs the second operand's boundary
-    data; satellite formulas are the special case where that sublink is
-    explicit.
-    """
+    """Splice a knot into f2's distinguished slot: splice(knot, f2), which
+    is sigma_knot(w^l'') + sigma_2(1, w) with no guard."""
     if knot.arity != 1:
         raise ValueError("first operand must be a 1-colored evaluator")
-    lam2 = linking_of(f2, "splice_knot operand 2")
-
-    def fn(omega: Character) -> int:
-        return knot((char_power(omega, lam2),)) + f2((UNIT,) + omega)
-
-    label = f"splice_knot({knot.label or '?'}, {f2.label or '?'})"
-    return SigFn(len(lam2), fn, label=label)
+    return splice(SigFn(1, knot.fn, linking=(), label=knot.label), f2,
+                  label=f"splice_knot({knot.label or '?'}, {f2.label or '?'})",
+                  roles=("splice_knot operand 1", "splice_knot operand 2"))
 
 
 def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
@@ -198,33 +189,18 @@ def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
 def cable_parallel(f: SigFn, nu: int) -> SigFn:
     """Replace the distinguished component by nu parallel copies, one color each.
 
-    f needs a linking vector l.  The copies occupy the first nu slots of the
-    result.  With pi the product of the copy coordinates and u = w^l,
-
-        sigma(z, w) = f(pi, w) + defect(z) * defect_l(w),
-
-    guarded by (u, pi) != (1, 1).  The correction sign is pinned to + by the
-    generalized Hopf oracle: cabling H_{1,m} this way must reproduce the
-    closed form for H_{nu,m}.
+    f needs a linking vector l.  This is the splice of f with H_{1,nu}, whose
+    signature is 0, with the copies moved to the first nu slots: with pi the
+    product of the copy coordinates, sigma(z, w) = f(pi, w) + defect(z) *
+    defect_l(w), guarded by (w^l, pi) != (1, 1) unless f is a knot.
     """
     nu = operator.index(nu)
     if nu < 1:
         raise ValueError("need at least one parallel copy")
-    lam = linking_of(f, "cable_parallel operand")
-    mu = len(lam)
-
-    def fn(omega: Character) -> int:
-        zeta, om = omega[:nu], omega[nu:]
-        pi = char_power(zeta, (1,) * nu)
-        up = char_power(om, lam)
-        if up.is_unit() and pi.is_unit():
-            raise GuardViolated(
-                "raised character and copy product both equal 1; cabling "
-                "additivity does not apply")
-        return f((pi,) + om) + defect1(zeta) * defect(lam, om)
-
-    label = f"cable({f.label or '?'}, {nu})"
-    return SigFn(nu + mu, fn, label=label)
+    base = SigFn(nu + 1, lambda omega: 0, linking=(1,) * nu, label=f"hopf(1,{nu})")
+    spliced = splice(f, base, roles=("cable_parallel operand", "cable base"))
+    return SigFn(spliced.arity, lambda omega: spliced.fn(omega[nu:] + omega[:nu]),
+                 label=f"cable({f.label or '?'}, {nu})")
 
 
 def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
@@ -245,7 +221,7 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
                          f"{f.linking[0]} times, not {lk_last_two}")
 
     def fn(omega: Character) -> int:
-        return f(omega + (omega[-1],)) - lk_last_two
+        return f.fn(omega + (omega[-1],)) - lk_last_two
 
     label = f"merge({f.label or '?'}, {lk_last_two})"
     linking = None
@@ -256,21 +232,17 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
 
 def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
     """Satellite operation on knots: pattern k with winding number q in a
-    solid torus, companion K.
-
-        sigma(w) = sig_companion(w^q) + sig_pattern(w).
-
-    No guard: this is the knot-splice special case, total on the circle.
+    solid torus, companion K.  This is the knot splice of K with k plus the
+    axis, which links k q times and is read only at 1, where it is deleted:
+    sigma(w) = sig_companion(w^q) + sig_pattern(w).  The result is a knot.
     """
     if sig_companion.arity != 1 or sig_pattern.arity != 1:
         raise ValueError("satellite operands are 1-colored evaluators")
     q = operator.index(q)
-
-    def fn(omega: Character) -> int:
-        return sig_companion((q * omega[0],)) + sig_pattern(omega)
-
+    axis = SigFn(2, lambda omega: sig_pattern.fn(omega[1:]), linking=(q,))
+    spliced = splice_knot(sig_companion, axis)
     label = f"satellite({sig_companion.label or 'K'}, {sig_pattern.label or 'k'}, {q})"
-    return SigFn(1, fn, label=label)
+    return SigFn(1, spliced.fn, linking=(), label=label)
 
 
 def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> SigFn:
@@ -292,6 +264,6 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     total = sum(linking_matrix[i][j] for i in range(mu) for j in range(i + 1, mu))
 
     def fn(omega: Character) -> int:
-        return f((omega[0],) * mu) - total
+        return f.fn((omega[0],) * mu) - total
 
     return SigFn(1, fn, label=f"lt({f.label or '?'})")

@@ -67,6 +67,13 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "GuardViolated"
 
+    def test_cable_of_a_one_color_link_exit_2(self, capsys):
+        # merging the Hopf link's two colors leaves one color of two
+        # components, no knot: its cable is refused, not evaluated
+        doc = json.dumps({"cable": [{"merge": [{"hopf": [1, 1]}, 1]}, 2]})
+        assert main(["eval", doc, "--at", "1/3,1/3"]) == 2
+        assert "has no linking vector" in capsys.readouterr().err
+
     def test_unknown_fixture_exit_2(self, capsys):
         assert main(["eval", "nosuch", "--at", "1/2"]) == 2
         assert "known" in capsys.readouterr().err
@@ -251,6 +258,14 @@ class TestEval:
             (["torus-sig", "5", "7", "1/3"],
              {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
             (["eval", json.dumps({"torus": [2, 3]}), "--at", "1/3"],
+             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
+            # a cable's zero base and a satellite's pattern-plus-axis are
+            # built in splice, loading nothing the leaves do not
+            (["eval", json.dumps({"cable": [{"hopf": [1, 2]}, 2]}),
+              "--at", "1/3,1/3,1/3,1/3"],
+             {"cables", "ccomplex", "cyclotomic", "fixtures", "verify"}),
+            (["eval", json.dumps({"satellite": [{"torus": [2, 3]}, {"torus": [2, 5]}, 2]}),
+              "--at", "1/3"],
              {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
             # one criterion runs in-process, so its imports are visible here
             (["verify", "hopf-spectrum"], set()),

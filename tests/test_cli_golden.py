@@ -177,6 +177,13 @@ def _cases():
         ("guard", ["eval", inline(guard_doc), "--at", "1/2,1/2"], None),
         ("guard-json", ["--json", "eval", inline(guard_doc), "--at", "1/2,1/2"], None),
         ("cable-guard", ["eval", inline(cable_doc), "--at", "1/2,1/2,1/2,1/2"], None),
+        # a knot first operand has no guard: splicing in the unknot deletes the
+        # core, and a knot's copy product may be 1
+        ("eval-splice-unknot", ["eval", inline({"splice": [{"zero": 1}, [],
+                                                           {"fixture": "cable-4-2"}, [1, 1]]}),
+                                "--at", "3/8,5/8"], None),
+        ("eval-cable-knot-copies", ["eval", inline({"cable": [{"torus": [2, 3]}, 2]}),
+                                    "--at", "1/3,2/3"], None),
         ("boundary", ["eval", inline({"seifert": "stripped.json"}), "--at", "0,1/3"], None),
         ("boundary-json", ["--json", "eval", inline({"seifert": "stripped.json"}),
                            "--at", "0,1/3"], None),

@@ -76,7 +76,7 @@ class TestLeafForms:
     ({"merge": [{"fixture": "torus-3-6"}, 2]}, (4,)),
     ({"splice": [{"hopf": [1, 2]}, [1, 1], {"hopf": [1, 2]}, [1, 1]]}, None),
     ({"cable": [{"hopf": [1, 2]}, 2]}, None),
-    ({"satellite": [{"zero": 1}, {"zero": 1}, 3]}, None),
+    ({"satellite": [{"zero": 1}, {"zero": 1}, 3]}, ()),
     ({"torus": [2, 3]}, ()),
 ])
 def test_linking_vector_by_form(doc, linking):
@@ -138,7 +138,7 @@ class TestCombinedForms:
         f = parse(doc)
         assert f.arity == 3
 
-    def test_nesting_is_bounded_as_parse_descends(self):
+    def test_nesting_is_bounded_as_parse_descends(self, capsys):
         # a document far deeper than the interpreter recurses: refused at the
         # first operand past MAX_DEPTH, not by a RecursionError
         doc = {"zero": 1}
@@ -146,10 +146,36 @@ class TestCombinedForms:
             doc = {"satellite": [doc, {"zero": 1}, 1]}
         with pytest.raises(ExpressionError, match=f"more than {MAX_DEPTH} deep"):
             parse(doc)
-        doc = {"zero": 1}
-        for _ in range(MAX_DEPTH):
-            doc = {"satellite": [doc, {"zero": 1}, 1]}
-        assert parse(doc)((ang(1, 5),)) == 0
+        # MAX_DEPTH combinators deep through each operand slot, the command
+        # line evaluates the document without a RecursionError: per slot, the
+        # wrapper of one level, its nesting levels, the innermost operand, the
+        # character and the value there
+        torus24, trefoil, n = {"fixture": "torus-2-4"}, {"torus": [2, 3]}, MAX_DEPTH
+        # k squared splices of torus(2,4) read -1 - 2 * (k // 2) at (1/3, 1/3)
+        slots = {
+            "satellite companion": (lambda d: {"satellite": [d, {"zero": 1}, 1]}, n,
+                                    trefoil, "1/5", -2),
+            "satellite pattern": (lambda d: {"satellite": [trefoil, d, 1]}, n,
+                                  {"zero": 1}, "1/5", -2 * n),
+            "splice left": (lambda d: {"splice": [d, [2], torus24, [2]]}, n,
+                            torus24, "1/3,1/3", -1 - 2 * (n // 2)),
+            "splice right": (lambda d: {"splice": [torus24, [2], d, [2]]}, n,
+                             torus24, "1/3,1/3", -1 - 2 * (n // 2)),
+            # H(1, n + 1)'s opposite copies are unlinked from each other, and
+            # n merges join them into one color
+            "merge": (lambda d: {"merge": [d, 0]}, n, {"hopf": [1, n + 1]}, "1/5,2/5",
+                      hopf_sig_fn(1, n + 1)((ang(1, 5),) + (ang(2, 5),) * (n + 1))),
+            # a cable given its vector by the splice above it at every level;
+            # the innermost cable is the MAX_DEPTH-th combinator
+            "cable under a splice": (
+                lambda d: {"splice": [{"cable": [torus24, 1]}, [2], d, [2]]}, n - 1,
+                torus24, "1/3,1/3", -1 - 2 * ((n - 1) // 2)),
+        }
+        for slot, (wrap, levels, doc, at, want) in slots.items():
+            for _ in range(levels):
+                doc = wrap(doc)
+            assert main(["eval", json.dumps(doc), "--at", at]) == 0, slot
+            assert capsys.readouterr().out == f"{want}\n", slot
 
 
 class TestErrors:
@@ -179,6 +205,9 @@ class TestErrors:
         {"torus": [2, "3"]},
         {"torus": [2, 4]},
         {"torus": [0, 1]},
+        # one color of two components is no knot: no vector to cable along
+        {"cable": [{"zero": 1}, 2]},
+        {"cable": [{"merge": [{"hopf": [1, 1]}, 1]}, 2]},
     ])
     def test_rejected(self, doc):
         with pytest.raises(ExpressionError):

@@ -13,12 +13,14 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from splicesig.errors import BoundaryCharacter, GuardViolated
+from splicesig.errors import BoundaryCharacter, GuardViolated, SpliceSigError
+from splicesig.expr import parse
+from splicesig.fixtures import fixture_names, fixture_sig
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import (SigFn, cable_parallel, lt_splice, merge_colors,
                               satellite, splice, splice_knot, to_levine_tristram,
                               with_boundary, zero_fn)
-from splicesig.torus import UNIT, Angle, defect
+from splicesig.torus import UNIT, Angle, char_power, defect
 
 
 def ang(num, den):
@@ -76,6 +78,17 @@ class TestSigFn:
         with pytest.raises(ValueError, match="operand.* bare has no linking vector"):
             call(bare, h12_merged())
 
+    @pytest.mark.parametrize("one", [
+        zero_fn(1), merge_colors(hopf_sig_fn(1, 1), 1),
+        to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]]),
+    ], ids=["zero", "merge", "levine-tristram"])
+    def test_one_color_is_no_knot_without_a_vector(self, one):
+        # one color may hold several components, so only a builder that knows
+        # a knot gives the vector (); splice and cable refuse the others
+        for call in (lambda: splice(one, hopf_sig_fn(1, 1)), lambda: cable_parallel(one, 2)):
+            with pytest.raises(ValueError, match="has no linking vector"):
+                call()
+
 
 class TestWithBoundary:
     def setup_method(self):
@@ -105,6 +118,12 @@ class TestWithBoundary:
         g = with_boundary(2, lambda om: 1, {(0,): zero_fn(1)})
         with pytest.raises(BoundaryCharacter):
             g((UNIT, ang(1, 2)))
+
+    def test_sublink_arity_checked_when_built(self):
+        # a sublink is called without a second arity check, so one of the
+        # wrong arity is refused before any evaluation
+        with pytest.raises(ValueError, match=r"probe: wrong sublink arity for kept colors \[\(1,\)\]"):
+            with_boundary(2, lambda om: 1, {(0,): zero_fn(1), (1,): zero_fn(2)}, label="probe")
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +189,22 @@ class TestSplice:
             assert s((w, w)) == h22((w, w, w, w))  # merged copies, lk 0 inside each color
 
     def test_splice_knot_matches_splice_where_defined(self):
-        # the knot-splice form has no guard; where the guard holds the two
-        # computations must agree (take K' = unknot, so f1 = 0 with no colors)
+        # neither the knot-splice form nor a splice with a knot first has a
+        # guard, so the two agree everywhere, where w^(1,1) = 1 included
+        # (take K' = unknot, so f1 = 0 with no colors)
         knot = zero_fn(1, "unknot")
         f1 = SigFn(1, lambda om: 0, linking=(), label="unknot+axis")
         f2 = hopf_sig_fn(1, 2)
         a = splice_knot(knot, f2)
         b = splice(f1, f2)
         for om in grid(2, 5, start=1):
-            if not (om[0].value + om[1].value).denominator == 1:
-                assert a(om) == b(om)
+            assert a(om) == b(om)
 
     def test_splice_knot_total_without_guard(self):
         knot = SigFn(1, lambda om: -2 if not om[0].is_unit() else 0)
         f2 = hopf_sig_fn(1, 2)
         s = splice_knot(knot, f2)
-        # w^(1,1) = 1 here, where the guarded splice is undefined
+        # w^(1,1) = 1 here, where a splice with a link first is refused
         assert s((ang(1, 3), ang(2, 3))) == 0
         # and a non-boundary point picks up the knot value
         assert s((ang(1, 3), ang(1, 3))) == -2
@@ -419,3 +438,100 @@ class TestToLevineTristram:
         # same matrices
         with pytest.raises(ValueError, match="linking matrix must have zero diagonal"):
             to_levine_tristram(hopf_sig_fn(1, 1), matrix)
+
+
+# ---------------------------------------------------------------------------
+# knot splices, satellites and cables are splices with a base link
+# ---------------------------------------------------------------------------
+
+# Reference closures: the knot-splice, satellite and parallel-cable formulas
+# written out, the cable with its own guard, for the properties below.
+
+def ref_splice_knot(knot, f2):
+    lam2 = f2.linking
+    return SigFn(len(lam2), lambda om: knot((char_power(om, lam2),)) + f2((UNIT,) + om))
+
+
+def ref_satellite(companion, pattern, q):
+    return SigFn(1, lambda om: companion((q * om[0],)) + pattern(om))
+
+
+def ref_cable_parallel(f, nu):
+    lam = f.linking
+
+    def fn(omega):
+        zeta, om = omega[:nu], omega[nu:]
+        pi = char_power(zeta, (1,) * nu)
+        if char_power(om, lam).is_unit() and pi.is_unit():
+            raise GuardViolated("raised character and copy product both equal 1")
+        return f((pi,) + om) + defect((1,) * nu, zeta) * defect(lam, om)
+
+    return SigFn(nu + len(lam), fn)
+
+
+def outcome(f, omega):
+    """f's value at omega, or the name of the error it raises there."""
+    try:
+        return f(omega)
+    except SpliceSigError as err:
+        return type(err).__name__
+
+
+# evaluators that carry a linking vector, knots (arity 1) among them
+POOL = ([hopf_sig_fn(m, n) for m in (1, 2) for n in (0, 1, 2)]
+        + [fixture_sig(name) for name in fixture_names()]
+        + [parse({"torus": pq}) for pq in ([2, 3], [-2, 3], [3, 4], [2, 5], [1, 2])])
+
+
+@st.composite
+def evaluators(draw, knot=False):
+    """A pooled evaluator, a zero or a random integer-valued one, with a vector."""
+    kind = draw(st.sampled_from(("pool", "zero", "random")))
+    if kind == "pool":
+        return draw(st.sampled_from([f for f in POOL if f.arity == 1 or not knot]))
+    arity = 1 if knot else draw(st.integers(1, 3))
+    lam = draw(st.lists(st.integers(-3, 3), min_size=arity - 1, max_size=arity - 1))
+    if kind == "zero":
+        return SigFn(arity, lambda om: 0, linking=lam, label="zero")
+    cs = draw(st.lists(st.integers(-3, 3), min_size=arity, max_size=arity))
+    return SigFn(arity, lambda om: sum(c * a.numerator - a.denominator // 2
+                                       for c, a in zip(cs, om)), linking=lam, label="random")
+
+
+@st.composite
+def characters(draw, arity):
+    """A character of the given arity whose angles have one denominator <= 12."""
+    n = draw(st.integers(1, 12))
+    return tuple(ang(k, n) for k in draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                                                  max_size=arity)))
+
+
+class TestOneSpliceFormula:
+    # each combinator equals its written-out formula wherever that returns and
+    # raises GuardViolated wherever that does, except that a knot first
+    # operand is never refused: there splice is the knot splice
+    @settings(max_examples=300, deadline=None)
+    @given(evaluators(knot=True), evaluators(), st.data())
+    def test_splice_knot(self, knot, f2, data):
+        omega = data.draw(characters(f2.arity - 1))
+        want = outcome(ref_splice_knot(knot, f2), omega)
+        assert outcome(splice_knot(knot, f2), omega) == want
+        assert outcome(splice(knot, f2), omega) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(evaluators(knot=True), evaluators(knot=True), st.integers(-4, 4), st.data())
+    def test_satellite(self, companion, pattern, q, data):
+        omega = data.draw(characters(1))
+        assert (outcome(satellite(companion, pattern, q), omega)
+                == outcome(ref_satellite(companion, pattern, q), omega))
+
+    @settings(max_examples=300, deadline=None)
+    @given(evaluators(), st.integers(1, 3), st.data())
+    def test_cable_parallel(self, f, nu, data):
+        omega = data.draw(characters(nu + f.arity - 1))
+        want = outcome(ref_cable_parallel(f, nu), omega)
+        if want == "GuardViolated" and f.arity == 1:
+            # a knot's copies: the knot splice with the zero base H(1, nu)
+            base = SigFn(nu + 1, lambda om: 0, linking=(1,) * nu)
+            want = outcome(ref_splice_knot(f, base), omega)
+        assert outcome(cable_parallel(f, nu), omega) == want
