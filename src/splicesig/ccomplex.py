@@ -35,7 +35,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from .cyclotomic import HermitianMatrix, LaurentMatrix
 from .errors import MAX_DEPTH, BoundaryCharacter, InvalidFamily
 from .splice import SigFn, with_boundary
-from .torus import Character, is_open, linking_problem
+from .torus import Character, linking_problem
 
 Sign = Tuple[int, ...]  # entries +1 / -1, length = arity
 
@@ -171,9 +171,6 @@ class SeifertFamily:
     # -- assembly -------------------------------------------------------------
 
     def _check_character(self, omega: Character) -> None:
-        if len(omega) != self.arity:
-            raise ValueError(
-                f"character has {len(omega)} colors, family has {self.arity}")
         units = [i for i, a in enumerate(omega) if a.is_unit()]
         if units:
             raise BoundaryCharacter(
@@ -220,16 +217,13 @@ class SeifertFamily:
         first, so an invalid family is refused with InvalidFamily here.
         With a linking matrix, color 0 is distinguished and the evaluator's
         linking vector is the matrix's first row less its diagonal entry.
-        The evaluator's nullity is this family's on the open torus when the
-        generators are a basis, None otherwise.
+        The evaluator's nullity is this family's kernel when the generators
+        are a basis, None otherwise.
         """
         self._gate()
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
         linking = None if self.linking is None else self.linking[0][1:]
-
-        def nullity(omega: Character) -> Optional[int]:
-            return self._inertia_at(omega)[2] if self.basis and is_open(omega) else None
-
+        nullity = (lambda omega: self._inertia_at(omega)[2]) if self.basis else None
         return with_boundary(self.arity, self.signature, subs,
                              linking=linking, label=self.label, nullity=nullity)
 

@@ -34,7 +34,8 @@ import os
 from typing import Optional
 
 from .errors import MAX_DEPTH, ExpressionError, InvalidFamily
-from .splice import SigFn, cable_parallel, merge_colors, satellite, splice, zero_fn
+from .splice import (SigFn, cable_parallel, merge_colors, satellite, splice, with_boundary,
+                     zero_fn)
 
 # One command-line argument holds at most 131 072 bytes on Linux, at least two
 # an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
@@ -146,14 +147,9 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
             raise ExpressionError(f"torus ({p}, {q}) is not a knot: the leaf needs "
                                   "coprime nonzero p and q; torus-sig counts torus links")
         from .cables import hirzebruch, torus_nullity
-
-        def sig(omega):
-            return 0 if omega[0].is_unit() else hirzebruch(p, q, omega[0])
-
-        def nullity(omega):
-            return None if omega[0].is_unit() else torus_nullity(p, q, omega[0])
-
-        return SigFn(1, sig, linking=(), label=f"torus({p},{q})", nullity=nullity)
+        return with_boundary(1, lambda omega: hirzebruch(p, q, omega[0]), linking=(),
+                             label=f"torus({p},{q})",
+                             nullity=lambda omega: torus_nullity(p, q, omega[0]))
 
     if form == "splice":
         e1, lam1, e2, lam2 = _expect_args(value, 4, form)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from .errors import BoundaryCharacter
 from .splice import SigFn
@@ -75,7 +75,7 @@ def sigma_k(k: int, x: Angle) -> int:
 def hopf_sig_fn(m: int, n: int) -> SigFn:
     """The closed form as an evaluator of arity m+n, total on the torus.
 
-    Its nullity is the closed form on the open torus, None off it.
+    Its nullity is the closed form.
 
     For m >= 1 the first copy of the m-side is the distinguished component:
     it is unlinked from the other m-1 parallel copies and links each of the
@@ -88,11 +88,9 @@ def hopf_sig_fn(m: int, n: int) -> SigFn:
     def fn(omega: Character) -> int:
         return hopf_signature(omega[:m], omega[m:])
 
-    def nullity(omega: Character) -> Optional[int]:
-        return hopf_nullity(omega[:m], omega[m:]) if is_open(omega) else None
-
     linking = (0,) * (m - 1) + (1,) * n if m else None
-    return SigFn(m + n, fn, linking=linking, label=f"hopf({m},{n})", nullity=nullity)
+    return SigFn(m + n, fn, linking=linking, label=f"hopf({m},{n})",
+                 nullity=lambda omega: hopf_nullity(omega[:m], omega[m:]))
 
 
 # ---------------------------------------------------------------------------

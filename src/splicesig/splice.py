@@ -17,6 +17,10 @@ Evaluators are represented by SigFn: a plain callable on characters with an
 arity and, when color 0 is a distinguished component, its linking vector.
 Combinators call their operands through SigFn.fn, so a character's number of
 colors is checked once, where it enters.  Evaluation is lazy and exact.
+
+The formulas hold on the open torus.  Off it a unit coordinate deletes its
+color: the signature is the sublink's (with_boundary), a collapse subtracts
+no linking number of a deleted color, and there is no nullity (SigFn.nullity).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import operator
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
-from .torus import Angle, Character, char_power, defect, linking_problem
+from .torus import Angle, Character, char_power, defect, is_open, linking_problem
 
 class SigFn:
     """A signature evaluator Character^arity -> int.
@@ -35,8 +39,9 @@ class SigFn:
     wrapped callable enforces the domain, not this class.  linking, when
     color 0 is a distinguished component K, is its linking vector
     (lk(K, L_1), ..., lk(K, L_{arity-1})) with the other colors; else None.
-    nullity, when the evaluator's source provides one, maps a character to
-    the colored nullity there, or to None where that source cannot give it.
+    nullity, when the evaluator's source provides one, maps a character of
+    the open torus to the colored nullity there, or to None where that source
+    cannot give it; off the open torus there is no nullity.
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
@@ -67,8 +72,9 @@ class SigFn:
         return self.fn(self._colors(omega))
 
     def nullity(self, omega: Character) -> Optional[int]:
-        """The colored nullity at omega, None where the source gives none."""
-        return self._nullity(self._colors(omega))
+        """The colored nullity at omega; None off the open torus or without one."""
+        omega = self._colors(omega)
+        return self._nullity(omega) if is_open(omega) else None
 
     def __repr__(self):
         name = self.label or "sig"
@@ -101,7 +107,8 @@ def with_boundary(arity: int, core: Callable[[Character], int],
     boundary[kept], an evaluator of the len(kept) surviving colors (ValueError
     otherwise).  If every color is deleted the link is empty and the
     signature is 0.  A missing sublink entry raises BoundaryCharacter: the
-    data cannot be reconstructed from the full-link Seifert data alone.
+    data cannot be reconstructed from the full-link Seifert data alone.  core
+    and nullity are called on the open torus only.
     """
     table: Dict[Tuple[int, ...], SigFn] = dict(boundary or {})
     if bad := [kept for kept, sub in table.items() if sub.arity != len(kept)]:
@@ -207,7 +214,8 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     """Merge the last two colors into one.
 
     sigma_merged(w_1..w_mu) = f(w_1..w_mu, w_mu) - lk, where lk is the total
-    linking number between the two merged color classes.  When the input's
+    linking number between the two merged color classes; at w_mu = 1 the
+    merged color is deleted and lk is not subtracted.  When the input's
     linking vector has two entries or more, the merge happens within its
     non-distinguished part and their last two entries add up; merging into
     the distinguished slot leaves the result without a linking vector, and
@@ -221,7 +229,8 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
                          f"{f.linking[0]} times, not {lk_last_two}")
 
     def fn(omega: Character) -> int:
-        return f.fn(omega + (omega[-1],)) - lk_last_two
+        value = f.fn(omega + (omega[-1],))
+        return value if omega[-1].is_unit() else value - lk_last_two
 
     label = f"merge({f.label or '?'}, {lk_last_two})"
     linking = None
@@ -249,7 +258,8 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     """Collapse all colors to one: the classical univariate signature.
 
     Iterated color merging subtracts the linking number of every merged pair,
-    so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j).  The full linking
+    so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j) for xi != 1; at
+    xi = 1 every color is deleted and nothing is subtracted.  The full linking
     matrix must be supplied, as torus.linking_problem reads it; it is metadata
     the Seifert forms do not determine.  When f has a linking vector, row 0
     less its diagonal entry must equal it.  ValueError otherwise.
@@ -264,6 +274,7 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     total = sum(linking_matrix[i][j] for i in range(mu) for j in range(i + 1, mu))
 
     def fn(omega: Character) -> int:
-        return f.fn((omega[0],) * mu) - total
+        value = f.fn((omega[0],) * mu)
+        return value if omega[0].is_unit() else value - total
 
     return SigFn(1, fn, label=f"lt({f.label or '?'})")

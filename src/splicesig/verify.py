@@ -20,6 +20,7 @@ from typing import Callable, List, NamedTuple, Tuple
 from .cables import hirzebruch, univariate_reduction
 from .ccomplex import SeifertFamily
 from .errors import GuardViolated
+from .expr import parse
 from .fixtures import fixture_sig, fixture_table
 from .hopf import (certify_spectrum, hopf_nullity, hopf_seifert_family,
                    hopf_sig_fn, sigma_k)
@@ -355,11 +356,7 @@ def guard_discipline() -> CriterionResult:
 
     # the knot-splice form carries no guard: evaluations with the raised
     # character equal to 1 succeed
-    def trefoil_value(om):
-        return 0 if om[0].is_unit() else hirzebruch(2, 3, om[0])
-
-    knot = SigFn(1, trefoil_value, label="torus(2,3)")
-    guard_free = splice_knot(knot, h12)
+    guard_free = splice_knot(parse({"torus": [2, 3]}), h12)
     for w in quarters:
         guard_free((w,))  # w in {0, 1/2} raises w^2 to the unit
     return CriterionResult(name, True,

@@ -186,3 +186,36 @@ def test_readme_library_example_runs():
     assert (ns["sig"], ns["nul"]) == (-1, 1)
     assert ns["f"].linking == (0, 1, 1, 1)
     assert ns["g"].arity == 6
+
+
+def _bound_imports(tree):
+    """(name, line) for each name an import statement binds, `__future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def _loaded_names(tree):
+    """The names tree reads, those in string annotations included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield from (sub.id for sub in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(sub, ast.Name))
+            except SyntaxError:
+                pass
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (SRC / "splicesig").glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export, so it is left out
+    tree = ast.parse(path.read_text())
+    used = set(_loaded_names(tree))
+    assert [f"{name} (line {line})" for name, line in _bound_imports(tree)
+            if name not in used] == []

@@ -25,7 +25,7 @@ from splicesig.errors import ExpressionError, GuardViolated, InvalidParams
 from splicesig.expr import parse
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_sig_fn, sigma_k
-from splicesig.splice import cable_parallel, satellite, to_levine_tristram, zero_fn
+from splicesig.splice import SigFn, cable_parallel, satellite, to_levine_tristram, zero_fn
 from splicesig.torus import UNIT, Angle, ind, linking_problem
 
 
@@ -292,6 +292,17 @@ CABLED = {
 }
 
 
+def reference_torus_leaf(p, q):
+    """The torus knot leaf as a pair of closures, each deleting the unit colour."""
+    def sig(omega):
+        return 0 if omega[0].is_unit() else hirzebruch(p, q, omega[0])
+
+    def nullity(omega):
+        return None if omega[0].is_unit() else torus_nullity(p, q, omega[0])
+
+    return SigFn(1, sig, linking=(), label=f"torus({p},{q})", nullity=nullity)
+
+
 class TestCableStep:
     # a cable of a knot is the satellite with a torus knot leaf, and a cable
     # of a link component is a splice with the base link's evaluator
@@ -317,6 +328,17 @@ class TestCableStep:
         assert (leaf((ang(1, 2),)), leaf.nullity((ang(1, 2),))) == (-2, 0)
         assert (leaf((ang(1, 6),)), leaf.nullity((ang(1, 6),))) == (-1, 1)
         assert (leaf((UNIT,)), leaf.nullity((UNIT,))) == (0, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 24).flatmap(
+        lambda n: st.integers(0, n - 1).map(lambda k: ang(k, n))))
+    def test_leaf_is_the_closure_pair(self, p, q, z):
+        # the leaf is a with_boundary leaf, and reads what the pair of
+        # closures it replaced read: value and nullity, at 0 and off it
+        assume(p * q != 0 and math.gcd(p, q) == 1)
+        leaf, ref = parse({"torus": [p, q]}), reference_torus_leaf(p, q)
+        assert (leaf.arity, leaf.linking, leaf.label) == (ref.arity, ref.linking, ref.label)
+        assert (leaf((z,)), leaf.nullity((z,))) == (ref((z,)), ref.nullity((z,)))
 
     def test_leaf_nullity_checks_the_arity(self):
         # a two-color character is refused, as by the signature, not read at its first angle

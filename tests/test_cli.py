@@ -42,6 +42,11 @@ class TestEval:
         assert main(["eval", "referee-K'L'", "--at", "1/8,1/8"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_merge_at_the_unit_reads_0(self, capsys):
+        # the merged color is deleted at 0, and with it the linking number
+        assert main(["eval", '{"merge": [{"hopf": [1, 1]}, 1]}', "--at", "0"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_json_output(self, capsys):
         assert main(["--json", "eval", "hopf", "2", "3",
                      "--at", "1/4,3/4,1/3,1/3,1/3"]) == 0

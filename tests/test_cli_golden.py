@@ -124,6 +124,14 @@ def _cases():
         ("eval-cable-knot", ["eval", inline({"satellite": [{"torus": [2, 3]},
                                                            {"torus": [2, 5]}, 2]}),
                              "--at", "1/3"], None),
+        # a unit colour is deleted: every leaf and collapse reads 0 with no nullity
+        ("eval-torus-unit", ["eval", inline({"torus": [2, 3]}), "--at", "0"], None),
+        ("eval-trefoil-unit-json", ["--json", "eval", inline({"seifert": "trefoil.json"}),
+                                    "--at", "0"], None),
+        ("eval-merge-unit", ["eval", inline({"merge": [{"hopf": [1, 1]}, 1]}), "--at", "0"],
+         None),
+        ("sweep-merge-units", ["sweep", inline({"merge": [{"hopf": [1, 1]}, 1]}),
+                               "--order", "4", "--include-units"], None),
         # refusals with exit 2
         ("err-bad-angle", ["eval", "hopf", "1", "1", "--at", "1/0,1/2"], None),
         ("err-bad-angle-json", ["--json", "eval", "hopf", "1", "1", "--at", "x,1/2"], None),

@@ -13,14 +13,16 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from splicesig.cables import torus_nullity
+from splicesig.ccomplex import SeifertFamily
 from splicesig.errors import BoundaryCharacter, GuardViolated, SpliceSigError
 from splicesig.expr import parse
 from splicesig.fixtures import fixture_names, fixture_sig
-from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
+from splicesig.hopf import hopf_nullity, hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import (SigFn, cable_parallel, lt_splice, merge_colors,
                               satellite, splice, splice_knot, to_levine_tristram,
                               with_boundary, zero_fn)
-from splicesig.torus import UNIT, Angle, char_power, defect
+from splicesig.torus import UNIT, Angle, char_power, defect, is_open
 
 
 def ang(num, den):
@@ -124,6 +126,30 @@ class TestWithBoundary:
         # wrong arity is refused before any evaluation
         with pytest.raises(ValueError, match=r"probe: wrong sublink arity for kept colors \[\(1,\)\]"):
             with_boundary(2, lambda om: 1, {(0,): zero_fn(1), (1,): zero_fn(2)}, label="probe")
+
+
+class TestUnitRule:
+    # SigFn.nullity gives no nullity off the open torus, whatever the source,
+    # and the source's own on it
+    SOURCES = ([(hopf_sig_fn(m, n), lambda om, m=m: hopf_nullity(om[:m], om[m:]))
+                for m in (1, 2, 3) for n in (1, 2, 3)]
+               + [(fam.sig_fn(), lambda om, fam=fam: fam.raw_inertia(om)[2])
+                  for fam in (SeifertFamily(1, {(1,): [[-1, 1], [0, -1]],
+                                                (-1,): [[-1, 0], [1, -1]]},
+                                            basis=True, label="trefoil"),
+                              SeifertFamily(2, {(1, 1): [[-1]], (1, -1): [[0]],
+                                                (-1, 1): [[0]], (-1, -1): [[-1]]},
+                                            basis=True, label="torus(2,4) forms"))]
+               + [(parse({"torus": list(pq)}), lambda om, pq=pq: torus_nullity(*pq, om[0]))
+                  for pq in ((2, 3), (-2, 3), (3, 4), (2, 5), (1, 2))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_no_nullity_off_the_open_torus(self, data):
+        f, nullity = data.draw(st.sampled_from(self.SOURCES))
+        omega = data.draw(characters(f.arity))
+        want = nullity(omega) if is_open(omega) else None
+        assert f.nullity(omega) == want
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +401,18 @@ class TestMergeColors:
         with pytest.raises(TypeError):
             merge_colors(hopf_sig_fn(1, 2), lk)
 
+    def test_unit_merged_color_is_deleted(self):
+        # at the unit the merged color is deleted and no linking is left to
+        # subtract: the merged Hopf link reads 0 there, like hopf(1,1) at (1, 1)
+        assert merge_colors(hopf_sig_fn(1, 1), 1)((UNIT,)) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unit_merged_color_is_both_colors_deleted(self, data):
+        f, lk = data.draw(st.sampled_from(MERGE_OPERANDS))
+        omega = data.draw(characters(f.arity - 2)) + (UNIT,)
+        assert outcome(merge_colors(f, lk), omega) == outcome(f, omega + (UNIT,))
+
     def test_iterated_merge_of_hopf_family(self):
         # H_{n1,n2} to one color: (1-n1)(1-n2) - n1*n2 at xi = exp(2pi*i/n)
         for n1, n2, n in [(2, 2, 5), (2, 3, 7), (3, 3, 4)]:
@@ -426,6 +464,18 @@ class TestToLevineTristram:
     def test_hopf_value(self):
         f = to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]])
         assert f((ang(1, 3),)) == -1
+
+    def test_unit_is_the_empty_link(self):
+        # every color is deleted at the unit, and with it every linking number
+        assert to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]])((UNIT,)) == 0
+        t36 = to_levine_tristram(fixture_sig("torus-3-6"), [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        assert t36((UNIT,)) == 0
+
+    def test_unit_still_evaluates_the_operand(self):
+        # a guard the operand raises at (1, ..., 1) still fires
+        h = h12_merged()
+        with pytest.raises(GuardViolated):
+            to_levine_tristram(splice(h, h), [[0, 4], [4, 0]])((UNIT,))
 
     @pytest.mark.parametrize("lk", [0.5, 1.0])
     def test_inexact_entries_refused(self, lk):
@@ -504,6 +554,13 @@ def characters(draw, arity):
     n = draw(st.integers(1, 12))
     return tuple(ang(k, n) for k in draw(st.lists(st.integers(0, n - 1), min_size=arity,
                                                   max_size=arity)))
+
+
+# merge operands with the true linking number of their last two colors: a
+# Hopf link's last two copies link once only across its two sides
+MERGE_OPERANDS = ([(hopf_sig_fn(m, n), int(m >= 1 and n == 1))
+                   for m in range(4) for n in range(4) if m + n >= 2]
+                  + [(fixture_sig(name), 2) for name in fixture_names()])
 
 
 class TestOneSpliceFormula:
