@@ -171,6 +171,8 @@ class SeifertFamily:
     # -- assembly -------------------------------------------------------------
 
     def _check_character(self, omega: Character) -> None:
+        if len(omega) != self.arity:
+            raise ValueError(f"character has {len(omega)} colors, matrix expects {self.arity}")
         units = [i for i, a in enumerate(omega) if a.is_unit()]
         if units:
             raise BoundaryCharacter(

@@ -39,7 +39,6 @@ only when every C_e is zero: then the inertia is (0, 0, size), with no orbit.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import threading
@@ -460,9 +459,6 @@ class CyclotomicNumber:
         """The canonical pair (den, vec) modulo Phi_N.  Unique per value."""
         return self._reduced
 
-    def is_zero(self) -> bool:
-        return not any(self._reduced[1])
-
     def lift(self, level: int) -> "CyclotomicNumber":
         """The same value at a multiple N' of N: zeta_N^k = zeta_N'^(k*N'/N)."""
         if level == self.level:
@@ -529,11 +525,12 @@ class CyclotomicNumber:
 # ---------------------------------------------------------------------------
 
 class HermitianMatrix:
-    """A square matrix over Q(zeta_N), checked exactly Hermitian at construction.
+    """A square matrix over Q(zeta_N): the checked container and the numeric oracle.
 
     entries are CyclotomicNumbers, lifted to their common level and kept as
-    canonical pairs, so the check runs on integers.  _trusted is the one
-    constructor from pairs, for matrices Hermitian by construction.
+    canonical pairs, so the Hermitian check runs on integers.  _trusted is the
+    one constructor from pairs, for matrices Hermitian by construction.  The
+    exact inertia is LaurentMatrix.inertia's.
     """
 
     def __init__(self, entries: Sequence[Sequence[CyclotomicNumber]]):
@@ -547,37 +544,18 @@ class HermitianMatrix:
             for j in range(i, g):
                 if mat[i][j] != lv.conj(mat[j][i]):
                     raise NotHermitian(f"entry ({i},{j}) is not the conjugate of ({j},{i})")
-        self.level = level
-        self.size = g
-        self._lv = lv
-        self._mat = tuple(mat)
+        self.level, self.size, self._mat = level, g, tuple(mat)
 
     @classmethod
     def _trusted(cls, mat: List[List[QV]], level: int) -> "HermitianMatrix":
         """Canonical pairs at level that are Hermitian by construction: no check."""
         h = object.__new__(cls)
-        h.level, h.size, h._lv, h._mat = level, len(mat), _level(level), tuple(mat)
+        h.level, h.size, h._mat = level, len(mat), tuple(mat)
         return h
-
-    @property
-    def entries(self) -> Tuple[Tuple[CyclotomicNumber, ...], ...]:
-        """The entries as CyclotomicNumbers at the common level."""
-        return tuple(tuple(CyclotomicNumber._from_canonical(self.level, e) for e in row)
-                     for row in self._mat)
 
     def __getitem__(self, ij):
         i, j = ij
         return CyclotomicNumber._from_canonical(self.level, self._mat[i][j])
-
-    def inertia(self) -> Tuple[int, int, int]:
-        """(positive, negative, zero) eigenvalue counts, exact."""
-        return self._lv.inertia(*_inertia(self._mat, self._lv))
-
-    def to_complex_matrix(self) -> List[List[complex]]:
-        """The entries as complex floats, for the tests' numeric oracle."""
-        roots = [cmath.exp(2j * cmath.pi * k / self.level) for k in range(self._lv.deg)]
-        return [[sum(c * r for c, r in zip(vec, roots)) / den for den, vec in row]
-                for row in self._mat]
 
     def eigen_multiset_numeric(self) -> List[float]:
         """Eigenvalues as floats, ascending, by numpy: the tests' oracle, not a proof."""
@@ -585,7 +563,9 @@ class HermitianMatrix:
 
         if self.size == 0:
             return []
-        a = np.array(self.to_complex_matrix(), dtype=complex)
+        roots = np.exp(2j * np.pi * np.arange(_level(self.level).deg) / self.level)
+        a = np.array([[sum(c * r for c, r in zip(vec, roots)) / den for den, vec in row]
+                      for row in self._mat], dtype=complex)
         return [float(x) for x in np.linalg.eigvalsh(a)]
 
 

@@ -34,8 +34,8 @@ import os
 from typing import Optional
 
 from .errors import MAX_DEPTH, ExpressionError, InvalidFamily
-from .splice import (SigFn, cable_parallel, merge_colors, satellite, splice, with_boundary,
-                     zero_fn)
+from .splice import (SigFn, cable_parallel, merge_colors, refuse_collapse, satellite, splice,
+                     with_boundary, zero_fn)
 
 # One command-line argument holds at most 131 072 bytes on Linux, at least two
 # an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
@@ -65,6 +65,7 @@ def _expect_linking(value, what: str) -> tuple:
 
 def _distinguish(f: SigFn, lam: tuple, form: str) -> SigFn:
     """f with the document's linking vector; one its builder knows must agree."""
+    refuse_collapse(f, f'"{form}" operand')
     try:
         distinguished = SigFn(f.arity, f.fn, linking=lam, label=f.label, nullity=f.nullity)
     except ValueError as err:

@@ -89,6 +89,17 @@ def linking_of(f: SigFn, role: str) -> Tuple[int, ...]:
     return f.linking
 
 
+class _Collapse(SigFn):
+    """A collapse's evaluator: its one color holds several components."""
+
+
+def refuse_collapse(f: SigFn, role: str) -> None:
+    """ValueError naming f (as role) when f is a collapse, which is no knot."""
+    if isinstance(f, _Collapse):
+        raise ValueError(f"{role} {f.label or '?'} is a collapse: its one color holds "
+                         "several components, none of them distinguished")
+
+
 def zero_fn(arity: int, label: str = "zero") -> SigFn:
     """The identically-zero signature function (e.g. unlinks, H_{1,n})."""
     return SigFn(arity, lambda omega: 0, label=label)
@@ -165,9 +176,10 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
 
 def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
     """Splice a knot into f2's distinguished slot: splice(knot, f2), which
-    is sigma_knot(w^l'') + sigma_2(1, w) with no guard."""
+    is sigma_knot(w^l'') + sigma_2(1, w) with no guard.  A collapse is no knot."""
     if knot.arity != 1:
         raise ValueError("first operand must be a 1-colored evaluator")
+    refuse_collapse(knot, "splice_knot operand 1")
     return splice(SigFn(1, knot.fn, linking=(), label=knot.label), f2,
                   label=f"splice_knot({knot.label or '?'}, {f2.label or '?'})",
                   roles=("splice_knot operand 1", "splice_knot operand 2"))
@@ -219,7 +231,9 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     linking vector has two entries or more, the merge happens within its
     non-distinguished part and their last two entries add up; merging into
     the distinguished slot leaves the result without a linking vector, and
-    lk must be that vector's one entry (ValueError otherwise).
+    lk must be that vector's one entry (ValueError otherwise).  That result
+    is a collapse, which has no distinguished component and is refused as a
+    splice or satellite operand.
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")
@@ -236,7 +250,7 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     linking = None
     if f.linking is not None and len(f.linking) >= 2:
         linking = f.linking[:-2] + (f.linking[-2] + f.linking[-1],)
-    return SigFn(f.arity - 1, fn, linking=linking, label=label)
+    return (_Collapse if f.arity == 2 else SigFn)(f.arity - 1, fn, linking=linking, label=label)
 
 
 def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
@@ -247,6 +261,8 @@ def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
     """
     if sig_companion.arity != 1 or sig_pattern.arity != 1:
         raise ValueError("satellite operands are 1-colored evaluators")
+    refuse_collapse(sig_companion, "satellite companion")
+    refuse_collapse(sig_pattern, "satellite pattern")
     q = operator.index(q)
     axis = SigFn(2, lambda omega: sig_pattern.fn(omega[1:]), linking=(q,))
     spliced = splice_knot(sig_companion, axis)
@@ -262,7 +278,9 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
     xi = 1 every color is deleted and nothing is subtracted.  The full linking
     matrix must be supplied, as torus.linking_problem reads it; it is metadata
     the Seifert forms do not determine.  When f has a linking vector, row 0
-    less its diagonal entry must equal it.  ValueError otherwise.
+    less its diagonal entry must equal it.  ValueError otherwise.  With two
+    colors or more, or of a collapse, the result is a collapse, which has no
+    distinguished component and is refused as a splice or satellite operand.
     """
     mu = f.arity
     linking_matrix = [[operator.index(x) for x in row] for row in linking_matrix]
@@ -277,4 +295,4 @@ def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> Sig
         value = f.fn((omega[0],) * mu)
         return value if omega[0].is_unit() else value - total
 
-    return SigFn(1, fn, label=f"lt({f.label or '?'})")
+    return (_Collapse if mu > 1 else type(f))(1, fn, label=f"lt({f.label or '?'})")

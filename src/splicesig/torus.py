@@ -76,9 +76,6 @@ class Angle:
         """True when the coordinate is 1, i.e. theta = 0."""
         return self.numerator == 0
 
-    def conjugate(self) -> "Angle":
-        return _pair(-self.numerator % self.denominator, self.denominator)
-
     def __mul__(self, k: int) -> "Angle":
         """The power omega^k, i.e. k*theta mod 1."""
         return Angle.from_ratio(self.numerator * k, self.denominator)

@@ -141,10 +141,10 @@ def test_cables_imports_neither_splice_nor_ccomplex():
     assert imported & {"splice", "ccomplex"} == set() and "torus" in imported
 
 
-def _referenced(path, strings=False):
-    """The names path refers to: names, attributes and import aliases, and with
+def _referenced(tree, strings=False):
+    """The names tree refers to: names, attributes and import aliases, and with
     strings its string constants too."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -155,27 +155,64 @@ def _referenced(path, strings=False):
             yield node.value
 
 
-def test_every_definition_has_a_caller():
-    """Each function and class in src/splicesig, dunders aside, is referenced by
-    name: somewhere in src/, in the package's lazy table, or in bench/*.py (names
-    and string constants), where the benchmark's wraps bind names it reads only.
+def _definitions(tree):
+    """(class, name) for each function and class tree defines, dunders aside;
+    class is the ClassDef whose body holds a method directly, else None."""
+    owner = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            yield owner.get(id(node)), node.name
 
-    Matching is by name alone, so a definition that shares its name with some
-    other attribute is not caught: a family method `nullity` would pass on
-    `SigFn.nullity`, and `HermitianMatrix.inertia` passes on
-    `LaurentMatrix.inertia`.
+
+def _class_body_names(cls):
+    """The names cls's body reads outside its methods, such as a helper it
+    calls while the class is built."""
+    return {node.id for stmt in cls.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+
+
+# the method names two src/ classes define, with those classes: `x.inertia`
+# may reach either, so each class's method needs its caller read, not matched
+SHARED = {"inertia": {"_Level", "LaurentMatrix"}, "value": {"Angle", "PiecewiseTable"}}
+
+
+def test_every_definition_has_a_caller():
+    """Each function and class in src/splicesig, dunders aside, has a caller.
+
+    A method or property counts as called through an attribute access
+    (`x.name`) in src/, a name its own class body reads outside its methods,
+    the package's lazy table, or bench/*.py (names and string constants),
+    where the benchmark's wraps bind names it reads only.  A module-level or
+    nested function or a class counts as called by its name in any of those
+    places.  Matching is by name, so every method name that two classes
+    define is listed in SHARED with its classes, and any other is refused.
     """
-    sources = sorted((SRC / "splicesig").glob("*.py"))
-    defined = {(path.stem, node.name) for path in sources
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not (node.name.startswith("__") and node.name.endswith("__"))}
-    used = {name for path in sources for name in _referenced(path)}
-    used |= {part for names in splicesig._LAZY.values() for name in names.split()
-             for part in name.split("=")}
-    used |= {name for path in sorted((ROOT / "bench").glob("*.py"))
-             for name in _referenced(path, strings=True)}
-    assert sorted(f"{module}.{name}" for module, name in defined if name not in used) == []
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "splicesig").glob("*.py"))}
+    outside = {part for names in splicesig._LAZY.values() for name in names.split()
+               for part in name.split("=")}
+    outside |= {name for path in sorted((ROOT / "bench").glob("*.py"))
+                for name in _referenced(ast.parse(path.read_text()), strings=True)}
+    names = outside | {name for tree in trees.values() for name in _referenced(tree)}
+    attributes = outside | {node.attr for tree in trees.values() for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute)}
+    uncalled, classes_of = [], {}
+    for module, tree in trees.items():
+        for cls, name in _definitions(tree):
+            if cls is None:
+                if name not in names:
+                    uncalled.append(f"{module}.{name}")
+                continue
+            classes_of.setdefault(name, set()).add(cls.name)
+            if name not in attributes | _class_body_names(cls):
+                uncalled.append(f"{module}.{cls.name}.{name}")
+    shared = {name: classes for name, classes in classes_of.items() if len(classes) > 1}
+    unlisted = sorted(name for name in shared.keys() | SHARED.keys()
+                      if shared.get(name) != SHARED.get(name))
+    assert sorted(uncalled) + unlisted == []
 
 
 def test_readme_library_example_runs():

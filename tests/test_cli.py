@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from splicesig import cyclotomic
+from splicesig.cables import hirzebruch
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import MAX_GRID_CELLS, main
 from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS
@@ -476,12 +477,14 @@ class TestRefusalsFailFast:
         assert MAX_DEPTH >= 200
         proc = _run_cli(["eval", _merges(MAX_DEPTH), "--at", "1/2"], tmp_path)
         assert (proc.returncode, proc.stdout) == (0, '{"signature": 0}\n'), proc.stderr
-        # satellites with the zero pattern around a merged fixture, whose
-        # value at 1/3 is torus(2,4)'s at (1/3, 1/3) less 2: -1 - 2
-        knot = '{"merge": [{"fixture": "torus-2-4"}, 2]}'
+        # satellites with the zero pattern and winding number 1 around the
+        # trefoil: each keeps its companion's value, T(2,3)'s at 1/3
+        knot = '{"satellite": [{"torus": [2, 3]}, {"zero": 1}, 1]}'
         doc = '{"satellite": [' * (MAX_DEPTH - 1) + knot + ', {"zero": 1}, 1]}' * (MAX_DEPTH - 1)
+        want = hirzebruch(2, 3, Angle("1/3"))
+        assert want == -2
         proc = _run_cli(["eval", doc, "--at", "1/3"], tmp_path)
-        assert (proc.returncode, proc.stdout) == (0, '{"signature": -3}\n'), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, f'{{"signature": {want}}}\n'), proc.stderr
 
 
 class TestUsageError:

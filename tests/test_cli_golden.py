@@ -35,6 +35,7 @@ def _cases():
     guard_doc = {"splice": [{"merge": [{"hopf": [1, 2]}, 0]}, [2],
                             {"merge": [{"hopf": [1, 2]}, 0]}, [2]]}
     cable_doc = {"cable": [{"hopf": [1, 2]}, 2]}
+    collapse = {"merge": [{"hopf": [1, 1]}, 1]}
     out = [
         # README examples
         ("readme-eval-hopf", ["eval", "hopf", "2", "2", "--at", "1/3,1/3,1/3,1/3"], None),
@@ -132,6 +133,13 @@ def _cases():
          None),
         ("sweep-merge-units", ["sweep", inline({"merge": [{"hopf": [1, 1]}, 1]}),
                                "--order", "4", "--include-units"], None),
+        # a collapse holds several components in its one color: none is distinguished
+        ("err-splice-collapse", ["eval", inline({"splice": [collapse, [], {"hopf": [1, 1]}, [1]]}),
+                                 "--at", "1/3"], None),
+        ("err-satellite-collapse-companion",
+         ["eval", inline({"satellite": [collapse, {"torus": [2, 3]}, 2]}), "--at", "1/3"], None),
+        ("err-satellite-collapse-pattern",
+         ["eval", inline({"satellite": [{"torus": [2, 3]}, collapse, 2]}), "--at", "1/3"], None),
         # refusals with exit 2
         ("err-bad-angle", ["eval", "hopf", "1", "1", "--at", "1/0,1/2"], None),
         ("err-bad-angle-json", ["--json", "eval", "hopf", "1", "1", "--at", "x,1/2"], None),

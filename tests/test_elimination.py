@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import inertia
 from splicesig import cyclotomic, verify
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix, _inertia, _level, _neg
@@ -55,7 +56,7 @@ def test_diagonal_matrix_computes_no_inverse(level_calls):
     zero = _num(0)
     h = HermitianMatrix([[e if i == j else zero for j in range(4)]
                          for i, e in enumerate(entries)])
-    assert h.inertia() == (2, 2, 0)
+    assert inertia(h) == (2, 2, 0)
     assert level_calls["inv"] == 0
 
 
@@ -65,7 +66,7 @@ def test_dense_definite_matrix_inverts_all_but_the_last_pivot(level_calls):
     g = 4
     h = HermitianMatrix([[_num(10) if i == j else (z if i < j else z.conjugate())
                           for j in range(g)] for i in range(g)])
-    assert h.inertia() == (g, 0, 0)
+    assert inertia(h) == (g, 0, 0)
     assert level_calls["inv"] == g - 1
     # one conj per cleared entry; one addmul per updated h_ij with i <= j, and
     # one more per cleared entry, whose h_ik * (-d)^-1 is a mul, an addmul onto 0

@@ -1,10 +1,12 @@
 """Expression documents: every form, nesting, and the error taxonomy."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
@@ -237,6 +239,37 @@ class TestErrors:
                               {"merge": [{"hopf": [1, 2]}, 0]}, [2]]})
         with pytest.raises(GuardViolated):
             f((ang(1, 2), ang(1, 2)))
+
+
+# one-color documents: collapses hold several components in their color,
+# knots one; a satellite of knots is a knot
+COLLAPSES = st.sampled_from([
+    {"merge": [{"hopf": [1, 1]}, 1]},
+    {"merge": [{"fixture": "torus-2-4"}, 2]},
+    {"merge": [{"merge": [{"hopf": [1, 2]}, 0]}, 2]},
+])
+KNOTS = st.recursive(
+    st.just({"zero": 1}) | st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
+        lambda pq: pq[0] * pq[1] != 0 and math.gcd(*pq) == 1).map(
+        lambda pq: {"torus": list(pq)}),
+    lambda knots: st.tuples(knots, knots, st.integers(-3, 3)).map(
+        lambda ckq: {"satellite": list(ckq)}),
+    max_leaves=4)
+# a document with one knot slot, filled by its argument
+SLOTS = [
+    lambda x: {"splice": [x, [], {"hopf": [1, 1]}, [1]]},
+    lambda x: {"splice": [{"hopf": [1, 1]}, [1], x, []]},
+    lambda x: {"satellite": [x, {"torus": [2, 3]}, 2]},
+    lambda x: {"satellite": [{"torus": [2, 3]}, x, 2]},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SLOTS), COLLAPSES, KNOTS, st.integers(1, 11))
+def test_a_collapse_fills_no_knot_slot(slot, collapse, knot, k):
+    with pytest.raises(ExpressionError, match="is a collapse"):
+        parse(slot(collapse))
+    assert isinstance(parse(slot(knot))((ang(k, 12),)), int)
 
 
 class TestSpliceLinkingVector:

@@ -91,6 +91,19 @@ class TestSigFn:
             with pytest.raises(ValueError, match="has no linking vector"):
                 call()
 
+    @pytest.mark.parametrize("collapse", [
+        merge_colors(hopf_sig_fn(1, 1), 1),
+        to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]]),
+        to_levine_tristram(merge_colors(hopf_sig_fn(1, 1), 1), [[0]]),
+    ], ids=["merge", "levine-tristram", "levine-tristram-of-a-merge"])
+    def test_a_collapse_is_no_knot(self, collapse):
+        # its color holds several components, none of them distinguished
+        for call in (lambda: splice_knot(collapse, hopf_sig_fn(1, 1)),
+                     lambda: satellite(collapse, zero_fn(1), 1),
+                     lambda: satellite(zero_fn(1), collapse, 1)):
+            with pytest.raises(ValueError, match="is a collapse"):
+                call()
+
 
 class TestWithBoundary:
     def setup_method(self):
