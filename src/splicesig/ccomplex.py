@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -81,6 +82,21 @@ def _json_typed(value, kind: type, what: str):
 def _int_rows(rows, what: str) -> list:
     """A JSON matrix of integers, each entry checked by _json_typed."""
     return [[_json_typed(x, int, f"{what} entry") for x in row] for row in rows]
+
+
+def _boundary_count(plus: Sequence[Sequence[int]], minus: Sequence[Sequence[int]]) -> int:
+    """Boundary components of a connected surface of Seifert forms plus, minus:
+    corank(plus - minus) + 1, one at det +-1; another nonzero det counts 2."""
+    rows = [[Fraction(a - b) for a, b in zip(p, m)] for p, m in zip(plus, minus)]
+    rank, det = 0, Fraction(1)
+    while rows:  # exact elimination, a pivot in each nonzero row
+        row = rows.pop()
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            rank, det = rank + 1, det * row[col]
+            rows = [[x - r[col] / row[col] * y for x, y in zip(r, row)] for r in rows]
+    corank = len(plus) - rank
+    return 1 if corank == 0 and abs(det) == 1 else max(corank, 1) + 1
 
 
 class SeifertFamily:
@@ -216,18 +232,21 @@ class SeifertFamily:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
         The family, its linking matrix and its boundary families pass the gate
-        first, so an invalid family is refused with InvalidFamily here.
-        With a linking matrix, color 0 is distinguished and the evaluator's
-        linking vector is the matrix's first row less its diagonal entry.
-        The evaluator's nullity is this family's kernel when the generators
-        are a basis, None otherwise.
+        first, so an invalid family is refused with InvalidFamily here.  The
+        evaluator's linking matrix is the family's, and with one, color 0 is
+        one component.  With one color and a basis, color 0 is one component
+        exactly when det(theta^+ - theta^-) = +-1 (_boundary_count).  The
+        nullity is this family's kernel with a basis, None otherwise.
         """
         self._gate()
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
-        linking = None if self.linking is None else self.linking[0][1:]
+        counts = [None if self.linking is None else 1] + [None] * (self.arity - 1)
+        if self.arity == 1 and self.basis:
+            counts = [_boundary_count(self.forms[(1,)], self.forms[(-1,)])]
+        lk = None if self.linking is None else (lambda i, j: self.linking[i][j])
         nullity = (lambda omega: self._inertia_at(omega)[2]) if self.basis else None
-        return with_boundary(self.arity, self.signature, subs,
-                             linking=linking, label=self.label, nullity=nullity)
+        return with_boundary(self.arity, self.signature, subs, lk=lk, counts=counts,
+                             label=self.label, nullity=nullity)
 
     # -- serialization --------------------------------------------------------------
 

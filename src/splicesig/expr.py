@@ -12,15 +12,17 @@ An expression document is a JSON object with exactly one key:
     {"splice": [e1, lam1, e2, lam2]} splice along the color-0 components;
                                      lam lists the distinguished component's
                                      linking numbers with the other colors
-                                     and must equal any the operand carries
     {"cable": [e, nu]}               nu parallel copies of the color-0
                                      component, whose linking vector the
-                                     operand must carry
+                                     operand must know
     {"merge": [e, lk]}               merge the last two colors; lk is their
-                                     total linking number and must equal the
-                                     operand's one entry when they are its
-                                     only two colors
+                                     total linking number
     {"satellite": [eK, ek, q]}       satellite knot with winding number q
+
+A splice vector or merge lk must equal the number the operand derives
+(splice.SigFn) wherever it is known, and is taken where it is not (zero, a
+family without linking).  No color known to hold several components is a
+splice operand's color 0 or a satellite operand.
 
 Combinators nest at most MAX_DEPTH deep.  Structural problems (unknown key,
 wrong operand shape, unknown fixture, unreadable file, nesting past
@@ -34,7 +36,7 @@ import os
 from typing import Optional
 
 from .errors import MAX_DEPTH, ExpressionError, InvalidFamily
-from .splice import (SigFn, cable_parallel, merge_colors, refuse_collapse, satellite, splice,
+from .splice import (SigFn, cable_parallel, distinguish, merge_colors, satellite, splice,
                      with_boundary, zero_fn)
 
 # One command-line argument holds at most 131 072 bytes on Linux, at least two
@@ -61,20 +63,6 @@ def _expect_linking(value, what: str) -> tuple:
     if not isinstance(value, list):
         raise ExpressionError(f"{what} must be a list of integers")
     return tuple(_expect_int(x, f"{what} entry") for x in value)
-
-
-def _distinguish(f: SigFn, lam: tuple, form: str) -> SigFn:
-    """f with the document's linking vector; one its builder knows must agree."""
-    refuse_collapse(f, f'"{form}" operand')
-    try:
-        distinguished = SigFn(f.arity, f.fn, linking=lam, label=f.label, nullity=f.nullity)
-    except ValueError as err:
-        raise ExpressionError(f'"{form}" operand {f.label or "?"}: {err}') from err
-    if f.linking not in (None, distinguished.linking):
-        raise ExpressionError(
-            f'"{form}" operand {f.label or "?"} has linking vector '
-            f'{list(f.linking)}, the document gives {list(lam)}')
-    return distinguished
 
 
 def parse(doc, base_dir: Optional[str] = None) -> SigFn:
@@ -143,19 +131,20 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
     if form == "torus":
         p, q = _expect_args(value, 2, form)
         p, q = _expect_int(p, "torus p"), _expect_int(q, "torus q")
-        # a link's leaf would need a linking vector its arity-1 form has no room for
+        # the leaf is a knot, one color of one component
         if p * q == 0 or math.gcd(p, q) != 1:
             raise ExpressionError(f"torus ({p}, {q}) is not a knot: the leaf needs "
                                   "coprime nonzero p and q; torus-sig counts torus links")
         from .cables import hirzebruch, torus_nullity
-        return with_boundary(1, lambda omega: hirzebruch(p, q, omega[0]), linking=(),
+        return with_boundary(1, lambda omega: hirzebruch(p, q, omega[0]), counts=(1,),
                              label=f"torus({p},{q})",
                              nullity=lambda omega: torus_nullity(p, q, omega[0]))
 
     if form == "splice":
         e1, lam1, e2, lam2 = _expect_args(value, 4, form)
-        f1 = _distinguish(_parse(e1, base_dir, below), _expect_linking(lam1, "splice lam1"), form)
-        f2 = _distinguish(_parse(e2, base_dir, below), _expect_linking(lam2, "splice lam2"), form)
+        role = '"splice" operand'
+        f1 = distinguish(_parse(e1, base_dir, below), _expect_linking(lam1, "splice lam1"), role)
+        f2 = distinguish(_parse(e2, base_dir, below), _expect_linking(lam2, "splice lam2"), role)
         return splice(f1, f2)
 
     if form == "cable":
@@ -164,14 +153,12 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
 
     if form == "merge":
         e, lk = _expect_args(value, 2, form)
-        f = _parse(e, base_dir, below)
-        return merge_colors(f, _expect_int(lk, "merge linking number"))
+        return merge_colors(_parse(e, base_dir, below), _expect_int(lk, "merge linking number"))
 
     if form == "satellite":
         e_companion, e_pattern, q = _expect_args(value, 3, form)
-        fk = _parse(e_companion, base_dir, below)
-        fp = _parse(e_pattern, base_dir, below)
-        return satellite(fk, fp, _expect_int(q, "winding number"))
+        return satellite(_parse(e_companion, base_dir, below), _parse(e_pattern, base_dir, below),
+                         _expect_int(q, "winding number"))
 
     raise ExpressionError(f"unknown expression form {form!r}; supported: {', '.join(_FORMS)}")
 

@@ -4,7 +4,7 @@ The chain here is the (2,4)-torus link, the (4,2)-cable over the unknot with
 the core retained, and the (3,6)-torus link, which is the splice of the first
 two along the distinguished components.  Each is one entry of FIXTURES, held
 as data: the integer Seifert forms theta^eps of a C-complex, the linking
-vector of its distinguished color 0, the sublink left by each color deletion,
+matrix of its colors, each one component, the sublink left by each color deletion,
 a piecewise-constant table of the known signature values on the open torus,
 and its aliases.  fixture_matrix compiles the forms to H(t) with
 LaurentMatrix.from_forms; fixture_sig wires that matrix's signature with the
@@ -52,14 +52,13 @@ class PiecewiseTable(NamedTuple):
 
 class Fixture(NamedTuple):
     """One worked example.  forms maps eps to theta^eps, a direction left out
-    being the zero form; linking is the linking vector of color 0, the
-    distinguished component; boundary maps the kept colors of each deletion
-    to another fixture's name or to a zero-signature link ("unknot",
-    "hopf(1,1)")."""
+    being the zero form; lk is the linking matrix of the colors, each one
+    component; boundary maps the kept colors of each deletion to another
+    fixture's name or to a zero-signature link ("unknot", "hopf(1,1)")."""
 
     arity: int
     forms: Dict[Tuple[int, ...], list]
-    linking: Tuple[int, ...]
+    lk: Tuple[Tuple[int, ...], ...]
     boundary: Dict[Tuple[int, ...], str]
     table: PiecewiseTable
     aliases: Tuple[str, ...]
@@ -72,7 +71,7 @@ FIXTURES: Dict[str, Fixture] = {
     # (1,2)-curves with linking number 2; the complex has a single homology
     # generator, so the forms are 1x1.  Both sublinks are unknots.
     "torus(2,4)": Fixture(
-        2, {(1, 1): [[-1]], (-1, -1): [[-1]]}, (2,),
+        2, {(1, 1): [[-1]], (-1, -1): [[-1]]}, ((0, 2), (2, 0)),
         {(0,): "unknot", (1,): "unknot"},
         PiecewiseTable((1, 1), (Fraction(1, 2), Fraction(3, 2)), (1, 0, -1, 0, 1)),
         ("referee-k'l'", "referee-kl1", "torus-2-4")),
@@ -82,15 +81,15 @@ FIXTURES: Dict[str, Fixture] = {
     # deleting one strand leaves core + strand, a Hopf link (signature zero).
     "cable(4,2)+core": Fixture(
         3, {(1, 1, 1): [[-1, 0], [1, -1]], (1, -1, -1): [[-1, 1], [0, 0]],
-            (-1, 1, 1): [[-1, 0], [1, 0]], (-1, -1, -1): [[-1, 1], [0, -1]]}, (1, 1),
+            (-1, 1, 1): [[-1, 0], [1, 0]], (-1, -1, -1): [[-1, 1], [0, -1]]},
+        ((0, 1, 1), (1, 0, 2), (1, 2, 0)),
         {(1, 2): "torus(2,4)", (0, 1): "hopf(1,1)", (0, 2): "hopf(1,1)", **_SINGLES},
         PiecewiseTable((1, 2, 2), (Fraction(1), Fraction(2), Fraction(3), Fraction(4)),
                        (2, 1, 0, -1, -2, -1, 0, 1, 2)),
         ("referee-k''l''", "referee-kl2", "cable-4-2")),
     # one color per component: the splice of the previous two links along
     # their distinguished components, three unknotted strands with pairwise
-    # linking number 2, so color 0 has linking vector (2, 2).  Any two strands
-    # form a (2,4)-torus link.
+    # linking number 2.  Any two strands form a (2,4)-torus link.
     "torus(3,6)": Fixture(
         3, {(1, 1, 1): [[-1, 0, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]],
             (1, 1, -1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, -1]],
@@ -100,7 +99,7 @@ FIXTURES: Dict[str, Fixture] = {
             (-1, 1, -1): [[0, 0, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1], [0, 0, 0, 0]],
             (-1, -1, 1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, -1]],
             (-1, -1, -1): [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]},
-        (2, 2),
+        ((0, 2, 2), (2, 0, 2), (2, 2, 0)),
         {(0, 1): "torus(2,4)", (0, 2): "torus(2,4)", (1, 2): "torus(2,4)", **_SINGLES},
         PiecewiseTable((1, 1, 1), (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)),
                        (4, 2, 0, -1, -2, -1, 0, 2, 4)),
@@ -146,7 +145,7 @@ def fixture_sig(name: str) -> SigFn:
     boundary = {kept: subs[sub] if sub in subs else zero_fn(len(kept), sub)
                 for kept, sub in fix.boundary.items()}
     return with_boundary(fix.arity, _matrix_sig(fixture_matrix(key)), boundary,
-                         linking=fix.linking, label=key)
+                         lk=lambda i, j: fix.lk[i][j], counts=(1,) * fix.arity, label=key)
 
 
 def fixture_table(name: str) -> PiecewiseTable:

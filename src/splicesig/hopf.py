@@ -75,22 +75,15 @@ def sigma_k(k: int, x: Angle) -> int:
 def hopf_sig_fn(m: int, n: int) -> SigFn:
     """The closed form as an evaluator of arity m+n, total on the torus.
 
-    Its nullity is the closed form.
-
-    For m >= 1 the first copy of the m-side is the distinguished component:
-    it is unlinked from the other m-1 parallel copies and links each of the
-    n opposite copies once, so the linking vector is (0, ..., 0, 1, ..., 1).
-    For m = 0 there is no linking vector.
+    Its nullity is the closed form.  Every color is one component; copies on
+    one side link 0 times, across the sides once.  So color 0, the first
+    copy (of the m-side when m >= 1), has linking vector (0, ..., 0, 1, ..., 1).
     """
     if m < 0 or n < 0:
         raise ValueError("component counts must be non-negative")
-
-    def fn(omega: Character) -> int:
-        return hopf_signature(omega[:m], omega[m:])
-
-    linking = (0,) * (m - 1) + (1,) * n if m else None
-    return SigFn(m + n, fn, linking=linking, label=f"hopf({m},{n})",
-                 nullity=lambda omega: hopf_nullity(omega[:m], omega[m:]))
+    return SigFn(m + n, lambda omega: hopf_signature(omega[:m], omega[m:]),
+                 lk=lambda i, j: int((i < m) != (j < m)), counts=(1,) * (m + n),
+                 label=f"hopf({m},{n})", nullity=lambda omega: hopf_nullity(omega[:m], omega[m:]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ reproducing the Hopf closed form pins the correction sign to +.  Cables and
 satellites are splices with a base link: H_{1,nu} for nu parallel copies,
 the pattern plus the axis of its solid torus for a satellite.
 
-Evaluators are represented by SigFn: a plain callable on characters with an
-arity and, when color 0 is a distinguished component, its linking vector.
-Combinators call their operands through SigFn.fn, so a character's number of
-colors is checked once, where it enters.  Evaluation is lazy and exact.
+Evaluators are represented by SigFn: a callable on characters with an arity,
+the color-level linking matrix and component counts, which every combinator
+derives from its operands'.  Combinators call their operands through SigFn.fn,
+so a character's number of colors is checked once.  Evaluation is lazy and exact.
 
 The formulas hold on the open torus.  Off it a unit coordinate deletes its
 color: the signature is the sublink's (with_boundary), a collapse subtracts
@@ -26,40 +26,45 @@ no linking number of a deleted color, and there is no nullity (SigFn.nullity).
 from __future__ import annotations
 
 import operator
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
-from .torus import Angle, Character, char_power, defect, is_open, linking_problem
+from .torus import Angle, Character, char_power, defect, is_open
 
 class SigFn:
-    """A signature evaluator Character^arity -> int.
+    """A signature evaluator Character^arity -> int, with its link structure.
 
     The evaluator is total on its domain and raises BoundaryCharacter (or
     another typed error) outside of it; it never returns garbage.  The
-    wrapped callable enforces the domain, not this class.  linking, when
-    color 0 is a distinguished component K, is its linking vector
-    (lk(K, L_1), ..., lk(K, L_{arity-1})) with the other colors; else None.
-    nullity, when the evaluator's source provides one, maps a character of
-    the open torus to the colored nullity there, or to None where that source
-    cannot give it; off the open torus there is no nullity.
+    wrapped callable enforces the domain, not this class.  lk(i, j), i != j,
+    is the symmetric color-level linking matrix (a function, not a table),
+    counts[i] color i's number of components, each None where unknown; a
+    number restated for them must equal a known one.  linking is row 0 less
+    its diagonal entry if color 0 is one component and the row is known.
+    nullity is the colored nullity on the open torus, None without a source.
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
-                 linking: Optional[Sequence[int]] = None,
-                 label: Optional[str] = None,
+                 lk: Optional[Callable[[int, int], Optional[int]]] = None,
+                 counts: Optional[Sequence[Optional[int]]] = None, label: Optional[str] = None,
                  nullity: Optional[Callable[[Character], Optional[int]]] = None):
-        if arity < 0:
-            raise ValueError("arity must be non-negative")
-        if linking is not None:
-            linking = tuple(operator.index(x) for x in linking)
-            if len(linking) != arity - 1:
-                raise ValueError(
-                    f"linking vector has length {len(linking)}, expected {arity - 1}")
+        self.counts = (None,) * arity if counts is None else tuple(counts)
+        if arity < 0 or len(self.counts) != arity:
+            raise ValueError(f"arity {arity} with {len(self.counts)} component counts")
         self.arity = arity
         self.fn = fn
-        self.linking = linking
+        self.lk = lk or (lambda i, j: None)
         self.label = label
         self._nullity = nullity or (lambda omega: None)
+
+    @cached_property
+    def linking(self) -> Optional[Tuple[int, ...]]:
+        if self.counts[:1] != (1,):
+            return None
+        row = tuple(map(self.lk, repeat(0), range(1, self.arity)))
+        return None if None in row else row
 
     def _colors(self, omega: Character) -> Character:
         omega = tuple(omega)
@@ -77,27 +82,27 @@ class SigFn:
         return self._nullity(omega) if is_open(omega) else None
 
     def __repr__(self):
-        name = self.label or "sig"
-        return f"SigFn({name}, arity={self.arity}, linking={self.linking})"
+        return f"SigFn({self.label or 'sig'}, arity={self.arity}, linking={self.linking})"
 
 
-def linking_of(f: SigFn, role: str) -> Tuple[int, ...]:
-    """f's linking vector; a ValueError naming f (as role) when it has none."""
-    if f.linking is None:
-        raise ValueError(f"{role} {f.label or '?'} has no linking vector: "
-                         "color 0 is not a distinguished component")
-    return f.linking
+def distinguish(f: SigFn, lam: Sequence[int], role: str) -> SigFn:
+    """f with color 0 one component that links the other colors lam times:
+    ValueError naming f (as role) when lam has the wrong length, when color 0
+    is known to hold several components, or when lam contradicts a number f
+    knows.  Where f has none, the result takes lam's."""
+    lam = tuple(operator.index(x) for x in lam)
+    name = f"{role} {f.label or '?'}"
+    if len(lam) != f.arity - 1:
+        raise ValueError(f"{name}: linking vector has length {len(lam)}, expected {f.arity - 1}")
+    if f.counts[0] not in (None, 1):
+        raise ValueError(f"{name}: color 0 holds {f.counts[0]} components, "
+                         "none of them distinguished")
+    row = [f.lk(0, j) for j in range(1, f.arity)]
+    if any(known not in (None, given) for known, given in zip(row, lam)):
+        raise ValueError(f"{name} has linking vector {row}, the document gives {list(lam)}")
 
-
-class _Collapse(SigFn):
-    """A collapse's evaluator: its one color holds several components."""
-
-
-def refuse_collapse(f: SigFn, role: str) -> None:
-    """ValueError naming f (as role) when f is a collapse, which is no knot."""
-    if isinstance(f, _Collapse):
-        raise ValueError(f"{role} {f.label or '?'} is a collapse: its one color holds "
-                         "several components, none of them distinguished")
+    return SigFn(f.arity, f.fn, lk=lambda i, j: f.lk(i, j) if i and j else lam[i + j - 1],
+                 counts=(1,) + f.counts[1:], label=f.label, nullity=f.nullity)
 
 
 def zero_fn(arity: int, label: str = "zero") -> SigFn:
@@ -107,9 +112,7 @@ def zero_fn(arity: int, label: str = "zero") -> SigFn:
 
 def with_boundary(arity: int, core: Callable[[Character], int],
                   boundary: Optional[Mapping[Tuple[int, ...], SigFn]] = None, *,
-                  linking: Optional[Sequence[int]] = None,
-                  label: Optional[str] = None,
-                  nullity: Optional[Callable[[Character], Optional[int]]] = None) -> SigFn:
+                  label: Optional[str] = None, **data) -> SigFn:
     """Extend an open-torus evaluator to boundary characters by color deletion.
 
     A unit coordinate does not contribute: the signature at a character with
@@ -118,8 +121,8 @@ def with_boundary(arity: int, core: Callable[[Character], int],
     boundary[kept], an evaluator of the len(kept) surviving colors (ValueError
     otherwise).  If every color is deleted the link is empty and the
     signature is 0.  A missing sublink entry raises BoundaryCharacter: the
-    data cannot be reconstructed from the full-link Seifert data alone.  core
-    and nullity are called on the open torus only.
+    data cannot be reconstructed from the full-link Seifert data alone.  data
+    are SigFn's lk, counts and nullity; core and nullity see the open torus only.
     """
     table: Dict[Tuple[int, ...], SigFn] = dict(boundary or {})
     if bad := [kept for kept, sub in table.items() if sub.arity != len(kept)]:
@@ -137,7 +140,7 @@ def with_boundary(arity: int, core: Callable[[Character], int],
                 f"{label or 'evaluator'}: no sublink data for kept colors {kept}")
         return sub.fn(tuple(omega[i] for i in kept))
 
-    return SigFn(arity, fn, linking=linking, label=label, nullity=nullity)
+    return SigFn(arity, fn, label=label, **data)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +158,14 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
     u' = (w')^l' and u'' = (w'')^l'' are 1: the formula acquires an extra
     correction term there and is not computed by this calculus.  With a knot
     first (vector ()), u' = 1 and the value is the knot-splice form
-    sigma_1(w^l'') + sigma_2(1, w).
+    sigma_1(w^l'') + sigma_2(1, w).  The colors keep their link data, and L'_i
+    (l'_i meridians of K', glued to longitudes of K'') links L''_j l'_i*l''_j times.
     """
-    lam1, lam2 = linking_of(f1, roles[0]), linking_of(f2, roles[1])
+    for f, role in zip((f1, f2), roles):
+        if f.linking is None:
+            raise ValueError(f"{role} {f.label or '?'} has no linking vector: "
+                             "color 0 is not a distinguished component")
+    lam1, lam2 = f1.linking, f2.linking
     mu1, mu2 = len(lam1), len(lam2)
 
     def fn(omega: Character) -> int:
@@ -170,39 +178,35 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
         return (f1.fn((up2,) + om1) + f2.fn((up1,) + om2)
                 + defect(lam1, om1) * defect(lam2, om2))
 
+    def lk(i: int, j: int) -> Optional[int]:
+        i, j = min(i, j), max(i, j)
+        if j < mu1:
+            return f1.lk(i + 1, j + 1)
+        if i >= mu1:
+            return f2.lk(i - mu1 + 1, j - mu1 + 1)
+        return lam1[i] * lam2[j - mu1]
+
     label = label or f"splice({f1.label or '?'}, {f2.label or '?'})"
-    return SigFn(mu1 + mu2, fn, label=label)
+    return SigFn(mu1 + mu2, fn, lk=lk, counts=f1.counts[1:] + f2.counts[1:], label=label)
 
 
 def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
     """Splice a knot into f2's distinguished slot: splice(knot, f2), which
-    is sigma_knot(w^l'') + sigma_2(1, w) with no guard.  A collapse is no knot."""
-    if knot.arity != 1:
-        raise ValueError("first operand must be a 1-colored evaluator")
-    refuse_collapse(knot, "splice_knot operand 1")
-    return splice(SigFn(1, knot.fn, linking=(), label=knot.label), f2,
+    is sigma_knot(w^l'') + sigma_2(1, w) with no guard.  A knot is one color
+    of one component, with the linking vector ()."""
+    return splice(distinguish(knot, (), "splice_knot operand 1"), f2,
                   label=f"splice_knot({knot.label or '?'}, {f2.label or '?'})",
                   roles=("splice_knot operand 1", "splice_knot operand 2"))
 
 
 def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
-    """Univariate signature of a splice of two (1,1)-colored links.
-
-    Both operands have one distinguished component and one other color, and
-    l' and l'' are the one entries of their linking vectors.  This is the
-    Levine-Tristram collapse of splice: the two colors of splice(f1, f2)
-    link l'*l'' times, so
-
-        sigma(xi) = f1(xi^l'', xi) + f2(xi^l', xi) - l'*l'' + defect*defect,
-
-    valid when xi^gcd(l', l'') != 1, that is unless xi^l' = xi^l'' = 1, the
-    splice guard.  With l' = l'' = 0 every evaluation raises GuardViolated.
-    """
+    """Univariate signature of a splice of two (1,1)-colored links, the
+    Levine-Tristram collapse of splice(f1, f2), whose colors link l'*l'' times:
+    sigma(xi) = f1(xi^l'', xi) + f2(xi^l', xi) - l'*l'' + defect*defect,
+    refused (the splice guard) unless xi^gcd(l', l'') != 1."""
     if f1.arity != 2 or f2.arity != 2:
         raise ValueError("operands must be (1,1)-colored: arity 2")
-    (l1,), (l2,) = linking_of(f1, "lt_splice operand 1"), linking_of(f2, "lt_splice operand 2")
-    lk = l1 * l2
-    return to_levine_tristram(splice(f1, f2), ((0, lk), (lk, 0)))((xi,))
+    return to_levine_tristram(splice(f1, f2))((xi,))
 
 
 def cable_parallel(f: SigFn, nu: int) -> SigFn:
@@ -211,14 +215,19 @@ def cable_parallel(f: SigFn, nu: int) -> SigFn:
     f needs a linking vector l.  This is the splice of f with H_{1,nu}, whose
     signature is 0, with the copies moved to the first nu slots: with pi the
     product of the copy coordinates, sigma(z, w) = f(pi, w) + defect(z) *
-    defect_l(w), guarded by (w^l, pi) != (1, 1) unless f is a knot.
+    defect_l(w), guarded by (w^l, pi) != (1, 1) unless f is a knot.  The
+    copies link each other 0 times and L_j l_j times.
     """
     nu = operator.index(nu)
     if nu < 1:
         raise ValueError("need at least one parallel copy")
-    base = SigFn(nu + 1, lambda omega: 0, linking=(1,) * nu, label=f"hopf(1,{nu})")
+    base = SigFn(nu + 1, lambda omega: 0, lk=lambda i, j: int(i * j == 0),
+                 counts=(1,) * (nu + 1), label=f"hopf(1,{nu})")
     spliced = splice(f, base, roles=("cable_parallel operand", "cable base"))
-    return SigFn(spliced.arity, lambda omega: spliced.fn(omega[nu:] + omega[:nu]),
+    n = spliced.arity  # the cable's color i is spliced's (i - nu) % n
+    return SigFn(n, lambda omega: spliced.fn(omega[nu:] + omega[:nu]),
+                 lk=lambda i, j: spliced.lk((i - nu) % n, (j - nu) % n),
+                 counts=spliced.counts[n - nu:] + spliced.counts[:n - nu],
                  label=f"cable({f.label or '?'}, {nu})")
 
 
@@ -227,30 +236,32 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
 
     sigma_merged(w_1..w_mu) = f(w_1..w_mu, w_mu) - lk, where lk is the total
     linking number between the two merged color classes; at w_mu = 1 the
-    merged color is deleted and lk is not subtracted.  When the input's
-    linking vector has two entries or more, the merge happens within its
-    non-distinguished part and their last two entries add up; merging into
-    the distinguished slot leaves the result without a linking vector, and
-    lk must be that vector's one entry (ValueError otherwise).  That result
-    is a collapse, which has no distinguished component and is refused as a
-    splice or satellite operand.
+    merged color is deleted and lk is not subtracted.  Where f knows that
+    number, lk must equal it (ValueError otherwise).  The merged color's row
+    and count add the two colors', an unknown count as 1; so a merge into
+    color 0 leaves no distinguished component.
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")
     lk_last_two = operator.index(lk_last_two)
-    if f.arity == 2 and f.linking not in (None, (lk_last_two,)):
+    a, b = f.arity - 2, f.arity - 1
+    if f.lk(a, b) not in (None, lk_last_two):
         raise ValueError(f"merge operand {f.label or '?'} links its two colors "
-                         f"{f.linking[0]} times, not {lk_last_two}")
+                         f"{f.lk(a, b)} times, not {lk_last_two}")
 
     def fn(omega: Character) -> int:
         value = f.fn(omega + (omega[-1],))
         return value if omega[-1].is_unit() else value - lk_last_two
 
-    label = f"merge({f.label or '?'}, {lk_last_two})"
-    linking = None
-    if f.linking is not None and len(f.linking) >= 2:
-        linking = f.linking[:-2] + (f.linking[-2] + f.linking[-1],)
-    return (_Collapse if f.arity == 2 else SigFn)(f.arity - 1, fn, linking=linking, label=label)
+    def lk(i: int, j: int) -> Optional[int]:
+        if a not in (i, j):
+            return f.lk(i, j)
+        first = f.lk(a, i + j - a)  # unknown: the second is not looked up
+        return None if first is None or (second := f.lk(b, i + j - a)) is None else first + second
+
+    counts = f.counts[:a] + (sum(c or 1 for c in f.counts[a:]),)
+    return SigFn(f.arity - 1, fn, lk=lk, counts=counts,
+                 label=f"merge({f.label or '?'}, {lk_last_two})")
 
 
 def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
@@ -261,38 +272,29 @@ def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
     """
     if sig_companion.arity != 1 or sig_pattern.arity != 1:
         raise ValueError("satellite operands are 1-colored evaluators")
-    refuse_collapse(sig_companion, "satellite companion")
-    refuse_collapse(sig_pattern, "satellite pattern")
+    companion = distinguish(sig_companion, (), "satellite companion")
+    pattern = distinguish(sig_pattern, (), "satellite pattern")
     q = operator.index(q)
-    axis = SigFn(2, lambda omega: sig_pattern.fn(omega[1:]), linking=(q,))
-    spliced = splice_knot(sig_companion, axis)
+    axis = SigFn(2, lambda omega: pattern.fn(omega[1:]), lk=lambda i, j: q, counts=(1, 1))
     label = f"satellite({sig_companion.label or 'K'}, {sig_pattern.label or 'k'}, {q})"
-    return SigFn(1, spliced.fn, linking=(), label=label)
+    return splice(companion, axis, label=label, roles=("satellite companion", "satellite axis"))
 
 
-def to_levine_tristram(f: SigFn, linking_matrix: Sequence[Sequence[int]]) -> SigFn:
+def to_levine_tristram(f: SigFn) -> SigFn:
     """Collapse all colors to one: the classical univariate signature.
 
     Iterated color merging subtracts the linking number of every merged pair,
     so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j) for xi != 1; at
-    xi = 1 every color is deleted and nothing is subtracted.  The full linking
-    matrix must be supplied, as torus.linking_problem reads it; it is metadata
-    the Seifert forms do not determine.  When f has a linking vector, row 0
-    less its diagonal entry must equal it.  ValueError otherwise.  With two
-    colors or more, or of a collapse, the result is a collapse, which has no
-    distinguished component and is refused as a splice or satellite operand.
+    xi = 1 every color is deleted and nothing is subtracted.  The linking
+    numbers, which the Seifert forms do not determine, are f's own, so f must
+    know them all (ValueError otherwise).  The one color holds every
+    component: of two colors or more, it has no distinguished one.
     """
     mu = f.arity
-    linking_matrix = [[operator.index(x) for x in row] for row in linking_matrix]
-    if problem := linking_problem(linking_matrix, mu):
-        raise ValueError(problem)
-    if f.linking is not None and f.linking != tuple(linking_matrix[0][1:]):
-        raise ValueError(f"linking matrix row 0 gives {linking_matrix[0][1:]}, "
-                         f"{f.label or '?'} has linking vector {list(f.linking)}")
-    total = sum(linking_matrix[i][j] for i in range(mu) for j in range(i + 1, mu))
-
-    def fn(omega: Character) -> int:
-        value = f.fn((omega[0],) * mu)
-        return value if omega[0].is_unit() else value - total
-
-    return (_Collapse if mu > 1 else type(f))(1, fn, label=f"lt({f.label or '?'})")
+    pairs = [f.lk(i, j) for i in range(mu) for j in range(i + 1, mu)]
+    if None in pairs:
+        raise ValueError(f"{f.label or '?'} has no linking matrix: "
+                         "the linking numbers of its colors are not all known")
+    total, count = sum(pairs), f.counts[0] if mu == 1 else sum(c or 1 for c in f.counts)
+    return SigFn(1, lambda omega: f.fn((omega[0],) * mu) - (0 if omega[0].is_unit() else total),
+                 counts=(count,), label=f"lt({f.label or '?'})")

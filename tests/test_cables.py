@@ -22,11 +22,11 @@ from conftest import inertia
 from splicesig.cables import _lattice, hirzebruch, torus_nullity, univariate_reduction
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber, HermitianMatrix
-from splicesig.errors import ExpressionError, GuardViolated, InvalidParams
+from splicesig.errors import ExpressionError, GuardViolated, InvalidFamily, InvalidParams
 from splicesig.expr import parse
 from splicesig.fixtures import fixture_sig, fixture_table
 from splicesig.hopf import hopf_sig_fn, sigma_k
-from splicesig.splice import SigFn, cable_parallel, satellite, to_levine_tristram, zero_fn
+from splicesig.splice import SigFn, cable_parallel, merge_colors, satellite, to_levine_tristram
 from splicesig.torus import UNIT, Angle, ind, linking_problem
 
 
@@ -230,21 +230,20 @@ class TestBrieskornPham:
     def test_fixture_collapses_are_the_torus_link_count(self):
         # the Levine-Tristram collapse of the torus(2,4) and torus(3,6)
         # fixtures, whose strands link pairwise twice, is T(2,4) and T(3,6)
-        t24 = to_levine_tristram(fixture_sig("torus-2-4"), [[0, 2], [2, 0]])
-        t36 = to_levine_tristram(fixture_sig("torus-3-6"),
-                                 [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        t24 = to_levine_tristram(fixture_sig("torus-2-4"))
+        t36 = to_levine_tristram(fixture_sig("torus-3-6"))
         for z in open_angles(39):
             assert t24((z,)) == hirzebruch(2, 4, z), z
             assert t36((z,)) == hirzebruch(3, 6, z), z
 
     def test_collapse_refuses_a_row_the_fixture_contradicts(self):
-        # torus-3-6's color 0 links the others twice each; a matrix claiming 5
-        # would subtract 9 instead of 6
-        own = to_levine_tristram(fixture_sig("torus-3-6"), [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        # torus-3-6's strands link pairwise twice; the collapse reads its own
+        # matrix, and a merge claiming 5 for colors 1 and 2, which would
+        # subtract 9 in all instead of 6, is refused
+        own = to_levine_tristram(fixture_sig("torus-3-6"))
         assert own((ang(1, 5),)) == hirzebruch(3, 6, ang(1, 5)) == -6
-        with pytest.raises(ValueError, match=r"row 0 gives \[5, 2\], torus\(3,6\) has "
-                                             r"linking vector \[2, 2\]"):
-            to_levine_tristram(fixture_sig("torus-3-6"), [[0, 5, 2], [5, 0, 2], [2, 2, 0]])
+        with pytest.raises(ValueError, match=r"torus\(3,6\) links its two colors 2 times, not 5"):
+            merge_colors(fixture_sig("torus-3-6"), 5)
 
 
 class TestCableParams:
@@ -301,7 +300,7 @@ def reference_torus_leaf(p, q):
     def nullity(omega):
         return None if omega[0].is_unit() else torus_nullity(p, q, omega[0])
 
-    return SigFn(1, sig, linking=(), label=f"torus({p},{q})", nullity=nullity)
+    return SigFn(1, sig, counts=(1,), label=f"torus({p},{q})", nullity=nullity)
 
 
 class TestCableStep:
@@ -477,9 +476,9 @@ class TestUnivariateReduction:
 
 
 class TestOneLinkingRule:
-    """A family, the Levine-Tristram collapse and the reduction read a linking
-    matrix by one rule: the same matrices pass, and a refusal names the same
-    problem."""
+    """A family, and so the Levine-Tristram collapse of its evaluator, and the
+    reduction read a linking matrix by one rule: the same matrices pass, and a
+    refusal names the same problem."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=16, max_size=16),
@@ -504,7 +503,8 @@ class TestOneLinkingRule:
         forms = {eps: [] for eps in product((1, -1), repeat=mu)}
         assert SeifertFamily(mu, forms, linking=rows).validate() == ([problem] if problem else [])
         refusals = []
-        for use, error in [(lambda: to_levine_tristram(zero_fn(mu), rows), ValueError),
+        family = SeifertFamily(mu, forms, linking=rows)
+        for use, error in [(lambda: to_levine_tristram(family.sig_fn()), InvalidFamily),
                            (lambda: univariate_reduction(2, (1,) * mu, rows, 0), InvalidParams)]:
             try:
                 use()

@@ -406,6 +406,21 @@ class TestSignatureNullity:
 
 
 class TestSigFn:
+    @pytest.mark.parametrize("forms, count", [
+        ({(1,): [[-1, 1], [0, -1]], (-1,): [[-1, 0], [1, -1]]}, 1),  # the trefoil, det 1
+        ({(1,): [], (-1,): []}, 1),                                   # a disk, the unknot
+        ({(1,): [[-1]], (-1,): [[-1]]}, 2),                           # an annulus: Hopf link
+        ({(1,): [[0, 0], [0, 0]], (-1,): [[0, 0], [0, 0]]}, 3),       # a pair of pants
+    ], ids=["trefoil", "disk", "annulus", "pants"])
+    def test_one_color_basis_family_counts_its_boundary(self, forms, count):
+        # a connected surface's theta^+ - theta^- has corank components - 1:
+        # one component exactly when its determinant is +-1
+        f = SeifertFamily(1, forms, basis=True).sig_fn()
+        assert f.counts == (count,)
+        assert f.linking == (() if count == 1 else None)
+        # without a basis the forms say nothing of the components
+        assert SeifertFamily(1, forms).sig_fn().counts == (None,)
+
     def test_open_torus_delegates_to_signature(self):
         fam = hopf_seifert_family(2, 2)
         f = fam.sig_fn()

@@ -140,6 +140,29 @@ def _cases():
          ["eval", inline({"satellite": [collapse, {"torus": [2, 3]}, 2]}), "--at", "1/3"], None),
         ("err-satellite-collapse-pattern",
          ["eval", inline({"satellite": [{"torus": [2, 3]}, collapse, 2]}), "--at", "1/3"], None),
+        # a restated linking number is checked wherever it is derived: a merge
+        # at any arity, the vector of a nested splice; each next to its true twin
+        ("err-merge-3-colors", ["eval", inline({"merge": [{"fixture": "torus-3-6"}, 5]}),
+                                "--at", "1/5,1/5"], None),
+        ("eval-merge-3-colors", ["eval", inline({"merge": [{"fixture": "torus-3-6"}, 2]}),
+                                 "--at", "1/5,1/5"], None),
+        ("err-merge-unlinked", ["eval", inline({"merge": [{"hopf": [1, 2]}, 7]}),
+                                "--at", "1/3,1/3"], None),
+        ("eval-merge-unlinked", ["eval", inline({"merge": [{"hopf": [1, 2]}, 0]}),
+                                 "--at", "1/3,1/3"], None),
+        ("err-nested-splice-vector", ["eval", inline({"splice": [splice_doc, [7, 7],
+                                                                 {"fixture": "torus-2-4"}, [2]]}),
+                                      "--at", "1/7,1/7,1/7"], None),
+        ("eval-nested-splice-vector", ["eval", inline({"splice": [splice_doc, [2, 2],
+                                                                  {"fixture": "torus-2-4"}, [2]]}),
+                                       "--at", "1/7,1/7,1/7"], None),
+        # a one-color family with a basis is a knot exactly when det(theta+ - theta-)
+        # = +-1; hopf1.json's annulus bounds the two-component Hopf link
+        ("err-family-no-knot-splice", ["eval", inline({"splice": [{"seifert": "hopf1.json"}, [],
+                                                                  {"hopf": [1, 1]}, [1]]}),
+                                       "--at", "1/3"], None),
+        ("err-family-no-knot-satellite", ["eval", inline({"satellite": [
+            {"seifert": "hopf1.json"}, {"torus": [2, 3]}, 2]}), "--at", "1/3"], None),
         # refusals with exit 2
         ("err-bad-angle", ["eval", "hopf", "1", "1", "--at", "1/0,1/2"], None),
         ("err-bad-angle-json", ["--json", "eval", "hopf", "1", "1", "--at", "x,1/2"], None),
@@ -256,6 +279,8 @@ def _files():
     files["diagonal.json"] = SeifertFamily(2, h12.forms, boundary=h12.boundary,
                                            linking=[[5, 2], [2, 0]]).dumps()
     files["cable.json"] = json.dumps({"cable": [{"hopf": [1, 1]}, 2]})
+    files["hopf1.json"] = SeifertFamily(1, {(1,): [[-1]], (-1,): [[-1]]}, basis=True,
+                                        label="hopf annulus").dumps()
     return files
 
 

@@ -8,12 +8,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
 from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS, parse
 from splicesig.fixtures import fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
-from splicesig.splice import SigFn, splice
+from splicesig.splice import SigFn, distinguish, splice
 from splicesig.torus import Angle
 
 
@@ -76,13 +77,53 @@ class TestLeafForms:
     ({"merge": [{"fixture": "cable-4-2"}, 2]}, (2,)),
     ({"merge": [{"hopf": [1, 1]}, 1]}, None),
     ({"merge": [{"fixture": "torus-3-6"}, 2]}, (4,)),
-    ({"splice": [{"hopf": [1, 2]}, [1, 1], {"hopf": [1, 2]}, [1, 1]]}, None),
-    ({"cable": [{"hopf": [1, 2]}, 2]}, None),
+    ({"splice": [{"hopf": [1, 2]}, [1, 1], {"hopf": [1, 2]}, [1, 1]]}, (0, 1, 1)),
+    ({"cable": [{"hopf": [1, 2]}, 2]}, (0, 1, 1)),
     ({"satellite": [{"zero": 1}, {"zero": 1}, 3]}, ()),
     ({"torus": [2, 3]}, ()),
 ])
 def test_linking_vector_by_form(doc, linking):
     assert parse(doc).linking == linking
+
+
+class TestOneColorFamily:
+    """A one-color family with a basis is a knot exactly when det(theta^+ -
+    theta^-) = +-1: the annulus with a full twist, whose boundary is the Hopf
+    link, fills no knot slot, and the trefoil's surface does."""
+
+    ANNULUS = SeifertFamily(1, {(1,): [[-1]], (-1,): [[-1]]}, basis=True, label="annulus")
+    TREFOIL = SeifertFamily(1, {(1,): [[-1, 1], [0, -1]], (-1,): [[-1, 0], [1, -1]]},
+                            basis=True, label="trefoil")
+
+    def write(self, tmp_path):
+        for name, fam in (("annulus", self.ANNULUS), ("trefoil", self.TREFOIL)):
+            (tmp_path / f"{name}.json").write_text(fam.dumps())
+
+    @pytest.mark.parametrize("slot", [
+        lambda x: {"splice": [x, [], {"hopf": [1, 1]}, [1]]},
+        lambda x: {"satellite": [x, {"torus": [2, 3]}, 2]},
+        lambda x: {"satellite": [{"torus": [2, 3]}, x, 2]},
+    ], ids=["splice", "companion", "pattern"])
+    def test_only_the_knot_fills_a_knot_slot(self, slot, tmp_path, monkeypatch, capsys):
+        self.write(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        annulus, trefoil = {"seifert": "annulus.json"}, {"seifert": "trefoil.json"}
+        with pytest.raises(ExpressionError, match="annulus: color 0 holds 2 components"):
+            parse(slot(annulus), str(tmp_path))
+        assert isinstance(parse(slot(trefoil), str(tmp_path))((ang(1, 5),)), int)
+        assert main(["eval", json.dumps(slot(annulus)), "--at", "1/3"]) == 2
+        assert "annulus: color 0 holds 2 components" in capsys.readouterr().err
+        assert main(["eval", json.dumps(slot(trefoil)), "--at", "1/3"]) == 0
+
+    def test_trefoil_splices_as_the_torus_knot(self, tmp_path):
+        # the family and the torus leaf are one knot: their splices agree
+        self.write(tmp_path)
+        family, leaf = (parse({"splice": [knot, [], {"fixture": "cable-4-2"}, [1, 1]]},
+                              str(tmp_path))
+                        for knot in ({"seifert": "trefoil.json"}, {"torus": [2, 3]}))
+        for a, b in product(range(7), repeat=2):
+            om = (ang(a, 7), ang(b, 7))
+            assert family(om) == leaf(om), om
 
 
 def test_seifert_linking_vector_follows_the_family(tmp_path):
@@ -153,16 +194,19 @@ class TestCombinedForms:
         # wrapper of one level, its nesting levels, the innermost operand, the
         # character and the value there
         torus24, trefoil, n = {"fixture": "torus-2-4"}, {"torus": [2, 3]}, MAX_DEPTH
-        # k squared splices of torus(2,4) read -1 - 2 * (k // 2) at (1/3, 1/3)
+        hopf11 = {"hopf": [1, 1]}
+        # the Hopf link is the unit of splicing: a splice with it along one
+        # component keeps the other link, and its vector (2) = 2 * 1, so k
+        # nested splices with it read torus(2,4)'s -1 at (1/3, 1/3)
         slots = {
             "satellite companion": (lambda d: {"satellite": [d, {"zero": 1}, 1]}, n,
                                     trefoil, "1/5", -2),
             "satellite pattern": (lambda d: {"satellite": [trefoil, d, 1]}, n,
                                   {"zero": 1}, "1/5", -2 * n),
-            "splice left": (lambda d: {"splice": [d, [2], torus24, [2]]}, n,
-                            torus24, "1/3,1/3", -1 - 2 * (n // 2)),
-            "splice right": (lambda d: {"splice": [torus24, [2], d, [2]]}, n,
-                             torus24, "1/3,1/3", -1 - 2 * (n // 2)),
+            "splice left": (lambda d: {"splice": [d, [2], hopf11, [1]]}, n,
+                            torus24, "1/3,1/3", -1),
+            "splice right": (lambda d: {"splice": [hopf11, [1], d, [2]]}, n,
+                             torus24, "1/3,1/3", -1),
             # H(1, n + 1)'s opposite copies are unlinked from each other, and
             # n merges join them into one color
             "merge": (lambda d: {"merge": [d, 0]}, n, {"hopf": [1, n + 1]}, "1/5,2/5",
@@ -170,14 +214,19 @@ class TestCombinedForms:
             # a cable given its vector by the splice above it at every level;
             # the innermost cable is the MAX_DEPTH-th combinator
             "cable under a splice": (
-                lambda d: {"splice": [{"cable": [torus24, 1]}, [2], d, [2]]}, n - 1,
-                torus24, "1/3,1/3", -1 - 2 * ((n - 1) // 2)),
+                lambda d: {"splice": [{"cable": [hopf11, 1]}, [1], d, [2]]}, n - 1,
+                torus24, "1/3,1/3", -1),
         }
         for slot, (wrap, levels, doc, at, want) in slots.items():
             for _ in range(levels):
                 doc = wrap(doc)
             assert main(["eval", json.dumps(doc), "--at", at]) == 0, slot
             assert capsys.readouterr().out == f"{want}\n", slot
+        # two splices of torus(2,4) leave two strands that link 2 * 2 times,
+        # so a vector (2) restated one level up is refused
+        doc = {"splice": [{"splice": [torus24, [2], torus24, [2]]}, [2], torus24, [2]]}
+        assert main(["eval", json.dumps(doc), "--at", "1/3,1/3"]) == 2
+        assert "has linking vector [4], the document gives [2]" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -267,7 +316,7 @@ SLOTS = [
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(SLOTS), COLLAPSES, KNOTS, st.integers(1, 11))
 def test_a_collapse_fills_no_knot_slot(slot, collapse, knot, k):
-    with pytest.raises(ExpressionError, match="is a collapse"):
+    with pytest.raises(ExpressionError, match="holds .* components, none of them distinguished"):
         parse(slot(collapse))
     assert isinstance(parse(slot(knot))((ang(k, 12),)), int)
 
@@ -303,7 +352,7 @@ class TestSpliceLinkingVector:
         seen = set()
         for lam in ([0, 0], [1, 2], [2, -1]):
             f = parse({"splice": [{"zero": 3}, lam, {"hopf": [1, 2]}, [1, 1]]})
-            want = splice(SigFn(3, z3.fn, linking=lam), h12)
+            want = splice(distinguish(SigFn(3, z3.fn), lam, "operand"), h12)
             values = tuple(f(om) for om in cells)
             assert values == tuple(want(om) for om in cells)
             seen.add(values)

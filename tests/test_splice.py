@@ -15,11 +15,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig.cables import torus_nullity
 from splicesig.ccomplex import SeifertFamily
-from splicesig.errors import BoundaryCharacter, GuardViolated, SpliceSigError
+from splicesig.errors import BoundaryCharacter, GuardViolated, InvalidFamily, SpliceSigError
 from splicesig.expr import parse
-from splicesig.fixtures import fixture_names, fixture_sig
+from splicesig.fixtures import FIXTURES, fixture_names, fixture_sig
 from splicesig.hopf import hopf_nullity, hopf_seifert_family, hopf_sig_fn
-from splicesig.splice import (SigFn, cable_parallel, lt_splice, merge_colors,
+from splicesig.splice import (SigFn, cable_parallel, distinguish, lt_splice, merge_colors,
                               satellite, splice, splice_knot, to_levine_tristram,
                               with_boundary, zero_fn)
 from splicesig.torus import UNIT, Angle, char_power, defect, is_open
@@ -32,6 +32,16 @@ def ang(num, den):
 def grid(arity, den, start=0):
     """All characters with angles k/den, k in [start, den)."""
     return product(*(tuple(ang(k, den) for k in range(start, den)) for _ in range(arity)))
+
+
+def vector(arity, fn, lam, label=None):
+    """An evaluator whose color 0 is one component linking the others lam times."""
+    return distinguish(SigFn(arity, fn, label=label), lam, "operand")
+
+
+def matrix(f):
+    """f's linking matrix as rows, None where unknown."""
+    return [[f.lk(i, j) if i != j else 0 for j in range(f.arity)] for i in range(f.arity)]
 
 
 def h12_merged():
@@ -54,14 +64,14 @@ class TestSigFn:
             f((UNIT,))
 
     def test_distinguished_linking_length(self):
-        with pytest.raises(ValueError):
-            SigFn(2, lambda om: 0, linking=(1, 2))
+        with pytest.raises(ValueError, match="linking vector has length 2, expected 1"):
+            vector(2, lambda om: 0, (1, 2))
 
     @pytest.mark.parametrize("linking", [[1.9], ["3"], [1.0]])
     def test_inexact_linking_refused(self, linking):
         # a float or a string is not read as an integer linking number
         with pytest.raises(TypeError):
-            SigFn(2, lambda om: 0, linking=linking)
+            vector(2, lambda om: 0, linking)
 
     def test_zero_fn(self):
         assert zero_fn(3)((UNIT, ang(1, 3), ang(2, 5))) == 0
@@ -81,27 +91,28 @@ class TestSigFn:
             call(bare, h12_merged())
 
     @pytest.mark.parametrize("one", [
-        zero_fn(1), merge_colors(hopf_sig_fn(1, 1), 1),
-        to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]]),
+        zero_fn(1), merge_colors(hopf_sig_fn(1, 1), 1), to_levine_tristram(hopf_sig_fn(1, 1)),
     ], ids=["zero", "merge", "levine-tristram"])
     def test_one_color_is_no_knot_without_a_vector(self, one):
         # one color may hold several components, so only a builder that knows
-        # a knot gives the vector (); splice and cable refuse the others
+        # a knot (count 1) gives the vector (); splice and cable refuse the others
         for call in (lambda: splice(one, hopf_sig_fn(1, 1)), lambda: cable_parallel(one, 2)):
             with pytest.raises(ValueError, match="has no linking vector"):
                 call()
 
     @pytest.mark.parametrize("collapse", [
         merge_colors(hopf_sig_fn(1, 1), 1),
-        to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]]),
-        to_levine_tristram(merge_colors(hopf_sig_fn(1, 1), 1), [[0]]),
+        to_levine_tristram(hopf_sig_fn(1, 1)),
+        to_levine_tristram(merge_colors(hopf_sig_fn(1, 1), 1)),
     ], ids=["merge", "levine-tristram", "levine-tristram-of-a-merge"])
     def test_a_collapse_is_no_knot(self, collapse):
         # its color holds several components, none of them distinguished
+        assert collapse.counts == (2,)
         for call in (lambda: splice_knot(collapse, hopf_sig_fn(1, 1)),
                      lambda: satellite(collapse, zero_fn(1), 1),
                      lambda: satellite(zero_fn(1), collapse, 1)):
-            with pytest.raises(ValueError, match="is a collapse"):
+            with pytest.raises(ValueError, match="color 0 holds 2 components, none of them "
+                                                 "distinguished"):
                 call()
 
 
@@ -232,7 +243,7 @@ class TestSplice:
         # guard, so the two agree everywhere, where w^(1,1) = 1 included
         # (take K' = unknot, so f1 = 0 with no colors)
         knot = zero_fn(1, "unknot")
-        f1 = SigFn(1, lambda om: 0, linking=(), label="unknot+axis")
+        f1 = SigFn(1, lambda om: 0, counts=(1,), label="unknot+axis")
         f2 = hopf_sig_fn(1, 2)
         a = splice_knot(knot, f2)
         b = splice(f1, f2)
@@ -251,7 +262,7 @@ class TestSplice:
     def test_splice_knot_zero_linking(self):
         knot = SigFn(1, lambda om: 99 if not om[0].is_unit() else 0)
         f2 = hopf_sig_fn(1, 2)
-        s = splice_knot(knot, SigFn(3, f2.fn, linking=(0, 0)))
+        s = splice_knot(knot, vector(3, f2.fn, (0, 0)))
         # lambda'' = 0 evaluates the knot at 1, which contributes nothing
         assert s((ang(1, 3), ang(1, 5))) == 0
 
@@ -296,8 +307,8 @@ class TestLtSplice:
         def g(c):
             return lambda om: c * om[0].numerator - om[1].denominator + c * c
 
-        f1 = SigFn(2, g(c1), linking=(l1,))
-        f2 = SigFn(2, g(c2), linking=(l2,))
+        f1 = vector(2, g(c1), (l1,))
+        f2 = vector(2, g(c2), (l2,))
         if (math.gcd(l1, l2) * xi).is_unit():
             with pytest.raises(GuardViolated):
                 lt_splice(f1, f2, xi)
@@ -311,7 +322,7 @@ class TestLtSplice:
         with pytest.raises(GuardViolated):
             lt_splice(f, f, ang(1, 2))  # xi^gcd(2,2) = 1
         # lambda' = lambda'' = 0: gcd 0, xi^0 = 1 always, never defined
-        g = SigFn(2, lambda om: 0, linking=(0,))
+        g = vector(2, lambda om: 0, (0,))
         with pytest.raises(GuardViolated):
             lt_splice(g, g, ang(1, 3))
 
@@ -382,9 +393,11 @@ class TestMergeColors:
 
     def test_lk_zero_is_diagonal_restriction(self):
         f = hopf_sig_fn(2, 2)
-        g = merge_colors(merge_colors(f, 0), 0)
-        # after merging the two u copies and then... careful: merging twice
-        # collapses u-side then mixes; just check the first merge
+        # merging the two u copies, then them with the second v copy, which
+        # links each once: the second merge's lk is 2, and 0 is refused
+        g = merge_colors(merge_colors(f, 0), 2)
+        with pytest.raises(ValueError, match="links its two colors 2 times, not 0"):
+            merge_colors(merge_colors(f, 0), 0)
         h = merge_colors(f, 0)
         om = (ang(1, 3), ang(1, 4), ang(1, 5))
         assert h(om) == f(om + (om[-1],))
@@ -399,7 +412,7 @@ class TestMergeColors:
     def test_merged_family_is_the_collapse(self):
         # the h12 family's colors link twice: merging it by 2 is the independent
         # collapse of the closed form H_{1,2}, whose three components link (1, 1, 0)
-        lt = to_levine_tristram(hopf_sig_fn(1, 2), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        lt = to_levine_tristram(hopf_sig_fn(1, 2))
         merged = merge_colors(hopf_seifert_family(1, 2).sig_fn(), 2)
         assert merged((ang(2, 7),)) == lt((ang(2, 7),)) == -2
 
@@ -434,7 +447,8 @@ class TestMergeColors:
             for i in range(n1):
                 for j in range(n2):
                     lam[i][n1 + j] = lam[n1 + j][i] = 1
-            lt = to_levine_tristram(f, lam)
+            assert matrix(f) == lam
+            lt = to_levine_tristram(f)
             xi = ang(1, n)
             assert lt((xi,)) == (1 - n1) * (1 - n2) - n1 * n2
 
@@ -468,39 +482,49 @@ class TestSatellite:
 
 class TestToLevineTristram:
     def test_matrix_validated(self):
-        f = hopf_sig_fn(1, 1)
-        with pytest.raises(ValueError):
-            to_levine_tristram(f, [[0]])
-        with pytest.raises(ValueError):
-            to_levine_tristram(f, [[0, 1], [2, 0]])
+        # the linking numbers are the operand's own: one it does not know is refused
+        for f in (zero_fn(2), SigFn(2, lambda om: 0, counts=(1, 1)),
+                  splice(vector(3, lambda om: 0, (1, 2)), hopf_sig_fn(1, 1))):
+            with pytest.raises(ValueError, match="has no linking matrix"):
+                to_levine_tristram(f)
 
     def test_hopf_value(self):
-        f = to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]])
+        f = to_levine_tristram(hopf_sig_fn(1, 1))
         assert f((ang(1, 3),)) == -1
 
     def test_unit_is_the_empty_link(self):
         # every color is deleted at the unit, and with it every linking number
-        assert to_levine_tristram(hopf_sig_fn(1, 1), [[0, 1], [1, 0]])((UNIT,)) == 0
-        t36 = to_levine_tristram(fixture_sig("torus-3-6"), [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+        assert to_levine_tristram(hopf_sig_fn(1, 1))((UNIT,)) == 0
+        t36 = to_levine_tristram(fixture_sig("torus-3-6"))
         assert t36((UNIT,)) == 0
 
     def test_unit_still_evaluates_the_operand(self):
         # a guard the operand raises at (1, ..., 1) still fires
         h = h12_merged()
         with pytest.raises(GuardViolated):
-            to_levine_tristram(splice(h, h), [[0, 4], [4, 0]])((UNIT,))
+            to_levine_tristram(splice(h, h))((UNIT,))
 
     @pytest.mark.parametrize("lk", [0.5, 1.0])
     def test_inexact_entries_refused(self, lk):
+        # a linking number enters the matrix the collapse reads as an integer
+        # or not at all: a document's vector, a merge's lk
         with pytest.raises(TypeError):
-            to_levine_tristram(hopf_sig_fn(1, 1), [[0, lk], [lk, 0]])
+            to_levine_tristram(vector(2, lambda om: 0, (lk,)))
+        with pytest.raises(TypeError):
+            to_levine_tristram(merge_colors(zero_fn(3), lk))
 
     @pytest.mark.parametrize("matrix", [[[5, 1], [1, 0]], [[0, 1], [1, -2]]])
     def test_nonzero_diagonal_refused(self, matrix):
-        # a component does not link itself; univariate_reduction refuses the
-        # same matrices
-        with pytest.raises(ValueError, match="linking matrix must have zero diagonal"):
-            to_levine_tristram(hopf_sig_fn(1, 1), matrix)
+        # a component does not link itself: a family whose matrix says so is
+        # refused before the collapse reads it; univariate_reduction refuses
+        # the same matrices
+        family = SeifertFamily(2, hopf_seifert_family(1, 1).forms, linking=matrix)
+        with pytest.raises(InvalidFamily, match="linking matrix must have zero diagonal"):
+            to_levine_tristram(family.sig_fn())
+
+    def test_torus_3_6_reads_its_registered_matrix(self):
+        # its strands link pairwise twice: 6 subtracted, T(3,6)'s value
+        assert to_levine_tristram(fixture_sig("torus-3-6"))((ang(1, 5),)) == -6
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +579,10 @@ def evaluators(draw, knot=False):
     arity = 1 if knot else draw(st.integers(1, 3))
     lam = draw(st.lists(st.integers(-3, 3), min_size=arity - 1, max_size=arity - 1))
     if kind == "zero":
-        return SigFn(arity, lambda om: 0, linking=lam, label="zero")
+        return vector(arity, lambda om: 0, lam, label="zero")
     cs = draw(st.lists(st.integers(-3, 3), min_size=arity, max_size=arity))
-    return SigFn(arity, lambda om: sum(c * a.numerator - a.denominator // 2
-                                       for c, a in zip(cs, om)), linking=lam, label="random")
+    return vector(arity, lambda om: sum(c * a.numerator - a.denominator // 2
+                                        for c, a in zip(cs, om)), lam, label="random")
 
 
 @st.composite
@@ -602,6 +626,42 @@ class TestOneSpliceFormula:
         want = outcome(ref_cable_parallel(f, nu), omega)
         if want == "GuardViolated" and f.arity == 1:
             # a knot's copies: the knot splice with the zero base H(1, nu)
-            base = SigFn(nu + 1, lambda om: 0, linking=(1,) * nu)
+            base = vector(nu + 1, lambda om: 0, (1,) * nu)
             want = outcome(ref_splice_knot(f, base), omega)
         assert outcome(cable_parallel(f, nu), omega) == want
+
+
+# ---------------------------------------------------------------------------
+# the link structure every combinator derives
+# ---------------------------------------------------------------------------
+
+class TestDerivedLinkData:
+    def test_splice_of_the_fixtures_is_torus_3_6s_registered_matrix(self):
+        # torus(2,4) spliced with cable(4,2)+core is torus(3,6): the strands
+        # left link 2*1 times across and 2 times within the cable
+        s = splice(fixture_sig("torus-2-4"), fixture_sig("cable-4-2"))
+        assert matrix(s) == [list(row) for row in FIXTURES["torus(3,6)"].lk]
+        assert s.counts == (1, 1, 1) and s.linking == (2, 2)
+
+    @pytest.mark.parametrize("nu, m", list(product(range(1, 4), repeat=2)))
+    def test_cable_of_hopf_derives_h_nu_m(self, nu, m):
+        cabled, closed = cable_parallel(hopf_sig_fn(1, m), nu), hopf_sig_fn(nu, m)
+        assert (matrix(cabled), cabled.counts) == (matrix(closed), closed.counts)
+
+    def test_cable_of_a_splice_is_the_cable_of_torus_3_6(self):
+        # a splice result carries its matrix, so it is cabled without a
+        # restated vector, as the fixture it equals
+        spliced = {"splice": [{"fixture": "torus-2-4"}, [2], {"fixture": "cable-4-2"}, [1, 1]]}
+        cabled = parse({"cable": [spliced, 2]})
+        fixture = parse({"cable": [{"fixture": "torus-3-6"}, 2]})
+        assert matrix(cabled) == matrix(fixture)
+        for om in grid(4, 7):
+            assert outcome(cabled, om) == outcome(fixture, om), om
+
+    @settings(max_examples=200, deadline=None)
+    @given(evaluators().filter(lambda f: f.arity == 2),
+           evaluators().filter(lambda f: f.arity == 2), characters(1))
+    def test_lt_splice_is_the_collapse_of_the_splice(self, f1, f2, omega):
+        collapse = to_levine_tristram(splice(f1, f2))
+        assert (outcome(SigFn(1, lambda om: lt_splice(f1, f2, om[0])), omega)
+                == outcome(collapse, omega))
