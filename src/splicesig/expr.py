@@ -24,10 +24,10 @@ A splice vector or merge lk must equal the number the operand derives
 family without linking).  No color known to hold several components is a
 splice operand's color 0 or a satellite operand.
 
-Combinators nest at most MAX_DEPTH deep.  Structural problems (unknown key,
-wrong operand shape, unknown fixture, unreadable file, nesting past
-MAX_DEPTH) raise ExpressionError.  Evaluation-time conditions such as
-GuardViolated pass through untouched.
+Combinators nest at most MAX_DEPTH deep, and no node is built with more than
+MAX_COLORS colors.  Structural problems (unknown key, wrong operand shape,
+unknown fixture, unreadable file, a limit passed) raise ExpressionError.
+Evaluation-time conditions such as GuardViolated pass through untouched.
 """
 
 import json
@@ -40,8 +40,8 @@ from .splice import (SigFn, cable_parallel, distinguish, merge_colors, satellite
                      with_boundary, zero_fn)
 
 # One command-line argument holds at most 131 072 bytes on Linux, at least two
-# an angle ("0,"), so no --at evaluates a larger link: refuse to build one.
-MAX_HOPF_COMPONENTS = 65_536
+# an angle ("0,"), so no --at evaluates a link of more colors: refuse to build one.
+MAX_COLORS = 65_536
 
 _FORMS = ("hopf", "zero", "fixture", "seifert", "torus", "splice", "cable", "merge",
           "satellite")
@@ -57,6 +57,11 @@ def _expect_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ExpressionError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _expect_colors(count: int, form: str) -> None:
+    if count > MAX_COLORS:
+        raise ExpressionError(f"{form} takes at most {MAX_COLORS} colors, got {count}")
 
 
 def _expect_linking(value, what: str) -> tuple:
@@ -92,9 +97,7 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
         m, n = _expect_int(m, "hopf m"), _expect_int(n, "hopf n")
         if m < 1 or n < 1:
             raise ExpressionError("hopf needs positive component counts")
-        if m + n > MAX_HOPF_COMPONENTS:
-            raise ExpressionError(f"hopf takes at most {MAX_HOPF_COMPONENTS} components "
-                                  f"in all, got {m} + {n}")
+        _expect_colors(m + n, form)
         from .hopf import hopf_sig_fn
         return hopf_sig_fn(m, n)
 
@@ -102,6 +105,7 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
         arity = _expect_int(value, "zero arity")
         if arity < 0:
             raise ExpressionError("zero arity must be non-negative")
+        _expect_colors(arity, form)
         return zero_fn(arity)
 
     if form == "fixture":
@@ -144,12 +148,15 @@ def _parse(doc, base_dir: Optional[str], depth: int) -> SigFn:
         e1, lam1, e2, lam2 = _expect_args(value, 4, form)
         role = '"splice" operand'
         f1 = distinguish(_parse(e1, base_dir, below), _expect_linking(lam1, "splice lam1"), role)
-        f2 = distinguish(_parse(e2, base_dir, below), _expect_linking(lam2, "splice lam2"), role)
-        return splice(f1, f2)
+        f2 = _parse(e2, base_dir, below)
+        _expect_colors(f1.arity + f2.arity - 2, form)
+        return splice(f1, distinguish(f2, _expect_linking(lam2, "splice lam2"), role))
 
     if form == "cable":
         e, nu = _expect_args(value, 2, form)
-        return cable_parallel(_parse(e, base_dir, below), _expect_int(nu, "cable copy count"))
+        f, nu = _parse(e, base_dir, below), _expect_int(nu, "cable copy count")
+        _expect_colors(f.arity - 1 + nu, form)
+        return cable_parallel(f, nu)
 
     if form == "merge":
         e, lk = _expect_args(value, 2, form)

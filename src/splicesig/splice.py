@@ -7,11 +7,11 @@ its signature, the correction being a generalized Hopf link's signature:
     sigma_L(w', w'') = sigma_1(u'', w') + sigma_2(u', w'') + defect_l'(w') * defect_l''(w'')
 
 where u* = (w*)^(l*) raises the character to the linking vector of the
-distinguished component.  It needs the guard (u', u'') != (1, 1) unless the
-first link is a knot, where u' = 1.  The splice of the standard generators
-reproducing the Hopf closed form pins the correction sign to +.  Cables and
-satellites are splices with a base link: H_{1,nu} for nu parallel copies,
-the pattern plus the axis of its solid torus for a satellite.
+distinguished component.  It needs the guard (u', u'') != (1, 1) unless
+either link is a knot, whose raised character is 1.  The splice of the
+standard generators reproducing the Hopf closed form pins the correction
+sign to +.  Cables and satellites are splices with a base link: H_{1,nu}
+first for nu copies, the pattern plus the axis of its solid torus for a satellite.
 
 Evaluators are represented by SigFn: a callable on characters with an arity,
 the color-level linking matrix and component counts, which every combinator
@@ -154,10 +154,10 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
     Both operands need a linking vector (ValueError naming the operand by its
     role otherwise).  The resulting evaluator takes (w', w'') with w' the
     colors of the first operand and w'' of the second.  Raises GuardViolated
-    when the first operand has other colors and both raised characters
+    when both operands have other colors and both raised characters
     u' = (w')^l' and u'' = (w'')^l'' are 1: the formula acquires an extra
-    correction term there and is not computed by this calculus.  With a knot
-    first (vector ()), u' = 1 and the value is the knot-splice form
+    correction term there and is not computed by this calculus.  A knot
+    (vector ()) in either place raises to 1 and is unguarded: first, it gives
     sigma_1(w^l'') + sigma_2(1, w).  The colors keep their link data, and L'_i
     (l'_i meridians of K', glued to longitudes of K'') links L''_j l'_i*l''_j times.
     """
@@ -172,7 +172,7 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
         om1, om2 = omega[:mu1], omega[mu1:]
         up1 = char_power(om1, lam1)
         up2 = char_power(om2, lam2)
-        if mu1 and up1.is_unit() and up2.is_unit():
+        if mu1 and mu2 and up1.is_unit() and up2.is_unit():
             raise GuardViolated(
                 "both raised characters equal 1; splice additivity does not apply")
         return (f1.fn((up2,) + om1) + f2.fn((up1,) + om2)
@@ -191,9 +191,8 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
 
 
 def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
-    """Splice a knot into f2's distinguished slot: splice(knot, f2), which
-    is sigma_knot(w^l'') + sigma_2(1, w) with no guard.  A knot is one color
-    of one component, with the linking vector ()."""
+    """Splice a knot into f2's distinguished slot: splice(knot, f2), which is
+    sigma_knot(w^l'') + sigma_2(1, w), unguarded.  A knot is one color of one component."""
     return splice(distinguish(knot, (), "splice_knot operand 1"), f2,
                   label=f"splice_knot({knot.label or '?'}, {f2.label or '?'})",
                   roles=("splice_knot operand 1", "splice_knot operand 2"))
@@ -212,23 +211,18 @@ def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
 def cable_parallel(f: SigFn, nu: int) -> SigFn:
     """Replace the distinguished component by nu parallel copies, one color each.
 
-    f needs a linking vector l.  This is the splice of f with H_{1,nu}, whose
-    signature is 0, with the copies moved to the first nu slots: with pi the
-    product of the copy coordinates, sigma(z, w) = f(pi, w) + defect(z) *
-    defect_l(w), guarded by (w^l, pi) != (1, 1) unless f is a knot.  The
-    copies link each other 0 times and L_j l_j times.
+    f needs a linking vector l.  This is the splice of H_{1,nu}, whose
+    signature is 0, with f: with pi the product of the copy coordinates,
+    sigma(z, w) = f(pi, w) + defect(z) * defect_l(w), guarded by
+    (w^l, pi) != (1, 1) unless f is a knot.  The copies come first, link each
+    other 0 times and L_j l_j times.
     """
     nu = operator.index(nu)
     if nu < 1:
         raise ValueError("need at least one parallel copy")
-    base = SigFn(nu + 1, lambda omega: 0, lk=lambda i, j: int(i * j == 0),
-                 counts=(1,) * (nu + 1), label=f"hopf(1,{nu})")
-    spliced = splice(f, base, roles=("cable_parallel operand", "cable base"))
-    n = spliced.arity  # the cable's color i is spliced's (i - nu) % n
-    return SigFn(n, lambda omega: spliced.fn(omega[nu:] + omega[:nu]),
-                 lk=lambda i, j: spliced.lk((i - nu) % n, (j - nu) % n),
-                 counts=spliced.counts[n - nu:] + spliced.counts[:n - nu],
-                 label=f"cable({f.label or '?'}, {nu})")
+    from .hopf import hopf_sig_fn
+    return splice(hopf_sig_fn(1, nu), f, label=f"cable({f.label or '?'}, {nu})",
+                  roles=("cable base", "cable_parallel operand"))
 
 
 def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:

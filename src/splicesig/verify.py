@@ -354,10 +354,9 @@ def guard_discipline() -> CriterionResult:
             if not both_unit:
                 return _fail(name, f"spurious GuardViolated at ({a}/4,{b}/4)")
 
-    # the knot-splice form carries no guard: evaluations with the raised
-    # character equal to 1 succeed
-    guard_free = splice_knot(parse({"torus": [2, 3]}), h12)
-    for w in quarters:
+    # a knot in either place has no guard: raised characters 1 evaluate
+    knot = parse({"torus": [2, 3]})
+    for guard_free, w in product((splice_knot(knot, h12), splice(h12, knot)), quarters):
         guard_free((w,))  # w in {0, 1/2} raises w^2 to the unit
     return CriterionResult(name, True,
                            "GuardViolated raised exactly on the excluded slice in 528 "

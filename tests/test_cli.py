@@ -15,7 +15,7 @@ from splicesig import cyclotomic
 from splicesig.cables import hirzebruch
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import MAX_GRID_CELLS, main
-from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS
+from splicesig.expr import MAX_COLORS, MAX_DEPTH
 from splicesig.hopf import hopf_seifert_family, sigma_k
 from splicesig.torus import Angle
 
@@ -99,7 +99,7 @@ class TestEval:
         start = time.perf_counter()
         assert main(["eval", "hopf", "30000000", "1", "--at", "1/2"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert f"at most {MAX_HOPF_COMPONENTS} components" in capsys.readouterr().err
+        assert f"at most {MAX_COLORS} colors" in capsys.readouterr().err
         assert main(["eval", "hopf", "2", "3", "--at", "1/4,3/4,1/3,1/3,1/3"]) == 0
         assert capsys.readouterr().out == "0\nnullity 2\n"
 
@@ -438,11 +438,13 @@ class TestRefusalsFailFast:
         (["sweep", json.dumps({"zero": 6000}), "--order", "8"],
          "UsageError", "grid of 7^6000 cells"),
         (["sweep", json.dumps({"cable": [{"hopf": [1, 1]}, 10 ** 7]}), "--order", "8"],
-         "UsageError", "grid of 7^10000001 cells"),
+         "ExpressionError", f"cable takes at most {MAX_COLORS} colors"),
+        (["eval", json.dumps({"zero": 10 ** 9}), "--at", "1/2"],
+         "ExpressionError", f"zero takes at most {MAX_COLORS} colors"),
         (["eval", json.dumps({"seifert": "trefoil.json"}), "--at", "1/8633"],
          "LevelMismatch", "level 8633 exceeds the supported bound"),
         (["eval", "hopf", "30000000", "1", "--at", "1/2"],
-         "ExpressionError", f"at most {MAX_HOPF_COMPONENTS} components"),
+         "ExpressionError", f"hopf takes at most {MAX_COLORS} colors"),
         (["sweep", "torus-3-6", "--order", "48"],
          "UsageError", "grid of 103823 cells"),
         (["eval", _merges(450), "--at", "1/2"],
@@ -458,7 +460,8 @@ class TestRefusalsFailFast:
     ]
 
     @pytest.mark.parametrize("argv, kind, message", CASES, ids=[
-        "family-arity", "grid-arity", "cable-copies", "level-bound", "hopf-components",
+        "family-arity", "grid-arity", "cable-copies", "zero-arity", "level-bound",
+        "hopf-components",
         "grid-cells", "merge-450", "merge-5000", "merge-5000-file", "family-700",
         "family-chain"])
     def test_refused_within_time_and_memory(self, argv, kind, message, tmp_path):

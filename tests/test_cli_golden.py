@@ -176,6 +176,12 @@ def _cases():
         ("err-inline-json", ["eval", "{not json", "--at", "1/2"], None),
         ("err-unknown-form", ["--json", "eval", inline({"knot": 1}), "--at", "1/2"], None),
         ("err-hopf-counts", ["eval", inline({"hopf": [0, 1]}), "--at", "1/2"], None),
+        # no form builds more colors than one --at can hold
+        ("err-zero-colors-json", ["--json", "eval", inline({"zero": 10 ** 9}), "--at", "1/2"],
+         None),
+        ("err-cable-colors-json", ["--json", "sweep", inline({"cable": [{"hopf": [1, 1]},
+                                                                        10 ** 7]}),
+                                   "--order", "3"], None),
         ("err-missing-file", ["eval", "missing.json", "--at", "1/2"], None),
         ("err-missing-family", ["--json", "eval", inline({"seifert": "missing.json"}),
                                 "--at", "1/2"], None),
@@ -223,6 +229,18 @@ def _cases():
                                 "--at", "3/8,5/8"], None),
         ("eval-cable-knot-copies", ["eval", inline({"cable": [{"torus": [2, 3]}, 2]}),
                                     "--at", "1/3,2/3"], None),
+        # nor has a knot second: each splice equals its knot-first twin
+        ("eval-splice-knot-second", ["eval", inline({"splice": [{"hopf": [1, 1]}, [1],
+                                                                {"torus": [2, 3]}, []]}),
+                                     "--at", "0"], None),
+        ("eval-splice-knot-second-twin", ["eval", inline({"splice": [{"torus": [2, 3]}, [],
+                                                                     {"hopf": [1, 1]}, [1]]}),
+                                          "--at", "0"], None),
+        ("eval-splice-fixture-knot", ["eval", inline({"splice": [{"fixture": "torus-2-4"}, [2],
+                                                                 {"torus": [2, 3]}, []]}),
+                                      "--at", "1/2"], None),
+        ("eval-splice-fixture-knot-twin", ["eval", inline({"splice": [
+            {"torus": [2, 3]}, [], {"fixture": "torus-2-4"}, [2]]}), "--at", "1/2"], None),
         ("boundary", ["eval", inline({"seifert": "stripped.json"}), "--at", "0,1/3"], None),
         ("boundary-json", ["--json", "eval", inline({"seifert": "stripped.json"}),
                            "--at", "0,1/3"], None),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
 from splicesig.errors import ExpressionError, GuardViolated
-from splicesig.expr import MAX_DEPTH, MAX_HOPF_COMPONENTS, parse
+from splicesig.expr import MAX_COLORS, MAX_DEPTH, parse
 from splicesig.fixtures import fixture_table
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import SigFn, distinguish, splice
@@ -30,9 +30,24 @@ class TestLeafForms:
         assert f((ang(1, 3),) * 4) == hopf_sig_fn(2, 2)((ang(1, 3),) * 4) == 1
 
     def test_hopf_component_bound(self):
-        assert parse({"hopf": [MAX_HOPF_COMPONENTS - 1, 1]}).arity == MAX_HOPF_COMPONENTS
-        with pytest.raises(ExpressionError, match=f"at most {MAX_HOPF_COMPONENTS}"):
-            parse({"splice": [{"hopf": [1, MAX_HOPF_COMPONENTS]}, [1], {"hopf": [1, 1]}, [1]]})
+        assert parse({"hopf": [MAX_COLORS - 1, 1]}).arity == MAX_COLORS
+        with pytest.raises(ExpressionError, match=f"hopf takes at most {MAX_COLORS}"):
+            parse({"splice": [{"hopf": [1, MAX_COLORS]}, [1], {"hopf": [1, 1]}, [1]]})
+
+    @pytest.mark.parametrize("form, at_bound, over", [
+        ("zero", {"zero": MAX_COLORS}, {"zero": MAX_COLORS + 1}),
+        ("cable", {"cable": [{"hopf": [1, 2]}, MAX_COLORS - 2]},
+         {"cable": [{"hopf": [1, 2]}, MAX_COLORS - 1]}),
+        ("splice", {"splice": [{"hopf": [1, MAX_COLORS - 1]}, [1] * (MAX_COLORS - 1),
+                               {"hopf": [1, 1]}, [1]]},
+         {"splice": [{"hopf": [1, MAX_COLORS - 1]}, [1] * (MAX_COLORS - 1),
+                     {"hopf": [1, 2]}, [1, 1]]}),
+    ])
+    def test_one_color_bound_for_every_form(self, form, at_bound, over):
+        # a node of MAX_COLORS colors is built, one of more is refused first
+        assert parse(at_bound).arity == MAX_COLORS
+        with pytest.raises(ExpressionError, match=f"{form} takes at most {MAX_COLORS} colors"):
+            parse(over)
 
     def test_zero(self):
         f = parse({"zero": 3})

@@ -9,10 +9,12 @@ gives each node its arity, the component count of each color and the
 color-level linking matrix, None where a leaf has no data.  It refuses a
 document where a knot or a distinguished component is required and absent,
 or where a restated number (a splice vector, a merge lk) differs from a
-known one.  The fuzzer draws documents over eight forms with true and
-perturbed restated numbers, and checks the command line against the model:
-the exit code, refusal exactly where the model refuses, the arity, and
-sigma(conj w) = sigma(w).
+known one, and every malformed node.  A one-color Seifert family is a knot
+exactly when det(theta+ - theta-) = +-1.  The fuzzer draws documents over
+the nine forms with true and perturbed restated numbers, and malformed
+nodes, and checks the command line against the model: the exit code,
+refusal (an ExpressionError) exactly where the model refuses, the arity,
+sigma(conj w) = sigma(w), and that a splice and its swap agree.
 """
 
 import io
@@ -21,8 +23,10 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
 
 # the fixtures' linking matrices, from their topology: two strands linking
@@ -33,7 +37,15 @@ FIXTURES = {
     "cable-4-2": ((0, 1, 1), (1, 0, 2), (1, 2, 0)),
     "torus-3-6": ((0, 2, 2), (2, 0, 2), (2, 2, 0)),
 }
+# one-color families (theta+, theta-) with a basis: the trefoil's Seifert
+# matrix, and an annulus with a full twist, which bounds the Hopf link
+TREFOIL = [[-1, 1], [0, -1]]
+FAMILIES = {
+    "trefoil.json": (TREFOIL, [list(r) for r in zip(*TREFOIL)]),
+    "hopf1.json": ([[-1]], [[-1]]),
+}
 MANY = "many"  # a count known to be two or more, its value unknown
+ARGS = {"hopf": 2, "torus": 2, "splice": 4, "cable": 2, "merge": 2, "satellite": 3}
 
 
 class Node(NamedTuple):
@@ -59,6 +71,23 @@ def _one_component(count) -> bool:
     return count is None or count == 1
 
 
+def _integer(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise Refused
+    return x
+
+
+def _vector(lam) -> Tuple[int, ...]:
+    if not isinstance(lam, list):
+        raise Refused
+    return tuple(map(_integer, lam))
+
+
+def _det(rows) -> int:
+    return rows[0][0] if len(rows) == 1 else sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, x in enumerate(rows[0]))
+
+
 def _distinguished(node: Node, lam) -> Node:
     """node with color 0 one component linking the others lam times."""
     if len(lam) != node.arity - 1 or not _one_component(node.counts[0]):
@@ -74,21 +103,41 @@ def _distinguished(node: Node, lam) -> Node:
 
 def model(doc) -> Node:
     """The document's node; Refused where the command line must exit 2."""
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise Refused
     form, value = next(iter(doc.items()))
+    if form in ARGS and not (isinstance(value, list) and len(value) == ARGS[form]):
+        raise Refused
     if form == "hopf":
-        m, n = value
+        m, n = map(_integer, value)
+        if m < 1 or n < 1:
+            raise Refused
         return Node(m + n, (1,) * (m + n), tuple(
             tuple(int((i < m) != (j < m)) for j in range(m + n)) for i in range(m + n)))
     if form == "zero":
+        if _integer(value) < 0:
+            raise Refused
         return _unknown(value)
     if form == "fixture":
+        if not isinstance(value, str) or value not in FIXTURES:
+            raise Refused
         lk = FIXTURES[value]
         return Node(len(lk), (1,) * len(lk), lk)
+    if form == "seifert":
+        if not isinstance(value, str) or value not in FAMILIES:
+            raise Refused
+        plus, minus = FAMILIES[value]
+        det = _det([[a - b for a, b in zip(p, m)] for p, m in zip(plus, minus)])
+        return Node(1, (1 if abs(det) == 1 else MANY,), ((0,),))
     if form == "torus":
+        p, q = map(_integer, value)
+        if p * q == 0 or math.gcd(p, q) != 1:
+            raise Refused
         return Node(1, (1,), ((0,),))
     if form == "splice":
         e1, lam1, e2, lam2 = value
-        a, b = _distinguished(model(e1), lam1), _distinguished(model(e2), lam2)
+        a = _distinguished(model(e1), lam1 := _vector(lam1))
+        b = _distinguished(model(e2), lam2 := _vector(lam2))
         mu1, mu2 = a.arity - 1, b.arity - 1
         lk = [[0] * (mu1 + mu2) for _ in range(mu1 + mu2)]
         for i in range(mu1 + mu2):
@@ -106,8 +155,8 @@ def model(doc) -> Node:
     if form == "cable":
         e, nu = value
         node = model(e)
-        if not node.arity or node.counts[0] != 1 or None in node.lk[0]:
-            raise Refused  # no linking vector to read
+        if _integer(nu) < 1 or not node.arity or node.counts[0] != 1 or None in node.lk[0]:
+            raise Refused  # no copy, or no linking vector to read
         lam, mu = node.lk[0][1:], node.arity - 1
         lk = [[0] * (nu + mu) for _ in range(nu + mu)]
         for i in range(nu + mu):
@@ -119,7 +168,7 @@ def model(doc) -> Node:
         return Node(nu + mu, (1,) * nu + node.counts[1:], tuple(map(tuple, lk)))
     if form == "merge":
         e, given = value
-        node = model(e)
+        node, given = model(e), _integer(given)
         if node.arity < 2:
             raise Refused
         a, b = node.arity - 2, node.arity - 1
@@ -131,12 +180,13 @@ def model(doc) -> Node:
         lk.append([_add(x, y) for x, y in zip(node.lk[a][:a], node.lk[b][:a])] + [0])
         return Node(b, node.counts[:a] + (count,), tuple(map(tuple, lk)))
     if form == "satellite":
-        companion, pattern, _ = value
+        companion, pattern, q = value
+        _integer(q)
         for node in (model(companion), model(pattern)):
             if node.arity != 1 or not _one_component(node.counts[0]):
                 raise Refused
         return Node(1, (1,), ((0,),))
-    raise AssertionError(form)
+    raise Refused  # an unknown form
 
 
 def accepted(doc) -> Optional[Node]:
@@ -145,24 +195,6 @@ def accepted(doc) -> Optional[Node]:
         return model(doc)
     except Refused:
         return None
-
-
-def arity(doc) -> int:
-    """The number of colors the document's evaluator takes, refused or not."""
-    form, value = next(iter(doc.items()))
-    if form in ("torus", "satellite"):
-        return 1
-    if form == "hopf":
-        return sum(value)
-    if form == "zero":
-        return value
-    if form == "fixture":
-        return len(FIXTURES[value])
-    if form == "splice":
-        return arity(value[0]) + arity(value[2]) - 2
-    if form == "cable":
-        return value[1] + arity(value[0]) - 1
-    return arity(value[0]) - 1
 
 
 # -- the fuzzer ----------------------------------------------------------------
@@ -194,11 +226,26 @@ def restated_lk(draw, operand):
 
 TORUS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
     lambda pq: pq[0] * pq[1] != 0 and math.gcd(*pq) == 1).map(lambda pq: {"torus": list(pq)})
+SEIFERT = st.sampled_from(sorted(FAMILIES)).map(lambda name: {"seifert": name})
 LEAVES = st.one_of(
     st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda mn: {"hopf": list(mn)}),
     st.integers(0, 3).map(lambda k: {"zero": k}),
     st.sampled_from(sorted(FIXTURES)).map(lambda name: {"fixture": name}),
-    TORUS)
+    TORUS, SEIFERT)
+
+
+@st.composite
+def malformed(draw, below):
+    """A node no parse accepts: a wrong list length, a boolean or a string
+    where an integer belongs, an unknown key, or no object at all."""
+    e = draw(below)
+    return draw(st.sampled_from([
+        {"hopf": [1]}, {"hopf": [True, 1]}, {"zero": "2"}, {"torus": [2, "3"]},
+        {"torus": [2, 3, 5]}, {"fixture": 1}, {"seifert": ["trefoil.json"]},
+        {"splice": [e, [], e]}, {"splice": [e, [True], e, []]}, {"splice": [e, "1", e, []]},
+        {"cable": [e]}, {"cable": [e, True]}, {"cable": [e, "2"]}, {"merge": [e, 0, 0]},
+        {"merge": [e, False]}, {"satellite": [e, e]}, {"satellite": [e, e, "1"]},
+        {"knot": [2, 3]}, {"hopf": [1, 1], "zero": 1}, {}, [e], 3, "hopf", None]))
 
 
 @st.composite
@@ -206,6 +253,8 @@ def documents(draw, depth=4):
     form = draw(st.sampled_from(("leaf", "splice", "cable", "merge", "satellite")
                                 if depth else ("leaf",)))
     below = documents(depth - 1)
+    if draw(st.integers(0, 19)) == 0:
+        return draw(malformed(below))
     if form == "leaf":
         return draw(LEAVES)
     if form == "splice":
@@ -227,15 +276,54 @@ def _eval(doc, angles):
     return code, out.getvalue()
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _family_files(tmp_path_factory):
+    """The families a seifert leaf names, in the working directory."""
+    path = tmp_path_factory.mktemp("families")
+    for name, (plus, minus) in FAMILIES.items():
+        (path / name).write_text(SeifertFamily(1, {(1,): plus, (-1,): minus},
+                                               basis=True).dumps())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(path)
+        yield
+
+
+def _character(draw, node: Optional[Node], n: int):
+    """Angles k/n, one for each of node's colors and the unit 0 about half of
+    them; none where node is refused, which the parse does before it reads
+    the character."""
+    mu = node.arity if node else 0
+    k = st.one_of(st.just(0), st.integers(0, n - 1))
+    return [f"{k}/{n}" for k in draw(st.lists(k, min_size=mu, max_size=mu))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(documents(), st.integers(1, 12), st.data())
 def test_the_command_line_refuses_exactly_where_the_model_does(doc, n, data):
-    node, mu = accepted(doc), max(arity(doc), 0)
-    ks = data.draw(st.lists(st.integers(0, n - 1), min_size=mu, max_size=mu))
-    code, out = _eval(doc, [f"{k}/{n}" for k in ks])
+    node = accepted(doc)
+    angles = _character(data.draw, node, n)
+    code, out = _eval(doc, angles)
     assert code in (0, 2, 3, 4), out
-    # a character of the model's arity: one of another arity would exit 2
-    assert node is None or node.arity == mu
     assert (code == 2) == (node is None), (doc, out)
+    if node is None:
+        assert json.loads(out)["error"]["type"] == "ExpressionError", (doc, out)
     if code == 0:
-        assert _eval(doc, [f"{-k % n}/{n}" for k in ks]) == (code, out), doc
+        conj = [f"{-int(a.split('/')[0]) % n}/{n}" for a in angles]
+        assert _eval(doc, conj) == (code, out), doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(LEAVES, documents(3)), st.one_of(LEAVES, documents(3)), st.integers(1, 12),
+       st.data())
+def test_a_splice_and_its_swap_agree(e1, e2, n, data):
+    # the splice formula treats its operands alike: swapping them swaps the
+    # colors, and a knot in either place is unguarded.  Leaves, knots among
+    # them, are drawn more often than documents() draws them.
+    l1, l2 = data.draw(restated_vector(e1)), data.draw(restated_vector(e2))
+    doc, swapped = {"splice": [e1, l1, e2, l2]}, {"splice": [e2, l2, e1, l1]}
+    angles = _character(data.draw, accepted(doc), n)
+    code, out = _eval(doc, angles)
+    swapped_code, swapped_out = _eval(swapped, angles[len(l1):] + angles[:len(l1)])
+    assert swapped_code == code, (doc, angles, out, swapped_out)
+    if code == 0:
+        assert swapped_out == out, (doc, angles)

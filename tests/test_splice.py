@@ -201,18 +201,20 @@ class TestSplice:
             assert checked > 0 and guarded > 0
 
     def test_symmetry(self):
+        # swapping the operands swaps the colors, values and refusals alike:
+        # a knot is unguarded first or second
         f1 = hopf_sig_fn(1, 2)
-        f2 = hopf_sig_fn(1, 3)
-        a, b = splice(f1, f2), splice(f2, f1)
-        for om in grid(5, 3, start=1):
-            v, w = om[:2], om[2:]
-            try:
-                left = a(v + w)
-            except GuardViolated:
-                with pytest.raises(GuardViolated):
-                    b(w + v)
-                continue
-            assert left == b(w + v)
+        for f2 in (hopf_sig_fn(1, 3), parse({"torus": [2, 3]})):
+            a, b = splice(f1, f2), splice(f2, f1)
+            for om in grid(a.arity, 3, start=1):
+                v, w = om[:2], om[2:]
+                try:
+                    left = a(v + w)
+                except GuardViolated:
+                    with pytest.raises(GuardViolated):
+                        b(w + v)
+                    continue
+                assert left == b(w + v)
 
     def test_guard_raises(self):
         f = h12_merged()
@@ -254,7 +256,7 @@ class TestSplice:
         knot = SigFn(1, lambda om: -2 if not om[0].is_unit() else 0)
         f2 = hopf_sig_fn(1, 2)
         s = splice_knot(knot, f2)
-        # w^(1,1) = 1 here, where a splice with a link first is refused
+        # w^(1,1) = 1 here, where a splice of two links is refused
         assert s((ang(1, 3), ang(2, 3))) == 0
         # and a non-boundary point picks up the knot value
         assert s((ang(1, 3), ang(1, 3))) == -2
@@ -602,8 +604,8 @@ MERGE_OPERANDS = ([(hopf_sig_fn(m, n), int(m >= 1 and n == 1))
 
 class TestOneSpliceFormula:
     # each combinator equals its written-out formula wherever that returns and
-    # raises GuardViolated wherever that does, except that a knot first
-    # operand is never refused: there splice is the knot splice
+    # raises GuardViolated wherever that does, except that a knot operand is
+    # never refused: there splice is the knot splice, in either order
     @settings(max_examples=300, deadline=None)
     @given(evaluators(knot=True), evaluators(), st.data())
     def test_splice_knot(self, knot, f2, data):
