@@ -104,8 +104,9 @@ class SeifertFamily:
 
     forms maps each sign vector to a g x g integer matrix; duality demands
     theta^{-eps} = transpose(theta^{eps}).  linking, if present, is the matrix
-    of total linking numbers between color classes (torus.linking_problem);
-    boundary, if present, maps tuples of kept color indices to the sublink's family.
+    of total linking numbers between color classes (torus.linking_problem), no
+    component count: a family states none.  boundary, if present, maps tuples
+    of kept color indices to the sublink's family.
     """
 
     def __init__(self, arity: int, forms: Mapping[Sign, Sequence[Sequence[int]]], *,
@@ -232,17 +233,15 @@ class SeifertFamily:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
         The family, its linking matrix and its boundary families pass the gate
-        first, so an invalid family is refused with InvalidFamily here.  The
-        evaluator's linking matrix is the family's, and with one, color 0 is
-        one component.  With one color and a basis, color 0 is one component
-        exactly when det(theta^+ - theta^-) = +-1 (_boundary_count).  The
-        nullity is this family's kernel with a basis, None otherwise.
+        first, so an invalid family is refused with InvalidFamily here.  lk is
+        the family's linking matrix.  Counts are unknown, save that one color
+        with a basis derives its own, one component exactly when det(theta^+ -
+        theta^-) = +-1 (_boundary_count).  The nullity is the kernel with a basis.
         """
         self._gate()
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
-        counts = [None if self.linking is None else 1] + [None] * (self.arity - 1)
-        if self.arity == 1 and self.basis:
-            counts = [_boundary_count(self.forms[(1,)], self.forms[(-1,)])]
+        counts = ([_boundary_count(self.forms[(1,)], self.forms[(-1,)])]
+                  if self.arity == 1 and self.basis else None)
         lk = None if self.linking is None else (lambda i, j: self.linking[i][j])
         nullity = (lambda omega: self._inertia_at(omega)[2]) if self.basis else None
         return with_boundary(self.arity, self.signature, subs, lk=lk, counts=counts,

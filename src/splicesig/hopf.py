@@ -104,12 +104,12 @@ def unlink_family(components: int) -> SeifertFamily:
 def hopf_seifert_family(m: int, n: int) -> SeifertFamily:
     """The bicolored Seifert family of the standard C-complex of H_{m,n}.
 
-    Generators alpha_{ij} are indexed by Z/m x Z/n (one per clasp); for a
-    shift direction (eps, dlt) the form takes the value -eps*dlt on
-    (alpha_ij, alpha_ij) and on (alpha_ij, alpha_{i-eps,j+dlt}), and +eps*dlt
-    on (alpha_ij, alpha_{i-eps,j}) and (alpha_ij, alpha_{i,j+dlt}).  For
-    m or n in {1, 2} the cyclic indices collide and the contributions add up;
-    at m = n = 1 everything cancels to the zero 1x1 form.
+    Color 0 holds m components, color 1 holds n, and linking the class total m*n.
+    Generators alpha_{ij} are indexed by Z/m x Z/n (one per clasp); for a shift
+    direction (eps, dlt) the form takes the value -eps*dlt on (alpha_ij, alpha_ij)
+    and on (alpha_ij, alpha_{i-eps,j+dlt}), and +eps*dlt on (alpha_ij, alpha_{i-eps,j})
+    and (alpha_ij, alpha_{i,j+dlt}).  For m or n in {1, 2} the cyclic indices collide
+    and the contributions add up; at m = n = 1 everything cancels to the zero 1x1 form.
     """
     from .ccomplex import SeifertFamily
     if m < 1 or n < 1:

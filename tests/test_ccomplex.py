@@ -21,7 +21,7 @@ from splicesig.cyclotomic import CyclotomicNumber
 from splicesig.expr import MAX_DEPTH
 from splicesig.errors import BoundaryCharacter, InvalidFamily, SpliceSigError
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn, unlink_family
-from splicesig.splice import splice
+from splicesig.splice import distinguish, splice, to_levine_tristram
 from splicesig.torus import UNIT, Angle, character
 
 
@@ -452,8 +452,23 @@ class TestSigFn:
             splice(f, hopf_sig_fn(1, 1))
 
     def test_distinguished_from_linking_metadata(self):
-        f = hopf_seifert_family(2, 3).sig_fn()
-        assert f.linking == (6,)
+        # the matrix holds class totals, which count no components (H(2,3)'s
+        # color 0 is two), so only a restated vector, checked against the
+        # matrix's row, distinguishes color 0
+        for m, n in [(1, 2), (2, 3)]:
+            fam = hopf_seifert_family(m, n)
+            f = fam.sig_fn()
+            assert f.counts == (None, None)
+            assert f.linking is None
+            assert f.lk(0, 1) == m * n
+            with pytest.raises(ValueError, match="has no linking vector"):
+                splice(f, hopf_sig_fn(1, 1))
+            assert distinguish(f, (m * n,), "operand").linking == (m * n,)
+            with pytest.raises(ValueError, match=f"has linking vector \\[{m * n}\\]"):
+                distinguish(f, (m * n + 1,), "operand")
+            # the Levine-Tristram collapse still reads the matrix
+            omega = (ang(1, 3),)
+            assert to_levine_tristram(f)(omega) == fam.signature(omega * 2) - m * n
 
 
 class TestJson:

@@ -193,6 +193,22 @@ def _cases():
                                   "--at", "1/3,1/3"], None),
         ("err-cable-no-linking", ["eval", inline({"cable": [{"zero": 2}, 2]}),
                                   "--at", "1/3,1/3,1/3"], None),
+        # a family's linking matrix holds class totals, no component count:
+        # H(2,2)'s color 0 is two copies, and a cable needs one.  The Hopf
+        # link, spliced in, declares a color one component.
+        ("err-cable-family-h22", ["eval", inline({"cable": [{"seifert": "h22.json"}, 2]}),
+                                  "--at", "1/3,1/5,2/7"], None),
+        ("err-cable-family-h22-json", ["--json", "eval",
+                                       inline({"cable": [{"seifert": "h22.json"}, 2]}),
+                                       "--at", "1/3,1/5,2/7"], None),
+        ("err-cable-family-h12", ["eval", inline({"cable": [{"seifert": "h12.json"}, 2]}),
+                                  "--at", "1/3,1/5,2/7"], None),
+        ("err-cable-family-h12-json", ["--json", "eval",
+                                       inline({"cable": [{"seifert": "h12.json"}, 2]}),
+                                       "--at", "1/3,1/5,2/7"], None),
+        ("eval-cable-hopf-unit-h12", ["eval", inline({"cable": [{"splice": [
+            {"hopf": [1, 1]}, [1], {"seifert": "h12.json"}, [2]]}, 2]}),
+                                      "--at", "1/3,1/5,2/7"], None),
         # h12's two colors link twice, and a component does not link itself
         ("err-merge-lk", ["eval", inline({"merge": [{"seifert": "h12.json"}, 1]}),
                           "--at", "2/7"], None),

@@ -62,7 +62,8 @@ class TestLeafForms:
         path = tmp_path / "h22.json"
         path.write_text(hopf_seifert_family(2, 2).dumps())
         f = parse({"seifert": str(path)})
-        assert f.linking == (4,)  # family carries linking data
+        # the family's matrix gives lk; color 0 is two components, no vector
+        assert f.lk(0, 1) == 4 and f.linking is None
         assert f((ang(1, 3), ang(1, 3))) == 1
 
     def test_seifert_relative_path(self, tmp_path, monkeypatch, capsys):
@@ -146,8 +147,21 @@ def test_seifert_linking_vector_follows_the_family(tmp_path):
     (tmp_path / "with.json").write_text(json.dumps(doc))
     del doc["linking"]
     (tmp_path / "without.json").write_text(json.dumps(doc))
-    assert parse({"seifert": "with.json"}, str(tmp_path)).linking == (6,)
-    assert parse({"seifert": "without.json"}, str(tmp_path)).linking is None
+    # the matrix gives lk, never a linking vector: no family states its counts
+    with_, without = (parse({"seifert": name}, str(tmp_path))
+                      for name in ("with.json", "without.json"))
+    assert (with_.lk(0, 1), without.lk(0, 1)) == (6, None)
+    assert with_.linking is without.linking is None
+    with pytest.raises(ExpressionError, match="operand hopf_family.2,3. has no linking vector"):
+        parse({"cable": [{"seifert": "with.json"}, 2]}, str(tmp_path))
+    # a splice that restates the vector is checked against the family's row;
+    # spliced into H(1,1), the Hopf link's other component replaces color 0
+    def spliced(lam):
+        return parse({"splice": [{"hopf": [1, 1]}, [1], {"seifert": "with.json"}, lam]},
+                     str(tmp_path))
+    assert spliced([6]).linking == (6,)
+    with pytest.raises(ExpressionError, match=r"has linking vector \[6\], the document gives \[7\]"):
+        spliced([7])
 
 
 class TestCombinedForms:

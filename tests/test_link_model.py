@@ -9,12 +9,15 @@ gives each node its arity, the component count of each color and the
 color-level linking matrix, None where a leaf has no data.  It refuses a
 document where a knot or a distinguished component is required and absent,
 or where a restated number (a splice vector, a merge lk) differs from a
-known one, and every malformed node.  A one-color Seifert family is a knot
-exactly when det(theta+ - theta-) = +-1.  The fuzzer draws documents over
-the nine forms with true and perturbed restated numbers, and malformed
-nodes, and checks the command line against the model: the exit code,
-refusal (an ExpressionError) exactly where the model refuses, the arity,
-sigma(conj w) = sigma(w), and that a splice and its swap agree.
+known one, and every malformed node.  A Seifert family states no component
+count: a one-color family with a basis is a knot exactly when
+det(theta+ - theta-) = +-1, and a bicolored Hopf family H(m, n) has unknown
+counts, its colors linking m*n times where the file gives that matrix.  The
+fuzzer draws documents over the nine forms, to depth 5, with true and
+perturbed restated numbers, and malformed nodes, and checks the command
+line against the model: the exit code, refusal (an ExpressionError) exactly
+where the model refuses, the arity, sigma(conj w) = sigma(w), and that a
+splice and its swap agree.
 """
 
 import io
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
+from splicesig.hopf import hopf_seifert_family
 
 # the fixtures' linking matrices, from their topology: two strands linking
 # twice; a core linking each of two (2,1)-strands once, which link twice;
@@ -44,6 +48,9 @@ FAMILIES = {
     "trefoil.json": (TREFOIL, [list(r) for r in zip(*TREFOIL)]),
     "hopf1.json": ([[-1]], [[-1]]),
 }
+# bicolored H(m, n) families, with or without their linking matrix: (m, n, linking)
+HOPF_FAMILIES = {"h12.json": (1, 2, True), "h22.json": (2, 2, True),
+                 "h22-unlinked.json": (2, 2, False)}
 MANY = "many"  # a count known to be two or more, its value unknown
 ARGS = {"hopf": 2, "torus": 2, "splice": 4, "cable": 2, "merge": 2, "satellite": 3}
 
@@ -124,6 +131,10 @@ def model(doc) -> Node:
         lk = FIXTURES[value]
         return Node(len(lk), (1,) * len(lk), lk)
     if form == "seifert":
+        if isinstance(value, str) and value in HOPF_FAMILIES:
+            m, n, linked = HOPF_FAMILIES[value]
+            lk = m * n if linked else None
+            return Node(2, (None, None), ((0, lk), (lk, 0)))
         if not isinstance(value, str) or value not in FAMILIES:
             raise Refused
         plus, minus = FAMILIES[value]
@@ -226,7 +237,8 @@ def restated_lk(draw, operand):
 
 TORUS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
     lambda pq: pq[0] * pq[1] != 0 and math.gcd(*pq) == 1).map(lambda pq: {"torus": list(pq)})
-SEIFERT = st.sampled_from(sorted(FAMILIES)).map(lambda name: {"seifert": name})
+SEIFERT = st.sampled_from(sorted(FAMILIES) + sorted(HOPF_FAMILIES)).map(
+    lambda name: {"seifert": name})
 LEAVES = st.one_of(
     st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda mn: {"hopf": list(mn)}),
     st.integers(0, 3).map(lambda k: {"zero": k}),
@@ -249,7 +261,7 @@ def malformed(draw, below):
 
 
 @st.composite
-def documents(draw, depth=4):
+def documents(draw, depth=5):
     form = draw(st.sampled_from(("leaf", "splice", "cable", "merge", "satellite")
                                 if depth else ("leaf",)))
     below = documents(depth - 1)
@@ -261,7 +273,7 @@ def documents(draw, depth=4):
         e1, e2 = draw(below), draw(below)
         return {"splice": [e1, draw(restated_vector(e1)), e2, draw(restated_vector(e2))]}
     if form == "cable":
-        return {"cable": [draw(below), draw(st.integers(1, 2))]}
+        return {"cable": [draw(st.one_of(LEAVES, below)), draw(st.integers(1, 2))]}
     if form == "merge":
         e = draw(below)
         return {"merge": [e, draw(restated_lk(e))]}
@@ -283,6 +295,11 @@ def _family_files(tmp_path_factory):
     for name, (plus, minus) in FAMILIES.items():
         (path / name).write_text(SeifertFamily(1, {(1,): plus, (-1,): minus},
                                                basis=True).dumps())
+    for name, (m, n, linked) in HOPF_FAMILIES.items():
+        doc = hopf_seifert_family(m, n).to_json()
+        if not linked:
+            del doc["linking"]
+        (path / name).write_text(json.dumps(doc))
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(path)
         yield
