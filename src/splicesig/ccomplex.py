@@ -40,7 +40,7 @@ from .torus import Character, linking_problem
 
 Sign = Tuple[int, ...]  # entries +1 / -1, length = arity
 
-# validate() lists the missing shift directions by name up to this arity
+# a family's refusal lists the missing shift directions by name up to this arity
 _LISTED_ARITY = 8
 
 
@@ -106,7 +106,9 @@ class SeifertFamily:
     theta^{-eps} = transpose(theta^{eps}).  linking, if present, is the matrix
     of total linking numbers between color classes (torus.linking_problem), no
     component count: a family states none.  boundary, if present, maps tuples
-    of kept color indices to the sublink's family.
+    of kept color indices to the sublink's family.  Construction applies these
+    rules and raises InvalidFamily with one argument per problem, so every
+    family that exists is valid; a non-integer entry raises TypeError.
     """
 
     def __init__(self, arity: int, forms: Mapping[Sign, Sequence[Sequence[int]]], *,
@@ -117,27 +119,22 @@ class SeifertFamily:
         self.arity = arity
         self.forms = {tuple(eps): tuple(tuple(operator.index(x) for x in row) for row in mat)
                       for eps, mat in forms.items()}
-        some = next(iter(self.forms.values()), ())
-        self.generators = len(some)
+        self.generators = len(next(iter(self.forms.values()), ()))
         self.basis = bool(basis)
         self.boundary = {tuple(k): v for k, v in (boundary or {}).items()}
         self.linking = (tuple(tuple(operator.index(x) for x in row) for row in linking)
                         if linking is not None else None)
         self.label = label
-        # construction is permissive, save for non-integer entries, so that
-        # validate() can report problems; _gate refuses a family that fails it
-        # with InvalidFamily before any arithmetic: from_json on load, the
-        # compile of H(t) and sig_fn at use
+        if problems := self._problems():
+            raise InvalidFamily(*problems)
 
-    # -- validation -----------------------------------------------------------
-
-    def validate(self) -> List[str]:
-        """Invariant violations as human-readable strings; empty means ok."""
+    def _problems(self) -> List[str]:
+        """The rules a family breaks, as human-readable strings.  A boundary
+        family is valid, as it exists: only its key and arity are checked."""
         out: List[str] = []
         mu, g = self.arity, self.generators
         if mu < 1:
-            out.append("arity must be at least 1")
-            return out
+            return ["arity must be at least 1"]
         # the 2^mu directions are counted, not built: a short document can
         # declare an arity whose directions would not fit in memory
         have = {eps for eps in self.forms if len(eps) == mu and set(eps) <= {1, -1}}
@@ -172,18 +169,9 @@ class SeifertFamily:
         for kept, sub in self.boundary.items():
             if bad := _bad_key(kept, mu):
                 out.append(bad)
-                continue
-            if sub.arity != len(kept):
+            elif sub.arity != len(kept):
                 out.append(f"boundary family for {kept} has arity {sub.arity}")
-            for problem in sub.validate():
-                out.append(f"boundary {kept}: {problem}")
         return out
-
-    def _gate(self) -> None:
-        """Refuse the family with the validate() report unless it is clean."""
-        problems = self.validate()
-        if problems:
-            raise InvalidFamily("; ".join(problems))
 
     # -- assembly -------------------------------------------------------------
 
@@ -198,13 +186,8 @@ class SeifertFamily:
 
     @cached_property
     def laurent(self) -> LaurentMatrix:
-        """H(t), compiled by LaurentMatrix.from_forms from the forms.
-
-        Compiled on first use, not at construction, which stays permissive, and
-        only after the gate: validate()'s shape rules make every form g x g, and
-        its duality rule makes H(t) equal H(t)*.  H(omega) is its value at omega.
-        """
-        self._gate()
+        """H(t), compiled by LaurentMatrix.from_forms on first use: the constructor's
+        rules make every form g x g and H(t) equal H(t)*.  H(omega) is its value at omega."""
         return LaurentMatrix.from_forms(self.arity, self.forms)
 
     def assemble(self, omega: Character) -> HermitianMatrix:
@@ -232,13 +215,10 @@ class SeifertFamily:
     def sig_fn(self) -> SigFn:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
-        The family, its linking matrix and its boundary families pass the gate
-        first, so an invalid family is refused with InvalidFamily here.  lk is
-        the family's linking matrix.  Counts are unknown, save that one color
+        lk is the family's linking matrix.  Counts are unknown, save that one color
         with a basis derives its own, one component exactly when det(theta^+ -
         theta^-) = +-1 (_boundary_count).  The nullity is the kernel with a basis.
         """
-        self._gate()
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
         counts = ([_boundary_count(self.forms[(1,)], self.forms[(-1,)])]
                   if self.arity == 1 and self.basis else None)
@@ -268,47 +248,52 @@ class SeifertFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SeifertFamily":
-        """The family of a JSON document, refused unless validate() is clean."""
-        fam = cls._from_doc(doc)
-        fam._gate()
-        return fam
+        """The family of a JSON document.  A malformed document or boundary key, or
+        boundary families nested more than MAX_DEPTH deep, are refused as read, the
+        rest with the problems of every family that breaks a rule: a boundary
+        family's under its key ("boundary (k,): ..."), its arity then unchecked."""
 
-    @classmethod
-    def _from_doc(cls, doc: dict, depth: int = 0) -> "SeifertFamily":
-        try:
-            forms = {_parse_sign_key(k): _int_rows(v, f"form {k}") for k, v in doc["forms"].items()}
-            if len(forms) < len(doc["forms"]):
-                raise InvalidFamily("two forms have one shift direction (- and − are one)")
-            mu, boundary = _json_typed(doc["arity"], int, "arity"), None
-            if "boundary" in doc:
-                if depth == MAX_DEPTH:  # checked while descending, as the keys are
+        def read(doc: dict, depth: int) -> Tuple[Optional[SeifertFamily], List[str]]:
+            """The family of doc, or None and its problems."""
+            problems: List[str] = []
+            try:
+                forms = {_parse_sign_key(k): _int_rows(v, f"form {k}")
+                         for k, v in doc["forms"].items()}
+                if len(forms) < len(doc["forms"]):
+                    raise InvalidFamily("two forms have one shift direction (- and − are one)")
+                mu, boundary = _json_typed(doc["arity"], int, "arity"), {}
+                if "boundary" in doc and depth == MAX_DEPTH:  # checked while descending
                     raise InvalidFamily(f"boundary families nest more than {MAX_DEPTH} deep")
-                boundary = {}
-                for key, sub in doc["boundary"].items():
+                for key, sub in doc.get("boundary", {}).items():
                     kept = _parse_boundary_key(key)
                     if bad := _bad_key(kept, mu):
                         raise InvalidFamily(bad)
-                    boundary[kept] = cls._from_doc(sub, depth + 1)
-            linking = doc.get("linking")
-            fam = cls(mu, forms,
-                      basis=_json_typed(doc.get("basis", False), bool, "basis"),
-                      boundary=boundary,
-                      linking=None if linking is None else _int_rows(linking, "linking"),
-                      label=_json_typed(doc["label"], str, "label") if "label" in doc else None)
-        except (KeyError, TypeError, AttributeError) as err:
-            raise InvalidFamily(f"family document missing or malformed: {err!r}") from err
-        declared = _json_typed(doc.get("generators", fam.generators), int, "generators")
-        if declared != fam.generators:
-            raise InvalidFamily(
-                f"declared {declared} generators but forms are {fam.generators}x{fam.generators}")
+                    boundary[kept], broken = read(sub, depth + 1)
+                    problems += [f"boundary {kept}: {problem}" for problem in broken]
+                basis = _json_typed(doc.get("basis", False), bool, "basis")
+                linking = doc.get("linking")
+                linking = None if linking is None else _int_rows(linking, "linking")
+            except (KeyError, TypeError, AttributeError) as err:
+                raise InvalidFamily(f"family document missing or malformed: {err!r}") from err
+            label = _json_typed(doc["label"], str, "label") if "label" in doc else None
+            g = len(next(iter(forms.values()), ()))
+            declared = _json_typed(doc.get("generators", g), int, "generators")
+            if declared != g:
+                raise InvalidFamily(f"declared {declared} generators but forms are {g}x{g}")
+            try:
+                fam = cls(mu, forms, basis=basis, linking=linking, label=label,
+                          boundary={kept: sub for kept, sub in boundary.items() if sub})
+            except InvalidFamily as err:
+                return None, [*err.args, *problems]
+            return (None if problems else fam), problems
+
+        fam, problems = read(doc, 0)
+        if problems:
+            raise InvalidFamily(*problems)
         return fam
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "SeifertFamily":
-        return cls.from_json(json.loads(text))
 
     @classmethod
     def load(cls, path: str) -> "SeifertFamily":

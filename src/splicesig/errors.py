@@ -43,8 +43,12 @@ class LevelMismatch(SpliceSigError):
 
 
 class InvalidFamily(SpliceSigError):
-    """A Seifert family or its JSON document is malformed or invalid; a family
-    that fails validate() is refused with its report, on load or first use."""
+    """A Seifert family or its JSON document is malformed or breaks a rule.  A
+    family is refused when it is built, one argument per problem, "; "-joined
+    in the message."""
+
+    def __str__(self):
+        return "; ".join(map(str, self.args))
 
 
 class InvalidParams(SpliceSigError):

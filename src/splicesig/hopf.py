@@ -38,8 +38,9 @@ if TYPE_CHECKING:  # imported where used: a closed-form eval loads no ccomplex o
 
 def hopf_signature(v: Character, u: Character) -> int:
     """sigma_{H_{m,n}}(v, u) = defect(v) * defect(u) on the full torus; the side
-    lengths are m = len(v) and n = len(u)."""
-    return defect1(v) * defect1(u)
+    lengths are m = len(v) and n = len(u).  A zero first factor, as for one
+    angle, leaves the second uncomputed."""
+    return (first := defect1(v)) and first * defect1(u)
 
 
 def hopf_nullity(eta: Character, zeta: Character) -> int:

@@ -175,8 +175,9 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
         if mu1 and mu2 and up1.is_unit() and up2.is_unit():
             raise GuardViolated(
                 "both raised characters equal 1; splice additivity does not apply")
+        first = defect(lam1, om1)  # 0 for one color, and then the second is not computed
         return (f1.fn((up2,) + om1) + f2.fn((up1,) + om2)
-                + defect(lam1, om1) * defect(lam2, om2))
+                + (first and first * defect(lam2, om2)))
 
     def lk(i: int, j: int) -> Optional[int]:
         i, j = min(i, j), max(i, j)
@@ -187,7 +188,13 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
         return lam1[i] * lam2[j - mu1]
 
     label = label or f"splice({f1.label or '?'}, {f2.label or '?'})"
-    return SigFn(mu1 + mu2, fn, lk=lk, counts=f1.counts[1:] + f2.counts[1:], label=label)
+    out = SigFn(mu1 + mu2, fn, lk=lk, counts=f1.counts[1:] + f2.counts[1:], label=label)
+    if mu1 and out.counts[0] == 1:  # the vector in bulk: looked up a color at a time
+        # through lk, nested splices cost their depth times their colors
+        head = tuple(map(f1.lk, repeat(1), range(2, mu1 + 1)))
+        out.linking = None if None in head else head + tuple(map(operator.mul,
+                                                                  repeat(lam1[0], mu2), lam2))
+    return out
 
 
 def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:

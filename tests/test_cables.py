@@ -501,10 +501,8 @@ class TestOneLinkingRule:
         assert (problem is None) == (square and all(
             rows[i][j] == rows[j][i] and not rows[i][i] for i in range(mu) for j in range(mu)))
         forms = {eps: [] for eps in product((1, -1), repeat=mu)}
-        assert SeifertFamily(mu, forms, linking=rows).validate() == ([problem] if problem else [])
         refusals = []
-        family = SeifertFamily(mu, forms, linking=rows)
-        for use, error in [(lambda: to_levine_tristram(family.sig_fn()), InvalidFamily),
+        for use, error in [(lambda: SeifertFamily(mu, forms, linking=rows), InvalidFamily),
                            (lambda: univariate_reduction(2, (1,) * mu, rows, 0), InvalidParams)]:
             try:
                 use()

@@ -1,4 +1,4 @@
-"""Seifert families: validation, assembly, signatures, nullity, JSON.
+"""Seifert families: the rules of construction, assembly, signatures, nullity, JSON.
 
 The bicolored assembly formula is pinned entry-by-entry against its expanded
 form, and the general shape is cross-checked through the Hopf oracle tests;
@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cyclotomic import CyclotomicNumber
 from splicesig.expr import MAX_DEPTH
-from splicesig.errors import BoundaryCharacter, InvalidFamily, SpliceSigError
+from splicesig.errors import BoundaryCharacter, InvalidFamily
 from splicesig.hopf import hopf_seifert_family, hopf_sig_fn, unlink_family
 from splicesig.splice import distinguish, splice, to_levine_tristram
 from splicesig.torus import UNIT, Angle, character
@@ -75,63 +75,73 @@ def trefoil_family():
                          label="trefoil")
 
 
+def refusal(*args, **kwargs):
+    """The problems, one argument each, of the InvalidFamily that building
+    SeifertFamily(*args, **kwargs) raises."""
+    with pytest.raises(InvalidFamily) as err:
+        SeifertFamily(*args, **kwargs)
+    assert str(err.value) == "; ".join(err.value.args)
+    return list(err.value.args)
+
+
 class TestValidate:
     def test_hopf_families_clean(self):
         for m, n in [(1, 1), (2, 2), (3, 2)]:
-            assert hopf_seifert_family(m, n).validate() == []
+            assert hopf_seifert_family(m, n).arity == 2  # built, so every rule holds
 
     def test_empty_family_clean(self):
-        fam = SeifertFamily(1, {(1,): [], (-1,): []})
-        assert fam.validate() == []
+        assert SeifertFamily(1, {(1,): [], (-1,): []}).generators == 0
 
     def test_broken_duality_reported(self):
         # once per pair {eps, -eps}, not once for each of eps and -eps
-        fam = SeifertFamily(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]})
-        report = fam.validate()
+        report = refusal(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]})
         assert sum("transpose" in line for line in report) == 1
         # arity 2: only the pair {+-, -+} is broken
         forms = {(1, 1): [[1]], (-1, -1): [[1]], (1, -1): [[2]], (-1, 1): [[3]]}
-        report = SeifertFamily(2, forms).validate()
-        assert [line for line in report if "duality broken" in line] == [
+        assert refusal(2, forms) == [
             "duality broken: -+ is not the transpose of +-, so H(t) is not the "
             "conjugate transpose of itself"]
 
     def test_missing_sign_vector_reported(self):
-        fam = SeifertFamily(2, {(1, 1): [[0]], (-1, -1): [[0]]})
-        assert fam.validate() == ["missing shift directions ['+-', '-+']"]
+        assert refusal(2, {(1, 1): [[0]], (-1, -1): [[0]]}) == [
+            "missing shift directions ['+-', '-+']"]
 
     def test_malformed_sign_vectors_are_unexpected(self):
         # a key of the wrong length, or with an entry other than +-1, is no
         # shift direction: it is reported, and the one it displaces is missing
         forms = {(1, 1): [[0]], (-1, -1): [[0]], (1, -1): [[0]], (-1, 0): [[0]],
                  (1,): [[0]], (1, 1, 1): [[0]]}
-        assert SeifertFamily(2, forms).validate() == [
+        assert refusal(2, forms) == [
             "missing shift directions ['-+']",
             "unexpected shift directions ['+', '+++', '-?']"]
 
     @pytest.mark.parametrize("arity", [9, 64, 10 ** 9])
     def test_large_arity_counted_not_listed(self, arity):
         # past arity 8 the 2^arity directions are counted, never built
-        assert SeifertFamily(arity, {}).validate() == [
-            f"missing shift directions: 0 of the 2^{arity} are given"]
-        assert SeifertFamily(8, {}).validate()[0].count("'") == 2 * 2 ** 8
+        assert refusal(arity, {}) == [f"missing shift directions: 0 of the 2^{arity} are given"]
+        assert refusal(8, {})[0].count("'") == 2 * 2 ** 8
 
     def test_shape_mismatch_reported(self):
-        fam = SeifertFamily(1, {(1,): [[0, 0]], (-1,): [[0], [0]]})
-        assert fam.validate()
+        assert refusal(1, {(1,): [[0, 0]], (-1,): [[0], [0]]}) == [
+            "form + is not 1x1", "form - is not 1x1"]
 
     def test_asymmetric_linking_reported(self):
-        fam = SeifertFamily(1, {(1,): [[0]], (-1,): [[0]]},
-                            linking=[[0, 1], [2, 0]])
-        assert fam.validate()
+        assert refusal(1, {(1,): [[0]], (-1,): [[0]]}, linking=[[0, 1], [2, 0]]) == [
+            "linking matrix must be 1x1"]
 
     def test_linking_diagonal_reported(self):
         # a component does not link itself: the document is refused, not read
         src = hopf_seifert_family(1, 2)
-        fam = SeifertFamily(2, src.forms, boundary=src.boundary, linking=[[5, 2], [2, 0]])
-        assert fam.validate() == ["linking matrix must have zero diagonal"]
-        with pytest.raises(InvalidFamily, match="zero diagonal"):
-            SeifertFamily.from_json(fam.to_json())
+        assert refusal(2, src.forms, boundary=src.boundary, linking=[[5, 2], [2, 0]]) == [
+            "linking matrix must have zero diagonal"]
+        with pytest.raises(InvalidFamily, match="^linking matrix must have zero diagonal$"):
+            SeifertFamily.from_json(dict(src.to_json(), linking=[[5, 2], [2, 0]]))
+
+    def test_boundary_key_and_arity_reported(self):
+        # a boundary family is valid, as it exists: its key and arity are checked
+        src = hopf_seifert_family(1, 2)
+        assert refusal(2, src.forms, boundary={(0, 1): src, (1,): src}) == [
+            "bad boundary key '0,1'", "boundary family for (1,) has arity 2"]
 
 
 class TestAssemble:
@@ -236,13 +246,14 @@ class TestAssemble:
             fam.assemble(omega)  # exact hermitian check inside
 
     def test_broken_duality_caught_at_assembly(self):
-        fam = SeifertFamily(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]})
-        with pytest.raises(InvalidFamily):
-            fam.assemble((ang(1, 3),))
+        # refused when built, so there is nothing to assemble
+        with pytest.raises(InvalidFamily, match="^duality broken"):
+            SeifertFamily(1, {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]}).assemble(
+                (ang(1, 3),))
 
 
 class TestInvalidFamiliesRefuse:
-    """Every invariant goes through the checked assembly: no numbers from bad data."""
+    """A family that breaks a rule is refused when built: no numbers from bad data."""
 
     BAD = {(1,): [[0, 1], [0, 0]], (-1,): [[0, 1], [0, 0]]}  # - is not the transpose of +
 
@@ -256,9 +267,8 @@ class TestInvalidFamiliesRefuse:
 
     def test_broken_duality_refused_where_the_form_is_hermitian(self):
         # at omega = 1/2, H = 2(theta+ + theta-) = [[2]] is Hermitian; H(t) is not
-        fam = SeifertFamily(1, {(1,): [[1]], (-1,): [[0]]})
-        with pytest.raises(InvalidFamily):
-            fam.signature((ang(1, 2),))
+        with pytest.raises(InvalidFamily, match="^duality broken"):
+            SeifertFamily(1, {(1,): [[1]], (-1,): [[0]]}).signature((ang(1, 2),))
 
     def test_non_integer_entries_refused_at_construction(self):
         with pytest.raises(TypeError):
@@ -268,48 +278,48 @@ class TestInvalidFamiliesRefuse:
                           linking=[[0, 0.7], [0.7, 0]])
 
     def test_raw_inertia_and_nullity_raise(self):
-        fam = SeifertFamily(1, self.BAD, basis=True)
         with pytest.raises(InvalidFamily):
-            fam.raw_inertia((ang(1, 3),))
+            SeifertFamily(1, self.BAD, basis=True).raw_inertia((ang(1, 3),))
         with pytest.raises(InvalidFamily):
-            fam.sig_fn().nullity((ang(1, 3),))
+            SeifertFamily(1, self.BAD, basis=True).sig_fn().nullity((ang(1, 3),))
 
 
-def _uses(fam, omega):
-    """Every way to get a number out of a family at omega."""
-    return [lambda: fam.signature(omega), lambda: fam.raw_inertia(omega),
-            lambda: fam.assemble(omega), lambda: fam.sig_fn()(omega),
-            lambda: fam.sig_fn().nullity(omega)]
+def _document(mu, forms, **data):
+    """The JSON document of a family, whether or not it breaks a rule."""
+    return {"arity": mu, "forms": {"".join("+" if e > 0 else "-" for e in eps): mat
+                                   for eps, mat in forms.items()}, **data}
 
 
 class TestOneGate:
-    """validate() is the one validity rule, and every use of a family passes it."""
+    """The constructor is the one validity rule: every family that exists passes it,
+    and a document is refused with the report the constructor gives."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: SeifertFamily(1, {(1,): [[1, 0]], (-1,): [[1], [0]]}),  # ragged
-        lambda: SeifertFamily(1, {(1,): [[1]]}),  # no (-1,) form
-        lambda: SeifertFamily(2, random_family(2, 2, random.Random(1)).forms,
-                              linking=[[0, 1], [2, 0]]),  # asymmetric linking
+    @pytest.mark.parametrize("args, data, report", [
+        ((1, {(1,): [[1, 0]], (-1,): [[1], [0]]}), {},
+         "form + is not 1x1; form - is not 1x1"),  # ragged
+        ((1, {(1,): [[1]]}), {}, "missing shift directions ['-']"),  # no (-1,) form
+        ((2, random_family(2, 2, random.Random(1)).forms), {"linking": [[0, 1], [2, 0]]},
+         "linking matrix must be symmetric"),
     ], ids=["ragged", "missing-form", "asymmetric-linking"])
-    def test_invalid_family_refused_by_every_use(self, make):
-        fam = make()
-        assert fam.validate()
-        for use in _uses(fam, (ang(1, 3),) * fam.arity):
-            with pytest.raises(SpliceSigError):
-                use()
+    def test_invalid_family_refused_by_every_use(self, args, data, report):
+        with pytest.raises(InvalidFamily) as built:
+            SeifertFamily(*args, **data)
+        with pytest.raises(InvalidFamily) as read:
+            SeifertFamily.from_json(_document(*args, **data))
+        assert str(built.value) == str(read.value) == report
 
     def test_refusal_carries_the_validate_report(self):
-        fam = SeifertFamily(1, {(1,): [[1, 0]], (-1,): [[1], [0]]})
+        # every problem is one argument, and the message joins them
         with pytest.raises(InvalidFamily) as err:
-            fam.sig_fn()
-        assert str(err.value) == "; ".join(fam.validate())
+            SeifertFamily(1, {(1,): [[1, 0]], (-1,): [[1], [0]]}).sig_fn()
+        assert err.value.args == ("form + is not 1x1", "form - is not 1x1")
+        assert str(err.value) == "form + is not 1x1; form - is not 1x1"
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32),
-           st.sampled_from(["entry", "row", "linking", "diagonal"]),
-           st.lists(st.tuples(st.integers(0, 10), st.sampled_from([3, 4, 5, 6, 8, 12])),
-                    min_size=3, max_size=3))
-    def test_injected_defect_refused_at_every_character(self, mu, g, seed, defect, angles):
+           st.sampled_from(["entry", "row", "linking", "diagonal"]))
+    def test_injected_defect_refused_at_every_character(self, mu, g, seed, defect):
+        # refused when built or read, so no character reaches the forms
         assume(defect != "linking" or mu >= 2)
         rng = random.Random(seed)
         valid = random_family(mu, g, rng)
@@ -325,16 +335,11 @@ class TestOneGate:
         else:
             i, j = rng.sample(range(mu), 2)
             linking[i][j] += 1
-        fam = SeifertFamily(mu, forms, basis=rng.random() < 0.5, linking=linking)
-        assert fam.validate()
-        with pytest.raises(InvalidFamily):
-            SeifertFamily.from_json(fam.to_json())
-        # at omega = 1/2 a broken pair can still assemble to a Hermitian H(omega)
-        drawn = tuple(ang(1 + n % (d - 1), d) for n, d in angles[:mu])
-        for omega in [(ang(1, 2),) * mu, drawn]:
-            for use in _uses(fam, omega):
-                with pytest.raises(SpliceSigError):
-                    use()
+        basis = rng.random() < 0.5
+        report = refusal(mu, forms, basis=basis, linking=linking)
+        with pytest.raises(InvalidFamily) as err:
+            SeifertFamily.from_json(_document(mu, forms, basis=basis, linking=linking))
+        assert list(err.value.args) == report
 
 
 class TestSignatureNullity:
@@ -475,7 +480,7 @@ class TestJson:
     def test_round_trip(self):
         fam = hopf_seifert_family(2, 2)
         blob = fam.dumps()
-        back = SeifertFamily.loads(blob)
+        back = SeifertFamily.from_json(json.loads(blob))
         assert back.arity == fam.arity
         assert back.forms == fam.forms
         assert back.linking == fam.linking
@@ -515,6 +520,24 @@ class TestJson:
             SeifertFamily.from_json(descending_family(MAX_DEPTH + 2))
         with pytest.raises(InvalidFamily, match="^missing shift directions: 0 of the 2"):
             SeifertFamily.from_json(descending_family(MAX_DEPTH + 1))
+
+    def test_boundary_problems_named_under_their_key(self):
+        # a boundary family that breaks a rule is named by its key; a malformed
+        # boundary document is not, as it is refused while read
+        doc = hopf_seifert_family(1, 2).to_json()
+        doc["boundary"]["0"] = {"arity": 1, "forms": {"+": [[1]], "-": [[0]]}, "linking": [[1]]}
+        with pytest.raises(InvalidFamily) as err:
+            SeifertFamily.from_json(doc)
+        assert err.value.args == (
+            "boundary (0,): duality broken: - is not the transpose of +, so H(t) is not "
+            "the conjugate transpose of itself",
+            "boundary (0,): linking matrix must have zero diagonal")
+        doc["linking"] = [[0, 1], [2, 0]]
+        with pytest.raises(InvalidFamily, match=r"^linking matrix must be symmetric; boundary \(0,\)"):
+            SeifertFamily.from_json(doc)
+        del doc["boundary"]["0"]["forms"]
+        with pytest.raises(InvalidFamily, match="^family document missing or malformed: KeyError"):
+            SeifertFamily.from_json(doc)
 
     def test_json_is_valid_json(self):
         blob = unlink_family(3).dumps()

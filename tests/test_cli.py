@@ -141,9 +141,9 @@ class TestEval:
 
     def test_invalid_seifert_family_exit_2(self, tmp_path, capsys):
         # the - form is not the transpose of the + form
-        bad = SeifertFamily(1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]})
+        bad = {"arity": 1, "forms": {"+": [[1, 1], [0, 0]], "-": [[1, 1], [0, 0]]}}
         path = tmp_path / "bad.json"
-        path.write_text(bad.dumps())
+        path.write_text(json.dumps(bad))
         assert main(["eval", json.dumps({"seifert": str(path)}), "--at", "1/3"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -404,6 +404,12 @@ def _merges(depth):
     return '{"merge": [' * depth + f'{{"zero": {depth + 1}}}' + ', 0]}' * depth
 
 
+def _cables(depth):
+    """depth one-copy cables around the widest Hopf link, MAX_COLORS colors at each
+    level: 4 116 bytes at MAX_DEPTH."""
+    return '{"cable": [' * depth + f'{{"hopf": [1, {MAX_COLORS - 1}]}}' + ', 1]}' * depth
+
+
 def _deep_family(depth):
     """An arity-1 family whose boundary key "0", which keeps its one colour, nests depth deep."""
     doc = '{"arity": 1, "forms": {"+": [[1]], "-": [[1]]}'
@@ -457,13 +463,16 @@ class TestRefusalsFailFast:
          "ExpressionError", "bad seifert family 'deep-700.json': maximum recursion depth"),
         (["eval", json.dumps({"seifert": "chain.json"}), "--at", "1/2"],
          "ExpressionError", f"'chain.json': boundary families nest more than {MAX_DEPTH} deep"),
+        # each cable's linking vector is derived in bulk, not one color at a time
+        (["sweep", _cables(MAX_DEPTH), "--order", "3"],
+         "UsageError", f"grid of 2^{MAX_COLORS} cells"),
     ]
 
     @pytest.mark.parametrize("argv, kind, message", CASES, ids=[
         "family-arity", "grid-arity", "cable-copies", "zero-arity", "level-bound",
         "hopf-components",
         "grid-cells", "merge-450", "merge-5000", "merge-5000-file", "family-700",
-        "family-chain"])
+        "family-chain", "cable-chain"])
     def test_refused_within_time_and_memory(self, argv, kind, message, tmp_path):
         (tmp_path / "arity-40.json").write_text(json.dumps({"arity": 40, "forms": {}}))
         (tmp_path / "trefoil.json").write_text(trefoil_family().dumps())

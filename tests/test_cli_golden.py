@@ -11,6 +11,7 @@ re-records the file with
 """
 
 import io
+import itertools
 import json
 import os
 import sys
@@ -189,6 +190,13 @@ def _cases():
         ("err-bad-family", ["eval", inline({"seifert": "invalid.json"}), "--at", "1/3"], None),
         ("err-bad-family-json", ["--json", "eval", inline({"seifert": "invalid.json"}),
                                  "--at", "1/3"], None),
+        # a boundary family that breaks rules: its problems, each under its key
+        ("err-bad-boundary", ["eval", inline({"seifert": "bad-boundary.json"}),
+                              "--at", "1/3,1/3"], None),
+        ("err-bad-boundary-json", ["--json", "eval", inline({"seifert": "bad-boundary.json"}),
+                                   "--at", "1/3,1/3"], None),
+        ("err-bad-boundary-nested", ["eval", inline({"seifert": "bad-boundary-nested.json"}),
+                                     "--at", "1/3,1/3,1/3"], None),
         ("err-malformed-family", ["eval", inline({"seifert": "malformed.json"}),
                                   "--at", "1/3,1/3"], None),
         ("err-cable-no-linking", ["eval", inline({"cable": [{"zero": 2}, 2]}),
@@ -302,20 +310,36 @@ def _files():
     files["hyperbolic.json"] = SeifertFamily(
         1, {(1,): hyperbolic, (-1,): [list(r) for r in zip(*hyperbolic)]}, basis=True,
         label="hyperbolic").dumps()
-    files["invalid.json"] = SeifertFamily(
-        1, {(1,): [[1, 1], [0, 0]], (-1,): [[1, 1], [0, 0]]}).dumps()
+    # a family that breaks a rule cannot be built, so its document is written as
+    # SeifertFamily.dumps would write it
+    invalid = {"arity": 1, "basis": False, "generators": 2,
+               "forms": {"+": [[1, 1], [0, 0]], "-": [[1, 1], [0, 0]]}}
+    files["invalid.json"] = _dumps(invalid)
     files["malformed.json"] = json.dumps({"arity": 2, "forms": {"++": [[1]], "--": [[1]]}})
     files["broken.json"] = "{"
     files["splice.json"] = json.dumps({"splice": [{"fixture": "torus-2-4"}, [2],
                                                   {"fixture": "cable-4-2"}, [1, 1]]})
     files["merge.json"] = json.dumps({"merge": [{"seifert": "h12.json"}, 2]})
     h12 = hopf_seifert_family(1, 2)
-    files["diagonal.json"] = SeifertFamily(2, h12.forms, boundary=h12.boundary,
-                                           linking=[[5, 2], [2, 0]]).dumps()
+    diagonal = dict(h12.to_json(), linking=[[5, 2], [2, 0]])
+    del diagonal["label"]
+    files["diagonal.json"] = _dumps(diagonal)
+    # only one boundary family breaks rules, two of them; then the same one level down
+    bad_boundary = h12.to_json()
+    bad_boundary["boundary"]["0"] = dict(invalid, linking=[[1]])
+    files["bad-boundary.json"] = _dumps(bad_boundary)
+    signs = ("".join(s) for s in itertools.product("+-", repeat=3))
+    files["bad-boundary-nested.json"] = _dumps(
+        {"arity": 3, "basis": False, "generators": 0, "forms": {k: [] for k in signs},
+         "boundary": {"0,1": bad_boundary}})
     files["cable.json"] = json.dumps({"cable": [{"hopf": [1, 1]}, 2]})
     files["hopf1.json"] = SeifertFamily(1, {(1,): [[-1]], (-1,): [[-1]]}, basis=True,
                                         label="hopf annulus").dumps()
     return files
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def _run(argv, csv, workdir: Path, read):

@@ -520,9 +520,8 @@ class TestToLevineTristram:
         # a component does not link itself: a family whose matrix says so is
         # refused before the collapse reads it; univariate_reduction refuses
         # the same matrices
-        family = SeifertFamily(2, hopf_seifert_family(1, 1).forms, linking=matrix)
-        with pytest.raises(InvalidFamily, match="linking matrix must have zero diagonal"):
-            to_levine_tristram(family.sig_fn())
+        with pytest.raises(InvalidFamily, match="^linking matrix must have zero diagonal$"):
+            SeifertFamily(2, hopf_seifert_family(1, 1).forms, linking=matrix)
 
     def test_torus_3_6_reads_its_registered_matrix(self):
         # its strands link pairwise twice: 6 subtracted, T(3,6)'s value
@@ -649,6 +648,18 @@ class TestDerivedLinkData:
     def test_cable_of_hopf_derives_h_nu_m(self, nu, m):
         cabled, closed = cable_parallel(hopf_sig_fn(1, m), nu), hopf_sig_fn(nu, m)
         assert (matrix(cabled), cabled.counts) == (matrix(closed), closed.counts)
+
+    @pytest.mark.parametrize("f1, f2", [
+        (hopf_sig_fn(1, 3), hopf_sig_fn(2, 2)), (hopf_sig_fn(2, 1), hopf_sig_fn(1, 1)),
+        (distinguish(SigFn(3, lambda om: 0, counts=(1, 1, 1)), (1, 2), "operand"),
+         hopf_sig_fn(1, 2)),  # an lk unknown
+        (merge_colors(hopf_sig_fn(1, 2), 0), vector(2, lambda om: 0, (3,))),  # two copies
+        (vector(1, lambda om: 0, ()), fixture_sig("torus-3-6"))])
+    def test_splice_vector_is_row_0_of_its_matrix(self, f1, f2):
+        # derived in bulk, the vector is what lk gives a color at a time
+        s = splice(f1, f2)
+        row = tuple(matrix(s)[0][1:])
+        assert s.linking == (row if s.counts[0] == 1 and None not in row else None)
 
     def test_cable_of_a_splice_is_the_cable_of_torus_3_6(self):
         # a splice result carries its matrix, so it is cabled without a
