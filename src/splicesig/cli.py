@@ -22,12 +22,12 @@ import argparse
 import json
 import os
 import sys
-from itertools import product
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated, SpliceSigError, UsageError
 from .expr import parse as parse_expr
-from .torus import Angle, Character, character, defect
+from .torus import Angle, Character, character, defect, grid
 
 # commands import the modules they need when they run, so each compiles only
 # those; the verify help lists verify.suite_names() from this copy
@@ -104,32 +104,43 @@ def _emit_error(err: Exception, code: int, as_json: bool) -> int:
 
 
 def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[Tuple[int, ...], Character]]:
-    """The cells ks of range(start, order)^arity with their characters ks/order,
-    refused above MAX_GRID_CELLS; the angles are built once (none for arity 0).
-    With 2 or more cells a side, more colors than the limit has bits exceed
-    it, and the size is then given as a power, which may be too large to compute."""
+    """torus.grid, refused above MAX_GRID_CELLS.  With 2 or more cells a side,
+    more colors than the limit has bits exceed it, and the size is then given
+    as a power, which may be too large to compute."""
     side = order - start
     big = side > 1 and arity > MAX_GRID_CELLS.bit_length()
     if big or side ** arity > MAX_GRID_CELLS:
         cells = f"{side}^{arity}" if big else side ** arity
         raise UsageError(f"grid of {cells} cells exceeds the limit of "
                          f"{MAX_GRID_CELLS}; lower --order")
-    angles = [Angle.from_ratio(k, order) for k in (range(order) if arity else ())]
-    return ((ks, tuple(angles[k] for k in ks))
-            for ks in product(range(start, order), repeat=arity))
+    return grid(start, order, arity)
 
 
 def _grid_label(ks: Tuple[int, ...], order: int) -> str:
     return ",".join(f"{k}/{order}" for k in ks)
 
 
-def _write_csv(path: str, arity: int, column: str, rows, order: int) -> None:
-    """Grid rows (ks, value) as CSV: omega_0..omega_{arity-1}, then column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"omega_{i}" for i in range(arity)] + [column]) + "\n")
-        for ks, val in rows:
-            fh.write(f"{_grid_label(ks, order)},{val}\n")
-    print(f"wrote {len(rows)} rows to {path}")
+def _cell_lines(rows, order: int) -> Iterator[str]:
+    return (f"{_grid_label(ks, order)}\t{val}" for ks, val in rows)
+
+
+def _write_grid(args, arity: int, order: int, rows, columns: Tuple[str, str],
+                head: dict, text: Iterable[str]) -> None:
+    """Grid rows (ks, value) in the layout args picks: --csv writes the columns
+    omega_0..omega_{arity-1} and columns[0]; --json prints head, the order and
+    the cells, each value under columns[1]; else the text lines are printed."""
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(",".join([f"omega_{i}" for i in range(arity)] + [columns[0]]) + "\n")
+            for ks, val in rows:
+                fh.write(f"{_grid_label(ks, order)},{val}\n")
+        print(f"wrote {len(rows)} rows to {args.csv}")
+    elif args.json:
+        print(json.dumps({**head, "order": order,
+                          "cells": [{"at": [f"{k}/{order}" for k in ks],
+                                     columns[1]: val} for ks, val in rows]}))
+    else:
+        print("\n".join(text))
 
 
 def cmd_eval(args) -> int:
@@ -168,16 +179,9 @@ def cmd_sweep(args) -> int:
             rows.append((ks, "guard"))
         except BoundaryCharacter:
             rows.append((ks, "boundary"))
-    if args.csv:
-        _write_csv(args.csv, f.arity, "signature", rows, order)
-    elif args.json:
-        print(json.dumps({"label": f.label, "order": order,
-                          "cells": [{"at": [f"{k}/{order}" for k in ks],
-                                     "value": val} for ks, val in rows]}))
-    else:
-        print(f"# {f.label or 'expression'}  order {order}  {len(rows)} cells")
-        for ks, val in rows:
-            print(f"{_grid_label(ks, order)}\t{val}")
+    title = f"# {f.label or 'expression'}  order {order}  {len(rows)} cells"
+    _write_grid(args, f.arity, order, rows, ("signature", "value"), {"label": f.label},
+                chain([title], _cell_lines(rows, order)))
     return EXIT_OK
 
 
@@ -189,23 +193,17 @@ def cmd_defect_table(args) -> int:
     order = args.order
     if order < 1 or not lam:
         raise UsageError("--order must be at least 1 and --lambda non-empty")
-    cells = [(ks, defect(lam, omega)) for ks, omega in _grid(0, order, len(lam))]
-    if args.csv:
-        _write_csv(args.csv, len(lam), "defect", cells, order)
-    elif args.json:
-        print(json.dumps({"lambda": list(lam), "order": order,
-                          "cells": [{"at": [f"{k}/{order}" for k in ks],
-                                     "defect": val} for ks, val in cells]}))
-    elif len(lam) == 2:
-        print(f"# defect lambda=({','.join(map(str, lam))})  order {order}")
-        print("\t" + "\t".join(f"{b}/{order}" for b in range(order)))
-        for a in range(order):  # cells run row by row
-            row = cells[a * order:(a + 1) * order]
-            print(f"{a}/{order}\t" + "\t".join(str(v) for _, v in row))
+    rows = [(ks, defect(lam, omega)) for ks, omega in _grid(0, order, len(lam))]
+    title = f"# defect lambda=({','.join(map(str, lam))})  order {order}"
+    if len(lam) == 2:  # a matrix with a row per first coordinate: the cells run row by row
+        cells = iter(rows)
+        body = chain(["\t" + "\t".join(f"{b}/{order}" for b in range(order))],
+                     (f"{a}/{order}\t" + "\t".join(str(v) for _, v in islice(cells, order))
+                      for a in range(order)))
     else:
-        print(f"# defect lambda=({','.join(map(str, lam))})  order {order}")
-        for ks, val in cells:
-            print(f"{_grid_label(ks, order)}\t{val}")
+        body = _cell_lines(rows, order)
+    _write_grid(args, len(lam), order, rows, ("defect", "defect"), {"lambda": list(lam)},
+                chain([title], body))
     return EXIT_OK
 
 

@@ -78,10 +78,10 @@ def hopf_sig_fn(m: int, n: int) -> SigFn:
 
     Its nullity is the closed form.  Every color is one component; copies on
     one side link 0 times, across the sides once.  So color 0, the first
-    copy (of the m-side when m >= 1), has linking vector (0, ..., 0, 1, ..., 1).
+    copy of the m-side, has linking vector (0, ..., 0, 1, ..., 1).
     """
-    if m < 0 or n < 0:
-        raise ValueError("component counts must be non-negative")
+    if m < 1 or n < 1:
+        raise ValueError("need at least one copy on each side")
     return SigFn(m + n, lambda omega: hopf_signature(omega[:m], omega[m:]),
                  lk=lambda i, j: int((i < m) != (j < m)), counts=(1,) * (m + n),
                  label=f"hopf({m},{n})", nullity=lambda omega: hopf_nullity(omega[:m], omega[m:]))

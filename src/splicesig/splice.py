@@ -87,11 +87,13 @@ class SigFn:
 
 def distinguish(f: SigFn, lam: Sequence[int], role: str) -> SigFn:
     """f with color 0 one component that links the other colors lam times:
-    ValueError naming f (as role) when lam has the wrong length, when color 0
-    is known to hold several components, or when lam contradicts a number f
-    knows.  Where f has none, the result takes lam's."""
+    ValueError naming f (as role) when f has no colors, when lam has the
+    wrong length, when color 0 is known to hold several components, or when
+    lam contradicts a number f knows.  Where f has none, the result takes lam's."""
     lam = tuple(operator.index(x) for x in lam)
     name = f"{role} {f.label or '?'}"
+    if not f.arity:
+        raise ValueError(f"{name} has no colors, so no component to distinguish")
     if len(lam) != f.arity - 1:
         raise ValueError(f"{name}: linking vector has length {len(lam)}, expected {f.arity - 1}")
     if f.counts[0] not in (None, 1):
@@ -288,10 +290,12 @@ def to_levine_tristram(f: SigFn) -> SigFn:
     so sigma(xi) = f(xi, ..., xi) - sum_{i<j} lk(L_i, L_j) for xi != 1; at
     xi = 1 every color is deleted and nothing is subtracted.  The linking
     numbers, which the Seifert forms do not determine, are f's own, so f must
-    know them all (ValueError otherwise).  The one color holds every
-    component: of two colors or more, it has no distinguished one.
+    know them all (ValueError otherwise, and for no colors).  The one color
+    holds every component: of two colors or more, it has no distinguished one.
     """
     mu = f.arity
+    if not mu:
+        raise ValueError(f"{f.label or '?'} has no colors to collapse to one")
     pairs = [f.lk(i, j) for i in range(mu) for j in range(i + 1, mu)]
     if None in pairs:
         raise ValueError(f"{f.label or '?'} has no linking matrix: "

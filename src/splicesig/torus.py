@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -118,6 +119,14 @@ def character(spec: Union[str, Iterable[RationalLike]]) -> Character:
         parts = [p.strip() for p in spec.split(",")] if spec.strip() else []
         return tuple(Angle(p) for p in parts)
     return tuple(a if isinstance(a, Angle) else Angle(a) for a in spec)
+
+
+def grid(start: int, order: int, arity: int) -> Iterator[Tuple[Tuple[int, ...], Character]]:
+    """Each cell ks of range(start, order)^arity, in lexicographic order, with
+    its character ks/order: the one walk of a grid of roots of unity.  The
+    angles are built once, none for arity 0, whose one cell is ((), ())."""
+    angles = [Angle.from_ratio(k, order) for k in (range(start, order) if arity else ())]
+    return zip(product(range(start, order), repeat=arity), product(angles, repeat=arity))
 
 
 def is_open(omega: Character) -> bool:

@@ -25,7 +25,7 @@ from .fixtures import fixture_sig, fixture_table
 from .hopf import (certify_spectrum, hopf_nullity, hopf_seifert_family,
                    hopf_sig_fn, sigma_k)
 from .splice import SigFn, merge_colors, splice, splice_knot
-from .torus import Angle, defect, defect1
+from .torus import Angle, defect, defect1, grid
 
 
 class CriterionResult(NamedTuple):
@@ -36,7 +36,7 @@ class CriterionResult(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _angles(order: int) -> Tuple[Angle, ...]:
-    """The grid angles k/order, k < order, built once per order for every suite."""
+    """The angles k/order, k < order, built once per order; torus.grid walks the cells."""
     return tuple(Angle.from_ratio(k, order) for k in range(order))
 
 
@@ -65,11 +65,9 @@ def _raised(name: str, err: BaseException) -> CriterionResult:
 def referee_tables() -> CriterionResult:
     name = "referee-tables"
     checked = 0
-    angles = _angles(8)
     for fix, arity in (("torus(2,4)", 2), ("cable(4,2)+core", 3), ("torus(3,6)", 3)):
         table, sig = fixture_table(fix), _fixture(fix)
-        for ks in product(range(1, 8), repeat=arity):
-            om = tuple(angles[k] for k in ks)
+        for ks, om in grid(1, 8, arity):
             want, got = table.value(om), sig(om)
             if got != want:
                 return _fail(name, f"{fix} at {ks}/8: got {got}, table says {want}")
@@ -86,12 +84,11 @@ def referee_splice() -> CriterionResult:
     held, excluded = 0, 0
     angles = _angles(8)
     t36, t24, c42 = map(_fixture, ("torus(3,6)", "torus(2,4)", "cable(4,2)+core"))
-    for k0, k1, k2 in product(range(8), repeat=3):
-        om1 = (angles[k0],)
-        om2 = (angles[k1], angles[k2])
-        lhs = t36(om1 + om2)
-        rhs = (t24((angles[(k1 + k2) % 8], angles[k0]))
-               + c42((angles[(2 * k0) % 8], angles[k1], angles[k2]))
+    for (k0, k1, k2), om in grid(0, 8, 3):
+        om1, om2 = om[:1], om[1:]
+        lhs = t36(om)
+        rhs = (t24((angles[(k1 + k2) % 8],) + om1)
+               + c42((angles[(2 * k0) % 8],) + om2)
                + defect(lam1, om1) * defect(lam2, om2))
         diff = lhs - rhs
         guarded = (2 * k0) % 8 == 0 and (k1 + k2) % 8 == 0
@@ -119,11 +116,9 @@ def referee_splice() -> CriterionResult:
 def hopf_oracle() -> CriterionResult:
     name = "hopf-oracle"
     cases = 0
-    angles = _angles(12)
     for m, n in product(range(1, 5), repeat=2):
         family = _family(m, n)
-        for a, b in product(range(1, 12), repeat=2):
-            eta, zeta = angles[a], angles[b]
+        for (a, b), (eta, zeta) in grid(1, 12, 2):
             got = family.signature((eta, zeta))
             want = sigma_k(m, eta) * sigma_k(n, zeta)
             if got != want:
@@ -152,9 +147,8 @@ def hopf_spectrum_check() -> CriterionResult:
 def defect_lemma() -> CriterionResult:
     name = "defect-lemma"
     order = 24
-    angles = _angles(order)
     # flat grids: the cell ks/24 sits at the index whose base-24 digits are ks
-    grids = {mu: [defect1(om) for om in product(angles, repeat=mu)] for mu in (1, 2, 3)}
+    grids = {mu: [defect1(om) for _, om in grid(0, order, mu)] for mu in (1, 2, 3)}
 
     def moved(mu, slots, digits):
         """grids[mu] moved by the map of cells that takes the coordinate k at
@@ -166,8 +160,8 @@ def defect_lemma() -> CriterionResult:
         return [grids[mu][i] for i in index]
 
     def first_change(mu, values, sign=1):  # the first ks with values != sign * grids[mu]
-        cells = product(range(order), repeat=mu)
-        return next((ks for ks, v, w in zip(cells, grids[mu], values) if w != sign * v), None)
+        cells = zip(grid(0, order, mu), grids[mu], values)
+        return next((ks for (ks, _), v, w in cells if w != sign * v), None)
 
     # vanishing: at the unit character, and identically for mu <= 1
     if defect1(()) != 0:
@@ -250,14 +244,14 @@ def univariate_reduction_check() -> CriterionResult:
     cases = 0
     for n in range(2, 7):
         xi = Angle.from_ratio(1, n)
-        for n1, n2 in product(range(1, n), repeat=2):
+        for (n1, n2), om in grid(1, n, 2):
             closed = (1 - n1) * (1 - n2) - n1 * n2
             oracle = sigma_k(n1, xi) * sigma_k(n2, xi) - n1 * n2
             if closed != oracle:
                 return _fail(name, f"sigma of the monochrome H({n1},{n2}) at 1/{n}: "
                                    f"{oracle} != {closed}")
             got = univariate_reduction(n, (n1, n2), [[0, 1], [1, 0]], closed)
-            want = hopf((Angle.from_ratio(n1, n), Angle.from_ratio(n2, n)))
+            want = hopf(om)
             if got != want:
                 return _fail(name, f"reduction at n={n}, (n1,n2)=({n1},{n2}): "
                                    f"{got} != direct value {want}")
@@ -279,7 +273,6 @@ def hopf_nullity_check() -> CriterionResult:
     def side_generic(s):
         return (Angle.from_ratio(1, 2 * s),) * s      # angles sum to 1/2
 
-    sevenths = _angles(7)
     for m, n in product(range(1, 5), repeat=2):
         checks = [(side_generic(m), side_generic(n), 0)]
         if n >= 2:
@@ -294,21 +287,19 @@ def hopf_nullity_check() -> CriterionResult:
                 return _fail(name, f"H({m},{n}) nullity case: got {got}, want {want}")
             cases += 1
         # generic characters: nullity 0 across a 7th-root diagonal sweep
-        for a, b in product(range(1, 7), repeat=2):
-            if hopf_nullity((sevenths[a],) * m, (sevenths[b],) * n) != 0:
+        for (a, b), (eta, zeta) in grid(1, 7, 2):
+            if hopf_nullity((eta,) * m, (zeta,) * n) != 0:
                 return _fail(name, f"H({m},{n}) at ({a}/7,{b}/7): nonzero nullity "
                                    f"at a generic character")
             cases += 1
 
     # cross-check against the assembled family kernel (which also contains
     # one structural zero per copy beyond the first on each side)
-    sixths = _angles(6)
     for m, n in product(range(1, 4), repeat=2):
         family = _family(m, n)
-        for a, b in product(range(1, 6), repeat=2):
-            eta, zeta = (sixths[a],) * m, (sixths[b],) * n
-            closed = hopf_nullity(eta, zeta)
-            kernel = family.raw_inertia((sixths[a], sixths[b]))[2]
+        for (a, b), (eta, zeta) in grid(1, 6, 2):
+            closed = hopf_nullity((eta,) * m, (zeta,) * n)
+            kernel = family.raw_inertia((eta, zeta))[2]
             if kernel != closed + (m + n - 1):
                 return _fail(name, f"H({m},{n}) at ({a}/6,{b}/6): family kernel "
                                    f"{kernel} != closed form {closed} + {m + n - 1}")
@@ -324,9 +315,7 @@ def guard_discipline() -> CriterionResult:
     name = "guard-discipline"
     spliced = splice(_fixture("torus(2,4)"), _fixture("cable(4,2)+core"))
     raised, evaluated = 0, 0
-    eighths = _angles(8)
-    for k0, k1, k2 in product(range(8), repeat=3):
-        om = (eighths[k0], eighths[k1], eighths[k2])
+    for (k0, k1, k2), om in grid(0, 8, 3):
         guarded = (2 * k0) % 8 == 0 and (k1 + k2) % 8 == 0
         try:
             spliced(om)
@@ -342,9 +331,7 @@ def guard_discipline() -> CriterionResult:
 
     h12 = merge_colors(hopf_sig_fn(1, 2), 0)
     self_splice = splice(h12, h12)
-    quarters = _angles(4)
-    for a, b in product(range(4), repeat=2):
-        om = (quarters[a], quarters[b])
+    for (a, b), om in grid(0, 4, 2):
         both_unit = (2 * a) % 4 == 0 and (2 * b) % 4 == 0
         try:
             self_splice(om)
@@ -356,7 +343,7 @@ def guard_discipline() -> CriterionResult:
 
     # a knot in either place has no guard: raised characters 1 evaluate
     knot = parse({"torus": [2, 3]})
-    for guard_free, w in product((splice_knot(knot, h12), splice(h12, knot)), quarters):
+    for guard_free, w in product((splice_knot(knot, h12), splice(h12, knot)), _angles(4)):
         guard_free((w,))  # w in {0, 1/2} raises w^2 to the unit
     return CriterionResult(name, True,
                            "GuardViolated raised exactly on the excluded slice in 528 "

@@ -300,7 +300,8 @@ class TestOneGate:
         ((1, {(1,): [[1]]}), {}, "missing shift directions ['-']"),  # no (-1,) form
         ((2, random_family(2, 2, random.Random(1)).forms), {"linking": [[0, 1], [2, 0]]},
          "linking matrix must be symmetric"),
-    ], ids=["ragged", "missing-form", "asymmetric-linking"])
+        ((0, {}), {}, "arity must be at least 1"),
+    ], ids=["ragged", "missing-form", "asymmetric-linking", "arity-0"])
     def test_invalid_family_refused_by_every_use(self, args, data, report):
         with pytest.raises(InvalidFamily) as built:
             SeifertFamily(*args, **data)

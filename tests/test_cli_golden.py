@@ -137,6 +137,9 @@ def _cases():
         # a collapse holds several components in its one color: none is distinguished
         ("err-splice-collapse", ["eval", inline({"splice": [collapse, [], {"hopf": [1, 1]}, [1]]}),
                                  "--at", "1/3"], None),
+        # nor does an operand of no colors
+        ("err-splice-no-colors", ["eval", inline({"splice": [{"zero": 0}, [], {"hopf": [1, 1]},
+                                                             [1]]}), "--at", "1/3"], None),
         ("err-satellite-collapse-companion",
          ["eval", inline({"satellite": [collapse, {"torus": [2, 3]}, 2]}), "--at", "1/3"], None),
         ("err-satellite-collapse-pattern",

@@ -177,6 +177,13 @@ def test_addmul_is_add_of_mul(case):
     assert lv.addmul(acc, a, b) == lv.add(acc, lv.mul(a, b))
 
 
+def test_constructor_refuses_a_bad_level_or_length():
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        CyclotomicNumber(0, [])
+    with pytest.raises(ValueError, match="need exactly 4 coefficients, got 3"):
+        CyclotomicNumber(4, [1, 0, 0])
+
+
 def test_level_mismatch_guard():
     z = root_of_unity(6)
     assert z.lift(12) == z
@@ -209,6 +216,8 @@ def test_hermitian_check():
     one = CyclotomicNumber.from_rational(1, 8)
     with pytest.raises(NotHermitian):
         HermitianMatrix([[one, z], [z, one]])  # off-diagonals not conjugate
+    with pytest.raises(ValueError, match="matrix must be square"):
+        HermitianMatrix([[one, z]])
     HermitianMatrix([[one, z], [z.conjugate(), one]])  # fine
 
 
@@ -481,3 +490,5 @@ def test_from_forms_refuses_forms_not_dual_or_not_square():
         LaurentMatrix.from_forms(1, {(1,): v, (-1,): v})  # theta^- is not theta^+ transposed
     with pytest.raises(ValueError, match="every form must be 2x2"):
         LaurentMatrix.from_forms(1, {(1,): v, (-1,): [[-1, 0], [1]]})
+    with pytest.raises(ValueError, match="every coefficient matrix must be 2x2"):
+        LaurentMatrix(1, 2, {(0,): [[1, 0], [0]]})

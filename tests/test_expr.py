@@ -288,6 +288,7 @@ class TestErrors:
         # one color of two components is no knot: no vector to cable along
         {"cable": [{"zero": 1}, 2]},
         {"cable": [{"merge": [{"hopf": [1, 1]}, 1]}, 2]},
+        {"splice": [{"hopf": [1, 1]}, 1, {"hopf": [1, 1]}, [1]]},
     ])
     def test_rejected(self, doc):
         with pytest.raises(ExpressionError):

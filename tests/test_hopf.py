@@ -68,7 +68,13 @@ class TestClosedForm:
 
     def test_sig_fn_refuses_negative_counts(self):
         for m, n in [(-1, 2), (2, -1)]:
-            with pytest.raises(ValueError, match="must be non-negative"):
+            with pytest.raises(ValueError, match="need at least one copy on each side"):
+                hopf_sig_fn(m, n)
+
+    def test_sig_fn_needs_a_copy_on_each_side(self):
+        # refused when built, as its nullity would refuse every character
+        for m, n in [(0, 2), (2, 0), (0, 0)]:
+            with pytest.raises(ValueError, match="need at least one copy on each side"):
                 hopf_sig_fn(m, n)
 
     def test_against_seifert_oracle_small(self):
@@ -116,6 +122,8 @@ class TestNullity:
         for eta, zeta in [((), (ang(1, 3),)), ((ang(1, 3),), ()), ((), ())]:
             with pytest.raises(ValueError, match="at least one copy"):
                 hopf_nullity(eta, zeta)
+            with pytest.raises(ValueError, match="at least one copy"):
+                hopf_seifert_family(len(eta), len(zeta))
 
     def test_sig_fn_nullity_checks_the_arity(self):
         # the sides are cut from one character, so a wrong length is refused, not split

@@ -22,21 +22,22 @@ from splicesig.hopf import hopf_nullity, hopf_seifert_family, hopf_sig_fn
 from splicesig.splice import (SigFn, cable_parallel, distinguish, lt_splice, merge_colors,
                               satellite, splice, splice_knot, to_levine_tristram,
                               with_boundary, zero_fn)
-from splicesig.torus import UNIT, Angle, char_power, defect, is_open
+from splicesig.torus import UNIT, Angle, char_power, defect, grid, is_open
 
 
 def ang(num, den):
     return Angle(Fraction(num, den))
 
 
-def grid(arity, den, start=0):
-    """All characters with angles k/den, k in [start, den)."""
-    return product(*(tuple(ang(k, den) for k in range(start, den)) for _ in range(arity)))
-
-
 def vector(arity, fn, lam, label=None):
     """An evaluator whose color 0 is one component linking the others lam times."""
     return distinguish(SigFn(arity, fn, label=label), lam, "operand")
+
+
+def unlink(arity):
+    """arity unknots, pairwise unlinked: signature identically zero."""
+    return SigFn(arity, lambda om: 0, lk=lambda i, j: 0, counts=(1,) * arity,
+                 label=f"unlink({arity})")
 
 
 def matrix(f):
@@ -62,10 +63,19 @@ class TestSigFn:
         f = zero_fn(2)
         with pytest.raises(ValueError):
             f((UNIT,))
+        with pytest.raises(ValueError, match="arity 2 with 1 component counts"):
+            SigFn(2, lambda om: 0, counts=(1,))
 
     def test_distinguished_linking_length(self):
         with pytest.raises(ValueError, match="linking vector has length 2, expected 1"):
             vector(2, lambda om: 0, (1, 2))
+
+    def test_no_colors_no_distinguished_component(self):
+        # an evaluator of arity 0 has no color 0 to splice along or collapse to
+        with pytest.raises(ValueError, match="^operand zero has no colors, so no component"):
+            distinguish(zero_fn(0), (), "operand")
+        with pytest.raises(ValueError, match="^zero has no colors to collapse"):
+            to_levine_tristram(zero_fn(0))
 
     @pytest.mark.parametrize("linking", [[1.9], ["3"], [1.0]])
     def test_inexact_linking_refused(self, linking):
@@ -190,7 +200,7 @@ class TestSplice:
             spliced = splice(f1, f2)
             closed = hopf_sig_fn(m, n)
             guarded = checked = 0
-            for om in grid(m + n, 4):
+            for _, om in grid(0, 4, m + n):
                 try:
                     got = spliced(om)
                 except GuardViolated:
@@ -206,7 +216,7 @@ class TestSplice:
         f1 = hopf_sig_fn(1, 2)
         for f2 in (hopf_sig_fn(1, 3), parse({"torus": [2, 3]})):
             a, b = splice(f1, f2), splice(f2, f1)
-            for om in grid(a.arity, 3, start=1):
+            for _, om in grid(1, 3, a.arity):
                 v, w = om[:2], om[2:]
                 try:
                     left = a(v + w)
@@ -249,7 +259,7 @@ class TestSplice:
         f2 = hopf_sig_fn(1, 2)
         a = splice_knot(knot, f2)
         b = splice(f1, f2)
-        for om in grid(2, 5, start=1):
+        for _, om in grid(1, 5, 2):
             assert a(om) == b(om)
 
     def test_splice_knot_total_without_guard(self):
@@ -344,7 +354,7 @@ class TestCableParallel:
         for nu, m in [(2, 1), (2, 2), (3, 2)]:
             cabled = cable_parallel(hopf_sig_fn(1, m), nu)
             closed = hopf_sig_fn(nu, m)
-            for om in grid(nu + m, 3, start=1):
+            for _, om in grid(1, 3, nu + m):
                 try:
                     got = cabled(om)
                 except GuardViolated:
@@ -361,7 +371,7 @@ class TestCableParallel:
     def test_trivial_cable(self):
         f = hopf_sig_fn(1, 2)
         c = cable_parallel(f, 1)
-        for om in grid(3, 3, start=1):
+        for _, om in grid(1, 3, 3):
             try:
                 got = c(om)
             except GuardViolated:
@@ -566,7 +576,7 @@ def outcome(f, omega):
 
 
 # evaluators that carry a linking vector, knots (arity 1) among them
-POOL = ([hopf_sig_fn(m, n) for m in (1, 2) for n in (0, 1, 2)]
+POOL = ([hopf_sig_fn(m, n) if n else unlink(m) for m in (1, 2) for n in (0, 1, 2)]
         + [fixture_sig(name) for name in fixture_names()]
         + [parse({"torus": pq}) for pq in ([2, 3], [-2, 3], [3, 4], [2, 5], [1, 2])])
 
@@ -596,7 +606,7 @@ def characters(draw, arity):
 
 # merge operands with the true linking number of their last two colors: a
 # Hopf link's last two copies link once only across its two sides
-MERGE_OPERANDS = ([(hopf_sig_fn(m, n), int(m >= 1 and n == 1))
+MERGE_OPERANDS = ([(hopf_sig_fn(m, n) if m and n else unlink(m + n), int(m >= 1 and n == 1))
                    for m in range(4) for n in range(4) if m + n >= 2]
                   + [(fixture_sig(name), 2) for name in fixture_names()])
 
@@ -668,7 +678,7 @@ class TestDerivedLinkData:
         cabled = parse({"cable": [spliced, 2]})
         fixture = parse({"cable": [{"fixture": "torus-3-6"}, 2]})
         assert matrix(cabled) == matrix(fixture)
-        for om in grid(4, 7):
+        for _, om in grid(0, 7, 4):
             assert outcome(cabled, om) == outcome(fixture, om), om
 
     @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from splicesig.torus import (
     character,
     defect,
     defect1,
+    grid,
     ind,
     is_open,
     weighted_sum,
@@ -104,6 +106,22 @@ def test_char_power():
     assert char_power((), ()) == UNIT
     with pytest.raises(ValueError):
         char_power(om, (1,))
+    with pytest.raises(ValueError, match="character has 2 colors, weight vector has 1"):
+        defect((1,), om)
+
+
+@given(st.integers(0, 30).flatmap(lambda order: st.tuples(st.integers(0, order), st.just(order))),
+       st.integers(0, 3))
+def test_grid_walks_the_cells_in_order(start_order, arity):
+    start, order = start_order
+    assert list(grid(start, order, arity)) == [
+        (ks, tuple(Angle.from_ratio(k, order) for k in ks))
+        for ks in product(range(start, order), repeat=arity)]
+
+
+def test_grid_of_no_colors_is_one_cell_at_any_order():
+    # no angle is built: the order is never walked
+    assert list(grid(1, 10 ** 9, 0)) == [((), ())]
 
 
 def test_defect_examples():
@@ -121,36 +139,27 @@ def test_defect_trivial_cases():
     assert defect1(character("0,0,0")) == 0
 
 
-def grid(mu, order):
-    if mu == 0:
-        yield ()
-        return
-    for rest in grid(mu - 1, order):
-        for num in range(order):
-            yield rest + (Angle(Fraction(num, order)),)
-
-
 @pytest.mark.parametrize("mu", [2, 3])
 def test_defect_conjugation_flips_sign(mu):
-    for om in grid(mu, 8):
+    for _, om in grid(0, 8, mu):
         assert defect1(tuple(a * -1 for a in om)) == -defect1(om)
 
 
 def test_defect_symmetric():
     import itertools
 
-    for om in grid(3, 6):
+    for _, om in grid(0, 6, 3):
         for perm in itertools.permutations(range(3)):
             assert defect1(tuple(om[i] for i in perm)) == defect1(om)
 
 
 def test_defect_unit_coordinate_drops():
-    for om in grid(2, 8):
+    for _, om in grid(0, 8, 2):
         assert defect1(om + (UNIT,)) == defect1(om)
 
 
 def test_defect_conjugate_pair_drops():
-    for om in grid(1, 12):
+    for _, om in grid(0, 12, 1):
         for num in range(12):
             eta = Angle(Fraction(num, 12))
             assert defect1(om + (eta, eta * -1)) == defect1(om)
