@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import operator
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -84,31 +83,38 @@ def _int_rows(rows, what: str) -> list:
     return [[_json_typed(x, int, f"{what} entry") for x in row] for row in rows]
 
 
-def _boundary_count(plus: Sequence[Sequence[int]], minus: Sequence[Sequence[int]]) -> int:
-    """Boundary components of a connected surface of Seifert forms plus, minus:
-    corank(plus - minus) + 1, one at det +-1; another nonzero det counts 2."""
-    rows = [[Fraction(a - b) for a, b in zip(p, m)] for p, m in zip(plus, minus)]
-    rank, det = 0, Fraction(1)
-    while rows:  # exact elimination, a pivot in each nonzero row
-        row = rows.pop()
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            rank, det = rank + 1, det * row[col]
-            rows = [[x - r[col] / row[col] * y for x, y in zip(r, row)] for r in rows]
-    corank = len(plus) - rank
-    return 1 if corank == 0 and abs(det) == 1 else max(corank, 1) + 1
+def _smith(matrix: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(rank, product of the nonzero invariant factors) of an integer matrix, by
+    unimodular row and column steps to a diagonal, whose pivots multiply to it."""
+    rows, rank, factors = [list(row) for row in matrix], 0, 1
+    while nonzero := [(abs(x), i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]:
+        _, i, j = min(nonzero)  # pivot on a smallest entry; a remainder is smaller still
+        pivot, prow = rows[i][j], rows[i]
+        for row in rows:
+            if row is not prow:
+                q = row[j] // pivot
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        for c in range(len(prow)):
+            if c != j and (q := prow[c] // pivot):
+                for row in rows:
+                    row[c] -= q * row[j]
+        if not any(row[j] for row in rows if row is not prow) and not any(prow[:j] + prow[j + 1:]):
+            rows = [row[:j] + row[j + 1:] for row in rows if row is not prow]
+            rank, factors = rank + 1, factors * abs(pivot)
+    return rank, factors
 
 
 class SeifertFamily:
     """The 2^mu Seifert forms of a C-complex, with optional geometric metadata.
 
     forms maps each sign vector to a g x g integer matrix; duality demands
-    theta^{-eps} = transpose(theta^{eps}).  linking, if present, is the matrix
-    of total linking numbers between color classes (torus.linking_problem), no
-    component count: a family states none.  boundary, if present, maps tuples
-    of kept color indices to the sublink's family.  Construction applies these
-    rules and raises InvalidFamily with one argument per problem, so every
-    family that exists is valid; a non-integer entry raises TypeError.
+    theta^{-eps} = transpose(theta^{eps}), and one color with a basis a surface's
+    theta^+ - theta^-, each nonzero invariant factor 1 (_surface).  linking, if
+    present, is the matrix of total linking numbers between color classes
+    (torus.linking_problem), no component count: a family states none.  boundary,
+    if present, maps tuples of kept color indices to the sublink's family.  The
+    constructor applies these rules and raises InvalidFamily with one argument per
+    problem, so every family that exists is valid; a non-integer raises TypeError.
     """
 
     def __init__(self, arity: int, forms: Mapping[Sign, Sequence[Sequence[int]]], *,
@@ -171,7 +177,17 @@ class SeifertFamily:
                 out.append(bad)
             elif sub.arity != len(kept):
                 out.append(f"boundary family for {kept} has arity {sub.arity}")
+        if mu == 1 and self.basis and self._surface[1] != 1:
+            out.append("theta+ - theta- is no surface's intersection form: its nonzero "
+                       f"invariant factors multiply to {self._surface[1]}, not 1")
         return out
+
+    @cached_property
+    def _surface(self) -> Tuple[int, int]:
+        """_smith of theta^+ - theta^-, one color's intersection form: a surface's is
+        unimodular modulo its radical, of rank components - 1."""
+        return _smith([[a - b for a, b in zip(p, m)]
+                       for p, m in zip(self.forms[(1,)], self.forms[(-1,)])])
 
     # -- assembly -------------------------------------------------------------
 
@@ -216,11 +232,11 @@ class SeifertFamily:
         """Wrap into a SigFn, delegating unit coordinates to sublink families.
 
         lk is the family's linking matrix.  Counts are unknown, save that one color
-        with a basis derives its own, one component exactly when det(theta^+ -
-        theta^-) = +-1 (_boundary_count).  The nullity is the kernel with a basis.
+        with a basis derives its own, the corank of theta^+ - theta^- plus 1
+        (_surface).  The nullity is the kernel with a basis.
         """
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
-        counts = ([_boundary_count(self.forms[(1,)], self.forms[(-1,)])]
+        counts = ([self.generators - self._surface[0] + 1]
                   if self.arity == 1 and self.basis else None)
         lk = None if self.linking is None else (lambda i, j: self.linking[i][j])
         nullity = (lambda omega: self._inertia_at(omega)[2]) if self.basis else None

@@ -13,9 +13,10 @@ Characters are comma-separated rational angles "a/b" with 0 the unit.
 All arithmetic is exact and iteration orders are fixed, so output is
 bit-stable across runs.
 
-Exit codes, mapped in main alone: 0 success, 1 failed verification,
+Exit codes: 0 success, 1 failed verification, and from main's one handler
 3 GuardViolated, 4 BoundaryCharacter, 2 any other SpliceSigError, ValueError
-or OSError (unusable input).  With --json every error is a JSON object on stdout.
+or OSError (unusable input).  Every result leaves through _emit, with --json as
+one JSON object on stdout: errors, failed checks and --csv reports included.
 """
 
 import argparse
@@ -94,12 +95,16 @@ def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
         f'or "hopf M N" / "fixture NAME" / "zero K"')
 
 
-def _emit_error(err: Exception, code: int, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps({"error": {"type": type(err).__name__,
-                                    "message": str(err)}}))
+def _emit(args, doc: dict, lines: Iterable[str], code: int = EXIT_OK,
+          note: Optional[str] = None) -> int:
+    """The one way out of a command: under --json doc is the only line on
+    stdout, else the text lines go to stdout and note, if any, to stderr."""
+    if args.json:
+        print(json.dumps(doc))
     else:
-        print(f"error: {err}", file=sys.stderr)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        if note:
+            print(note, file=sys.stderr)
     return code
 
 
@@ -125,22 +130,20 @@ def _cell_lines(rows, order: int) -> Iterator[str]:
 
 
 def _write_grid(args, arity: int, order: int, rows, columns: Tuple[str, str],
-                head: dict, text: Iterable[str]) -> None:
+                head: dict, text: Iterable[str]) -> int:
     """Grid rows (ks, value) in the layout args picks: --csv writes the columns
-    omega_0..omega_{arity-1} and columns[0]; --json prints head, the order and
-    the cells, each value under columns[1]; else the text lines are printed."""
+    omega_0..omega_{arity-1} and columns[0] and reports the file, --json emits
+    head, the order and the cells, each value under columns[1], text the lines."""
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join([f"omega_{i}" for i in range(arity)] + [columns[0]]) + "\n")
             for ks, val in rows:
                 fh.write(f"{_grid_label(ks, order)},{val}\n")
-        print(f"wrote {len(rows)} rows to {args.csv}")
-    elif args.json:
-        print(json.dumps({**head, "order": order,
-                          "cells": [{"at": [f"{k}/{order}" for k in ks],
-                                     columns[1]: val} for ks, val in rows]}))
-    else:
-        print("\n".join(text))
+        return _emit(args, {"wrote": len(rows), "path": args.csv},
+                     [f"wrote {len(rows)} rows to {args.csv}"])
+    return _emit(args, {**head, "order": order,
+                        "cells": [{"at": [f"{k}/{order}" for k in ks], columns[1]: val}
+                                  for ks, val in rows]}, text)
 
 
 def cmd_eval(args) -> int:
@@ -152,16 +155,9 @@ def cmd_eval(args) -> int:
                          f"got {len(omega)}")
     value = f(omega)
     nullity = f.nullity(omega)
-    if args.json:
-        out = {"signature": value}
-        if nullity is not None:
-            out["nullity"] = nullity
-        print(json.dumps(out))
-    else:
-        print(value)
-        if nullity is not None:
-            print(f"nullity {nullity}")
-    return EXIT_OK
+    if nullity is None:
+        return _emit(args, {"signature": value}, [value])
+    return _emit(args, {"signature": value, "nullity": nullity}, [value, f"nullity {nullity}"])
 
 
 def cmd_sweep(args) -> int:
@@ -180,9 +176,8 @@ def cmd_sweep(args) -> int:
         except BoundaryCharacter:
             rows.append((ks, "boundary"))
     title = f"# {f.label or 'expression'}  order {order}  {len(rows)} cells"
-    _write_grid(args, f.arity, order, rows, ("signature", "value"), {"label": f.label},
-                chain([title], _cell_lines(rows, order)))
-    return EXIT_OK
+    return _write_grid(args, f.arity, order, rows, ("signature", "value"), {"label": f.label},
+                       chain([title], _cell_lines(rows, order)))
 
 
 def cmd_defect_table(args) -> int:
@@ -202,9 +197,8 @@ def cmd_defect_table(args) -> int:
                       for a in range(order)))
     else:
         body = _cell_lines(rows, order)
-    _write_grid(args, len(lam), order, rows, ("defect", "defect"), {"lambda": list(lam)},
-                chain([title], body))
-    return EXIT_OK
+    return _write_grid(args, len(lam), order, rows, ("defect", "defect"),
+                       {"lambda": list(lam)}, chain([title], body))
 
 
 def cmd_verify(args) -> int:
@@ -213,33 +207,21 @@ def cmd_verify(args) -> int:
         results = run_suite(args.suite)
     except KeyError as err:
         raise UsageError(str(err.args[0])) from err
-    if args.json:
-        print(json.dumps({"passed": all(r.passed for r in results),
-                          "results": [{"name": r.name, "passed": r.passed,
-                                       "detail": r.detail} for r in results]}))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name:<22} {r.detail}")
     failed = [r.name for r in results if not r.passed]
+    doc = {"passed": not failed, "results": [{"name": r.name, "passed": r.passed,
+                                              "detail": r.detail} for r in results]}
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name:<22} {r.detail}" for r in results]
     if failed:
-        if not args.json:
-            print(f"{len(failed)} of {len(results)} criteria failed: "
-                  f"{', '.join(failed)}", file=sys.stderr)
-        return EXIT_VERIFY
-    if not args.json:
-        print(f"all {len(results)} criteria passed")
-    return EXIT_OK
+        return _emit(args, doc, lines, EXIT_VERIFY, f"{len(failed)} of {len(results)} "
+                     f"criteria failed: {', '.join(failed)}")
+    return _emit(args, doc, lines + [f"all {len(results)} criteria passed"])
 
 
 def cmd_torus_sig(args) -> int:
     from .cables import hirzebruch
     zeta = _parse_angle(args.angle)
     value = hirzebruch(args.p, args.q, zeta)
-    if args.json:
-        print(json.dumps({"signature": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    return _emit(args, {"signature": value}, [value])
 
 
 def _add_json_flag(p: argparse.ArgumentParser) -> None:
@@ -304,12 +286,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GuardViolated as err:
-        return _emit_error(err, EXIT_GUARD, args.json)
-    except BoundaryCharacter as err:
-        return _emit_error(err, EXIT_BOUNDARY, args.json)
     except (SpliceSigError, ValueError, OSError) as err:
-        return _emit_error(err, EXIT_PARSE, args.json)
+        code = (EXIT_GUARD if isinstance(err, GuardViolated) else
+                EXIT_BOUNDARY if isinstance(err, BoundaryCharacter) else EXIT_PARSE)
+        return _emit(args, {"error": {"type": type(err).__name__, "message": str(err)}},
+                     [], code, f"error: {err}")
 
 
 if __name__ == "__main__":

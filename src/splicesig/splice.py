@@ -41,7 +41,9 @@ class SigFn:
     wrapped callable enforces the domain, not this class.  lk(i, j), i != j,
     is the symmetric color-level linking matrix (a function, not a table),
     counts[i] color i's number of components, each None where unknown; a
-    number restated for them must equal a known one.  linking is row 0 less
+    number restated for them must equal a known one.  A merged count may be a
+    lower bound, read only to refuse a distinguished component ({"merge":
+    [{"zero": 3}, 0]} counts (None, 2): two or more).  linking is row 0 less
     its diagonal entry if color 0 is one component and the row is known.
     nullity is the colored nullity on the open torus, None without a source.
     """
@@ -241,8 +243,8 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     linking number between the two merged color classes; at w_mu = 1 the
     merged color is deleted and lk is not subtracted.  Where f knows that
     number, lk must equal it (ValueError otherwise).  The merged color's row
-    and count add the two colors', an unknown count as 1; so a merge into
-    color 0 leaves no distinguished component.
+    and count add the two colors', an unknown count as 1 (a lower bound); so
+    a merge into color 0 leaves no distinguished component.
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")

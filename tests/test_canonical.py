@@ -7,7 +7,8 @@ computes for random Laurent-polynomial Hermitian matrices is checked against
 numpy's eigvalsh on an independently evaluated complex matrix.  The field
 inverse is checked by a * inv(a) = 1, and the cyclotomic polynomials by their
 definition, prod_{d | n} Phi_d = x^n - 1.  The fixed-point cosine tables
-behind certified signs are checked against mpmath at 200 extra bits, and the
+behind certified signs are checked against mpmath at 200 extra bits, their
+error bound's terms against a step-by-step restatement of its derivation, and the
 signs themselves on sqrt(k) * 10^d less its integer part, which needs
 refinement past the starting precision.  Certified signs must leave global
 mpmath state alone.
@@ -39,6 +40,7 @@ table bound.
 
 import cmath
 import math
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -728,6 +730,82 @@ def test_fixed_cosines_within_their_bound(n, prec):
             want = scale * mpmath.cospi(mpmath.mpf(2 * j) / n)
             for k in {j, (n - j) % n}:
                 assert abs(coss[k] - want) <= e, (n, prec, k)
+
+
+def _restated_bound(n, prec):
+    """(g, pi's error, D, E) in ulps of 2^-w, each step of _fixed_cosines'
+    docstring restated on its own."""
+    g = prec.bit_length() + n.bit_length() + 8
+    w = prec + g
+    pi = pi_err = 0
+    for x, weight in ((5, 16), (239, -4)):
+        # 1. p_0 = floor(2^w / x), p_k = floor(p_(k-1) / x^2), up to the first p_K = 0;
+        #    under 3 ulps for each term k < K, under 2 for the tail
+        powers = [(1 << w) // x]
+        while powers[-1]:
+            powers.append(powers[-1] // (x * x))
+        pi += weight * sum((-1) ** k * (p // (2 * k + 1)) for k, p in enumerate(powers))
+        pi_err += abs(weight) * (3 * (len(powers) - 1) + 2)
+    # 2. theta = floor(2 * pi / n)
+    theta = 2 * pi // n
+    # 3. t_k = floor(t_(k-1) * theta / k) and err_k, to the first t_K = 0 with
+    #    theta / (K + 1) <= 1/2; D adds err_0 .. err_(K-1) and twice err_K
+    errs, t = [0], 1 << w
+    while True:
+        k = len(errs)
+        t = (t * theta >> w) // k
+        errs.append((errs[-1] * theta >> w) // k + 2)
+        if t == 0 and 2 * theta <= (k + 1) << w:
+            break
+    d = 2 * pi_err // n + 2 + sum(errs[:-1]) + 2 * errs[-1]
+    # 4. E_j = E_(j-1) + floor(E_(j-1) * D / 2^w) + D + 2, one step per power of zeta
+    big_e = 0
+    for _ in range(n):
+        big_e += (big_e * d >> w) + d + 2
+    return g, pi_err, d, big_e
+
+
+def _returning_locals(fn, *args):
+    """fn(*args), and the locals of its frame as it returns."""
+    seen = {}
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            seen.update(frame.f_locals)
+
+    def on_call(frame, event, arg):
+        if frame.f_code is fn.__code__:
+            frame.f_trace_lines = False
+            return on_return
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        value = fn(*args)
+    finally:
+        sys.settrace(before)
+    return value, seen
+
+
+@pytest.mark.parametrize("n, prec", [(1, 64), (2, 64), (7, 64), (12, 128), (60, 4096),
+                                     (420, 256), (1155, 128), (1155, 1024)])
+def test_fixed_cosines_bound_restated(n, prec):
+    # e is 2 whenever E < 2^g, so a shrunken term would not show in it alone: pi's
+    # error, D and E are compared as the function holds them when it returns, and
+    # each is checked against the true value it bounds
+    (coss, e), frame = _returning_locals(_fixed_cosines, n, prec)
+    g, pi_err, d, big_e = _restated_bound(n, prec)
+    assert (frame["g"], frame["pi_err"], frame["d"], frame["big_e"]) == (g, pi_err, d, big_e)
+    assert e == (big_e >> g) + 2 == 2
+    w = prec + g
+    with mpmath.workprec(w + 200):
+        scale = mpmath.mpf(2) ** w
+        assert abs(frame["pi"] - scale * mpmath.pi) <= pi_err
+        zeta = mpmath.expjpi(mpmath.mpf(2) / n) * scale
+        assert abs(mpmath.mpc(frame["re"], frame["im"]) - zeta) <= d
+        scale = mpmath.mpf(2) ** prec
+        for j in range(n):
+            assert abs(coss[j] - scale * mpmath.cospi(mpmath.mpf(2 * j) / n)) <= e, j
 
 
 def _quadratic_irrational(level, k):

@@ -36,7 +36,18 @@ def root(a, level):
 
 
 def random_family(mu, g, rng, basis=False):
-    """A duality-correct random family: draw half the sign vectors freely."""
+    """A duality-correct random family: draw half the sign vectors freely.  One
+    color with a basis is a surface's: V = S + L, S symmetric, where L - L^T is
+    standard symplectic blocks and zero rows, so each invariant factor is 1."""
+    if mu == 1 and basis:
+        blocks = rng.randrange(g // 2 + 1)
+        v = [[0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                v[i][j] = v[j][i] = rng.randrange(-3, 4)
+        for b in range(blocks):
+            v[2 * b][2 * b + 1] += 1
+        return SeifertFamily(1, {(1,): v, (-1,): [list(r) for r in zip(*v)]}, basis=True)
     forms = {}
     for eps in product((1, -1), repeat=mu):
         if eps in forms:
@@ -301,7 +312,16 @@ class TestOneGate:
         ((2, random_family(2, 2, random.Random(1)).forms), {"linking": [[0, 1], [2, 0]]},
          "linking matrix must be symmetric"),
         ((0, {}), {}, "arity must be at least 1"),
-    ], ids=["ragged", "missing-form", "asymmetric-linking", "arity-0"])
+        # with a basis, one color's theta+ - theta- is a surface's intersection
+        # form, unimodular modulo its radical: every nonzero invariant factor is 1
+        ((1, {(1,): [[1, 2], [0, 1]], (-1,): [[1, 0], [2, 1]]}), {"basis": True},
+         "theta+ - theta- is no surface's intersection form: its nonzero "
+         "invariant factors multiply to 4, not 1"),
+        ((1, {(1,): [[0, 3, 0], [0, 0, 0], [0, 0, 0]], (-1,): [[0, 0, 0], [3, 0, 0], [0, 0, 0]]}),
+         {"basis": True}, "theta+ - theta- is no surface's intersection form: its nonzero "
+         "invariant factors multiply to 9, not 1"),  # a radical does not excuse it
+    ], ids=["ragged", "missing-form", "asymmetric-linking", "arity-0", "no-surface",
+            "no-surface-radical"])
     def test_invalid_family_refused_by_every_use(self, args, data, report):
         with pytest.raises(InvalidFamily) as built:
             SeifertFamily(*args, **data)
@@ -419,8 +439,7 @@ class TestSigFn:
         ({(1,): [[0, 0], [0, 0]], (-1,): [[0, 0], [0, 0]]}, 3),       # a pair of pants
     ], ids=["trefoil", "disk", "annulus", "pants"])
     def test_one_color_basis_family_counts_its_boundary(self, forms, count):
-        # a connected surface's theta^+ - theta^- has corank components - 1:
-        # one component exactly when its determinant is +-1
+        # a connected surface's theta^+ - theta^- has corank components - 1
         f = SeifertFamily(1, forms, basis=True).sig_fn()
         assert f.counts == (count,)
         assert f.linking == (() if count == 1 else None)

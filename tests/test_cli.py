@@ -540,6 +540,23 @@ class TestVerify:
         assert main(["verify", "nope"]) == 2
         assert "known" in capsys.readouterr().err
 
+    def test_failed_check_exit_1_in_either_layout(self, capsys, monkeypatch):
+        # text: the criteria on stdout, the failures named on stderr; --json:
+        # one object on stdout and nothing on stderr
+        from splicesig import verify
+        monkeypatch.setattr(verify, "run_suite", lambda suite: [
+            verify.CriterionResult("fine", True, "ok"),
+            verify.CriterionResult("off", False, "1 != 2")])
+        assert main(["verify"]) == 1
+        assert capsys.readouterr() == (f"PASS {'fine':<22} ok\nFAIL {'off':<22} 1 != 2\n",
+                                       "1 of 2 criteria failed: off\n")
+        assert main(["--json", "verify"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        assert json.loads(out) == {"passed": False, "results": [
+            {"name": "fine", "passed": True, "detail": "ok"},
+            {"name": "off", "passed": False, "detail": "1 != 2"}]}
+
 
 class TestTorusSig:
     def test_value(self, capsys):

@@ -85,6 +85,9 @@ def _cases():
          None),
         ("sweep-units-csv", ["sweep", "hopf", "1", "1", "--order", "6", "--include-units",
                              "--csv", "units.csv"], "units.csv"),
+        # under --json a CSV report is one object too
+        ("sweep-csv-json", ["--json", "sweep", "hopf", "1", "1", "--order", "3",
+                            "--csv", "out.csv"], "out.csv"),
         ("sweep-guard", ["sweep", inline(guard_doc), "--order", "4", "--include-units"], None),
         ("sweep-guard-csv", ["sweep", inline(guard_doc), "--order", "4",
                              "--csv", "guard.csv"], "guard.csv"),
@@ -107,6 +110,8 @@ def _cases():
          None),
         ("defect-csv", ["defect-table", "--lambda", "1,2", "--order", "5",
                         "--csv", "defect.csv"], "defect.csv"),
+        ("defect-csv-json", ["--json", "defect-table", "--lambda", "1,2", "--order", "4",
+                             "--csv", "out.csv"], "out.csv"),
         # verify
         ("verify", ["verify"], None),
         ("verify-json", ["--json", "verify"], None),
@@ -160,13 +165,16 @@ def _cases():
         ("eval-nested-splice-vector", ["eval", inline({"splice": [splice_doc, [2, 2],
                                                                   {"fixture": "torus-2-4"}, [2]]}),
                                        "--at", "1/7,1/7,1/7"], None),
-        # a one-color family with a basis is a knot exactly when det(theta+ - theta-)
-        # = +-1; hopf1.json's annulus bounds the two-component Hopf link
+        # a one-color family with a basis is a knot exactly when theta+ - theta- has
+        # full rank; hopf1.json's annulus bounds the two-component Hopf link
         ("err-family-no-knot-splice", ["eval", inline({"splice": [{"seifert": "hopf1.json"}, [],
                                                                   {"hopf": [1, 1]}, [1]]}),
                                        "--at", "1/3"], None),
         ("err-family-no-knot-satellite", ["eval", inline({"satellite": [
             {"seifert": "hopf1.json"}, {"torus": [2, 3]}, 2]}), "--at", "1/3"], None),
+        # and no surface has one whose theta+ - theta- has an invariant factor 2
+        ("err-family-no-surface", ["eval", inline({"seifert": "no-surface.json"}),
+                                   "--at", "1/2"], None),
         # refusals with exit 2
         ("err-bad-angle", ["eval", "hopf", "1", "1", "--at", "1/0,1/2"], None),
         ("err-bad-angle-json", ["--json", "eval", "hopf", "1", "1", "--at", "x,1/2"], None),
@@ -338,6 +346,8 @@ def _files():
     files["cable.json"] = json.dumps({"cable": [{"hopf": [1, 1]}, 2]})
     files["hopf1.json"] = SeifertFamily(1, {(1,): [[-1]], (-1,): [[-1]]}, basis=True,
                                         label="hopf annulus").dumps()
+    files["no-surface.json"] = _dumps({"arity": 1, "generators": 2, "basis": True,
+                                       "forms": {"+": [[1, 2], [0, 1]], "-": [[1, 0], [2, 1]]}})
     return files
 
 
@@ -365,6 +375,16 @@ def test_transcript(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     got = _run(case["argv"], case["csv_file"], tmp_path, capsys.readouterr)
     assert got == case["expect"]
+
+
+def test_json_is_one_object_per_command():
+    # errors and --csv reports included: a script reads one line and parses it
+    cases = [c for c in _DOC["cases"] if "--json" in c["argv"]]
+    assert len(cases) >= 30
+    for case in cases:
+        out = case["expect"]["stdout"]
+        assert out.count("\n") == 1 and out.endswith("\n"), case["id"]
+        assert isinstance(json.loads(out), dict), case["id"]
 
 
 def test_transcripts_cover_every_exit_code():

@@ -114,9 +114,11 @@ class TestSigFn:
         merge_colors(hopf_sig_fn(1, 1), 1),
         to_levine_tristram(hopf_sig_fn(1, 1)),
         to_levine_tristram(merge_colors(hopf_sig_fn(1, 1), 1)),
-    ], ids=["merge", "levine-tristram", "levine-tristram-of-a-merge"])
+        merge_colors(zero_fn(2), 0),
+    ], ids=["merge", "levine-tristram", "levine-tristram-of-a-merge", "merge-of-unknowns"])
     def test_a_collapse_is_no_knot(self, collapse):
-        # its color holds several components, none of them distinguished
+        # its color holds several components, none of them distinguished; two
+        # unknown counts merge to the lower bound 2
         assert collapse.counts == (2,)
         for call in (lambda: splice_knot(collapse, hopf_sig_fn(1, 1)),
                      lambda: satellite(collapse, zero_fn(1), 1),
