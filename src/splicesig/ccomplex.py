@@ -238,9 +238,8 @@ class SeifertFamily:
         subs = {kept: fam.sig_fn() for kept, fam in self.boundary.items()}
         counts = ([self.generators - self._surface[0] + 1]
                   if self.arity == 1 and self.basis else None)
-        lk = None if self.linking is None else (lambda i, j: self.linking[i][j])
         nullity = (lambda omega: self._inertia_at(omega)[2]) if self.basis else None
-        return with_boundary(self.arity, self.signature, subs, lk=lk, counts=counts,
+        return with_boundary(self.arity, self.signature, subs, lk=self.linking, counts=counts,
                              label=self.label, nullity=nullity)
 
     # -- serialization --------------------------------------------------------------

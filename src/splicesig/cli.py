@@ -141,9 +141,9 @@ def _write_grid(args, arity: int, order: int, rows, columns: Tuple[str, str],
                 fh.write(f"{_grid_label(ks, order)},{val}\n")
         return _emit(args, {"wrote": len(rows), "path": args.csv},
                      [f"wrote {len(rows)} rows to {args.csv}"])
-    return _emit(args, {**head, "order": order,
-                        "cells": [{"at": [f"{k}/{order}" for k in ks], columns[1]: val}
-                                  for ks, val in rows]}, text)
+    cells = ([{"at": [f"{k}/{order}" for k in ks], columns[1]: val} for ks, val in rows]
+             if args.json else None)  # the document is read only under --json
+    return _emit(args, {**head, "order": order, "cells": cells}, text)
 
 
 def cmd_eval(args) -> int:

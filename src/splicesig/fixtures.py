@@ -145,7 +145,7 @@ def fixture_sig(name: str) -> SigFn:
     boundary = {kept: subs[sub] if sub in subs else zero_fn(len(kept), sub)
                 for kept, sub in fix.boundary.items()}
     return with_boundary(fix.arity, _matrix_sig(fixture_matrix(key)), boundary,
-                         lk=lambda i, j: fix.lk[i][j], counts=(1,) * fix.arity, label=key)
+                         lk=fix.lk, counts=(1,) * fix.arity, label=key)
 
 
 def fixture_table(name: str) -> PiecewiseTable:

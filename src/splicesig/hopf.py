@@ -82,8 +82,9 @@ def hopf_sig_fn(m: int, n: int) -> SigFn:
     """
     if m < 1 or n < 1:
         raise ValueError("need at least one copy on each side")
+    from .links import Links
     return SigFn(m + n, lambda omega: hopf_signature(omega[:m], omega[m:]),
-                 lk=lambda i, j: int((i < m) != (j < m)), counts=(1,) * (m + n),
+                 links=Links((m, n), (1, 1), ((0, 1), (1, 0))),
                  label=f"hopf({m},{n})", nullity=lambda omega: hopf_nullity(omega[:m], omega[m:]))
 
 

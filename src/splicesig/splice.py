@@ -13,10 +13,11 @@ standard generators reproducing the Hopf closed form pins the correction
 sign to +.  Cables and satellites are splices with a base link: H_{1,nu}
 first for nu copies, the pattern plus the axis of its solid torus for a satellite.
 
-Evaluators are represented by SigFn: a callable on characters with an arity,
-the color-level linking matrix and component counts, which every combinator
-derives from its operands'.  Combinators call their operands through SigFn.fn,
-so a character's number of colors is checked once.  Evaluation is lazy and exact.
+Evaluators are represented by SigFn: a callable on characters with an arity
+and its link structure (a record of splicesig.links), which every combinator
+derives in bulk from its operands'.  Combinators call their operands through
+SigFn.fn, so a character's number of colors is checked once.  Evaluation is
+lazy and exact.
 
 The formulas hold on the open torus.  Off it a unit coordinate deletes its
 color: the signature is the sublink's (with_boundary), a collapse subtracts
@@ -26,47 +27,75 @@ no linking number of a deleted color, and there is no nullity (SigFn.nullity).
 from __future__ import annotations
 
 import operator
-from functools import cached_property
-from itertools import repeat
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated
-from .torus import Angle, Character, char_power, defect, is_open
+from .torus import Angle, Character, char_power, defect, is_open, linking_problem
+
+if TYPE_CHECKING:  # loaded where first read: a leaf's evaluation needs no link record
+    from .links import LinkData, Row
+
 
 class SigFn:
     """A signature evaluator Character^arity -> int, with its link structure.
 
     The evaluator is total on its domain and raises BoundaryCharacter (or
     another typed error) outside of it; it never returns garbage.  The
-    wrapped callable enforces the domain, not this class.  lk(i, j), i != j,
-    is the symmetric color-level linking matrix (a function, not a table),
-    counts[i] color i's number of components, each None where unknown; a
-    number restated for them must equal a known one.  A merged count may be a
-    lower bound, read only to refuse a distinguished component ({"merge":
-    [{"zero": 3}, 0]} counts (None, 2): two or more).  linking is row 0 less
-    its diagonal entry if color 0 is one component and the row is known.
+    wrapped callable enforces the domain, not this class.  links (Links or
+    Glued) is given whole or a color at a time: lk the symmetric linking matrix
+    (ValueError where torus.linking_problem refuses it) and counts, None where
+    unknown; a number restated for them must equal a known one.  linking is
+    color 0's row where color 0 is one component and the row is known.
     nullity is the colored nullity on the open torus, None without a source.
     """
 
     def __init__(self, arity: int, fn: Callable[[Character], int], *,
-                 lk: Optional[Callable[[int, int], Optional[int]]] = None,
-                 counts: Optional[Sequence[Optional[int]]] = None, label: Optional[str] = None,
+                 lk: Optional[Sequence[Sequence[Optional[int]]]] = None,
+                 counts: Optional[Sequence[Optional[int]]] = None,
+                 links: Optional[LinkData] = None, label: Optional[str] = None,
                  nullity: Optional[Callable[[Character], Optional[int]]] = None):
-        self.counts = (None,) * arity if counts is None else tuple(counts)
-        if arity < 0 or len(self.counts) != arity:
-            raise ValueError(f"arity {arity} with {len(self.counts)} component counts")
+        if links is None:  # a color at a time, made a record where first read
+            counts = (None,) * arity if counts is None else tuple(counts)
+            if arity < 0 or len(counts) != arity:
+                raise ValueError(f"arity {arity} with {len(counts)} component counts")
+            if lk is not None and (problem := linking_problem(lk, arity)):
+                raise ValueError(f"{label or 'evaluator'}: {problem}")
         self.arity = arity
         self.fn = fn
-        self.lk = lk or (lambda i, j: None)
+        self._links, self._given = links, (lk, counts)
         self.label = label
         self._nullity = nullity or (lambda omega: None)
 
-    @cached_property
+    @property
+    def links(self) -> LinkData:
+        if self._links is None:
+            from .links import given
+            self._links = given(*self._given)
+        return self._links
+
+    @property
+    def counts(self) -> Tuple[Optional[int], ...]:
+        return self.links.color_counts()
+
+    def lk(self, i: int, j: int) -> Optional[int]:
+        """How colors i and j link, i != j; None where unknown."""
+        return self.links.at(i, j)
+
+    def _vector(self) -> Optional[Tuple[Row, LinkData]]:
+        """Row 0 and the other colors' link structure, where color 0 is one
+        component and its row is known; None otherwise."""
+        from .links import known
+        if self.arity:
+            row, rest, count = self.links.peel(0)
+            if count == 1 and known(row):
+                return row, rest
+        return None
+
+    @property
     def linking(self) -> Optional[Tuple[int, ...]]:
-        if self.counts[:1] != (1,):
-            return None
-        row = tuple(map(self.lk, repeat(0), range(1, self.arity)))
-        return None if None in row else row
+        from .links import expand
+        vector = self._vector()
+        return None if vector is None else expand(vector[0])
 
     def _colors(self, omega: Character) -> Character:
         omega = tuple(omega)
@@ -92,21 +121,21 @@ def distinguish(f: SigFn, lam: Sequence[int], role: str) -> SigFn:
     ValueError naming f (as role) when f has no colors, when lam has the
     wrong length, when color 0 is known to hold several components, or when
     lam contradicts a number f knows.  Where f has none, the result takes lam's."""
+    from .links import Links, expand, glue, row
     lam = tuple(operator.index(x) for x in lam)
     name = f"{role} {f.label or '?'}"
     if not f.arity:
         raise ValueError(f"{name} has no colors, so no component to distinguish")
     if len(lam) != f.arity - 1:
         raise ValueError(f"{name}: linking vector has length {len(lam)}, expected {f.arity - 1}")
-    if f.counts[0] not in (None, 1):
-        raise ValueError(f"{name}: color 0 holds {f.counts[0]} components, "
-                         "none of them distinguished")
-    row = [f.lk(0, j) for j in range(1, f.arity)]
-    if any(known not in (None, given) for known, given in zip(row, lam)):
-        raise ValueError(f"{name} has linking vector {row}, the document gives {list(lam)}")
-
-    return SigFn(f.arity, f.fn, lk=lambda i, j: f.lk(i, j) if i and j else lam[i + j - 1],
-                 counts=(1,) + f.counts[1:], label=f.label, nullity=f.nullity)
+    first, rest, count = f.links.peel(0)
+    if count not in (None, 1):
+        raise ValueError(f"{name}: color 0 holds {count} components, none of them distinguished")
+    first = expand(first)
+    if any(known not in (None, given) for known, given in zip(first, lam)):
+        raise ValueError(f"{name} has linking vector {list(first)}, the document gives {list(lam)}")
+    links = glue(Links((1,), (1,), ((0,),)), rest, row(((1, 1),)), row((1, x) for x in lam))
+    return SigFn(f.arity, f.fn, links=links, label=f.label, nullity=f.nullity)
 
 
 def zero_fn(arity: int, label: str = "zero") -> SigFn:
@@ -165,14 +194,21 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
     sigma_1(w^l'') + sigma_2(1, w).  The colors keep their link data, and L'_i
     (l'_i meridians of K', glued to longitudes of K'') links L''_j l'_i*l''_j times.
     """
+    from .links import expand, glue
+    vectors = []
     for f, role in zip((f1, f2), roles):
-        if f.linking is None:
+        if (vector := f._vector()) is None:
             raise ValueError(f"{role} {f.label or '?'} has no linking vector: "
                              "color 0 is not a distinguished component")
-    lam1, lam2 = f1.linking, f2.linking
-    mu1, mu2 = len(lam1), len(lam2)
+        vectors.append(vector)
+    (row1, rest1), (row2, rest2) = vectors
+    mu1, mu2 = f1.arity - 1, f2.arity - 1
+    colors: list = []  # the vectors a color at a time, once, where the splice is evaluated
 
     def fn(omega: Character) -> int:
+        if not colors:
+            colors.extend(map(expand, (row1, row2)))
+        lam1, lam2 = colors
         om1, om2 = omega[:mu1], omega[mu1:]
         up1 = char_power(om1, lam1)
         up2 = char_power(om2, lam2)
@@ -183,22 +219,8 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
         return (f1.fn((up2,) + om1) + f2.fn((up1,) + om2)
                 + (first and first * defect(lam2, om2)))
 
-    def lk(i: int, j: int) -> Optional[int]:
-        i, j = min(i, j), max(i, j)
-        if j < mu1:
-            return f1.lk(i + 1, j + 1)
-        if i >= mu1:
-            return f2.lk(i - mu1 + 1, j - mu1 + 1)
-        return lam1[i] * lam2[j - mu1]
-
-    label = label or f"splice({f1.label or '?'}, {f2.label or '?'})"
-    out = SigFn(mu1 + mu2, fn, lk=lk, counts=f1.counts[1:] + f2.counts[1:], label=label)
-    if mu1 and out.counts[0] == 1:  # the vector in bulk: looked up a color at a time
-        # through lk, nested splices cost their depth times their colors
-        head = tuple(map(f1.lk, repeat(1), range(2, mu1 + 1)))
-        out.linking = None if None in head else head + tuple(map(operator.mul,
-                                                                  repeat(lam1[0], mu2), lam2))
-    return out
+    return SigFn(mu1 + mu2, fn, links=glue(rest1, rest2, row1, row2),
+                 label=label or f"splice({f1.label or '?'}, {f2.label or '?'})")
 
 
 def splice_knot(knot: SigFn, f2: SigFn) -> SigFn:
@@ -248,24 +270,21 @@ def merge_colors(f: SigFn, lk_last_two: int) -> SigFn:
     """
     if f.arity < 2:
         raise ValueError("need two colors to merge")
+    from .links import Links, entry, glue, row, trim
     lk_last_two = operator.index(lk_last_two)
-    a, b = f.arity - 2, f.arity - 1
-    if f.lk(a, b) not in (None, lk_last_two):
+    last, rest, count = f.links.peel(-1)
+    other_row, rest, other = rest.peel(-1)
+    if (known := entry(last, f.arity - 2)) not in (None, lk_last_two):
         raise ValueError(f"merge operand {f.label or '?'} links its two colors "
-                         f"{f.lk(a, b)} times, not {lk_last_two}")
+                         f"{known} times, not {lk_last_two}")
 
     def fn(omega: Character) -> int:
         value = f.fn(omega + (omega[-1],))
         return value if omega[-1].is_unit() else value - lk_last_two
 
-    def lk(i: int, j: int) -> Optional[int]:
-        if a not in (i, j):
-            return f.lk(i, j)
-        first = f.lk(a, i + j - a)  # unknown: the second is not looked up
-        return None if first is None or (second := f.lk(b, i + j - a)) is None else first + second
-
-    counts = f.counts[:a] + (sum(c or 1 for c in f.counts[a:]),)
-    return SigFn(f.arity - 1, fn, lk=lk, counts=counts,
+    merged = Links((1,), ((count or 1) + (other or 1),), ((0,),))
+    links = glue(rest, merged, trim(last, -1) + other_row, row(((1, 1),)))  # the rows added
+    return SigFn(f.arity - 1, fn, links=links,
                  label=f"merge({f.label or '?'}, {lk_last_two})")
 
 
@@ -280,7 +299,7 @@ def satellite(sig_companion: SigFn, sig_pattern: SigFn, q: int) -> SigFn:
     companion = distinguish(sig_companion, (), "satellite companion")
     pattern = distinguish(sig_pattern, (), "satellite pattern")
     q = operator.index(q)
-    axis = SigFn(2, lambda omega: pattern.fn(omega[1:]), lk=lambda i, j: q, counts=(1, 1))
+    axis = SigFn(2, lambda omega: pattern.fn(omega[1:]), lk=((0, q), (q, 0)), counts=(1, 1))
     label = f"satellite({sig_companion.label or 'K'}, {sig_pattern.label or 'k'}, {q})"
     return splice(companion, axis, label=label, roles=("satellite companion", "satellite axis"))
 
@@ -298,10 +317,10 @@ def to_levine_tristram(f: SigFn) -> SigFn:
     mu = f.arity
     if not mu:
         raise ValueError(f"{f.label or '?'} has no colors to collapse to one")
-    pairs = [f.lk(i, j) for i in range(mu) for j in range(i + 1, mu)]
-    if None in pairs:
+    if (total := f.links.total()) is None:
         raise ValueError(f"{f.label or '?'} has no linking matrix: "
                          "the linking numbers of its colors are not all known")
-    total, count = sum(pairs), f.counts[0] if mu == 1 else sum(c or 1 for c in f.counts)
+    counts = f.counts
+    count = counts[0] if mu == 1 else sum(c or 1 for c in counts)
     return SigFn(1, lambda omega: f.fn((omega[0],) * mu) - (0 if omega[0].is_unit() else total),
                  counts=(count,), label=f"lt({f.label or '?'})")

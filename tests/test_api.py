@@ -176,7 +176,8 @@ def _class_body_names(cls):
 
 # the method names two src/ classes define, with those classes: `x.inertia`
 # may reach either, so each class's method needs its caller read, not matched
-SHARED = {"inertia": {"_Level", "LaurentMatrix"}, "value": {"Angle", "PiecewiseTable"}}
+SHARED = {"inertia": {"_Level", "LaurentMatrix"}, "value": {"Angle", "PiecewiseTable"},
+          **dict.fromkeys(("at", "color_counts", "peel", "total"), {"Glued", "Links"})}
 
 
 def test_every_definition_has_a_caller():

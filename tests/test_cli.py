@@ -499,6 +499,65 @@ class TestRefusalsFailFast:
         assert (proc.returncode, proc.stdout) == (0, f'{{"signature": {want}}}\n'), proc.stderr
 
 
+def _merged_hopf(depth, n):
+    """depth merges, each of the last two colors, around hopf(1, n): lk 0 every time."""
+    return '{"merge": [' * depth + f'{{"hopf": [1, {n}]}}' + ', 0]}' * depth
+
+
+def _cap_small():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 28, 2 ** 28))
+
+
+class TestLinkDataCost:
+    """Link data costs what a node's runs of alike colors hold, not its colors
+    times its depth: the widest documents at the depth limit, and the
+    collapse of the widest Hopf link, each run in a process capped at 256 MiB
+    and 3 s."""
+
+    CLI = "import sys; from splicesig.cli import main; sys.exit(main(sys.argv[1:]))"
+    CASES = [
+        ([CLI, "--json", "sweep", '{"cable": [' + _merged_hopf(MAX_DEPTH - 1, MAX_COLORS - 1)
+          + ', 1]}', "--order", "3"], 2, "grid of 2^65281 cells"),
+        ([CLI, "--json", "sweep", _cables(MAX_DEPTH), "--order", "3"],
+         2, f"grid of 2^{MAX_COLORS} cells"),
+        # each merge checks the lk of two colors, which the operand knows
+        ([CLI, "--json", "eval", _merged_hopf(MAX_DEPTH, 257), "--at", "1/2,1/2"],
+         0, '{"signature": 0}\n'),
+        (["from splicesig.hopf import hopf_sig_fn; from splicesig.splice import "
+          "to_levine_tristram; from splicesig.torus import Angle; "
+          f"print(to_levine_tristram(hopf_sig_fn(1, {MAX_COLORS - 1}))((Angle('1/3'),)))"],
+         0, f"{-(MAX_COLORS - 1)}\n"),
+    ]
+
+    @staticmethod
+    def _run(argv, tmp_path):
+        return subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True,
+                              timeout=3, cwd=tmp_path, preexec_fn=_cap_small,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+    @pytest.mark.parametrize("argv, code, out", CASES,
+                             ids=["cable-of-merges", "cable-chain", "merge-chain", "collapse"])
+    def test_within_time_and_memory(self, argv, code, out, tmp_path):
+        proc = self._run(argv, tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert out in proc.stdout
+
+    @pytest.mark.parametrize("depth", [0, MAX_DEPTH - 6])
+    def test_a_restated_vector_is_held_once(self, depth, tmp_path):
+        # a vector of alternating entries, as long as the color limit allows;
+        # or row 0 of a splice, then cables of two copies, each reading it in
+        # its own linking vector
+        k, alternating = MAX_COLORS - 2 - depth, [i % 2 for i in range(MAX_COLORS - 2 - depth)]
+        doc = {"splice": [{"hopf": [1, 1]}, [1], {"zero": k + 1}, alternating] if depth
+               else [{"zero": k + 1}, alternating, {"hopf": [1, 1]}, [1]]}
+        for _ in range(depth):
+            doc = {"cable": [doc, 2]}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        proc = self._run([self.CLI, "--json", "sweep", "doc.json", "--order", "3"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"grid of 2^{k + 1 + depth} cells" in proc.stdout
+
+
 class TestUsageError:
     """Command-line refusals report the public UsageError type, with exit 2."""
 

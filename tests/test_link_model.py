@@ -17,7 +17,9 @@ fuzzer draws documents over the nine forms, to depth 5, with true and
 perturbed restated numbers, and malformed nodes, and checks the command
 line against the model: the exit code, refusal (an ExpressionError) exactly
 where the model refuses, the arity, sigma(conj w) = sigma(w), and that a
-splice and its swap agree.
+splice and its swap agree.  Where the model accepts a document, the parsed
+evaluator's arity, component counts, linking matrix and linking vector are
+the model's.
 """
 
 import io
@@ -31,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
+from splicesig.expr import parse
 from splicesig.hopf import hopf_seifert_family
 
 # the fixtures' linking matrices, from their topology: two strands linking
@@ -327,6 +330,24 @@ def test_the_command_line_refuses_exactly_where_the_model_does(doc, n, data):
     if code == 0:
         conj = [f"{-int(a.split('/')[0]) % n}/{n}" for a in angles]
         assert _eval(doc, conj) == (code, out), doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_the_parsed_link_data_is_the_models(doc):
+    # each combinator derives its result's runs in bulk; a color at a time
+    # they must be what the model gives each color
+    node = accepted(doc)
+    if node is None:
+        return
+    f = parse(doc)
+    assert f.arity == len(f.counts) == node.arity, doc
+    assert all(count >= 2 if want == MANY else count == want
+               for count, want in zip(f.counts, node.counts)), (doc, f.counts, node.counts)
+    assert all(f.lk(i, j) == node.lk[i][j] for i in range(f.arity) for j in range(f.arity)
+               if i != j), doc
+    known = node.arity and node.counts[0] == 1 and None not in node.lk[0][1:]
+    assert f.linking == (tuple(node.lk[0][1:]) if known else None), doc
 
 
 @settings(max_examples=300, deadline=None)

@@ -36,7 +36,7 @@ def vector(arity, fn, lam, label=None):
 
 def unlink(arity):
     """arity unknots, pairwise unlinked: signature identically zero."""
-    return SigFn(arity, lambda om: 0, lk=lambda i, j: 0, counts=(1,) * arity,
+    return SigFn(arity, lambda om: 0, lk=[[0] * arity] * arity, counts=(1,) * arity,
                  label=f"unlink({arity})")
 
 
@@ -65,6 +65,17 @@ class TestSigFn:
             f((UNIT,))
         with pytest.raises(ValueError, match="arity 2 with 1 component counts"):
             SigFn(2, lambda om: 0, counts=(1,))
+
+    @pytest.mark.parametrize("lk, problem", [
+        ([[0, 1], [2, 0]], "symmetric"), ([[1, 0], [0, 0]], "zero diagonal"),
+        ([[0, 1]], "2x2"), ([[0, None], [1, 0]], "symmetric")])
+    def test_linking_matrix_checked_where_it_enters(self, lk, problem):
+        with pytest.raises(ValueError, match=f"^bad: linking matrix must .*{problem}"):
+            SigFn(2, lambda om: 0, lk=lk, label="bad")
+
+    def test_unknown_linking_entries(self):
+        f = SigFn(3, lambda om: 0, lk=[[0, None, 2], [None, 0, None], [2, None, 0]])
+        assert (f.lk(0, 1), f.lk(2, 0), f.linking) == (None, 2, None)
 
     def test_distinguished_linking_length(self):
         with pytest.raises(ValueError, match="linking vector has length 2, expected 1"):
