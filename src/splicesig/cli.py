@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import BoundaryCharacter, GuardViolated, SpliceSigError, UsageError
 from .expr import parse as parse_expr
@@ -43,18 +43,12 @@ EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
 MAX_GRID_CELLS = 100_000
 
 
-def _parse_character(text: str) -> Character:
+def _read(parse: Callable[[str], Any], what: str, text: str) -> Any:
+    """parse(text), a UsageError naming what where text is not one."""
     try:
-        return character(text)
+        return parse(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"bad character {text!r}: {err}") from err
-
-
-def _parse_angle(text: str) -> Angle:
-    try:
-        return Angle(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"bad angle {text!r}: {err}") from err
+        raise UsageError(f"bad {what} {text!r}: {err}") from err
 
 
 def _expr_doc(tokens: List[str]) -> Tuple[dict, Optional[str]]:
@@ -149,7 +143,7 @@ def _write_grid(args, arity: int, order: int, rows, columns: Tuple[str, str],
 def cmd_eval(args) -> int:
     doc, base_dir = _expr_doc(args.expr)
     f = parse_expr(doc, base_dir)
-    omega = _parse_character(args.at)
+    omega = _read(character, "character", args.at)
     if len(omega) != f.arity:
         raise UsageError(f"expression {f.label or '?'} takes {f.arity} angles, "
                          f"got {len(omega)}")
@@ -219,7 +213,7 @@ def cmd_verify(args) -> int:
 
 def cmd_torus_sig(args) -> int:
     from .cables import hirzebruch
-    zeta = _parse_angle(args.angle)
+    zeta = _read(Angle, "angle", args.angle)
     value = hirzebruch(args.p, args.q, zeta)
     return _emit(args, {"signature": value}, [value])
 

@@ -272,17 +272,9 @@ class _Level:
 
     def orbit_rep(self, steps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
         """(rep, v): rep = v*steps mod N, the lexicographically least point of
-        the orbit of steps under the units v mod N, and the least such v.
-
-        Only the units that minimise v*steps[0] mod N can reach the least
-        point, so the tuples are built for those alone.
-        """
-        n, units = self.n, self.units
-        if steps:
-            k0 = steps[0]
-            low = min(v * k0 % n for v in units)
-            units = [v for v in units if v * k0 % n == low]
-        return min((tuple(v * k % n for k in steps), v) for v in units)
+        the orbit of steps under the units v mod N, and the least such v."""
+        n = self.n
+        return min((tuple(v * k % n for k in steps), v) for v in self.units)
 
     # -- certified signs ----------------------------------------------------
 

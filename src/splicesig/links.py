@@ -79,11 +79,10 @@ def _sum(row: Row) -> Optional[int]:
 def expand(row: Row) -> Tuple[Optional[int], ...]:
     """row a color at a time."""
     out: list = [0] * _length(row)
-    tiled = sum(n for _, n, *_ in row) == len(out)  # no entry covered twice
     for off, n, x, leaf, lo in row:
         lengths, values = _window(leaf, lo, n)
         part = chain.from_iterable(map(repeat, [_mul(x, y) for y in values], lengths))
-        out[off:off + n] = part if tiled else map(_add, out[off:off + n], part)
+        out[off:off + n] = map(_add, out[off:off + n], part)
     return tuple(out)
 
 
@@ -120,17 +119,15 @@ class Links(NamedTuple):
 
     def peel(self, end: int) -> Tuple[Row, LinkData, Optional[int]]:
         """The first (end 0) or the last (end -1) color's row over the other
-        colors, the others' link structure, and that color's count."""
-        ends = tuple(accumulate(self.sizes))
-        bounds = sorted({0, *ends, 1 if end == 0 else ends[-1] - 1})  # the color alone
-        runs = [bisect_right(ends, a) for a in bounds[:-1]]
-        keep = slice(1, None) if end == 0 else slice(None, -1)
-        sizes, others = tuple(map(operator.sub, bounds[1:], bounds))[keep], runs[keep]
-        color = runs[end]
-        return (row(zip(sizes, (self.lk[color][s] for s in others))),
-                Links(sizes, tuple(self.counts[s] for s in others),
+        colors, the others' link structure, and that color's count: the color
+        leaves the first or the last run."""
+        sizes = list(self.sizes)
+        sizes[end] -= 1
+        others = [s for s, n in enumerate(sizes) if n]
+        return (row((sizes[s], self.lk[end][s]) for s in others),
+                Links(tuple(sizes[s] for s in others), tuple(self.counts[s] for s in others),
                       tuple(tuple(self.lk[r][s] for s in others) for r in others)),
-                self.counts[color])
+                self.counts[end])
 
     def at(self, i: int, j: int) -> Optional[int]:
         ends = tuple(accumulate(self.sizes))

@@ -135,7 +135,7 @@ def distinguish(f: SigFn, lam: Sequence[int], role: str) -> SigFn:
     if any(known not in (None, given) for known, given in zip(first, lam)):
         raise ValueError(f"{name} has linking vector {list(first)}, the document gives {list(lam)}")
     links = glue(Links((1,), (1,), ((0,),)), rest, row(((1, 1),)), row((1, x) for x in lam))
-    return SigFn(f.arity, f.fn, links=links, label=f.label, nullity=f.nullity)
+    return SigFn(f.arity, f.fn, links=links, label=f.label, nullity=f._nullity)
 
 
 def zero_fn(arity: int, label: str = "zero") -> SigFn:

@@ -251,20 +251,21 @@ class TestEval:
         # splicesig modules it runs
         path = tmp_path / "hopf-1-1.json"
         path.write_text(hopf_seifert_family(1, 1).dumps())
-        heavy = {"cyclotomic", "ccomplex", "fixtures", "hopf", "cables", "verify"}
+        heavy = {"cyclotomic", "ccomplex", "fixtures", "hopf", "cables", "verify", "links"}
         cases = [
             ([], heavy),
-            (["eval", "zero", "1", "--at", "1/2"], {"cyclotomic"}),
+            # a leaf evaluation reads no link record
+            (["eval", "zero", "1", "--at", "1/2"], {"cyclotomic", "links"}),
             (["eval", "torus-3-6", "--at", "1/8,1/8,1/8"],
-             {"ccomplex", "hopf", "cables", "verify"}),
+             {"ccomplex", "hopf", "cables", "verify", "links"}),
             (["eval", json.dumps({"seifert": str(path)}), "--at", "1/3,1/3"],
-             {"fixtures", "hopf", "cables", "verify"}),
+             {"fixtures", "hopf", "cables", "verify", "links"}),
             (["eval", "hopf", "2", "2", "--at", "1/3,1/3,1/3,1/3"],
              {"ccomplex", "cyclotomic", "fixtures", "cables", "verify"}),
             (["torus-sig", "5", "7", "1/3"],
-             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
+             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify", "links"}),
             (["eval", json.dumps({"torus": [2, 3]}), "--at", "1/3"],
-             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify"}),
+             {"hopf", "ccomplex", "cyclotomic", "fixtures", "verify", "links"}),
             # a cable's zero base and a satellite's pattern-plus-axis are
             # built in splice, loading nothing the leaves do not
             (["eval", json.dumps({"cable": [{"hopf": [1, 2]}, 2]}),

@@ -29,7 +29,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
@@ -334,6 +334,9 @@ def test_the_command_line_refuses_exactly_where_the_model_does(doc, n, data):
 
 @settings(max_examples=150, deadline=None)
 @given(documents())
+# a cable of a splice whose first vector is not constant: its rows are cut
+# inside a leaf's runs, where a segment's offset into the leaf is read
+@example({"cable": [{"splice": [{"hopf": [2, 1]}, [0, 1], {"fixture": "cable-4-2"}, [1, 1]]}, 1]})
 def test_the_parsed_link_data_is_the_models(doc):
     # each combinator derives its result's runs in bulk; a color at a time
     # they must be what the model gives each color

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splicesig.fixtures import PiecewiseTable, fixture_names, fixture_table
 from splicesig.hopf import sigma_k
@@ -112,6 +112,7 @@ def test_char_power():
 
 @given(st.integers(0, 30).flatmap(lambda order: st.tuples(st.integers(0, order), st.just(order))),
        st.integers(0, 3))
+@settings(deadline=None)  # up to 27 000 cells an example
 def test_grid_walks_the_cells_in_order(start_order, arity):
     start, order = start_order
     assert list(grid(start, order, arity)) == [
