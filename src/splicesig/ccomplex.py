@@ -312,7 +312,7 @@ class SeifertFamily:
 
     @classmethod
     def load(cls, path: str) -> "SeifertFamily":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
     def __repr__(self):

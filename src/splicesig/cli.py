@@ -26,7 +26,7 @@ import sys
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import BoundaryCharacter, GuardViolated, SpliceSigError, UsageError
+from .errors import MAX_GRID_CELLS, BoundaryCharacter, GuardViolated, SpliceSigError, UsageError
 from .expr import parse as parse_expr
 from .torus import Angle, Character, character, defect, grid
 
@@ -37,10 +37,6 @@ SUITES = ("all", "referee-tables", "referee-splice", "hopf-oracle", "hopf-spectr
           "guard-discipline")
 
 EXIT_OK, EXIT_VERIFY, EXIT_PARSE, EXIT_GUARD, EXIT_BOUNDARY = 0, 1, 2, 3, 4
-
-# sweep and defect-table refuse larger grids before computing a cell; below it
-# rows are built in memory, so a cell that raises leaves no half-written output
-MAX_GRID_CELLS = 100_000
 
 
 def _read(parse: Callable[[str], Any], what: str, text: str) -> Any:
@@ -103,9 +99,10 @@ def _emit(args, doc: dict, lines: Iterable[str], code: int = EXIT_OK,
 
 
 def _grid(start: int, order: int, arity: int) -> Iterator[Tuple[Tuple[int, ...], Character]]:
-    """torus.grid, refused above MAX_GRID_CELLS.  With 2 or more cells a side,
-    more colors than the limit has bits exceed it, and the size is then given
-    as a power, which may be too large to compute."""
+    """torus.grid, refused above MAX_GRID_CELLS before any cell; below it rows
+    are built in memory, so a cell that raises leaves no half-written output.
+    With 2 or more cells a side, more colors than the limit has bits exceed it,
+    and the size is then given as a power, which may be too large to compute."""
     side = order - start
     big = side > 1 and arity > MAX_GRID_CELLS.bit_length()
     if big or side ** arity > MAX_GRID_CELLS:

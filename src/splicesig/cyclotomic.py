@@ -29,11 +29,12 @@ exact zero tests, the smallest nonzero diagonal entry as pivot, a congruence
 fold when the diagonal is zero), with pivots inverted by an integer extended
 Euclid (_Level.inv) and their signs certified in integer fixed point
 (_Level.sign).  A LaurentMatrix is H(t) = H(t)* as polynomials or refused
-when built, and eliminates once per Galois orbit, keeping its last
-_ORBIT_CACHE: sigma_u maps the form and its pivots at omega to those at
-omega^u (LaurentMatrix.inertia).  It eliminates only the principal submatrix
-on the pivot columns of its integer coefficients, found once per matrix; the
-other columns are a constant kernel common to every H(omega).  None is kept
+when built, and eliminates once per Galois orbit, keeping MAX_GRID_CELLS
+orbits, as many as one command evaluates characters: sigma_u maps the form
+and its pivots at omega to those at omega^u (LaurentMatrix.inertia).  It
+eliminates only the principal submatrix on the pivot columns of its integer
+coefficients, found once per matrix; the other columns are a constant kernel
+common to every H(omega).  None is kept
 only when every C_e is zero: then the inertia is (0, 0, size), with no orbit.
 """
 
@@ -48,14 +49,13 @@ from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import LevelMismatch, NotHermitian
+from .errors import MAX_GRID_CELLS, LevelMismatch, NotHermitian
 from .torus import Character
 
 # A level's power table holds N rows of up to phi(N) entries each.  Refuse
 # levels whose N*phi(N) exceeds this: level 1155 (554 400) is built in under
 # a second, level 8633 (about 7.3e7) would exhaust memory.
 _TABLE_CAP = 4_000_000
-_ORBIT_CACHE = 1024  # eliminations a LaurentMatrix keeps, one per Galois orbit
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +649,7 @@ class LaurentMatrix:
             i, j = min(bad)
             raise NotHermitian(f"entry ({j},{i}) is not the conjugate of ({i},{j}) in H(t)")
         # the orbit cache of inertia, on a proxy so that it does not keep self alive
-        self._orbit = lru_cache(_ORBIT_CACHE)(partial(type(self)._eliminate, weakref.proxy(self)))
+        self._orbit = lru_cache(MAX_GRID_CELLS)(partial(type(self)._eliminate, weakref.proxy(self)))
 
     @classmethod
     def from_forms(cls, arity: int,
@@ -705,8 +705,8 @@ class LaurentMatrix:
         coefficients being integers.  It keeps nonzero pivots nonzero and maps
         the congruence, zero-diagonal fold included, to one diagonalising
         H(omega) as sigma_u(pivots): by Sylvester's law their certified signs
-        are the inertia, and the kernel size is orbit-wide.  The matrix keeps
-        its last _ORBIT_CACHE eliminations.
+        are the inertia, and the kernel size is orbit-wide.  The matrix keeps its
+        last MAX_GRID_CELLS eliminations: no command eliminates an orbit twice.
 
         Only H_JJ is eliminated, J = _kept.  With R the reduced echelon form of
         the C_e stacked, P = [e_j (j in J) | e_f - sum_(p in J) R_pf e_p (f not

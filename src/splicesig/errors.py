@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and the nesting limit they enforce."""
+"""Exception types shared across the package, and the limits they enforce."""
 
 # How deep expression combinators and Seifert boundary families may nest.  An
 # evaluator costs two Python frames per combinator it nests, so documents up to
 # this depth evaluate well inside the default recursion limit of 1000.
 MAX_DEPTH = 256
+# The most characters one command evaluates: sweep and defect-table refuse a
+# larger grid before any cell.  It also sizes the orbit and fixture-leaf caches,
+# so no command evicts what it will ask for again.
+MAX_GRID_CELLS = 100_000
 
 
 class SpliceSigError(Exception):

@@ -19,10 +19,9 @@ from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Tuple
 
 from .cyclotomic import LaurentMatrix
+from .errors import MAX_GRID_CELLS
 from .splice import SigFn, with_boundary, zero_fn
 from .torus import Character, weighted_sum
-
-_LEAF_CACHE = 1024  # signatures kept per fixture leaf
 
 
 class PiecewiseTable(NamedTuple):
@@ -110,7 +109,7 @@ _ALIASES = {alias: name for name, fix in FIXTURES.items() for alias in fix.alias
 
 
 def _matrix_sig(matrix: LaurentMatrix) -> Callable[[Character], int]:
-    @lru_cache(maxsize=_LEAF_CACHE)
+    @lru_cache(maxsize=MAX_GRID_CELLS)  # a signature per cell a command evaluates
     def sig(omega: Character) -> int:
         pos, neg, _ = matrix.inertia(omega)
         return pos - neg

@@ -20,7 +20,8 @@ mpmath and against the sign of sigma_u(d) reduced.  At every conjugate
 character it must give what a direct elimination there gives, the nullity
 is the same on a whole orbit, `verify hopf-oracle` eliminates once per
 distinct (level, orbit) of its grid in each family that is not a zero form,
-`hopf-nullity` eliminates nothing after it, refusals keep nothing, and the orbit
+`hopf-nullity` eliminates nothing after it, an order-24 sweep of torus-3-6
+eliminates once per orbit of its grid, refusals keep nothing, and the orbit
 cache stays within its bound without changing an answer or keeping its
 matrix alive.  A LaurentMatrix is refused when built exactly when some entry
 (j, i) is not (i, j) with its exponents negated, and an accepted one
@@ -54,7 +55,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import inertia
 from splicesig import cyclotomic, fixtures, verify
 from splicesig.ccomplex import SeifertFamily
-from splicesig.errors import InvalidFamily, LevelMismatch, NotHermitian
+from splicesig.cli import main
+from splicesig.errors import MAX_GRID_CELLS, InvalidFamily, LevelMismatch, NotHermitian
 from splicesig.cyclotomic import (
     CyclotomicNumber,
     LaurentMatrix,
@@ -476,6 +478,28 @@ def test_hopf_oracle_eliminates_once_per_orbit(monkeypatch):
     assert sum(sizes.values()) == 9 * len(orbits)
 
 
+def test_sweep_eliminates_once_per_orbit(monkeypatch, capsys):
+    # the order-24 grid of torus-3-6 has more orbits than a cache of 1024
+    # holds, and sweep meets an orbit again only after many others
+    orbits = set()
+    for ks in product(range(1, 24), repeat=3):
+        n = 24 // math.gcd(24, *ks)
+        steps = [k * n // 24 for k in ks]
+        orbits.add((n, min(tuple(u * k % n for k in steps)
+                           for u in range(1, n + 1) if math.gcd(u, n) == 1)))
+    calls = []
+    real = LaurentMatrix._eliminate
+
+    def counting(self, n, rep):
+        calls.append((n, rep))
+        return real(self, n, rep)
+    monkeypatch.setattr(LaurentMatrix, "_eliminate", counting)
+    assert main(["sweep", "torus-3-6", "--order", "24"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 23 ** 3
+    assert len(calls) == len(orbits) == 1765
+    assert set(calls) == orbits
+
+
 def test_hopf_nullity_reads_the_oracles_orbits(monkeypatch):
     # hopf-nullity's kernel checks at sixths lie on hopf-oracle's twelfths grid,
     # and verify builds each Hopf family once
@@ -568,14 +592,18 @@ def test_laurent_matrix_is_refused_exactly_when_not_hermitian(case, data):
     assert matrix.inertia(omega) == inertia(h)
 
 
-def test_orbit_cache_is_bounded():
+def test_orbit_cache_is_bounded(monkeypatch):
     q = {(0, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): -2, (1, 0, -1): 1}
+    # the bound is the grid limit, which no command's grid outgrows
+    assert laurent_matrix(3, [[hermitian(q)]])._orbit.cache_info().maxsize == MAX_GRID_CELLS
+    # under a smaller bound the same cache evicts
+    monkeypatch.setattr(cyclotomic, "MAX_GRID_CELLS", 1024)
     matrix = laurent_matrix(3, [[hermitian(q)]])
     # a first coordinate of 1/37 leaves each point alone in its orbit
     points = [(Angle(Fraction(1, 37)), Angle(Fraction(b, 37)), Angle(Fraction(c, 37)))
               for b in range(37) for c in range(37)]
     maxsize = matrix._orbit.cache_info().maxsize
-    assert maxsize == cyclotomic._ORBIT_CACHE < len(points)
+    assert maxsize == cyclotomic.MAX_GRID_CELLS < len(points)
     first = [matrix.inertia(om) for om in points]
     assert matrix._orbit.cache_info().currsize <= maxsize
     for om, want in zip(points[:20], first):  # long evicted

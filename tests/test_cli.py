@@ -244,6 +244,21 @@ class TestEval:
         assert lines[0] == str(want)
         assert lines[-1] == "False"
 
+    def test_family_file_is_read_as_utf8(self, tmp_path):
+        # a family document is UTF-8 whatever the locale, as an expression
+        # file is: under the C locale a non-ASCII label still loads
+        doc = dict(hopf_seifert_family(2, 2).to_json(), label="H′(2,2)")
+        (tmp_path / "hprime.json").write_text(json.dumps(doc, ensure_ascii=False),
+                                              encoding="utf-8")
+        code = "import sys; from splicesig.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "eval", '{"seifert": "hprime.json"}',
+             "--at", "1/3,1/5"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C",
+                     PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"))
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
     def test_cold_start_imports_no_pool_or_numpy(self, tmp_path):
         # verify forks its workers with os.fork, importing no process pool,
         # and no command imports numpy, so neither adds to the start-up of

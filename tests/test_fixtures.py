@@ -17,6 +17,7 @@ import pytest
 from conftest import inertia
 from splicesig import fixtures
 from splicesig.ccomplex import SeifertFamily
+from splicesig.errors import MAX_GRID_CELLS
 from splicesig.fixtures import (FIXTURES, PiecewiseTable, fixture_matrix, fixture_names,
                                 fixture_sig, fixture_table)
 from splicesig.torus import UNIT, Angle
@@ -203,19 +204,34 @@ class TestMatrices:
     def test_fixture_matrix_lookup_matches(self):
         assert fixture_matrix("referee-L").coeffs == fixture_matrix("torus(3,6)").coeffs
 
-    def test_leaf_cache_is_bounded(self):
+    def test_leaf_cache_is_bounded(self, monkeypatch):
+        matrix = fixture_matrix("torus(2,4)")
+        # the bound is the grid limit; under a smaller one the leaf evicts
+        assert fixtures._matrix_sig(matrix).cache_info().maxsize == MAX_GRID_CELLS
+        monkeypatch.setattr(fixtures, "MAX_GRID_CELLS", 1024)
         # a sweep over more open-torus cells than the leaf keeps
         order = 34
-        sig = fixtures._matrix_sig(fixture_matrix("torus(2,4)"))
+        sig = fixtures._matrix_sig(matrix)
         table = fixture_table("torus(2,4)")
         cells = list(product(range(1, order), repeat=2))
-        assert len(cells) > fixtures._LEAF_CACHE
+        assert len(cells) > fixtures.MAX_GRID_CELLS
         for ks in cells:
             omega = tuple(ang(k, order) for k in ks)
             assert sig(omega) == table.value(omega)
         info = sig.cache_info()
-        assert info.maxsize == fixtures._LEAF_CACHE
-        assert info.currsize <= fixtures._LEAF_CACHE
+        assert info.maxsize == fixtures.MAX_GRID_CELLS
+        assert info.currsize <= fixtures.MAX_GRID_CELLS
+
+    def test_leaf_keeps_a_whole_grid(self):
+        # a sweep's leaf evaluates each cell once: the second pass is all hits
+        order = 34
+        sig = fixtures._matrix_sig(fixture_matrix("torus(2,4)"))
+        cells = [tuple(ang(k, order) for k in ks) for ks in product(range(1, order), repeat=2)]
+        for _ in range(2):
+            for omega in cells:
+                sig(omega)
+        info = sig.cache_info()
+        assert len(cells) == info.currsize == info.misses == info.hits == 1089
 
 
 class TestPiecewiseTable:

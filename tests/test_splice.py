@@ -508,8 +508,11 @@ class TestSatellite:
 class TestToLevineTristram:
     def test_matrix_validated(self):
         # the linking numbers are the operand's own: one it does not know is refused
+        # zero(3) states no linking number, so the row of the color its merge
+        # makes sums unknown entries and is itself unknown
         for f in (zero_fn(2), SigFn(2, lambda om: 0, counts=(1, 1)),
-                  splice(vector(3, lambda om: 0, (1, 2)), hopf_sig_fn(1, 1))):
+                  splice(vector(3, lambda om: 0, (1, 2)), hopf_sig_fn(1, 1)),
+                  parse({"merge": [{"zero": 3}, 0]})):
             with pytest.raises(ValueError, match="has no linking matrix"):
                 to_levine_tristram(f)
 
