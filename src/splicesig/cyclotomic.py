@@ -175,7 +175,9 @@ class _Level:
 
     def reduce(self, den: int, terms: Iterable[Tuple[int, int]]) -> QV:
         """sum(c * x^e for e, c in terms) / den as a canonical pair: each term
-        folds in pow_rows[e mod N].  The only reduction modulo Phi_N."""
+        folds in pow_rows[e mod N], and the gcd of den and the numerators
+        divides out (zero becomes (1, 0...0)).  The only reduction modulo
+        Phi_N and the only place a pair is put in lowest terms."""
         n, d, rows = self.n, self.deg, self.pow_rows
         out = [0] * d
         for e, c in terms:
@@ -187,24 +189,14 @@ class _Level:
                     idx, row = rows[k]
                     for i, r in zip(idx, row):
                         out[i] += c * r
-        return self.normalize(den, out)
-
-    def normalize(self, den: int, vec: List[int]) -> QV:
-        if not any(vec):
-            return (1, (0,) * self.deg)
-        g = math.gcd(den, *vec)
-        if g > 1:
-            return (den // g, tuple(c // g for c in vec))
-        return (den, tuple(vec))
+        g = math.gcd(den, *out)
+        return (den // g, tuple(c // g for c in out))
 
     def add(self, a: QV, b: QV) -> QV:
-        da, va = a
-        db, vb = b
-        if da == db:
-            return self.normalize(da, [x + y for x, y in zip(va, vb)])
+        (da, va), (db, vb) = a, b
         g = math.gcd(da, db)
         ma, mb = db // g, da // g
-        return self.normalize(da * ma, [x * ma + y * mb for x, y in zip(va, vb)])
+        return self.reduce(da * ma, enumerate(x * ma + y * mb for x, y in zip(va, vb)))
 
     def mul(self, a: QV, b: QV) -> QV:
         return self.addmul((1, (0,) * self.deg), a, b)

@@ -17,10 +17,12 @@ class SpliceSigError(Exception):
 class GuardViolated(SpliceSigError):
     """A gluing formula was evaluated at a character excluded by its validity guard.
 
-    The splice formula needs (upsilon', upsilon'') != (1, 1) unless either
-    operand is a knot; the single-variable splice needs xi^gcd(lambda', lambda'')
-    != 1.  At such characters the additive formula genuinely fails (it can be
-    off by a bounded correction), so evaluation refuses to return a number.
+    The splice formula needs (upsilon', upsilon'') != (1, 1) where each
+    operand keeps a color besides its distinguished one (a coordinate that
+    is not 1); the single-variable splice needs xi^gcd(lambda', lambda'')
+    != 1 for xi != 1.  At such characters the additive formula genuinely
+    fails (it can be off by a bounded correction), so evaluation refuses to
+    return a number.
     """
 
 

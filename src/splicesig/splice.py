@@ -7,8 +7,9 @@ its signature, the correction being a generalized Hopf link's signature:
     sigma_L(w', w'') = sigma_1(u'', w') + sigma_2(u', w'') + defect_l'(w') * defect_l''(w'')
 
 where u* = (w*)^(l*) raises the character to the linking vector of the
-distinguished component.  It needs the guard (u', u'') != (1, 1) unless
-either link is a knot, whose raised character is 1.  The splice of the
+distinguished component.  It needs the guard (u', u'') != (1, 1) where each
+link keeps another color: a unit coordinate deletes its color, and a link
+whose other colors are all deleted is a knot there.  The splice of the
 standard generators reproducing the Hopf closed form pins the correction
 sign to +.  Cables and satellites are splices with a base link: H_{1,nu}
 first for nu copies, the pattern plus the axis of its solid torus for a satellite.
@@ -187,12 +188,14 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
     Both operands need a linking vector (ValueError naming the operand by its
     role otherwise).  The resulting evaluator takes (w', w'') with w' the
     colors of the first operand and w'' of the second.  Raises GuardViolated
-    when both operands have other colors and both raised characters
-    u' = (w')^l' and u'' = (w'')^l'' are 1: the formula acquires an extra
-    correction term there and is not computed by this calculus.  A knot
-    (vector ()) in either place raises to 1 and is unguarded: first, it gives
-    sigma_1(w^l'') + sigma_2(1, w).  The colors keep their link data, and L'_i
-    (l'_i meridians of K', glued to longitudes of K'') links L''_j l'_i*l''_j times.
+    when both raised characters u' = (w')^l' and u'' = (w'')^l'' are 1 and
+    each operand keeps another color (a coordinate that is not 1): the
+    formula acquires an extra correction term there and is not computed by
+    this calculus.  An operand whose other colors are all deleted is a knot
+    at that character, and a knot (vector ()) in either place raises to 1
+    and is unguarded: first, it gives sigma_1(w^l'') + sigma_2(1, w).  The
+    colors keep their link data, and L'_i (l'_i meridians of K', glued to
+    longitudes of K'') links L''_j l'_i*l''_j times.
     """
     from .links import expand, glue
     vectors = []
@@ -212,7 +215,8 @@ def splice(f1: SigFn, f2: SigFn, *, label: Optional[str] = None,
         om1, om2 = omega[:mu1], omega[mu1:]
         up1 = char_power(om1, lam1)
         up2 = char_power(om2, lam2)
-        if mu1 and mu2 and up1.is_unit() and up2.is_unit():
+        if (up1.is_unit() and up2.is_unit() and any(not a.is_unit() for a in om1)
+                and any(not a.is_unit() for a in om2)):
             raise GuardViolated(
                 "both raised characters equal 1; splice additivity does not apply")
         first = defect(lam1, om1)  # 0 for one color, and then the second is not computed
@@ -235,7 +239,7 @@ def lt_splice(f1: SigFn, f2: SigFn, xi: Angle) -> int:
     """Univariate signature of a splice of two (1,1)-colored links, the
     Levine-Tristram collapse of splice(f1, f2), whose colors link l'*l'' times:
     sigma(xi) = f1(xi^l'', xi) + f2(xi^l', xi) - l'*l'' + defect*defect,
-    refused (the splice guard) unless xi^gcd(l', l'') != 1."""
+    refused (the splice guard) where xi != 1 and xi^gcd(l', l'') = 1."""
     if f1.arity != 2 or f2.arity != 2:
         raise ValueError("operands must be (1,1)-colored: arity 2")
     return to_levine_tristram(splice(f1, f2))((xi,))
@@ -247,8 +251,8 @@ def cable_parallel(f: SigFn, nu: int) -> SigFn:
     f needs a linking vector l.  This is the splice of H_{1,nu}, whose
     signature is 0, with f: with pi the product of the copy coordinates,
     sigma(z, w) = f(pi, w) + defect(z) * defect_l(w), guarded by
-    (w^l, pi) != (1, 1) unless f is a knot.  The copies come first, link each
-    other 0 times and L_j l_j times.
+    (w^l, pi) != (1, 1) where some copy and some color of w are not 1.  The
+    copies come first, link each other 0 times and L_j l_j times.
     """
     nu = operator.index(nu)
     if nu < 1:

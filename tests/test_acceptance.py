@@ -12,8 +12,10 @@ from itertools import permutations, product
 import pytest
 
 from splicesig import verify
+from splicesig.errors import GuardViolated
 from splicesig.fixtures import fixture_sig
-from splicesig.torus import Angle, defect
+from splicesig.splice import SigFn, splice
+from splicesig.torus import Angle, char_power, defect, grid
 
 
 def _report(result):
@@ -135,3 +137,145 @@ def test_fixture_evaluators_built_once_per_run(monkeypatch):
     finally:
         verify._fixture.cache_clear()
     assert sorted(built) == ["cable(4,2)+core", "torus(2,4)", "torus(3,6)"]
+
+
+# -- every failure branch, each reached by one planted fault --------------------
+
+def _at(n, *ks):
+    return tuple(Angle.from_ratio(k, n) for k in ks)
+
+
+def _changed(real, where, by=1):
+    """real, but off by `by` where where(*args) holds."""
+    return lambda *args: real(*args) + (by if where(*args) else 0)
+
+
+def _without(cell):
+    """torus.grid without the one cell ks = cell."""
+    return lambda *args: ((ks, om) for ks, om in grid(*args) if ks != cell)
+
+
+def _planted_fixture(monkeypatch, name, omega):
+    """verify's fixture `name` off by one at omega."""
+    real = verify._fixture
+    monkeypatch.setattr(verify, "_fixture", lambda fix: _changed(
+        real(fix), lambda om: om == omega) if fix == name else real(fix))
+
+
+def _planted_splice(monkeypatch, omega, raises):
+    """splice, but raising GuardViolated at omega, or evaluating there as 0."""
+    def planted(f1, f2):
+        real = splice(f1, f2)
+
+        def fn(om):
+            if om != omega:
+                return real.fn(om)
+            if raises:
+                raise GuardViolated("planted")
+            return 0
+
+        return SigFn(real.arity, fn)
+
+    monkeypatch.setattr(verify, "splice", planted)
+
+
+def _guard_reading_deleted_colors(f1, f2):
+    """splice, but refused wherever both operands have other colors and both
+    raised characters are 1, whether or not a unit deletes those colors."""
+    real, mu1 = splice(f1, f2), f1.arity - 1
+
+    def fn(om):
+        om1, om2 = om[:mu1], om[mu1:]
+        if (om1 and om2 and char_power(om1, f1.linking).is_unit()
+                and char_power(om2, f2.linking).is_unit()):
+            raise GuardViolated("deleted colors read")
+        return real.fn(om)
+
+    return SigFn(real.arity, fn)
+
+
+def test_1b_referee_tables_fails_on_a_change_at_one_cell(monkeypatch):
+    _planted_fixture(monkeypatch, "torus(2,4)", _at(8, 3, 5))
+    assert verify.referee_tables() == verify.CriterionResult(
+        "referee-tables", False, "torus(2,4) at (3, 5)/8: got 0, table says -1")
+
+
+@pytest.mark.parametrize("omega, detail", [
+    (_at(8, 1, 2, 3), "identity off by 1 at (1, 2, 3)/8"),
+    (_at(8, 4, 1, 7), "excluded triple (4, 1, 7)/8: discrepancy 0, expected -1"),
+])
+def test_2c_referee_splice_fails_on_a_change_at_one_cell(monkeypatch, omega, detail):
+    _planted_fixture(monkeypatch, "torus(3,6)", omega)
+    assert verify.referee_splice() == verify.CriterionResult("referee-splice", False, detail)
+
+
+def test_2d_referee_splice_counts_its_cells(monkeypatch):
+    monkeypatch.setattr(verify, "grid", _without((1, 2, 3)))
+    assert verify.referee_splice() == verify.CriterionResult(
+        "referee-splice", False, "unexpected triple partition 495+16")
+
+
+def test_3b_hopf_oracle_fails_on_a_change_at_one_cell(monkeypatch):
+    monkeypatch.setattr(verify, "sigma_k", _changed(verify.sigma_k,
+                                                    lambda k, a: (k, a) == (1, _at(12, 1)[0])))
+    assert verify.hopf_oracle() == verify.CriterionResult(
+        "hopf-oracle", False, "H(1,1) at (1/12,1/12): family 0 != closed form 1")
+
+
+@pytest.mark.parametrize("where, detail", [
+    (lambda p, q, z: (p, q, z) == (2, 3, _at(12, 6)[0]),
+     "torus(2,3) at 6/12: lattice -1, matrix -2, expected -2"),
+    (lambda p, q, z: (p, q, z) == (2, 3, _at(41, 1)[0]), "symmetry fails for (2,3) at 1/41"),
+])
+def test_6b_hirzebruch_fails_on_a_change_at_one_cell(monkeypatch, where, detail):
+    monkeypatch.setattr(verify, "hirzebruch", _changed(verify.hirzebruch, where))
+    assert verify.hirzebruch_sanity() == verify.CriterionResult("hirzebruch", False, detail)
+
+
+@pytest.mark.parametrize("name, where, detail", [
+    ("sigma_k", lambda k, a: (k, a) == (1, _at(2, 1)[0]),
+     "sigma of the monochrome H(1,1) at 1/2: 0 != -1"),
+    ("univariate_reduction", lambda n, ns, lk, closed: (n, ns) == (3, (1, 2)),
+     "reduction at n=3, (n1,n2)=(1,2): 1 != direct value 0"),
+])
+def test_7b_univariate_reduction_fails_on_a_change_at_one_cell(monkeypatch, name, where,
+                                                                detail):
+    monkeypatch.setattr(verify, name, _changed(getattr(verify, name), where))
+    assert verify.univariate_reduction_check() == verify.CriterionResult(
+        "univariate-reduction", False, detail)
+
+
+@pytest.mark.parametrize("sides, detail", [
+    ((_at(2, 1), _at(2, 1)), "H(1,1) nullity case: got 1, want 0"),
+    ((_at(7, 1), _at(7, 2)), "H(1,1) at (1/7,2/7): nonzero nullity at a generic character"),
+    ((_at(6, 1), _at(6, 1)), "H(1,1) at (1/6,1/6): family kernel 1 != closed form 1 + 1"),
+])
+def test_8b_hopf_nullity_fails_on_a_change_at_one_cell(monkeypatch, sides, detail):
+    monkeypatch.setattr(verify, "hopf_nullity",
+                        _changed(verify.hopf_nullity, lambda *args: args == sides))
+    assert verify.hopf_nullity_check() == verify.CriterionResult("hopf-nullity", False, detail)
+
+
+@pytest.mark.parametrize("omega, raises, detail", [
+    (_at(8, 4, 1, 7), False, "no GuardViolated at excluded (4, 1, 7)/8"),
+    (_at(8, 0, 1, 7), True, "spurious GuardViolated at (0, 1, 7)/8"),
+    (_at(4, 2, 2), False, "no GuardViolated at (2/4,2/4)"),
+    (_at(4, 0, 2), True, "spurious GuardViolated at (0/4,2/4)"),
+])
+def test_9b_guard_discipline_fails_on_a_change_at_one_cell(monkeypatch, omega, raises, detail):
+    _planted_splice(monkeypatch, omega, raises)
+    assert verify.guard_discipline() == verify.CriterionResult("guard-discipline", False,
+                                                               detail)
+
+
+def test_9c_guard_discipline_fails_on_a_guard_reading_deleted_colors(monkeypatch):
+    # such a guard refuses the first cell, where every color is deleted
+    monkeypatch.setattr(verify, "splice", _guard_reading_deleted_colors)
+    assert verify.guard_discipline() == verify.CriterionResult(
+        "guard-discipline", False, "spurious GuardViolated at (0, 0, 0)/8")
+
+
+def test_9d_guard_discipline_counts_its_cells(monkeypatch):
+    monkeypatch.setattr(verify, "grid", _without((1, 2, 3)))
+    assert verify.guard_discipline() == verify.CriterionResult(
+        "guard-discipline", False, "unexpected guard partition 504+7")

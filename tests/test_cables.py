@@ -316,11 +316,14 @@ class TestCableStep:
                     assert g((ang(k, n),)) == knot((ang(k, n),))
 
     def test_guard(self):
-        # a (1,0)-cable of a link component is a splice with a zero base, so it
-        # is refused where both raised characters are 1
-        g = parse({"splice": [{"hopf": [1, 2]}, [1, 1], {"zero": 2}, [1]]})
+        # a splice with a zero base is refused where both raised characters
+        # are 1 and each operand keeps a color; where the base's other color
+        # is deleted, the base is a knot there and the splice evaluates
+        g = parse({"splice": [{"hopf": [1, 2]}, [1, 1], {"zero": 2}, [2]]})
         with pytest.raises(GuardViolated):
-            g((ang(1, 3), ang(2, 3), UNIT))
+            g((ang(1, 3), ang(2, 3), ang(1, 2)))
+        g = parse({"splice": [{"hopf": [1, 2]}, [1, 1], {"zero": 2}, [1]]})
+        assert g((ang(1, 3), ang(2, 3), UNIT)) == 0
 
     def test_builtin_d1_base(self):
         leaf = parse({"torus": [2, 3]})

@@ -157,7 +157,7 @@ def nonzero_pairs(draw):
         for _ in range(draw(st.integers(1, 4))):
             vec[draw(st.integers(0, deg - 1))] = draw(st.integers(-50, 50))
     assume(any(vec))
-    return level, _level(level).normalize(draw(st.integers(1, 30)), vec)
+    return level, _level(level).reduce(draw(st.integers(1, 30)), enumerate(vec))
 
 
 @settings(max_examples=60, deadline=None)

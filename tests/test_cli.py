@@ -66,6 +66,16 @@ class TestEval:
         assert main(["eval", doc, "--at", "1/2,1/2"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at, want", [("0,1/7,6/7", "-1\n"), ("0,0,0", "0\n")])
+    def test_cable_once_where_a_color_is_deleted(self, at, want, capsys):
+        # a unit deletes the single copy, so the base is a knot there and the
+        # splice is not guarded: the cable reads as the link it cables
+        doc = json.dumps({"cable": [{"fixture": "torus-3-6"}, 1]})
+        assert main(["eval", doc, "--at", at]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["eval", "fixture", "torus-3-6", "--at", at]) == 0
+        assert capsys.readouterr().out == want
+
     def test_json_error_envelope(self, capsys):
         doc = json.dumps({"splice": [{"merge": [{"hopf": [1, 2]}, 0]}, [2],
                                      {"merge": [{"hopf": [1, 2]}, 0]}, [2]]})

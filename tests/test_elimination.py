@@ -144,7 +144,7 @@ def scalars(draw, lv):
     vec = [0] * lv.deg
     for _ in range(draw(st.integers(0, 2))):
         vec[draw(st.integers(0, lv.deg - 1))] = draw(st.integers(-3, 3))
-    return lv.normalize(draw(st.integers(1, 3)), vec)
+    return lv.reduce(draw(st.integers(1, 3)), enumerate(vec))
 
 
 def dot(lv, terms):

@@ -19,7 +19,10 @@ line against the model: the exit code, refusal (an ExpressionError) exactly
 where the model refuses, the arity, sigma(conj w) = sigma(w), and that a
 splice and its swap agree.  Where the model accepts a document, the parsed
 evaluator's arity, component counts, linking matrix and linking vector are
-the model's.
+the model's.  Rewrite laws compare two documents of one link (a cable of
+one copy and its operand, say) on every cell of the order-5 and order-7
+grids: the same value, the same refusal, and the same nullity where both
+state one.
 """
 
 import io
@@ -29,12 +32,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splicesig.ccomplex import SeifertFamily
 from splicesig.cli import main
+from splicesig.errors import SpliceSigError
 from splicesig.expr import parse
 from splicesig.hopf import hopf_seifert_family
+from splicesig.torus import UNIT, grid
 
 # the fixtures' linking matrices, from their topology: two strands linking
 # twice; a core linking each of two (2,1)-strands once, which link twice;
@@ -368,3 +373,112 @@ def test_a_splice_and_its_swap_agree(e1, e2, n, data):
     assert swapped_code == code, (doc, angles, out, swapped_out)
     if code == 0:
         assert swapped_out == out, (doc, angles)
+
+
+# -- rewrite laws: two documents of one link agree on every cell ---------------
+
+def _cell(f, omega):
+    """f's value and nullity at omega, or the name of the error it raises there."""
+    try:
+        return f(omega), f.nullity(omega)
+    except SpliceSigError as err:
+        return type(err).__name__, None
+
+
+def _agree(left, right, arity, colors=lambda om: om):
+    """left at every cell of the order-5 and order-7 grids is right at the
+    cell with its colors permuted by colors: the same value or the same
+    refusal, and the same nullity where both state one (a combinator states
+    none)."""
+    for n in (5, 7):
+        for ks, om in grid(0, n, arity):
+            (a, nul_a), (b, nul_b) = _cell(left, om), _cell(right, colors(om))
+            assert a == b, (ks, n, a, b)
+            assert None in (nul_a, nul_b) or nul_a == nul_b, (ks, n, nul_a, nul_b)
+
+
+def _operands(cabled=False):
+    """Documents the model accepts, of one to three colors, whose color 0 is
+    one component with a known row where cabled, else distinguishable."""
+    def fits(doc):
+        node = accepted(doc)
+        return (node is not None and 1 <= node.arity <= 3
+                and (node.counts[0] == 1 and None not in node.lk[0] if cabled
+                     else _one_component(node.counts[0])))
+    return st.one_of(LEAVES, documents(2)).filter(fits)
+
+
+@st.composite
+def _with_vector(draw):
+    """An operand of _operands() and its true linking vector, an unknown
+    entry drawn at random."""
+    doc = draw(_operands())
+    return doc, [draw(LINK) if x is None else x for x in accepted(doc).lk[0][1:]]
+
+
+HOPF11 = {"hopf": [1, 1]}
+LAWS = settings(max_examples=100, deadline=None)
+
+
+@LAWS
+@given(_operands(cabled=True))
+# (0, k, -k)/n deletes the copy: a guard that reads deleted colors refuses it
+@example({"fixture": "torus-3-6"})
+def test_a_cable_of_one_copy_is_its_operand(e):
+    f = parse(e)
+    _agree(parse({"cable": [e, 1]}), f, f.arity)
+
+
+@LAWS
+@given(_with_vector())
+# (0, 0, 0) deletes H(1, 1)'s color: a guard that reads deleted colors refuses it
+@example(({"fixture": "cable-4-2"}, [1, 1]))
+def test_splicing_the_hopf_link_in_is_the_identity(operand):
+    # H(1, 1)'s other color takes the place of e's distinguished component
+    e, lam = operand
+    f = parse(e)
+    _agree(parse({"splice": [HOPF11, [1], e, lam]}), f, f.arity)
+    _agree(parse({"splice": [e, lam, HOPF11, [1]]}), f, f.arity, lambda om: om[-1:] + om[:-1])
+
+
+@LAWS
+@given(_with_vector(), st.integers(-4, 4).filter(bool))
+def test_splicing_an_unknot_in_deletes_the_component(operand, q):
+    (e, lam), unknot = operand, {"torus": [1, q]}
+    f = parse(e)
+    for doc in ({"splice": [e, lam, unknot, []]}, {"splice": [unknot, [], e, lam]}):
+        _agree(parse(doc), f, f.arity - 1, lambda om: (UNIT,) + om)
+
+
+@LAWS
+@given(_with_vector(), _with_vector())
+def test_splices_into_two_interchangeable_colors_commute(first, second):
+    # hopf(2, 1)'s colors 0 and 1 link each other 0 times and color 2 once:
+    # a into color 0, then b into color 1, is b into 0, then a into 1
+    (a, la), (b, lb) = first, second
+    assume(len(la) + len(lb) <= 3)
+
+    def into_both(one, l1, other, l2):
+        inner = {"splice": [{"hopf": [2, 1]}, [0, 1], one, l1]}
+        return parse({"splice": [inner, [1] + [0] * len(l1), other, l2]})
+
+    left, right = into_both(a, la, b, lb), into_both(b, lb, a, la)
+    mu = len(la)
+    _agree(left, right, left.arity, lambda om: om[:1] + om[1 + mu:] + om[1:1 + mu])
+
+
+@LAWS
+@given(TORUS)
+def test_a_torus_knot_reads_the_same_from_q_p_and_from_minus_p_minus_q(doc):
+    p, q = doc["torus"]
+    f = parse(doc)
+    for other in ([q, p], [-p, -q]):
+        _agree(f, parse({"torus": other}), 1)
+
+
+@LAWS
+@given(st.one_of(TORUS, documents(3)).filter(
+    lambda doc: (node := accepted(doc)) is not None and node.arity == 1
+    and _one_component(node.counts[0])), st.integers(-4, 4).filter(bool))
+def test_a_satellite_with_an_unknot_of_winding_1_is_its_companion(k, q):
+    _agree(parse({"satellite": [k, {"torus": [1, q]}, 1]}), parse(k), 1)
