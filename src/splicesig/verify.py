@@ -35,12 +35,6 @@ class CriterionResult(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _angles(order: int) -> Tuple[Angle, ...]:
-    """The angles k/order, k < order, built once per order; torus.grid walks the cells."""
-    return tuple(Angle.from_ratio(k, order) for k in range(order))
-
-
-@lru_cache(maxsize=None)
 def _fixture(name: str) -> SigFn:
     """A fixture's evaluator, built once per process: its leaf caches serve every criterion."""
     return fixture_sig(name)
@@ -80,35 +74,34 @@ def referee_tables() -> CriterionResult:
 
 def referee_splice() -> CriterionResult:
     name = "referee-splice"
-    lam1, lam2 = (2,), (1, 1)
-    held, excluded = 0, 0
-    angles = _angles(8)
     t36, t24, c42 = map(_fixture, ("torus(3,6)", "torus(2,4)", "cable(4,2)+core"))
-    for (k0, k1, k2), om in grid(0, 8, 3):
+    spliced = splice(t24, c42)
+    held, refused = 0, 0
+    for ks, om in grid(0, 8, 3):
+        k0, k1, k2 = ks
         om1, om2 = om[:1], om[1:]
         lhs = t36(om)
-        rhs = (t24((angles[(k1 + k2) % 8],) + om1)
-               + c42((angles[(2 * k0) % 8],) + om2)
-               + defect(lam1, om1) * defect(lam2, om2))
-        diff = lhs - rhs
-        guarded = (2 * k0) % 8 == 0 and (k1 + k2) % 8 == 0
-        if not guarded:
-            if diff != 0:
-                return _fail(name, f"identity off by {diff} at {(k0, k1, k2)}/8")
-            held += 1
-        else:
-            excluded += 1
-            # on the open torus the excluded slice is off by exactly one;
-            # with a unit coordinate color deletion restores agreement
-            want = -1 if (k0 and k1 and k2) else 0
-            if diff != want:
-                return _fail(name, f"excluded triple {(k0, k1, k2)}/8: "
-                                   f"discrepancy {diff}, expected {want}")
-    if (held, excluded) != (496, 16):
-        return _fail(name, f"unexpected triple partition {held}+{excluded}")
+        # the identity restated, raising to the linking vectors (2,) and (1, 1)
+        diff = lhs - (t24((Angle.from_ratio(k1 + k2, 8),) + om1)
+                      + c42((Angle.from_ratio(2 * k0, 8),) + om2)
+                      + defect((2,), om1) * defect((1, 1), om2))
+        try:
+            got = spliced(om)
+        except GuardViolated:  # where the guard refuses, the identity misses by exactly 1
+            refused += 1
+            if diff != -1:
+                return _fail(name, f"excluded triple {ks}/8: discrepancy {diff}, expected -1")
+            continue
+        if diff != 0:
+            return _fail(name, f"identity off by {diff} at {ks}/8")
+        if got != lhs:
+            return _fail(name, f"splice gives {got}, fixture {lhs} at {ks}/8")
+        held += 1
+    if (held, refused) != (505, 7):
+        return _fail(name, f"unexpected triple partition {held}+{refused}")
     return CriterionResult(name, True,
-                           "identity exact at all 496 guard triples; the 16 excluded "
-                           "triples show the discrepancy of exactly 1 on the open torus")
+                           "fixture, identity and splice agree at all 505 triples the guard "
+                           "admits; at the 7 it refuses the identity is off by exactly 1")
 
 
 # -- 3 ----------------------------------------------------------------------
@@ -221,11 +214,12 @@ def hirzebruch_sanity() -> CriterionResult:
             return _fail(name, f"torus(2,3) at {k}/12: lattice {got}, "
                                f"matrix {oracle}, expected {want}")
     pairs = 0
+    angles = [Angle.from_ratio(k, 41) for k in range(1, 21)]
     for p in range(1, 8):
         for q in range(1, 8):
             if gcd(p, q) != 1:
                 continue
-            for k, z in enumerate(_angles(41)[1:21], 1):
+            for k, z in enumerate(angles, 1):
                 if hirzebruch(p, q, z) != hirzebruch(q, p, z):
                     return _fail(name, f"symmetry fails for ({p},{q}) at {k}/41")
             pairs += 1
@@ -342,8 +336,8 @@ def guard_discipline() -> CriterionResult:
 
     # a knot in either place has no guard: raised characters 1 evaluate
     knot = parse({"torus": [2, 3]})
-    for guard_free, w in product((splice_knot(knot, h12), splice(h12, knot)), _angles(4)):
-        guard_free((w,))  # w in {0, 1/2} raises w^2 to the unit
+    for guard_free, (_, w) in product((splice_knot(knot, h12), splice(h12, knot)), grid(0, 4, 1)):
+        guard_free(w)  # w in {0, 1/2} raises w^2 to the unit
     return CriterionResult(name, True,
                            "GuardViolated raised exactly where both raised characters "
                            "are 1 and each operand keeps a color, in 528 splice "

@@ -32,9 +32,10 @@ def test_2_splice_identity():
 
 
 def test_2b_excluded_triples_frozen():
-    # the sixteen 8th-root triples violating the guard, pinned one by one:
-    # on the open torus the identity misses by exactly 1, with a unit
-    # coordinate color deletion restores equality
+    # the sixteen 8th-root triples where both raised characters are 1, pinned
+    # one by one: the guard refuses the 7 on the open torus, where the identity
+    # misses by exactly 1; at the other 9 a unit coordinate deletes a color and
+    # the identity holds
     f1, f2, fl = (fixture_sig(name) for name in ("torus(2,4)", "cable(4,2)+core",
                                                  "torus(3,6)"))
     eighth = lambda k: Angle(Fraction(k % 8, 8))
@@ -194,6 +195,26 @@ def _guard_reading_deleted_colors(f1, f2):
     return SigFn(real.arity, fn)
 
 
+def _misspliced(sign, swapped):
+    """splice's formula with the correction term times sign, and each operand
+    evaluated at its own raised character if swapped; splice's guard."""
+    def combine(f1, f2):
+        real, mu1 = splice(f1, f2), f1.arity - 1
+
+        def fn(om):
+            real.fn(om)  # refuses where splice does
+            om1, om2 = om[:mu1], om[mu1:]
+            up1, up2 = char_power(om1, f1.linking), char_power(om2, f2.linking)
+            if swapped:
+                up1, up2 = up2, up1
+            return (f1.fn((up2,) + om1) + f2.fn((up1,) + om2)
+                    + sign * defect(f1.linking, om1) * defect(f2.linking, om2))
+
+        return SigFn(real.arity, fn)
+
+    return combine
+
+
 def test_1b_referee_tables_fails_on_a_change_at_one_cell(monkeypatch):
     _planted_fixture(monkeypatch, "torus(2,4)", _at(8, 3, 5))
     assert verify.referee_tables() == verify.CriterionResult(
@@ -212,7 +233,17 @@ def test_2c_referee_splice_fails_on_a_change_at_one_cell(monkeypatch, omega, det
 def test_2d_referee_splice_counts_its_cells(monkeypatch):
     monkeypatch.setattr(verify, "grid", _without((1, 2, 3)))
     assert verify.referee_splice() == verify.CriterionResult(
-        "referee-splice", False, "unexpected triple partition 495+16")
+        "referee-splice", False, "unexpected triple partition 504+7")
+
+
+@pytest.mark.parametrize("sign, swapped, detail", [
+    (-1, False, "splice gives 2, fixture 4 at (1, 1, 1)/8"),
+    (1, True, "splice gives 2, fixture 1 at (0, 1, 1)/8"),
+])
+def test_2e_referee_splice_fails_on_a_wrong_splice(monkeypatch, sign, swapped, detail):
+    # the correction term with the wrong sign, or the raised characters swapped
+    monkeypatch.setattr(verify, "splice", _misspliced(sign, swapped))
+    assert verify.referee_splice() == verify.CriterionResult("referee-splice", False, detail)
 
 
 def test_3b_hopf_oracle_fails_on_a_change_at_one_cell(monkeypatch):
