@@ -177,7 +177,7 @@ def cmd_defect_table(args) -> int:
     except ValueError as err:
         raise UsageError(f"bad --lambda {args.lam!r}: {err}") from err
     order = args.order
-    if order < 1 or not lam:
+    if order < 1:
         raise UsageError("--order must be at least 1 and --lambda non-empty")
     rows = [(ks, defect(lam, omega)) for ks, omega in _grid(0, order, len(lam))]
     title = f"# defect lambda=({','.join(map(str, lam))})  order {order}"

@@ -59,9 +59,9 @@ def _raised(name: str, err: BaseException) -> CriterionResult:
 def referee_tables() -> CriterionResult:
     name = "referee-tables"
     checked = 0
-    for fix, arity in (("torus(2,4)", 2), ("cable(4,2)+core", 3), ("torus(3,6)", 3)):
+    for fix in ("torus(2,4)", "cable(4,2)+core", "torus(3,6)"):
         table, sig = fixture_table(fix), _fixture(fix)
-        for ks, om in grid(1, 8, arity):
+        for ks, om in grid(1, 8, sig.arity):
             want, got = table.value(om), sig(om)
             if got != want:
                 return _fail(name, f"{fix} at {ks}/8: got {got}, table says {want}")
@@ -100,8 +100,8 @@ def referee_splice() -> CriterionResult:
     if (held, refused) != (505, 7):
         return _fail(name, f"unexpected triple partition {held}+{refused}")
     return CriterionResult(name, True,
-                           "fixture, identity and splice agree at all 505 triples the guard "
-                           "admits; at the 7 it refuses the identity is off by exactly 1")
+                           f"fixture, identity and splice agree at all {held} triples the guard "
+                           f"admits; at the {refused} it refuses the identity is off by exactly 1")
 
 
 # -- 3 ----------------------------------------------------------------------
@@ -126,13 +126,15 @@ def hopf_oracle() -> CriterionResult:
 
 def hopf_spectrum_check() -> CriterionResult:
     name = "hopf-spectrum"
-    for m, n in product(range(1, 4), repeat=2):
+    families = list(product(range(1, 4), repeat=2))
+    for m, n in families:
         if not certify_spectrum(_family(m, n), m, n):
             return _fail(name, f"H({m},{n}) at (1/12,1/12): exact eigenvalues "
                                f"not proved equal to the product formula")
     # a proof holds at every open character; counted on the open 12th-root grid
+    cells = sum(1 for _ in grid(1, 12, 2))
     return CriterionResult(name, True, f"exact eigenvalues equal the product formula "
-                                       f"in {9 * 11 ** 2} cases")
+                                       f"in {len(families) * cells} cases")
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -193,11 +195,11 @@ def defect_lemma() -> CriterionResult:
         pair = e * order + neg[e]
         for k, v in enumerate(grids[1]):
             if grids[3][k * order * order + pair] != v:
-                return _fail(name, f"conjugate-pair embedding fails at ({k},{e})/24")
+                return _fail(name, f"conjugate-pair embedding fails at ({k},{e})/{order}")
     total = sum(map(len, grids.values()))
     return CriterionResult(name, True,
                            f"all five defect properties hold exhaustively on {total} "
-                           f"grid points (24th roots, mu <= 3)")
+                           f"grid points ({order}th roots, mu <= 3)")
 
 
 # -- 6 ----------------------------------------------------------------------
@@ -213,19 +215,15 @@ def hirzebruch_sanity() -> CriterionResult:
         if got != want or got != oracle:
             return _fail(name, f"torus(2,3) at {k}/12: lattice {got}, "
                                f"matrix {oracle}, expected {want}")
-    pairs = 0
     angles = [Angle.from_ratio(k, 41) for k in range(1, 21)]
-    for p in range(1, 8):
-        for q in range(1, 8):
-            if gcd(p, q) != 1:
-                continue
-            for k, z in enumerate(angles, 1):
-                if hirzebruch(p, q, z) != hirzebruch(q, p, z):
-                    return _fail(name, f"symmetry fails for ({p},{q}) at {k}/41")
-            pairs += 1
+    pairs = [(p, q) for p, q in product(range(1, 8), repeat=2) if gcd(p, q) == 1]
+    for p, q in pairs:
+        for k, z in enumerate(angles, 1):
+            if hirzebruch(p, q, z) != hirzebruch(q, p, z):
+                return _fail(name, f"symmetry fails for ({p},{q}) at {k}/41")
     return CriterionResult(name, True,
-                           f"trefoil values match the Seifert-matrix oracle; p<->q "
-                           f"symmetry holds for {pairs} coprime pairs at 20 angles")
+                           f"trefoil values match the Seifert-matrix oracle; p<->q symmetry "
+                           f"holds for {len(pairs)} coprime pairs at {len(angles)} angles")
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -328,9 +326,11 @@ def guard_discipline() -> CriterionResult:
         guarded = (a, b) == (2, 2)  # both raised to 1, and neither color deleted
         try:
             self_splice(om)
+            evaluated += 1
             if guarded:
                 return _fail(name, f"no GuardViolated at ({a}/4,{b}/4)")
         except GuardViolated:
+            raised += 1
             if not guarded:
                 return _fail(name, f"spurious GuardViolated at ({a}/4,{b}/4)")
 
@@ -340,8 +340,8 @@ def guard_discipline() -> CriterionResult:
         guard_free(w)  # w in {0, 1/2} raises w^2 to the unit
     return CriterionResult(name, True,
                            "GuardViolated raised exactly where both raised characters "
-                           "are 1 and each operand keeps a color, in 528 splice "
-                           "evaluations; knot splice total on the circle")
+                           f"are 1 and each operand keeps a color, in {evaluated + raised} "
+                           "splice evaluations; knot splice total on the circle")
 
 
 CRITERIA: List[Tuple[str, Callable[[], CriterionResult]]] = [

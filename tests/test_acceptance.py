@@ -159,8 +159,8 @@ def _without(cell):
 def _planted_fixture(monkeypatch, name, omega):
     """verify's fixture `name` off by one at omega."""
     real = verify._fixture
-    monkeypatch.setattr(verify, "_fixture", lambda fix: _changed(
-        real(fix), lambda om: om == omega) if fix == name else real(fix))
+    monkeypatch.setattr(verify, "_fixture", lambda fix: SigFn(real(fix).arity, _changed(
+        real(fix), lambda om: om == omega)) if fix == name else real(fix))
 
 
 def _planted_splice(monkeypatch, omega, raises):
@@ -253,6 +253,12 @@ def test_3b_hopf_oracle_fails_on_a_change_at_one_cell(monkeypatch):
         "hopf-oracle", False, "H(1,1) at (1/12,1/12): family 0 != closed form 1")
 
 
+def test_4b_hopf_spectrum_counts_its_cells(monkeypatch):
+    monkeypatch.setattr(verify, "grid", _without((1, 1)))
+    assert verify.hopf_spectrum_check() == verify.CriterionResult(
+        "hopf-spectrum", True, "exact eigenvalues equal the product formula in 1080 cases")
+
+
 @pytest.mark.parametrize("where, detail", [
     (lambda p, q, z: (p, q, z) == (2, 3, _at(12, 6)[0]),
      "torus(2,3) at 6/12: lattice -1, matrix -2, expected -2"),
@@ -310,3 +316,11 @@ def test_9d_guard_discipline_counts_its_cells(monkeypatch):
     monkeypatch.setattr(verify, "grid", _without((1, 2, 3)))
     assert verify.guard_discipline() == verify.CriterionResult(
         "guard-discipline", False, "unexpected guard partition 504+7")
+
+
+def test_9e_guard_discipline_counts_its_self_splice_cells(monkeypatch):
+    monkeypatch.setattr(verify, "grid", _without((1, 1)))
+    assert verify.guard_discipline() == verify.CriterionResult(
+        "guard-discipline", True,
+        "GuardViolated raised exactly where both raised characters are 1 and each operand "
+        "keeps a color, in 527 splice evaluations; knot splice total on the circle")
