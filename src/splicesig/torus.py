@@ -59,8 +59,8 @@ class Angle:
 
     @staticmethod
     def from_ratio(num: int, den: int) -> "Angle":
-        """The angle num/den mod 1, i.e. the point zeta_den^num, for den > 0."""
-        g = math.gcd(num, den)
+        """The angle num/den mod 1, i.e. the point zeta_den^num, for den != 0."""
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         return _pair(num // g % (den // g), den // g)
 
     def __setattr__(self, name, val):  # immutable
@@ -143,7 +143,10 @@ def ind(x: Union[int, Fraction], den: int = 1) -> int:
 
 def weighted_sum(lam: Sequence[int], omega: Character) -> Tuple[int, int]:
     """sum_j lam_j * theta_j as an integer pair (s, den), s / den not reduced:
-    den is the lcm of the angle denominators, 1 for the empty character."""
+    den is the lcm of the angle denominators, 1 for the empty character.
+    ValueError unless lam has one weight per color."""
+    if len(omega) != len(lam):
+        raise ValueError(f"character has {len(omega)} colors, weight vector has {len(lam)}")
     den = math.lcm(*[a.denominator for a in omega])
     return sum(l * a.numerator * (den // a.denominator) for l, a in zip(lam, omega)), den
 
@@ -153,8 +156,6 @@ def char_power(omega: Character, lam: Sequence[int]) -> Angle:
 
     For the empty character this is 1 (the unique point of T^0).
     """
-    if len(omega) != len(lam):
-        raise ValueError(f"character has {len(omega)} colors, weight vector has {len(lam)}")
     return Angle.from_ratio(*weighted_sum(lam, omega))
 
 

@@ -145,18 +145,15 @@ def defect_lemma() -> CriterionResult:
     # flat grids: the cell ks/24 sits at the index whose base-24 digits are ks
     grids = {mu: [defect1(om) for _, om in grid(0, order, mu)] for mu in (1, 2, 3)}
 
-    def moved(mu, slots, digits):
-        """grids[mu] moved by the map of cells that takes the coordinate k at
-        position p to digits[k] at position slots[p]."""
-        index = [0]
+    def first_change(mu, to, slots, digits, sign=1, tail=0):
+        """The first ks with sign * grids[mu] != grids[to] at the cell that takes the
+        k at position p to digits[k] at position slots[p], and tail's digits elsewhere."""
+        index = [tail]
         for slot in slots:
-            weight = order ** (mu - 1 - slot)
+            weight = order ** (to - 1 - slot)
             index = [i + digits[k] * weight for i in index for k in range(order)]
-        return [grids[mu][i] for i in index]
-
-    def first_change(mu, values, sign=1):  # the first ks with values != sign * grids[mu]
-        cells = zip(grid(0, order, mu), grids[mu], values)
-        return next((ks for (ks, _), v, w in cells if w != sign * v), None)
+        cells = zip(grid(0, order, mu), grids[mu], index, strict=True)
+        return next((ks for (ks, _), v, i in cells if grids[to][i] != sign * v), None)
 
     # vanishing: at the unit character, and identically for mu <= 1
     if defect1(()) != 0:
@@ -167,35 +164,31 @@ def defect_lemma() -> CriterionResult:
     if any(grids[1]):
         return _fail(name, "defect not identically zero for mu=1")
 
-    # conjugation antisymmetry
+    # conjugation antisymmetry, and symmetric group invariance through the
+    # adjacent transpositions (they generate S_mu)
     neg = [(-k) % order for k in range(order)]
     for mu in (2, 3):
-        ks = first_change(mu, moved(mu, range(mu), neg), -1)
+        ks = first_change(mu, mu, range(mu), neg, -1)
         if ks is not None:
             return _fail(name, f"conjugation antisymmetry fails at {ks}, mu={mu}")
-
-    # symmetric group invariance, through the adjacent transpositions (they generate S_mu)
-    for mu in (2, 3):
         for p in range(mu - 1):
-            slots = [*range(p), p + 1, p, *range(p + 2, mu)]
-            ks = first_change(mu, moved(mu, slots, range(order)))
+            ks = first_change(mu, mu, [*range(p), p + 1, p, *range(p + 2, mu)], range(order))
             if ks is not None:
                 return _fail(name, f"permutation invariance fails at {ks}, mu={mu}")
 
-    # stability under appending a unit coordinate: ks + (0,) sits at order * index(ks);
+    # stability under appending a unit coordinate, the last digit 0;
     # at mu = 0 it is defect1(()) = grids[1][0] = 0, checked above
     for mu in (1, 2):
-        ks = first_change(mu, grids[mu + 1][::order])
+        ks = first_change(mu, mu + 1, range(mu), range(order))
         if ks is not None:
             return _fail(name, f"unit embedding fails at {ks}, mu={mu}")
 
-    # stability under appending a conjugate pair; at mu = 0 the pair (e, -e)
-    # is the transposed conjugate of itself, so the checks above make it 0
+    # stability under appending a conjugate pair, the last two digits (e, -e); at
+    # mu = 0 the pair is the transposed conjugate of itself, so the checks above make it 0
     for e in range(order):
-        pair = e * order + neg[e]
-        for k, v in enumerate(grids[1]):
-            if grids[3][k * order * order + pair] != v:
-                return _fail(name, f"conjugate-pair embedding fails at ({k},{e})/{order}")
+        ks = first_change(1, 3, [0], range(order), tail=e * order + neg[e])
+        if ks is not None:
+            return _fail(name, f"conjugate-pair embedding fails at ({ks[0]},{e})/{order}")
     total = sum(map(len, grids.values()))
     return CriterionResult(name, True,
                            f"all five defect properties hold exhaustively on {total} "
@@ -336,12 +329,15 @@ def guard_discipline() -> CriterionResult:
 
     # a knot in either place has no guard: raised characters 1 evaluate
     knot = parse({"torus": [2, 3]})
+    knots = 0
     for guard_free, (_, w) in product((splice_knot(knot, h12), splice(h12, knot)), grid(0, 4, 1)):
         guard_free(w)  # w in {0, 1/2} raises w^2 to the unit
+        knots += 1
     return CriterionResult(name, True,
                            "GuardViolated raised exactly where both raised characters "
                            f"are 1 and each operand keeps a color, in {evaluated + raised} "
-                           "splice evaluations; knot splice total on the circle")
+                           f"splice evaluations; knot splice total on the circle in {knots} "
+                           "evaluations")
 
 
 CRITERIA: List[Tuple[str, Callable[[], CriterionResult]]] = [

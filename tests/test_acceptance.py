@@ -6,6 +6,7 @@ per-test PASSED/FAILED line of pytest -v mirrors it).  Everything is exact,
 the spectrum check included.
 """
 
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -323,4 +324,30 @@ def test_9e_guard_discipline_counts_its_self_splice_cells(monkeypatch):
     assert verify.guard_discipline() == verify.CriterionResult(
         "guard-discipline", True,
         "GuardViolated raised exactly where both raised characters are 1 and each operand "
-        "keeps a color, in 527 splice evaluations; knot splice total on the circle")
+        "keeps a color, in 527 splice evaluations; knot splice total on the circle in 8 "
+        "evaluations")
+
+
+def test_9f_guard_discipline_counts_its_knot_splices(monkeypatch):
+    # w = 0 dropped from the walk of each of the two knot splices
+    monkeypatch.setattr(verify, "grid", _without((0,)))
+    assert verify.guard_discipline() == verify.CriterionResult(
+        "guard-discipline", True,
+        "GuardViolated raised exactly where both raised characters are 1 and each operand "
+        "keeps a color, in 528 splice evaluations; knot splice total on the circle in 6 "
+        "evaluations")
+
+
+@pytest.mark.parametrize("criterion, cell, skipped", [
+    ("referee_tables", (1, 1), 1),               # torus(2,4)'s one arity-2 walk
+    ("hopf_oracle", (1, 1), 16),                 # one cell of each of 16 families
+    ("univariate_reduction_check", (1, 1), 5),   # one cell at each n = 2..6
+    ("hopf_nullity_check", (1, 1), 16 + 9),      # the 7th-root and 6th-root walks
+])
+def test_each_count_follows_its_walk(monkeypatch, criterion, cell, skipped):
+    # the PASS line's one count drops by exactly the walked cells left out
+    full = getattr(verify, criterion)()
+    count, = map(int, re.findall(r"\d+", full.detail))
+    monkeypatch.setattr(verify, "grid", _without(cell))
+    assert getattr(verify, criterion)() == full._replace(
+        detail=full.detail.replace(str(count), str(count - skipped)))

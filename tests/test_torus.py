@@ -110,6 +110,16 @@ def test_char_power():
         defect((1,), om)
 
 
+@pytest.mark.parametrize("name, at", [("torus(3,6)", "1/8"), ("torus(2,4)", "1/8,1/8,1/8")])
+def test_weighted_sum_refuses_a_character_of_another_arity(name, at):
+    # a table once summed the shorter of weights and angles: 4 and 1 here
+    table, om = fixture_table(name), character(at)
+    msg = f"character has {len(om)} colors, weight vector has {len(table.weights)}"
+    for call in (lambda: weighted_sum(table.weights, om), lambda: table.value(om)):
+        with pytest.raises(ValueError, match=msg):
+            call()
+
+
 @given(st.integers(0, 30).flatmap(lambda order: st.tuples(st.integers(0, order), st.just(order))),
        st.integers(0, 3))
 @settings(deadline=None)  # up to 27 000 cells an example
@@ -201,6 +211,7 @@ def test_angle_reduces_every_input_form():
     assert Angle(3) == Angle(-3) == Angle("4/2") == Angle(Fraction(0)) == UNIT
     assert Angle(" 1/3 ") == Angle.from_ratio(-2, 3) == Angle.from_ratio(2, 6)
     assert Angle.from_ratio(0, 7) == Angle.from_ratio(14, 7) == UNIT
+    assert UNIT.is_unit() and not Angle("1/3").is_unit()
 
 
 @given(st.fractions(max_denominator=10 ** 6))
@@ -214,6 +225,21 @@ def test_angle_is_a_reduced_pair_with_a_fraction_view(x):
     assert (a.numerator, a.denominator) == (a.value.numerator, a.value.denominator)
     assert a == Angle(str(x)) == Angle.from_ratio(x.numerator, x.denominator)
     assert str(a) == str(a.value) and repr(a) == f"Angle({a.value})"
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+@example(1, -3)
+@example(0, -5)
+def test_from_ratio_is_the_angle_of_the_fraction_for_either_sign(num, den):
+    a = Angle.from_ratio(num, den)
+    assert a == Angle(Fraction(num, den))
+    assert 0 <= a.numerator < a.denominator
+
+
+@pytest.mark.parametrize("num", [0, 1, -1])
+def test_from_ratio_refuses_a_zero_denominator(num):
+    with pytest.raises(ZeroDivisionError):
+        Angle.from_ratio(num, 0)
 
 
 @given(st.fractions(max_denominator=10 ** 6), st.integers(-3, 3))
@@ -314,7 +340,8 @@ tables = st.one_of(
 
 @given(tables, st.lists(coords, min_size=3, max_size=3), st.integers(1, 60))
 def test_table_value_matches_fraction_reference(table, xs, order):
-    # on grid points too, where the sum lands on the walls
+    # one coordinate per weight; on grid points too, where the sum lands on the walls
+    xs = xs[:len(table.weights)]
     assert table.value(tuple(Angle(x) for x in xs)) == ref_table_value(table, xs)
     grid_xs = [Fraction(x.numerator % order if isinstance(x, Fraction) else x, order)
                for x in xs]
